@@ -102,6 +102,12 @@ class Multigraph:
             e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
             for e in sorted(self.edges, key=lambda e: e.id))
         object.__setattr__(self, "edges", normal)
+        # Graphs key most of the package's caches, so the edge tuple is
+        # hashed once here rather than at every cache lookup.
+        object.__setattr__(self, "_hash", hash((self.vertices, normal)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -144,13 +150,6 @@ class Multigraph:
         edges = tuple(e for e in self.edges if e.u in keep and e.v in keep)
         return Multigraph(keep, edges)
 
-    def without_edges(self, ids: Iterable[str]) -> Multigraph:
-        drop = set(ids)
-        unknown = drop - set(_edge_map(self))
-        if unknown:
-            raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
-        return Multigraph(self.vertices, tuple(e for e in self.edges if e.id not in drop))
-
     def is_empty(self) -> bool:
         return not self.vertices
 
@@ -166,7 +165,7 @@ def _adjacency(g: Multigraph) -> dict:
     for e in g.edges:
         adj[e.u].append(e)
         adj[e.v].append(e)
-    return {v: tuple(sorted(adj[v], key=lambda e: e.id)) for v in g.vertices}
+    return {v: tuple(es) for v, es in adj.items()}
 
 
 @lru_cache(maxsize=512)
@@ -214,11 +213,6 @@ class Graft:
 
     def is_terminal(self, v: VertexId) -> bool:
         return v in self.terminals
-
-
-def as_plain_graft(g: Graft) -> Graft:
-    """Strip any bipartition, keeping just the graph and terminals."""
-    return Graft(g.graph, g.terminals) if type(g) is not Graft else g
 
 
 @dataclass(frozen=True)
@@ -374,24 +368,6 @@ def is_join(g: Graft, F: Iterable[str]) -> bool:
         e = g.graph.edge(eid)
         odd ^= {e.u, e.v}
     return odd == set(g.terminals)
-
-
-@dataclass(frozen=True)
-class VertexSetRole:
-    """A vertex subset tagged with how it is about to be used."""
-
-    vertices: frozenset
-    role: str  # "induce", "contract", or "separate"
-
-    def __post_init__(self):
-        if self.role not in ("induce", "contract", "separate"):
-            raise GraftInputError(f"unknown vertex-set role {self.role!r}")
-
-    def validate_for(self, graph: Multigraph) -> None:
-        missing = self.vertices - graph.vertices
-        if missing:
-            raise GraftInputError(
-                f"role {self.role!r} names unknown vertices {sorted_vertices(missing)!r}")
 
 
 @dataclass(frozen=True)

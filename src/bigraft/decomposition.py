@@ -192,9 +192,13 @@ class KLPartition:
 def kl_partition(g: Graft) -> KLPartition:
     """Group vertices by distance zero inside their factor component.
 
-    Every instance is audited pairwise: same class must coincide with
-    distance zero, which in particular certifies transitivity.  An audit
-    failure raises InternalConsistencyError.
+    Each vertex joins the first class whose representative is at distance
+    zero from it.  Every instance is then audited pairwise: same class must
+    coincide with distance zero, which in particular certifies
+    transitivity.  Where a graph component has at most _DP_TERMINAL_LIMIT
+    terminals, each distance is a read of its table in joins, so the O(n²)
+    audit runs no matching.  An audit failure raises
+    InternalConsistencyError.
     """
     comps = factor_components(g)
     classes: list[frozenset] = []

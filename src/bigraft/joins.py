@@ -5,8 +5,17 @@ whole affine solution space over GF(2) and canonicalizes ties; the polynomial
 one matches terminals over the shortest-path metric and realizes the pairing
 by breadth-first paths.  Their agreement is the package's root oracle.
 
-All caches are ``functools.lru_cache`` based and therefore safe to share
-across threads.
+The distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T) and the allowed-edge
+test both read one table per graph component.  For a component with at most
+_DP_TERMINAL_LIMIT terminals it keeps the BFS row of every terminal and the
+pairing DP's full subset table dp[mask], so each pair costs O(t²) with no
+new matching.  Larger components fall back to one matching per flipped
+terminal set.  The table stores the difference unsigned; the sign hook is
+applied when f_distance reads it.
+
+All caches are bounded ``functools.lru_cache``s keyed on graph values (a
+Multigraph computes its hash once), and the tables are not mutated after
+construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -290,11 +299,11 @@ def _bfs_path_ids(graph: Multigraph, u, v) -> frozenset:
     return frozenset(ids)
 
 
-def _pairing_dp(cost: list[list[int]]) -> list[tuple[int, int]]:
-    """Minimum-weight perfect pairing of indices 0..t-1 by bitmask DP.
+def _subset_dp(cost: list[list[int]]) -> list:
+    """dp[mask]: least perfect-pairing cost of the indices in mask.
 
-    dp[mask] is the best pairing cost of the indices in mask; the lowest
-    set index is always paired first, which visits each pairing once.
+    Only even masks are filled; the lowest set index is always paired
+    first, which visits each pairing once.
     """
     t = len(cost)
     full = (1 << t) - 1
@@ -313,6 +322,14 @@ def _pairing_dp(cost: list[list[int]]) -> list[tuple[int, int]]:
                 if cand < best:
                     best = cand
         dp[mask] = best
+    return dp
+
+
+def _pairing_dp(cost: list[list[int]]) -> list[tuple[int, int]]:
+    """Minimum-weight perfect pairing of indices 0..t-1 by bitmask DP."""
+    t = len(cost)
+    dp = _subset_dp(cost)
+    full = (1 << t) - 1
     pairs = []
     mask = full
     while mask:
@@ -427,6 +444,72 @@ def negative_circuit_witness(g: Graft, F, max_edges: int | None = None) -> Weigh
 # Distances induced by minimum joins.
 # ---------------------------------------------------------------------------
 
+class _ComponentTable:
+    """Join distances inside one graph component with few terminals.
+
+    ``rows[i]`` maps each vertex of the component to its BFS distance from
+    terminal i, and ``dp`` is the full subset table of those terminals, so
+    nu(T Δ {u, v}) - nu(T) costs O(t²) for any pair in the component.
+    """
+
+    __slots__ = ("graph", "index", "rows", "dp")
+
+    def __init__(self, graph: Multigraph, terms: tuple):
+        self.graph = graph
+        self.index = {w: i for i, w in enumerate(terms)}
+        self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
+        self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
+
+    def delta(self, u, v) -> int:
+        """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
+        rows, dp = self.rows, self.dp
+        t = len(rows)
+        full = len(dp) - 1
+        i, j = self.index.get(u), self.index.get(v)
+        if i is None and j is not None:
+            u, v, i, j = v, u, j, i
+        if j is not None:
+            # Both are terminals: they leave T.
+            flipped = dp[full ^ (1 << i) ^ (1 << j)]
+        elif i is not None:
+            # u leaves T and v, entering, takes one of the others.
+            flipped = min(rows[k][v] + dp[full ^ (1 << i) ^ (1 << k)]
+                          for k in range(t) if k != i)
+        else:
+            # Both enter: they pair with each other or with two terminals.
+            flipped = _bfs_tree(self.graph, u)[0][v] + dp[full]
+            for k in range(t):
+                du = rows[k][u]
+                for m in range(t):
+                    if m != k:
+                        cand = du + rows[m][v] + dp[full ^ (1 << k) ^ (1 << m)]
+                        if cand < flipped:
+                            flipped = cand
+        return flipped - dp[full]
+
+
+@lru_cache(maxsize=1024)
+def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
+    """Each vertex's component table; None where the component holds more
+    than _DP_TERMINAL_LIMIT terminals."""
+    out: dict = {}
+    for comp in graph.components():
+        terms = tuple(sorted_vertices(comp & terminals))
+        table = (_ComponentTable(graph, terms)
+                 if len(terms) <= _DP_TERMINAL_LIMIT else None)
+        for w in comp:
+            out[w] = table
+    return out
+
+
+def _nu_delta(graph: Multigraph, terminals: frozenset, u, v) -> int:
+    """nu(T Δ {u, v}) - nu(T), unsigned, for distinct u, v of one component."""
+    table = _distance_tables(graph, terminals)[u]
+    if table is None:
+        return _nu(graph, terminals ^ {u, v}) - _nu(graph, terminals)
+    return table.delta(u, v)
+
+
 def f_distance(g: Graft, u, v) -> DistanceValue:
     """Change in minimum-join size when the terminal status of u, v flips.
 
@@ -440,8 +523,7 @@ def f_distance(g: Graft, u, v) -> DistanceValue:
         return DistanceValue(0)
     if v not in g.graph.component_of(u):
         return DistanceValue(None)
-    delta = _nu(g.graph, g.terminals ^ {u, v}) - _nu(g.graph, g.terminals)
-    return DistanceValue(_DISTANCE_SIGN * delta)
+    return DistanceValue(_DISTANCE_SIGN * _nu_delta(g.graph, g.terminals, u, v))
 
 
 def f_distance_int(g: Graft, u, v) -> int:
@@ -511,16 +593,13 @@ def _dfs_path_within(graph: Multigraph, allowed: frozenset, u, v) -> Walk | None
 
 
 def is_allowed_edge(g: Graft, eid: str) -> bool:
-    """True when some minimum join contains the edge.
+    """True when some minimum join contains the edge e = uv.
 
-    Joins through e of size nu correspond to joins of the residual graft
-    (G - e, T flipped at e's ends) of size nu - 1; when that residual has a
-    component with odd terminals, no such join exists at all.
+    That holds exactly when nu(T Δ {u, v}) = nu(T) - 1.  If a minimum join
+    F contains e, F - e joins T Δ {u, v}, and adding or removing e moves a
+    join size by one, so the difference is -1.  Conversely a join F' of
+    T Δ {u, v} of size nu(T) - 1 cannot contain e (F' - e would join T
+    with nu(T) - 2 edges), so F' + e is a minimum join through e.
     """
     e = g.graph.edge(eid)
-    residual = g.graph.without_edges([eid])
-    flipped = g.terminals ^ {e.u, e.v}
-    for comp in residual.components():
-        if len(comp & flipped) % 2:
-            return False
-    return 1 + _nu(residual, flipped) == _nu(g.graph, g.terminals)
+    return _nu_delta(g.graph, g.terminals, e.u, e.v) == -1

@@ -54,16 +54,22 @@ class TestMultigraph:
         comps = g.components()
         assert comps == (frozenset({"a", "b"}), frozenset({"c", "d"}))
 
+    def test_equal_graphs_from_different_routes_hash_equal(self):
+        a = Multigraph.build(["x", "y", "z"],
+                             [("e1", "x", "y"), ("e2", "y", "z"), ("e3", "x", "y")])
+        b = Multigraph.build(["z", "y", "x"],
+                             [("e3", "y", "x"), ("e1", "x", "y"), ("e2", "z", "y")])
+        c = Multigraph.build(["x", "y", "z", "w"],
+                             [("e2", "z", "y"), ("e4", "w", "x"), ("e1", "y", "x"),
+                              ("e3", "x", "y")]).induced({"x", "y", "z"})
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+
     def test_induced_drops_crossing_edges(self):
         g = chain4().graph
         sub = g.induced({"a0", "b0"})
         assert sub.edge_ids() == {"e0"}
-
-    def test_without_edges(self):
-        g = c4().graph
-        assert g.without_edges(["f1"]).edge_ids() == {"f2", "f3", "f4"}
-        with pytest.raises(GraftInputError, match="unknown edge ids"):
-            g.without_edges(["zz"])
 
 
 class TestGraft:

@@ -1,6 +1,7 @@
 """Join engine: both backends, weights, distances, path extraction."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,10 +13,14 @@ from bigraft.core import (
     PreconditionError,
     Walk,
 )
+from bigraft import decomposition
+from bigraft.decomposition import allowed_edge_set, factor_components
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import (
+    _DP_TERMINAL_LIMIT,
     DistanceValue,
     JoinSet,
+    _distance_tables,
     all_min_joins,
     extract_shortest_path,
     f_distance,
@@ -218,12 +223,86 @@ class TestFDistance:
         assert f_distance(chain4(), "b0", "a1").value == 1
 
 
+def random_graft(seed: int, sizes: tuple, terminals: tuple, extra: int) -> Graft:
+    """Fixed-seed graft: one random tree per entry of ``sizes``, ``extra``
+    more edges inside the pieces, and one edge doubled in each piece.
+    ``terminals[i]`` (even) vertices of piece i are terminals."""
+    rng = random.Random(seed)
+    vertices, edges, terms = [], [], []
+    pieces = []
+    for p, (n, t) in enumerate(zip(sizes, terminals)):
+        vs = [f"p{p}v{i}" for i in range(n)]
+        rng.shuffle(vs)
+        for i in range(1, n):
+            edges.append((vs[i], rng.choice(vs[:i])))
+        edges.append(edges[-1])
+        vertices += vs
+        terms += rng.sample(vs, t)
+        pieces.append(vs)
+    for _ in range(extra):
+        vs = rng.choice(pieces)
+        u, v = rng.sample(vs, 2)
+        edges.append((u, v))
+    graph = Multigraph.build(
+        vertices, [(f"e{i:02d}", u, v) for i, (u, v) in enumerate(edges)])
+    return Graft(graph, frozenset(terms))
+
+
+# (seed, piece sizes, terminals per piece, extra edges)
+TABLE_CASES = [
+    (1, (9,), (4,), 5),
+    (2, (8,), (0,), 4),
+    (3, (5, 6, 4), (2, 4, 0), 5),
+    (4, (12,), (_DP_TERMINAL_LIMIT,), 5),
+    (5, (14,), (_DP_TERMINAL_LIMIT + 2,), 4),
+]
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("seed,sizes,terminals,extra", TABLE_CASES)
+    def test_matches_the_oracles(self, seed, sizes, terminals, extra):
+        g = random_graft(seed, sizes, terminals, extra)
+        tables = _distance_tables(g.graph, g.terminals)
+        for comp in g.graph.components():
+            fallback = len(comp & g.terminals) > _DP_TERMINAL_LIMIT
+            assert all((tables[w] is None) == fallback for w in comp)
+        kinds = set()
+        vs = sorted(g.graph.vertices)
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                want = brute_distance(g, u, v)
+                assert f_distance(g, u, v).value == want, (u, v)
+                if want is not None:
+                    kinds.add((u in g.terminals) + (v in g.terminals))
+        if g.terminals:
+            assert kinds == {0, 1, 2}
+        ends = [e.ends() for e in g.graph.edges]
+        assert any(ends.count(x) > 1 for x in ends)
+        for e in g.graph.edges:
+            assert is_allowed_edge(g, e.id) == brute_allowed(g, e.id), e.id
+
+
 class TestFlippedSign:
     def test_flip_and_restore(self):
         assert f_distance(k2(), "a", "b").value == -1
         with flipped_distance_sign():
             assert f_distance(k2(), "a", "b").value == 1
         assert f_distance(k2(), "a", "b").value == -1
+
+    def test_flip_acts_on_tables_built_before_it(self):
+        g = random_graft(*TABLE_CASES[2])
+        pairs = list(itertools.combinations(sorted(g.graph.vertices), 2))
+        before = {(u, v): f_distance(g, u, v).value for u, v in pairs}
+        allowed = allowed_edge_set(g)
+        comps = factor_components(g)
+        assert any(before.values())
+        with flipped_distance_sign():
+            decomposition._allowed_edge_set.cache_clear()
+            decomposition._factor_components.cache_clear()
+            for (u, v), d in before.items():
+                assert f_distance(g, u, v).value == (None if d is None else -d)
+            assert allowed_edge_set(g) == allowed
+            assert factor_components(g) == comps
 
 
 class TestWalkReport:
