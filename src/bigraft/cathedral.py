@@ -68,14 +68,18 @@ def _contracted_name(base_id, taken: frozenset) -> str:
     return name
 
 
-def is_critical_set(comb: OrderedBipartiteGraft, component_id, X,
-                    method: str = "exact") -> tuple[bool, CriticalSetCertificate | None]:
+def is_critical_set(comb: OrderedBipartiteGraft, component_id,
+                    X) -> tuple[bool, CriticalSetCertificate | None]:
     """Decide whether X is a critical set for the given factor component.
 
     X must be separating and contain the component; contracting the
     component to a fresh tooth vertex must leave a bipartite graft that is
-    a critical quasicomb for that vertex.  Returns the verdict and, when
-    true, a certificate carrying the contraction and its distance table.
+    a critical quasicomb for that vertex.  Every contraction is checked to
+    be a quasicomb, as the theory guarantees.  A disconnected one is then
+    rejected at once, since a critical quasicomb has every vertex at a
+    finite distance from its root; only a connected one pays for the
+    distance table.  Returns the verdict and, when true, a certificate
+    carrying the contraction and its distance table.
     """
     _require_comb(comb)
     comps = factor_components(comb)
@@ -105,19 +109,14 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id, X,
     shape = OrderedBipartiteGraft(
         contracted.graph, contracted.terminals,
         (comb.spine & xs) - g0.vertices, outside_tooth | {root})
-    try:
-        report = is_critical_quasicomb(shape, root, method=method)
-    except PreconditionError as exc:
+    if not classify_comb(shape).is_quasicomb:
         raise InternalConsistencyError(
-            f"the contraction of a comb stopped being a quasicomb: {exc}") from exc
+            "the contraction of a comb stopped being a quasicomb")
+    if len(shape.graph.components()) > 1:
+        return False, None
+    report = is_critical_quasicomb(shape, root)
     if not report.critical:
         return False, None
-    if report.table is None:
-        confirm = is_critical_quasicomb(shape, root, method="exact")
-        if not confirm.critical:
-            raise InternalConsistencyError(
-                "search accepted a contraction the exact method rejects")
-        report = confirm
     return True, CriticalSetCertificate(component_id, xs, ids, shape, root,
                                         report.table)
 
@@ -143,7 +142,7 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
         for chosen in itertools.combinations(others, size):
             xs = g0.vertices.union(*(c.vertices for c in chosen)) \
                 if chosen else g0.vertices
-            ok, _ = is_critical_set(comb, component_id, xs, method="search")
+            ok, _ = is_critical_set(comb, component_id, xs)
             if ok:
                 found.append(xs)
     return tuple(found)

@@ -302,12 +302,10 @@ def _cmd_critical(args) -> int:
     root = _resolve_vertex(g, args.root)
     report = is_critical_quasicomb(g, root)
     lines = [f"critical: {'yes' if report.critical else 'no'}"]
-    if report.table is not None:
-        lines += [f"distance {v}: {d}" for v, d in report.table]
+    lines += [f"distance {v}: {d}" for v, d in report.table]
     lines += [f"problem: {p}" for p in report.problems]
     doc = {"critical": report.critical, "root": root,
-           "table": ([[v, d] for v, d in report.table]
-                     if report.table is not None else None),
+           "table": [[v, d] for v, d in report.table],
            "problems": list(report.problems)}
     _emit(args, lines, doc)
     return 0 if report.critical else 1
@@ -430,9 +428,5 @@ def cli_main(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

@@ -4,9 +4,10 @@ A bipartite graft is a comb when its tooth side consists of terminals and a
 minimum join touches each tooth exactly once; a quasicomb relaxes that to
 tooth terminals only.  A quasicomb is critical for a root r on the tooth
 side when every spine vertex has join distance 1 to r and every tooth
-vertex distance 0.  Critical quasicombs are exactly the grafts that grow
-from a single root by ear steps, and this module both builds and checks
-such decompositions.
+vertex distance 0.  The test reads every distance from join sizes
+(``f_distance``), so its report is the whole distance table to the root.
+Critical quasicombs are exactly the grafts that grow from a single root by
+ear steps, and this module both builds and checks such decompositions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .joins import (
     f_distance,
     f_weight,
     is_minimum_join,
-    min_join,
     nu,
     walk_report,
 )
@@ -140,35 +140,27 @@ def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Verdict plus, for the exact method, the full distance table to the
-    root (pairs sorted by vertex)."""
+    """Verdict, the distance from the root to every vertex (pairs sorted by
+    vertex), and one problem line for each vertex off its expected value."""
 
     critical: bool
     root: object
-    method: str
-    table: tuple | None
+    table: tuple
     problems: tuple[str, ...]
 
     def distance(self, v):
-        if self.table is None:
-            raise PreconditionError("no distance table on this report")
         for w, d in self.table:
             if w == v:
                 return d
         raise GraftInputError(f"unknown vertex id {v!r}")
 
 
-_SEARCH_STEP_CAP = 20000
-
-
-def is_critical_quasicomb(g: OrderedBipartiteGraft, r,
-                          method: str = "exact") -> CriticalityReport:
+def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     """Check distance 1 to the root from the spine side, 0 from the tooth side.
 
-    ``method="exact"`` derives every distance from join sizes and returns
-    the table.  ``method="search"`` walks balanced witness paths outward
-    from the root, stops early, and falls back to the exact method when the
-    instance resists bounded search; it omits the table.
+    Every distance is read from join sizes through ``f_distance``, so the
+    report always carries the full table.  A vertex in another graph
+    component is unreachable and fails the test.
     """
     _require_bipartite(g)
     if r not in g.tooth:
@@ -176,100 +168,18 @@ def is_critical_quasicomb(g: OrderedBipartiteGraft, r,
     cls = classify_comb(g)
     if not cls.is_quasicomb:
         raise PreconditionError("criticality is defined for quasicombs only")
-    if method == "exact":
-        return _critical_exact(g, r)
-    if method == "search":
-        report = _critical_search(g, r)
-        if report is None:
-            return _critical_exact(g, r)
-        return report
-    raise GraftInputError(f"unknown method {method!r}")
-
-
-def _critical_exact(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     table = []
     problems = []
     for v in sorted_vertices(g.graph.vertices):
-        d = f_distance(g, v, r)
+        # The root goes first: with no terminal among the pair, the distance
+        # table reuses one cached BFS from the root for every v.
+        d = f_distance(g, r, v)
         table.append((v, d.value))
         want = 1 if v in g.spine else 0
         if d.value != want:
             shown = d.value if d.finite else "unreachable"
             problems.append(f"distance from {v!r} to the root is {shown}, expected {want}")
-    return CriticalityReport(not problems, r, "exact", tuple(table), tuple(problems))
-
-
-def _critical_search(g: OrderedBipartiteGraft, r) -> CriticalityReport | None:
-    """Balanced-witness search; None when the step cap was exhausted."""
-    targets = g.graph.vertices - {r}
-    if not targets:
-        return CriticalityReport(True, r, "search", None, ())
-    if len(g.graph.components()) > 1:
-        return CriticalityReport(False, r, "search", None,
-                                 ("the graft is disconnected",))
-    if r in g.terminals:
-        return CriticalityReport(False, r, "search", None,
-                                 ("the root is a terminal",))
-    missing = (g.tooth - {r}) - g.terminals
-    if missing:
-        return CriticalityReport(
-            False, r, "search", None,
-            tuple(f"tooth vertex {v!r} is not a terminal, so its distance "
-                  f"to the root is at least 2" for v in sorted_vertices(missing)))
-    F = min_join(g).edge_ids
-    if any(e.id in F for e in g.graph.incident(r)):
-        raise InternalConsistencyError(
-            "a minimum join touched the root despite the premises")
-    tooth_join_edge = {}
-    for eid in F:
-        e = g.graph.edge(eid)
-        b = e.u if e.u in g.tooth else e.v
-        if b in tooth_join_edge:
-            raise InternalConsistencyError(
-                f"tooth vertex {b!r} touches two join edges in a quasicomb")
-        tooth_join_edge[b] = e
-
-    marked: set = set()
-    budget = [_SEARCH_STEP_CAP]
-    visited = {r}
-
-    def walk_out(v, came_via_join: bool) -> bool:
-        """DFS over simple balanced prefixes; True when all targets marked."""
-        if budget[0] <= 0:
-            return False
-        if v in g.tooth and v != r and not came_via_join:
-            candidates = [tooth_join_edge[v]] if v in tooth_join_edge else []
-        elif v in g.tooth and v != r:
-            candidates = [e for e in g.graph.incident(v) if e.id not in F]
-        else:
-            candidates = list(g.graph.incident(v))
-        for e in candidates:
-            w = e.other(v)
-            if w in visited:
-                continue
-            budget[0] -= 1
-            if budget[0] <= 0:
-                return False
-            via_join = e.id in F
-            if w in g.spine or via_join:
-                marked.add(w)
-                if len(marked) == len(targets):
-                    return True
-            visited.add(w)
-            if walk_out(w, via_join):
-                return True
-            visited.discard(w)
-        return False
-
-    done = walk_out(r, False)
-    if budget[0] <= 0 and not done:
-        return None
-    if done or marked == targets:
-        return CriticalityReport(True, r, "search", None, ())
-    unmarked = sorted_vertices(targets - marked)
-    problems = tuple(
-        f"no balanced witness path from the root reaches {v!r}" for v in unmarked)
-    return CriticalityReport(False, r, "search", None, problems)
+    return CriticalityReport(not problems, r, tuple(table), tuple(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +407,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     fset = _edge_id_set(F)
     if not is_minimum_join(g, F):
         raise PreconditionError("F must be a minimum join of the target")
-    head = is_critical_quasicomb(g, r, method="exact")
+    head = is_critical_quasicomb(g, r)
     if not head.critical:
         raise PreconditionError(
             "the target is not critical for this root: " + "; ".join(head.problems))
@@ -719,7 +629,7 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
 def _prefix_critical(current: OrderedBipartiteGraft, root, idx: int,
                      problems: list) -> bool:
     try:
-        report = is_critical_quasicomb(current, root, method="exact")
+        report = is_critical_quasicomb(current, root)
     except PreconditionError as exc:
         problems.append(f"step {idx}: replayed prefix is not checkable: {exc}")
         return False

@@ -447,7 +447,7 @@ def _check_cut_misses_joins(g, rng):
 
 def _check_composition_critical(bundle, rng):
     d, _ = bundle
-    report = is_critical_quasicomb(d.target, d.root, method="exact")
+    report = is_critical_quasicomb(d.target, d.root)
     if not report.critical:
         return ("a composition of proper ear steps is not critical: "
                 + "; ".join(report.problems),)

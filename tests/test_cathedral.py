@@ -1,14 +1,18 @@
 """Critical sets, the component order, and the structural checks above it."""
 
+import itertools
+
 import pytest
 
 from bigraft.core import (
     CapacityError,
+    Graft,
     GraftInputError,
     Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    contract_graft,
     simple_circuits,
     simple_paths,
 )
@@ -23,8 +27,11 @@ from bigraft.cathedral import (
 )
 from bigraft.combs import EarStep, is_f_balanced
 from bigraft.decomposition import factor_components
+from bigraft.generators import GenConfig, gen_random_comb
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import min_join
+
+from oracles import brute_distance
 
 
 def obg(vertices, edges, terminals, spine, tooth):
@@ -159,6 +166,77 @@ class TestEnumerate:
                 for comp in comps:
                     if comp.vertices <= xs:
                         assert precedes(th, cid, comp.id)
+
+
+def path_comb3():
+    """Path a0-b0-a1-b1-a2-b2 with every vertex terminal: three factor
+    components in a chain, so {a0, b0} with {a2, b2} is a disconnected
+    union."""
+    return obg(["a0", "b0", "a1", "b1", "a2", "b2"],
+               [("e0", "a0", "b0"), ("c0", "b0", "a1"), ("e1", "a1", "b1"),
+                ("c1", "b1", "a2"), ("e2", "a2", "b2")],
+               {"a0", "b0", "a1", "b1", "a2", "b2"},
+               {"a0", "a1", "a2"}, {"b0", "b1", "b2"})
+
+
+def oracle_critical(comb, base, xs):
+    """(critical, disconnected) for the union xs around the component
+    vertex set base, straight from the definition: contract base inside xs
+    to a tooth vertex; the result must be bipartite with every spine
+    vertex at brute-force distance 1 from it and every tooth vertex at 0.
+    ``disconnected`` marks a bipartite contraction in several pieces."""
+    spine = (comb.spine & xs) - base
+    inner = Graft(comb.graph.induced(xs), comb.terminals & xs)
+    contracted, root = contract_graft(inner, base, contracted_id="*")
+    graph = contracted.graph
+    if any((e.u in spine) == (e.v in spine) for e in graph.edges):
+        return False, False
+    critical = all(
+        brute_distance(contracted, root, v) == (1 if v in spine else 0)
+        for v in graph.vertices)
+    return critical, len(graph.components()) > 1
+
+
+def oracle_corpus():
+    """Fixed-seed random combs with 2-6 factor components, plus fixtures."""
+    out = [chain4(), handled_theta(), path_comb3()]
+    for seed in range(40):
+        g = gen_random_comb(GenConfig(seed=seed, vertices=(6, 12)))
+        if 2 <= len(factor_components(g)) <= 6:
+            out.append(g)
+    return out
+
+
+class TestCriticalSetOracle:
+    def test_every_union_matches_the_definition(self):
+        sizes, critical_count, disconnected_count = set(), 0, 0
+        for comb in oracle_corpus():
+            comps = factor_components(comb)
+            sizes.add(len(comps))
+            for base in comps:
+                others = [c for c in comps if c.id != base.id]
+                expected = []
+                for size in range(len(others) + 1):
+                    for chosen in itertools.combinations(others, size):
+                        xs = base.vertices.union(*(c.vertices for c in chosen))
+                        critical, split = oracle_critical(comb, base.vertices, xs)
+                        ok, cert = is_critical_set(comb, base.id, xs)
+                        assert ok == critical, (sorted(xs), base.id)
+                        assert (cert is not None) == ok
+                        if ok:
+                            expected.append(xs)
+                        critical_count += ok
+                        disconnected_count += split
+                assert enumerate_critical_sets(comb, base.id) == tuple(expected)
+        assert sizes == {2, 3, 4, 5, 6}
+        assert critical_count and disconnected_count
+
+    def test_disconnected_union(self):
+        g = path_comb3()
+        xs = frozenset({"a0", "b0", "a2", "b2"})
+        assert oracle_critical(g, frozenset({"a0", "b0"}), xs) == (False, True)
+        assert is_critical_set(g, "a0", xs) == (False, None)
+        assert is_critical_set(g, "a0", g.graph.vertices)[0]
 
 
 class TestPrecedes:

@@ -1,10 +1,12 @@
 """Exit codes, output determinism, and format switching on the CLI."""
 
+import importlib
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +258,15 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertices"]
+
+
+def test_project_script_target_takes_argv():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bigraft"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    with redirect_stdout(io.StringIO()) as out:
+        assert entry(["--help"]) == 0
+    assert "usage:" in out.getvalue()

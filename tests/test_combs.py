@@ -172,60 +172,48 @@ class TestCriticality:
     def test_p3r_exact(self):
         rep = is_critical_quasicomb(p3r(), "r")
         assert rep.critical
-        assert rep.method == "exact"
         assert rep.table == (("a1", 1), ("b1", 0), ("r", 0))
         assert rep.distance("a1") == 1
         assert rep.problems == ()
 
-    def test_p3r_search(self):
-        rep = is_critical_quasicomb(p3r(), "r", method="search")
-        assert rep.critical
-        assert rep.method == "search"
-        assert rep.table is None
-        with pytest.raises(PreconditionError):
-            rep.distance("a1")
-
     def test_singleton(self):
         g = singleton()
         assert is_critical_quasicomb(g, "r").critical
-        assert is_critical_quasicomb(g, "r", method="search").critical
 
     def test_k2_root_is_terminal(self):
         rep = is_critical_quasicomb(k2(), "b")
         assert not rep.critical
         assert rep.distance("a") == -1
-        search = is_critical_quasicomb(k2(), "b", method="search")
-        assert not search.critical
-        assert any("terminal" in p for p in search.problems)
+        assert rep.problems == (
+            "distance from 'a' to the root is -1, expected 1",)
 
     def test_square_and_parallel(self):
         for g in (square(), parallel_pair()):
             assert is_critical_quasicomb(g, "r").critical
-            assert is_critical_quasicomb(g, "r", method="search").critical
 
     def test_outward_stub_not_critical(self):
         exact = is_critical_quasicomb(outward_stub(), "r")
         assert not exact.critical
         assert exact.distance("b1") == 2
-        search = is_critical_quasicomb(outward_stub(), "r", method="search")
-        assert not search.critical
-        assert any("b1" in p for p in search.problems)
 
     def test_tooth_not_terminal_premise(self):
         g = obg(["r", "a1", "b1"], [("c", "r", "a1"), ("d", "a1", "b1")],
                 set(), {"a1"}, {"r", "b1"})
-        assert not is_critical_quasicomb(g, "r").critical
-        search = is_critical_quasicomb(g, "r", method="search")
-        assert not search.critical
-        assert any("b1" in p for p in search.problems)
+        rep = is_critical_quasicomb(g, "r")
+        assert not rep.critical
+        assert rep.distance("b1") == 2
+        assert rep.problems == (
+            "distance from 'b1' to the root is 2, expected 0",)
 
     def test_disconnected(self):
         g = obg(["r", "a1", "b1", "b2"],
                 [("c", "r", "a1"), ("e1", "a1", "b1")],
                 {"a1", "b1"}, {"a1"}, {"r", "b1", "b2"})
-        assert not is_critical_quasicomb(g, "r").critical
-        search = is_critical_quasicomb(g, "r", method="search")
-        assert not search.critical
+        rep = is_critical_quasicomb(g, "r")
+        assert not rep.critical
+        assert rep.distance("b2") is None
+        assert rep.problems == (
+            "distance from 'b2' to the root is unreachable, expected 0",)
 
     def test_root_must_be_tooth(self):
         with pytest.raises(PreconditionError):
@@ -239,23 +227,10 @@ class TestCriticality:
         with pytest.raises(PreconditionError):
             is_critical_quasicomb(swapped, "v2")
 
-    def test_unknown_method(self):
-        with pytest.raises(GraftInputError):
-            is_critical_quasicomb(p3r(), "r", method="guess")
-
     def test_unknown_vertex_in_table(self):
         rep = is_critical_quasicomb(p3r(), "r")
         with pytest.raises(GraftInputError):
             rep.distance("zz")
-
-    def test_search_matches_exact_on_examples(self):
-        cases = [(p3r(), "r"), (square(), "r"), (parallel_pair(), "r"),
-                 (outward_stub(), "r"), (k2(), "b"), (chain4(), "b0"),
-                 (chain4(), "b1"), (c4(), "v2"), (c4(), "v4")]
-        for g, root in cases:
-            exact = is_critical_quasicomb(g, root).critical
-            search = is_critical_quasicomb(g, root, method="search").critical
-            assert search == exact
 
 
 class TestEarStep:
