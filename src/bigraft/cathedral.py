@@ -3,9 +3,12 @@
 A critical set for a factor component G0 is a separating set X containing
 V(G0) whose contraction of G0 to a single tooth vertex is a critical
 quasicomb.  Component G1 precedes G2 when some critical set for G1 swallows
-all of G2; this relation is a partial order, computed here together with
-its Hasse diagram, heights, and the neighborhood containment check for the
-vertices lying strictly above a component.
+all of G2.  The order is read from top(G1), the maximal critical set for
+G1, which is grown one component at a time; ``enumerate_critical_sets``
+lists every critical set and is kept as the oracle for that growth.  The
+relation is a partial order, computed here together with its Hasse
+diagram, heights, and the neighborhood containment check for the vertices
+lying strictly above a component.
 """
 
 from __future__ import annotations
@@ -148,14 +151,39 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
     return tuple(found)
 
 
-def precedes(comb: OrderedBipartiteGraft, first_id, second_id,
-             max_components: int = _DEFAULT_COMPONENT_LIMIT) -> bool:
-    """Whether some critical set for the first component covers the second."""
+def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
+    """top(c): the maximal critical set for the component ``cid``.
+
+    Growth starts from the component's own vertices and adds, in component
+    order, each component whose union with the current set is still
+    critical, repeating until a full pass adds nothing: O(k^2) criticality
+    tests for k components.  The result is the union of all critical sets
+    for c provided two critical sets for c unite into a critical set and
+    that union is reached one component at a time.  No lemma is cited for
+    this union closure: it is checked by test, against
+    ``enumerate_critical_sets`` in tests/test_cathedral.py.
+    """
+    top = comps.by_id(cid).vertices
+    grown = True
+    while grown:
+        grown = False
+        for comp in comps:
+            if comp.vertices <= top:
+                continue
+            candidate = top | comp.vertices
+            if is_critical_set(comb, cid, candidate)[0]:
+                top = candidate
+                grown = True
+    return top
+
+
+def precedes(comb: OrderedBipartiteGraft, first_id, second_id) -> bool:
+    """Whether some critical set for the first component covers the second,
+    that is, whether the second lies inside top(first)."""
+    _require_comb(comb)
     comps = factor_components(comb)
     target = comps.by_id(second_id).vertices
-    return any(target <= xs
-               for xs in enumerate_critical_sets(comb, first_id,
-                                                 max_components=max_components))
+    return target <= _top_critical_set(comb, comps, first_id)
 
 
 @dataclass(frozen=True)
@@ -190,21 +218,23 @@ class CathedralPoset:
         return tuple(cid for cid, h in self.heights if h == 1)
 
 
-def cathedral_poset(comb: OrderedBipartiteGraft,
-                    max_components: int = _DEFAULT_COMPONENT_LIMIT) -> CathedralPoset:
+def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     """Compute the full order, check its axioms, and lay out the diagram.
 
+    Component a precedes b exactly when b lies inside top(a), the maximal
+    critical set grown by ``_top_critical_set``, so the cost is O(k^2)
+    criticality tests per component and no component count is refused.
     Any antisymmetry or transitivity failure is raised as an internal
-    consistency error, since the theory guarantees both.
+    consistency error, since the theory guarantees both; a growth that
+    stopped short of top(a) shows up as a transitivity failure.
     """
     _require_comb(comb)
     comps = factor_components(comb)
     ids = comps.ids()
-    sets = {cid: enumerate_critical_sets(comb, cid, max_components=max_components)
-            for cid in ids}
+    tops = {cid: _top_critical_set(comb, comps, cid) for cid in ids}
     vertices = {c.id: c.vertices for c in comps}
     n = len(ids)
-    rel = [[any(vertices[b] <= xs for xs in sets[a]) for b in ids] for a in ids]
+    rel = [[vertices[b] <= tops[a] for b in ids] for a in ids]
 
     for i in range(n):
         if not rel[i][i]:
@@ -299,27 +329,20 @@ class UpperBoundReport:
     holds: bool
 
 
-def upper_bound_check(comb: OrderedBipartiteGraft, component_id,
-                      max_components: int = _DEFAULT_COMPONENT_LIMIT
-                      ) -> UpperBoundReport:
+def upper_bound_check(comb: OrderedBipartiteGraft,
+                      component_id) -> UpperBoundReport:
     """Verify that everything strictly above the component attaches to it
     through a single tooth class.
 
-    The upper set is the union of the components strictly preceding from
-    ``component_id``; each connected piece of it must have its neighborhood
-    inside the component contained in one tooth-side distance class.
+    The upper set is top(c) minus c, the union of the components that
+    ``component_id`` strictly precedes; each connected piece of it must have
+    its neighborhood inside the component contained in one tooth-side
+    distance class.
     """
     _require_comb(comb)
     comps = factor_components(comb)
     g0 = comps.by_id(component_id)
-    sets = enumerate_critical_sets(comb, component_id,
-                                   max_components=max_components)
-    upper: set = set()
-    for comp in comps:
-        if comp.id == g0.id:
-            continue
-        if any(comp.vertices <= xs for xs in sets):
-            upper |= comp.vertices
+    upper = _top_critical_set(comb, comps, component_id) - g0.vertices
 
     classes = [cls for cls in kl_classes_of_component(kl_partition(comb), g0.id)
                if cls <= comb.tooth]
@@ -327,7 +350,7 @@ def upper_bound_check(comb: OrderedBipartiteGraft, component_id,
 
     entries = []
     if upper:
-        for piece in comb.graph.induced(frozenset(upper)).components():
+        for piece in comb.graph.induced(upper).components():
             near: set = set()
             for v in piece:
                 for e in comb.graph.incident(v):
@@ -342,9 +365,8 @@ def upper_bound_check(comb: OrderedBipartiteGraft, component_id,
             entries.append(UpperBoundEntry(tuple(sorted_vertices(piece)),
                                            tuple(sorted_vertices(near)),
                                            witness))
-    report = UpperBoundReport(component_id, frozenset(upper), tuple(entries),
-                              all(e.ok for e in entries))
-    return report
+    return UpperBoundReport(component_id, upper, tuple(entries),
+                            all(e.ok for e in entries))
 
 
 def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,

@@ -418,7 +418,9 @@ def simple_paths(graph: Multigraph, start: VertexId,
     With ``goal`` set, only paths ending there are yielded; otherwise every
     simple path out of ``start`` (including the trivial one) is produced.
     ``cap`` bounds the number of yielded paths; exceeding it raises
-    CapacityError.
+    CapacityError.  The search keeps an explicit stack of incidence
+    iterators, one per path vertex, so path length is not bounded by the
+    recursion limit.
     """
     if start not in graph.vertices:
         raise GraftInputError(f"unknown vertex id {start!r}")
@@ -426,60 +428,77 @@ def simple_paths(graph: Multigraph, start: VertexId,
         raise GraftInputError(f"unknown vertex id {goal!r}")
     emitted = 0
 
-    def emit(walk: Walk) -> Iterator[Walk]:
+    def counted(walk: Walk) -> Walk:
         nonlocal emitted
         emitted += 1
         if cap is not None and emitted > cap:
             raise CapacityError(f"more than {cap} simple paths from {start!r}")
-        yield walk
+        return walk
 
-    def rec(v, vs: list, eids: list, seen: set) -> Iterator[Walk]:
-        if goal is None or v == goal:
-            yield from emit(Walk(tuple(vs), tuple(eids)))
-        if goal is not None and v == goal:
-            return
-        for e in graph.incident(v):
-            w = e.other(v)
+    if goal is None or goal == start:
+        yield counted(Walk((start,), ()))
+    if goal == start:
+        return
+    vs, eids, seen = [start], [], {start}
+    stack = [iter(graph.incident(start))]
+    while stack:
+        for e in stack[-1]:
+            w = e.other(vs[-1])
             if w in seen:
                 continue
             vs.append(w)
             eids.append(e.id)
+            if goal is None or w == goal:
+                yield counted(Walk(tuple(vs), tuple(eids)))
+            if w == goal:
+                vs.pop()
+                eids.pop()
+                continue
             seen.add(w)
-            yield from rec(w, vs, eids, seen)
-            seen.discard(w)
-            eids.pop()
-            vs.pop()
-
-    yield from rec(start, [start], [], {start})
+            stack.append(iter(graph.incident(w)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                seen.discard(vs.pop())
+                eids.pop()
 
 
 def simple_circuits(graph: Multigraph, max_edges: int | None = None) -> Iterator[Walk]:
-    """Yield every simple circuit once, including two-edge parallel circuits."""
+    """Yield every simple circuit once, including two-edge parallel circuits.
+
+    Each circuit is found from its least vertex by a depth-first search
+    over an explicit stack of incidence iterators.
+    """
     seen_sets: set[frozenset] = set()
     order = {v: i for i, v in enumerate(sorted_vertices(graph.vertices))}
 
-    def rec(root, v, vs: list, eids: list, onpath: set) -> Iterator[Walk]:
-        for e in graph.incident(v):
-            w = e.other(v)
-            if order[w] < order[root]:
-                continue
-            if w == root and len(eids) >= 1 and e.id != eids[0]:
-                key = frozenset(eids) | {e.id}
-                if key not in seen_sets:
-                    seen_sets.add(key)
-                    yield Walk(tuple(vs + [w]), tuple(eids + [e.id]))
-                continue
-            if w in onpath:
-                continue
-            if max_edges is not None and len(eids) + 1 >= max_edges:
-                continue
-            vs.append(w)
-            eids.append(e.id)
-            onpath.add(w)
-            yield from rec(root, w, vs, eids, onpath)
-            onpath.discard(w)
-            eids.pop()
-            vs.pop()
-
     for root in sorted_vertices(graph.vertices):
-        yield from rec(root, root, [root], [], {root})
+        vs, eids, onpath = [root], [], {root}
+        stack = [iter(graph.incident(root))]
+        while stack:
+            v = vs[-1]
+            for e in stack[-1]:
+                w = e.other(v)
+                if order[w] < order[root]:
+                    continue
+                if w == root and len(eids) >= 1 and e.id != eids[0]:
+                    key = frozenset(eids) | {e.id}
+                    if key not in seen_sets:
+                        seen_sets.add(key)
+                        yield Walk(tuple(vs + [w]), tuple(eids + [e.id]))
+                    continue
+                if w in onpath:
+                    continue
+                if max_edges is not None and len(eids) + 1 >= max_edges:
+                    continue
+                vs.append(w)
+                eids.append(e.id)
+                onpath.add(w)
+                stack.append(iter(graph.incident(w)))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    onpath.discard(vs.pop())
+                    eids.pop()

@@ -30,6 +30,7 @@ from .combs import (
 from .core import (
     BigraftError,
     CapacityError,
+    Graft,
     GraftInputError,
     InternalConsistencyError,
     Multigraph,
@@ -145,12 +146,39 @@ def _clamped(cfg: GenConfig, lo: int, hi: int) -> GenConfig:
     return replace(cfg, vertices=(lo2, hi2))
 
 
-def _retry(cfg: GenConfig, rng: random.Random, make, keep, what: str):
+def _retry(cfg: GenConfig, rng: random.Random, make, keep, what: str,
+           fallback=None):
+    """The first of ``cfg.budget`` draws that ``keep`` accepts.
+
+    When every draw is rejected, ``fallback`` turns the last one into an
+    instance; without a fallback the maker gives up with CapacityError.
+    """
     for _ in range(cfg.budget):
         instance = make(rng)
         if keep(instance):
             return instance
+    if fallback is not None:
+        return fallback(instance)
     raise CapacityError(f"no {what} within {cfg.budget} attempts")
+
+
+def _largest_factor_part(g):
+    """Restrict a draw to its largest factor component X.
+
+    X is separating, so the restriction inherits minimum joins and is
+    factor-connected; a comb keeps spine ∩ X and tooth ∩ X.
+    """
+    comps = factor_components(g)
+    X = max((c.vertices for c in comps), key=len)
+    if isinstance(g, OrderedBipartiteGraft):
+        part = induced_subgraft(g, X, [c.vertices for c in comps])
+    else:
+        part = Graft(g.graph.induced(X), g.terminals & X)
+    if len(factor_components(part)) != 1:
+        raise InternalConsistencyError(
+            f"the factor component {sorted_vertices(X)!r} of a draw is not "
+            "factor-connected on its own")
+    return part
 
 
 def _make_graft(cfg, rng):
@@ -171,7 +199,7 @@ def _make_factor_connected_graft(cfg, rng):
     return _retry(small, rng, lambda r: gen_random_graft(small, r),
                   lambda g: len(g.graph.edges) <= 18
                   and len(factor_components(g)) == 1,
-                  "factor-connected graft")
+                  "factor-connected graft", _largest_factor_part)
 
 
 def _make_comb(cfg, rng):
@@ -185,7 +213,7 @@ def _make_factor_connected_comb(cfg, rng):
     return _retry(small, rng, lambda r: gen_random_comb(small, r),
                   lambda g: len(g.graph.edges) <= 18
                   and len(factor_components(g)) == 1,
-                  "factor-connected comb")
+                  "factor-connected comb", _largest_factor_part)
 
 
 def _make_component_rich_comb(cfg, rng):

@@ -17,6 +17,7 @@ from bigraft.core import (
     simple_paths,
 )
 from bigraft.cathedral import (
+    _top_critical_set,
     cathedral_poset,
     enumerate_critical_sets,
     is_critical_set,
@@ -239,6 +240,68 @@ class TestCriticalSetOracle:
         assert is_critical_set(g, "a0", g.graph.vertices)[0]
 
 
+def rich_corpus():
+    """Fixed-seed random combs with 7-10 factor components, the first two
+    of each count met in a seed scan."""
+    out, taken = [], {k: 0 for k in range(7, 11)}
+    for seed in range(60):
+        g = gen_random_comb(GenConfig(seed=seed, vertices=(14, 20),
+                                      edge_density=0.15))
+        k = len(factor_components(g))
+        if taken.get(k, 2) < 2:
+            taken[k] += 1
+            out.append(g)
+    assert all(n == 2 for n in taken.values())
+    return out
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """(comb, components, critical sets by component id) for every comb of
+    both corpora; the exhaustive enumeration is the oracle for growth."""
+    out = []
+    for comb in oracle_corpus() + rich_corpus():
+        comps = factor_components(comb)
+        out.append((comb, comps, {c.id: enumerate_critical_sets(comb, c.id)
+                                  for c in comps}))
+    return out
+
+
+class TestGrowthOracle:
+    def test_top_is_the_union_of_all_critical_sets(self, enumerated):
+        grown = 0
+        for comb, comps, sets in enumerated:
+            for cid, found in sets.items():
+                top = _top_critical_set(comb, comps, cid)
+                assert top == frozenset().union(*found), (sorted(top), cid)
+                grown += top != comps.by_id(cid).vertices
+        assert grown
+
+    def test_pairwise_unions_stay_critical(self, enumerated):
+        for comb, _, sets in enumerated:
+            for cid, found in sets.items():
+                for xs, ys in itertools.combinations(found, 2):
+                    assert is_critical_set(comb, cid, xs | ys)[0], \
+                        (sorted(xs), sorted(ys), cid)
+
+    def test_order_matches_enumeration(self, enumerated):
+        for comb, comps, sets in enumerated:
+            ids = comps.ids()
+            expected = tuple(
+                tuple(any(comps.by_id(b).vertices <= xs for xs in sets[a])
+                      for b in ids)
+                for a in ids)
+            assert cathedral_poset(comb).relation == expected
+            for a in ids:
+                above = frozenset().union(*(
+                    comps.by_id(b).vertices for b in ids
+                    if b != a and any(comps.by_id(b).vertices <= xs
+                                      for xs in sets[a])))
+                assert upper_bound_check(comb, a).upper_vertices == above
+            for i, a in enumerate(ids):
+                assert tuple(precedes(comb, a, b) for b in ids) == expected[i]
+
+
 class TestPrecedes:
     def test_chain4(self):
         g = chain4()
@@ -249,6 +312,10 @@ class TestPrecedes:
     def test_unknown_id(self):
         with pytest.raises(GraftInputError):
             precedes(chain4(), "a0", "zz")
+
+    def test_requires_comb(self):
+        with pytest.raises(PreconditionError):
+            precedes(p3r(), "a1", "a1")
 
 
 class TestPoset:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bigraft.cli import cli_main
+from bigraft.core import Multigraph, build_bipartite_graft
 from bigraft.formats import serialize_graft
 from bigraft.instances import c4, chain4, k2, p3r
 
@@ -47,7 +48,21 @@ def files(tmp_path):
                   {"id": "e2", "u": "c", "v": "d"}],
         "terminals": ["a", "b", "c", "d"]}))
     paths["split"] = str(split)
+    chain = tmp_path / "chain14.json"
+    chain.write_text(serialize_graft(chain_comb(14)))
+    paths["chain14"] = str(chain)
     return paths
+
+
+def chain_comb(k):
+    """Path a0-b0-a1-b1-...-b(k-1) with every vertex terminal: k factor
+    components {ai, bi}, ordered in a chain."""
+    spine = [f"a{i}" for i in range(k)]
+    tooth = [f"b{i}" for i in range(k)]
+    edges = [(f"e{i}", f"a{i}", f"b{i}") for i in range(k)]
+    edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
+    g = Multigraph.build(spine + tooth, edges)
+    return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)
 
 
 class TestExitCodes:
@@ -190,6 +205,22 @@ class TestStructure:
                                  "--format", "json")[1])
         assert doc["hasse"] == [["a0", "a1"]]
 
+    def test_poset_beyond_the_enumeration_limit(self, files):
+        code, out, _ = run_cli("poset", "--input", files["chain14"])
+        assert code == 0
+        heights = dict(line.removeprefix("height ").split(": ")
+                       for line in out.splitlines()
+                       if line.startswith("height "))
+        assert heights == {f"a{i}": str(i + 1) for i in range(14)}
+        assert run_cli("analyze", "--input", files["chain14"])[0] == 0
+
+    def test_critical_sets_refuse_beyond_the_limit(self, files):
+        code, out, err = run_cli("critical-sets", "a0",
+                                 "--input", files["chain14"])
+        assert code == 2
+        assert out == ""
+        assert "14 factor components exceed the limit of 12" in err
+
     def test_upper_attachment(self, files):
         code, out, _ = run_cli("upper", "a0", "--input", files["i3"])
         assert code == 0
@@ -217,6 +248,15 @@ class TestVerify:
         code, _, err = run_cli("verify", "--trials", "1", "--properties", "")
         assert code == 2
         assert "empty property selection" in err
+
+    def test_factor_connected_maker_never_gives_up(self):
+        """Seeds 61, 630 and 737 exhaust the maker's draw budget; the
+        fallback to a factor component must cover them like every seed."""
+        failing = [seed for seed in range(1000)
+                   if run_cli("verify", "--trials", "1", "--seed", str(seed),
+                              "--properties",
+                              "factor-connected-nonpositive")[0] != 0]
+        assert failing == []
 
     def test_unknown_property_is_a_usage_error(self):
         assert run_cli("verify", "--trials", "1",

@@ -1,8 +1,11 @@
 """Data model: multigraphs, grafts, bipartitions, contraction, sums, walks."""
 
+import sys
+
 import pytest
 
 from bigraft.core import (
+    CapacityError,
     Edge,
     Graft,
     GraftInputError,
@@ -20,7 +23,10 @@ from bigraft.core import (
     validate_graft,
     vertex_key,
 )
+from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
+
+from oracles import recursive_simple_circuits, recursive_simple_paths
 
 
 def test_vertex_key_orders_ints_before_strs():
@@ -233,3 +239,55 @@ class TestWalks:
         circs = list(simple_circuits(g))
         assert len(circs) == 1
         assert circs[0].edge_set() == {"e1", "e2"}
+
+
+def _walk_corpus():
+    """Fixed-seed random multigraphs (parallel twins and several components
+    included) plus a graph with integer vertex ids."""
+    out = [c4().graph, chain4().graph,
+           Multigraph.build([1, 2, 3, 4, 10],
+                            [("a", 1, 2), ("b", 2, 3), ("c", 3, 1),
+                             ("d", 3, 10), ("e", 10, 4), ("f", 4, 1)])]
+    for seed in range(30):
+        cfg = GenConfig(seed=seed, vertices=(2, 7), edge_density=0.45)
+        out.append(gen_random_graft(cfg).graph)
+    return out
+
+
+def _drain(walks):
+    """The walks in order, then the error type that ended them, if any."""
+    out = []
+    try:
+        for walk in walks:
+            out.append(walk)
+    except CapacityError:
+        out.append(CapacityError)
+    return out
+
+
+class TestWalkOrderOracle:
+    def test_paths_match_the_recursive_order(self):
+        for g in _walk_corpus():
+            for start in g.vertices:
+                for goal in (None, *g.vertices):
+                    for cap in (None, 3):
+                        assert _drain(simple_paths(g, start, goal, cap)) == \
+                            _drain(recursive_simple_paths(g, start, goal, cap))
+
+    def test_circuits_match_the_recursive_order(self):
+        for g in _walk_corpus():
+            for max_edges in (None, 3, 4):
+                assert list(simple_circuits(g, max_edges)) == \
+                    list(recursive_simple_circuits(g, max_edges))
+
+    def test_paths_longer_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 50
+        g = Multigraph.build(range(n), [(f"p{i}", i, i + 1)
+                                        for i in range(n - 1)])
+        (path,) = simple_paths(g, 0, goal=n - 1)
+        assert path.vertices == tuple(range(n))
+        assert sum(1 for _ in simple_paths(g, 0)) == n
+        cycle = Multigraph.build(range(n), [(f"p{i}", i, (i + 1) % n)
+                                            for i in range(n)])
+        (circuit,) = simple_circuits(cycle)
+        assert len(circuit.edge_ids) == n

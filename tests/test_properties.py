@@ -1,11 +1,14 @@
 """The randomized property suite: clean runs, detection power, reporting."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigraft.combs import classify_comb
 from bigraft.core import GraftInputError, InternalConsistencyError
+from bigraft.decomposition import factor_components
 from bigraft.formats import graft_from_document
 from bigraft.generators import GenConfig
 from bigraft.joins import flipped_distance_sign
@@ -107,6 +110,18 @@ class TestDetection:
         with flipped_distance_sign():
             again = run_property_suite(1, CFG, ["comb-distance-signs"])
         assert again.certificates[0] == cert
+
+    def test_factor_connected_makers_fall_back_to_a_factor_component(self):
+        """With a budget of one draw, most draws are rejected and the makers
+        restrict them to their largest factor component instead."""
+        from bigraft.properties import _MAKERS
+        tight = GenConfig(seed=0, vertices=(6, 8), budget=1)
+        for mode in ("factor-connected-graft", "factor-connected-comb"):
+            for trial in range(20):
+                g = _MAKERS[mode](tight, random.Random(f"{mode}:{trial}"))
+                assert len(factor_components(g)) == 1
+                if mode == "factor-connected-comb":
+                    assert classify_comb(g).is_comb
 
     def test_maker_exhaustion_becomes_a_certificate(self):
         packed = GenConfig(seed=3, vertices=(9, 9), edge_density=1.0,
