@@ -85,7 +85,13 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
     carrying the contraction and its distance table.
     """
     _require_comb(comb)
-    comps = factor_components(comb)
+    return _critical_set(comb, factor_components(comb), component_id, X)
+
+
+def _critical_set(comb: OrderedBipartiteGraft, comps, component_id,
+                  X) -> tuple[bool, CriticalSetCertificate | None]:
+    """``is_critical_set`` for a comb already checked by the caller, whose
+    factor components are ``comps``."""
     g0 = comps.by_id(component_id)
     xs = frozenset(X)
     separating, ids = is_separating(comb, xs)
@@ -145,7 +151,7 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
         for chosen in itertools.combinations(others, size):
             xs = g0.vertices.union(*(c.vertices for c in chosen)) \
                 if chosen else g0.vertices
-            ok, _ = is_critical_set(comb, component_id, xs)
+            ok, _ = _critical_set(comb, comps, component_id, xs)
             if ok:
                 found.append(xs)
     return tuple(found)
@@ -171,7 +177,7 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
             if comp.vertices <= top:
                 continue
             candidate = top | comp.vertices
-            if is_critical_set(comb, cid, candidate)[0]:
+            if _critical_set(comb, comps, cid, candidate)[0]:
                 top = candidate
                 grown = True
     return top
@@ -290,17 +296,17 @@ def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,
     second = comps.by_id(second_id).vertices
     third = comps.by_id(third_id).vertices
     xs, ys = frozenset(X), frozenset(Y)
-    ok_x, _ = is_critical_set(comb, first_id, xs)
+    ok_x, _ = _critical_set(comb, comps, first_id, xs)
     if not ok_x:
         raise PreconditionError(f"X is not a critical set for {first_id!r}")
     if not second <= xs:
         raise PreconditionError(f"X does not cover component {second_id!r}")
-    ok_y, _ = is_critical_set(comb, second_id, ys)
+    ok_y, _ = _critical_set(comb, comps, second_id, ys)
     if not ok_y:
         raise PreconditionError(f"Y is not a critical set for {second_id!r}")
     if not third <= ys:
         raise PreconditionError(f"Y does not cover component {third_id!r}")
-    union_ok, _ = is_critical_set(comb, first_id, xs | ys)
+    union_ok, _ = _critical_set(comb, comps, first_id, xs | ys)
     return union_ok and third <= (xs | ys)
 
 

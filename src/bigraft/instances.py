@@ -1,4 +1,5 @@
-"""Small named grafts used as fixtures throughout the tests and docs."""
+"""Small named grafts used as fixtures throughout the tests and docs, and
+one family of arbitrarily deep paths."""
 
 from __future__ import annotations
 
@@ -36,3 +37,20 @@ def p3r() -> OrderedBipartiteGraft:
     """Path r-a1-b1 with terminals a1, b1.  Critical with root r."""
     g = Multigraph.build(["r", "a1", "b1"], [("c", "r", "a1"), ("e1", "a1", "b1")])
     return build_bipartite_graft(g, ["a1", "b1"], spine=["a1"], tooth=["r", "b1"])
+
+
+def comb_path(k: int) -> OrderedBipartiteGraft:
+    """Path r-a0-b0-a1-b1-...-b(k-1) with every vertex but r terminal.
+
+    Critical with root r, with k + 1 factor components: {r} and each
+    {ai, bi}.  The depth 2k + 1 exceeds the recursion limit for large k;
+    k = 1 is p3r up to names.
+    """
+    spine = [f"a{i}" for i in range(k)]
+    tooth = [f"b{i}" for i in range(k)]
+    edges = [("c0", "r", "a0")]
+    edges += [(f"e{i}", f"a{i}", f"b{i}") for i in range(k)]
+    edges += [(f"c{i + 1}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
+    g = Multigraph.build(["r"] + spine + tooth, edges)
+    return build_bipartite_graft(g, spine + tooth, spine=spine,
+                                 tooth=["r"] + tooth)

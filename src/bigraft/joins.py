@@ -6,12 +6,16 @@ one matches terminals over the shortest-path metric and realizes the pairing
 by breadth-first paths.  Their agreement is the package's root oracle.
 
 The distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T) and the allowed-edge
-test both read one table per graph component.  For a component with at most
-_DP_TERMINAL_LIMIT terminals it keeps the BFS row of every terminal and the
-pairing DP's full subset table dp[mask], so each pair costs O(t²) with no
-new matching.  Larger components fall back to one matching per flipped
-terminal set.  The table stores the difference unsigned; the sign hook is
-applied when f_distance reads it.
+test both read one table per graph component, of one of two exact kinds.
+For a component with at most _TABLE_LIMIT terminals it keeps the BFS row of
+every terminal and the pairing DP's full subset table dp[mask], so each
+pair costs O(t²) with no new matching.  For a component with more terminals
+but cycle rank mu = m - n + 1 at most _TABLE_LIMIT it keeps the tree
+path-to-root mask of every vertex and a fundamental-cycle basis, so each
+pair costs one Gray-code walk of the 2^mu joins of the flipped set; nu
+reads the same walk there.  Components with many terminals and many cycles
+fall back to one matching per flipped terminal set.  The tables store the
+difference unsigned; the sign hook is applied when f_distance reads it.
 
 All caches are bounded ``functools.lru_cache``s keyed on graph values (a
 Multigraph computes its hash once), and the tables are not mutated after
@@ -345,7 +349,7 @@ def _pairing_dp(cost: list[list[int]]) -> list[tuple[int, int]]:
     return pairs
 
 
-_DP_TERMINAL_LIMIT = 10
+_TABLE_LIMIT = 10
 
 
 def _pairing_blossom(cost: list[list[int]]) -> list[tuple[int, int]]:
@@ -370,20 +374,27 @@ def _component_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
         dist, _ = _bfs_tree(graph, u)
         for j in range(i + 1, t):
             cost[i][j] = cost[j][i] = dist[terms[j]]
-    if t <= _DP_TERMINAL_LIMIT:
+    if t <= _TABLE_LIMIT:
         pairs = _pairing_dp(cost)
     else:
         pairs = _pairing_blossom(cost)
     return tuple(sorted((terms[i], terms[j]) for i, j in pairs))
 
 
-def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
-    out: list[tuple] = []
+def _component_terminals(graph: Multigraph,
+                         terminals: frozenset) -> Iterator[tuple[frozenset, tuple]]:
+    """Each component with its sorted terminals, which must be even."""
     for comp in graph.components():
         terms = tuple(sorted_vertices(comp & terminals))
         if len(terms) % 2:
             raise PreconditionError(
                 f"component {sorted_vertices(comp)!r} holds an odd number of terminals")
+        yield comp, terms
+
+
+def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
+    out: list[tuple] = []
+    for _, terms in _component_terminals(graph, terminals):
         if terms:
             out.extend(_component_pairing(graph, terms))
     return out
@@ -391,10 +402,16 @@ def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tup
 
 @lru_cache(maxsize=16384)
 def _nu(graph: Multigraph, terminals: frozenset) -> int:
+    """Join size, summed over components: the cycle table's walk where a
+    component has many terminals but few cycles, else its pairing."""
     total = 0
-    for u, v in _matched_terminal_pairs(graph, terminals):
-        dist, _ = _bfs_tree(graph, u)
-        total += dist[v]
+    for comp, terms in _component_terminals(graph, terminals):
+        table = _cycle_table(graph, comp, terms) if len(terms) > _TABLE_LIMIT else None
+        if table is not None:
+            total += table.nu
+        elif terms:
+            for u, v in _component_pairing(graph, terms):
+                total += _bfs_tree(graph, u)[0][v]
     return total
 
 
@@ -488,15 +505,85 @@ class _ComponentTable:
         return flipped - dp[full]
 
 
+class _CycleTable:
+    """Join distances inside one graph component with few independent cycles.
+
+    Over the BFS tree from the least terminal, ``to_root[w]`` is the edge
+    mask of w's tree path to the root, so ``particular``, the XOR of the
+    terminals' masks, is a join of T.  Every join of T is ``particular``
+    XOR an element of the span of ``basis``, the fundamental-cycle masks of
+    the non-tree edges.  A Gray-code walk of that span finds the least
+    join, and the same walk from ``particular ^ to_root[u] ^ to_root[v]``
+    gives nu(T Δ {u, v}).  The 2^mu span elements are not stored.
+    """
+
+    __slots__ = ("to_root", "basis", "particular", "nu")
+
+    def __init__(self, graph: Multigraph, terms: tuple):
+        dist, parent_edge = _bfs_tree(graph, terms[0])
+        # Tree edge of the i-th vertex in BFS order is bit i; bit 0 is free
+        # because the root has no parent edge.
+        to_root = {}
+        for i, w in enumerate(dist):
+            e = parent_edge[w]
+            to_root[w] = 0 if e is None else to_root[e.other(w)] ^ (1 << i)
+        tree = {e.id for e in parent_edge.values() if e is not None}
+        basis = []
+        for w in dist:
+            for e in graph.incident(w):
+                if e.u == w and e.id not in tree:
+                    # A non-tree edge gets the next free bit.
+                    bit = 1 << (len(dist) + len(basis))
+                    basis.append(bit ^ to_root[e.u] ^ to_root[e.v])
+        particular = 0
+        for w in terms:
+            particular ^= to_root[w]
+        self.to_root = to_root
+        self.basis = tuple(basis)
+        self.particular = particular
+        self.nu = self._least(particular)
+
+    def _least(self, start: int) -> int:
+        """Least popcount of start XOR any element of the basis span."""
+        basis = self.basis
+        best = start.bit_count()
+        cur = start
+        for i in range(1, 1 << len(basis)):
+            cur ^= basis[(i & -i).bit_length() - 1]
+            size = cur.bit_count()
+            if size < best:
+                best = size
+        return best
+
+    def delta(self, u, v) -> int:
+        """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
+        to_root = self.to_root
+        return self._least(self.particular ^ to_root[u] ^ to_root[v]) - self.nu
+
+
+def _cycle_table(graph: Multigraph, comp: frozenset,
+                 terms: tuple) -> _CycleTable | None:
+    """The component's cycle table, or None when its cycle rank exceeds
+    _TABLE_LIMIT."""
+    edges = sum(graph.degree(w) for w in comp) // 2
+    if edges - len(comp) + 1 > _TABLE_LIMIT:
+        return None
+    return _CycleTable(graph, terms)
+
+
 @lru_cache(maxsize=1024)
 def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
-    """Each vertex's component table; None where the component holds more
-    than _DP_TERMINAL_LIMIT terminals."""
+    """Each vertex's component table: the subset DP where the component
+    holds at most _TABLE_LIMIT terminals, else the cycle table where its
+    cycle rank is at most _TABLE_LIMIT, else None (the matching
+    fallback)."""
     out: dict = {}
     for comp in graph.components():
         terms = tuple(sorted_vertices(comp & terminals))
-        table = (_ComponentTable(graph, terms)
-                 if len(terms) <= _DP_TERMINAL_LIMIT else None)
+        if len(terms) <= _TABLE_LIMIT:
+            table = _ComponentTable(graph, terms)
+        else:
+            table = _cycle_table(graph, comp, terms)
         for w in comp:
             out[w] = table
     return out

@@ -13,7 +13,7 @@ import pytest
 from bigraft.cli import cli_main
 from bigraft.core import Multigraph, build_bipartite_graft
 from bigraft.formats import serialize_graft
-from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.instances import c4, chain4, comb_path, k2, p3r
 
 
 def run_cli(*argv, stdin=""):
@@ -51,6 +51,9 @@ def files(tmp_path):
     chain = tmp_path / "chain14.json"
     chain.write_text(serialize_graft(chain_comb(14)))
     paths["chain14"] = str(chain)
+    deep = tmp_path / "path100.json"
+    deep.write_text(serialize_graft(comb_path(100)))
+    paths["path100"] = str(deep)
     return paths
 
 
@@ -179,6 +182,12 @@ class TestStructure:
         assert code == 0
         assert "critical: yes" in out
         assert "distance a1: 1" in out
+
+    def test_critical_on_a_deep_path(self, files):
+        code, out, _ = run_cli("critical", "r", "--input", files["path100"])
+        assert code == 0
+        assert "critical: yes" in out
+        assert "distance a99: 1" in out
 
     def test_ear_decomp(self, files):
         code, out, _ = run_cli("ear-decomp", "r", "--input", files["i4"])

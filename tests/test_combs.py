@@ -1,5 +1,7 @@
 """Comb classification, criticality, ear steps, and decompositions."""
 
+import sys
+
 import pytest
 
 from bigraft.core import (
@@ -24,7 +26,8 @@ from bigraft.combs import (
     validate_ear_step,
     verify_graft_ear_decomposition,
 )
-from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.decomposition import factor_components
+from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import f_distance_int, min_join, walk_report
 from bigraft.core import Graft
 
@@ -231,6 +234,23 @@ class TestCriticality:
         rep = is_critical_quasicomb(p3r(), "r")
         with pytest.raises(GraftInputError):
             rep.distance("zz")
+
+
+class TestDeepCombPath:
+    """The comb path r-a0-b0-..., deeper than the recursion limit at k = 1200."""
+
+    @pytest.mark.parametrize("k", [100, 1200])
+    def test_critical_with_one_factor_component_per_pair(self, k):
+        g = comb_path(k)
+        if k == 1200:
+            assert len(g.graph.vertices) == 2401 > sys.getrecursionlimit()
+        report = is_critical_quasicomb(g, "r")
+        assert report.critical
+        assert report.distance(f"a{k - 1}") == 1
+        assert report.distance(f"b{k - 1}") == 0
+        comps = factor_components(g)
+        assert len(comps.components) == k + 1
+        assert comps.component_of(f"a{k - 1}").vertices == {f"a{k - 1}", f"b{k - 1}"}
 
 
 class TestEarStep:

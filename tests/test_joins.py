@@ -15,12 +15,17 @@ from bigraft.core import (
 )
 from bigraft import decomposition
 from bigraft.decomposition import allowed_edge_set, factor_components
+from bigraft.generators import GenConfig, gen_random_critical_quasicomb
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import (
-    _DP_TERMINAL_LIMIT,
+    _TABLE_LIMIT,
     DistanceValue,
     JoinSet,
+    _ComponentTable,
+    _CycleTable,
+    _bfs_tree,
     _distance_tables,
+    _matched_terminal_pairs,
     all_min_joins,
     extract_shortest_path,
     f_distance,
@@ -253,24 +258,42 @@ TABLE_CASES = [
     (1, (9,), (4,), 5),
     (2, (8,), (0,), 4),
     (3, (5, 6, 4), (2, 4, 0), 5),
-    (4, (12,), (_DP_TERMINAL_LIMIT,), 5),
-    (5, (14,), (_DP_TERMINAL_LIMIT + 2,), 4),
+    (4, (12,), (_TABLE_LIMIT,), 5),
+    (5, (14,), (_TABLE_LIMIT + 2,), 4),
+    (6, (14,), (_TABLE_LIMIT + 2,), _TABLE_LIMIT),
 ]
+
+# The table every component of a case gets, by seed: the subset DP up to
+# _TABLE_LIMIT terminals, else the cycle table up to _TABLE_LIMIT
+# independent cycles (each piece has one doubled edge), else None, the
+# matching fallback.
+TABLE_KINDS = {1: _ComponentTable, 2: _ComponentTable, 3: _ComponentTable,
+               4: _ComponentTable, 5: _CycleTable, 6: type(None)}
+
+
+def cycle_rank(graph, comp) -> int:
+    return sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
 
 
 class TestDistanceTable:
     @pytest.mark.parametrize("seed,sizes,terminals,extra", TABLE_CASES)
     def test_matches_the_oracles(self, seed, sizes, terminals, extra):
         g = random_graft(seed, sizes, terminals, extra)
+        table_kind = TABLE_KINDS[seed]
         tables = _distance_tables(g.graph, g.terminals)
         for comp in g.graph.components():
-            fallback = len(comp & g.terminals) > _DP_TERMINAL_LIMIT
-            assert all((tables[w] is None) == fallback for w in comp)
+            assert all(type(tables[w]) is table_kind for w in comp)
+            if table_kind is not _ComponentTable:
+                assert len(comp & g.terminals) > _TABLE_LIMIT
+                fallback = cycle_rank(g.graph, comp) > _TABLE_LIMIT
+                assert fallback == (table_kind is type(None))
+        # The fallback case has more edges than the oracles' default bound.
+        bound = max(22, len(g.graph.edges))
         kinds = set()
         vs = sorted(g.graph.vertices)
         for i, u in enumerate(vs):
             for v in vs[i + 1:]:
-                want = brute_distance(g, u, v)
+                want = brute_distance(g, u, v, max_edges=bound)
                 assert f_distance(g, u, v).value == want, (u, v)
                 if want is not None:
                     kinds.add((u in g.terminals) + (v in g.terminals))
@@ -279,7 +302,56 @@ class TestDistanceTable:
         ends = [e.ends() for e in g.graph.edges]
         assert any(ends.count(x) > 1 for x in ends)
         for e in g.graph.edges:
-            assert is_allowed_edge(g, e.id) == brute_allowed(g, e.id), e.id
+            assert is_allowed_edge(g, e.id) == brute_allowed(g, e.id, max_edges=bound), e.id
+
+
+def pairing_nu(graph, terminals) -> int:
+    """nu as the sum of the matched pairs' BFS distances: the pairing side
+    of the engine, which shares no code with the cycle table."""
+    return sum(_bfs_tree(graph, u)[0][v]
+               for u, v in _matched_terminal_pairs(graph, terminals))
+
+
+def many_terminal_quasicombs(count: int = 12) -> list:
+    """The first ``count`` fixed-seed critical quasicombs on 16-20 vertices
+    whose target holds at least 12 terminals."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(16, 20)),
+                                             random.Random(seed))
+        if len(d.target.terminals) >= 12:
+            found.append(d)
+        seed += 1
+    return found
+
+
+class TestCycleTableOnQuasicombs:
+    """On every prefix of ear-grown quasicombs with many terminals, the
+    cycle walk gives the same nu and root distances as the pairing."""
+
+    @pytest.fixture(scope="class")
+    def prefixes(self):
+        return [(d.root, g) for d in many_terminal_quasicombs()
+                for g in d.prefixes()]
+
+    def test_the_cycle_table_serves_the_large_prefixes(self, prefixes):
+        large = [(r, g) for r, g in prefixes if len(g.terminals) > _TABLE_LIMIT]
+        assert len(large) >= 8
+        for r, g in large:
+            assert type(_distance_tables(g.graph, g.terminals)[r]) is _CycleTable
+
+    def test_nu_matches_the_pairing(self, prefixes):
+        for _, g in prefixes:
+            assert nu(g) == pairing_nu(g.graph, g.terminals)
+
+    def test_root_distances_match_the_pairing(self, prefixes):
+        for r, g in prefixes:
+            base = pairing_nu(g.graph, g.terminals)
+            assert f_distance(g, r, r).value == 0
+            for v in sorted(g.graph.vertices - {r}):
+                want = pairing_nu(g.graph, g.terminals ^ {r, v}) - base
+                assert f_distance(g, r, v).value == want, (r, v)
 
 
 class TestFlippedSign:
