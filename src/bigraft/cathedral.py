@@ -161,12 +161,13 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
     """top(c): the maximal critical set for the component ``cid``.
 
     Growth starts from the component's own vertices and adds, in component
-    order, each component whose union with the current set is still
-    critical, repeating until a full pass adds nothing: O(k^2) criticality
-    tests for k components.  The result is the union of all critical sets
-    for c provided two critical sets for c unite into a critical set and
-    that union is reached one component at a time.  No lemma is cited for
-    this union closure: it is checked by test, against
+    order, each adjacent component whose union with the current set is
+    still critical, repeating until a full pass adds nothing.  A component
+    with no edge into the set is not tested: that union contracts to a
+    disconnected graft, never critical.  The result is the union of all
+    critical sets for c provided two critical sets for c unite into a
+    critical set and that union is reached one component at a time.  No
+    lemma is cited for this union closure: it is checked by test, against
     ``enumerate_critical_sets`` in tests/test_cathedral.py.
     """
     top = comps.by_id(cid).vertices
@@ -174,7 +175,8 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
     while grown:
         grown = False
         for comp in comps:
-            if comp.vertices <= top:
+            near = {e.other(v) for v in comp.vertices for e in comb.graph.incident(v)}
+            if comp.vertices <= top or not near & top:
                 continue
             candidate = top | comp.vertices
             if _critical_set(comb, comps, cid, candidate)[0]:
@@ -228,8 +230,8 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     """Compute the full order, check its axioms, and lay out the diagram.
 
     Component a precedes b exactly when b lies inside top(a), the maximal
-    critical set grown by ``_top_critical_set``, so the cost is O(k^2)
-    criticality tests per component and no component count is refused.
+    critical set grown by ``_top_critical_set`` through adjacent components
+    only, so no component count is refused.
     Any antisymmetry or transitivity failure is raised as an internal
     consistency error, since the theory guarantees both; a growth that
     stopped short of top(a) shows up as a transitivity failure.

@@ -120,12 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _load_graft(args) -> Graft:
-    if args.input is not None:
+    try:
+        if args.input is None:
+            return parse_graft_json(sys.stdin.read())
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return parse_graft_json(text)
+            return parse_graft_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise GraftInputError(f"input is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _need_bipartite(g: Graft) -> OrderedBipartiteGraft:

@@ -216,8 +216,10 @@ class EarStep:
         vs = self.walk.vertices
         if len(vs) < 2:
             raise GraftInputError("an ear needs at least one edge")
-        graph = self._build_graph()
+        graph = Multigraph(frozenset(vs), tuple(
+            Edge(eid, vs[i], vs[i + 1]) for i, eid in enumerate(self.walk.edge_ids)))
         self.walk.validate(graph)
+        object.__setattr__(self, "_graph", graph)
         bond_set = set(self.bonds)
         if len(bond_set) != len(self.bonds) or not 1 <= len(self.bonds) <= 2:
             raise GraftInputError("an ear has one or two distinct bonds")
@@ -245,11 +247,6 @@ class EarStep:
         if len(self.terminals) % 2:
             raise GraftValidationError(
                 "terminal-parity", "a step needs an even number of terminals")
-
-    def _build_graph(self) -> Multigraph:
-        vs, eids = self.walk.vertices, self.walk.edge_ids
-        edges = tuple(Edge(eid, vs[i], vs[i + 1]) for i, eid in enumerate(eids))
-        return Multigraph(frozenset(vs), edges)
 
     @property
     def kind(self) -> str:
@@ -293,7 +290,7 @@ class EarStep:
         return True
 
     def as_graft(self) -> OrderedBipartiteGraft:
-        return OrderedBipartiteGraft(self._build_graph(), self.terminals,
+        return OrderedBipartiteGraft(self._graph, self.terminals,
                                      self.spine, self.tooth)
 
 

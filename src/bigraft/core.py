@@ -3,13 +3,13 @@
 A graft pairs a multigraph with a terminal vertex set whose size is even in
 every connected component; an ordered bipartite graft additionally carries a
 bipartition into a spine side and a tooth side.  Every value here is frozen
-and hashable, so instances can be shared freely and used as cache keys.
+and hashable, so instances can be shared freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, wraps
 from typing import Iterable, Iterator
 
 VertexId = str | int
@@ -76,38 +76,60 @@ class Edge:
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Undirected multigraph without loops.  Edges are kept sorted by id."""
+    """Undirected multigraph without loops.  Edges are kept sorted by id;
+    the edge map, adjacency, components and ``_memo`` live on the instance."""
 
     vertices: frozenset
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for e in self.edges:
-            if not isinstance(e.id, str):
-                raise GraftInputError(f"edge id {e.id!r} must be a string")
-            if e.id in seen:
-                raise GraftInputError(f"duplicate edge id {e.id!r}")
-            seen.add(e.id)
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise GraftInputError(f"edge {e.id!r} has an unknown endpoint")
-            if e.u == e.v:
-                raise GraftInputError(f"edge {e.id!r} is a loop")
         for v in self.vertices:
             if not isinstance(v, (str, int)) or isinstance(v, bool):
                 raise GraftInputError(f"vertex id {v!r} must be str or int")
         # Canonical form: endpoint order inside an edge carries no meaning,
         # so graphs assembled along different routes compare equal.
-        normal = tuple(
-            e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
-            for e in sorted(self.edges, key=lambda e: e.id))
-        object.__setattr__(self, "edges", normal)
-        # Graphs key most of the package's caches, so the edge tuple is
-        # hashed once here rather than at every cache lookup.
-        object.__setattr__(self, "_hash", hash((self.vertices, normal)))
+        by_id: dict[str, Edge] = {}
+        for e in self.edges:
+            if not isinstance(e.id, str):
+                raise GraftInputError(f"edge id {e.id!r} must be a string")
+            if e.id in by_id:
+                raise GraftInputError(f"duplicate edge id {e.id!r}")
+            if e.u not in self.vertices or e.v not in self.vertices:
+                raise GraftInputError(f"edge {e.id!r} has an unknown endpoint")
+            if e.u == e.v:
+                raise GraftInputError(f"edge {e.id!r} is a loop")
+            by_id[e.id] = e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
+        object.__setattr__(self, "edges", tuple(by_id[eid] for eid in sorted(by_id)))
+        object.__setattr__(self, "_edge_map", by_id)
+        object.__setattr__(self, "_memo", {})
 
-    def __hash__(self) -> int:
-        return self._hash
+    @cached_property
+    def _adjacency(self) -> dict:
+        adj: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adj[e.u].append(e)
+            adj[e.v].append(e)
+        return {v: tuple(es) for v, es in adj.items()}
+
+    @cached_property
+    def _components(self) -> tuple[frozenset, ...]:
+        seen: set = set()
+        out: list[frozenset] = []
+        for start in sorted_vertices(self.vertices):
+            if start in seen:
+                continue
+            comp = {start}
+            queue = [start]
+            while queue:
+                v = queue.pop()
+                for e in self.incident(v):
+                    w = e.other(v)
+                    if w not in comp:
+                        comp.add(w)
+                        queue.append(w)
+            seen |= comp
+            out.append(frozenset(comp))
+        return tuple(out)
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -117,27 +139,27 @@ class Multigraph:
 
     def edge(self, eid: str) -> Edge:
         try:
-            return _edge_map(self)[eid]
+            return self._edge_map[eid]
         except KeyError:
             raise GraftInputError(f"unknown edge id {eid!r}") from None
 
     def has_edge(self, eid: str) -> bool:
-        return eid in _edge_map(self)
+        return eid in self._edge_map
 
     def edge_ids(self) -> frozenset:
-        return frozenset(_edge_map(self))
+        return frozenset(self._edge_map)
 
     def incident(self, v: VertexId) -> tuple[Edge, ...]:
-        return _adjacency(self).get(v, ())
+        return self._adjacency.get(v, ())
 
     def degree(self, v: VertexId) -> int:
         return len(self.incident(v))
 
     def components(self) -> tuple[frozenset, ...]:
-        return _components(self)
+        return self._components
 
     def component_of(self, v: VertexId) -> frozenset:
-        for comp in _components(self):
+        for comp in self._components:
             if v in comp:
                 return comp
         raise GraftInputError(f"unknown vertex id {v!r}")
@@ -154,39 +176,15 @@ class Multigraph:
         return not self.vertices
 
 
-@lru_cache(maxsize=512)
-def _edge_map(g: Multigraph) -> dict:
-    return {e.id: e for e in g.edges}
-
-
-@lru_cache(maxsize=512)
-def _adjacency(g: Multigraph) -> dict:
-    adj: dict[VertexId, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.u].append(e)
-        adj[e.v].append(e)
-    return {v: tuple(es) for v, es in adj.items()}
-
-
-@lru_cache(maxsize=512)
-def _components(g: Multigraph) -> tuple[frozenset, ...]:
-    seen: set = set()
-    out: list[frozenset] = []
-    for start in sorted_vertices(g.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for e in g.incident(v):
-                w = e.other(v)
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return tuple(out)
+def cached_on_graph(fn):
+    """Memoize ``fn(graph, key)`` in ``graph._memo``, which dies with the graph."""
+    @wraps(fn)
+    def cached(graph: Multigraph, key):
+        slot = (fn.__name__, key)
+        if slot not in graph._memo:
+            graph._memo[slot] = fn(graph, key)
+        return graph._memo[slot]
+    return cached
 
 
 @dataclass(frozen=True)

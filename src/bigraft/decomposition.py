@@ -9,7 +9,6 @@ this module computes and audits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .core import (
@@ -17,13 +16,14 @@ from .core import (
     GraftInputError,
     InternalConsistencyError,
     Multigraph,
+    cached_on_graph,
     sorted_vertices,
     vertex_key,
 )
 from .joins import f_distance_int, is_allowed_edge
 
 
-@lru_cache(maxsize=4096)
+@cached_on_graph
 def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
     g = Graft(graph, terminals)
     return frozenset(e.id for e in graph.edges if is_allowed_edge(g, e.id))
@@ -93,7 +93,7 @@ class FactorComponentSet:
         return iter(self.components)
 
 
-@lru_cache(maxsize=2048)
+@cached_on_graph
 def _factor_components(graph: Multigraph, terminals: frozenset) -> FactorComponentSet:
     allowed = _allowed_edge_set(graph, terminals)
     skeleton = Multigraph(graph.vertices,

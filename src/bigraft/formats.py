@@ -112,6 +112,9 @@ def parse_graft_json(text: str) -> Graft | OrderedBipartiteGraft:
         raise GraftInputError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer past the digit limit.
+        raise GraftInputError(f"JSON too deep or too large to parse: {exc}") from None
     return graft_from_document(doc)
 
 

@@ -17,16 +17,15 @@ reads the same walk there.  Components with many terminals and many cycles
 fall back to one matching per flipped terminal set.  The tables store the
 difference unsigned; the sign hook is applied when f_distance reads it.
 
-All caches are bounded ``functools.lru_cache``s keyed on graph values (a
-Multigraph computes its hash once), and the tables are not mutated after
-construction, so they are safe to share across threads.
+Tables, BFS trees, pairings and nu live in their graph's own memo
+(``core.cached_on_graph``) and die with it.  The memo takes no lock, so two
+threads may both fill one entry; a table is never mutated once built.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    cached_on_graph,
     is_join,
     simple_circuits,
     sorted_vertices,
@@ -270,7 +270,7 @@ def all_min_joins(g: Graft, max_edges: int = 22) -> tuple[frozenset, ...]:
 # by shortest paths, and take the symmetric difference.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
+@cached_on_graph
 def _bfs_tree(graph: Multigraph, source) -> tuple[dict, dict]:
     """Distances and deterministic parent edges from ``source``."""
     dist = {source: 0}
@@ -365,7 +365,7 @@ def _pairing_blossom(cost: list[list[int]]) -> list[tuple[int, int]]:
     return sorted(tuple(sorted(p)) for p in matching)
 
 
-@lru_cache(maxsize=8192)
+@cached_on_graph
 def _component_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
     """Matched terminal pairs of one component, minimizing total distance."""
     t = len(terms)
@@ -400,13 +400,13 @@ def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tup
     return out
 
 
-@lru_cache(maxsize=16384)
+@cached_on_graph
 def _nu(graph: Multigraph, terminals: frozenset) -> int:
     """Join size, summed over components: the cycle table's walk where a
     component has many terminals but few cycles, else its pairing."""
     total = 0
-    for comp, terms in _component_terminals(graph, terminals):
-        table = _cycle_table(graph, comp, terms) if len(terms) > _TABLE_LIMIT else None
+    for _, terms in _component_terminals(graph, terminals):
+        table = _cycle_table(graph, terms) if len(terms) > _TABLE_LIMIT else None
         if table is not None:
             total += table.nu
         elif terms:
@@ -469,15 +469,14 @@ class _ComponentTable:
     nu(T Δ {u, v}) - nu(T) costs O(t²) for any pair in the component.
     """
 
-    __slots__ = ("graph", "index", "rows", "dp")
+    __slots__ = ("index", "rows", "dp")
 
     def __init__(self, graph: Multigraph, terms: tuple):
-        self.graph = graph
         self.index = {w: i for i, w in enumerate(terms)}
         self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
         self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
 
-    def delta(self, u, v) -> int:
+    def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
         rows, dp = self.rows, self.dp
         t = len(rows)
@@ -494,7 +493,7 @@ class _ComponentTable:
                           for k in range(t) if k != i)
         else:
             # Both enter: they pair with each other or with two terminals.
-            flipped = _bfs_tree(self.graph, u)[0][v] + dp[full]
+            flipped = _bfs_tree(graph, u)[0][v] + dp[full]
             for k in range(t):
                 du = rows[k][u]
                 for m in range(t):
@@ -555,35 +554,35 @@ class _CycleTable:
                 best = size
         return best
 
-    def delta(self, u, v) -> int:
+    def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
         to_root = self.to_root
         return self._least(self.particular ^ to_root[u] ^ to_root[v]) - self.nu
 
 
-def _cycle_table(graph: Multigraph, comp: frozenset,
-                 terms: tuple) -> _CycleTable | None:
-    """The component's cycle table, or None when its cycle rank exceeds
-    _TABLE_LIMIT."""
+@cached_on_graph
+def _cycle_table(graph: Multigraph, terms: tuple) -> _CycleTable | None:
+    """The cycle table of the component holding ``terms``, or None when its
+    cycle rank exceeds _TABLE_LIMIT."""
+    comp = graph.component_of(terms[0])
     edges = sum(graph.degree(w) for w in comp) // 2
     if edges - len(comp) + 1 > _TABLE_LIMIT:
         return None
     return _CycleTable(graph, terms)
 
 
-@lru_cache(maxsize=1024)
+@cached_on_graph
 def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
     """Each vertex's component table: the subset DP where the component
     holds at most _TABLE_LIMIT terminals, else the cycle table where its
     cycle rank is at most _TABLE_LIMIT, else None (the matching
     fallback)."""
     out: dict = {}
-    for comp in graph.components():
-        terms = tuple(sorted_vertices(comp & terminals))
+    for comp, terms in _component_terminals(graph, terminals):
         if len(terms) <= _TABLE_LIMIT:
             table = _ComponentTable(graph, terms)
         else:
-            table = _cycle_table(graph, comp, terms)
+            table = _cycle_table(graph, terms)
         for w in comp:
             out[w] = table
     return out
@@ -594,7 +593,7 @@ def _nu_delta(graph: Multigraph, terminals: frozenset, u, v) -> int:
     table = _distance_tables(graph, terminals)[u]
     if table is None:
         return _nu(graph, terminals ^ {u, v}) - _nu(graph, terminals)
-    return table.delta(u, v)
+    return table.delta(graph, u, v)
 
 
 def f_distance(g: Graft, u, v) -> DistanceValue:

@@ -82,6 +82,20 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("name,content", [
+        ("deep", b"[" * 100000),
+        ("long-int", b'{"vertices": [' + b"7" * 5000 + b"]}"),
+        ("not-utf8", b'{"vertices": ["\xff\xfe"]}'),
+    ])
+    def test_unparseable_input_is_a_usage_error(self, tmp_path, name, content):
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(content)
+        code, out, err = run_cli("analyze", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         code, _, err = run_cli("analyze", "--input", str(tmp_path / "ghost"))
         assert code == 2

@@ -1,5 +1,8 @@
 """Factor components, separating sets, and the distance-zero partition."""
 
+import gc
+import weakref
+
 import pytest
 
 from bigraft.core import Graft, GraftInputError, Multigraph
@@ -11,7 +14,7 @@ from bigraft.decomposition import (
     kl_partition,
 )
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import all_min_joins, f_weight, min_join
+from bigraft.joins import all_min_joins, f_weight, min_join, nu
 from oracles import brute_allowed
 
 
@@ -181,3 +184,15 @@ class TestCombSpecialization:
                             assert d == -1
                         else:
                             assert d in (0, -2)
+
+
+class TestDerivedStateLifetime:
+    def test_no_graph_outlives_its_last_reference(self):
+        g = c4()
+        factor_components(g)
+        kl_partition(g)
+        assert nu(g) == 2
+        graph = weakref.ref(g.graph)
+        del g
+        gc.collect()
+        assert graph() is None
