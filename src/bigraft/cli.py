@@ -10,6 +10,7 @@ stay byte-identical on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,10 @@ from .joins import f_distance, min_join, min_join_bruteforce
 from .properties import run_property_suite, suite_report_document
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE",
                         help="graft JSON document (default: stdin)")

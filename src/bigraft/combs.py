@@ -13,7 +13,7 @@ ear steps, and this module both builds and checks such decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     BigraftError,
@@ -27,6 +27,7 @@ from .core import (
     PreconditionError,
     Walk,
     graft_sum,
+    odd_degree_vertices,
     sorted_vertices,
     vertex_key,
 )
@@ -381,13 +382,6 @@ class EarExtensionError(InternalConsistencyError):
         self.steps = steps
 
 
-def _odd_degree_vertices(edges: Iterable[Edge]) -> frozenset:
-    odd: set = set()
-    for e in edges:
-        odd ^= {e.u, e.v}
-    return frozenset(odd)
-
-
 def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                                   F) -> GraftEarDecomposition:
     """Grow the target from its root one ear at a time.
@@ -520,7 +514,7 @@ def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
     vertices = (u,) + P.vertices[:cut + 1]
     eids = (f.id,) + P.edge_ids[:cut]
     edges = [g.graph.edge(eid) for eid in eids]
-    terminals = _odd_degree_vertices(e for e in edges if e.id in fset)
+    terminals = odd_degree_vertices((e.u, e.v) for e in edges if e.id in fset)
     walk = Walk(vertices, eids)
     bonds = (u,) if w == u else (u, w)
     vset = frozenset(vertices)

@@ -143,9 +143,6 @@ class Multigraph:
         except KeyError:
             raise GraftInputError(f"unknown edge id {eid!r}") from None
 
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._edge_map
-
     def edge_ids(self) -> frozenset:
         return frozenset(self._edge_map)
 
@@ -171,9 +168,6 @@ class Multigraph:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
         edges = tuple(e for e in self.edges if e.u in keep and e.v in keep)
         return Multigraph(keep, edges)
-
-    def is_empty(self) -> bool:
-        return not self.vertices
 
 
 def cached_on_graph(fn):
@@ -208,9 +202,6 @@ class Graft:
     @property
     def vertices(self) -> frozenset:
         return self.graph.vertices
-
-    def is_terminal(self, v: VertexId) -> bool:
-        return v in self.terminals
 
 
 @dataclass(frozen=True)
@@ -361,11 +352,15 @@ def is_join(g: Graft, F: Iterable[str]) -> bool:
     unknown = fset - g.graph.edge_ids()
     if unknown:
         raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
+    return odd_degree_vertices((e.u, e.v) for e in map(g.graph.edge, fset)) == g.terminals
+
+
+def odd_degree_vertices(ends: Iterable[tuple]) -> frozenset:
+    """Vertices of odd degree among the edges with the given end pairs."""
     odd: set = set()
-    for eid in fset:
-        e = g.graph.edge(eid)
-        odd ^= {e.u, e.v}
-    return odd == set(g.terminals)
+    for u, v in ends:
+        odd ^= {u, v}
+    return frozenset(odd)
 
 
 @dataclass(frozen=True)

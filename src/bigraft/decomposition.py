@@ -195,10 +195,10 @@ def kl_partition(g: Graft) -> KLPartition:
     Each vertex joins the first class whose representative is at distance
     zero from it.  Every instance is then audited pairwise: same class must
     coincide with distance zero, which in particular certifies
-    transitivity.  Where a graph component has at most _TABLE_LIMIT
-    terminals or at most _TABLE_LIMIT independent cycles, each distance is
-    a read of its table in joins, so the O(n²) audit runs no matching.  An
-    audit failure raises InternalConsistencyError.
+    transitivity.  Where joins._component_table gives a graph component a
+    table (few terminals or few independent cycles), each distance is a
+    read of it, so the O(n²) audit runs no matching.  An audit failure
+    raises InternalConsistencyError.
     """
     comps = factor_components(g)
     classes: list[frozenset] = []

@@ -23,19 +23,25 @@ from .core import (
     OrderedBipartiteGraft,
     Walk,
     graft_sum,
+    odd_degree_vertices,
     sorted_vertices,
 )
 from .joins import is_minimum_join
 
 _MODES = ("graft", "comb", "critical-quasicomb")
 
+# The samplers draw one coin per vertex pair, so memory grows as n²: a much
+# larger request is refused up front instead of exhausting memory.
+_MAX_VERTICES = 500
+
 
 @dataclass(frozen=True)
 class GenConfig:
     """Knobs for the random generators.
 
-    ``vertices`` is an inclusive count range, the densities are per-slot
-    probabilities in [0, 1], and ``budget`` bounds rejection loops.
+    ``vertices`` is an inclusive count range up to _MAX_VERTICES, the
+    densities are per-slot probabilities in [0, 1], and ``budget`` bounds
+    rejection loops.
     """
 
     seed: int = 0
@@ -49,6 +55,9 @@ class GenConfig:
         lo, hi = self.vertices
         if lo < 1 or hi < lo:
             raise GraftInputError(f"empty vertex-count range {self.vertices!r}")
+        if hi > _MAX_VERTICES:
+            raise CapacityError(
+                f"{hi} vertices exceed the generator cap of {_MAX_VERTICES}")
         for label, value in (("edge", self.edge_density),
                              ("terminal", self.terminal_density)):
             if not 0.0 <= value <= 1.0:
@@ -192,22 +201,15 @@ def _choose_join_edges(rng: random.Random, vs: tuple, eids: tuple,
     return frozenset(picked)
 
 
-def _step_terminals(vs: tuple, eids: tuple, fpart: frozenset) -> frozenset:
-    odd: set = set()
-    for i, eid in enumerate(eids):
-        if eid in fpart:
-            odd ^= {vs[i], vs[i + 1]}
-    return frozenset(odd)
-
-
 def _assemble_step(base: OrderedBipartiteGraft, vs: tuple, eids: tuple,
                    bonds: tuple, new_tooth: set,
                    fpart: frozenset) -> tuple[EarStep, frozenset]:
     vset = frozenset(vs)
     spine = (vset & base.spine) | (vset - new_tooth - base.graph.vertices)
     tooth = (vset & base.tooth) | frozenset(new_tooth)
-    step = EarStep(Walk(vs, eids), bonds, _step_terminals(vs, eids, fpart),
-                   spine, tooth)
+    terminals = odd_degree_vertices(
+        (vs[i], vs[i + 1]) for i, eid in enumerate(eids) if eid in fpart)
+    step = EarStep(Walk(vs, eids), bonds, terminals, spine, tooth)
     ok, violations = validate_ear_step(base, step)
     if not ok:
         raise InternalConsistencyError(

@@ -5,17 +5,18 @@ whole affine solution space over GF(2) and canonicalizes ties; the polynomial
 one matches terminals over the shortest-path metric and realizes the pairing
 by breadth-first paths.  Their agreement is the package's root oracle.
 
-The distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T) and the allowed-edge
-test both read one table per graph component, of one of two exact kinds.
-For a component with at most _TABLE_LIMIT terminals it keeps the BFS row of
-every terminal and the pairing DP's full subset table dp[mask], so each
-pair costs O(t²) with no new matching.  For a component with more terminals
-but cycle rank mu = m - n + 1 at most _TABLE_LIMIT it keeps the tree
-path-to-root mask of every vertex and a fundamental-cycle basis, so each
-pair costs one Gray-code walk of the 2^mu joins of the flipped set; nu
-reads the same walk there.  Components with many terminals and many cycles
-fall back to one matching per flipped terminal set.  The tables store the
-difference unsigned; the sign hook is applied when f_distance reads it.
+nu, the distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge
+test and min_join's pairing all read one table per graph component, which
+_component_table alone chooses.  For at most _TABLE_LIMIT terminals it keeps
+the BFS row of every terminal and the pairing DP's full subset table
+dp[mask]: nu is one entry, min_join's pairs are read back from it, and each
+pair costs O(t²).  For more terminals but cycle rank mu = m - n + 1 at most
+_TABLE_LIMIT it keeps the tree path-to-root mask of every vertex and a
+fundamental-cycle basis: nu and each pair cost one Gray-code walk of the
+2^mu joins, and min_join pairs by blossom.  Otherwise there is no table: nu
+sums the blossom pairing and each pair runs one matching per flipped set.
+The tables store the difference unsigned; the sign hook is applied when
+f_distance reads it.
 
 Tables, BFS trees, pairings and nu live in their graph's own memo
 (``core.cached_on_graph``) and die with it.  The memo takes no lock, so two
@@ -329,56 +330,22 @@ def _subset_dp(cost: list[list[int]]) -> list:
     return dp
 
 
-def _pairing_dp(cost: list[list[int]]) -> list[tuple[int, int]]:
-    """Minimum-weight perfect pairing of indices 0..t-1 by bitmask DP."""
-    t = len(cost)
-    dp = _subset_dp(cost)
-    full = (1 << t) - 1
-    pairs = []
-    mask = full
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        for j in range(i + 1, t):
-            if rest >> j & 1 and dp[mask] == dp[rest ^ (1 << j)] + cost[i][j]:
-                pairs.append((i, j))
-                mask = rest ^ (1 << j)
-                break
-        else:
-            raise InternalConsistencyError("pairing reconstruction lost its trail")
-    return pairs
-
-
 _TABLE_LIMIT = 10
 
 
-def _pairing_blossom(cost: list[list[int]]) -> list[tuple[int, int]]:
+@cached_on_graph
+def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
+    """Matched terminal pairs of one component, minimizing total distance,
+    by networkx's minimum-weight matching over the BFS metric."""
     import networkx as nx
 
-    t = len(cost)
     kg = nx.Graph()
-    kg.add_nodes_from(range(t))
-    for i in range(t):
-        for j in range(i + 1, t):
-            kg.add_edge(i, j, weight=cost[i][j])
-    matching = nx.min_weight_matching(kg)
-    return sorted(tuple(sorted(p)) for p in matching)
-
-
-@cached_on_graph
-def _component_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
-    """Matched terminal pairs of one component, minimizing total distance."""
-    t = len(terms)
-    cost = [[0] * t for _ in range(t)]
     for i, u in enumerate(terms):
         dist, _ = _bfs_tree(graph, u)
-        for j in range(i + 1, t):
-            cost[i][j] = cost[j][i] = dist[terms[j]]
-    if t <= _TABLE_LIMIT:
-        pairs = _pairing_dp(cost)
-    else:
-        pairs = _pairing_blossom(cost)
-    return tuple(sorted((terms[i], terms[j]) for i, j in pairs))
+        for j in range(i + 1, len(terms)):
+            kg.add_edge(i, j, weight=dist[terms[j]])
+    matching = nx.min_weight_matching(kg)
+    return tuple(sorted((terms[min(p)], terms[max(p)]) for p in matching))
 
 
 def _component_terminals(graph: Multigraph,
@@ -393,24 +360,29 @@ def _component_terminals(graph: Multigraph,
 
 
 def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
+    """Minimum-distance terminal pairs: read back from the subset table up
+    to _TABLE_LIMIT terminals, else by blossom.  A cycle table gives sizes
+    but no pairs, so none is built here."""
     out: list[tuple] = []
     for _, terms in _component_terminals(graph, terminals):
-        if terms:
-            out.extend(_component_pairing(graph, terms))
+        if len(terms) > _TABLE_LIMIT:
+            out.extend(_blossom_pairing(graph, terms))
+        else:
+            out.extend(_component_table(graph, terms).pairs())
     return out
 
 
 @cached_on_graph
 def _nu(graph: Multigraph, terminals: frozenset) -> int:
-    """Join size, summed over components: the cycle table's walk where a
-    component has many terminals but few cycles, else its pairing."""
+    """Join size, summed over components: each component table's nu, or
+    the blossom pairing's length where a component has no table."""
     total = 0
     for _, terms in _component_terminals(graph, terminals):
-        table = _cycle_table(graph, terms) if len(terms) > _TABLE_LIMIT else None
+        table = _component_table(graph, terms)
         if table is not None:
             total += table.nu
-        elif terms:
-            for u, v in _component_pairing(graph, terms):
+        else:
+            for u, v in _blossom_pairing(graph, terms):
                 total += _bfs_tree(graph, u)[0][v]
     return total
 
@@ -462,19 +434,40 @@ def negative_circuit_witness(g: Graft, F, max_edges: int | None = None) -> Weigh
 # ---------------------------------------------------------------------------
 
 class _ComponentTable:
-    """Join distances inside one graph component with few terminals.
+    """Join sizes inside one graph component with few terminals.
 
     ``rows[i]`` maps each vertex of the component to its BFS distance from
     terminal i, and ``dp`` is the full subset table of those terminals, so
+    ``nu`` is its full entry, ``pairs()`` reads a minimum pairing back, and
     nu(T Δ {u, v}) - nu(T) costs O(t²) for any pair in the component.
     """
 
-    __slots__ = ("index", "rows", "dp")
+    __slots__ = ("terms", "index", "rows", "dp", "nu")
 
     def __init__(self, graph: Multigraph, terms: tuple):
+        self.terms = terms
         self.index = {w: i for i, w in enumerate(terms)}
         self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
         self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
+        self.nu = self.dp[-1]
+
+    def pairs(self) -> list[tuple]:
+        """Terminal pairs of a minimum pairing, each pairing the least
+        unpaired terminal first."""
+        terms, rows, dp = self.terms, self.rows, self.dp
+        out = []
+        mask = len(dp) - 1
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << i)
+            for j in range(i + 1, len(terms)):
+                if rest >> j & 1 and dp[mask] == dp[rest ^ (1 << j)] + rows[i][terms[j]]:
+                    out.append((terms[i], terms[j]))
+                    mask = rest ^ (1 << j)
+                    break
+            else:
+                raise InternalConsistencyError("pairing reconstruction lost its trail")
+        return out
 
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
@@ -561,9 +554,13 @@ class _CycleTable:
 
 
 @cached_on_graph
-def _cycle_table(graph: Multigraph, terms: tuple) -> _CycleTable | None:
-    """The cycle table of the component holding ``terms``, or None when its
-    cycle rank exceeds _TABLE_LIMIT."""
+def _component_table(graph: Multigraph,
+                     terms: tuple) -> _ComponentTable | _CycleTable | None:
+    """The table of the component holding the sorted terminals ``terms``:
+    the subset DP up to _TABLE_LIMIT terminals, else the cycle table up to
+    cycle rank _TABLE_LIMIT, else None (the matching fallback)."""
+    if len(terms) <= _TABLE_LIMIT:
+        return _ComponentTable(graph, terms)
     comp = graph.component_of(terms[0])
     edges = sum(graph.degree(w) for w in comp) // 2
     if edges - len(comp) + 1 > _TABLE_LIMIT:
@@ -573,16 +570,10 @@ def _cycle_table(graph: Multigraph, terms: tuple) -> _CycleTable | None:
 
 @cached_on_graph
 def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
-    """Each vertex's component table: the subset DP where the component
-    holds at most _TABLE_LIMIT terminals, else the cycle table where its
-    cycle rank is at most _TABLE_LIMIT, else None (the matching
-    fallback)."""
+    """Each vertex's component table, as _component_table chose it."""
     out: dict = {}
     for comp, terms in _component_terminals(graph, terminals):
-        if len(terms) <= _TABLE_LIMIT:
-            table = _ComponentTable(graph, terms)
-        else:
-            table = _cycle_table(graph, terms)
+        table = _component_table(graph, terms)
         for w in comp:
             out[w] = table
     return out

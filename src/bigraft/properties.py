@@ -49,7 +49,7 @@ from .decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
-from .formats import graft_document
+from .formats import REPORT_SCHEMA, graft_document
 from .generators import (
     GenConfig,
     gen_random_comb,
@@ -121,7 +121,7 @@ def suite_report_document(report: SuiteReport) -> dict:
     the caller may surface ``wall_time`` separately.
     """
     return {
-        "schema": "bigraft-report/1",
+        "schema": REPORT_SCHEMA,
         "trials": report.trials,
         "properties": [{"name": n, "passed": p, "failed": f}
                        for n, p, f in report.results],

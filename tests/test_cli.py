@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from bigraft.cli import cli_main
+from bigraft.cli import _build_parser, cli_main
 from bigraft.core import Multigraph, build_bipartite_graft
 from bigraft.formats import serialize_graft
+from bigraft.generators import _MAX_VERTICES
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 
 
@@ -108,6 +109,17 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self):
         assert run_cli("--help")[0] == 0
+
+    def test_one_parser_serves_every_call(self, files):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bigraft.cli", "analyze", "--input", files["i3"]],
+            capture_output=True, text=True)
+        assert fresh.returncode == 0
+        assert run_cli("analyze", "--no-such-flag")[0] == 2
+        code, out, _ = run_cli("analyze", "--input", files["i3"])
+        assert code == 0
+        assert out == fresh.stdout
+        assert _build_parser() is _build_parser()
 
     def test_bipartition_required_where_it_matters(self, files):
         for command in (["classify"], ["poset"], ["critical", "a"],
@@ -313,6 +325,14 @@ class TestGen:
 
     def test_bad_density_is_a_usage_error(self):
         assert run_cli("gen", "--edge-density", "1.5")[0] == 2
+
+    def test_vertex_count_past_the_cap_is_a_usage_error(self):
+        n = str(_MAX_VERTICES + 1)
+        code, out, err = run_cli("gen", "--min-vertices", n, "--max-vertices", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_console_script_runs():

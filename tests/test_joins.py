@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bigraft import joins
 from bigraft.core import (
     CapacityError,
     Graft,
@@ -25,6 +26,7 @@ from bigraft.joins import (
     _bfs_tree,
     _distance_tables,
     _matched_terminal_pairs,
+    _subset_dp,
     all_min_joins,
     extract_shortest_path,
     f_distance,
@@ -302,6 +304,26 @@ class TestDistanceTable:
         assert any(ends.count(x) > 1 for x in ends)
         for e in g.graph.edges:
             assert is_allowed_edge(g, e.id) == brute_allowed(g, e.id, max_edges=bound), e.id
+        assert min_join(g).size == nu(g) == min_join_bruteforce(g, max_edges=bound).size
+
+    def test_one_subset_dp_per_component_terminal_set(self, monkeypatch):
+        g = random_graft(*TABLE_CASES[2])
+        calls = []
+
+        def counted(cost):
+            calls.append(len(cost))
+            return _subset_dp(cost)
+
+        monkeypatch.setattr(joins, "_subset_dp", counted)
+        min_join(g)
+        nu(g)
+        vs = sorted(g.graph.vertices)
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                f_distance(g, u, v)
+        allowed_edge_set(g)
+        assert sorted(calls) == sorted(len(comp & g.terminals)
+                                       for comp in g.graph.components())
 
 
 def pairing_nu(graph, terminals) -> int:
