@@ -20,7 +20,6 @@ from .core import (
     CapacityError,
     GraftInputError,
     InternalConsistencyError,
-    Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,

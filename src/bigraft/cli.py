@@ -174,6 +174,27 @@ def _set_text(vs) -> str:
     return " ".join(str(v) for v in sorted_vertices(vs))
 
 
+def _component_rows(comps) -> tuple[list[str], list[dict]]:
+    """Each factor component as a text line and as a JSON entry."""
+    lines = [f"{c.id}: {_set_text(c.vertices)}" for c in comps]
+    docs = [{"id": c.id, "vertices": sorted_vertices(c.vertices)}
+            for c in comps]
+    return lines, docs
+
+
+def _kl_rows(part, comps) -> tuple[list[str], list[dict]]:
+    """Each factor component's distance-zero classes as a text line and as
+    a JSON entry."""
+    lines, docs = [], []
+    for c in comps:
+        classes = kl_classes_of_component(part, c.id)
+        rendered = " ".join("{" + _set_text(cls) + "}" for cls in classes)
+        lines.append(f"{c.id}: {rendered}")
+        docs.append({"component": c.id,
+                     "classes": [sorted_vertices(cls) for cls in classes]})
+    return lines, docs
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -197,12 +218,10 @@ def _cmd_analyze(args) -> int:
              f"nu: {F.size}",
              f"join: {' '.join(sorted(F.edge_ids))}",
              f"graph components: {len(g.graph.components())}"]
-    for comp in comps:
-        lines.append(f"factor component {comp.id}: {_set_text(comp.vertices)}")
-    for comp in comps:
-        classes = kl_classes_of_component(part, comp.id)
-        rendered = " ".join("{" + _set_text(cls) + "}" for cls in classes)
-        lines.append(f"kl {comp.id}: {rendered}")
+    comp_lines, comp_docs = _component_rows(comps)
+    kl_lines, kl_docs = _kl_rows(part, comps)
+    lines += [f"factor component {line}" for line in comp_lines]
+    lines += [f"kl {line}" for line in kl_lines]
     if poset is not None:
         for lo, hi in poset.hasse:
             lines.append(f"poset: {lo} -> {hi}")
@@ -214,13 +233,8 @@ def _cmd_analyze(args) -> int:
            "nu": F.size,
            "join": sorted(F.edge_ids),
            "graph_components": len(g.graph.components()),
-           "factor_components": [{"id": c.id,
-                                  "vertices": sorted_vertices(c.vertices)}
-                                 for c in comps],
-           "kl": [{"component": c.id,
-                   "classes": [sorted_vertices(cls) for cls in
-                               kl_classes_of_component(part, c.id)]}
-                  for c in comps],
+           "factor_components": comp_docs,
+           "kl": kl_docs,
            "poset": poset_document(poset) if poset is not None else None,
            "graft": graft_document(g)}
     _emit(args, lines, doc, export_dot(g, join=F))
@@ -262,29 +276,16 @@ def _cmd_dist(args) -> int:
 
 def _cmd_components(args) -> int:
     g = _load_graft(args)
-    comps = factor_components(g)
-    lines = [f"{c.id}: {_set_text(c.vertices)}" for c in comps]
-    doc = {"factor_components": [{"id": c.id,
-                                  "vertices": sorted_vertices(c.vertices)}
-                                 for c in comps]}
-    _emit(args, lines, doc)
+    lines, docs = _component_rows(factor_components(g))
+    _emit(args, lines, {"factor_components": docs})
     return 0
 
 
 def _cmd_kl(args) -> int:
     g = _load_graft(args)
     part = kl_partition(g)
-    comps = factor_components(g)
-    lines = []
-    for comp in comps:
-        classes = kl_classes_of_component(part, comp.id)
-        rendered = " ".join("{" + _set_text(cls) + "}" for cls in classes)
-        lines.append(f"{comp.id}: {rendered}")
-    doc = {"kl": [{"component": c.id,
-                   "classes": [sorted_vertices(cls) for cls in
-                               kl_classes_of_component(part, c.id)]}
-                  for c in comps]}
-    _emit(args, lines, doc)
+    lines, docs = _kl_rows(part, factor_components(g))
+    _emit(args, lines, {"kl": docs})
     return 0
 
 

@@ -18,7 +18,6 @@ from typing import Iterator
 from .core import (
     BigraftError,
     Edge,
-    Graft,
     GraftInputError,
     GraftValidationError,
     InternalConsistencyError,
@@ -32,8 +31,8 @@ from .core import (
     vertex_key,
 )
 from .joins import (
-    JoinSet,
     _edge_id_set,
+    _f_degrees,
     extract_shortest_path,
     f_distance,
     f_weight,
@@ -84,19 +83,15 @@ def is_f_balanced(g: OrderedBipartiteGraft, F, walk) -> bool:
     """Whether the counted tooth vertices each touch exactly one F-edge.
 
     Counted vertices: internal vertices for a path, all vertices for a
-    circuit, and the internal vertex set for an EarStep.
+    circuit, and for an EarStep the inner vertices of its walk (all but the
+    first and last), so a straight ear's free end is not counted.
     """
     _require_bipartite(g)
     fset = _edge_id_set(F)
     if isinstance(walk, EarStep):
-        inner = set(walk.walk.vertices[1:-1]) & g.tooth
-        incident: dict = {}
-        vs, eids = walk.walk.vertices, walk.walk.edge_ids
-        for i, eid in enumerate(eids):
-            if eid in fset:
-                for v in (vs[i], vs[i + 1]):
-                    incident[v] = incident.get(v, 0) + 1
-        return all(incident.get(v, 0) == 1 for v in inner)
+        degrees = _f_degrees(fset, walk.walk)
+        return all(degrees[v] == 1
+                   for v in walk.walk.vertices[1:-1] if v in g.tooth)
     walk.validate(g.graph)
     return walk_report(fset, walk, g.tooth).balanced
 
@@ -114,12 +109,8 @@ def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
             raise PreconditionError(f"path end {x!r} is not on the tooth side")
     if f_weight(fset, walk.edge_ids) != 0:
         raise PreconditionError("the path must have F-weight zero")
-    incident: dict = {v: 0 for v in walk.vertices}
-    for i, eid in enumerate(walk.edge_ids):
-        if eid in fset:
-            incident[walk.vertices[i]] += 1
-            incident[walk.vertices[i + 1]] += 1
-    frees = [v for v in walk.vertices if v in g.tooth and incident[v] == 0]
+    degrees = _f_degrees(fset, walk)
+    frees = [v for v in walk.vertices if v in g.tooth and degrees[v] == 0]
     if len(frees) != 1:
         raise InternalConsistencyError(
             f"expected one F-free tooth vertex, found {frees!r}")
@@ -204,7 +195,8 @@ class EarStep:
     The walk is oriented: a straight ear runs from its free end to its bond,
     a round path carries a bond at each end, and a circuit starts and ends
     at its only bond.  ``spine``/``tooth`` give the sides of the walk's
-    vertices and must alternate along it.
+    vertices and must alternate along it.  The step's graft is built, and so
+    validated, once here.
     """
 
     walk: Walk
@@ -220,7 +212,6 @@ class EarStep:
         graph = Multigraph(frozenset(vs), tuple(
             Edge(eid, vs[i], vs[i + 1]) for i, eid in enumerate(self.walk.edge_ids)))
         self.walk.validate(graph)
-        object.__setattr__(self, "_graph", graph)
         bond_set = set(self.bonds)
         if len(bond_set) != len(self.bonds) or not 1 <= len(self.bonds) <= 2:
             raise GraftInputError("an ear has one or two distinct bonds")
@@ -235,19 +226,13 @@ class EarStep:
                 raise GraftInputError("a straight ear must end at its bond")
         object.__setattr__(self, "bonds",
                            tuple(sorted(bond_set, key=vertex_key)))
-        vset = set(vs)
-        if self.spine | self.tooth != vset or self.spine & self.tooth:
+        if self.spine | self.tooth != set(vs):
             raise GraftValidationError(
                 "bipartition-coverage", "ear sides must partition the walk vertices")
-        for a, b in zip(vs, vs[1:]):
-            if (a in self.spine) == (b in self.spine):
-                raise GraftValidationError(
-                    "not-bipartite", "consecutive ear vertices share a side")
-        if not self.terminals <= vset:
-            raise GraftInputError("step terminals must lie on the walk")
-        if len(self.terminals) % 2:
-            raise GraftValidationError(
-                "terminal-parity", "a step needs an even number of terminals")
+        # The walk graph is connected, so the graft's own checks cover side
+        # overlap and alternation, terminals on the walk and their parity.
+        object.__setattr__(self, "_graft", OrderedBipartiteGraft(
+            graph, self.terminals, self.spine, self.tooth))
 
     @property
     def kind(self) -> str:
@@ -291,8 +276,7 @@ class EarStep:
         return True
 
     def as_graft(self) -> OrderedBipartiteGraft:
-        return OrderedBipartiteGraft(self._graph, self.terminals,
-                                     self.spine, self.tooth)
+        return self._graft
 
 
 def validate_ear_step(base: OrderedBipartiteGraft,
@@ -360,10 +344,11 @@ class GraftEarDecomposition:
             frozenset(), frozenset({self.root}))
 
     def replay(self) -> OrderedBipartiteGraft:
-        g = self.initial()
-        for step in self.steps:
-            g = graft_sum(g, step.as_graft())
-        return g
+        """The graft after the last step; the bare root when there is none."""
+        g = None
+        for g in self.prefixes():
+            pass
+        return self.initial() if g is None else g
 
     def prefixes(self) -> Iterator[OrderedBipartiteGraft]:
         """Yield the graft after each step."""
@@ -403,14 +388,22 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
         raise PreconditionError(
             "the target is not critical for this root: " + "; ".join(head.problems))
 
+    # Every edge once, as (spine end, tooth end), in edge-id order; each
+    # step removes its own edges.
+    unused = {e.id: (e.u, e.v) if e.u in g.spine else (e.v, e.u)
+              for e in g.graph.edges}
     spine_sup: set = set()
     tooth_sup: set = {r}
-    used: set = set()
     steps: list[EarStep] = []
 
-    def sides_of(vertices) -> tuple[frozenset, frozenset]:
-        vset = frozenset(vertices)
-        return vset & g.spine, vset & g.tooth
+    def rank(eid, a, b):
+        """0: a new spine vertex on the tooth support; 1: a non-join edge
+        to a new tooth vertex; 2: a join edge to one; None: no ear yet."""
+        if b in tooth_sup:
+            return None if a in spine_sup else 0
+        if a in spine_sup:
+            return 2 if eid in fset else 1
+        return None
 
     def check_invariant():
         for eid in fset:
@@ -422,71 +415,50 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                     f"join edge {eid!r} leaks from the tooth support")
 
     check_invariant()
-    while True:
-        unused = [e for e in g.graph.edges if e.id not in used]
-        support = spine_sup | tooth_sup
-        if not unused:
-            if support != g.graph.vertices:
-                raise EarExtensionError("edges ran out before the vertices",
-                                        frozenset(support), tuple(steps))
-            break
-
-        step = None
-        for e in unused:
-            a = e.u if e.u in g.spine else e.v
-            b = e.other(a)
-            if b in tooth_sup and a not in spine_sup:
-                if e.id in fset:
-                    raise InternalConsistencyError(
-                        f"join edge {e.id!r} violated the growth invariant")
-                sp, to = sides_of((a, b))
-                step = EarStep(Walk((a, b), (e.id,)), (b,), frozenset(), sp, to)
-                spine_sup.add(a)
-                break
-        if step is None:
-            for e in unused:
-                if e.id in fset:
-                    continue
-                a = e.u if e.u in g.spine else e.v
-                b = e.other(a)
-                if a in spine_sup and b not in tooth_sup:
-                    step = _round_step_via_balanced_path(
-                        g, fset, e, a, b, spine_sup | tooth_sup, r)
-                    for v in step.internal_vertices:
-                        (spine_sup if v in g.spine else tooth_sup).add(v)
-                    break
-        if step is None:
-            for e in unused:
-                if e.id not in fset:
-                    continue
-                a = e.u if e.u in g.spine else e.v
-                b = e.other(a)
-                if a in spine_sup and b not in tooth_sup:
-                    sp, to = sides_of((a, b))
-                    step = EarStep(Walk((b, a), (e.id,)), (a,),
-                                   frozenset({a, b}), sp, to)
-                    tooth_sup.add(b)
-                    break
-        if step is None:
-            if support != g.graph.vertices:
+    while unused:
+        ranked = ((rank(eid, a, b), eid) for eid, (a, b) in unused.items())
+        best = min((x for x in ranked if x[0] is not None), default=None)
+        if best is None:
+            if spine_sup | tooth_sup != g.graph.vertices:
                 raise EarExtensionError(
                     "no ear extends the support, yet vertices remain",
-                    frozenset(support), tuple(steps))
-            for e in unused:
-                if e.id in fset:
+                    frozenset(spine_sup | tooth_sup), tuple(steps))
+            for eid, (a, b) in unused.items():
+                if eid in fset:
                     raise InternalConsistencyError(
-                        f"leftover edge {e.id!r} belongs to the join")
-                sp, to = sides_of((e.u, e.v))
-                p, q = sorted((e.u, e.v), key=vertex_key)
-                steps.append(EarStep(Walk((p, q), (e.id,)), (p, q),
-                                     frozenset(), sp, to))
-                used.add(e.id)
-            continue
+                        f"leftover edge {eid!r} belongs to the join")
+                p, q = sorted((a, b), key=vertex_key)
+                steps.append(EarStep(Walk((p, q), (eid,)), (p, q),
+                                     frozenset(), frozenset({a}),
+                                     frozenset({b})))
+            break
 
-        used |= step.edge_ids
+        kind, eid = best
+        a, b = unused[eid]
+        if kind == 0:
+            if eid in fset:
+                raise InternalConsistencyError(
+                    f"join edge {eid!r} violated the growth invariant")
+            step = EarStep(Walk((a, b), (eid,)), (b,), frozenset(),
+                           frozenset({a}), frozenset({b}))
+            spine_sup.add(a)
+        elif kind == 1:
+            step = _round_step_via_balanced_path(
+                g, fset, eid, a, b, spine_sup | tooth_sup, r)
+            for v in step.internal_vertices:
+                (spine_sup if v in g.spine else tooth_sup).add(v)
+        else:
+            step = EarStep(Walk((b, a), (eid,)), (a,), frozenset({a, b}),
+                           frozenset({a}), frozenset({b}))
+            tooth_sup.add(b)
+        for eid in step.edge_ids:
+            del unused[eid]
         steps.append(step)
         check_invariant()
 
+    if spine_sup | tooth_sup != g.graph.vertices:
+        raise EarExtensionError("edges ran out before the vertices",
+                                frozenset(spine_sup | tooth_sup), tuple(steps))
     out = GraftEarDecomposition(r, tuple(steps), g)
     if out.replay() != g:
         raise InternalConsistencyError("the built decomposition does not replay")
@@ -494,8 +466,8 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
 
 
 def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
-                                  f: Edge, u, v, support: set, root) -> EarStep:
-    """Complete edge f=uv (u in the spine support, v a new tooth vertex)
+                                  fid: str, u, v, support: set, root) -> EarStep:
+    """Complete edge fid=uv (u in the spine support, v a new tooth vertex)
     into a round ear along a balanced weight-zero path from v to the root,
     truncated at the first support vertex."""
     report = extract_shortest_path(g, fset, v, root)
@@ -512,7 +484,7 @@ def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
         raise InternalConsistencyError(
             "the path reentered the support on the tooth side")
     vertices = (u,) + P.vertices[:cut + 1]
-    eids = (f.id,) + P.edge_ids[:cut]
+    eids = (fid,) + P.edge_ids[:cut]
     edges = [g.graph.edge(eid) for eid in eids]
     terminals = odd_degree_vertices((e.u, e.v) for e in edges if e.id in fset)
     walk = Walk(vertices, eids)

@@ -67,9 +67,6 @@ class Edge:
             return self.u
         raise GraftInputError(f"vertex {w!r} is not an end of edge {self.id!r}")
 
-    def touches(self, w: VertexId) -> bool:
-        return w == self.u or w == self.v
-
     def ends(self) -> frozenset:
         return frozenset((self.u, self.v))
 

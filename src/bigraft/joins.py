@@ -133,17 +133,23 @@ def f_weight(F, edge_ids: Iterable[str]) -> int:
     return w
 
 
+def _f_degrees(fset: frozenset, walk: Walk) -> dict:
+    """How many of the walk's F-edges touch each of its vertices."""
+    degrees = dict.fromkeys(walk.vertices, 0)
+    for i, eid in enumerate(walk.edge_ids):
+        if eid in fset:
+            degrees[walk.vertices[i]] += 1
+            degrees[walk.vertices[i + 1]] += 1
+    return degrees
+
+
 def _tooth_balance(fset: frozenset, walk: Walk, tooth: frozenset) -> bool:
     if walk.closed:
         counted = walk.vertices[:-1]
     else:
         counted = walk.vertices[1:-1]
-    incident: dict = {}
-    for i, eid in enumerate(walk.edge_ids):
-        if eid in fset:
-            for v in (walk.vertices[i], walk.vertices[i + 1]):
-                incident[v] = incident.get(v, 0) + 1
-    return all(incident.get(v, 0) == 1 for v in counted if v in tooth)
+    degrees = _f_degrees(fset, walk)
+    return all(degrees[v] == 1 for v in counted if v in tooth)
 
 
 def walk_report(F, walk: Walk, tooth: frozenset | None = None) -> WeightedWalkReport:

@@ -1,5 +1,7 @@
 """Comb classification, criticality, ear steps, and decompositions."""
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -27,6 +29,8 @@ from bigraft.combs import (
     verify_graft_ear_decomposition,
 )
 from bigraft.decomposition import factor_components
+from bigraft.formats import decomposition_document
+from bigraft.generators import GenConfig, gen_random_critical_quasicomb
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import f_distance_int, min_join, walk_report
 from bigraft.core import Graft
@@ -316,6 +320,16 @@ class TestEarStep:
             EarStep(Walk(("a1", "r"), ("c",)), ("r",), frozenset({"a1"}),
                     frozenset({"a1"}), frozenset({"r"}))
 
+    def test_sides_must_not_overlap(self):
+        with pytest.raises(GraftValidationError):
+            EarStep(Walk(("a1", "r"), ("c",)), ("r",), frozenset(),
+                    frozenset({"a1", "r"}), frozenset({"r"}))
+
+    def test_sides_must_stay_on_walk(self):
+        with pytest.raises(GraftValidationError):
+            EarStep(Walk(("a1", "r"), ("c",)), ("r",), frozenset(),
+                    frozenset({"a1", "zz"}), frozenset({"r"}))
+
     def test_terminals_on_walk(self):
         with pytest.raises(GraftInputError):
             EarStep(Walk(("a1", "r"), ("c",)), ("r",),
@@ -500,6 +514,37 @@ class TestBuilder:
         for step in d.steps:
             share = frozenset(F.edge_ids) & step.edge_ids
             assert is_f_balanced(g, share, step)
+
+
+# sha256 over the builder's and verifier's output on fixed-seed draws; a
+# change to the ear layer that alters any step, report line or step check
+# changes it.
+EAR_LAYER_DIGEST = "19187c2d933c3ae2a8af14b6d4eb3c49f126269abed160b4cf04ca6ca2350ac5"
+
+
+class TestEarLayerDigest:
+    def test_fixed_seed_builds_unchanged(self):
+        h = hashlib.sha256()
+        for vertices in ((3, 10), (16, 20)):
+            for seed in range(20):
+                d, F = gen_random_critical_quasicomb(GenConfig(
+                    seed=seed, vertices=vertices, mode="critical-quasicomb"))
+                g = d.target
+                for join in (min_join(g).edge_ids, F):
+                    built = build_graft_ear_decomposition(g, d.root, join)
+                    report = verify_graft_ear_decomposition(built, join)
+                    checks = [[c.index,
+                               [[v.code, v.message, v.fatal]
+                                for v in c.violations],
+                               c.prefix_critical, c.step_join_minimum]
+                              for c in report.step_checks]
+                    doc = {"decomposition": decomposition_document(built),
+                           "valid": report.valid,
+                           "problems": list(report.problems),
+                           "warnings": list(report.warnings),
+                           "checks": checks}
+                    h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == EAR_LAYER_DIGEST
 
 
 class TestVerifier:
