@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .cathedral import (
@@ -43,6 +42,7 @@ from .decomposition import (
 from .formats import (
     REPORT_SCHEMA,
     decomposition_document,
+    dumps,
     export_dot,
     graft_document,
     parse_graft_json,
@@ -157,14 +157,17 @@ def _join_backend(g: Graft, args):
     return min_join(g)
 
 
-def _emit(args, text_lines, jdoc, dot_text=None) -> None:
+def _emit(args, text_lines, jdoc, dot=None) -> None:
+    """Print the report in the requested format.  ``dot`` is a
+    zero-argument callable that renders the DOT text; it runs only for
+    ``--format dot``."""
     if args.format == "json":
-        print(json.dumps(jdoc, indent=2, sort_keys=True))
+        print(dumps(jdoc))
     elif args.format == "dot":
-        if dot_text is None:
+        if dot is None:
             raise GraftInputError(
                 "dot output is not available for this command")
-        sys.stdout.write(dot_text)
+        sys.stdout.write(dot())
     else:
         for line in text_lines:
             print(line)
@@ -237,7 +240,7 @@ def _cmd_analyze(args) -> int:
            "kl": kl_docs,
            "poset": poset_document(poset) if poset is not None else None,
            "graft": graft_document(g)}
-    _emit(args, lines, doc, export_dot(g, join=F))
+    _emit(args, lines, doc, functools.partial(export_dot, g, join=F))
     return 0
 
 
@@ -246,7 +249,7 @@ def _cmd_min_join(args) -> int:
     F = _join_backend(g, args)
     lines = [f"size: {F.size}", f"edges: {' '.join(sorted(F.edge_ids))}"]
     doc = {"size": F.size, "edges": sorted(F.edge_ids)}
-    _emit(args, lines, doc, export_dot(g, join=F))
+    _emit(args, lines, doc, functools.partial(export_dot, g, join=F))
     return 0
 
 
@@ -335,7 +338,7 @@ def _cmd_ear_decomp(args) -> int:
            "valid": report.valid,
            "problems": list(report.problems),
            "warnings": list(report.warnings)}
-    _emit(args, lines, doc, export_dot(d))
+    _emit(args, lines, doc, functools.partial(export_dot, d))
     return 0 if report.valid else 1
 
 
@@ -359,7 +362,8 @@ def _cmd_poset(args) -> int:
     for cid, h in p.heights:
         lines.append(f"height {cid}: {h}")
     doc = poset_document(p)
-    _emit(args, lines, doc, export_dot(p, components=factor_components(g)))
+    _emit(args, lines, doc, functools.partial(
+        export_dot, p, components=factor_components(g)))
     return 0
 
 
@@ -408,12 +412,13 @@ def _cmd_gen(args) -> int:
         d, F = out
         doc = {"decomposition": decomposition_document(d),
                "join": sorted(F)}
-        text = [json.dumps(doc, indent=2, sort_keys=True)]
-        _emit(args, text, doc, export_dot(d))
-        return 0
-    doc = graft_document(out)
-    text = [json.dumps(doc, indent=2, sort_keys=True)]
-    _emit(args, text, doc, export_dot(out))
+        dot = functools.partial(export_dot, d)
+    else:
+        doc = graft_document(out)
+        dot = functools.partial(export_dot, out)
+    # A generated instance prints its JSON document as its text form too.
+    text = [dumps(doc)] if args.format == "text" else ()
+    _emit(args, text, doc, dot)
     return 0
 
 

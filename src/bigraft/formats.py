@@ -4,11 +4,15 @@ The JSON side parses and emits the graft document schema and serializes
 decompositions, posets, and reports; the DOT side renders grafts (with an
 optional join styled), ear decompositions, and component posets.  All
 output is deterministic: sorted ids, fixed key order, no timestamps.
+
+``dumps`` is the package's one JSON writer: everything the package prints
+or serializes as JSON goes through it.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cathedral import CathedralPoset, UpperBoundReport
 from .combs import GraftEarDecomposition
@@ -130,8 +134,66 @@ def graft_document(g: Graft) -> dict:
     return doc
 
 
+def dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    ``doc`` is built from str, int, bool, None, lists, tuples and dicts with
+    str keys.  With ``indent`` set, the stdlib leaves its C encoder for a
+    pure-Python one; this writer keeps the C string escaper and does the
+    rest in one recursive pass, in about half the time.
+    """
+    parts: list[str] = []
+    _put_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _put_json(o, newline: str, put) -> None:
+    """Write ``o`` through ``put``; ``newline`` is the line break and
+    indent of the level ``o`` sits at.
+
+    A module-level function, not a closure over ``parts``: a closure that
+    calls itself is a reference cycle, which would leave each call's
+    pieces to the cyclic collector.
+    """
+    if isinstance(o, str):
+        put(_encode_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            _put_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            put(sep + _encode_str(key) + ": ")
+            _put_json(o[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc) + "\n"
 
 
 def serialize_graft(g: Graft) -> str:

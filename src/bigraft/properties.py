@@ -181,6 +181,23 @@ def _largest_factor_part(g):
     return part
 
 
+def _may_be_factor_connected(g) -> bool:
+    """False when a draw with at least two vertices surely has a vertex
+    that no allowed edge reaches, so it is not factor-connected.
+
+    That holds when the graph is disconnected; when there are no
+    terminals (the only minimum join is empty); and when a non-terminal
+    vertex has degree 1 (a join meets it in an even number of edges, so
+    never in its one edge).  Each test is cheaper than the join table
+    ``factor_components`` builds, and none changes a verdict.
+    """
+    graph = g.graph
+    if len(graph.vertices) < 2:
+        return True
+    return (bool(g.terminals) and len(graph.components()) == 1
+            and all(graph.degree(v) != 1 for v in graph.vertices - g.terminals))
+
+
 def _make_graft(cfg, rng):
     small = _clamped(cfg, 2, 10)
     return _retry(small, rng, lambda r: gen_random_graft(small, r),
@@ -198,6 +215,7 @@ def _make_factor_connected_graft(cfg, rng):
     small = _clamped(cfg, 2, 8)
     return _retry(small, rng, lambda r: gen_random_graft(small, r),
                   lambda g: len(g.graph.edges) <= 18
+                  and _may_be_factor_connected(g)
                   and len(factor_components(g)) == 1,
                   "factor-connected graft", _largest_factor_part)
 
@@ -212,6 +230,7 @@ def _make_factor_connected_comb(cfg, rng):
     small = _clamped(cfg, 2, 8)
     return _retry(small, rng, lambda r: gen_random_comb(small, r),
                   lambda g: len(g.graph.edges) <= 18
+                  and _may_be_factor_connected(g)
                   and len(factor_components(g)) == 1,
                   "factor-connected comb", _largest_factor_part)
 

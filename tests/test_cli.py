@@ -1,5 +1,6 @@
 """Exit codes, output determinism, and format switching on the CLI."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -12,8 +13,14 @@ import pytest
 
 from bigraft.cli import _build_parser, cli_main
 from bigraft.core import Multigraph, build_bipartite_graft
-from bigraft.formats import serialize_graft
-from bigraft.generators import _MAX_VERTICES
+from bigraft.formats import graft_document, serialize_graft
+from bigraft.generators import (
+    _MAX_VERTICES,
+    GenConfig,
+    gen_random_comb,
+    gen_random_critical_quasicomb,
+    gen_random_graft,
+)
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 
 
@@ -127,6 +134,21 @@ class TestExitCodes:
             code, _, err = run_cli(*command, "--input", files["plain"])
             assert code == 2
             assert "needs a bipartition" in err
+
+    def test_dot_is_rendered_only_when_asked(self, files, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("export_dot ran for a non-dot format")
+        monkeypatch.setattr("bigraft.cli.export_dot", refuse)
+        commands = (["analyze", "--input", files["i3"]],
+                    ["min-join", "--input", files["i3"]],
+                    ["ear-decomp", "r", "--input", files["i4"]],
+                    ["poset", "--input", files["i3"]],
+                    ["gen"],
+                    ["gen", "--mode", "critical-quasicomb"])
+        for command in commands:
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(*command, "--format", fmt)
+                assert code == 0 and out
 
     def test_failed_verification_exits_one(self, files):
         assert run_cli("critical", "b1", "--input", files["i3"])[0] == 1
@@ -333,6 +355,49 @@ class TestGen:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# sha256 over the exit code and stdout of every case in TestStdoutDigest,
+# recorded before the JSON writer and the DOT rendering were reworked.
+CLI_STDOUT_DIGEST = (
+    "2f02ece199466921acb0818d74fd981ecca2d81094a1e2d7e006e1ea5d1288d6")
+
+
+def digest_cases():
+    """(argv, stdin) pairs over fixed-seed inputs, each command in every
+    format it supports."""
+    formats = ("text", "json", "dot")
+    inputs = []
+    for seed in range(3):
+        graft = gen_random_graft(GenConfig(seed=seed, vertices=(6, 10)))
+        comb = gen_random_comb(GenConfig(seed=seed, vertices=(8, 12)))
+        d, _ = gen_random_critical_quasicomb(GenConfig(
+            seed=seed, vertices=(8, 14), mode="critical-quasicomb"))
+        inputs += [(graft, ("analyze", "min-join")),
+                   (comb, ("analyze", "min-join", "poset")),
+                   (d.target, ("analyze", "min-join", "ear-decomp r"))]
+    for g, commands in inputs:
+        stdin = json.dumps(graft_document(g))
+        for command in commands:
+            for fmt in formats:
+                yield command.split() + ["--format", fmt], stdin
+    for mode in ("graft", "comb", "critical-quasicomb"):
+        for seed in range(3):
+            for fmt in formats:
+                yield ["gen", "--mode", mode, "--seed", str(seed),
+                       "--format", fmt], ""
+    for fmt in ("text", "json"):
+        yield ["verify", "--trials", "1", "--format", fmt], ""
+
+
+class TestStdoutDigest:
+
+    def test_fixed_seed_stdout_unchanged(self):
+        h = hashlib.sha256()
+        for argv, stdin in digest_cases():
+            code, out, _ = run_cli(*argv, stdin=stdin)
+            h.update(f"{argv} {code}\n{out}".encode())
+        assert h.hexdigest() == CLI_STDOUT_DIGEST
 
 
 def test_console_script_runs():

@@ -1,8 +1,10 @@
 """JSON parsing diagnostics, canonical serialization, and DOT output."""
 
+import gc
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraft.cathedral import cathedral_poset, upper_bound_check
 from bigraft.combs import build_graft_ear_decomposition
@@ -10,6 +12,7 @@ from bigraft.core import Graft, GraftInputError, OrderedBipartiteGraft
 from bigraft.decomposition import factor_components
 from bigraft.formats import (
     decomposition_document,
+    dumps,
     export_dot,
     graft_document,
     graft_from_document,
@@ -144,6 +147,50 @@ class TestDocuments:
         assert doc["component"] == "a0"
         assert doc["holds"] is True
         assert doc["entries"][0]["witness_class"] == ["b0"]
+
+
+# Strings lean on what the writer must escape: quotes, backslashes,
+# control characters, non-ASCII and lone surrogates.
+JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                    'aZ é€\u2028😀\ud800')
+                    | st.characters())
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.sampled_from([-(2 ** 64), 2 ** 63, -(10 ** 80), 10 ** 300])
+                | JSON_TEXT)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+class TestDumps:
+
+    @settings(deadline=None, max_examples=300)
+    @given(JSON_TREES)
+    def test_matches_the_stdlib(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_tuples(self):
+        doc = {"b": [], "a": {}, "c": ((), (1, "x")), "d": [[], {}]}
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert dumps([]) == "[]" and dumps({}) == "{}"
+
+    def test_leaves_no_garbage(self):
+        doc = {"graft": graft_document(p3r()), "rows": [[1, "a"], ()],
+               "poset": poset_document(cathedral_poset(chain4()))}
+        gc.collect()
+        gc.disable()
+        try:
+            dumps(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_rejects_what_json_cannot_hold(self):
+        with pytest.raises(TypeError):
+            dumps({"a": {1, 2}})
 
 
 class TestDot:

@@ -10,7 +10,7 @@ from bigraft.combs import classify_comb
 from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_from_document
-from bigraft.generators import GenConfig
+from bigraft.generators import GenConfig, gen_random_comb, gen_random_graft
 from bigraft.joins import flipped_distance_sign
 from bigraft.properties import (
     PROPERTIES,
@@ -122,6 +122,23 @@ class TestDetection:
                 assert len(factor_components(g)) == 1
                 if mode == "factor-connected-comb":
                     assert classify_comb(g).is_comb
+
+    def test_early_rejection_keeps_every_factor_connected_draw(self):
+        """The makers' cheap pre-check rejects only draws that
+        factor_components rejects as well, so no verdict changes."""
+        from bigraft.properties import _may_be_factor_connected
+        cfg = GenConfig(vertices=(2, 8))
+        for make in (gen_random_graft, gen_random_comb):
+            rng = random.Random(7)
+            rejected = accepted = 0
+            for _ in range(2000):
+                g = make(cfg, rng)
+                connected = len(factor_components(g)) == 1
+                if not _may_be_factor_connected(g):
+                    assert not connected
+                    rejected += 1
+                accepted += connected
+            assert rejected > 1000 and accepted > 50
 
     def test_maker_exhaustion_becomes_a_certificate(self):
         packed = GenConfig(seed=3, vertices=(9, 9), edge_density=1.0,
