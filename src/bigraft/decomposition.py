@@ -192,44 +192,38 @@ class KLPartition:
 def kl_partition(g: Graft) -> KLPartition:
     """Group vertices by distance zero inside their factor component.
 
-    Each vertex joins the first class whose representative is at distance
-    zero from it.  Every instance is then audited pairwise: same class must
-    coincide with distance zero, which in particular certifies
-    transitivity.  Where joins._component_table gives a graph component a
-    table (few terminals or few independent cycles), each distance is a
-    read of it, so the O(n²) audit runs no matching.  An audit failure
-    raises InternalConsistencyError.
+    Vertices are visited in sorted order, and each reads its distance to
+    every earlier vertex of its component once.  It joins the class of the
+    first of them at distance zero, or opens a class, and every pair read
+    is audited then: same class must coincide with distance zero, which in
+    particular certifies transitivity.  Where joins._component_table gives
+    a graph component a table (few terminals or few independent cycles),
+    each distance is a read of it, so the O(n²) pass runs no matching.  An
+    audit failure raises InternalConsistencyError.
     """
     comps = factor_components(g)
     classes: list[frozenset] = []
     component_ids: list = []
     for comp in comps:
         local: list[list] = []
+        class_of: dict = {}
         for v in sorted_vertices(comp.vertices):
-            for members in local:
-                if f_distance_int(g, v, members[0]) == 0:
-                    members.append(v)
-                    break
-            else:
-                local.append([v])
+            zero = {u: f_distance_int(g, u, v) == 0 for u in class_of}
+            members = next((class_of[u] for u, z in zero.items() if z), None)
+            if members is None:
+                members = []
+                local.append(members)
+            for u, z in zero.items():
+                if (class_of[u] is members) != z:
+                    raise InternalConsistencyError(
+                        f"distance-zero relation is not an equivalence at "
+                        f"({u!r}, {v!r}) in component {comp.id!r}")
+            members.append(v)
+            class_of[v] = members
         for members in local:
             classes.append(frozenset(members))
             component_ids.append(comp.id)
-        _audit_component(g, comp, local)
     return KLPartition(tuple(classes), tuple(component_ids))
-
-
-def _audit_component(g: Graft, comp: FactorComponent, local: list[list]) -> None:
-    rep = {v: members[0] for members in local for v in members}
-    vs = sorted_vertices(comp.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            same = rep[u] == rep[v]
-            zero = f_distance_int(g, u, v) == 0
-            if same != zero:
-                raise InternalConsistencyError(
-                    f"distance-zero relation is not an equivalence at "
-                    f"({u!r}, {v!r}) in component {comp.id!r}")
 
 
 def kl_classes_of_component(part: KLPartition, cid) -> tuple[frozenset, ...]:

@@ -1,9 +1,14 @@
 """Minimum joins, the weights they induce on edges, and join-based distances.
 
-Two independent backends compute minimum joins.  The exhaustive one scans the
-whole affine solution space over GF(2) and canonicalizes ties; the polynomial
-one matches terminals over the shortest-path metric and realizes the pairing
-by breadth-first paths.  Their agreement is the package's root oracle.
+Two backends compute minimum joins.  The exhaustive one scans the whole
+affine solution space over GF(2), one particular join plus the cycle
+space, and canonicalizes ties; the matching one pairs terminals over the
+shortest-path metric and realizes the pairing by breadth-first paths.
+Their agreement is the package's root oracle.  They share only the BFS
+tree (_bfs_tree).  The exhaustive backend reads its space from
+_cycle_space, which the cycle table below reads too; so the cycle table's
+independent cross-check is the matching side's pairing, and _cycle_space
+is checked on its own against is_join and degree parity.
 
 nu, the distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge
 test and min_join's pairing all read one table per graph component, which
@@ -11,16 +16,16 @@ _component_table alone chooses.  For at most _TABLE_LIMIT terminals it keeps
 the BFS row of every terminal and the pairing DP's full subset table
 dp[mask]: nu is one entry, min_join's pairs are read back from it, and each
 pair costs O(t²).  For more terminals but cycle rank mu = m - n + 1 at most
-_TABLE_LIMIT it keeps the tree path-to-root mask of every vertex and a
-fundamental-cycle basis: nu and each pair cost one Gray-code walk of the
-2^mu joins, and min_join pairs by blossom.  Otherwise there is no table: nu
-sums the blossom pairing and each pair runs one matching per flipped set.
+_TABLE_LIMIT it keeps the component's _cycle_space: nu and each pair cost
+one Gray-code walk of the 2^mu joins, and min_join pairs by blossom.
+Otherwise there is no table: nu sums the blossom pairing and each pair
+runs one matching per flipped set.
 The tables store the difference unsigned; the sign hook is applied when
 f_distance reads it.
 
-Tables, BFS trees, pairings and nu live in their graph's own memo
-(``core.cached_on_graph``) and die with it.  The memo takes no lock, so two
-threads may both fill one entry; a table is never mutated once built.
+Tables, BFS trees, cycle spaces, pairings and nu live in their graph's own
+memo (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
+two threads may both fill one entry; a table is never mutated once built.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .core import (
     is_join,
     simple_circuits,
     sorted_vertices,
+    vertex_key,
 )
 
 # Test hook: multiplies the nu-difference inside f_distance.  The shipped
@@ -160,66 +166,10 @@ def walk_report(F, walk: Walk, tooth: frozenset | None = None) -> WeightedWalkRe
 
 # ---------------------------------------------------------------------------
 # Exhaustive backend: the join space is an affine subspace over GF(2), one
-# particular solution plus the cycle space.  Scanning it with a Gray code
-# touches each candidate in O(1).
+# particular join plus the cycle space.  _cycle_space, which the cycle table
+# reads too, gives both.  Scanning the space with a Gray code touches each
+# candidate in O(1).
 # ---------------------------------------------------------------------------
-
-def _spanning_forest(graph: Multigraph):
-    """Deterministic BFS forest: parent edge index per vertex, discovery order."""
-    index = {e.id: i for i, e in enumerate(graph.edges)}
-    parent: dict = {}
-    parent_edge: dict = {}
-    order: list = []
-    seen: set = set()
-    for root in sorted_vertices(graph.vertices):
-        if root in seen:
-            continue
-        seen.add(root)
-        parent[root] = None
-        parent_edge[root] = None
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            order.append(v)
-            for e in graph.incident(v):
-                w = e.other(v)
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    parent_edge[w] = index[e.id]
-                    queue.append(w)
-    return parent, parent_edge, order
-
-
-def _join_space(graph: Multigraph, terminals: frozenset):
-    """Particular-solution mask and cycle-space basis masks, or None masks
-    when no join exists (odd terminals in some component)."""
-    index = {e.id: i for i, e in enumerate(graph.edges)}
-    parent, parent_edge, order = _spanning_forest(graph)
-
-    odd = {v: v in terminals for v in graph.vertices}
-    particular = 0
-    for v in reversed(order):
-        if odd[v]:
-            if parent[v] is None:
-                return None, ()
-            particular |= 1 << parent_edge[v]
-            odd[parent[v]] = not odd[parent[v]]
-
-    # Path-to-root masks let fundamental circuits be built by XOR.
-    to_root = {}
-    for v in order:
-        if parent[v] is None:
-            to_root[v] = 0
-        else:
-            to_root[v] = to_root[parent[v]] ^ (1 << parent_edge[v])
-    tree_bits = {parent_edge[v] for v in graph.vertices if parent_edge[v] is not None}
-    basis = tuple((1 << index[e.id]) ^ to_root[e.u] ^ to_root[e.v]
-                  for e in graph.edges if index[e.id] not in tree_bits)
-    return particular, basis
-
 
 def _mask_to_ids(graph: Multigraph, mask: int) -> frozenset:
     return frozenset(e.id for i, e in enumerate(graph.edges) if mask >> i & 1)
@@ -229,14 +179,23 @@ def _char_vector(mask: int, nbits: int) -> tuple:
     return tuple((mask >> i) & 1 for i in range(nbits))
 
 
-def _scan_join_space(graph: Multigraph, terminals: frozenset, max_edges: int):
-    """All minimum-join masks, found by Gray-code walk of the affine space."""
+def _min_join_masks(graph: Multigraph, terminals: frozenset, max_edges: int):
+    """All minimum-join masks, found by Gray-code walk of the affine space:
+    the XOR of the terminals' path masks plus the span of every
+    component's cycle basis."""
     if len(graph.edges) > max_edges:
         raise CapacityError(
             f"{len(graph.edges)} edges exceed the exhaustive bound {max_edges}")
-    particular, basis = _join_space(graph, terminals)
-    if particular is None:
-        return None
+    particular = 0
+    basis: list = []
+    for comp in graph.components():
+        to_root, cycles = _cycle_space(graph, min(comp, key=vertex_key))
+        terms = comp & terminals
+        if len(terms) % 2:
+            raise InternalConsistencyError("a valid graft must admit a join")
+        for w in terms:
+            particular ^= to_root[w]
+        basis += cycles
     best = particular.bit_count()
     best_masks = [particular]
     cur = particular
@@ -254,9 +213,7 @@ def _scan_join_space(graph: Multigraph, terminals: frozenset, max_edges: int):
 def min_join_bruteforce(g: Graft, max_edges: int = 22) -> JoinSet:
     """Exhaustive minimum join; ties broken toward the lexicographically
     least characteristic vector over id-sorted edges."""
-    masks = _scan_join_space(g.graph, g.terminals, max_edges)
-    if masks is None:
-        raise InternalConsistencyError("a valid graft must admit a join")
+    masks = _min_join_masks(g.graph, g.terminals, max_edges)
     nbits = len(g.graph.edges)
     winner = min(masks, key=lambda m: _char_vector(m, nbits))
     return JoinSet(g, _mask_to_ids(g.graph, winner))
@@ -264,9 +221,7 @@ def min_join_bruteforce(g: Graft, max_edges: int = 22) -> JoinSet:
 
 def all_min_joins(g: Graft, max_edges: int = 22) -> tuple[frozenset, ...]:
     """Every minimum join, sorted by characteristic vector."""
-    masks = _scan_join_space(g.graph, g.terminals, max_edges)
-    if masks is None:
-        raise InternalConsistencyError("a valid graft must admit a join")
+    masks = _min_join_masks(g.graph, g.terminals, max_edges)
     nbits = len(g.graph.edges)
     uniq = sorted(set(masks), key=lambda m: _char_vector(m, nbits))
     return tuple(_mask_to_ids(g.graph, m) for m in uniq)
@@ -294,6 +249,27 @@ def _bfs_tree(graph: Multigraph, source) -> tuple[dict, dict]:
                 parent_edge[w] = e
                 queue.append(w)
     return dist, parent_edge
+
+
+@cached_on_graph
+def _cycle_space(graph: Multigraph, root) -> tuple[dict, tuple]:
+    """The cycle space of root's component over the BFS tree from root.
+
+    ``to_root`` maps each vertex of the component to the edge mask of its
+    tree path to root, so the XOR of the masks of an even terminal set is
+    a join of it.  ``basis`` holds the fundamental-cycle mask of every
+    non-tree edge, in edge order.  Bit i stands for ``graph.edges[i]``.
+    """
+    _, parent_edge = _bfs_tree(graph, root)
+    index = {e.id: i for i, e in enumerate(graph.edges)}
+    to_root: dict = {}
+    for w, e in parent_edge.items():
+        to_root[w] = 0 if e is None else to_root[e.other(w)] ^ (1 << index[e.id])
+    tree = {e.id for e in parent_edge.values() if e is not None}
+    basis = tuple((1 << i) ^ to_root[e.u] ^ to_root[e.v]
+                  for i, e in enumerate(graph.edges)
+                  if e.u in to_root and e.id not in tree)
+    return to_root, basis
 
 
 def _bfs_path_ids(graph: Multigraph, u, v) -> frozenset:
@@ -506,38 +482,21 @@ class _ComponentTable:
 class _CycleTable:
     """Join distances inside one graph component with few independent cycles.
 
-    Over the BFS tree from the least terminal, ``to_root[w]`` is the edge
-    mask of w's tree path to the root, so ``particular``, the XOR of the
-    terminals' masks, is a join of T.  Every join of T is ``particular``
-    XOR an element of the span of ``basis``, the fundamental-cycle masks of
-    the non-tree edges.  A Gray-code walk of that span finds the least
-    join, and the same walk from ``particular ^ to_root[u] ^ to_root[v]``
-    gives nu(T Δ {u, v}).  The 2^mu span elements are not stored.
+    Over ``_cycle_space(graph, terms[0])``, ``particular``, the XOR of the
+    terminals' path masks, is a join of T.  Every join of T is
+    ``particular`` XOR an element of the span of ``basis``.  A Gray-code
+    walk of that span finds the least join, and the same walk from
+    ``particular ^ to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The
+    2^mu span elements are not stored.
     """
 
     __slots__ = ("to_root", "basis", "particular", "nu")
 
     def __init__(self, graph: Multigraph, terms: tuple):
-        dist, parent_edge = _bfs_tree(graph, terms[0])
-        # Tree edge of the i-th vertex in BFS order is bit i; bit 0 is free
-        # because the root has no parent edge.
-        to_root = {}
-        for i, w in enumerate(dist):
-            e = parent_edge[w]
-            to_root[w] = 0 if e is None else to_root[e.other(w)] ^ (1 << i)
-        tree = {e.id for e in parent_edge.values() if e is not None}
-        basis = []
-        for w in dist:
-            for e in graph.incident(w):
-                if e.u == w and e.id not in tree:
-                    # A non-tree edge gets the next free bit.
-                    bit = 1 << (len(dist) + len(basis))
-                    basis.append(bit ^ to_root[e.u] ^ to_root[e.v])
+        self.to_root, self.basis = _cycle_space(graph, terms[0])
         particular = 0
         for w in terms:
-            particular ^= to_root[w]
-        self.to_root = to_root
-        self.basis = tuple(basis)
+            particular ^= self.to_root[w]
         self.particular = particular
         self.nu = self._least(particular)
 

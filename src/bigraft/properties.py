@@ -146,20 +146,23 @@ def _clamped(cfg: GenConfig, lo: int, hi: int) -> GenConfig:
     return replace(cfg, vertices=(lo2, hi2))
 
 
-def _retry(cfg: GenConfig, rng: random.Random, make, keep, what: str,
-           fallback=None):
-    """The first of ``cfg.budget`` draws that ``keep`` accepts.
+def _retrying(generate, lo: int, hi: int, keep, what: str, fallback=None):
+    """A maker: the first of ``cfg.budget`` draws of ``generate``, at sizes
+    clamped to [lo, hi], that ``keep`` accepts.
 
     When every draw is rejected, ``fallback`` turns the last one into an
     instance; without a fallback the maker gives up with CapacityError.
     """
-    for _ in range(cfg.budget):
-        instance = make(rng)
-        if keep(instance):
-            return instance
-    if fallback is not None:
-        return fallback(instance)
-    raise CapacityError(f"no {what} within {cfg.budget} attempts")
+    def make(cfg: GenConfig, rng: random.Random):
+        small = _clamped(cfg, lo, hi)
+        for _ in range(small.budget):
+            instance = generate(small, rng)
+            if keep(instance):
+                return instance
+        if fallback is not None:
+            return fallback(instance)
+        raise CapacityError(f"no {what} within {small.budget} attempts")
+    return make
 
 
 def _largest_factor_part(g):
@@ -198,48 +201,11 @@ def _may_be_factor_connected(g) -> bool:
             and all(graph.degree(v) != 1 for v in graph.vertices - g.terminals))
 
 
-def _make_graft(cfg, rng):
-    small = _clamped(cfg, 2, 10)
-    return _retry(small, rng, lambda r: gen_random_graft(small, r),
-                  lambda g: len(g.graph.edges) <= 20, "small graft")
-
-
-def _make_connected_graft(cfg, rng):
-    small = _clamped(cfg, 2, 8)
-    return _retry(small, rng, lambda r: gen_random_graft(small, r),
-                  lambda g: len(g.graph.components()) == 1
-                  and len(g.graph.edges) <= 18, "connected graft")
-
-
-def _make_factor_connected_graft(cfg, rng):
-    small = _clamped(cfg, 2, 8)
-    return _retry(small, rng, lambda r: gen_random_graft(small, r),
-                  lambda g: len(g.graph.edges) <= 18
-                  and _may_be_factor_connected(g)
-                  and len(factor_components(g)) == 1,
-                  "factor-connected graft", _largest_factor_part)
-
-
-def _make_comb(cfg, rng):
-    small = _clamped(cfg, 2, 10)
-    return _retry(small, rng, lambda r: gen_random_comb(small, r),
-                  lambda g: len(g.graph.edges) <= 20, "small comb")
-
-
-def _make_factor_connected_comb(cfg, rng):
-    small = _clamped(cfg, 2, 8)
-    return _retry(small, rng, lambda r: gen_random_comb(small, r),
-                  lambda g: len(g.graph.edges) <= 18
-                  and _may_be_factor_connected(g)
-                  and len(factor_components(g)) == 1,
-                  "factor-connected comb", _largest_factor_part)
-
-
-def _make_component_rich_comb(cfg, rng):
-    small = _clamped(cfg, 4, 9)
-    return _retry(small, rng, lambda r: gen_random_comb(small, r),
-                  lambda g: 2 <= len(factor_components(g)) <= 6,
-                  "comb with 2-6 factor components")
+def _factor_connected(g) -> bool:
+    """The factor-connected makers' keep-test: the edge cap, then the cheap
+    rejections, then the join table."""
+    return (len(g.graph.edges) <= 18 and _may_be_factor_connected(g)
+            and len(factor_components(g)) == 1)
 
 
 def _make_critical_quasicomb(cfg, rng):
@@ -248,12 +214,25 @@ def _make_critical_quasicomb(cfg, rng):
 
 
 _MAKERS = {
-    "graft": _make_graft,
-    "connected-graft": _make_connected_graft,
-    "factor-connected-graft": _make_factor_connected_graft,
-    "comb": _make_comb,
-    "factor-connected-comb": _make_factor_connected_comb,
-    "component-rich-comb": _make_component_rich_comb,
+    "graft": _retrying(
+        gen_random_graft, 2, 10, lambda g: len(g.graph.edges) <= 20,
+        "small graft"),
+    "connected-graft": _retrying(
+        gen_random_graft, 2, 8,
+        lambda g: len(g.graph.components()) == 1 and len(g.graph.edges) <= 18,
+        "connected graft"),
+    "factor-connected-graft": _retrying(
+        gen_random_graft, 2, 8, _factor_connected, "factor-connected graft",
+        _largest_factor_part),
+    "comb": _retrying(
+        gen_random_comb, 2, 10, lambda g: len(g.graph.edges) <= 20,
+        "small comb"),
+    "factor-connected-comb": _retrying(
+        gen_random_comb, 2, 8, _factor_connected, "factor-connected comb",
+        _largest_factor_part),
+    "component-rich-comb": _retrying(
+        gen_random_comb, 4, 9, lambda g: 2 <= len(factor_components(g)) <= 6,
+        "comb with 2-6 factor components"),
     "critical-quasicomb": _make_critical_quasicomb,
 }
 

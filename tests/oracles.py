@@ -1,8 +1,10 @@
 """Independent slow oracles the test suite checks fast code against.
 
 Everything here goes through exhaustive enumeration only: the GF(2) scan for
-joins and simple-path/circuit sweeps for distances.  None of it shares logic
-with the polynomial backends under test.  The recursive path and circuit
+joins and simple-path/circuit sweeps for distances.  The scan
+(``all_min_joins``) reads its space from ``joins._cycle_space``, which the
+cycle table reads too; the sweeps share no logic with the backends under
+test.  The recursive path and circuit
 sweeps are also the order oracle for the explicit-stack ones in
 ``bigraft.core``.
 """

@@ -1,11 +1,18 @@
 """Factor components, separating sets, and the distance-zero partition."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
-from bigraft.core import Graft, GraftInputError, Multigraph
+from bigraft import decomposition
+from bigraft.core import (
+    Graft,
+    GraftInputError,
+    InternalConsistencyError,
+    Multigraph,
+)
 from bigraft.decomposition import (
     allowed_edge_set,
     factor_components,
@@ -13,8 +20,9 @@ from bigraft.decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
+from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import all_min_joins, f_weight, min_join, nu
+from bigraft.joins import all_min_joins, f_distance_int, f_weight, min_join, nu
 from oracles import brute_allowed
 
 
@@ -133,6 +141,44 @@ class TestKLPartition:
             comps = factor_components(g)
             for cls, cid in zip(part.classes, part.component_ids):
                 assert cls <= comps.by_id(cid).vertices
+
+
+    def test_classes_are_the_distance_zero_relation(self):
+        for seed in range(30):
+            g = gen_random_graft(GenConfig(seed=seed, vertices=(4, 9)))
+            part = kl_partition(g)
+            for comp in factor_components(g):
+                want = {frozenset(w for w in comp.vertices
+                                  if f_distance_int(g, v, w) == 0)
+                        for v in comp.vertices}
+                assert set(kl_classes_of_component(part, comp.id)) == want
+
+    def test_reads_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, u, v):
+            calls.append(frozenset((u, v)))
+            return f_distance_int(g, u, v)
+
+        monkeypatch.setattr(decomposition, "f_distance_int", counted)
+        rng = random.Random(7)
+        for _ in range(10):
+            g = gen_random_graft(GenConfig(vertices=(4, 9)), rng)
+            calls.clear()
+            kl_partition(g)
+            pairs = sum(len(c.vertices) * (len(c.vertices) - 1) // 2
+                        for c in factor_components(g))
+            assert len(calls) == len(set(calls)) == pairs
+
+    def test_a_non_transitive_relation_is_caught(self, monkeypatch):
+        # v1 ~ v2 and v2 ~ v3 but not v1 ~ v3: v3 joins v1's class through
+        # v2, and its pair with v1 fails the audit.
+        zero = {frozenset({"v1", "v2"}), frozenset({"v2", "v3"})}
+        monkeypatch.setattr(decomposition, "f_distance_int",
+                            lambda g, u, v: 0 if {u, v} in zero else -1)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"not an equivalence at \('v1', 'v3'\)"):
+            kl_partition(c4())
 
 
 class TestKLClassesOfComponent:

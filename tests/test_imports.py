@@ -1,17 +1,21 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package module imports is read in that module, and every
+module-level function or class of the package is referenced somewhere.
 
-The repository runs no linter, so this is the guard against imports left
-behind when code moves.  ``__init__.py`` is skipped: it imports to
-re-export.
+The repository runs no linter, so these are the guards against imports and
+definitions left behind when code moves.  ``__init__.py`` is skipped by the
+import check: it imports to re-export.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bigraft"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.parent.rglob("*.py")) + sorted(
+    Path(__file__).resolve().parent.rglob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -35,3 +39,40 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """Each identifier a tree reads, imports, names as an attribute or
+    spells as a string constant (``__all__``, ``monkeypatch.setattr``)."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names[node.value] += 1
+    return names
+
+
+def unreferenced_definitions() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    everywhere: Counter = sum((referenced_names(t) for t in trees.values()),
+                              Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # A reference inside its own body (recursion) does not count.
+                outside = everywhere[node.name] - referenced_names(node)[node.name]
+                if outside == 0:
+                    unused.append(f"{path.name}:{node.name}")
+    return unused
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions() == []

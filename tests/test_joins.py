@@ -1,7 +1,11 @@
 """Join engine: both backends, weights, distances, path extraction."""
 
+import hashlib
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -13,9 +17,16 @@ from bigraft.core import (
     Multigraph,
     PreconditionError,
     Walk,
+    is_join,
 )
+from bigraft.cli import cli_main
 from bigraft.decomposition import allowed_edge_set, factor_components
-from bigraft.generators import GenConfig, gen_random_critical_quasicomb
+from bigraft.formats import graft_document
+from bigraft.generators import (
+    GenConfig,
+    gen_random_critical_quasicomb,
+    gen_random_graft,
+)
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import (
     _TABLE_LIMIT,
@@ -24,6 +35,7 @@ from bigraft.joins import (
     _ComponentTable,
     _CycleTable,
     _bfs_tree,
+    _cycle_space,
     _distance_tables,
     _matched_terminal_pairs,
     _subset_dp,
@@ -108,6 +120,56 @@ class TestBruteforce:
         # avoiding the smaller edge id
         assert min_join_bruteforce(g).edge_ids == {"p2"}
         assert all_min_joins(g) == (frozenset({"p2"}), frozenset({"p1"}))
+
+
+def tied_split_grafts(count: int = 12) -> list:
+    """The first ``count`` fixed-seed random grafts with at least two graph
+    components and at least two minimum joins."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        g = gen_random_graft(GenConfig(seed=seed, vertices=(6, 10),
+                                       edge_density=0.3))
+        if (len(g.graph.components()) >= 2 and len(g.graph.edges) <= 20
+                and len(all_min_joins(g)) >= 2):
+            found.append(g)
+        seed += 1
+    return found
+
+
+def cli_stdout(argv: list, stdin: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(stdin))
+        code = cli_main(argv)
+    return f"{argv} {code}\n{out.getvalue()}"
+
+
+# sha256 of the exhaustive backend's output on tied_split_grafts(); a change
+# to its tie-breaking, its join order or the CLI's --oracle stdout changes it.
+ORACLE_DIGEST = (
+    "99972c9bd4f2c626ec6d5ee9a9c858bd868fa2c3b919d6bf6394c7df199eb6bf")
+
+
+class TestOracleDigest:
+    """The exhaustive backend's tie-breaking across several components:
+    its canonical join, every minimum join in order, and the CLI's
+    ``--oracle`` stdout."""
+
+    def test_fixed_seed_oracle_output_unchanged(self):
+        h = hashlib.sha256()
+        for g in tied_split_grafts():
+            h.update(repr(sorted(min_join_bruteforce(g).edge_ids)).encode())
+            h.update(repr([sorted(F) for F in all_min_joins(g)]).encode())
+            stdin = json.dumps(graft_document(g))
+            for fmt in ("text", "json"):
+                h.update(cli_stdout(["min-join", "--oracle", "--format", fmt],
+                                    stdin).encode())
+            vs = sorted(g.graph.vertices)
+            pairs = [(vs[0], v) for v in vs[1:]] + list(zip(vs[1:], vs[2:]))
+            for u, v in pairs:
+                h.update(cli_stdout(["dist", u, v, "--oracle"], stdin).encode())
+        assert h.hexdigest() == ORACLE_DIGEST
 
 
 class TestMinJoinFast:
@@ -274,6 +336,78 @@ TABLE_KINDS = {1: _ComponentTable, 2: _ComponentTable, 3: _ComponentTable,
 
 def cycle_rank(graph, comp) -> int:
     return sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
+
+
+def gf2_rank(masks) -> int:
+    """Rank over GF(2), by elimination on the highest set bit."""
+    pivots: dict = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = m
+                break
+            m ^= pivots[top]
+    return len(pivots)
+
+
+def odd_ends(graph, mask: int) -> set:
+    """Vertices of odd degree in the edge set ``mask`` (bit i = edges[i])."""
+    odd: set = set()
+    for i, e in enumerate(graph.edges):
+        if mask >> i & 1:
+            odd ^= {e.u, e.v}
+    return odd
+
+
+def multi_component_graph(seed: int):
+    """2-4 random pieces of 2-7 vertices, each with a doubled edge, and up
+    to 8 more edges inside the pieces."""
+    rng = random.Random(seed)
+    sizes = tuple(rng.randint(2, 7) for _ in range(rng.randint(2, 4)))
+    return random_graft(seed, sizes, (0,) * len(sizes), rng.randint(0, 8)).graph
+
+
+class TestCycleSpace:
+    """_cycle_space against the definitions it must meet, from every root
+    of every component."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_path_and_cycle_masks(self, seed):
+        graph = multi_component_graph(seed)
+        assert len(graph.components()) >= 2
+        for comp in graph.components():
+            comp_bits = sum(1 << i for i, e in enumerate(graph.edges) if e.u in comp)
+            for root in sorted(comp):
+                to_root, basis = _cycle_space(graph, root)
+                assert set(to_root) == comp
+                for w, mask in to_root.items():
+                    assert mask & ~comp_bits == 0
+                    assert odd_ends(graph, mask) == ({w, root} if w != root else set())
+                for mask in basis:
+                    assert mask & ~comp_bits == 0
+                    assert odd_ends(graph, mask) == set()
+                assert gf2_rank(basis) == len(basis) == cycle_rank(graph, comp)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_even_terminal_sets_are_joined(self, seed):
+        graph = multi_component_graph(seed)
+        rng = random.Random(seed)
+        spaces = [_cycle_space(graph, rng.choice(sorted(comp)))
+                  for comp in graph.components()]
+        for _ in range(20):
+            terminals, mask = set(), 0
+            for comp, (to_root, basis) in zip(graph.components(), spaces):
+                vs = sorted(comp)
+                terms = rng.sample(vs, rng.randrange(0, len(vs) + 1, 2))
+                terminals.update(terms)
+                for w in terms:
+                    mask ^= to_root[w]
+                for c in basis:
+                    if rng.random() < 0.5:
+                        mask ^= c
+            ids = {e.id for i, e in enumerate(graph.edges) if mask >> i & 1}
+            assert is_join(Graft(graph, frozenset(terminals)), ids)
 
 
 class TestDistanceTable:
