@@ -269,23 +269,15 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
             if not covered:
                 hasse.append((ids[i], ids[j]))
 
-    heights: dict = {}
-    remaining = set(range(n))
-    while remaining:
-        progressed = False
-        for j in sorted(remaining):
-            below = [i for i in range(n) if i != j and rel[i][j]]
-            if all(ids[i] in heights for i in below):
-                heights[ids[j]] = 1 + max(
-                    (heights[ids[i]] for i in below), default=0)
-                remaining.discard(j)
-                progressed = True
-        if not progressed:
-            raise InternalConsistencyError("height assignment cycled")
+    # A strict predecessor has strictly fewer strict predecessors, so this
+    # order sets every height after the heights below it.
+    below = [[i for i in range(n) if i != j and rel[i][j]] for j in range(n)]
+    heights = [0] * n
+    for j in sorted(range(n), key=lambda j: len(below[j])):
+        heights[j] = 1 + max((heights[i] for i in below[j]), default=0)
 
     return CathedralPoset(ids, tuple(tuple(row) for row in rel),
-                          tuple(sorted(hasse)),
-                          tuple((cid, heights[cid]) for cid in ids))
+                          tuple(sorted(hasse)), tuple(zip(ids, heights)))
 
 
 def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,

@@ -1,10 +1,13 @@
 """The command-line surface.
 
-Every subcommand reads a graft document from ``--input`` (or stdin), prints
-a deterministic report in the requested format, and exits 0 on success, 1
-when a verification-style command finds a failure, and 2 on usage or input
-errors.  Anything time-dependent goes to stderr so identical invocations
-stay byte-identical on stdout.
+Each subcommand takes only the options its handler reads: ``--format`` on
+all; ``--input`` (a graft document, default stdin) on all but ``verify``
+and ``gen``; ``--oracle`` (the exhaustive join backend) on ``analyze``,
+``min-join``, ``dist`` and ``ear-decomp``; ``--seed`` on ``verify`` and
+``gen``.  A command exits 0 on success, 1 when a verification-style command
+finds a failure or an internal check fails, and 2 on usage or input errors.
+Anything time-dependent goes to stderr so identical invocations stay
+byte-identical on stdout.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from .combs import (
     verify_graft_ear_decomposition,
 )
 from .core import (
-    CapacityError,
+    BigraftError,
     Graft,
     GraftInputError,
-    GraftValidationError,
     InternalConsistencyError,
     OrderedBipartiteGraft,
-    PreconditionError,
     sorted_vertices,
 )
 from .decomposition import (
@@ -57,58 +58,61 @@ from .properties import run_property_suite, suite_report_document
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="FILE",
+    state between calls.  Each subcommand inherits from the one parent
+    whose options its handler reads."""
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "dot", "text"),
+                           default="text", help="output format (default text)")
+    loaded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    loaded.add_argument("--input", metavar="FILE",
                         help="graft JSON document (default: stdin)")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="PRNG seed for verify and gen (default 0)")
-    common.add_argument("--format", choices=("json", "dot", "text"),
-                        default="text", help="output format (default text)")
-    common.add_argument("--oracle", action="store_true",
-                        help="force the brute-force join backend")
-    common.add_argument("--max-brute", type=int, default=22, metavar="N",
-                        help="edge cap for brute-force enumeration (default 22)")
+    joined = argparse.ArgumentParser(add_help=False, parents=[loaded])
+    joined.add_argument("--oracle", action="store_true",
+                        help="exhaustive join backend (at most 22 edges)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    seeded.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="PRNG seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="bigraft",
         description="canonical decompositions of bipartite grafts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def cmd(name, parent, handler, help_text):
+        p = sub.add_parser(name, parents=[parent], help=help_text)
         p.set_defaults(handler=handler)
         return p
 
-    cmd("analyze", _cmd_analyze,
+    cmd("analyze", joined, _cmd_analyze,
         "full report: join size, components, classes, order")
-    cmd("min-join", _cmd_min_join, "one minimum join")
-    p = cmd("dist", _cmd_dist, "join-induced distance between two vertices")
+    cmd("min-join", joined, _cmd_min_join, "one minimum join")
+    p = cmd("dist", joined, _cmd_dist,
+            "join-induced distance between two vertices")
     p.add_argument("u")
     p.add_argument("v")
-    cmd("components", _cmd_components, "factor components")
-    cmd("kl", _cmd_kl, "vertex classes per factor component")
-    cmd("classify", _cmd_classify, "comb / quasicomb / neither")
-    p = cmd("critical", _cmd_critical,
+    cmd("components", loaded, _cmd_components, "factor components")
+    cmd("kl", loaded, _cmd_kl, "vertex classes per factor component")
+    cmd("classify", loaded, _cmd_classify, "comb / quasicomb / neither")
+    p = cmd("critical", loaded, _cmd_critical,
             "verify criticality for a root (exit 1 when it fails)")
     p.add_argument("root")
-    p = cmd("ear-decomp", _cmd_ear_decomp,
+    p = cmd("ear-decomp", joined, _cmd_ear_decomp,
             "build and verify an ear decomposition for a root")
     p.add_argument("root")
-    p = cmd("critical-sets", _cmd_critical_sets,
+    p = cmd("critical-sets", loaded, _cmd_critical_sets,
             "enumerate the critical sets of a factor component")
     p.add_argument("component")
-    cmd("poset", _cmd_poset, "the order over factor components")
-    p = cmd("upper", _cmd_upper,
+    cmd("poset", loaded, _cmd_poset, "the order over factor components")
+    p = cmd("upper", loaded, _cmd_upper,
             "check the attachment of everything above a component")
     p.add_argument("component")
-    p = cmd("verify", _cmd_verify,
+    p = cmd("verify", seeded, _cmd_verify,
             "run the randomized property suite (exit 1 on any failure)")
     p.add_argument("--trials", type=int, default=100, metavar="N",
                    help="instances per property (default 100)")
     p.add_argument("--properties", metavar="NAMES",
                    help="comma-separated property names (default: all)")
-    p = cmd("gen", _cmd_gen, "generate a random instance")
+    p = cmd("gen", seeded, _cmd_gen, "generate a random instance")
     p.add_argument("--mode", choices=("graft", "comb", "critical-quasicomb"),
                    default="graft")
     p.add_argument("--min-vertices", type=int, default=4, metavar="N")
@@ -152,9 +156,7 @@ def _resolve_vertex(g: Graft, token: str):
 
 
 def _join_backend(g: Graft, args):
-    if args.oracle:
-        return min_join_bruteforce(g, max_edges=args.max_brute)
-    return min_join(g)
+    return min_join_bruteforce(g) if args.oracle else min_join(g)
 
 
 def _emit(args, text_lines, jdoc, dot=None) -> None:
@@ -260,9 +262,8 @@ def _dist_value(g: Graft, args, u, v):
         return 0
     if v not in g.graph.component_of(u):
         return None
-    base = min_join_bruteforce(g, max_edges=args.max_brute).size
-    flipped = min_join_bruteforce(Graft(g.graph, g.terminals ^ {u, v}),
-                                  max_edges=args.max_brute).size
+    base = min_join_bruteforce(g).size
+    flipped = min_join_bruteforce(Graft(g.graph, g.terminals ^ {u, v})).size
     return flipped - base
 
 
@@ -430,13 +431,12 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (GraftInputError, GraftValidationError, PreconditionError,
-            CapacityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalConsistencyError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    except (BigraftError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

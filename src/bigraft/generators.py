@@ -107,10 +107,10 @@ def gen_random_comb(cfg: GenConfig,
     """Rejection-sample a comb.
 
     Each attempt draws a bipartite graph, gives every tooth vertex one
-    incident join edge, and declares the terminals to be the tooth side
-    plus the spine vertices of odd join degree.  The sample is kept only if
-    that edge set is confirmed to be a minimum join, which pins the join
-    size to the tooth count.
+    incident join edge, and declares the terminals to be the odd-degree
+    vertices of those edges: the tooth side plus the spine vertices of odd
+    join degree.  The sample is kept only if that edge set is confirmed to
+    be a minimum join, which pins the join size to the tooth count.
     """
     rng = rng or cfg.rng()
     for _ in range(cfg.budget):
@@ -131,9 +131,9 @@ def gen_random_comb(cfg: GenConfig,
                 owned[b].append(eid)
         fset = frozenset(rng.choice(owned[b]) for b in tooth)
         graph = Multigraph.build(spine + tooth, edges)
-        odd_spine = {a for a in spine
-                     if sum(e.id in fset for e in graph.incident(a)) % 2}
-        g = OrderedBipartiteGraft(graph, frozenset(tooth) | odd_spine,
+        terminals = odd_degree_vertices(
+            (a, b) for eid, a, b in edges if eid in fset)
+        g = OrderedBipartiteGraft(graph, terminals,
                                   frozenset(spine), frozenset(tooth))
         if is_minimum_join(g, fset):
             return g

@@ -589,9 +589,7 @@ def extract_shortest_path(g: Graft, F, u, v) -> WeightedWalkReport:
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None
     if u == v:
         return walk_report(fset, Walk((u,), ()), tooth)
-    d = f_distance(g, u, v)
-    if not d.finite:
-        raise PreconditionError(f"{u!r} and {v!r} lie in different components")
+    d = f_distance_int(g, u, v)
     flipped = Graft(g.graph, g.terminals ^ {u, v})
     fprime = min_join(flipped).edge_ids
     diff = fset ^ fprime
@@ -600,9 +598,9 @@ def extract_shortest_path(g: Graft, F, u, v) -> WeightedWalkReport:
         raise InternalConsistencyError(
             "the join difference must connect the flipped pair")
     report = walk_report(fset, path, tooth)
-    if report.weight != d.value:
+    if report.weight != d:
         raise InternalConsistencyError(
-            f"extracted path weighs {report.weight}, distance says {d.value}")
+            f"extracted path weighs {report.weight}, distance says {d}")
     return report
 
 

@@ -6,13 +6,15 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraft.cli import _build_parser, cli_main
-from bigraft.core import Multigraph, build_bipartite_graft
+from bigraft.core import BigraftError, Multigraph, build_bipartite_graft
 from bigraft.formats import graft_document, serialize_graft
 from bigraft.generators import (
     _MAX_VERTICES,
@@ -355,6 +357,181 @@ class TestGen:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# Each subcommand with its positional arguments and other required flags,
+# the fixture it runs on, and which of the five options that every
+# subcommand once accepted its handler reads.
+SUBCOMMANDS = {
+    "analyze": ((), "i3", {"--format", "--input", "--oracle"}),
+    "min-join": ((), "i3", {"--format", "--input", "--oracle"}),
+    "dist": (("a0", "b1"), "i3", {"--format", "--input", "--oracle"}),
+    "components": ((), "i3", {"--format", "--input"}),
+    "kl": ((), "i3", {"--format", "--input"}),
+    "classify": ((), "i3", {"--format", "--input"}),
+    "critical": (("r",), "i4", {"--format", "--input"}),
+    "ear-decomp": (("r",), "i4", {"--format", "--input", "--oracle"}),
+    "critical-sets": (("a0",), "i3", {"--format", "--input"}),
+    "poset": ((), "i3", {"--format", "--input"}),
+    "upper": (("a0",), "i3", {"--format", "--input"}),
+    "verify": (("--trials", "1"), None, {"--format", "--seed"}),
+    "gen": ((), None, {"--format", "--seed"}),
+}
+OLD_FLAGS = ("--input", "--seed", "--format", "--oracle", "--max-brute")
+
+
+def old_flag_argv(flag, input_path):
+    return {"--input": [flag, input_path], "--seed": [flag, "1"],
+            "--format": [flag, "json"], "--oracle": [flag],
+            "--max-brute": [flag, "22"]}[flag]
+
+
+class TestOptionReaders:
+
+    def test_thirty_settable_pairs(self):
+        sub = _build_parser()._subparsers._group_actions[0]
+        settable = {(name, flag) for name, p in sub.choices.items()
+                    for flag in OLD_FLAGS if flag in p._option_string_actions}
+        assert settable == {(name, flag)
+                            for name, (_, _, reads) in SUBCOMMANDS.items()
+                            for flag in reads}
+        assert len(settable) == 30
+
+    @pytest.mark.parametrize("flag", OLD_FLAGS)
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_only_read_options_are_accepted(self, files, command, flag):
+        args, fixture, reads = SUBCOMMANDS[command]
+        path = files[fixture or "i3"]
+        stdin = Path(path).read_text() if fixture else ""
+        code, out, err = run_cli(command, *args,
+                                 *old_flag_argv(flag, path), stdin=stdin)
+        if flag in reads:
+            assert code in (0, 1), err
+        else:
+            assert code == 2
+            assert out == ""
+            assert f"unrecognized arguments: {flag}" in err
+
+    def test_unmapped_library_error_is_a_usage_error(self, files,
+                                                     monkeypatch):
+        def fail(g):
+            raise BigraftError("x")
+        monkeypatch.setattr("bigraft.cli.factor_components", fail)
+        code, out, err = run_cli("components", "--input", files["i3"])
+        assert (code, out, err) == (2, "", "error: x\n")
+
+
+VERTEX_IDS = st.sampled_from(
+    [f"v{i}" for i in range(8)] + list(range(8))
+    + ["r", "a0", "a1", "b0", "b1", "zz"])
+
+
+@st.composite
+def tiny_documents(draw):
+    """A graft document on at most 8 vertices and 12 edges, with or without
+    a bipartition.  Its terminals are the odd vertices of a drawn edge
+    subset, so each graph component holds an even number of them."""
+    n = draw(st.integers(1, 8))
+    ints = draw(st.booleans())
+    vertices = list(range(n)) if ints else [f"v{i}" for i in range(n)]
+    side = [draw(st.booleans()) for _ in vertices]
+    across = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if side[i] != side[j] or not across]
+    edges = (draw(st.lists(st.sampled_from(pairs), max_size=12))
+             if pairs else [])
+    odd: set = set()
+    for i, j in draw(st.lists(st.sampled_from(edges), unique=True)
+                     if edges else st.just([])):
+        odd ^= {i, j}
+    doc = {"vertices": vertices,
+           "edges": [{"id": f"e{k}", "u": vertices[i], "v": vertices[j]}
+                     for k, (i, j) in enumerate(edges)],
+           "terminals": [vertices[i] for i in sorted(odd)]}
+    if draw(st.booleans()):
+        doc["bipartition"] = {
+            "A": [v for v, s in zip(vertices, side) if s],
+            "B": [v for v, s in zip(vertices, side) if not s]}
+    return doc
+
+
+def broken(doc):
+    """The document with one field dropped or replaced by junk."""
+    return st.sampled_from(sorted(doc)).flatmap(lambda key: st.one_of(
+        st.just({k: v for k, v in doc.items() if k != key}),
+        st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                  st.lists(st.integers(-1, 8), max_size=3)).map(
+            lambda junk: {**doc, key: junk})))
+
+
+def generated(seed, mode):
+    """A sampled comb or critical quasicomb on at most 8 vertices."""
+    cfg = GenConfig(seed=seed, vertices=(2, 8), mode=mode)
+    if mode == "comb":
+        return graft_document(gen_random_comb(cfg))
+    return graft_document(gen_random_critical_quasicomb(cfg)[0].target)
+
+
+DOCUMENTS = st.one_of(
+    tiny_documents().map(json.dumps),
+    st.builds(generated, st.integers(0, 99),
+              st.sampled_from(["comb", "critical-quasicomb"])).map(json.dumps),
+    tiny_documents().flatmap(broken).map(json.dumps),
+    st.text(max_size=20),
+    st.sampled_from(["", "[]", "{}", "null", "[" * 5000, "1" * 5000]))
+FLAG_VALUES = {
+    "--input": st.just("FILE"),
+    "--seed": st.integers(-2, 2 ** 40).map(str),
+    "--format": st.sampled_from(["text", "json", "dot"]),
+    "--oracle": st.none(),
+    "--max-brute": st.integers(-1, 40).map(str),
+}
+# Options of their own, each size kept below its cap.
+OWN_OPTIONS = {
+    "verify": st.sampled_from(
+        [[], ["--properties", "comb-kl-shape"], ["--properties", ""],
+         ["--properties", "bogus"]]).map(lambda extra: ["--trials", "1"] + extra),
+    "gen": st.tuples(
+        st.sampled_from(["graft", "comb", "critical-quasicomb"]),
+        st.integers(-1, 6), st.integers(1, 12), st.integers(0, 5),
+        st.floats(-0.1, 1.0), st.floats(-0.1, 1.0)).map(
+        lambda t: ["--mode", t[0], "--min-vertices", str(t[1]),
+                   "--max-vertices", str(t[2]), "--budget", str(t[3]),
+                   "--edge-density", str(t[4]),
+                   "--terminal-density", str(t[5])]),
+}
+POSITIONALS = {"dist": 2, "critical": 1, "ear-decomp": 1,
+               "critical-sets": 1, "upper": 1}
+
+
+class TestCliFuzz:
+
+    @settings(deadline=None, max_examples=150)
+    @given(command=st.sampled_from(sorted(SUBCOMMANDS)),
+           document=DOCUMENTS, data=st.data())
+    def test_every_run_ends_in_an_exit_code(self, command, document, data):
+        """Any subset of the five old options, drawn half the time from
+        those the subcommand reads, on any document."""
+        pool = (OLD_FLAGS if data.draw(st.booleans())
+                else sorted(SUBCOMMANDS[command][2]))
+        flags = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        argv = [command]
+        argv += [str(data.draw(VERTEX_IDS))
+                 for _ in range(POSITIONALS.get(command, 0))]
+        if command in OWN_OPTIONS:
+            argv += data.draw(OWN_OPTIONS[command])
+        with tempfile.TemporaryDirectory() as tmp:
+            for flag in flags:
+                value = data.draw(FLAG_VALUES[flag])
+                if flag == "--input":
+                    value = str(Path(tmp) / "graft.json")
+                    Path(value).write_text(document)
+                argv += [flag] if value is None else [flag, value]
+            code, out, err = run_cli(*argv, stdin=document)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
 
 
 # sha256 over the exit code and stdout of every case in TestStdoutDigest,
