@@ -18,17 +18,18 @@ from dataclasses import dataclass
 
 from .core import (
     CapacityError,
+    Graft,
     GraftInputError,
     InternalConsistencyError,
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
     contract_graft,
-    induced_subgraft,
     sorted_vertices,
 )
 from .combs import EarStep, classify_comb, is_critical_quasicomb, is_f_balanced
 from .decomposition import (
+    FactorComponentSet,
     factor_components,
     is_separating,
     kl_classes_of_component,
@@ -40,10 +41,11 @@ from .joins import _edge_id_set, f_distance_int
 _DEFAULT_COMPONENT_LIMIT = 12
 
 
-def _require_comb(g) -> OrderedBipartiteGraft:
+def _require_comb(g) -> FactorComponentSet:
+    """The factor components of ``g``, which must be a comb."""
     if not isinstance(g, OrderedBipartiteGraft) or not classify_comb(g).is_comb:
         raise PreconditionError("a comb is required")
-    return g
+    return factor_components(g)
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,7 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
     distance table.  Returns the verdict and, when true, a certificate
     carrying the contraction and its distance table.
     """
-    _require_comb(comb)
-    return _critical_set(comb, factor_components(comb), component_id, X)
-
-
-def _critical_set(comb: OrderedBipartiteGraft, comps, component_id,
-                  X) -> tuple[bool, CriticalSetCertificate | None]:
-    """``is_critical_set`` for a comb already checked by the caller, whose
-    factor components are ``comps``."""
-    g0 = comps.by_id(component_id)
+    g0 = _require_comb(comb).by_id(component_id)
     xs = frozenset(X)
     separating, ids = is_separating(comb, xs)
     if not separating:
@@ -107,10 +101,11 @@ def _critical_set(comb: OrderedBipartiteGraft, comps, component_id,
                 # vertices, so it cannot be a bipartite quasicomb.
                 return False, None
 
-    inner = induced_subgraft(comb, xs,
-                             tuple(comps.by_id(cid).vertices for cid in ids))
-    name = _contracted_name(component_id, xs)
-    contracted, root = contract_graft(inner, g0.vertices, contracted_id=name)
+    # X is a union of factor components, each with an even number of
+    # terminals, so it induces a graft; the contraction gets its sides below.
+    contracted, root = contract_graft(
+        Graft(comb.graph.induced(xs), comb.terminals & xs), g0.vertices,
+        contracted_id=_contracted_name(component_id, xs))
     if root in contracted.terminals:
         raise InternalConsistencyError(
             f"factor component {component_id!r} holds an odd number of terminals")
@@ -138,8 +133,7 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
     one, so the search is exponential in the component count; instances
     beyond ``max_components`` components are refused.
     """
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     if len(comps) > max_components:
         raise CapacityError(
             f"{len(comps)} factor components exceed the limit of {max_components}")
@@ -150,7 +144,7 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
         for chosen in itertools.combinations(others, size):
             xs = g0.vertices.union(*(c.vertices for c in chosen)) \
                 if chosen else g0.vertices
-            ok, _ = _critical_set(comb, comps, component_id, xs)
+            ok, _ = is_critical_set(comb, component_id, xs)
             if ok:
                 found.append(xs)
     return tuple(found)
@@ -178,7 +172,7 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
             if comp.vertices <= top or not near & top:
                 continue
             candidate = top | comp.vertices
-            if _critical_set(comb, comps, cid, candidate)[0]:
+            if is_critical_set(comb, cid, candidate)[0]:
                 top = candidate
                 grown = True
     return top
@@ -187,8 +181,7 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
 def precedes(comb: OrderedBipartiteGraft, first_id, second_id) -> bool:
     """Whether some critical set for the first component covers the second,
     that is, whether the second lies inside top(first)."""
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     target = comps.by_id(second_id).vertices
     return target <= _top_critical_set(comb, comps, first_id)
 
@@ -235,8 +228,7 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     consistency error, since the theory guarantees both; a growth that
     stopped short of top(a) shows up as a transitivity failure.
     """
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     ids = comps.ids()
     tops = {cid: _top_critical_set(comb, comps, cid) for cid in ids}
     vertices = {c.id: c.vertices for c in comps}
@@ -277,29 +269,28 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
         heights[j] = 1 + max((heights[i] for i in below[j]), default=0)
 
     return CathedralPoset(ids, tuple(tuple(row) for row in rel),
-                          tuple(sorted(hasse)), tuple(zip(ids, heights)))
+                          tuple(hasse), tuple(zip(ids, heights)))
 
 
 def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,
                             third_id, X, Y) -> bool:
     """Check that chained critical sets compose: X for G1 covering G2 and Y
     for G2 covering G3 should make X ∪ Y critical for G1 and cover G3."""
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     second = comps.by_id(second_id).vertices
     third = comps.by_id(third_id).vertices
     xs, ys = frozenset(X), frozenset(Y)
-    ok_x, _ = _critical_set(comb, comps, first_id, xs)
+    ok_x, _ = is_critical_set(comb, first_id, xs)
     if not ok_x:
         raise PreconditionError(f"X is not a critical set for {first_id!r}")
     if not second <= xs:
         raise PreconditionError(f"X does not cover component {second_id!r}")
-    ok_y, _ = _critical_set(comb, comps, second_id, ys)
+    ok_y, _ = is_critical_set(comb, second_id, ys)
     if not ok_y:
         raise PreconditionError(f"Y is not a critical set for {second_id!r}")
     if not third <= ys:
         raise PreconditionError(f"Y does not cover component {third_id!r}")
-    union_ok, _ = _critical_set(comb, comps, first_id, xs | ys)
+    union_ok, _ = is_critical_set(comb, first_id, xs | ys)
     return union_ok and third <= (xs | ys)
 
 
@@ -338,14 +329,12 @@ def upper_bound_check(comb: OrderedBipartiteGraft,
     its neighborhood inside the component contained in one tooth-side
     distance class.
     """
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     g0 = comps.by_id(component_id)
     upper = _top_critical_set(comb, comps, component_id) - g0.vertices
 
     classes = [cls for cls in kl_classes_of_component(kl_partition(comb), g0.id)
                if cls <= comb.tooth]
-    classes.sort(key=lambda cls: sorted_vertices(cls)[0])
 
     entries = []
     if upper:
@@ -377,8 +366,7 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     ear must be round, balanced for F, bonded inside the component, and
     internally disjoint from it.
     """
-    _require_comb(comb)
-    comps = factor_components(comb)
+    comps = _require_comb(comb)
     home = comps.by_id(component_id)
     fset = _edge_id_set(F)
     if isinstance(P, Walk):

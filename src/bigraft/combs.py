@@ -210,7 +210,7 @@ class EarStep:
         if len(vs) < 2:
             raise GraftInputError("an ear needs at least one edge")
         graph = Multigraph(frozenset(vs), tuple(
-            Edge(eid, vs[i], vs[i + 1]) for i, eid in enumerate(self.walk.edge_ids)))
+            Edge(eid, u, v) for u, v, eid in zip(vs, vs[1:], self.walk.edge_ids)))
         self.walk.validate(graph)
         bond_set = set(self.bonds)
         if len(bond_set) != len(self.bonds) or not 1 <= len(self.bonds) <= 2:

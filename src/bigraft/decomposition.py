@@ -157,30 +157,27 @@ class KLPartition:
         for cls, cid in zip(self.classes, self.component_ids):
             if not cls:
                 raise InternalConsistencyError("empty class")
+            entry = (sorted_vertices(cls)[0], cid, cls)
             for v in cls:
                 if v in lookup:
                     raise InternalConsistencyError("classes overlap")
-                lookup[v] = (sorted_vertices(cls)[0], cid)
+                lookup[v] = entry
         object.__setattr__(self, "_lookup", lookup)
 
-    def class_id_of(self, v):
+    def _entry(self, v) -> tuple:
         try:
-            return self._lookup[v][0]
+            return self._lookup[v]
         except KeyError:
             raise GraftInputError(f"unknown vertex id {v!r}") from None
+
+    def class_id_of(self, v):
+        return self._entry(v)[0]
 
     def class_of(self, v) -> frozenset:
-        cid = self.class_id_of(v)
-        for cls in self.classes:
-            if cid in cls:
-                return cls
-        raise InternalConsistencyError("lookup desynchronized")
+        return self._entry(v)[2]
 
     def component_id_of(self, v):
-        try:
-            return self._lookup[v][1]
-        except KeyError:
-            raise GraftInputError(f"unknown vertex id {v!r}") from None
+        return self._entry(v)[1]
 
     def same_class(self, u, v) -> bool:
         return self.class_id_of(u) == self.class_id_of(v)

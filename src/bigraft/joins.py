@@ -327,7 +327,8 @@ def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
         for j in range(i + 1, len(terms)):
             kg.add_edge(i, j, weight=dist[terms[j]])
     matching = nx.min_weight_matching(kg)
-    return tuple(sorted((terms[min(p)], terms[max(p)]) for p in matching))
+    return tuple((terms[i], terms[j])
+                 for i, j in sorted((min(p), max(p)) for p in matching))
 
 
 def _component_terminals(graph: Multigraph,

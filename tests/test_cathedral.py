@@ -1,6 +1,8 @@
 """Critical sets, the component order, and the structural checks above it."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -28,6 +30,7 @@ from bigraft.cathedral import (
 )
 from bigraft.combs import EarStep, is_f_balanced
 from bigraft.decomposition import factor_components
+from bigraft.formats import graft_document, poset_document, upper_report_document
 from bigraft.generators import GenConfig, gen_random_comb
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import min_join
@@ -300,6 +303,45 @@ class TestGrowthOracle:
                 assert upper_bound_check(comb, a).upper_vertices == above
             for i, a in enumerate(ids):
                 assert tuple(precedes(comb, a, b) for b in ids) == expected[i]
+
+
+# sha256 over the cathedral's output on fixed-seed combs with 2-6 factor
+# components: the poset, every critical set with its certificate, each upper
+# bound report and every precedence.  A change to the critical-set test, the
+# growth of top(c), the Hasse diagram or the upper bound check changes it.
+CATHEDRAL_DIGEST = (
+    "5cbc71f5db0c04f444ceaadc2f0cc237ec4a64d0465e8314586b461e159250eb")
+
+
+class TestCathedralDigest:
+    def test_fixed_seed_cathedral_unchanged(self):
+        h = hashlib.sha256()
+        combs = 0
+        for seed in range(40):
+            g = gen_random_comb(GenConfig(seed=seed, vertices=(8, 14)))
+            ids = factor_components(g).ids()
+            if not 2 <= len(ids) <= 6:
+                continue
+            combs += 1
+            doc = {"poset": poset_document(cathedral_poset(g)),
+                   "components": []}
+            for cid in ids:
+                certificates = []
+                for xs in enumerate_critical_sets(g, cid):
+                    _, cert = is_critical_set(g, cid, xs)
+                    certificates.append({
+                        "witness_ids": list(cert.witness_ids),
+                        "contracted_vertex": cert.contracted_vertex,
+                        "table": [list(row) for row in cert.table],
+                        "contraction": graft_document(cert.contraction)})
+                doc["components"].append({
+                    "id": cid,
+                    "certificates": certificates,
+                    "upper": upper_report_document(upper_bound_check(g, cid)),
+                    "precedes": [precedes(g, cid, b) for b in ids]})
+            h.update(json.dumps(doc, sort_keys=True).encode())
+        assert combs >= 20
+        assert h.hexdigest() == CATHEDRAL_DIGEST
 
 
 class TestPrecedes:

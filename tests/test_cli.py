@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bigraft.cli import _build_parser, cli_main
 from bigraft.core import BigraftError, Multigraph, build_bipartite_graft
+from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, serialize_graft
 from bigraft.generators import (
     _MAX_VERTICES,
@@ -429,11 +430,12 @@ VERTEX_IDS = st.sampled_from(
 @st.composite
 def tiny_documents(draw):
     """A graft document on at most 8 vertices and 12 edges, with or without
-    a bipartition.  Its terminals are the odd vertices of a drawn edge
-    subset, so each graph component holds an even number of them."""
+    a bipartition.  Each vertex id is drawn as an int or a str on its own,
+    so one document may mix both.  Its terminals are the odd vertices of a
+    drawn edge subset, so each graph component holds an even number of
+    them."""
     n = draw(st.integers(1, 8))
-    ints = draw(st.booleans())
-    vertices = list(range(n)) if ints else [f"v{i}" for i in range(n)]
+    vertices = [i if draw(st.booleans()) else f"v{i}" for i in range(n)]
     side = [draw(st.booleans()) for _ in vertices]
     across = draw(st.booleans())
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -532,6 +534,91 @@ class TestCliFuzz:
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
+
+
+def mixed_ids(doc):
+    """The document with every other a*/b* vertex, in sorted order, renamed
+    to a distinct int id."""
+    named = sorted(v for v in doc["vertices"] if v[0] in "ab")
+    rename = {v: k for k, v in enumerate(named) if k % 2 == 0}
+
+    def ids(vs):
+        return [rename.get(v, v) for v in vs]
+
+    out = {"vertices": ids(doc["vertices"]),
+           "edges": [{**e, "u": rename.get(e["u"], e["u"]),
+                      "v": rename.get(e["v"], e["v"])} for e in doc["edges"]],
+           "terminals": ids(doc["terminals"])}
+    out["bipartition"] = {side: ids(vs)
+                          for side, vs in doc["bipartition"].items()}
+    return out
+
+
+def mixed_id_inputs():
+    """(document, commands) for fixed-seed combs with at least two factor
+    components and critical quasicombs with more than ten terminals."""
+    out = []
+    for seed in range(8):
+        comb = gen_random_comb(GenConfig(seed=seed, vertices=(8, 14)))
+        if len(factor_components(comb)) >= 2:
+            out.append((graft_document(comb),
+                        ("analyze", "min-join", "poset", "upper")))
+        d, _ = gen_random_critical_quasicomb(GenConfig(
+            seed=seed, vertices=(16, 20), mode="critical-quasicomb"))
+        if len(d.target.terminals) > 10:
+            out.append((graft_document(d.target),
+                        ("analyze", "min-join", "ear-decomp r")))
+    return out
+
+
+def json_run(argv, stdin):
+    """The exit code and JSON report of one run that must end in 0 or 1."""
+    code, out, err = run_cli(*argv, "--format", "json", stdin=stdin)
+    assert code in (0, 1), (argv, err)
+    assert "Traceback" not in err
+    return code, json.loads(out)
+
+
+def mixed_id_summary(doc, commands):
+    """Per command, the exit code and the figures that do not depend on
+    vertex names: nu, the factor-component and Hasse-pair counts, the ear
+    decomposition's verdict and the upper bound verdicts."""
+    stdin = json.dumps(doc)
+    summary = {}
+    for command in commands:
+        if command == "upper":
+            _, report = json_run(["analyze"], stdin)
+            summary[command] = sorted(
+                json_run(["upper", str(c["id"])], stdin)[1]["holds"]
+                for c in report["factor_components"])
+            continue
+        code, report = json_run(command.split(), stdin)
+        if command == "analyze":
+            poset = report["poset"]
+            summary[command] = (code, report["nu"],
+                                len(report["factor_components"]),
+                                None if poset is None else len(poset["hasse"]))
+        elif command == "min-join":
+            summary[command] = (code, report["size"])
+        elif command == "poset":
+            summary[command] = (code, len(report["components"]),
+                                len(report["hasse"]))
+        else:
+            summary[command] = (code, report["valid"])
+    return summary
+
+
+class TestMixedIds:
+    """Documents whose vertex ids mix ints and strs run to an exit code and
+    report the same figures as the all-str document."""
+
+    def test_mixed_ids_match_the_str_run(self):
+        inputs = mixed_id_inputs()
+        assert sum("poset" in commands for _, commands in inputs) >= 4
+        assert sum("ear-decomp r" in commands for _, commands in inputs) >= 2
+        for doc, commands in inputs:
+            assert (mixed_id_summary(mixed_ids(doc), commands)
+                    == mixed_id_summary(doc, commands))
 
 
 # sha256 over the exit code and stdout of every case in TestStdoutDigest,

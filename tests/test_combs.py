@@ -289,6 +289,11 @@ class TestEarStep:
         assert step.walk.closed
         assert step.internal_vertices == frozenset({"b1"})
 
+    def test_more_edge_ids_than_steps(self):
+        with pytest.raises(GraftInputError, match="do not line up"):
+            EarStep(Walk(("a1", "r"), ("c", "d")), ("r",), frozenset(),
+                    frozenset({"a1"}), frozenset({"r"}))
+
     def test_needs_an_edge(self):
         with pytest.raises(GraftInputError):
             EarStep(Walk(("r",), ()), ("r",), frozenset(), frozenset(),

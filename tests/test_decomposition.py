@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from bigraft import decomposition
+from bigraft import core, decomposition
 from bigraft.core import (
     Graft,
     GraftInputError,
@@ -134,6 +134,23 @@ class TestKLPartition:
         assert not part.same_class("v1", "v2")
         with pytest.raises(GraftInputError):
             part.class_id_of("zz")
+        with pytest.raises(GraftInputError):
+            part.class_of("zz")
+
+    def test_each_class_sorted_once(self, monkeypatch):
+        calls = []
+
+        def counted(vs):
+            calls.append(1)
+            return core.sorted_vertices(vs)
+
+        monkeypatch.setattr(decomposition, "sorted_vertices", counted)
+        big, small = frozenset(range(1, 400)), frozenset({"x", 0})
+        part = decomposition.KLPartition((big, small), (1, 0))
+        assert len(calls) == 2
+        assert part.class_of(7) is big and part.class_id_of(7) == 1
+        assert part.class_of("x") is small and part.class_id_of("x") == 0
+        assert part.component_id_of("x") == 0
 
     def test_classes_refine_components(self):
         for g in (c4(), chain4(), p3r()):
