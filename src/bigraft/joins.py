@@ -7,19 +7,22 @@ shortest-path metric and realizes the pairing by breadth-first paths.
 Their agreement is the package's root oracle.  They share only the BFS
 tree (_bfs_tree).  The exhaustive backend reads its space from
 _cycle_space, which the cycle table below reads too; so the cycle table's
-independent cross-check is the matching side's pairing, and _cycle_space
-is checked on its own against is_join and degree parity.
+independent cross-checks are the matching side's pairing and the subset
+table, and _cycle_space is checked on its own against is_join and degree
+parity.
 
-nu, the distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge
-test and min_join's pairing all read one table per graph component, which
-_component_table alone chooses.  For at most _TABLE_LIMIT terminals it keeps
-the BFS row of every terminal and the pairing DP's full subset table
-dp[mask]: nu is one entry, min_join's pairs are read back from it, and each
-pair costs O(t²).  For more terminals but cycle rank mu = m - n + 1 at most
-_TABLE_LIMIT it keeps the component's _cycle_space: nu and each pair cost
-one Gray-code walk of the 2^mu joins, and min_join pairs by blossom.
-Otherwise there is no table: nu sums the blossom pairing and each pair
-runs one matching per flipped set.
+nu, the distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T) and the
+allowed-edge test read one table per graph component, which
+_component_table alone chooses by the smaller exponent.  Where the
+component's cycle rank mu = m - n + 1 is below its terminal count t and at
+most _TABLE_LIMIT, the cycle table keeps the component's _cycle_space: nu
+and each pair cost one Gray-code walk of the 2^mu joins.  Else, for at most
+_TABLE_LIMIT terminals, the subset table keeps the BFS row of every
+terminal and the pairing DP's full subset table dp[mask]: nu is one entry
+and each pair costs O(t²).  Otherwise there is no table: nu sums the
+blossom pairing and each pair runs one matching per flipped set.
+min_join's pairing reads the subset table up to _TABLE_LIMIT terminals,
+whatever table serves the distances, and pairs by blossom above that.
 The tables store the difference unsigned; the sign hook is applied when
 f_distance reads it.
 
@@ -344,14 +347,15 @@ def _component_terminals(graph: Multigraph,
 
 def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
     """Minimum-distance terminal pairs: read back from the subset table up
-    to _TABLE_LIMIT terminals, else by blossom.  A cycle table gives sizes
-    but no pairs, so none is built here."""
+    to _TABLE_LIMIT terminals, whatever table serves the component's
+    distances, else by blossom.  A cycle table gives sizes but no pairs,
+    so none is read here."""
     out: list[tuple] = []
     for _, terms in _component_terminals(graph, terminals):
         if len(terms) > _TABLE_LIMIT:
             out.extend(_blossom_pairing(graph, terms))
         else:
-            out.extend(_component_table(graph, terms).pairs())
+            out.extend(_subset_table(graph, terms).pairs())
     return out
 
 
@@ -520,18 +524,28 @@ class _CycleTable:
 
 
 @cached_on_graph
+def _subset_table(graph: Multigraph, terms: tuple) -> _ComponentTable:
+    """The subset table of one component's sorted terminals, built once
+    for both the distances and min_join's pairs."""
+    return _ComponentTable(graph, terms)
+
+
+@cached_on_graph
 def _component_table(graph: Multigraph,
                      terms: tuple) -> _ComponentTable | _CycleTable | None:
-    """The table of the component holding the sorted terminals ``terms``:
-    the subset DP up to _TABLE_LIMIT terminals, else the cycle table up to
-    cycle rank _TABLE_LIMIT, else None (the matching fallback)."""
+    """The distance table of the component holding the sorted terminals
+    ``terms``, by the smaller exponent: the cycle table where the cycle
+    rank mu is below the terminal count t and at most _TABLE_LIMIT, else
+    the subset table up to _TABLE_LIMIT terminals, else None (the matching
+    fallback)."""
+    if terms:
+        comp = graph.component_of(terms[0])
+        mu = sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
+        if mu < len(terms) and mu <= _TABLE_LIMIT:
+            return _CycleTable(graph, terms)
     if len(terms) <= _TABLE_LIMIT:
-        return _ComponentTable(graph, terms)
-    comp = graph.component_of(terms[0])
-    edges = sum(graph.degree(w) for w in comp) // 2
-    if edges - len(comp) + 1 > _TABLE_LIMIT:
-        return None
-    return _CycleTable(graph, terms)
+        return _subset_table(graph, terms)
+    return None
 
 
 @cached_on_graph

@@ -669,7 +669,23 @@ def test_console_script_runs():
         [sys.executable, "-m", "bigraft.cli", "gen", "--seed", "1"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["vertices"]
+
+
+def test_cli_main_is_exported_lazily():
+    """Importing the package leaves the CLI unloaded, and the package's
+    ``__getattr__`` still serves ``bigraft.cli_main``."""
+    import bigraft
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bigraft; print('bigraft.cli' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.stdout == "False\n"
+    assert bigraft.cli_main is bigraft.__getattr__("cli_main") is cli_main
+    assert "cli_main" in bigraft.__all__
+    with pytest.raises(AttributeError):
+        bigraft.__getattr__("no_such_name")
 
 
 def test_project_script_target_takes_argv():

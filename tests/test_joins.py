@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from bigraft.core import (
     is_join,
 )
 from bigraft.cli import cli_main
+from bigraft.combs import is_critical_quasicomb
 from bigraft.decomposition import allowed_edge_set, factor_components
 from bigraft.formats import graft_document
 from bigraft.generators import (
@@ -324,14 +326,20 @@ TABLE_CASES = [
     (4, (12,), (_TABLE_LIMIT,), 5),
     (5, (14,), (_TABLE_LIMIT + 2,), 4),
     (6, (14,), (_TABLE_LIMIT + 2,), _TABLE_LIMIT),
+    (7, (8,), (4,), 3),
+    (8, (8,), (4,), 2),
+    (9, (12,), (_TABLE_LIMIT,), _TABLE_LIMIT - 1),
 ]
 
-# The table every component of a case gets, by seed: the subset DP up to
-# _TABLE_LIMIT terminals, else the cycle table up to _TABLE_LIMIT
-# independent cycles (each piece has one doubled edge), else None, the
-# matching fallback.
+# The table every component of a case gets, by seed.  A one-piece case has
+# cycle rank mu = extra + 1 (the doubled edge).  The cycle table serves
+# where mu is below the terminal count t and at most _TABLE_LIMIT, else the
+# subset DP up to _TABLE_LIMIT terminals, else None, the matching fallback.
+# Cases 7-9 sit at the mu = t boundary: t = 4 with mu = 4 and with mu = 3,
+# and t = mu = _TABLE_LIMIT.
 TABLE_KINDS = {1: _ComponentTable, 2: _ComponentTable, 3: _ComponentTable,
-               4: _ComponentTable, 5: _CycleTable, 6: type(None)}
+               4: _CycleTable, 5: _CycleTable, 6: type(None),
+               7: _ComponentTable, 8: _CycleTable, 9: _ComponentTable}
 
 
 def cycle_rank(graph, comp) -> int:
@@ -418,10 +426,9 @@ class TestDistanceTable:
         tables = _distance_tables(g.graph, g.terminals)
         for comp in g.graph.components():
             assert all(type(tables[w]) is table_kind for w in comp)
-            if table_kind is not _ComponentTable:
-                assert len(comp & g.terminals) > _TABLE_LIMIT
-                fallback = cycle_rank(g.graph, comp) > _TABLE_LIMIT
-                assert fallback == (table_kind is type(None))
+            t, mu = len(comp & g.terminals), cycle_rank(g.graph, comp)
+            assert (table_kind is _CycleTable) == (mu < t and mu <= _TABLE_LIMIT)
+            assert (table_kind is type(None)) == (min(t, mu) > _TABLE_LIMIT)
         # The fallback case has more edges than the oracles' default bound.
         bound = max(22, len(g.graph.edges))
         kinds = set()
@@ -459,6 +466,21 @@ class TestDistanceTable:
         assert sorted(calls) == sorted(len(comp & g.terminals)
                                        for comp in g.graph.components())
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_both_tables_agree(self, seed):
+        """Where both tables apply, the subset DP and the cycle walk, which
+        share only _bfs_tree, give the same nu and the same distances."""
+        rng = random.Random(seed)
+        n = rng.randint(6, 12)
+        t = rng.randrange(2, min(n, _TABLE_LIMIT) + 1, 2)
+        g = random_graft(100 + seed, (n,), (t,), rng.randint(0, _TABLE_LIMIT - 1))
+        graph, terms = g.graph, tuple(sorted(g.terminals))
+        assert cycle_rank(graph, graph.vertices) <= _TABLE_LIMIT
+        subset, cycle = _ComponentTable(graph, terms), _CycleTable(graph, terms)
+        assert subset.nu == cycle.nu
+        for u, v in itertools.combinations(sorted(graph.vertices), 2):
+            assert subset.delta(graph, u, v) == cycle.delta(graph, u, v), (u, v)
+
 
 def pairing_nu(graph, terminals) -> int:
     """nu as the sum of the matched pairs' BFS distances: the pairing side
@@ -495,6 +517,31 @@ class TestCycleTableOnQuasicombs:
         assert len(large) >= 8
         for r, g in large:
             assert type(_distance_tables(g.graph, g.terminals)[r]) is _CycleTable
+
+    def test_few_cycles_build_no_subset_dp(self, prefixes, monkeypatch):
+        """A prefix with fewer independent cycles than terminals reads its
+        root distances from the cycle table, even at _TABLE_LIMIT
+        terminals or fewer, so its criticality check runs no subset DP."""
+        calls = []
+
+        def counted(cost):
+            calls.append(len(cost))
+            return _subset_dp(cost)
+
+        monkeypatch.setattr(joins, "_subset_dp", counted)
+        small = 0
+        for r, g in prefixes:
+            (comp,) = g.graph.components()
+            if cycle_rank(g.graph, comp) >= len(g.terminals):
+                continue
+            # A fresh graph has an empty memo, so no earlier test's tables
+            # serve it.
+            g = replace(g, graph=Multigraph(g.graph.vertices, g.graph.edges))
+            small += len(g.terminals) <= _TABLE_LIMIT
+            assert is_critical_quasicomb(g, r).critical
+            assert type(_distance_tables(g.graph, g.terminals)[r]) is _CycleTable
+        assert small >= 8
+        assert [t for t in calls if t] == []
 
     def test_nu_matches_the_pairing(self, prefixes):
         for _, g in prefixes:
