@@ -4,27 +4,21 @@ Two backends compute minimum joins.  The exhaustive one scans the whole
 affine solution space over GF(2), one particular join plus the cycle
 space, and canonicalizes ties; the matching one pairs terminals over the
 shortest-path metric and realizes the pairing by breadth-first paths.
-Their agreement is the package's root oracle.  They share only the BFS
-tree (_bfs_tree).  The exhaustive backend reads its space from
-_cycle_space, which the cycle table below reads too; so the cycle table's
-independent cross-checks are the matching side's pairing and the subset
-table, and _cycle_space is checked on its own against is_join and degree
-parity.
+Their agreement is the package's root oracle.  They share _bfs_tree and,
+where min_join reads the cycle table below, _cycle_space, which is
+checked on its own against is_join and degree parity.
 
-nu, the distance f_distance(u, v) = nu(T Δ {u, v}) - nu(T) and the
-allowed-edge test read one table per graph component, which
-_component_table alone chooses by the smaller exponent.  Where the
-component's cycle rank mu = m - n + 1 is below its terminal count t and at
-most _TABLE_LIMIT, the cycle table keeps the component's _cycle_space: nu
-and each pair cost one Gray-code walk of the 2^mu joins.  Else, for at most
-_TABLE_LIMIT terminals, the subset table keeps the BFS row of every
-terminal and the pairing DP's full subset table dp[mask]: nu is one entry
-and each pair costs O(t²).  Otherwise there is no table: nu sums the
-blossom pairing and each pair runs one matching per flipped set.
-min_join's pairing reads the subset table up to _TABLE_LIMIT terminals,
-whatever table serves the distances, and pairs by blossom above that.
-The tables store the difference unsigned; the sign hook is applied when
-f_distance reads it.
+Each graph component has one table, which _component_table alone chooses
+by the smaller exponent: the cycle table where the cycle rank
+mu = m - n + 1 is below the terminal count t and at most _TABLE_LIMIT,
+else the subset table up to _TABLE_LIMIT terminals, else none.  A table's
+nu_of(mask), the join size of a terminal subset, is one entry of the
+pairing DP or one Gray-code walk of the subset's 2^mu joins.  It serves
+nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge test and,
+up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs); blossom
+pairs above that, and without a table also sums nu and runs one matching
+per flipped set for each distance.  The tables store the difference
+unsigned; the sign hook is applied when f_distance reads it.
 
 Tables, BFS trees, cycle spaces, pairings and nu live in their graph's own
 memo (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
@@ -346,16 +340,14 @@ def _component_terminals(graph: Multigraph,
 
 
 def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
-    """Minimum-distance terminal pairs: read back from the subset table up
-    to _TABLE_LIMIT terminals, whatever table serves the component's
-    distances, else by blossom.  A cycle table gives sizes but no pairs,
-    so none is read here."""
+    """Minimum-distance terminal pairs: read back from the component's own
+    table up to _TABLE_LIMIT terminals, else by blossom."""
     out: list[tuple] = []
     for _, terms in _component_terminals(graph, terminals):
         if len(terms) > _TABLE_LIMIT:
             out.extend(_blossom_pairing(graph, terms))
         else:
-            out.extend(_subset_table(graph, terms).pairs())
+            out.extend(_table_pairs(graph, _component_table(graph, terms)))
     return out
 
 
@@ -420,12 +412,11 @@ def negative_circuit_witness(g: Graft, F, max_edges: int | None = None) -> Weigh
 # Distances induced by minimum joins.
 # ---------------------------------------------------------------------------
 
-class _ComponentTable:
+class _SubsetTable:
     """Join sizes inside one graph component with few terminals.
 
     ``rows[i]`` maps each vertex of the component to its BFS distance from
-    terminal i, and ``dp`` is the full subset table of those terminals, so
-    ``nu`` is its full entry, ``pairs()`` reads a minimum pairing back, and
+    terminal i and ``dp`` is the pairing DP's full subset table, so
     nu(T Δ {u, v}) - nu(T) costs O(t²) for any pair in the component.
     """
 
@@ -438,23 +429,9 @@ class _ComponentTable:
         self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
         self.nu = self.dp[-1]
 
-    def pairs(self) -> list[tuple]:
-        """Terminal pairs of a minimum pairing, each pairing the least
-        unpaired terminal first."""
-        terms, rows, dp = self.terms, self.rows, self.dp
-        out = []
-        mask = len(dp) - 1
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << i)
-            for j in range(i + 1, len(terms)):
-                if rest >> j & 1 and dp[mask] == dp[rest ^ (1 << j)] + rows[i][terms[j]]:
-                    out.append((terms[i], terms[j]))
-                    mask = rest ^ (1 << j)
-                    break
-            else:
-                raise InternalConsistencyError("pairing reconstruction lost its trail")
-        return out
+    def nu_of(self, mask: int) -> int:
+        """Join size of the terminals whose bits are set (bit k: terms[k])."""
+        return self.dp[mask]
 
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
@@ -485,7 +462,7 @@ class _ComponentTable:
 
 
 class _CycleTable:
-    """Join distances inside one graph component with few independent cycles.
+    """Join sizes inside one graph component with few independent cycles.
 
     Over ``_cycle_space(graph, terms[0])``, ``particular``, the XOR of the
     terminals' path masks, is a join of T.  Every join of T is
@@ -495,9 +472,10 @@ class _CycleTable:
     2^mu span elements are not stored.
     """
 
-    __slots__ = ("to_root", "basis", "particular", "nu")
+    __slots__ = ("terms", "to_root", "basis", "particular", "nu")
 
     def __init__(self, graph: Multigraph, terms: tuple):
+        self.terms = terms
         self.to_root, self.basis = _cycle_space(graph, terms[0])
         particular = 0
         for w in terms:
@@ -517,6 +495,14 @@ class _CycleTable:
                 best = size
         return best
 
+    def nu_of(self, mask: int) -> int:
+        """Join size of the terminals whose bits are set (bit k: terms[k])."""
+        start = 0
+        for k, w in enumerate(self.terms):
+            if mask >> k & 1:
+                start ^= self.to_root[w]
+        return self._least(start)
+
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
         to_root = self.to_root
@@ -524,28 +510,42 @@ class _CycleTable:
 
 
 @cached_on_graph
-def _subset_table(graph: Multigraph, terms: tuple) -> _ComponentTable:
-    """The subset table of one component's sorted terminals, built once
-    for both the distances and min_join's pairs."""
-    return _ComponentTable(graph, terms)
-
-
-@cached_on_graph
 def _component_table(graph: Multigraph,
-                     terms: tuple) -> _ComponentTable | _CycleTable | None:
-    """The distance table of the component holding the sorted terminals
-    ``terms``, by the smaller exponent: the cycle table where the cycle
-    rank mu is below the terminal count t and at most _TABLE_LIMIT, else
-    the subset table up to _TABLE_LIMIT terminals, else None (the matching
-    fallback)."""
+                     terms: tuple) -> _SubsetTable | _CycleTable | None:
+    """The table of the component holding the sorted terminals ``terms``,
+    by the smaller exponent: the cycle table where the cycle rank mu is
+    below the terminal count t and at most _TABLE_LIMIT, else the subset
+    table up to _TABLE_LIMIT terminals, else None (the matching fallback)."""
     if terms:
         comp = graph.component_of(terms[0])
         mu = sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
         if mu < len(terms) and mu <= _TABLE_LIMIT:
             return _CycleTable(graph, terms)
     if len(terms) <= _TABLE_LIMIT:
-        return _subset_table(graph, terms)
+        return _SubsetTable(graph, terms)
     return None
+
+
+def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[tuple]:
+    """A minimum pairing read back from ``table.nu_of``: the least unpaired
+    terminal takes the first partner that keeps the sizes exact.  Join sizes
+    are least pairing costs (Edmonds-Johnson), so every table gives these."""
+    terms = table.terms
+    out = []
+    mask = (1 << len(terms)) - 1
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        dist, _ = _bfs_tree(graph, terms[i])
+        size = table.nu_of(mask)
+        for j in range(i + 1, len(terms)):
+            if rest >> j & 1 and size == table.nu_of(rest ^ (1 << j)) + dist[terms[j]]:
+                out.append((terms[i], terms[j]))
+                mask = rest ^ (1 << j)
+                break
+        else:
+            raise InternalConsistencyError("pairing reconstruction lost its trail")
+    return out
 
 
 @cached_on_graph

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigraft.cli import _build_parser, cli_main
-from bigraft.core import BigraftError, Multigraph, build_bipartite_graft
+from bigraft.core import (
+    BigraftError,
+    InternalConsistencyError,
+    Multigraph,
+    build_bipartite_graft,
+)
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, serialize_graft
 from bigraft.generators import (
@@ -25,6 +30,7 @@ from bigraft.generators import (
     gen_random_graft,
 )
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
+from bigraft.joins import flipped_distance_sign
 
 
 def run_cli(*argv, stdin=""):
@@ -156,6 +162,15 @@ class TestExitCodes:
     def test_failed_verification_exits_one(self, files):
         assert run_cli("critical", "b1", "--input", files["i3"])[0] == 1
 
+    def test_failed_internal_check_exits_one(self, files, monkeypatch):
+        def broken(g):
+            raise InternalConsistencyError("forced")
+        monkeypatch.setattr("bigraft.cli.kl_partition", broken)
+        code, out, err = run_cli("kl", "--input", files["i3"])
+        assert code == 1
+        assert out == ""
+        assert err == "internal check failed: forced\n"
+
     def test_dot_rejected_where_unavailable(self, files):
         code, _, err = run_cli("dist", "a", "b", "--input", files["i1"],
                                "--format", "dot")
@@ -198,7 +213,8 @@ class TestAnalysis:
         assert fast[1].splitlines()[0] == brute[1].splitlines()[0] == "size: 2"
 
     def test_dist_oracle_agreement(self, files):
-        for u, v in (("a0", "b0"), ("a0", "a1"), ("b0", "b1"), ("a0", "b1")):
+        for u, v in (("a0", "b0"), ("a0", "a1"), ("b0", "b1"), ("a0", "b1"),
+                     ("a0", "a0")):
             fast = run_cli("dist", u, v, "--input", files["i3"])
             brute = run_cli("dist", u, v, "--input", files["i3"], "--oracle")
             assert fast == brute
@@ -303,6 +319,19 @@ class TestVerify:
         argv = ("verify", "--trials", "2", "--seed", "4",
                 "--properties", "distance-self-and-symmetry,comb-kl-shape")
         assert run_cli(*argv)[1] == run_cli(*argv)[1]
+
+    def test_counterexamples_are_listed(self):
+        with flipped_distance_sign():
+            code, out, _ = run_cli("verify", "--properties",
+                                   "factor-connected-nonpositive",
+                                   "--trials", "2", "--seed", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "factor-connected-nonpositive: 0 passed, 2 failed"
+        assert lines[1] == ("counterexample factor-connected-nonpositive "
+                            "(seed 1:factor-connected-nonpositive:0):")
+        assert lines[2].startswith("  f_distance(")
+        assert lines[-1] == "failures: 2"
 
     def test_empty_selection_is_a_usage_error(self):
         code, _, err = run_cli("verify", "--trials", "1", "--properties", "")

@@ -34,13 +34,15 @@ from bigraft.joins import (
     _TABLE_LIMIT,
     DistanceValue,
     JoinSet,
-    _ComponentTable,
     _CycleTable,
+    _SubsetTable,
     _bfs_tree,
+    _blossom_pairing,
+    _component_terminals,
     _cycle_space,
     _distance_tables,
-    _matched_terminal_pairs,
     _subset_dp,
+    _table_pairs,
     all_min_joins,
     extract_shortest_path,
     f_distance,
@@ -337,9 +339,9 @@ TABLE_CASES = [
 # subset DP up to _TABLE_LIMIT terminals, else None, the matching fallback.
 # Cases 7-9 sit at the mu = t boundary: t = 4 with mu = 4 and with mu = 3,
 # and t = mu = _TABLE_LIMIT.
-TABLE_KINDS = {1: _ComponentTable, 2: _ComponentTable, 3: _ComponentTable,
+TABLE_KINDS = {1: _SubsetTable, 2: _SubsetTable, 3: _SubsetTable,
                4: _CycleTable, 5: _CycleTable, 6: type(None),
-               7: _ComponentTable, 8: _CycleTable, 9: _ComponentTable}
+               7: _SubsetTable, 8: _CycleTable, 9: _SubsetTable}
 
 
 def cycle_rank(graph, comp) -> int:
@@ -466,27 +468,55 @@ class TestDistanceTable:
         assert sorted(calls) == sorted(len(comp & g.terminals)
                                        for comp in g.graph.components())
 
+    def test_a_cycle_table_component_pairs_without_a_subset_dp(self, monkeypatch):
+        """min_join reads its pairs from the component's own table, so a
+        component served by the cycle table builds no subset DP."""
+        g = random_graft(*TABLE_CASES[7])
+        calls = []
+
+        def counted(cost):
+            calls.append(len(cost))
+            return _subset_dp(cost)
+
+        monkeypatch.setattr(joins, "_subset_dp", counted)
+        F = min_join(g)
+        assert type(_distance_tables(g.graph, g.terminals)[min(g.terminals)]) is _CycleTable
+        assert F.size == min_join_bruteforce(g).size
+        assert [t for t in calls if t] == []
+
     @pytest.mark.parametrize("seed", range(60))
     def test_both_tables_agree(self, seed):
         """Where both tables apply, the subset DP and the cycle walk, which
-        share only _bfs_tree, give the same nu and the same distances."""
+        share only _bfs_tree, give the same join size of every even
+        terminal subset, the same distances and the same pairs."""
         rng = random.Random(seed)
         n = rng.randint(6, 12)
         t = rng.randrange(2, min(n, _TABLE_LIMIT) + 1, 2)
         g = random_graft(100 + seed, (n,), (t,), rng.randint(0, _TABLE_LIMIT - 1))
         graph, terms = g.graph, tuple(sorted(g.terminals))
         assert cycle_rank(graph, graph.vertices) <= _TABLE_LIMIT
-        subset, cycle = _ComponentTable(graph, terms), _CycleTable(graph, terms)
+        subset, cycle = _SubsetTable(graph, terms), _CycleTable(graph, terms)
         assert subset.nu == cycle.nu
+        for mask in range(1 << t):
+            if mask.bit_count() % 2 == 0:
+                assert subset.nu_of(mask) == cycle.nu_of(mask), mask
         for u, v in itertools.combinations(sorted(graph.vertices), 2):
             assert subset.delta(graph, u, v) == cycle.delta(graph, u, v), (u, v)
+        assert _table_pairs(graph, subset) == _table_pairs(graph, cycle)
 
 
 def pairing_nu(graph, terminals) -> int:
-    """nu as the sum of the matched pairs' BFS distances: the pairing side
-    of the engine, which shares no code with the cycle table."""
-    return sum(_bfs_tree(graph, u)[0][v]
-               for u, v in _matched_terminal_pairs(graph, terminals))
+    """nu as the sum of matched pairs' BFS distances, each component paired
+    by a subset table built here or by blossom: the pairing side of the
+    engine, which never builds or reads a cycle table."""
+    total = 0
+    for _, terms in _component_terminals(graph, terminals):
+        if len(terms) > _TABLE_LIMIT:
+            pairs = _blossom_pairing(graph, terms)
+        else:
+            pairs = _table_pairs(graph, _SubsetTable(graph, terms))
+        total += sum(_bfs_tree(graph, u)[0][v] for u, v in pairs)
+    return total
 
 
 def many_terminal_quasicombs(count: int = 12) -> list:

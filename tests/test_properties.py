@@ -11,11 +11,13 @@ from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_from_document
 from bigraft.generators import GenConfig, gen_random_comb, gen_random_graft
-from bigraft.joins import flipped_distance_sign
+from bigraft.instances import c4
+from bigraft.joins import all_min_joins, f_weight, flipped_distance_sign
 from bigraft.properties import (
     PROPERTIES,
     Certificate,
     SuiteReport,
+    _check_zero_circuits,
     property_names,
     run_property_suite,
     suite_report_document,
@@ -139,6 +141,19 @@ class TestDetection:
                     rejected += 1
                 accepted += connected
             assert rejected > 1000 and accepted > 50
+
+    def test_zero_circuit_toggle_on_the_four_cycle(self, monkeypatch):
+        """c4's terminals are opposite, so its 4-circuit weighs 0 under
+        either minimum join and toggling it gives the other one."""
+        g = c4()
+        cycle = [e.id for e in g.graph.edges]
+        assert [f_weight(F, cycle) for F in all_min_joins(g)] == [0, 0]
+        assert _check_zero_circuits(g, random.Random(0)) == ()
+        monkeypatch.setattr("bigraft.properties.is_minimum_join",
+                            lambda g, F: False)
+        (line,) = _check_zero_circuits(g, random.Random(0))
+        assert line.startswith("toggling the weight-zero circuit")
+        assert line.endswith("did not yield a minimum join")
 
     def test_maker_exhaustion_becomes_a_certificate(self):
         packed = GenConfig(seed=3, vertices=(9, 9), edge_density=1.0,
