@@ -80,18 +80,14 @@ def classify_comb(g: OrderedBipartiteGraft) -> CombClassification:
 
 
 def is_f_balanced(g: OrderedBipartiteGraft, F, walk) -> bool:
-    """Whether the counted tooth vertices each touch exactly one F-edge.
-
-    Counted vertices: internal vertices for a path, all vertices for a
-    circuit, and for an EarStep the inner vertices of its walk (all but the
-    first and last), so a straight ear's free end is not counted.
-    """
+    """Whether the counted tooth vertices each touch exactly one F-edge:
+    internal ones for a path, all for a circuit, and for an EarStep its
+    walk's vertices other than the bonds and a straight ear's free end."""
     _require_bipartite(g)
     fset = _edge_id_set(F)
     if isinstance(walk, EarStep):
-        degrees = _f_degrees(fset, walk.walk)
-        return all(degrees[v] == 1
-                   for v in walk.walk.vertices[1:-1] if v in g.tooth)
+        return walk_report(fset, walk.walk,
+                           g.tooth - frozenset(walk.bonds)).balanced
     walk.validate(g.graph)
     return walk_report(fset, walk, g.tooth).balanced
 
@@ -326,9 +322,16 @@ def validate_ear_step(base: OrderedBipartiteGraft,
 # Decompositions: build and verify.
 # ---------------------------------------------------------------------------
 
+def bare_root(root) -> OrderedBipartiteGraft:
+    """The graft every ear growth starts from: the root alone, on the tooth side."""
+    return OrderedBipartiteGraft(Multigraph(frozenset({root}), ()),
+                                 frozenset(), frozenset(), frozenset({root}))
+
+
 @dataclass(frozen=True)
 class GraftEarDecomposition:
-    """An ordered ear growth from a single root toward a target graft."""
+    """An ordered ear growth from a single root toward a target graft; the
+    one place that sums ear steps, each at most once (see ``prefixes``)."""
 
     root: object
     steps: tuple[EarStep, ...]
@@ -337,24 +340,24 @@ class GraftEarDecomposition:
     def __post_init__(self):
         if self.root not in self.target.graph.vertices:
             raise GraftInputError(f"root {self.root!r} is not a target vertex")
-
-    def initial(self) -> OrderedBipartiteGraft:
-        return OrderedBipartiteGraft(
-            Multigraph(frozenset({self.root}), ()), frozenset(),
-            frozenset(), frozenset({self.root}))
+        object.__setattr__(self, "_prefixes", {})
 
     def replay(self) -> OrderedBipartiteGraft:
         """The graft after the last step; the bare root when there is none."""
-        g = None
+        g = bare_root(self.root)
         for g in self.prefixes():
             pass
-        return self.initial() if g is None else g
+        return g
 
     def prefixes(self) -> Iterator[OrderedBipartiteGraft]:
-        """Yield the graft after each step."""
-        g = self.initial()
-        for step in self.steps:
-            g = graft_sum(g, step.as_graft())
+        """Yield the graft after each step.  Sums are kept on the instance,
+        off the dataclass fields, and made lazily, so a malformed chain still
+        yields up to its bad step; racing threads read the one sum kept."""
+        g = bare_root(self.root)
+        for i, step in enumerate(self.steps):
+            if i not in self._prefixes:
+                self._prefixes.setdefault(i, graft_sum(g, step.as_graft()))
+            g = self._prefixes[i]
             yield g
 
 
@@ -517,11 +520,13 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
                                    F=None) -> VerificationReport:
     """Replay the decomposition and judge it.
 
-    Fatal: malformed steps, a replay that stops being a critical quasicomb
-    for the root after some step, or a final graft differing from the
-    target.  Tolerated with a warning: tooth-terminal placement and
-    effectiveness violations, provided criticality survives.  With F given,
-    each step's share of F must be a minimum join of the step graft.
+    Each step is checked against the prefix before it, then ``d.prefixes()``
+    advances, reusing any prefix an earlier reader summed.  Fatal: malformed
+    steps, a replay that stops being a critical quasicomb for the root after
+    some step, or a final graft differing from the target.  Tolerated with a
+    warning: tooth-terminal placement and effectiveness violations, provided
+    criticality survives.  With F given, each step's share of F must be a
+    minimum join of the step graft.
     """
     problems: list[str] = []
     warnings: list[str] = []
@@ -542,31 +547,26 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
     if d.root not in target.tooth:
         problems.append(f"root {d.root!r} is not on the target's tooth side")
 
-    current = d.initial()
-    replay_ok = True
+    current = bare_root(d.root)
+    chain = d.prefixes()
     for idx, step in enumerate(d.steps):
         _, violations = validate_ear_step(current, step)
-        fatal = [v for v in violations if v.fatal]
-        prefix_critical = None
-        step_join_minimum = None
+        fatal = [f"step {idx}: {v.message}" for v in violations if v.fatal]
+        if not fatal:
+            try:
+                current = next(chain)
+            except BigraftError as exc:
+                fatal = [f"step {idx}: replay failed: {exc}"]
         if fatal:
-            problems.extend(f"step {idx}: {v.message}" for v in fatal)
+            problems.extend(fatal)
             checks.append(StepCheck(idx, violations, None, None))
-            replay_ok = False
-            break
-        try:
-            current = graft_sum(current, step.as_graft())
-        except BigraftError as exc:
-            problems.append(f"step {idx}: replay failed: {exc}")
-            checks.append(StepCheck(idx, violations, None, None))
-            replay_ok = False
             break
         prefix_critical = _prefix_critical(current, d.root, idx, problems)
+        step_join_minimum = None
         if fset is not None:
             share = fset & step.edge_ids
-            step_graft = step.as_graft()
             try:
-                step_join_minimum = is_minimum_join(step_graft, share)
+                step_join_minimum = is_minimum_join(step.as_graft(), share)
             except PreconditionError:
                 step_join_minimum = False
             if not step_join_minimum:
@@ -581,9 +581,9 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
             else:
                 problems.extend(f"step {idx}: {v.message}" for v in nonfatal)
         checks.append(StepCheck(idx, violations, prefix_critical, step_join_minimum))
-
-    if replay_ok and current != target:
-        problems.append("the replayed graft differs from the target")
+    else:
+        if current != target:
+            problems.append("the replayed graft differs from the target")
 
     return VerificationReport(not problems, tuple(checks),
                               tuple(problems), tuple(warnings))

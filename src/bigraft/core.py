@@ -196,10 +196,6 @@ class Graft:
                     "terminal-parity",
                     f"component {sorted_vertices(comp)!r} holds an odd number of terminals")
 
-    @property
-    def vertices(self) -> frozenset:
-        return self.graph.vertices
-
 
 @dataclass(frozen=True)
 class OrderedBipartiteGraft(Graft):

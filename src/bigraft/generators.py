@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .combs import EarStep, GraftEarDecomposition, validate_ear_step
+from .combs import EarStep, GraftEarDecomposition, bare_root, validate_ear_step
 from .core import (
     CapacityError,
     Graft,
@@ -283,9 +283,7 @@ def gen_random_critical_quasicomb(
     rng = rng or cfg.rng()
     goal = rng.randint(*cfg.vertices)
     fresh = itertools.count(1)
-    current = OrderedBipartiteGraft(Multigraph(frozenset({root}), ()),
-                                    frozenset(), frozenset(),
-                                    frozenset({root}))
+    current = bare_root(root)
     steps: list[EarStep] = []
     fset: set = set()
     while len(current.graph.vertices) < goal or not steps:

@@ -356,7 +356,7 @@ def _check_factor_connected_nonpositive(g, rng):
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
             d = f_distance_int(g, u, v)
-            if d is None or d > 0:
+            if d > 0:
                 out.append(f"f_distance({u!r}, {v!r}) = {d!r} is positive")
     return tuple(out)
 

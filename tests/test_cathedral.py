@@ -419,6 +419,17 @@ class TestUnionCriticality:
             union_criticality_check(g, "a1", "a1", "a1",
                                     g.graph.vertices, {"a1", "b1"})
 
+    def test_uncovering_x_reported(self):
+        with pytest.raises(PreconditionError, match="X does not cover"):
+            union_criticality_check(chain4(), "a0", "a1", "a1",
+                                    {"a0", "b0"}, {"a1", "b1"})
+
+    def test_bad_y_reported(self):
+        g = chain4()
+        with pytest.raises(PreconditionError, match="Y is not"):
+            union_criticality_check(g, "a0", "a1", "a1",
+                                    g.graph.vertices, g.graph.vertices)
+
     def test_uncovering_y_reported(self):
         th = handled_theta()
         cycle = frozenset({"v1", "v2", "v3", "v4"})
@@ -455,6 +466,11 @@ class TestUpperBound:
 
 
 class TestRoundEarBond:
+    def test_ear_of_another_type_rejected(self):
+        g = chain4()
+        with pytest.raises(PreconditionError, match="EarStep or a Walk"):
+            round_ear_bond_check(g, min_join(g), "a0", ("b0", "a1"))
+
     def test_theta_handle(self):
         th = handled_theta()
         ear = Walk(("v2", "x", "w", "y", "v4"), ("h1", "hf", "h2", "h3"))

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -332,6 +333,22 @@ class TestVerify:
                             "(seed 1:factor-connected-nonpositive:0):")
         assert lines[2].startswith("  f_distance(")
         assert lines[-1] == "failures: 2"
+
+    def test_decomposition_counterexample_carries_its_target(self):
+        """A critical-quasicomb bundle is certified by its target graft,
+        which replays as an ordinary analyze input."""
+        from bigraft.properties import _MAKERS
+        with flipped_distance_sign():
+            code, out, _ = run_cli("verify", "--properties",
+                                   "ear-composition-critical", "--trials", "1",
+                                   "--seed", "1", "--format", "json")
+        assert code == 1
+        cert, = json.loads(out)["certificates"]
+        assert cert["seed"] == "1:ear-composition-critical:0"
+        d, _ = _MAKERS["critical-quasicomb"](
+            GenConfig(seed=1), random.Random(cert["seed"]))
+        assert cert["instance"] == graft_document(d.target)
+        assert run_cli("analyze", stdin=json.dumps(cert["instance"]))[0] == 0
 
     def test_empty_selection_is_a_usage_error(self):
         code, _, err = run_cli("verify", "--trials", "1", "--properties", "")

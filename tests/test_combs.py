@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -14,6 +15,7 @@ from bigraft.core import (
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    graft_sum,
 )
 from bigraft.combs import (
     CombClassification,
@@ -616,6 +618,76 @@ class TestVerifier:
     def test_root_must_be_target_vertex(self):
         with pytest.raises(GraftInputError):
             GraftEarDecomposition("zz", (), p3r())
+
+    def test_other_target_join_that_splits_badly_over_steps(self):
+        """{e6, e9} is a minimum join of the target, but its share of
+        step 1 is not a minimum join of that step."""
+        d, _ = gen_random_critical_quasicomb(GenConfig(seed=7, vertices=(3, 7)))
+        report = verify_graft_ear_decomposition(d, {"e6", "e9"})
+        assert not report.valid
+        assert report.step_checks[1].step_join_minimum is False
+        assert ("step 1: the join share ['e6'] is not a minimum join of the "
+                "step") in report.problems
+
+    def test_prefix_that_is_not_a_quasicomb(self):
+        """A circuit ear whose inner tooth vertex is no terminal: the
+        replayed prefix is not even a quasicomb."""
+        step = EarStep(Walk(("r", "a1", "b1", "a2", "r"),
+                            ("e1", "e2", "e3", "e4")),
+                       ("r",), frozenset({"a1", "a2"}),
+                       frozenset({"a1", "a2"}), frozenset({"r", "b1"}))
+        report = verify_graft_ear_decomposition(
+            GraftEarDecomposition("r", (step,), step.as_graft()))
+        assert not report.valid
+        assert report.problems == (
+            "step 0: replayed prefix is not checkable: criticality is "
+            "defined for quasicombs only",
+            "step 0: internal tooth vertex 'b1' is not a step terminal")
+        assert report.step_checks[0].prefix_critical is False
+
+
+class TestPrefixChain:
+    """A decomposition sums each of its steps once, whoever reads it."""
+
+    def test_build_and_verify_sum_each_step_once(self, monkeypatch):
+        real = graft_sum
+        calls = []
+
+        def counted(g1, g2):
+            calls.append(g2)
+            return real(g1, g2)
+
+        monkeypatch.setattr("bigraft.combs.graft_sum", counted)
+        for seed in range(6):
+            d, F = gen_random_critical_quasicomb(
+                GenConfig(seed=seed, vertices=(6, 12)))
+            calls.clear()
+            built = build_graft_ear_decomposition(d.target, d.root, F)
+            assert verify_graft_ear_decomposition(built, F).valid
+            assert len(calls) == len(built.steps)
+            assert built.replay() == d.target
+            assert len(calls) == len(built.steps)
+
+    def test_chain_is_not_a_field(self):
+        g = square()
+        d = build_graft_ear_decomposition(g, "r", min_join(g))
+        assert verify_graft_ear_decomposition(d).valid
+        fresh = GraftEarDecomposition("r", d.steps, g)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert [f.name for f in fields(d)] == ["root", "steps", "target"]
+
+    def test_malformed_chain_yields_up_to_its_bad_step(self):
+        g = p3r()
+        first = build_graft_ear_decomposition(g, "r", min_join(g)).steps[0]
+        flipped = EarStep(Walk(("x", "a1"), ("d",)), ("a1",), frozenset(),
+                          frozenset({"x"}), frozenset({"a1"}))
+        d = GraftEarDecomposition("r", (first, flipped), g)
+        chain = d.prefixes()
+        assert next(chain) == first.as_graft()
+        with pytest.raises(PreconditionError, match="change sides"):
+            next(chain)
+        with pytest.raises(PreconditionError, match="change sides"):
+            d.replay()
 
 
 class TestRootedDistances:

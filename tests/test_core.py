@@ -265,6 +265,68 @@ def _drain(walks):
     return out
 
 
+class TestInputErrors:
+    """Each malformed id, set or walk the data model rejects, by type and
+    message."""
+
+    def test_edge_other_needs_an_end(self):
+        with pytest.raises(GraftInputError, match="not an end of edge"):
+            Edge("e", "a", "b").other("c")
+
+    @pytest.mark.parametrize("vertex", [1.5, True, None])
+    def test_vertex_ids_are_str_or_int(self, vertex):
+        with pytest.raises(GraftInputError, match="must be str or int"):
+            Multigraph(frozenset({vertex}), ())
+
+    def test_edge_ids_are_strings(self):
+        with pytest.raises(GraftInputError, match="must be a string"):
+            Multigraph.build(["a", "b"], [(7, "a", "b")])
+
+    def test_unknown_vertex_ids(self):
+        g = chain4()
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            g.graph.component_of("zz")
+        with pytest.raises(GraftInputError, match=r"unknown vertex ids \['zz'\]"):
+            g.graph.induced({"a0", "zz"})
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            g.side_of("zz")
+        with pytest.raises(GraftInputError, match=r"\['zz'\] are not vertices"):
+            validate_graft(g.graph, {"a0", "zz"})
+        with pytest.raises(GraftInputError, match=r"unknown vertex ids \['zz'\]"):
+            induced_subgraft(g, {"zz"}, [frozenset({"a0", "b0"})])
+
+    def test_bipartition_names_unknown_vertices(self):
+        g = Multigraph.build(["x", "y"], [("e", "x", "y")])
+        with pytest.raises(GraftInputError, match="bipartition names unknown"):
+            build_bipartite_graft(g, [], spine=["x", "zz"], tooth=["y"])
+
+    def test_contract_needs_known_nonempty_set(self):
+        with pytest.raises(PreconditionError, match="empty vertex set"):
+            contract_graft(chain4(), set())
+        with pytest.raises(GraftInputError, match="unknown vertex ids"):
+            contract_graft(chain4(), {"a0", "zz"})
+
+    def test_malformed_walks(self):
+        bundle = Multigraph.build(
+            ["a", "b"], [(f"p{i}", "a", "b") for i in range(4)])
+        with pytest.raises(GraftInputError, match="repeats an edge"):
+            Walk(("a", "b", "a"), ("p0", "p0")).validate(bundle)
+        with pytest.raises(GraftInputError, match="circuit repeats a vertex"):
+            Walk(("a", "b", "a", "b", "a"),
+                 ("p0", "p1", "p2", "p3")).validate(bundle)
+        with pytest.raises(GraftInputError, match="path repeats a vertex"):
+            Walk(("a", "b", "a", "b"), ("p0", "p1", "p2")).validate(bundle)
+        with pytest.raises(PreconditionError, match="expected a circuit"):
+            Walk(("a", "b"), ("p0",)).validate(bundle, require="circuit")
+
+    def test_simple_paths_need_known_ends(self):
+        g = c4().graph
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            list(simple_paths(g, "zz"))
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            list(simple_paths(g, "v1", "zz"))
+
+
 class TestWalkOrderOracle:
     def test_paths_match_the_recursive_order(self):
         for g in _walk_corpus():

@@ -1,5 +1,6 @@
 """Every name a package module imports is read in that module, and every
-module-level function or class of the package is referenced somewhere.
+module-level function or class of the package, and each method or
+property of such a class, is referenced somewhere.
 
 The repository runs no linter, so these are the guards against imports and
 definitions left behind when code moves.  ``__init__.py`` is skipped by the
@@ -58,6 +59,19 @@ def referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
+def definitions(module: ast.Module):
+    """Each module-level function and class, as (label, node), and each
+    non-dunder method or property of such a class."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreferenced_definitions() -> list[str]:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
@@ -65,12 +79,11 @@ def unreferenced_definitions() -> list[str]:
                               Counter())
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                # A reference inside its own body (recursion) does not count.
-                outside = everywhere[node.name] - referenced_names(node)[node.name]
-                if outside == 0:
-                    unused.append(f"{path.name}:{node.name}")
+        for label, node in definitions(trees[path]):
+            # A reference inside its own body (recursion) does not count.
+            outside = everywhere[node.name] - referenced_names(node)[node.name]
+            if outside == 0:
+                unused.append(f"{path.name}:{label}")
     return unused
 
 
