@@ -38,7 +38,7 @@ from .decomposition import (
 from .joins import _edge_id_set, f_distance_int
 
 
-_DEFAULT_COMPONENT_LIMIT = 12
+_COMPONENT_LIMIT = 12
 
 
 def _require_comb(g) -> FactorComponentSet:
@@ -124,19 +124,18 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
                                         report.table)
 
 
-def enumerate_critical_sets(comb: OrderedBipartiteGraft, component_id,
-                            max_components: int = _DEFAULT_COMPONENT_LIMIT
-                            ) -> tuple[frozenset, ...]:
+def enumerate_critical_sets(comb: OrderedBipartiteGraft,
+                            component_id) -> tuple[frozenset, ...]:
     """All critical sets for the component, smallest first.
 
     Candidates are the unions of factor components that include the base
-    one, so the search is exponential in the component count; instances
-    beyond ``max_components`` components are refused.
+    one, so the search is exponential in the component count; a comb with
+    more than 12 factor components is refused with CapacityError.
     """
     comps = _require_comb(comb)
-    if len(comps) > max_components:
+    if len(comps) > _COMPONENT_LIMIT:
         raise CapacityError(
-            f"{len(comps)} factor components exceed the limit of {max_components}")
+            f"{len(comps)} factor components exceed the limit of {_COMPONENT_LIMIT}")
     g0 = comps.by_id(component_id)
     others = [c for c in comps if c.id != g0.id]
     found: list[frozenset] = []
@@ -164,12 +163,13 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
     ``enumerate_critical_sets`` in tests/test_cathedral.py.
     """
     top = comps.by_id(cid).vertices
+    near = {comp.id: {e.other(v) for v in comp.vertices
+                      for e in comb.graph.incident(v)} for comp in comps}
     grown = True
     while grown:
         grown = False
         for comp in comps:
-            near = {e.other(v) for v in comp.vertices for e in comb.graph.incident(v)}
-            if comp.vertices <= top or not near & top:
+            if comp.vertices <= top or not near[comp.id] & top:
                 continue
             candidate = top | comp.vertices
             if is_critical_set(comb, cid, candidate)[0]:

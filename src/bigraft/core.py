@@ -255,32 +255,6 @@ def build_bipartite_graft(graph: Multigraph, terminals: Iterable[VertexId],
                                  frozenset(spine), frozenset(tooth))
 
 
-def induced_subgraft(g: OrderedBipartiteGraft, X: Iterable[VertexId],
-                     separating_witness: Iterable[frozenset]) -> OrderedBipartiteGraft:
-    """Restrict ``g`` to a separating vertex set ``X``.
-
-    ``separating_witness`` lists the factor-component vertex sets of ``g``;
-    ``X`` must be the union of some of them, which is what makes the
-    restriction inherit minimum joins.
-    """
-    keep = frozenset(X)
-    missing = keep - g.graph.vertices
-    if missing:
-        raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
-    covered: set = set()
-    for comp in separating_witness:
-        if comp & keep:
-            if not comp <= keep:
-                raise PreconditionError(
-                    f"{sorted_vertices(keep)!r} cuts a factor component; not separating")
-            covered |= comp
-    if covered != keep:
-        raise PreconditionError(
-            f"{sorted_vertices(keep)!r} is not a union of factor components")
-    return OrderedBipartiteGraft(g.graph.induced(keep), g.terminals & keep,
-                                 g.spine & keep, g.tooth & keep)
-
-
 def contract_graft(g: Graft, X: Iterable[VertexId],
                    contracted_id: VertexId | None = None) -> tuple[Graft, VertexId]:
     """Collapse ``X`` to one vertex, keeping parallel edges, dropping inner ones.
@@ -382,8 +356,6 @@ class Walk:
         if self.closed:
             if len(set(vs[:-1])) != len(vs) - 1:
                 raise GraftInputError("circuit repeats a vertex")
-            if len(eids) < 2:
-                raise GraftInputError("a circuit needs at least two edges")
             if require == "path":
                 raise PreconditionError("expected a path, got a circuit")
         else:

@@ -16,6 +16,8 @@ from .core import (
     GraftInputError,
     InternalConsistencyError,
     Multigraph,
+    OrderedBipartiteGraft,
+    PreconditionError,
     cached_on_graph,
     sorted_vertices,
     vertex_key,
@@ -136,6 +138,26 @@ def is_separating(g: Graft, X: Iterable) -> tuple[bool, tuple]:
     if cut:
         return False, tuple(cut)
     return True, tuple(inside)
+
+
+def induced_subgraft(g: Graft, X: Iterable) -> Graft:
+    """Restrict ``g`` to a separating vertex set ``X``.
+
+    X must be a union of factor components, which is what makes the
+    restriction a graft that inherits minimum joins.  The result is a graft
+    of the same kind: an ordered bipartite graft keeps spine ∩ X and
+    tooth ∩ X.
+    """
+    xs = frozenset(X)
+    separating, cut = is_separating(g, xs)
+    if not separating:
+        raise PreconditionError(
+            f"{sorted_vertices(xs)!r} is not separating: it cuts the factor "
+            f"components {list(cut)!r}")
+    graph, terminals = g.graph.induced(xs), g.terminals & xs
+    if isinstance(g, OrderedBipartiteGraft):
+        return OrderedBipartiteGraft(graph, terminals, g.spine & xs, g.tooth & xs)
+    return Graft(graph, terminals)
 
 
 @dataclass(frozen=True)

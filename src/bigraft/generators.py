@@ -1,10 +1,11 @@
 """Seeded random instances: grafts, combs, and ear-grown critical quasicombs.
 
 All sampling runs on ``random.Random`` (Mersenne Twister) seeded explicitly,
-so a config reproduces its instances byte for byte on any platform.  Combs
-come out of rejection sampling against ``is_minimum_join``; critical
-quasicombs are grown forward by composing random proper ear steps, which by
-the characterization theorem cannot produce anything else.
+so a config reproduces its instances byte for byte on any platform.  A comb
+takes one draw: every tooth vertex owns exactly one join edge, which makes
+that join minimum.  Critical quasicombs are grown forward by composing
+random proper ear steps, which by the characterization theorem cannot
+produce anything else.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     odd_degree_vertices,
     sorted_vertices,
 )
-from .joins import is_minimum_join
 
 _MODES = ("graft", "comb", "critical-quasicomb")
 
@@ -41,7 +41,8 @@ class GenConfig:
 
     ``vertices`` is an inclusive count range up to _MAX_VERTICES, the
     densities are per-slot probabilities in [0, 1], and ``budget`` bounds
-    rejection loops.
+    the ear steps of a grown critical quasicomb and the draws of the
+    property suite's instance makers.
     """
 
     seed: int = 0
@@ -71,10 +72,10 @@ class GenConfig:
         return random.Random(self.seed)
 
 
-def _sample_edges(rng: random.Random, pairs, density: float, start: int = 0):
+def _sample_edges(rng: random.Random, pairs, density: float):
     """One coin per vertex pair, plus a rarer coin for a parallel twin."""
     edges = []
-    counter = itertools.count(start)
+    counter = itertools.count()
     for u, v in pairs:
         if rng.random() < density:
             edges.append((f"e{next(counter)}", u, v))
@@ -104,41 +105,35 @@ def gen_random_graft(cfg: GenConfig, rng: random.Random | None = None) -> Graft:
 
 def gen_random_comb(cfg: GenConfig,
                     rng: random.Random | None = None) -> OrderedBipartiteGraft:
-    """Rejection-sample a comb.
+    """A random comb, in one draw.
 
-    Each attempt draws a bipartite graph, gives every tooth vertex one
-    incident join edge, and declares the terminals to be the odd-degree
-    vertices of those edges: the tooth side plus the spine vertices of odd
-    join degree.  The sample is kept only if that edge set is confirmed to
-    be a minimum join, which pins the join size to the tooth count.
+    The draw is a bipartite graph in which every tooth vertex gets one
+    incident join edge; the terminals are the odd-degree vertices of those
+    edges: the tooth side plus the spine vertices of odd join degree.  Each
+    edge meets one tooth vertex, so every join has at least one edge per
+    tooth vertex: the drawn join is minimum, with as many edges as teeth.
     """
     rng = rng or cfg.rng()
-    for _ in range(cfg.budget):
-        n = max(2, rng.randint(*cfg.vertices))
-        a_count = rng.randint(1, n - 1)
-        spine = [f"a{i}" for i in range(a_count)]
-        tooth = [f"b{i}" for i in range(n - a_count)]
-        edges = _sample_edges(rng, [(a, b) for a in spine for b in tooth],
-                              cfg.edge_density)
-        counter = itertools.count(len(edges))
-        owned: dict = {b: [] for b in tooth}
-        for eid, _, b in edges:
+    n = max(2, rng.randint(*cfg.vertices))
+    a_count = rng.randint(1, n - 1)
+    spine = [f"a{i}" for i in range(a_count)]
+    tooth = [f"b{i}" for i in range(n - a_count)]
+    edges = _sample_edges(rng, [(a, b) for a in spine for b in tooth],
+                          cfg.edge_density)
+    counter = itertools.count(len(edges))
+    owned: dict = {b: [] for b in tooth}
+    for eid, _, b in edges:
+        owned[b].append(eid)
+    for b in tooth:
+        if not owned[b]:
+            eid = f"e{next(counter)}"
+            edges.append((eid, spine[rng.randrange(a_count)], b))
             owned[b].append(eid)
-        for b in tooth:
-            if not owned[b]:
-                eid = f"e{next(counter)}"
-                edges.append((eid, spine[rng.randrange(a_count)], b))
-                owned[b].append(eid)
-        fset = frozenset(rng.choice(owned[b]) for b in tooth)
-        graph = Multigraph.build(spine + tooth, edges)
-        terminals = odd_degree_vertices(
-            (a, b) for eid, a, b in edges if eid in fset)
-        g = OrderedBipartiteGraft(graph, terminals,
-                                  frozenset(spine), frozenset(tooth))
-        if is_minimum_join(g, fset):
-            return g
-    raise CapacityError(
-        f"comb sampling accepted 0 of {cfg.budget} attempts")
+    fset = frozenset(rng.choice(owned[b]) for b in tooth)
+    terminals = odd_degree_vertices(
+        (a, b) for eid, a, b in edges if eid in fset)
+    return OrderedBipartiteGraft(Multigraph.build(spine + tooth, edges),
+                                 terminals, frozenset(spine), frozenset(tooth))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +268,9 @@ def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
 
 
 def gen_random_critical_quasicomb(
-        cfg: GenConfig, rng: random.Random | None = None,
-        root="r") -> tuple[GraftEarDecomposition, frozenset]:
-    """Grow a critical quasicomb from a bare root by random ear steps.
+        cfg: GenConfig,
+        rng: random.Random | None = None) -> tuple[GraftEarDecomposition, frozenset]:
+    """Grow a critical quasicomb from the bare root ``r`` by random ear steps.
 
     Returns the recorded decomposition and the accumulated join, which is
     minimum for the target by the per-tooth ownership bound.
@@ -283,7 +278,7 @@ def gen_random_critical_quasicomb(
     rng = rng or cfg.rng()
     goal = rng.randint(*cfg.vertices)
     fresh = itertools.count(1)
-    current = bare_root(root)
+    current = bare_root("r")
     steps: list[EarStep] = []
     fset: set = set()
     while len(current.graph.vertices) < goal or not steps:
@@ -293,13 +288,13 @@ def gen_random_critical_quasicomb(
         current = graft_sum(current, step.as_graft())
         steps.append(step)
         fset |= share
-    return GraftEarDecomposition(root, tuple(steps), current), frozenset(fset)
+    return GraftEarDecomposition("r", tuple(steps), current), frozenset(fset)
 
 
-def generate(cfg: GenConfig, rng: random.Random | None = None):
+def generate(cfg: GenConfig):
     """Dispatch on ``cfg.mode``; the common entry point for the CLI."""
     if cfg.mode == "graft":
-        return gen_random_graft(cfg, rng)
+        return gen_random_graft(cfg)
     if cfg.mode == "comb":
-        return gen_random_comb(cfg, rng)
-    return gen_random_critical_quasicomb(cfg, rng)
+        return gen_random_comb(cfg)
+    return gen_random_critical_quasicomb(cfg)

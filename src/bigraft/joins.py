@@ -395,13 +395,13 @@ def is_minimum_join(g: Graft, F) -> bool:
     return js.size == _nu(g.graph, g.terminals)
 
 
-def negative_circuit_witness(g: Graft, F, max_edges: int | None = None) -> WeightedWalkReport | None:
-    """A negative-F-weight circuit, or None when no circuit within the edge
-    bound is negative.  A witness certifies that F is not minimum; with no
-    bound, None certifies minimality.  Exponential; keep instances small."""
+def negative_circuit_witness(g: Graft, F) -> WeightedWalkReport | None:
+    """A circuit of negative F-weight, or None when there is none.  For a
+    join F, a witness certifies that F is not minimum and None that it is.
+    Every simple circuit is tried, so keep instances small."""
     fset = _edge_id_set(F)
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None
-    for circuit in simple_circuits(g.graph, max_edges=max_edges):
+    for circuit in simple_circuits(g.graph):
         w = f_weight(fset, circuit.edge_ids)
         if w < 0:
             return walk_report(fset, circuit, tooth)

@@ -30,14 +30,12 @@ from .combs import (
 from .core import (
     BigraftError,
     CapacityError,
-    Graft,
     GraftInputError,
     InternalConsistencyError,
     Multigraph,
     OrderedBipartiteGraft,
     contract_graft,
     graft_sum,
-    induced_subgraft,
     is_join,
     simple_circuits,
     simple_paths,
@@ -46,6 +44,7 @@ from .core import (
 )
 from .decomposition import (
     factor_components,
+    induced_subgraft,
     kl_classes_of_component,
     kl_partition,
 )
@@ -169,14 +168,10 @@ def _largest_factor_part(g):
     """Restrict a draw to its largest factor component X.
 
     X is separating, so the restriction inherits minimum joins and is
-    factor-connected; a comb keeps spine ∩ X and tooth ∩ X.
+    factor-connected.
     """
-    comps = factor_components(g)
-    X = max((c.vertices for c in comps), key=len)
-    if isinstance(g, OrderedBipartiteGraft):
-        part = induced_subgraft(g, X, [c.vertices for c in comps])
-    else:
-        part = Graft(g.graph.induced(X), g.terminals & X)
+    X = max(factor_components(g).vertex_sets(), key=len)
+    part = induced_subgraft(g, X)
     if len(factor_components(part)) != 1:
         raise InternalConsistencyError(
             f"the factor component {sorted_vertices(X)!r} of a draw is not "
@@ -313,7 +308,7 @@ def _check_contraction_keeps_joins(g, rng):
 def _check_induced_share(g, rng):
     comps = factor_components(g)
     X = _component_union(rng, comps)
-    inner = induced_subgraft(g, X, comps.vertex_sets())
+    inner = induced_subgraft(g, X)
     share = min_join(g).edge_ids & inner.graph.edge_ids()
     if not is_join(inner, share):
         return (f"the minimum-join share inside {sorted_vertices(X)!r} "

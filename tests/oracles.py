@@ -6,14 +6,16 @@ joins and simple-path/circuit sweeps for distances.  The scan
 cycle table reads too; the sweeps share no logic with the backends under
 test.  The recursive path and circuit
 sweeps are also the order oracle for the explicit-stack ones in
-``bigraft.core``.
+``bigraft.core``.  ``chain_comb`` is the one fixture two suites share.
 """
 
 from bigraft.core import (
     CapacityError,
     Graft,
     GraftInputError,
+    Multigraph,
     Walk,
+    build_bipartite_graft,
     sorted_vertices,
 )
 from bigraft.joins import all_min_joins, f_weight
@@ -116,3 +118,14 @@ def has_multiple_min_joins(g: Graft, max_edges: int = 22) -> bool:
         return len(all_min_joins(g, max_edges=max_edges)) > 1
     except CapacityError:
         return False
+
+
+def chain_comb(k):
+    """Path a0-b0-a1-b1-...-b(k-1) with every vertex terminal: k factor
+    components {ai, bi}, ordered in a chain."""
+    spine = [f"a{i}" for i in range(k)]
+    tooth = [f"b{i}" for i in range(k)]
+    edges = [(f"e{i}", f"a{i}", f"b{i}") for i in range(k)]
+    edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
+    g = Multigraph.build(spine + tooth, edges)
+    return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)

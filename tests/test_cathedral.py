@@ -35,7 +35,7 @@ from bigraft.generators import GenConfig, gen_random_comb
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import min_join
 
-from oracles import brute_distance
+from oracles import brute_distance, chain_comb
 
 
 def obg(vertices, edges, terminals, spine, tooth):
@@ -159,8 +159,9 @@ class TestEnumerate:
         assert [set(x) for x in enumerate_critical_sets(th, "y")] == [{"y"}]
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            enumerate_critical_sets(chain4(), "a0", max_components=1)
+        assert len(enumerate_critical_sets(chain_comb(12), "a0")) == 12
+        with pytest.raises(CapacityError, match="13 factor components exceed the limit of 12"):
+            enumerate_critical_sets(chain_comb(13), "a0")
 
     def test_members_cover_their_witnesses(self):
         th = handled_theta()

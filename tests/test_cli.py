@@ -18,8 +18,6 @@ from bigraft.cli import _build_parser, cli_main
 from bigraft.core import (
     BigraftError,
     InternalConsistencyError,
-    Multigraph,
-    build_bipartite_graft,
 )
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, serialize_graft
@@ -32,6 +30,8 @@ from bigraft.generators import (
 )
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import flipped_distance_sign
+
+from oracles import chain_comb
 
 
 def run_cli(*argv, stdin=""):
@@ -73,17 +73,6 @@ def files(tmp_path):
     deep.write_text(serialize_graft(comb_path(100)))
     paths["path100"] = str(deep)
     return paths
-
-
-def chain_comb(k):
-    """Path a0-b0-a1-b1-...-b(k-1) with every vertex terminal: k factor
-    components {ai, bi}, ordered in a chain."""
-    spine = [f"a{i}" for i in range(k)]
-    tooth = [f"b{i}" for i in range(k)]
-    edges = [(f"e{i}", f"a{i}", f"b{i}") for i in range(k)]
-    edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
-    g = Multigraph.build(spine + tooth, edges)
-    return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)
 
 
 class TestExitCodes:

@@ -149,9 +149,9 @@ class TestMidvertex:
             midvertex(g, {"e0", "e1"}, Walk(("a0", "b0"), ("e0",)))
 
     def test_weight_must_be_zero(self):
-        g = chain4()
-        with pytest.raises(PreconditionError):
-            midvertex(g, {"e0", "e1"}, Walk(("b0", "a0"), ("e0",)))
+        g = square()
+        with pytest.raises(PreconditionError, match="must have F-weight zero"):
+            midvertex(g, {"e1"}, Walk(("b1", "a2", "r"), ("c2", "c3")))
 
     def test_circuit_rejected(self):
         g = c4()
@@ -305,6 +305,21 @@ class TestEarStep:
         with pytest.raises(GraftInputError):
             EarStep(Walk(("a1", "r"), ("c",)), ("a1",), frozenset(),
                     frozenset({"a1"}), frozenset({"r"}))
+
+    def test_one_or_two_distinct_bonds(self):
+        with pytest.raises(GraftInputError, match="one or two distinct bonds"):
+            EarStep(Walk(("a2", "b1", "a1"), ("c2", "e1")), ("a1", "a2", "b1"),
+                    frozenset({"a1", "b1"}), frozenset({"a1", "a2"}),
+                    frozenset({"b1"}))
+        with pytest.raises(GraftInputError, match="one or two distinct bonds"):
+            EarStep(Walk(("a1", "r"), ("c",)), ("r", "r"), frozenset(),
+                    frozenset({"a1"}), frozenset({"r"}))
+
+    def test_circuit_bond_must_be_first(self):
+        with pytest.raises(GraftInputError, match="must start at its bond"):
+            EarStep(Walk(("a1", "b1", "a1"), ("e", "d")), ("b1",),
+                    frozenset({"a1", "b1"}), frozenset({"a1"}),
+                    frozenset({"b1"}))
 
     def test_round_bonds_at_both_ends(self):
         with pytest.raises(GraftInputError):
@@ -500,8 +515,8 @@ class TestBuilder:
 
     def test_rejects_non_minimum_join(self):
         g = square()
-        with pytest.raises(PreconditionError):
-            build_graft_ear_decomposition(g, "r", {"c1", "e1", "c2"})
+        with pytest.raises(PreconditionError, match="F must be a minimum join"):
+            build_graft_ear_decomposition(g, "r", {"c1", "c2", "c3"})
 
     def test_rejects_spine_root(self):
         g = p3r()

@@ -16,13 +16,13 @@ from bigraft.core import (
     build_bipartite_graft,
     contract_graft,
     graft_sum,
-    induced_subgraft,
     is_join,
     simple_circuits,
     simple_paths,
     validate_graft,
     vertex_key,
 )
+from bigraft.decomposition import induced_subgraft
 from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
 
@@ -180,12 +180,18 @@ class TestGraftSum:
 class TestInducedSubgraft:
     def test_requires_union_of_witness_parts(self):
         g = chain4()
-        witness = [frozenset({"a0", "b0"}), frozenset({"a1", "b1"})]
-        sub = induced_subgraft(g, {"a0", "b0"}, witness)
+        sub = induced_subgraft(g, {"a0", "b0"})
         assert sub.graph.edge_ids() == {"e0"}
         assert sub.terminals == {"a0", "b0"}
-        with pytest.raises(PreconditionError):
-            induced_subgraft(g, {"a0"}, witness)
+        assert (sub.spine, sub.tooth) == ({"a0"}, {"b0"})
+        with pytest.raises(PreconditionError, match=r"cuts the factor components \['a0'\]"):
+            induced_subgraft(g, {"a0"})
+
+    def test_keeps_the_graft_kind(self):
+        g = chain4()
+        plain = Graft(g.graph, g.terminals)
+        sub = induced_subgraft(plain, {"a1", "b1"})
+        assert sub == Graft(g.graph.induced({"a1", "b1"}), frozenset({"a1", "b1"}))
 
 
 class TestIsJoin:
@@ -217,6 +223,12 @@ class TestWalks:
             Walk(("v1", "v3"), ("f1",)).validate(g)
         with pytest.raises(PreconditionError, match="expected a path"):
             circuit.validate(g, require="path")
+
+    def test_one_edge_circuit_fails_incidence(self):
+        # A closed walk of one edge would need a loop, which no multigraph has.
+        g = Multigraph.build(["a", "b"], [("e", "a", "b")])
+        with pytest.raises(GraftInputError, match="edge 'e' does not join 'a' and 'a'"):
+            Walk(("a", "a"), ("e",)).validate(g)
 
     def test_simple_paths_between(self):
         g = c4().graph
@@ -293,7 +305,7 @@ class TestInputErrors:
         with pytest.raises(GraftInputError, match=r"\['zz'\] are not vertices"):
             validate_graft(g.graph, {"a0", "zz"})
         with pytest.raises(GraftInputError, match=r"unknown vertex ids \['zz'\]"):
-            induced_subgraft(g, {"zz"}, [frozenset({"a0", "b0"})])
+            induced_subgraft(g, {"zz"})
 
     def test_bipartition_names_unknown_vertices(self):
         g = Multigraph.build(["x", "y"], [("e", "x", "y")])

@@ -147,11 +147,6 @@ class TestRandomCriticalQuasicomb:
         d2, f2 = gen_random_critical_quasicomb(cfg)
         assert d1 == d2 and f1 == f2
 
-    def test_custom_root_name(self):
-        d, _ = gen_random_critical_quasicomb(
-            GenConfig(seed=3, vertices=(3, 5)), root="hub")
-        assert d.root == "hub" and "hub" in d.target.tooth
-
     def test_single_vertex_goal_still_takes_one_step(self):
         d, _ = gen_random_critical_quasicomb(
             GenConfig(seed=0, vertices=(1, 1)))

@@ -1,9 +1,10 @@
-"""Every name a package module imports is read in that module, and every
+"""Every name a package module imports is read in that module; every
 module-level function or class of the package, and each method or
-property of such a class, is referenced somewhere.
+property of such a class, is referenced somewhere; and every defaulted
+parameter of those functions and methods is passed by some call.
 
-The repository runs no linter, so these are the guards against imports and
-definitions left behind when code moves.  ``__init__.py`` is skipped by the
+The repository runs no linter, so these are the guards against imports,
+definitions and parameters left behind when code moves.  ``__init__.py`` is skipped by the
 import check: it imports to re-export.
 """
 
@@ -72,9 +73,13 @@ def definitions(module: ast.Module):
                     yield f"{node.name}.{member.name}", member
 
 
+def parse_sources() -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in SOURCES}
+
+
 def unreferenced_definitions() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SOURCES}
+    trees = parse_sources()
     everywhere: Counter = sum((referenced_names(t) for t in trees.values()),
                               Counter())
     unused = []
@@ -89,3 +94,81 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def defaulted_parameters(module: ast.Module):
+    """Each defaulted parameter of a function or method that
+    ``definitions`` lists, as (label, function name, position, name).
+
+    ``position`` counts the arguments a call spells out, so a method's
+    ``self`` or ``cls`` is not one; it is None for a keyword-only
+    parameter."""
+    for label, fn in definitions(module):
+        if isinstance(fn, ast.ClassDef):
+            continue
+        args = fn.args.args[1:] if "." in label else fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for position, arg in enumerate(args[first:], start=first):
+            yield label, fn.name, position, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield label, fn.name, None, arg.arg
+
+
+def _called_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def passed_arguments(trees) -> dict:
+    """For each called name, the most positional arguments any call passes
+    and every keyword any call uses.  ``functools.partial(f, ...)`` counts
+    as a call of f, and a call that unpacks ``*args`` or ``**kwargs``
+    passes everything, recorded as None."""
+    passed: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _called_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = _called_name(func)
+            if name is None or passed.get(name, ()) is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in args) or any(
+                    k.arg is None for k in node.keywords):
+                passed[name] = None
+                continue
+            most, keywords = passed.get(name, (0, frozenset()))
+            passed[name] = (max(most, len(args)),
+                            keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def unset_parameters() -> list[str]:
+    trees = parse_sources()
+    passed = passed_arguments(trees.values())
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for label, name, position, param in defaulted_parameters(trees[path]):
+            calls = passed.get(name, (0, frozenset()))
+            if calls is None:
+                continue
+            most, keywords = calls
+            if param not in keywords and (position is None or most <= position):
+                unset.append(f"{path.name}:{label}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no call overrides is a constant, not a parameter."""
+    assert unset_parameters() == []
+
+
+def test_partial_and_unpacking_count_as_calls():
+    tree = ast.parse("functools.partial(f, 1, key=2)\nf(0)\ng(*xs)\n")
+    assert passed_arguments([tree]) == {"f": (1, frozenset({"key"})), "g": None}
