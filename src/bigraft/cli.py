@@ -119,7 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=10, metavar="N")
     p.add_argument("--edge-density", type=float, default=0.35, metavar="X")
     p.add_argument("--terminal-density", type=float, default=0.5, metavar="X")
-    p.add_argument("--budget", type=int, default=300, metavar="N")
+    p.add_argument("--budget", type=int, metavar="N",
+                   help="most ear steps of --mode critical-quasicomb "
+                        f"(default {GenConfig.budget}); no other mode takes it")
     return parser
 
 
@@ -403,11 +405,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.budget is not None and args.mode != "critical-quasicomb":
+        raise GraftInputError("--budget caps the ear steps of "
+                              "--mode critical-quasicomb only")
     cfg = GenConfig(seed=args.seed,
                     vertices=(args.min_vertices, args.max_vertices),
                     edge_density=args.edge_density,
                     terminal_density=args.terminal_density,
-                    budget=args.budget, mode=args.mode)
+                    budget=GenConfig.budget if args.budget is None else args.budget,
+                    mode=args.mode)
     out = generate(cfg)
     if cfg.mode == "critical-quasicomb":
         d, F = out

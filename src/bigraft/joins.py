@@ -15,10 +15,11 @@ else the subset table up to _TABLE_LIMIT terminals, else none.  A table's
 nu_of(mask), the join size of a terminal subset, is one entry of the
 pairing DP or one Gray-code walk of the subset's 2^mu joins.  It serves
 nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge test and,
-up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs); blossom
-pairs above that, and without a table also sums nu and runs one matching
-per flipped set for each distance.  The tables store the difference
-unsigned; the sign hook is applied when f_distance reads it.
+up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs).  Above that
+the pairs come from the blossom matching in ``_blossom``, a port of
+networkx's that returns networkx's pairs; without a table it also sums nu
+and runs one matching per flipped set for each distance.  The tables store
+the difference unsigned; the sign hook is applied when f_distance reads it.
 
 Tables, BFS trees, cycle spaces, pairings and nu live in their graph's own
 memo (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
@@ -31,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._blossom import min_weight_matching
 from .core import (
     CapacityError,
     Graft,
@@ -315,17 +317,11 @@ _TABLE_LIMIT = 10
 @cached_on_graph
 def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
     """Matched terminal pairs of one component, minimizing total distance,
-    by networkx's minimum-weight matching over the BFS metric."""
-    import networkx as nx
-
-    kg = nx.Graph()
-    for i, u in enumerate(terms):
-        dist, _ = _bfs_tree(graph, u)
-        for j in range(i + 1, len(terms)):
-            kg.add_edge(i, j, weight=dist[terms[j]])
-    matching = nx.min_weight_matching(kg)
-    return tuple((terms[i], terms[j])
-                 for i, j in sorted((min(p), max(p)) for p in matching))
+    by the blossom matching of ``_blossom`` over the BFS metric: the port
+    of networkx's, so the pairs are the ones networkx would return."""
+    rows = [_bfs_tree(graph, u)[0] for u in terms]
+    W = [[row[w] for w in terms] for row in rows]
+    return tuple((terms[i], terms[j]) for i, j in min_weight_matching(W))
 
 
 def _component_terminals(graph: Multigraph,

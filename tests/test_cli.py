@@ -386,6 +386,21 @@ class TestGen:
     def test_bad_density_is_a_usage_error(self):
         assert run_cli("gen", "--edge-density", "1.5")[0] == 2
 
+    @pytest.mark.parametrize("mode", ["graft", "comb"])
+    def test_budget_outside_the_quasicomb_mode_is_a_usage_error(self, mode):
+        code, out, err = run_cli("gen", "--mode", mode, "--budget", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: --budget caps the ear steps of "
+                       "--mode critical-quasicomb only\n")
+
+    def test_budget_caps_the_quasicomb_steps(self):
+        def steps(*budget):
+            code, out, _ = run_cli("gen", "--seed", "3", "--format", "json",
+                                   "--mode", "critical-quasicomb", *budget)
+            assert code == 0
+            return len(json.loads(out)["decomposition"]["steps"])
+        assert steps("--budget", "2") == 2 < steps()
+
     def test_vertex_count_past_the_cap_is_a_usage_error(self):
         n = str(_MAX_VERTICES + 1)
         code, out, err = run_cli("gen", "--min-vertices", n, "--max-vertices", n)

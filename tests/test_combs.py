@@ -21,7 +21,6 @@ from bigraft.combs import (
     CombClassification,
     EarStep,
     GraftEarDecomposition,
-    StepViolation,
     build_graft_ear_decomposition,
     classify_comb,
     is_critical_quasicomb,
@@ -34,7 +33,7 @@ from bigraft.decomposition import factor_components
 from bigraft.formats import decomposition_document
 from bigraft.generators import GenConfig, gen_random_critical_quasicomb
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
-from bigraft.joins import f_distance_int, min_join, walk_report
+from bigraft.joins import f_distance_int, min_join
 from bigraft.core import Graft
 
 

@@ -7,12 +7,7 @@ import weakref
 import pytest
 
 from bigraft import core, decomposition
-from bigraft.core import (
-    Graft,
-    GraftInputError,
-    InternalConsistencyError,
-    Multigraph,
-)
+from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import (
     allowed_edge_set,
     factor_components,
@@ -22,7 +17,7 @@ from bigraft.decomposition import (
 )
 from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import all_min_joins, f_distance_int, f_weight, min_join, nu
+from bigraft.joins import all_min_joins, f_distance_int, nu
 from oracles import brute_allowed
 
 

@@ -11,7 +11,6 @@ from bigraft.combs import (
     verify_graft_ear_decomposition,
 )
 from bigraft.core import (
-    CapacityError,
     GraftInputError,
     OrderedBipartiteGraft,
     validate_graft,

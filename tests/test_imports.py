@@ -1,4 +1,4 @@
-"""Every name a package module imports is read in that module; every
+"""Every name a package or test module imports is read in that module; every
 module-level function or class of the package, and each method or
 property of such a class, is referenced somewhere; and every defaulted
 parameter of those functions and methods is passed by some call.
@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bigraft"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SOURCES = sorted(PACKAGE.parent.rglob("*.py")) + sorted(
-    Path(__file__).resolve().parent.rglob("*.py"))
+SOURCES = sorted(PACKAGE.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -38,7 +38,9 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,12 +5,16 @@ import io
 import itertools
 import json
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from bigraft import joins
+from bigraft._blossom import min_weight_matching
 from bigraft.core import (
     CapacityError,
     Graft,
@@ -19,6 +23,7 @@ from bigraft.core import (
     PreconditionError,
     Walk,
     is_join,
+    sorted_vertices,
 )
 from bigraft.cli import cli_main
 from bigraft.combs import is_critical_quasicomb
@@ -29,7 +34,7 @@ from bigraft.generators import (
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
-from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import (
     _TABLE_LIMIT,
     DistanceValue,
@@ -584,6 +589,126 @@ class TestCycleTableOnQuasicombs:
             for v in sorted(g.graph.vertices - {r}):
                 want = pairing_nu(g.graph, g.terminals ^ {r, v}) - base
                 assert f_distance(g, r, v).value == want, (r, v)
+
+
+def networkx_pairs(W) -> list:
+    """The pairs networkx's min_weight_matching returns on the graph that
+    _blossom_pairing handed it before the port: vertices 0..t-1 and an
+    edge i-j of weight W[i][j] for each i < j, added in that order."""
+    nx = pytest.importorskip("networkx")
+    kg = nx.Graph()
+    for i in range(len(W)):
+        for j in range(i + 1, len(W)):
+            kg.add_edge(i, j, weight=W[i][j])
+    return sorted((min(p), max(p)) for p in nx.min_weight_matching(kg))
+
+
+def random_metric(rng: random.Random, t: int, top: int) -> list:
+    """L1 distances of t random points of the grid {0..top}²: a metric
+    with small integers and many ties (repeated points are 0 apart)."""
+    points = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(t)]
+    return [[abs(x - a) + abs(y - b) for a, b in points] for x, y in points]
+
+
+def bfs_metric(graph, terms) -> list:
+    rows = [_bfs_tree(graph, u)[0] for u in terms]
+    return [[row[w] for w in terms] for row in rows]
+
+
+def port_test_metrics() -> list:
+    """Fixed-seed weight matrices: random small-integer metrics, all-equal
+    metrics (the most tied), BFS metrics of the terminals of generated
+    critical quasicombs, and those of comb paths."""
+    rng = random.Random(19)
+    out = [random_metric(rng, rng.randrange(2, 25, 2), rng.choice((1, 2, 3, 6)))
+           for _ in range(1600)]
+    out += [[[0 if i == j else w for j in range(t)] for i in range(t)]
+            for t in range(2, 31, 2) for w in (1, 2, 7)]
+    for seed in range(400):
+        d, _ = gen_random_critical_quasicomb(
+            GenConfig(vertices=(6, 26)), random.Random(seed))
+        g = d.target
+        out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
+    for k in range(1, 16):
+        g = comb_path(k)
+        out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
+    return out
+
+
+def recorded_inputs() -> list:
+    """The matrices of tests/blossom_inputs.txt (see its header)."""
+    path = Path(__file__).with_name("blossom_inputs.txt")
+    out = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        t = round((2 * len(line)) ** 0.5) + 1
+        assert t * (t - 1) // 2 == len(line)
+        weights = iter(int(c, 16) for c in line)
+        W = [[0] * t for _ in range(t)]
+        for i, j in itertools.combinations(range(t), 2):
+            W[i][j] = W[j][i] = next(weights)
+        out.append(W)
+    return out
+
+
+class TestBlossomPort:
+    """``_blossom.min_weight_matching`` returns networkx's pairs, pair for
+    pair, and a least-cost perfect pairing without networkx."""
+
+    def test_same_pairs_as_networkx(self):
+        metrics = port_test_metrics()
+        assert len(metrics) >= 2000
+        for W in metrics:
+            assert min_weight_matching(W) == networkx_pairs(W), W
+
+    def test_same_pairs_on_the_benchmark_inputs(self):
+        recorded = recorded_inputs()
+        assert len(recorded) == 367
+        for W in recorded:
+            assert min_weight_matching(W) == networkx_pairs(W), W
+
+    @pytest.mark.parametrize("W", [[], [[0, 5], [5, 0]]], ids=["t0", "t2"])
+    def test_smallest(self, W):
+        assert min_weight_matching(W) == networkx_pairs(W) == (
+            [(0, 1)] if W else [])
+
+    def test_least_cost_perfect_pairing(self):
+        """Checked against the pairing DP alone, on metrics and on
+        arbitrary small weights, with no networkx involved."""
+        rng = random.Random(1973)
+        for trial in range(300):
+            t = rng.randrange(0, 13, 2)
+            if trial % 2:
+                W = random_metric(rng, t, rng.choice((1, 3, 9)))
+            else:
+                W = [[0] * t for _ in range(t)]
+                for i, j in itertools.combinations(range(t), 2):
+                    W[i][j] = W[j][i] = rng.randint(0, 4)
+            pairs = min_weight_matching(W)
+            assert sorted(v for p in pairs for v in p) == list(range(t))
+            assert sum(W[i][j] for i, j in pairs) == _subset_dp(W)[-1]
+
+    def test_analyze_imports_no_networkx(self):
+        """A component of 12 terminals takes the blossom side, and the CLI
+        gets there without networkx."""
+        cycle = {"vertices": [f"v{i}" for i in range(12)],
+                 "edges": [{"id": f"e{i}", "u": f"v{i}", "v": f"v{(i + 1) % 12}"}
+                           for i in range(12)],
+                 "terminals": [f"v{i}" for i in range(12)]}
+        script = (
+            "import sys\n"
+            "from bigraft import cli_main, joins\n"
+            "sizes = []\n"
+            "port = joins.min_weight_matching\n"
+            "joins.min_weight_matching = lambda W: sizes.append(len(W)) or port(W)\n"
+            "code = cli_main(['analyze', '--format', 'json'])\n"
+            "print(code, sizes, 'networkx' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              input=json.dumps(cycle),
+                              capture_output=True, text=True)
+        assert proc.stderr == "0 [12] False\n"
+        assert json.loads(proc.stdout)["join"]
 
 
 class TestFlippedSign:
