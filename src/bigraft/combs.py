@@ -34,7 +34,7 @@ from .joins import (
     _edge_id_set,
     _f_degrees,
     extract_shortest_path,
-    f_distance,
+    f_distance_reader,
     f_weight,
     is_minimum_join,
     nu,
@@ -146,9 +146,9 @@ class CriticalityReport:
 def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     """Check distance 1 to the root from the spine side, 0 from the tooth side.
 
-    Every distance is read from join sizes through ``f_distance``, so the
-    report always carries the full table.  A vertex in another graph
-    component is unreachable and fails the test.
+    Every distance is read from join sizes through ``f_distance_reader``,
+    so the report always carries the full table.  A vertex in another
+    graph component is unreachable and fails the test.
     """
     _require_bipartite(g)
     if r not in g.tooth:
@@ -158,14 +158,16 @@ def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
         raise PreconditionError("criticality is defined for quasicombs only")
     table = []
     problems = []
+    distance = f_distance_reader(g)
+    reach = g.graph.component_of(r)
     for v in sorted_vertices(g.graph.vertices):
-        # The root goes first: with no terminal among the pair, the distance
-        # table reuses one cached BFS from the root for every v.
-        d = f_distance(g, r, v)
-        table.append((v, d.value))
+        # The root is a terminal, so each read of its component's table
+        # costs O(t) or O(blocks) and runs no BFS.
+        d = distance(r, v) if v in reach else None
+        table.append((v, d))
         want = 1 if v in g.spine else 0
-        if d.value != want:
-            shown = d.value if d.finite else "unreachable"
+        if d != want:
+            shown = "unreachable" if d is None else d
             problems.append(f"distance from {v!r} to the root is {shown}, expected {want}")
     return CriticalityReport(not problems, r, tuple(table), tuple(problems))
 

@@ -22,13 +22,15 @@ from .core import (
     sorted_vertices,
     vertex_key,
 )
-from .joins import f_distance_int, is_allowed_edge
+from .joins import _nu_deltas, f_distance_reader
 
 
 @cached_on_graph
 def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
-    g = Graft(graph, terminals)
-    return frozenset(e.id for e in graph.edges if is_allowed_edge(g, e.id))
+    # joins.is_allowed_edge's test, each edge's difference read straight
+    # from its component's table.
+    delta = _nu_deltas(graph, terminals)
+    return frozenset(e.id for e in graph.edges if delta(e.u, e.v) == -1)
 
 
 def allowed_edge_set(g: Graft) -> frozenset:
@@ -215,19 +217,20 @@ def kl_partition(g: Graft) -> KLPartition:
     every earlier vertex of its component once.  It joins the class of the
     first of them at distance zero, or opens a class, and every pair read
     is audited then: same class must coincide with distance zero, which in
-    particular certifies transitivity.  Where joins._component_table gives
-    a graph component a table (few terminals or few independent cycles),
-    each distance is a read of it, so the O(n²) pass runs no matching.  An
-    audit failure raises InternalConsistencyError.
+    particular certifies transitivity.  Every distance comes through one
+    ``f_distance_reader``, so where joins._component_table gives a graph
+    component a table, each is a read of it and the O(n²) pass runs no
+    matching.  An audit failure raises InternalConsistencyError.
     """
     comps = factor_components(g)
+    distance = f_distance_reader(g)
     classes: list[frozenset] = []
     component_ids: list = []
     for comp in comps:
         local: list[list] = []
         class_of: dict = {}
         for v in sorted_vertices(comp.vertices):
-            zero = {u: f_distance_int(g, u, v) == 0 for u in class_of}
+            zero = {u: distance(u, v) == 0 for u in class_of}
             members = next((class_of[u] for u, z in zero.items() if z), None)
             if members is None:
                 members = []

@@ -11,19 +11,26 @@ checked on its own against is_join and degree parity.
 Each graph component has one table, which _component_table alone chooses
 by the smaller exponent: the cycle table where the cycle rank
 mu = m - n + 1 is below the terminal count t and at most _TABLE_LIMIT,
-else the subset table up to _TABLE_LIMIT terminals, else none.  A table's
+else the subset table up to _TABLE_LIMIT terminals.  Past both limits the
+cycle table still serves if every block (2-connected piece) has at most
+_TABLE_LIMIT independent cycles; else the component has none.  A table's
 nu_of(mask), the join size of a terminal subset, is one entry of the
-pairing DP or one Gray-code walk of the subset's 2^mu joins.  It serves
-nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), the allowed-edge test and,
-up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs).  Above that
-the pairs come from the blossom matching in ``_blossom``, a port of
-networkx's that returns networkx's pairs; without a table it also sums nu
-and runs one matching per flipped set for each distance.  The tables store
-the difference unsigned; the sign hook is applied when f_distance reads it.
+pairing DP or a sum over blocks of least popcounts against each block's
+stored span.  It serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an
+O(t) or O(blocks) read that f_distance_reader hands to callers reading
+many, the allowed-edge test and, up to _TABLE_LIMIT terminals, min_join's
+pairs (_table_pairs).  Above that the pairs come from the blossom matching
+in ``_blossom``, a port of networkx's that returns networkx's pairs;
+without a table it also sums nu and runs one matching per flipped set for
+each distance.  The tables store the difference unsigned; the sign hook is
+applied when f_distance reads it.
 
-Tables, BFS trees, cycle spaces, pairings and nu live in their graph's own
-memo (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
-two threads may both fill one entry; a table is never mutated once built.
+Tables, BFS trees, cycle spaces, blocks with their spans, pairings and nu
+live in their graph's own memo (``core.cached_on_graph``) and die with it.
+The memo takes no lock, so two threads may both fill one entry.  A table's
+fields never change once built; its caches (the subset table's best_u
+lists, the block memos) only gain entries, each the value any thread would
+compute.
 """
 
 from __future__ import annotations
@@ -242,7 +249,7 @@ def _bfs_tree(graph: Multigraph, source) -> tuple[dict, dict]:
         v = queue[qi]
         qi += 1
         for e in graph.incident(v):
-            w = e.other(v)
+            w = e.v if e.u == v else e.u
             if w not in dist:
                 dist[w] = dist[v] + 1
                 parent_edge[w] = e
@@ -412,11 +419,17 @@ class _SubsetTable:
     """Join sizes inside one graph component with few terminals.
 
     ``rows[i]`` maps each vertex of the component to its BFS distance from
-    terminal i and ``dp`` is the pairing DP's full subset table, so
-    nu(T Δ {u, v}) - nu(T) costs O(t²) for any pair in the component.
+    terminal i and ``dp`` is the pairing DP's full subset table.  A pair
+    with a terminal reads nu(T Δ {u, v}) from them in O(t).  For a
+    non-terminal u, ``_best(u)`` caches best_u[m] = nu(T - m + u), the
+    least pairing in which u takes some terminal other than m, so a pair
+    of non-terminals reads in O(t) too: nu(T + u + v) is the lesser of
+    d(u, v) + nu and min over m of best_u[m] + d(m, v).  Only when the
+    triangle inequality leaves the first able to win does d(u, v) cost a
+    BFS from u.
     """
 
-    __slots__ = ("terms", "index", "rows", "dp", "nu")
+    __slots__ = ("terms", "index", "rows", "dp", "nu", "best")
 
     def __init__(self, graph: Multigraph, terms: tuple):
         self.terms = terms
@@ -424,55 +437,122 @@ class _SubsetTable:
         self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
         self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
         self.nu = self.dp[-1]
+        self.best: dict = {}
 
     def nu_of(self, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
         return self.dp[mask]
 
+    def _best(self, u) -> list:
+        """best_u[m] = nu(T - m + u) for a non-terminal u, one per m."""
+        best = self.best.get(u)
+        if best is None:
+            dp = self.dp
+            full = len(dp) - 1
+            du = [row[u] for row in self.rows]
+            best = self.best[u] = [
+                min(d + dp[full ^ (1 << k) ^ (1 << m)]
+                    for k, d in enumerate(du) if k != m)
+                for m in range(len(du))]
+        return best
+
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
-        rows, dp = self.rows, self.dp
-        t = len(rows)
+        rows, dp, nu = self.rows, self.dp, self.nu
         full = len(dp) - 1
         i, j = self.index.get(u), self.index.get(v)
         if i is None and j is not None:
             u, v, i, j = v, u, j, i
         if j is not None:
             # Both are terminals: they leave T.
-            flipped = dp[full ^ (1 << i) ^ (1 << j)]
-        elif i is not None:
+            return dp[full ^ (1 << i) ^ (1 << j)] - nu
+        if i is not None:
             # u leaves T and v, entering, takes one of the others.
-            flipped = min(rows[k][v] + dp[full ^ (1 << i) ^ (1 << k)]
-                          for k in range(t) if k != i)
-        else:
-            # Both enter: they pair with each other or with two terminals.
-            flipped = _bfs_tree(graph, u)[0][v] + dp[full]
-            for k in range(t):
-                du = rows[k][u]
-                for m in range(t):
-                    if m != k:
-                        cand = du + rows[m][v] + dp[full ^ (1 << k) ^ (1 << m)]
-                        if cand < flipped:
-                            flipped = cand
-        return flipped - dp[full]
+            return min(rows[k][v] + dp[full ^ (1 << i) ^ (1 << k)]
+                       for k in range(len(rows)) if k != i) - nu
+        # Both enter: v takes a terminal m while u takes another, or u and
+        # v pair up.  d(u, v) >= |d(k, u) - d(k, v)| for every terminal k,
+        # so below that bound the pair cannot win and needs no BFS.
+        flipped, bound = float("inf"), 1
+        for b, row in zip(self._best(u), rows):
+            dv = row[v]
+            if b + dv < flipped:
+                flipped = b + dv
+            gap = abs(row[u] - dv)
+            if gap > bound:
+                bound = gap
+        if bound + nu < flipped:
+            flipped = min(flipped, _bfs_tree(graph, u)[0][v] + nu)
+        return flipped - nu
+
+
+@cached_on_graph
+def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple]:
+    """root's component cut into blocks over ``_cycle_space(graph, root)``.
+
+    Every cycle lies inside one block, a 2-connected piece, and any two
+    edges of a block lie on a common cycle.  So fundamental cycles joined
+    by chains of shared edge bits span exactly one block's cycle space, and
+    a tree edge on no cycle is a bridge.  Returns ``to_root``, the mask of
+    the bridges, and each block's (edge mask, basis masks).
+    """
+    to_root, basis = _cycle_space(graph, root)
+    blocks: list = []
+    for c in basis:
+        mask, members, apart = c, [c], []
+        for block in blocks:
+            if block[0] & mask:
+                mask |= block[0]
+                members += block[1]
+            else:
+                apart.append(block)
+        blocks = apart + [(mask, members)]
+    bridges = 0
+    for path in to_root.values():
+        bridges |= path
+    for mask, _ in blocks:
+        bridges &= ~mask
+    return to_root, bridges, tuple((mask, tuple(members)) for mask, members in blocks)
+
+
+@cached_on_graph
+def _block_spans(graph: Multigraph, root) -> tuple:
+    """Each block of ``_cycle_blocks(graph, root)`` as (edge mask, span,
+    memo): the span lists all 2^mu_b sums of the block's basis, and the
+    memo maps a start mask inside the block to the least popcount of start
+    XOR a span element.  The memo is filled as tables on this root read
+    it; its entries never change once written."""
+    out = []
+    for mask, basis in _cycle_blocks(graph, root)[2]:
+        span = [0]
+        for c in basis:
+            span += [x ^ c for x in span]
+        out.append((mask, span, {}))
+    return tuple(out)
 
 
 class _CycleTable:
-    """Join sizes inside one graph component with few independent cycles.
+    """Join sizes inside one graph component whose blocks have few
+    independent cycles.
 
-    Over ``_cycle_space(graph, terms[0])``, ``particular``, the XOR of the
-    terminals' path masks, is a join of T.  Every join of T is
-    ``particular`` XOR an element of the span of ``basis``.  A Gray-code
-    walk of that span finds the least join, and the same walk from
-    ``particular ^ to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The
-    2^mu span elements are not stored.
+    Over ``_cycle_blocks(graph, terms[0])``, ``particular``, the XOR of
+    the terminals' path masks, is a join of T, and every join of T is
+    ``particular`` XOR a sum of cycles.
+    Blocks share no edge, so the least join takes every bridge it meets
+    and, in each block b, the least popcount of its part of the start XOR
+    an element of span(b): a read costs O(blocks), and one memo lookup per
+    block once a start has been seen.  The same sum from ``particular ^
+    to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The spans and memos
+    are shared by every table rooted at terms[0], so they hold sum over b
+    of 2^mu_b masks, never 2^mu.
     """
 
-    __slots__ = ("terms", "to_root", "basis", "particular", "nu")
+    __slots__ = ("terms", "to_root", "bridges", "blocks", "particular", "nu")
 
     def __init__(self, graph: Multigraph, terms: tuple):
         self.terms = terms
-        self.to_root, self.basis = _cycle_space(graph, terms[0])
+        self.to_root, self.bridges, _ = _cycle_blocks(graph, terms[0])
+        self.blocks = _block_spans(graph, terms[0])
         particular = 0
         for w in terms:
             particular ^= self.to_root[w]
@@ -480,16 +560,15 @@ class _CycleTable:
         self.nu = self._least(particular)
 
     def _least(self, start: int) -> int:
-        """Least popcount of start XOR any element of the basis span."""
-        basis = self.basis
-        best = start.bit_count()
-        cur = start
-        for i in range(1, 1 << len(basis)):
-            cur ^= basis[(i & -i).bit_length() - 1]
-            size = cur.bit_count()
-            if size < best:
-                best = size
-        return best
+        """Least popcount of start XOR any sum of cycles."""
+        size = (start & self.bridges).bit_count()
+        for mask, span, memo in self.blocks:
+            part = start & mask
+            least = memo.get(part)
+            if least is None:
+                least = memo[part] = min((part ^ c).bit_count() for c in span)
+            size += least
+        return size
 
     def nu_of(self, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
@@ -511,7 +590,10 @@ def _component_table(graph: Multigraph,
     """The table of the component holding the sorted terminals ``terms``,
     by the smaller exponent: the cycle table where the cycle rank mu is
     below the terminal count t and at most _TABLE_LIMIT, else the subset
-    table up to _TABLE_LIMIT terminals, else None (the matching fallback)."""
+    table up to _TABLE_LIMIT terminals.  Where both t and mu exceed it, the
+    cycle table still serves if every block has at most _TABLE_LIMIT
+    independent cycles; else None (the matching fallback).  No span is
+    built before that check."""
     if terms:
         comp = graph.component_of(terms[0])
         mu = sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
@@ -519,6 +601,9 @@ def _component_table(graph: Multigraph,
             return _CycleTable(graph, terms)
     if len(terms) <= _TABLE_LIMIT:
         return _SubsetTable(graph, terms)
+    blocks = _cycle_blocks(graph, terms[0])[2]
+    if all(len(basis) <= _TABLE_LIMIT for _, basis in blocks):
+        return _CycleTable(graph, terms)
     return None
 
 
@@ -555,12 +640,29 @@ def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
     return out
 
 
-def _nu_delta(graph: Multigraph, terminals: frozenset, u, v) -> int:
-    """nu(T Δ {u, v}) - nu(T), unsigned, for distinct u, v of one component."""
-    table = _distance_tables(graph, terminals)[u]
-    if table is None:
-        return _nu(graph, terminals ^ {u, v}) - _nu(graph, terminals)
-    return table.delta(graph, u, v)
+def _nu_deltas(graph: Multigraph, terminals: frozenset):
+    """A reader of nu(T Δ {u, v}) - nu(T), unsigned, for distinct u, v of
+    one component: a read of the component's table, or two matchings
+    where it has none."""
+    tables = _distance_tables(graph, terminals)
+
+    def delta(u, v) -> int:
+        table = tables[u]
+        if table is None:
+            return _nu(graph, terminals ^ {u, v}) - _nu(graph, terminals)
+        return table.delta(graph, u, v)
+    return delta
+
+
+def f_distance_reader(g: Graft):
+    """f_distance for many pairs of one graft: ``read(u, v)`` is the
+    distance of two vertices known to share a component, read straight
+    from the component's table without f_distance's checks."""
+    delta = _nu_deltas(g.graph, g.terminals)
+
+    def read(u, v) -> int:
+        return 0 if u == v else _DISTANCE_SIGN * delta(u, v)
+    return read
 
 
 def f_distance(g: Graft, u, v) -> DistanceValue:
@@ -576,7 +678,7 @@ def f_distance(g: Graft, u, v) -> DistanceValue:
         return DistanceValue(0)
     if v not in g.graph.component_of(u):
         return DistanceValue(None)
-    return DistanceValue(_DISTANCE_SIGN * _nu_delta(g.graph, g.terminals, u, v))
+    return DistanceValue(_DISTANCE_SIGN * _nu_deltas(g.graph, g.terminals)(u, v))
 
 
 def f_distance_int(g: Graft, u, v) -> int:
@@ -653,4 +755,4 @@ def is_allowed_edge(g: Graft, eid: str) -> bool:
     with nu(T) - 2 edges), so F' + e is a minimum join through e.
     """
     e = g.graph.edge(eid)
-    return _nu_delta(g.graph, g.terminals, e.u, e.v) == -1
+    return _nu_deltas(g.graph, g.terminals)(e.u, e.v) == -1

@@ -17,7 +17,7 @@ from bigraft.decomposition import (
 )
 from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import all_min_joins, f_distance_int, nu
+from bigraft.joins import all_min_joins, f_distance_int, f_distance_reader, nu
 from oracles import brute_allowed
 
 
@@ -168,11 +168,16 @@ class TestKLPartition:
     def test_reads_each_pair_once(self, monkeypatch):
         calls = []
 
-        def counted(g, u, v):
-            calls.append(frozenset((u, v)))
-            return f_distance_int(g, u, v)
+        def counted_reader(g):
+            read = f_distance_reader(g)
 
-        monkeypatch.setattr(decomposition, "f_distance_int", counted)
+            def counted(u, v):
+                calls.append(frozenset((u, v)))
+                assert read(u, v) == f_distance_int(g, u, v)
+                return read(u, v)
+            return counted
+
+        monkeypatch.setattr(decomposition, "f_distance_reader", counted_reader)
         rng = random.Random(7)
         for _ in range(10):
             g = gen_random_graft(GenConfig(vertices=(4, 9)), rng)
@@ -186,8 +191,8 @@ class TestKLPartition:
         # v1 ~ v2 and v2 ~ v3 but not v1 ~ v3: v3 joins v1's class through
         # v2, and its pair with v1 fails the audit.
         zero = {frozenset({"v1", "v2"}), frozenset({"v2", "v3"})}
-        monkeypatch.setattr(decomposition, "f_distance_int",
-                            lambda g, u, v: 0 if {u, v} in zero else -1)
+        monkeypatch.setattr(decomposition, "f_distance_reader",
+                            lambda g: lambda u, v: 0 if {u, v} in zero else -1)
         with pytest.raises(InternalConsistencyError,
                            match=r"not an equivalence at \('v1', 'v3'\)"):
             kl_partition(c4())

@@ -23,6 +23,7 @@ from bigraft.core import (
     PreconditionError,
     Walk,
     is_join,
+    simple_circuits,
     sorted_vertices,
 )
 from bigraft.cli import cli_main
@@ -44,8 +45,10 @@ from bigraft.joins import (
     _bfs_tree,
     _blossom_pairing,
     _component_terminals,
+    _cycle_blocks,
     _cycle_space,
     _distance_tables,
+    _nu,
     _subset_dp,
     _table_pairs,
     all_min_joins,
@@ -336,21 +339,107 @@ TABLE_CASES = [
     (7, (8,), (4,), 3),
     (8, (8,), (4,), 2),
     (9, (12,), (_TABLE_LIMIT,), _TABLE_LIMIT - 1),
+    (10, (14,), (_TABLE_LIMIT + 2,), _TABLE_LIMIT),
 ]
 
 # The table every component of a case gets, by seed.  A one-piece case has
 # cycle rank mu = extra + 1 (the doubled edge).  The cycle table serves
 # where mu is below the terminal count t and at most _TABLE_LIMIT, else the
-# subset DP up to _TABLE_LIMIT terminals, else None, the matching fallback.
+# subset DP up to _TABLE_LIMIT terminals.  Where both t and mu exceed
+# _TABLE_LIMIT, the cycle table serves if every block has at most
+# _TABLE_LIMIT independent cycles, else None, the matching fallback.
 # Cases 7-9 sit at the mu = t boundary: t = 4 with mu = 4 and with mu = 3,
-# and t = mu = _TABLE_LIMIT.
+# and t = mu = _TABLE_LIMIT.  Case 6 (mu = 11) splits into blocks of rank
+# 1 and 10; case 10 (mu = 11) is one block.
 TABLE_KINDS = {1: _SubsetTable, 2: _SubsetTable, 3: _SubsetTable,
-               4: _CycleTable, 5: _CycleTable, 6: type(None),
-               7: _SubsetTable, 8: _CycleTable, 9: _SubsetTable}
+               4: _CycleTable, 5: _CycleTable, 6: _CycleTable,
+               7: _SubsetTable, 8: _CycleTable, 9: _SubsetTable,
+               10: type(None)}
 
 
 def cycle_rank(graph, comp) -> int:
     return sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
+
+
+def block_ranks(graph, comp) -> list:
+    """Sorted cycle ranks of the blocks of ``comp`` that hold a cycle,
+    found from simple circuits alone: edges on one circuit share a block."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for circuit in simple_circuits(graph):
+        if circuit.vertices[0] not in comp:
+            continue
+        ids = circuit.edge_ids
+        for eid in ids:
+            parent.setdefault(eid, eid)
+        for eid in ids[1:]:
+            parent[find(eid)] = find(ids[0])
+    blocks: dict = {}
+    for eid in parent:
+        blocks.setdefault(find(eid), []).append(graph.edge(eid))
+    return sorted(len(es) - len({w for e in es for w in (e.u, e.v)}) + 1
+                  for es in blocks.values())
+
+
+def block_graft(edges: str, terminals: str) -> Graft:
+    """A graft from space-separated ``u-v`` edges (ids e00, e01, ...) and
+    space-separated terminals."""
+    pairs = [tuple(uv.split("-")) for uv in edges.split()]
+    graph = Multigraph.build({w for uv in pairs for w in uv},
+                             [(f"e{i:02d}", u, v) for i, (u, v) in enumerate(pairs)])
+    return Graft(graph, frozenset(terminals.split()))
+
+
+# Hand-built components served by the cycle table block by block:
+# name: (edges, terminals).
+BLOCK_CASES = {
+    # A 4-cycle with a chord, a triangle and a 4-cycle with a doubled edge,
+    # strung together by bridges a2-b0, b1-c0 and c0-c1: mu = 5, t = 6.
+    "bridged": ("a0-a1 a1-a2 a2-a3 a3-a0 a0-a2 a2-b0 b0-b1 b1-b2 b2-b0 "
+                "b1-c0 c0-c1 c1-c2 c2-c3 c3-c4 c4-c1 c2-c3",
+                "a1 a3 b2 c0 c2 c4"),
+    # One 2-cycle of parallel edges and a pendant bridge: mu = 1, t = 2.
+    "two-cycle": ("x-y x-y y-z", "x z"),
+    # Cycles meeting at single vertices: triangles h and m, a 4-cycle k, a
+    # 2-cycle h0=n1, and a pendant bridge m1-p: mu = 4, t = 6.
+    "cactus": ("h0-h1 h1-h2 h2-h0 h2-k1 k1-k2 k2-k3 k3-h2 k2-m1 m1-m2 "
+               "m2-k2 h0-n1 h0-n1 m1-p",
+               "h1 k1 k3 m2 n1 p"),
+    # Three K4s at the centre c, one with two doubled edges, and a pendant
+    # path c-z-y-x-w: mu = 11 and t = 12, but no block has rank above 5.
+    "small-blocks": ("c-a1 c-a2 c-a3 a1-a2 a1-a3 a2-a3 a1-a2 a2-a3 "
+                     "c-b1 c-b2 c-b3 b1-b2 b1-b3 b2-b3 "
+                     "c-d1 c-d2 c-d3 d1-d2 d1-d3 d2-d3 c-z z-y y-x x-w",
+                     "a1 a2 a3 b1 b2 b3 d1 d2 d3 z x w"),
+}
+
+
+def quadratic_delta(table, graph, u, v) -> int:
+    """nu(T Δ {u, v}) - nu(T) by the subset table's rows and DP alone:
+    every pairing of two terminals with the pair, plus d(u, v) by BFS."""
+    rows, dp, index = table.rows, table.dp, table.index
+    t, full = len(rows), len(dp) - 1
+    i, j = index.get(u), index.get(v)
+    if i is None and j is not None:
+        u, v, i, j = v, u, j, i
+    if j is not None:
+        flipped = dp[full ^ (1 << i) ^ (1 << j)]
+    elif i is not None:
+        flipped = min(rows[k][v] + dp[full ^ (1 << i) ^ (1 << k)]
+                      for k in range(t) if k != i)
+    else:
+        flipped = _bfs_tree(graph, u)[0][v] + dp[full]
+        for k in range(t):
+            for m in range(t):
+                if m != k:
+                    flipped = min(flipped, rows[k][u] + rows[m][v]
+                                  + dp[full ^ (1 << k) ^ (1 << m)])
+    return flipped - dp[full]
 
 
 def gf2_rank(masks) -> int:
@@ -434,8 +523,10 @@ class TestDistanceTable:
         for comp in g.graph.components():
             assert all(type(tables[w]) is table_kind for w in comp)
             t, mu = len(comp & g.terminals), cycle_rank(g.graph, comp)
-            assert (table_kind is _CycleTable) == (mu < t and mu <= _TABLE_LIMIT)
-            assert (table_kind is type(None)) == (min(t, mu) > _TABLE_LIMIT)
+            small = max(block_ranks(g.graph, comp), default=0) <= _TABLE_LIMIT
+            assert (table_kind is _CycleTable) == (
+                mu < t and mu <= _TABLE_LIMIT or min(t, mu) > _TABLE_LIMIT and small)
+            assert (table_kind is type(None)) == (min(t, mu) > _TABLE_LIMIT and not small)
         # The fallback case has more edges than the oracles' default bound.
         bound = max(22, len(g.graph.edges))
         kinds = set()
@@ -453,6 +544,70 @@ class TestDistanceTable:
         for e in g.graph.edges:
             assert is_allowed_edge(g, e.id) == brute_allowed(g, e.id, max_edges=bound), e.id
         assert min_join(g).size == nu(g) == min_join_bruteforce(g, max_edges=bound).size
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_blocks_match_the_oracles(self, name):
+        g = block_graft(*BLOCK_CASES[name])
+        graph, T = g.graph, g.terminals
+        (comp,) = graph.components()
+        table = _distance_tables(graph, T)[min(comp)]
+        assert type(table) is _CycleTable
+        assert sorted(len(basis) for _, basis in
+                      _cycle_blocks(graph, min(T))[2]) == block_ranks(graph, comp)
+        base = pairing_nu(graph, T)
+        assert table.nu == _nu(graph, T) == base
+        vs = sorted(graph.vertices)
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                got = f_distance(g, u, v).value
+                assert got == brute_distance(g, u, v, max_edges=len(graph.edges)), (u, v)
+                assert got == _nu(graph, T ^ {u, v}) - _nu(graph, T), (u, v)
+                assert got == pairing_nu(graph, T ^ {u, v}) - base, (u, v)
+        for e in graph.edges:
+            assert is_allowed_edge(g, e.id) == brute_allowed(
+                g, e.id, max_edges=len(graph.edges)), e.id
+        assert min_join(g).size == nu(g) == base
+
+    @pytest.mark.parametrize("t", range(0, _TABLE_LIMIT + 1, 2))
+    def test_subset_rows_match_the_quadratic_formula(self, t):
+        """The per-vertex rows and the triangle bound give the O(t²)
+        formula's distance on every ordered pair, t = 0 included."""
+        for seed in range(4):
+            g = random_graft(300 + 10 * t + seed, (12,), (t,), 4)
+            table = _SubsetTable(g.graph, tuple(sorted(g.terminals)))
+            for u, v in itertools.permutations(sorted(g.graph.vertices), 2):
+                assert table.delta(g.graph, u, v) == quadratic_delta(
+                    table, g.graph, u, v), (seed, u, v)
+
+    def test_no_span_above_the_limit(self, monkeypatch):
+        """A dense graft with many terminals has one block far above
+        _TABLE_LIMIT: it gets no table, and no span of 2^mu_b is built.
+        Each block's size is checked before its span is."""
+        real = joins._block_spans
+        spans = []
+
+        def guarded(graph, root):
+            for _, basis in joins._cycle_blocks(graph, root)[2]:
+                assert len(basis) <= _TABLE_LIMIT
+            out = real(graph, root)
+            spans.extend(len(span) for _, span, _ in out)
+            return out
+
+        monkeypatch.setattr(joins, "_block_spans", guarded)
+        rng = random.Random(20)
+        dense = []
+        while len(dense) < 2:
+            g = gen_random_graft(GenConfig(vertices=(18, 18), edge_density=0.35,
+                                           terminal_density=0.7), rng)
+            if len(g.graph.components()) == 1 and len(g.terminals) > _TABLE_LIMIT:
+                dense.append(g)
+        argv = ["analyze", "--format", "json"]
+        for g in dense + [block_graft(*BLOCK_CASES["small-blocks"])]:
+            out = cli_stdout(argv, json.dumps(graft_document(g)))
+            assert out.startswith(f"{argv} 0\n")
+        assert all(_distance_tables(g.graph, g.terminals)[min(g.terminals)] is None
+                   for g in dense)
+        assert spans and max(spans) <= 1 << _TABLE_LIMIT
 
     def test_one_subset_dp_per_component_terminal_set(self, monkeypatch):
         g = random_graft(*TABLE_CASES[2])
@@ -589,6 +744,38 @@ class TestCycleTableOnQuasicombs:
             for v in sorted(g.graph.vertices - {r}):
                 want = pairing_nu(g.graph, g.terminals ^ {r, v}) - base
                 assert f_distance(g, r, v).value == want, (r, v)
+
+
+# sha256 of cli_stdout for ear-decomp on the n = 58 quasicomb below, as
+# recorded while its distances still ran one matching per flipped set.
+EAR_DECOMP_58_DIGEST = (
+    "8473aca56c1cd5a5a21ff9a638575b6abcce0d16eebd5708b2711fed3daf3ac4")
+
+
+class TestBlocksPastTheLimit:
+    def test_ear_decomp_runs_no_matching_fallback(self, monkeypatch):
+        """mu = 15 and t = 40, but every block has at most _TABLE_LIMIT
+        independent cycles: the cycle table serves every prefix, so no
+        nu falls back to summing a pairing, and stdout is unchanged."""
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(58, 58)),
+                                             random.Random(0))
+        g = d.target
+        (comp,) = g.graph.components()
+        assert min(cycle_rank(g.graph, comp), len(g.terminals)) > _TABLE_LIMIT
+        real = joins._nu
+        fallbacks = []
+
+        def counted(graph, terminals):
+            if any(joins._component_table(graph, terms) is None
+                   for _, terms in _component_terminals(graph, terminals)):
+                fallbacks.append(terminals)
+            return real(graph, terminals)
+
+        monkeypatch.setattr(joins, "_nu", counted)
+        out = cli_stdout(["ear-decomp", d.root, "--format", "json"],
+                         json.dumps(graft_document(g)))
+        assert fallbacks == []
+        assert hashlib.sha256(out.encode()).hexdigest() == EAR_DECOMP_58_DIGEST
 
 
 def networkx_pairs(W) -> list:
