@@ -162,7 +162,9 @@ def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     reach = g.graph.component_of(r)
     for v in sorted_vertices(g.graph.vertices):
         # The root is a terminal, so each read of its component's table
-        # costs O(t) or O(blocks) and runs no BFS.
+        # costs O(t) or O(blocks) and runs no BFS of its own; a block with
+        # more than joins._TABLE_LIMIT independent cycles adds one memoised
+        # matching per distinct odd set.
         d = distance(r, v) if v in reach else None
         table.append((v, d))
         want = 1 if v in g.spine else 0

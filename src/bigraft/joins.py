@@ -8,22 +8,21 @@ Their agreement is the package's root oracle.  They share _bfs_tree and,
 where min_join reads the cycle table below, _cycle_space, which is
 checked on its own against is_join and degree parity.
 
-Each graph component has one table, which _component_table alone chooses
-by the smaller exponent: the cycle table where the cycle rank
-mu = m - n + 1 is below the terminal count t and at most _TABLE_LIMIT,
-else the subset table up to _TABLE_LIMIT terminals.  Past both limits the
-cycle table still serves if every block (2-connected piece) has at most
-_TABLE_LIMIT independent cycles; else the component has none.  A table's
-nu_of(mask), the join size of a terminal subset, is one entry of the
-pairing DP or a sum over blocks of least popcounts against each block's
-stored span.  It serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an
-O(t) or O(blocks) read that f_distance_reader hands to callers reading
-many, the allowed-edge test and, up to _TABLE_LIMIT terminals, min_join's
-pairs (_table_pairs).  Above that the pairs come from the blossom matching
-in ``_blossom``, a port of networkx's that returns networkx's pairs;
-without a table it also sums nu and runs one matching per flipped set for
-each distance.  The tables store the difference unsigned; the sign hook is
-applied when f_distance reads it.
+Every graph component has one table, which _component_table alone
+chooses: the subset table where the terminal count t is at most
+_TABLE_LIMIT and at most the cycle rank mu = m - n + 1, else the cycle
+table.  A table's nu_of(mask), the join size of a terminal subset, is one
+entry of the pairing DP or a sum over blocks (2-connected pieces) of each
+block's least: a scan of its stored span where the block has at
+most _TABLE_LIMIT independent cycles, else the blossom pairing of the
+block's odd vertices, one memoised matching per distinct odd set.  A table
+serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an O(t) or O(blocks)
+read that f_distance_reader hands to callers reading many, the
+allowed-edge test and, up to _TABLE_LIMIT terminals, min_join's pairs
+(_table_pairs).  Above that the pairs come from the blossom matching in
+``_blossom``, a port of networkx's that returns networkx's pairs.  The
+tables store the difference unsigned; the sign hook is applied when
+f_distance reads it.
 
 Tables, BFS trees, cycle spaces, blocks with their spans, pairings and nu
 live in their graph's own memo (``core.cached_on_graph``) and die with it.
@@ -323,9 +322,11 @@ _TABLE_LIMIT = 10
 
 @cached_on_graph
 def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
-    """Matched terminal pairs of one component, minimizing total distance,
-    by the blossom matching of ``_blossom`` over the BFS metric: the port
-    of networkx's, so the pairs are the ones networkx would return."""
+    """Matched terminal pairs minimizing total distance, by the blossom
+    matching of ``_blossom`` over the BFS metric: the port of networkx's,
+    so the pairs are the ones networkx would return.  ``terms`` is sorted:
+    one component's terminals for min_join, or a block's odd vertices for
+    the cycle table's blocks past _TABLE_LIMIT."""
     rows = [_bfs_tree(graph, u)[0] for u in terms]
     W = [[row[w] for w in terms] for row in rows]
     return tuple((terms[i], terms[j]) for i, j in min_weight_matching(W))
@@ -356,17 +357,9 @@ def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tup
 
 @cached_on_graph
 def _nu(graph: Multigraph, terminals: frozenset) -> int:
-    """Join size, summed over components: each component table's nu, or
-    the blossom pairing's length where a component has no table."""
-    total = 0
-    for _, terms in _component_terminals(graph, terminals):
-        table = _component_table(graph, terms)
-        if table is not None:
-            total += table.nu
-        else:
-            for u, v in _blossom_pairing(graph, terms):
-                total += _bfs_tree(graph, u)[0][v]
-    return total
+    """Join size: the sum of each component table's nu."""
+    return sum(_component_table(graph, terms).nu
+               for _, terms in _component_terminals(graph, terminals))
 
 
 def nu(g: Graft) -> int:
@@ -439,7 +432,7 @@ class _SubsetTable:
         self.nu = self.dp[-1]
         self.best: dict = {}
 
-    def nu_of(self, mask: int) -> int:
+    def nu_of(self, graph: Multigraph, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
         return self.dp[mask]
 
@@ -494,7 +487,10 @@ def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple]:
     edges of a block lie on a common cycle.  So fundamental cycles joined
     by chains of shared edge bits span exactly one block's cycle space, and
     a tree edge on no cycle is a bridge.  Returns ``to_root``, the mask of
-    the bridges, and each block's (edge mask, basis masks).
+    the bridges, and each block as (edge mask, rank mu_b, span, memo).  The
+    span lists all 2^mu_b sums of the block's basis, or is None where mu_b
+    exceeds _TABLE_LIMIT.  The memo maps a start mask's part inside the
+    block to its least (``_CycleTable._least``) and only gains entries.
     """
     to_root, basis = _cycle_space(graph, root)
     blocks: list = []
@@ -510,101 +506,102 @@ def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple]:
     bridges = 0
     for path in to_root.values():
         bridges |= path
-    for mask, _ in blocks:
-        bridges &= ~mask
-    return to_root, bridges, tuple((mask, tuple(members)) for mask, members in blocks)
-
-
-@cached_on_graph
-def _block_spans(graph: Multigraph, root) -> tuple:
-    """Each block of ``_cycle_blocks(graph, root)`` as (edge mask, span,
-    memo): the span lists all 2^mu_b sums of the block's basis, and the
-    memo maps a start mask inside the block to the least popcount of start
-    XOR a span element.  The memo is filled as tables on this root read
-    it; its entries never change once written."""
     out = []
-    for mask, basis in _cycle_blocks(graph, root)[2]:
-        span = [0]
-        for c in basis:
-            span += [x ^ c for x in span]
-        out.append((mask, span, {}))
-    return tuple(out)
+    for mask, members in blocks:
+        bridges &= ~mask
+        span = None
+        if len(members) <= _TABLE_LIMIT:
+            span = [0]
+            for c in members:
+                span += [x ^ c for x in span]
+        out.append((mask, len(members), span, {}))
+    return to_root, bridges, tuple(out)
+
+
+def _pairing_least(graph: Multigraph, part: int) -> int:
+    """Least size of a join of the odd vertices T_b of the edge set
+    ``part``: the length of their blossom pairing over the BFS metric
+    (Edmonds-Johnson).  Shortest paths between two vertices of one block
+    stay inside it, so for ``part`` inside a block this is the least
+    popcount of part XOR the block's cycles."""
+    odd: set = set()
+    while part:
+        low = part & -part
+        e = graph.edges[low.bit_length() - 1]
+        odd ^= {e.u, e.v}
+        part ^= low
+    return sum(_bfs_tree(graph, u)[0][v]
+               for u, v in _blossom_pairing(graph, tuple(sorted_vertices(odd))))
 
 
 class _CycleTable:
-    """Join sizes inside one graph component whose blocks have few
-    independent cycles.
+    """Join sizes inside one graph component, summed over its blocks.
 
     Over ``_cycle_blocks(graph, terms[0])``, ``particular``, the XOR of
     the terminals' path masks, is a join of T, and every join of T is
     ``particular`` XOR a sum of cycles.
     Blocks share no edge, so the least join takes every bridge it meets
     and, in each block b, the least popcount of its part of the start XOR
-    an element of span(b): a read costs O(blocks), and one memo lookup per
-    block once a start has been seen.  The same sum from ``particular ^
-    to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The spans and memos
-    are shared by every table rooted at terms[0], so they hold sum over b
-    of 2^mu_b masks, never 2^mu.
+    a cycle of b: a scan of span(b) where b has one, else the pairing of
+    the part's odd vertices.  A read costs O(blocks), and one memo lookup
+    per block once a start has been seen.  The same sum from
+    ``particular ^ to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The
+    spans and memos are shared by every table rooted at terms[0], so they
+    hold at most 2^_TABLE_LIMIT masks per block, never 2^mu.
     """
 
     __slots__ = ("terms", "to_root", "bridges", "blocks", "particular", "nu")
 
     def __init__(self, graph: Multigraph, terms: tuple):
         self.terms = terms
-        self.to_root, self.bridges, _ = _cycle_blocks(graph, terms[0])
-        self.blocks = _block_spans(graph, terms[0])
+        self.to_root, self.bridges, self.blocks = _cycle_blocks(graph, terms[0])
         particular = 0
         for w in terms:
             particular ^= self.to_root[w]
         self.particular = particular
-        self.nu = self._least(particular)
+        self.nu = self._least(graph, particular)
 
-    def _least(self, start: int) -> int:
+    def _least(self, graph: Multigraph, start: int) -> int:
         """Least popcount of start XOR any sum of cycles."""
         size = (start & self.bridges).bit_count()
-        for mask, span, memo in self.blocks:
+        for mask, _, span, memo in self.blocks:
             part = start & mask
             least = memo.get(part)
             if least is None:
-                least = memo[part] = min((part ^ c).bit_count() for c in span)
+                if span is None:
+                    least = _pairing_least(graph, part)
+                else:
+                    least = min((part ^ c).bit_count() for c in span)
+                memo[part] = least
             size += least
         return size
 
-    def nu_of(self, mask: int) -> int:
+    def nu_of(self, graph: Multigraph, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
         start = 0
         for k, w in enumerate(self.terms):
             if mask >> k & 1:
                 start ^= self.to_root[w]
-        return self._least(start)
+        return self._least(graph, start)
 
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
         to_root = self.to_root
-        return self._least(self.particular ^ to_root[u] ^ to_root[v]) - self.nu
+        return self._least(graph, self.particular ^ to_root[u] ^ to_root[v]) - self.nu
 
 
 @cached_on_graph
-def _component_table(graph: Multigraph,
-                     terms: tuple) -> _SubsetTable | _CycleTable | None:
-    """The table of the component holding the sorted terminals ``terms``,
-    by the smaller exponent: the cycle table where the cycle rank mu is
-    below the terminal count t and at most _TABLE_LIMIT, else the subset
-    table up to _TABLE_LIMIT terminals.  Where both t and mu exceed it, the
-    cycle table still serves if every block has at most _TABLE_LIMIT
-    independent cycles; else None (the matching fallback).  No span is
-    built before that check."""
+def _component_table(graph: Multigraph, terms: tuple) -> _SubsetTable | _CycleTable:
+    """The table of the component holding the sorted terminals ``terms``:
+    the subset table where the terminal count t is at most _TABLE_LIMIT
+    and at most the cycle rank mu = m - n + 1, else the cycle table.  A
+    component without terminals gets the (empty) subset table."""
     if terms:
         comp = graph.component_of(terms[0])
         mu = sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
-        if mu < len(terms) and mu <= _TABLE_LIMIT:
+        if len(terms) > min(mu, _TABLE_LIMIT):
             return _CycleTable(graph, terms)
-    if len(terms) <= _TABLE_LIMIT:
-        return _SubsetTable(graph, terms)
-    blocks = _cycle_blocks(graph, terms[0])[2]
-    if all(len(basis) <= _TABLE_LIMIT for _, basis in blocks):
-        return _CycleTable(graph, terms)
-    return None
+    return _SubsetTable(graph, terms)
 
 
 def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[tuple]:
@@ -618,9 +615,9 @@ def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[t
         i = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << i)
         dist, _ = _bfs_tree(graph, terms[i])
-        size = table.nu_of(mask)
+        size = table.nu_of(graph, mask)
         for j in range(i + 1, len(terms)):
-            if rest >> j & 1 and size == table.nu_of(rest ^ (1 << j)) + dist[terms[j]]:
+            if rest >> j & 1 and size == table.nu_of(graph, rest ^ (1 << j)) + dist[terms[j]]:
                 out.append((terms[i], terms[j]))
                 mask = rest ^ (1 << j)
                 break
@@ -642,15 +639,11 @@ def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
 
 def _nu_deltas(graph: Multigraph, terminals: frozenset):
     """A reader of nu(T Δ {u, v}) - nu(T), unsigned, for distinct u, v of
-    one component: a read of the component's table, or two matchings
-    where it has none."""
+    one component: a read of the component's table."""
     tables = _distance_tables(graph, terminals)
 
     def delta(u, v) -> int:
-        table = tables[u]
-        if table is None:
-            return _nu(graph, terminals ^ {u, v}) - _nu(graph, terminals)
-        return table.delta(graph, u, v)
+        return tables[u].delta(graph, u, v)
     return delta
 
 

@@ -343,18 +343,16 @@ TABLE_CASES = [
 ]
 
 # The table every component of a case gets, by seed.  A one-piece case has
-# cycle rank mu = extra + 1 (the doubled edge).  The cycle table serves
-# where mu is below the terminal count t and at most _TABLE_LIMIT, else the
-# subset DP up to _TABLE_LIMIT terminals.  Where both t and mu exceed
-# _TABLE_LIMIT, the cycle table serves if every block has at most
-# _TABLE_LIMIT independent cycles, else None, the matching fallback.
-# Cases 7-9 sit at the mu = t boundary: t = 4 with mu = 4 and with mu = 3,
-# and t = mu = _TABLE_LIMIT.  Case 6 (mu = 11) splits into blocks of rank
-# 1 and 10; case 10 (mu = 11) is one block.
+# cycle rank mu = extra + 1 (the doubled edge).  The subset DP serves where
+# the terminal count t is at most _TABLE_LIMIT and at most mu, else the
+# cycle table.  Cases 7-9 sit at the mu = t boundary: t = 4 with mu = 4 and
+# with mu = 3, and t = mu = _TABLE_LIMIT.  Case 6 (mu = 11) splits into
+# blocks of rank 1 and 10; case 10 (mu = 11) is one block, past
+# _TABLE_LIMIT, so its reads pair the block's odd vertices.
 TABLE_KINDS = {1: _SubsetTable, 2: _SubsetTable, 3: _SubsetTable,
                4: _CycleTable, 5: _CycleTable, 6: _CycleTable,
                7: _SubsetTable, 8: _CycleTable, 9: _SubsetTable,
-               10: type(None)}
+               10: _CycleTable}
 
 
 def cycle_rank(graph, comp) -> int:
@@ -523,11 +521,14 @@ class TestDistanceTable:
         for comp in g.graph.components():
             assert all(type(tables[w]) is table_kind for w in comp)
             t, mu = len(comp & g.terminals), cycle_rank(g.graph, comp)
-            small = max(block_ranks(g.graph, comp), default=0) <= _TABLE_LIMIT
-            assert (table_kind is _CycleTable) == (
-                mu < t and mu <= _TABLE_LIMIT or min(t, mu) > _TABLE_LIMIT and small)
-            assert (table_kind is type(None)) == (min(t, mu) > _TABLE_LIMIT and not small)
-        # The fallback case has more edges than the oracles' default bound.
+            assert (table_kind is _SubsetTable) == (t <= _TABLE_LIMIT and t <= mu)
+            paired = max(block_ranks(g.graph, comp), default=0) > _TABLE_LIMIT
+            assert paired == (seed == 10)
+            if table_kind is _CycleTable:
+                assert paired == any(span is None for _, _, span, _ in
+                                     tables[min(comp)].blocks)
+        # Case 10, whose one block is paired, has more edges than the
+        # oracles' default bound.
         bound = max(22, len(g.graph.edges))
         kinds = set()
         vs = sorted(g.graph.vertices)
@@ -552,7 +553,7 @@ class TestDistanceTable:
         (comp,) = graph.components()
         table = _distance_tables(graph, T)[min(comp)]
         assert type(table) is _CycleTable
-        assert sorted(len(basis) for _, basis in
+        assert sorted(rank for _, rank, _, _ in
                       _cycle_blocks(graph, min(T))[2]) == block_ranks(graph, comp)
         base = pairing_nu(graph, T)
         assert table.nu == _nu(graph, T) == base
@@ -581,19 +582,17 @@ class TestDistanceTable:
 
     def test_no_span_above_the_limit(self, monkeypatch):
         """A dense graft with many terminals has one block far above
-        _TABLE_LIMIT: it gets no table, and no span of 2^mu_b is built.
-        Each block's size is checked before its span is."""
-        real = joins._block_spans
+        _TABLE_LIMIT: its cycle table keeps no span for that block, and no
+        span longer than 2^_TABLE_LIMIT is ever built."""
+        real = joins._cycle_blocks
         spans = []
 
         def guarded(graph, root):
-            for _, basis in joins._cycle_blocks(graph, root)[2]:
-                assert len(basis) <= _TABLE_LIMIT
             out = real(graph, root)
-            spans.extend(len(span) for _, span, _ in out)
+            spans.extend(len(span) for _, _, span, _ in out[2] if span is not None)
             return out
 
-        monkeypatch.setattr(joins, "_block_spans", guarded)
+        monkeypatch.setattr(joins, "_cycle_blocks", guarded)
         rng = random.Random(20)
         dense = []
         while len(dense) < 2:
@@ -605,8 +604,11 @@ class TestDistanceTable:
         for g in dense + [block_graft(*BLOCK_CASES["small-blocks"])]:
             out = cli_stdout(argv, json.dumps(graft_document(g)))
             assert out.startswith(f"{argv} 0\n")
-        assert all(_distance_tables(g.graph, g.terminals)[min(g.terminals)] is None
-                   for g in dense)
+        for g in dense:
+            table = _distance_tables(g.graph, g.terminals)[min(g.terminals)]
+            assert type(table) is _CycleTable
+            giant = max(table.blocks, key=lambda block: block[1])
+            assert giant[1] > _TABLE_LIMIT and giant[2] is None
         assert spans and max(spans) <= 1 << _TABLE_LIMIT
 
     def test_one_subset_dp_per_component_terminal_set(self, monkeypatch):
@@ -659,7 +661,7 @@ class TestDistanceTable:
         assert subset.nu == cycle.nu
         for mask in range(1 << t):
             if mask.bit_count() % 2 == 0:
-                assert subset.nu_of(mask) == cycle.nu_of(mask), mask
+                assert subset.nu_of(graph, mask) == cycle.nu_of(graph, mask), mask
         for u, v in itertools.combinations(sorted(graph.vertices), 2):
             assert subset.delta(graph, u, v) == cycle.delta(graph, u, v), (u, v)
         assert _table_pairs(graph, subset) == _table_pairs(graph, cycle)
@@ -750,32 +752,52 @@ class TestCycleTableOnQuasicombs:
 # recorded while its distances still ran one matching per flipped set.
 EAR_DECOMP_58_DIGEST = (
     "8473aca56c1cd5a5a21ff9a638575b6abcce0d16eebd5708b2711fed3daf3ac4")
+# sha256 of ear-decomp's stdout alone on the n = 58, seed 1 quasicomb below,
+# as recorded while its giant block's distances summed two pairings over
+# all terminals.
+EAR_DECOMP_58_1_DIGEST = (
+    "5cc45922c27b4396ba06d96bee3ef821fde0805f06e5242f9d39899a1a1bc98d")
 
 
 class TestBlocksPastTheLimit:
-    def test_ear_decomp_runs_no_matching_fallback(self, monkeypatch):
+    def test_ear_decomp_stdout_is_unchanged(self):
         """mu = 15 and t = 40, but every block has at most _TABLE_LIMIT
-        independent cycles: the cycle table serves every prefix, so no
-        nu falls back to summing a pairing, and stdout is unchanged."""
+        independent cycles, and stdout is the one the matching gave."""
         d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(58, 58)),
                                              random.Random(0))
         g = d.target
         (comp,) = g.graph.components()
         assert min(cycle_rank(g.graph, comp), len(g.terminals)) > _TABLE_LIMIT
-        real = joins._nu
-        fallbacks = []
-
-        def counted(graph, terminals):
-            if any(joins._component_table(graph, terms) is None
-                   for _, terms in _component_terminals(graph, terminals)):
-                fallbacks.append(terminals)
-            return real(graph, terminals)
-
-        monkeypatch.setattr(joins, "_nu", counted)
+        assert max(block_ranks(g.graph, comp)) <= _TABLE_LIMIT
         out = cli_stdout(["ear-decomp", d.root, "--format", "json"],
                          json.dumps(graft_document(g)))
-        assert fallbacks == []
         assert hashlib.sha256(out.encode()).hexdigest() == EAR_DECOMP_58_DIGEST
+
+    def test_a_paired_block_gives_the_pairing_distances(self):
+        """mu = 17 with one block of rank 12: the cycle table keeps no span
+        for it and pairs its odd vertices.  On every other prefix with such
+        a block, nu and a third of the root distances equal sums of
+        pairings over all terminals, and stdout is the one those sums gave."""
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(58, 58)),
+                                             random.Random(1))
+        g = d.target
+        (comp,) = g.graph.components()
+        assert cycle_rank(g.graph, comp) == 17
+        assert max(block_ranks(g.graph, comp)) == 12
+        paired = [p for p in d.prefixes() if len(p.terminals) > _TABLE_LIMIT
+                  and any(span is None for _, _, span, _ in
+                          _distance_tables(p.graph, p.terminals)[d.root].blocks)]
+        assert len(paired) >= 4
+        for p in paired[::-2]:
+            base = pairing_nu(p.graph, p.terminals)
+            assert nu(p) == base
+            for v in sorted(p.graph.vertices - {d.root})[::3]:
+                want = pairing_nu(p.graph, p.terminals ^ {d.root, v}) - base
+                assert f_distance(p, d.root, v).value == want, v
+        argv = ["ear-decomp", d.root, "--format", "json"]
+        head, body = cli_stdout(argv, json.dumps(graft_document(g))).split("\n", 1)
+        assert head == f"{argv} 0"
+        assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_58_1_DIGEST
 
 
 def networkx_pairs(W) -> list:
