@@ -9,6 +9,10 @@ lists every critical set and is kept as the oracle for that growth.  The
 relation is a partial order, computed here together with its Hasse
 diagram, heights, and the neighborhood containment check for the vertices
 lying strictly above a component.
+
+Each public function checks once that its input is a comb, then tests
+every candidate union through ``_critical_set``, which builds the
+contraction G[X]/G0 as a single graft.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from dataclasses import dataclass
 
 from .core import (
     CapacityError,
-    Graft,
     GraftInputError,
     InternalConsistencyError,
+    Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
-    contract_graft,
+    contracted_edges,
     sorted_vertices,
 )
 from .combs import EarStep, classify_comb, is_critical_quasicomb, is_f_balanced
@@ -78,15 +82,24 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
 
     X must be separating and contain the component; contracting the
     component to a fresh tooth vertex must leave a bipartite graft that is
-    a critical quasicomb for that vertex.  Every contraction is checked to
-    be a quasicomb, as the theory guarantees.  A disconnected one is then
-    rejected at once, since a critical quasicomb has every vertex at a
-    finite distance from its root; only a connected one pays for the
-    distance table.  Returns the verdict and, when true, a certificate
-    carrying the contraction and its distance table.
+    a critical quasicomb for that vertex.  The contraction G[X]/G0 is built
+    as one ordered bipartite graft, in one pass over the comb's edges
+    inside X.  Every contraction is checked to be a quasicomb, as the
+    theory guarantees.  A disconnected one is then rejected at once, since
+    a critical quasicomb has every vertex at a finite distance from its
+    root; only a connected one pays for the distance table.  Returns the
+    verdict and, when true, a certificate carrying the contraction and its
+    distance table.
     """
-    g0 = _require_comb(comb).by_id(component_id)
-    xs = frozenset(X)
+    return _critical_set(comb, _require_comb(comb), component_id, frozenset(X))
+
+
+def _critical_set(comb: OrderedBipartiteGraft, comps: FactorComponentSet,
+                  component_id,
+                  xs: frozenset) -> tuple[bool, CriticalSetCertificate | None]:
+    """``is_critical_set`` on a comb already checked, whose factor
+    components are ``comps``."""
+    g0 = comps.by_id(component_id)
     separating, ids = is_separating(comb, xs)
     if not separating:
         return False, None
@@ -100,17 +113,18 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
                 # The contraction would put this edge between two tooth
                 # vertices, so it cannot be a bipartite quasicomb.
                 return False, None
-
-    # X is a union of factor components, each with an even number of
-    # terminals, so it induces a graft; the contraction gets its sides below.
-    contracted, root = contract_graft(
-        Graft(comb.graph.induced(xs), comb.terminals & xs), g0.vertices,
-        contracted_id=_contracted_name(component_id, xs))
-    if root in contracted.terminals:
+    if len(comb.terminals & g0.vertices) % 2:
         raise InternalConsistencyError(
             f"factor component {component_id!r} holds an odd number of terminals")
+
+    # X is a union of factor components, each with an even number of
+    # terminals, so G[X] is a graft and G0 contracts to a non-terminal.
+    root = _contracted_name(component_id, xs)
+    inner = (e for e in comb.graph.edges if e.u in xs and e.v in xs)
     shape = OrderedBipartiteGraft(
-        contracted.graph, contracted.terminals,
+        Multigraph((xs - g0.vertices) | {root},
+                   contracted_edges(inner, g0.vertices, root)),
+        (comb.terminals & xs) - g0.vertices,
         (comb.spine & xs) - g0.vertices, outside_tooth | {root})
     if not classify_comb(shape).is_quasicomb:
         raise InternalConsistencyError(
@@ -143,13 +157,20 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft,
         for chosen in itertools.combinations(others, size):
             xs = g0.vertices.union(*(c.vertices for c in chosen)) \
                 if chosen else g0.vertices
-            ok, _ = is_critical_set(comb, component_id, xs)
+            ok, _ = _critical_set(comb, comps, component_id, xs)
             if ok:
                 found.append(xs)
     return tuple(found)
 
 
-def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
+def _neighbourhoods(comb: OrderedBipartiteGraft, comps) -> dict:
+    """Each factor component's id mapped to the vertices adjacent to it."""
+    return {comp.id: {e.other(v) for v in comp.vertices
+                      for e in comb.graph.incident(v)} for comp in comps}
+
+
+def _top_critical_set(comb: OrderedBipartiteGraft, comps, near,
+                      cid) -> frozenset:
     """top(c): the maximal critical set for the component ``cid``.
 
     Growth starts from the component's own vertices and adds, in component
@@ -160,11 +181,10 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
     critical sets for c provided two critical sets for c unite into a
     critical set and that union is reached one component at a time.  No
     lemma is cited for this union closure: it is checked by test, against
-    ``enumerate_critical_sets`` in tests/test_cathedral.py.
+    ``enumerate_critical_sets`` in tests/test_cathedral.py.  ``near`` is
+    ``_neighbourhoods(comb, comps)``.
     """
     top = comps.by_id(cid).vertices
-    near = {comp.id: {e.other(v) for v in comp.vertices
-                      for e in comb.graph.incident(v)} for comp in comps}
     grown = True
     while grown:
         grown = False
@@ -172,7 +192,7 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, cid) -> frozenset:
             if comp.vertices <= top or not near[comp.id] & top:
                 continue
             candidate = top | comp.vertices
-            if is_critical_set(comb, cid, candidate)[0]:
+            if _critical_set(comb, comps, cid, candidate)[0]:
                 top = candidate
                 grown = True
     return top
@@ -183,7 +203,8 @@ def precedes(comb: OrderedBipartiteGraft, first_id, second_id) -> bool:
     that is, whether the second lies inside top(first)."""
     comps = _require_comb(comb)
     target = comps.by_id(second_id).vertices
-    return target <= _top_critical_set(comb, comps, first_id)
+    return target <= _top_critical_set(comb, comps,
+                                       _neighbourhoods(comb, comps), first_id)
 
 
 @dataclass(frozen=True)
@@ -230,7 +251,8 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     """
     comps = _require_comb(comb)
     ids = comps.ids()
-    tops = {cid: _top_critical_set(comb, comps, cid) for cid in ids}
+    near = _neighbourhoods(comb, comps)
+    tops = {cid: _top_critical_set(comb, comps, near, cid) for cid in ids}
     vertices = {c.id: c.vertices for c in comps}
     n = len(ids)
     rel = [[vertices[b] <= tops[a] for b in ids] for a in ids]
@@ -280,17 +302,17 @@ def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,
     second = comps.by_id(second_id).vertices
     third = comps.by_id(third_id).vertices
     xs, ys = frozenset(X), frozenset(Y)
-    ok_x, _ = is_critical_set(comb, first_id, xs)
+    ok_x, _ = _critical_set(comb, comps, first_id, xs)
     if not ok_x:
         raise PreconditionError(f"X is not a critical set for {first_id!r}")
     if not second <= xs:
         raise PreconditionError(f"X does not cover component {second_id!r}")
-    ok_y, _ = is_critical_set(comb, second_id, ys)
+    ok_y, _ = _critical_set(comb, comps, second_id, ys)
     if not ok_y:
         raise PreconditionError(f"Y is not a critical set for {second_id!r}")
     if not third <= ys:
         raise PreconditionError(f"Y does not cover component {third_id!r}")
-    union_ok, _ = is_critical_set(comb, first_id, xs | ys)
+    union_ok, _ = _critical_set(comb, comps, first_id, xs | ys)
     return union_ok and third <= (xs | ys)
 
 
@@ -331,7 +353,8 @@ def upper_bound_check(comb: OrderedBipartiteGraft,
     """
     comps = _require_comb(comb)
     g0 = comps.by_id(component_id)
-    upper = _top_critical_set(comb, comps, component_id) - g0.vertices
+    upper = _top_critical_set(comb, comps, _neighbourhoods(comb, comps),
+                              component_id) - g0.vertices
 
     classes = [cls for cls in kl_classes_of_component(kl_partition(comb), g0.id)
                if cls <= comb.tooth]

@@ -525,12 +525,14 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
     """Replay the decomposition and judge it.
 
     Each step is checked against the prefix before it, then ``d.prefixes()``
-    advances, reusing any prefix an earlier reader summed.  Fatal: malformed
-    steps, a replay that stops being a critical quasicomb for the root after
-    some step, or a final graft differing from the target.  Tolerated with a
-    warning: tooth-terminal placement and effectiveness violations, provided
-    criticality survives.  With F given, each step's share of F must be a
-    minimum join of the step graft.
+    advances, reusing any prefix an earlier reader summed, and that prefix's
+    graph memo is released, so the chain keeps its sums and not their
+    distance tables.  Fatal: malformed steps, a replay that stops being a
+    critical quasicomb for the root after some step, or a final graft
+    differing from the target.  Tolerated with a warning: tooth-terminal
+    placement and effectiveness violations, provided criticality survives.
+    With F given, each step's share of F must be a minimum join of the step
+    graft.
     """
     problems: list[str] = []
     warnings: list[str] = []
@@ -558,9 +560,14 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
         fatal = [f"step {idx}: {v.message}" for v in violations if v.fatal]
         if not fatal:
             try:
-                current = next(chain)
+                prefix = next(chain)
             except BigraftError as exc:
                 fatal = [f"step {idx}: replay failed: {exc}"]
+            else:
+                # Every check that reads the prefix before this step is
+                # done, so its distance tables go; the chain keeps its sum.
+                current.graph._memo.clear()
+                current = prefix
         if fatal:
             problems.extend(fatal)
             checks.append(StepCheck(idx, violations, None, None))

@@ -168,13 +168,15 @@ class Multigraph:
 
 
 def cached_on_graph(fn):
-    """Memoize ``fn(graph, key)`` in ``graph._memo``, which dies with the graph."""
+    """Memoize ``fn(graph, key)`` in ``graph._memo``, which dies with the
+    graph.  A memo may be cleared at any time; a reader then recomputes."""
     @wraps(fn)
     def cached(graph: Multigraph, key):
         slot = (fn.__name__, key)
-        if slot not in graph._memo:
-            graph._memo[slot] = fn(graph, key)
-        return graph._memo[slot]
+        try:
+            return graph._memo[slot]
+        except KeyError:
+            return graph._memo.setdefault(slot, fn(graph, key))
     return cached
 
 
@@ -274,21 +276,29 @@ def contract_graft(g: Graft, X: Iterable[VertexId],
     if contracted_id in g.graph.vertices - keep:
         raise GraftInputError(f"contracted id {contracted_id!r} is already a vertex")
     vertices = (g.graph.vertices - keep) | {contracted_id}
-    edges = []
-    for e in g.graph.edges:
+    edges = contracted_edges(g.graph.edges, keep, contracted_id)
+    terminals = g.terminals - keep
+    if len(g.terminals & keep) % 2:
+        terminals |= {contracted_id}
+    return Graft(Multigraph(frozenset(vertices), edges), frozenset(terminals)), contracted_id
+
+
+def contracted_edges(edges: Iterable[Edge], keep: frozenset,
+                     contracted_id: VertexId) -> tuple[Edge, ...]:
+    """The edges as they run once ``keep`` is one vertex ``contracted_id``:
+    an end inside ``keep`` moves to it, and an edge inside ``keep`` goes."""
+    out = []
+    for e in edges:
         inside_u, inside_v = e.u in keep, e.v in keep
         if inside_u and inside_v:
             continue
         if inside_u:
-            edges.append(Edge(e.id, contracted_id, e.v))
+            out.append(Edge(e.id, contracted_id, e.v))
         elif inside_v:
-            edges.append(Edge(e.id, e.u, contracted_id))
+            out.append(Edge(e.id, e.u, contracted_id))
         else:
-            edges.append(e)
-    terminals = g.terminals - keep
-    if len(g.terminals & keep) % 2:
-        terminals |= {contracted_id}
-    return Graft(Multigraph(frozenset(vertices), tuple(edges)), frozenset(terminals)), contracted_id
+            out.append(e)
+    return tuple(out)
 
 
 def graft_sum(g1: OrderedBipartiteGraft, g2: OrderedBipartiteGraft) -> OrderedBipartiteGraft:

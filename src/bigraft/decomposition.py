@@ -8,7 +8,7 @@ this module computes and audits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (
@@ -40,20 +40,24 @@ def allowed_edge_set(g: Graft) -> frozenset:
 
 @dataclass(frozen=True)
 class FactorComponent:
-    """One component of the allowed subgraph.
+    """One component of the allowed subgraph ``skeleton``.
 
-    ``id`` is the least vertex id inside, ``subgraph`` keeps only the
-    allowed edges.
+    ``id`` is the least vertex id inside.
     """
 
     id: object
     vertices: frozenset
-    subgraph: Multigraph
+    skeleton: Multigraph = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.id != sorted_vertices(self.vertices)[0]:
             raise InternalConsistencyError(
                 f"component id {self.id!r} is not its least vertex")
+
+    @property
+    def subgraph(self) -> Multigraph:
+        """The component with only its allowed edges, built on each read."""
+        return self.skeleton.induced(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ def _factor_components(graph: Multigraph, terminals: frozenset) -> FactorCompone
     comps = []
     for vs in skeleton.components():
         least = sorted_vertices(vs)[0]
-        comps.append(FactorComponent(least, vs, skeleton.induced(vs)))
+        comps.append(FactorComponent(least, vs, skeleton))
     comps.sort(key=lambda c: vertex_key(c.id))
     out = FactorComponentSet(tuple(comps))
     covered = frozenset().union(*out.vertex_sets()) if comps else frozenset()

@@ -25,8 +25,10 @@ tables store the difference unsigned; the sign hook is applied when
 f_distance reads it.
 
 Tables, BFS trees, cycle spaces, blocks with their spans, pairings and nu
-live in their graph's own memo (``core.cached_on_graph``) and die with it.
-The memo takes no lock, so two threads may both fill one entry.  A table's
+live in their graph's own memo (``core.cached_on_graph``) and die with it,
+or sooner when the memo is cleared (the ear verifier clears each prefix's
+once it is checked).  The memo takes no lock, so two threads may both
+compute one entry; both get the one stored first.  A table's
 fields never change once built; its caches (the subset table's best_u
 lists, the block memos) only gain entries, each the value any thread would
 compute.

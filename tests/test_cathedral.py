@@ -19,6 +19,7 @@ from bigraft.core import (
     simple_paths,
 )
 from bigraft.cathedral import (
+    _neighbourhoods,
     _top_critical_set,
     cathedral_poset,
     enumerate_critical_sets,
@@ -28,7 +29,7 @@ from bigraft.cathedral import (
     union_criticality_check,
     upper_bound_check,
 )
-from bigraft.combs import EarStep, is_f_balanced
+from bigraft.combs import EarStep, classify_comb, is_f_balanced
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, poset_document, upper_report_document
 from bigraft.generators import GenConfig, gen_random_comb
@@ -276,7 +277,8 @@ class TestGrowthOracle:
         grown = 0
         for comb, comps, sets in enumerated:
             for cid, found in sets.items():
-                top = _top_critical_set(comb, comps, cid)
+                top = _top_critical_set(comb, comps,
+                                        _neighbourhoods(comb, comps), cid)
                 assert top == frozenset().union(*found), (sorted(top), cid)
                 grown += top != comps.by_id(cid).vertices
         assert grown
@@ -394,6 +396,61 @@ class TestPoset:
     def test_requires_comb(self):
         with pytest.raises(PreconditionError):
             cathedral_poset(p3r())
+
+
+class TestConstructionCost:
+    """The order builds one graph per contraction it checks, and each
+    public entry checks the comb itself once."""
+
+    def fixed_comb(self):
+        return gen_random_comb(GenConfig(seed=9, vertices=(12, 16),
+                                         edge_density=0.15))
+
+    def counters(self, monkeypatch, comb):
+        built, on_comb, on_contraction = [0], [0], [0]
+        real_init, real_classify = Multigraph.__post_init__, classify_comb
+
+        def counted_init(graph):
+            built[0] += 1
+            real_init(graph)
+
+        def counted_classify(g):
+            if g is comb:
+                on_comb[0] += 1
+            else:
+                on_contraction[0] += 1
+            return real_classify(g)
+
+        monkeypatch.setattr(Multigraph, "__post_init__", counted_init)
+        monkeypatch.setattr("bigraft.cathedral.classify_comb", counted_classify)
+        return built, on_comb, on_contraction
+
+    def test_one_graph_per_contraction(self, monkeypatch):
+        for comb in (handled_theta(), self.fixed_comb()):
+            factor_components(comb)
+            built, on_comb, on_contraction = self.counters(monkeypatch, comb)
+            cathedral_poset(comb)
+            assert on_comb[0] == 1
+            assert on_contraction[0] > 0
+            assert built[0] == on_contraction[0]
+
+    def test_every_entry_checks_the_comb_once(self, monkeypatch):
+        comb = self.fixed_comb()
+        comps = factor_components(comb)
+        a, b = comps.ids()[:2]
+        _, on_comb, _ = self.counters(monkeypatch, comb)
+        calls = (lambda: cathedral_poset(comb),
+                 lambda: precedes(comb, a, b),
+                 lambda: upper_bound_check(comb, a),
+                 lambda: enumerate_critical_sets(comb, a),
+                 lambda: is_critical_set(comb, a, comb.graph.vertices),
+                 lambda: union_criticality_check(comb, a, a, a,
+                                                 comps.by_id(a).vertices,
+                                                 comps.by_id(a).vertices))
+        for call in calls:
+            on_comb[0] = 0
+            call()
+            assert on_comb[0] == 1
 
 
 class TestUnionCriticality:

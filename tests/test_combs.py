@@ -21,6 +21,7 @@ from bigraft.combs import (
     CombClassification,
     EarStep,
     GraftEarDecomposition,
+    StepViolation,
     build_graft_ear_decomposition,
     classify_comb,
     is_critical_quasicomb,
@@ -643,6 +644,33 @@ class TestVerifier:
         assert ("step 1: the join share ['e6'] is not a minimum join of the "
                 "step") in report.problems
 
+    def test_tolerated_violation_warns_only_while_critical(self, monkeypatch):
+        """A non-fatal violation is a warning when the prefix after it
+        stays critical, and a problem when it does not."""
+        real = validate_ear_step
+
+        def forced(base, step):
+            ok, violations = real(base, step)
+            if step is d.steps[1]:
+                violations += (StepViolation("forced", "forced advisory", False),)
+            return ok, violations
+
+        monkeypatch.setattr("bigraft.combs.validate_ear_step", forced)
+        g = p3r()
+        d = build_graft_ear_decomposition(g, "r", min_join(g))
+        report = verify_graft_ear_decomposition(d)
+        assert report.valid and report.problems == ()
+        assert report.warnings == ("step 1: tolerated: forced advisory",)
+
+        s = d.steps[1]
+        d = GraftEarDecomposition(
+            "r", (d.steps[0], EarStep(s.walk, s.bonds, frozenset(), s.spine,
+                                      s.tooth)), g)
+        report = verify_graft_ear_decomposition(d)
+        assert not report.valid and report.warnings == ()
+        assert report.step_checks[1].prefix_critical is False
+        assert "step 1: forced advisory" in report.problems
+
     def test_prefix_that_is_not_a_quasicomb(self):
         """A circuit ear whose inner tooth vertex is no terminal: the
         replayed prefix is not even a quasicomb."""
@@ -681,6 +709,16 @@ class TestPrefixChain:
             assert len(calls) == len(built.steps)
             assert built.replay() == d.target
             assert len(calls) == len(built.steps)
+
+    def test_verifier_releases_each_checked_prefix_memo(self):
+        for seed in range(4):
+            d, F = gen_random_critical_quasicomb(
+                GenConfig(seed=seed, vertices=(8, 12)))
+            assert len(d.steps) > 2
+            assert verify_graft_ear_decomposition(d, F).valid
+            chain = list(d.prefixes())
+            assert [p.graph._memo for p in chain[:-1]] == [{}] * (len(chain) - 1)
+            assert chain[-1].graph._memo
 
     def test_chain_is_not_a_field(self):
         g = square()

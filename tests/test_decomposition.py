@@ -56,8 +56,11 @@ class TestFactorComponents:
         assert comps.vertex_sets() == (frozenset({"a1", "b1"}), frozenset({"r"}))
 
     def test_subgraph_keeps_only_allowed_edges(self):
-        comps = factor_components(chain4())
-        assert comps.by_id("a0").subgraph.edge_ids() == {"e0"}
+        g = chain4()
+        front = factor_components(g).by_id("a0")
+        inside = {e.id for e in g.graph.induced(front.vertices).edges}
+        assert allowed_edge_set(g) & inside == {"e0"}
+        assert front.subgraph.edge_ids() == {"e0"}
 
     def test_component_lookup(self):
         comps = factor_components(chain4())
