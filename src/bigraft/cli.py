@@ -5,7 +5,9 @@ all; ``--input`` (a graft document, default stdin) on all but ``verify``
 and ``gen``; ``--oracle`` (the exhaustive join backend) on ``analyze``,
 ``min-join``, ``dist`` and ``ear-decomp``; ``--seed`` on ``verify`` and
 ``gen``.  A command exits 0 on success, 1 when a verification-style command
-finds a failure or an internal check fails, and 2 on usage or input errors.
+finds a failure or an internal check fails, and 2 on usage or input errors:
+``critical`` reports a root that is not critical with 1, and ``ear-decomp``
+refuses one with 2.
 Anything time-dependent goes to stderr so identical invocations stay
 byte-identical on stdout.
 """

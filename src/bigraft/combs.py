@@ -5,9 +5,10 @@ minimum join touches each tooth exactly once; a quasicomb relaxes that to
 tooth terminals only.  A quasicomb is critical for a root r on the tooth
 side when every spine vertex has join distance 1 to r and every tooth
 vertex distance 0.  The test reads every distance from join sizes
-(``f_distance``), so its report is the whole distance table to the root.
-Critical quasicombs are exactly the grafts that grow from a single root by
-ear steps, and this module both builds and checks such decompositions.
+(``f_distance_reader``), so its report is the whole distance table to the
+root.  Critical quasicombs are exactly the grafts that grow from a single
+root by ear steps, and this module both builds and checks such
+decompositions.
 """
 
 from __future__ import annotations
@@ -161,10 +162,6 @@ def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     distance = f_distance_reader(g)
     reach = g.graph.component_of(r)
     for v in sorted_vertices(g.graph.vertices):
-        # The root is a terminal, so each read of its component's table
-        # costs O(t) or O(blocks) and runs no BFS of its own; a block with
-        # more than joins._TABLE_LIMIT independent cycles adds one memoised
-        # matching per distinct odd set.
         d = distance(r, v) if v in reach else None
         table.append((v, d))
         want = 1 if v in g.spine else 0
@@ -334,8 +331,8 @@ def bare_root(root) -> OrderedBipartiteGraft:
 
 @dataclass(frozen=True)
 class GraftEarDecomposition:
-    """An ordered ear growth from a single root toward a target graft; the
-    one place that sums ear steps, each at most once (see ``prefixes``)."""
+    """An ordered ear growth from a single root toward a target graft.  It
+    keeps no sums: ``replay`` and ``prefixes`` build theirs on each call."""
 
     root: object
     steps: tuple[EarStep, ...]
@@ -344,24 +341,20 @@ class GraftEarDecomposition:
     def __post_init__(self):
         if self.root not in self.target.graph.vertices:
             raise GraftInputError(f"root {self.root!r} is not a target vertex")
-        object.__setattr__(self, "_prefixes", {})
 
     def replay(self) -> OrderedBipartiteGraft:
-        """The graft after the last step; the bare root when there is none."""
-        g = bare_root(self.root)
-        for g in self.prefixes():
-            pass
-        return g
+        """The graft after the last step, built in one sum; the bare root
+        when there is none."""
+        return graft_sum(bare_root(self.root),
+                         *(step.as_graft() for step in self.steps))
 
     def prefixes(self) -> Iterator[OrderedBipartiteGraft]:
-        """Yield the graft after each step.  Sums are kept on the instance,
-        off the dataclass fields, and made lazily, so a malformed chain still
-        yields up to its bad step; racing threads read the one sum kept."""
+        """Yield the graft after each step, each summed from the one before
+        and held only until the next, so a malformed chain still yields up
+        to its bad step."""
         g = bare_root(self.root)
-        for i, step in enumerate(self.steps):
-            if i not in self._prefixes:
-                self._prefixes.setdefault(i, graft_sum(g, step.as_graft()))
-            g = self._prefixes[i]
+        for step in self.steps:
+            g = graft_sum(g, step.as_graft())
             yield g
 
 
@@ -525,14 +518,13 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
     """Replay the decomposition and judge it.
 
     Each step is checked against the prefix before it, then ``d.prefixes()``
-    advances, reusing any prefix an earlier reader summed, and that prefix's
-    graph memo is released, so the chain keeps its sums and not their
-    distance tables.  Fatal: malformed steps, a replay that stops being a
-    critical quasicomb for the root after some step, or a final graft
-    differing from the target.  Tolerated with a warning: tooth-terminal
-    placement and effectiveness violations, provided criticality survives.
-    With F given, each step's share of F must be a minimum join of the step
-    graft.
+    advances and the checked prefix, with its distance tables, is dropped,
+    so the verifier holds one prefix at a time.  Fatal: malformed steps, a
+    replay that stops being a critical quasicomb for the root after some
+    step, or a final graft differing from the target.  Tolerated with a
+    warning: tooth-terminal placement and effectiveness violations, provided
+    criticality survives.  With F given, each step's share of F must be a
+    minimum join of the step graft.
     """
     problems: list[str] = []
     warnings: list[str] = []
@@ -564,9 +556,6 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
             except BigraftError as exc:
                 fatal = [f"step {idx}: replay failed: {exc}"]
             else:
-                # Every check that reads the prefix before this step is
-                # done, so its distance tables go; the chain keeps its sum.
-                current.graph._memo.clear()
                 current = prefix
         if fatal:
             problems.extend(fatal)

@@ -169,7 +169,7 @@ class Multigraph:
 
 def cached_on_graph(fn):
     """Memoize ``fn(graph, key)`` in ``graph._memo``, which dies with the
-    graph.  A memo may be cleared at any time; a reader then recomputes."""
+    graph."""
     @wraps(fn)
     def cached(graph: Multigraph, key):
         slot = (fn.__name__, key)
@@ -301,26 +301,32 @@ def contracted_edges(edges: Iterable[Edge], keep: frozenset,
     return tuple(out)
 
 
-def graft_sum(g1: OrderedBipartiteGraft, g2: OrderedBipartiteGraft) -> OrderedBipartiteGraft:
+def graft_sum(first: OrderedBipartiteGraft,
+              *more: OrderedBipartiteGraft) -> OrderedBipartiteGraft:
     """Union the graphs and take the symmetric difference of the terminals.
 
-    The two bipartitions must agree on shared vertices: no vertex may sit on
-    the spine side of one operand and the tooth side of the other.
+    Operands are added left to right, and each must agree with the sum so
+    far: no vertex may sit on the spine side of one and the tooth side of
+    the other, and an edge id they share must join the same ends.
     """
-    clash = (g1.spine & g2.tooth) | (g2.spine & g1.tooth)
-    if clash:
-        raise PreconditionError(
-            f"vertices {sorted_vertices(clash)!r} change sides between the operands")
-    merged: dict[str, Edge] = {e.id: e for e in g1.graph.edges}
-    for e in g2.graph.edges:
-        old = merged.get(e.id)
-        if old is not None and old.ends() != e.ends():
-            raise GraftInputError(
-                f"edge id {e.id!r} appears in both operands with different ends")
-        merged[e.id] = e
-    graph = Multigraph(g1.graph.vertices | g2.graph.vertices, tuple(merged.values()))
-    return OrderedBipartiteGraft(graph, g1.terminals ^ g2.terminals,
-                                 g1.spine | g2.spine, g1.tooth | g2.tooth)
+    merged: dict[str, Edge] = {e.id: e for e in first.graph.edges}
+    vertices, terminals = first.graph.vertices, first.terminals
+    spine, tooth = first.spine, first.tooth
+    for g in more:
+        clash = (spine & g.tooth) | (g.spine & tooth)
+        if clash:
+            raise PreconditionError(
+                f"vertices {sorted_vertices(clash)!r} change sides between the operands")
+        for e in g.graph.edges:
+            old = merged.get(e.id)
+            if old is not None and old.ends() != e.ends():
+                raise GraftInputError(
+                    f"edge id {e.id!r} appears in both operands with different ends")
+            merged[e.id] = e
+        vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
+        spine, tooth = spine | g.spine, tooth | g.tooth
+    graph = Multigraph(vertices, tuple(merged.values()))
+    return OrderedBipartiteGraft(graph, terminals, spine, tooth)
 
 
 def is_join(g: Graft, F: Iterable[str]) -> bool:

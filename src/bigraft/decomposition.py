@@ -222,10 +222,8 @@ def kl_partition(g: Graft) -> KLPartition:
     first of them at distance zero, or opens a class, and every pair read
     is audited then: same class must coincide with distance zero, which in
     particular certifies transitivity.  Every distance comes through one
-    ``f_distance_reader`` as a read of its graph component's table.  The
-    O(n²) pass runs a matching only where a read meets a block with more
-    than joins._TABLE_LIMIT independent cycles, one per distinct odd set
-    of that block.  An audit failure raises InternalConsistencyError.
+    ``f_distance_reader`` as a read of its graph component's table.  An
+    audit failure raises InternalConsistencyError.
     """
     comps = factor_components(g)
     distance = f_distance_reader(g)

@@ -25,13 +25,11 @@ tables store the difference unsigned; the sign hook is applied when
 f_distance reads it.
 
 Tables, BFS trees, cycle spaces, blocks with their spans, pairings and nu
-live in their graph's own memo (``core.cached_on_graph``) and die with it,
-or sooner when the memo is cleared (the ear verifier clears each prefix's
-once it is checked).  The memo takes no lock, so two threads may both
-compute one entry; both get the one stored first.  A table's
-fields never change once built; its caches (the subset table's best_u
-lists, the block memos) only gain entries, each the value any thread would
-compute.
+live in their graph's own memo (``core.cached_on_graph``) and die with
+it.  The memo takes no lock, so two threads may both compute one entry;
+both get the one stored first.  A table's fields never change once built;
+its caches (the subset table's best_u lists, the block memos) only gain
+entries, each the value any thread would compute.
 """
 
 from __future__ import annotations
@@ -695,9 +693,9 @@ def extract_shortest_path(g: Graft, F, u, v) -> WeightedWalkReport:
     if not is_minimum_join(g, F):
         raise PreconditionError("F must be a minimum join")
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None
+    d = f_distance_int(g, u, v)
     if u == v:
         return walk_report(fset, Walk((u,), ()), tooth)
-    d = f_distance_int(g, u, v)
     flipped = Graft(g.graph, g.terminals ^ {u, v})
     fprime = min_join(flipped).edge_ids
     diff = fset ^ fprime

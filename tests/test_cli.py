@@ -152,6 +152,14 @@ class TestExitCodes:
     def test_failed_verification_exits_one(self, files):
         assert run_cli("critical", "b1", "--input", files["i3"])[0] == 1
 
+    def test_non_critical_root_is_reported_by_critical_refused_by_ear_decomp(
+            self, files):
+        code, out, _ = run_cli("critical", "b0", "--input", files["i3"])
+        assert code == 1 and "critical: no" in out
+        code, out, err = run_cli("ear-decomp", "b0", "--input", files["i3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: the target is not critical for this root: ")
+
     def test_failed_internal_check_exits_one(self, files, monkeypatch):
         def broken(g):
             raise InternalConsistencyError("forced")

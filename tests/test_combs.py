@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -689,15 +690,17 @@ class TestVerifier:
 
 
 class TestPrefixChain:
-    """A decomposition sums each of its steps once, whoever reads it."""
+    """A decomposition keeps no sums: the verifier sums each step once and
+    drops each prefix once checked, and a replay is one sum."""
 
-    def test_build_and_verify_sum_each_step_once(self, monkeypatch):
+    def test_verifier_sums_each_step_once_and_replay_sums_once(
+            self, monkeypatch):
         real = graft_sum
         calls = []
 
-        def counted(g1, g2):
-            calls.append(g2)
-            return real(g1, g2)
+        def counted(*grafts):
+            calls.append(len(grafts))
+            return real(*grafts)
 
         monkeypatch.setattr("bigraft.combs.graft_sum", counted)
         for seed in range(6):
@@ -705,20 +708,34 @@ class TestPrefixChain:
                 GenConfig(seed=seed, vertices=(6, 12)))
             calls.clear()
             built = build_graft_ear_decomposition(d.target, d.root, F)
+            n = len(built.steps)
+            assert calls == [n + 1]
+            calls.clear()
             assert verify_graft_ear_decomposition(built, F).valid
-            assert len(calls) == len(built.steps)
+            assert calls == [2] * n
+            calls.clear()
             assert built.replay() == d.target
-            assert len(calls) == len(built.steps)
+            assert calls == [n + 1]
 
-    def test_verifier_releases_each_checked_prefix_memo(self):
+    def test_no_checked_prefix_outlives_the_verifier(self, monkeypatch):
+        real = GraftEarDecomposition.prefixes
+        refs = []
+
+        def watched(self):
+            for g in real(self):
+                # Only the prefix checked last may still be held.
+                assert sum(r() is not None for r in refs) <= 1
+                refs.append(weakref.ref(g))
+                yield g
+
+        monkeypatch.setattr(GraftEarDecomposition, "prefixes", watched)
         for seed in range(4):
             d, F = gen_random_critical_quasicomb(
                 GenConfig(seed=seed, vertices=(8, 12)))
-            assert len(d.steps) > 2
-            assert verify_graft_ear_decomposition(d, F).valid
-            chain = list(d.prefixes())
-            assert [p.graph._memo for p in chain[:-1]] == [{}] * (len(chain) - 1)
-            assert chain[-1].graph._memo
+            refs.clear()
+            report = verify_graft_ear_decomposition(d, F)
+            assert report.valid and len(refs) == len(d.steps) > 2
+            assert [r() for r in refs] == [None] * len(refs)
 
     def test_chain_is_not_a_field(self):
         g = square()

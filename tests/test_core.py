@@ -177,6 +177,48 @@ class TestGraftSum:
             graft_sum(ga, gb)
 
 
+class TestNaryGraftSum:
+    """Three operands sum, and fail, as the chained two-operand sums do."""
+
+    @staticmethod
+    def operands(third_vertices, third_edges, spine, tooth):
+        ga = build_bipartite_graft(
+            Multigraph.build(["x", "y"], [("e", "x", "y")]), ["x", "y"],
+            spine=["x"], tooth=["y"])
+        gb = build_bipartite_graft(
+            Multigraph.build(["y", "z"], [("f", "y", "z")]), ["y", "z"],
+            spine=["z"], tooth=["y"])
+        gc = build_bipartite_graft(
+            Multigraph.build(third_vertices, third_edges), [],
+            spine=spine, tooth=tooth)
+        return ga, gb, gc
+
+    @staticmethod
+    def failure(thunk):
+        with pytest.raises(Exception) as info:
+            thunk()
+        return type(info.value), str(info.value)
+
+    def test_equals_the_chained_sums(self):
+        ga, gb, gc = self.operands(["z", "w"], [("g", "z", "w")], ["z"], ["w"])
+        total = graft_sum(ga, gb, gc)
+        assert total == graft_sum(graft_sum(ga, gb), gc)
+        assert total == graft_sum(ga, graft_sum(gb, gc))
+        assert total.terminals == {"x", "z"}
+        assert graft_sum(ga) == ga
+
+    @pytest.mark.parametrize("third, error, match", [
+        ((["x"], [], [], ["x"]), PreconditionError, "change sides"),
+        ((["x", "w"], [("e", "x", "w")], ["x"], ["w"]), GraftInputError,
+         "different ends"),
+    ], ids=["side-clash", "edge-end-conflict"])
+    def test_third_operand_fails_as_the_chained_sum(self, third, error, match):
+        ga, gb, gc = self.operands(*third)
+        chained = self.failure(lambda: graft_sum(graft_sum(ga, gb), gc))
+        assert chained[0] is error and match in chained[1]
+        assert self.failure(lambda: graft_sum(ga, gb, gc)) == chained
+
+
 class TestInducedSubgraft:
     def test_requires_union_of_witness_parts(self):
         g = chain4()

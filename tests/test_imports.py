@@ -1,7 +1,9 @@
 """Every name a package or test module imports is read in that module; every
 module-level function or class of the package, and each method or
 property of such a class, is referenced somewhere; and every defaulted
-parameter of those functions and methods is passed by some call.
+parameter of those functions and methods is passed by some call.  No
+package module reads another object's private attribute unless that
+module defines the attribute.
 
 The repository runs no linter, so these are the guards against imports,
 definitions and parameters left behind when code moves.  ``__init__.py`` is skipped by the
@@ -174,3 +176,54 @@ def test_every_defaulted_parameter_is_passed():
 def test_partial_and_unpacking_count_as_calls():
     tree = ast.parse("functools.partial(f, 1, key=2)\nf(0)\ng(*xs)\n")
     assert passed_arguments([tree]) == {"f": (1, frozenset({"key"})), "g": None}
+
+
+def private_definitions(tree: ast.AST) -> set[str]:
+    """Private names a module defines: ``object.__setattr__`` strings,
+    ``self._name`` stores, ``__slots__`` entries and private methods."""
+    defined = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _called_name(node.func) == "__setattr__"
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            defined.add(node.args[1].value)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            defined |= {c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant)}
+        elif isinstance(node, ast.ClassDef):
+            defined |= {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+    return {name for name in defined
+            if isinstance(name, str) and name.startswith("_")}
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Each ``obj._name`` read, obj not ``self`` or ``cls``, of a private
+    name the module does not define, as "line obj._name"."""
+    tree = ast.parse(source)
+    own = private_definitions(tree)
+    return [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.endswith("__")
+            and node.attr not in own
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in ("self", "cls"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_reads(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_read_is_caught():
+    source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self._own = 1\n"
+              "        object.__setattr__(self, '_set', 2)\n"
+              "    def _helper(self):\n"
+              "        return self._anything\n"
+              "def f(a, g):\n"
+              "    return a._own, a._set, a._helper, g._memo.clear()\n")
+    assert foreign_private_reads(source) == ["8 g._memo"]

@@ -998,6 +998,12 @@ class TestExtractShortestPath:
         assert report.vertices == ("v1",)
         assert report.weight == 0
 
+    def test_trivial_pair_of_an_unknown_vertex_raises(self):
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            f_distance(c4(), "zz", "zz")
+        with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
+            extract_shortest_path(c4(), {"f2", "f3"}, "zz", "zz")
+
     def test_requires_minimum_join(self):
         g = c4_alt()
         with pytest.raises(PreconditionError, match="minimum"):
