@@ -39,7 +39,7 @@ from .decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
-from .joins import _edge_id_set, f_distance_int
+from .joins import f_distance_int
 
 
 _COMPONENT_LIMIT = 12
@@ -391,7 +391,6 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     """
     comps = _require_comb(comb)
     home = comps.by_id(component_id)
-    fset = _edge_id_set(F)
     if isinstance(P, Walk):
         P.validate(comb.graph)
         bonds = (P.vertices[0],) if P.closed else (P.vertices[0], P.vertices[-1])
@@ -409,7 +408,7 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     if step.internal_vertices & home.vertices:
         raise PreconditionError(
             "the ear must be internally disjoint from the component")
-    if not is_f_balanced(comb, fset, step):
+    if not is_f_balanced(comb, F, step):
         raise PreconditionError("the ear is not balanced for F")
     if not frozenset(step.bonds) <= comb.tooth:
         return False

@@ -32,9 +32,8 @@ from .core import (
     vertex_key,
 )
 from .joins import (
-    _edge_id_set,
-    _f_degrees,
     extract_shortest_path,
+    f_degrees,
     f_distance_reader,
     f_weight,
     is_minimum_join,
@@ -85,12 +84,11 @@ def is_f_balanced(g: OrderedBipartiteGraft, F, walk) -> bool:
     internal ones for a path, all for a circuit, and for an EarStep its
     walk's vertices other than the bonds and a straight ear's free end."""
     _require_bipartite(g)
-    fset = _edge_id_set(F)
     if isinstance(walk, EarStep):
-        return walk_report(fset, walk.walk,
+        return walk_report(F, walk.walk,
                            g.tooth - frozenset(walk.bonds)).balanced
     walk.validate(g.graph)
-    return walk_report(fset, walk, g.tooth).balanced
+    return walk_report(F, walk, g.tooth).balanced
 
 
 def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
@@ -98,7 +96,7 @@ def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
     touches no F-edge of the path; both half-paths from it are weight zero
     and balanced, which is asserted."""
     _require_bipartite(g)
-    fset = _edge_id_set(F)
+    fset = frozenset(F)
     walk.validate(g.graph, require="path")
     ends = (walk.vertices[0], walk.vertices[-1])
     for x in ends:
@@ -106,7 +104,7 @@ def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
             raise PreconditionError(f"path end {x!r} is not on the tooth side")
     if f_weight(fset, walk.edge_ids) != 0:
         raise PreconditionError("the path must have F-weight zero")
-    degrees = _f_degrees(fset, walk)
+    degrees = f_degrees(fset, walk)
     frees = [v for v in walk.vertices if v in g.tooth and degrees[v] == 0]
     if len(frees) != 1:
         raise InternalConsistencyError(
@@ -358,15 +356,6 @@ class GraftEarDecomposition:
             yield g
 
 
-class EarExtensionError(InternalConsistencyError):
-    """The builder could not extend its support; carries the stuck state."""
-
-    def __init__(self, message: str, support: frozenset, steps: tuple):
-        super().__init__(message)
-        self.support = support
-        self.steps = steps
-
-
 def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                                   F) -> GraftEarDecomposition:
     """Grow the target from its root one ear at a time.
@@ -380,7 +369,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     support and unreached spine vertices.
     """
     _require_bipartite(g)
-    fset = _edge_id_set(F)
+    fset = frozenset(F)
     if not is_minimum_join(g, F):
         raise PreconditionError("F must be a minimum join of the target")
     head = is_critical_quasicomb(g, r)
@@ -420,9 +409,8 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
         best = min((x for x in ranked if x[0] is not None), default=None)
         if best is None:
             if spine_sup | tooth_sup != g.graph.vertices:
-                raise EarExtensionError(
-                    "no ear extends the support, yet vertices remain",
-                    frozenset(spine_sup | tooth_sup), tuple(steps))
+                raise InternalConsistencyError(
+                    "no ear extends the support, yet vertices remain")
             for eid, (a, b) in unused.items():
                 if eid in fset:
                     raise InternalConsistencyError(
@@ -457,8 +445,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
         check_invariant()
 
     if spine_sup | tooth_sup != g.graph.vertices:
-        raise EarExtensionError("edges ran out before the vertices",
-                                frozenset(spine_sup | tooth_sup), tuple(steps))
+        raise InternalConsistencyError("edges ran out before the vertices")
     out = GraftEarDecomposition(r, tuple(steps), g)
     if out.replay() != g:
         raise InternalConsistencyError("the built decomposition does not replay")
@@ -533,7 +520,7 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
 
     fset = None
     if F is not None:
-        fset = _edge_id_set(F)
+        fset = frozenset(F)
         try:
             minimum = is_minimum_join(target, fset)
         except PreconditionError:

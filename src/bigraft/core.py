@@ -241,12 +241,13 @@ class OrderedBipartiteGraft(Graft):
 
 
 def validate_graft(graph: Multigraph, terminals: Iterable[VertexId]) -> bool:
-    """True when every component of ``graph`` has an even terminal count."""
-    tset = frozenset(terminals)
-    stray = tset - graph.vertices
-    if stray:
-        raise GraftInputError(f"terminals {sorted_vertices(stray)!r} are not vertices")
-    return all(len(comp & tset) % 2 == 0 for comp in graph.components())
+    """True when every component of ``graph`` has an even terminal count:
+    the check of ``Graft``, whose stray-terminal error it lets through."""
+    try:
+        Graft(graph, frozenset(terminals))
+    except GraftValidationError:
+        return False
+    return True
 
 
 def build_bipartite_graft(graph: Multigraph, terminals: Iterable[VertexId],

@@ -1,9 +1,11 @@
 """Factor components and the distance-zero partition refining them.
 
-An edge is allowed when some minimum join contains it.  Components of the
-allowed subgraph cut a graft into the pieces that exchange minimum-join
-structure; inside each piece, distance zero is an equivalence whose classes
-this module computes and audits.
+Factor components are the components of the allowed subgraph, the edges
+of some minimum join (``joins.allowed_edge_set``).  They cut a graft into
+the pieces that exchange minimum-join structure; inside each piece,
+distance zero is an equivalence whose classes this module computes and
+audits.  Every join size and distance comes from ``joins``; this module
+reads no join table itself.
 """
 
 from __future__ import annotations
@@ -22,20 +24,7 @@ from .core import (
     sorted_vertices,
     vertex_key,
 )
-from .joins import _nu_deltas, f_distance_reader
-
-
-@cached_on_graph
-def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
-    # joins.is_allowed_edge's test, each edge's difference read straight
-    # from its component's table.
-    delta = _nu_deltas(graph, terminals)
-    return frozenset(e.id for e in graph.edges if delta(e.u, e.v) == -1)
-
-
-def allowed_edge_set(g: Graft) -> frozenset:
-    """Ids of every edge contained in at least one minimum join."""
-    return _allowed_edge_set(g.graph, g.terminals)
+from .joins import allowed_edge_set, f_distance_reader
 
 
 @dataclass(frozen=True)
@@ -102,8 +91,8 @@ class FactorComponentSet:
 
 
 @cached_on_graph
-def _factor_components(graph: Multigraph, terminals: frozenset) -> FactorComponentSet:
-    allowed = _allowed_edge_set(graph, terminals)
+def _factor_components(graph: Multigraph, allowed: frozenset) -> FactorComponentSet:
+    """Keyed by the allowed set, the one input the components depend on."""
     skeleton = Multigraph(graph.vertices,
                           tuple(e for e in graph.edges if e.id in allowed))
     comps = []
@@ -120,7 +109,7 @@ def _factor_components(graph: Multigraph, terminals: frozenset) -> FactorCompone
 
 def factor_components(g: Graft) -> FactorComponentSet:
     """Components of the allowed subgraph; isolated vertices are singletons."""
-    return _factor_components(g.graph, g.terminals)
+    return _factor_components(g.graph, allowed_edge_set(g))
 
 
 def is_separating(g: Graft, X: Iterable) -> tuple[bool, tuple]:

@@ -40,9 +40,8 @@ class GenConfig:
     """Knobs for the random generators.
 
     ``vertices`` is an inclusive count range up to _MAX_VERTICES, the
-    densities are per-slot probabilities in [0, 1], and ``budget`` bounds
-    the ear steps of a grown critical quasicomb and the draws of the
-    property suite's instance makers.
+    densities are per-slot probabilities in [0, 1], and ``budget`` caps
+    the ear steps of a grown critical quasicomb, and nothing else.
     """
 
     seed: int = 0

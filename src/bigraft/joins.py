@@ -17,19 +17,24 @@ block's least: a scan of its stored span where the block has at
 most _TABLE_LIMIT independent cycles, else the blossom pairing of the
 block's odd vertices, one memoised matching per distinct odd set.  A table
 serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an O(t) or O(blocks)
-read that f_distance_reader hands to callers reading many, the
-allowed-edge test and, up to _TABLE_LIMIT terminals, min_join's pairs
-(_table_pairs).  Above that the pairs come from the blossom matching in
-``_blossom``, a port of networkx's that returns networkx's pairs.  The
-tables store the difference unsigned; the sign hook is applied when
-f_distance reads it.
+read that f_distance_reader hands to callers reading many, the allowed
+edges and, up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs).
+Above that the pairs come from the blossom matching in ``_blossom``, a
+port of networkx's that returns networkx's pairs.  The tables store the
+difference unsigned; the sign hook is applied when f_distance reads it.
 
-Tables, BFS trees, cycle spaces, blocks with their spans, pairings and nu
-live in their graph's own memo (``core.cached_on_graph``) and die with
-it.  The memo takes no lock, so two threads may both compute one entry;
-both get the one stored first.  A table's fields never change once built;
-its caches (the subset table's best_u lists, the block memos) only gain
-entries, each the value any thread would compute.
+The allowed edges, those of some minimum join, live here too: one table
+read per edge builds allowed_edge_set, which is_allowed_edge and the
+factor components of ``decomposition`` read.  No other module reads the
+tables.
+
+Tables, BFS trees, cycle spaces, blocks with their spans, pairings, nu
+and the allowed set live in their graph's own memo
+(``core.cached_on_graph``) and die with it.  The memo takes no lock, so
+two threads may both compute one entry; both get the one stored first.
+A table's fields never change once built; its caches (the subset table's
+best_u lists, the block memos) only gain entries, each the value any
+thread would compute.
 """
 
 from __future__ import annotations
@@ -144,7 +149,7 @@ def f_weight(F, edge_ids: Iterable[str]) -> int:
     return w
 
 
-def _f_degrees(fset: frozenset, walk: Walk) -> dict:
+def f_degrees(fset: frozenset, walk: Walk) -> dict:
     """How many of the walk's F-edges touch each of its vertices."""
     degrees = dict.fromkeys(walk.vertices, 0)
     for i, eid in enumerate(walk.edge_ids):
@@ -159,7 +164,7 @@ def _tooth_balance(fset: frozenset, walk: Walk, tooth: frozenset) -> bool:
         counted = walk.vertices[:-1]
     else:
         counted = walk.vertices[1:-1]
-    degrees = _f_degrees(fset, walk)
+    degrees = f_degrees(fset, walk)
     return all(degrees[v] == 1 for v in counted if v in tooth)
 
 
@@ -637,24 +642,15 @@ def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
     return out
 
 
-def _nu_deltas(graph: Multigraph, terminals: frozenset):
-    """A reader of nu(T Δ {u, v}) - nu(T), unsigned, for distinct u, v of
-    one component: a read of the component's table."""
-    tables = _distance_tables(graph, terminals)
-
-    def delta(u, v) -> int:
-        return tables[u].delta(graph, u, v)
-    return delta
-
-
 def f_distance_reader(g: Graft):
     """f_distance for many pairs of one graft: ``read(u, v)`` is the
     distance of two vertices known to share a component, read straight
     from the component's table without f_distance's checks."""
-    delta = _nu_deltas(g.graph, g.terminals)
+    graph = g.graph
+    tables = _distance_tables(graph, g.terminals)
 
     def read(u, v) -> int:
-        return 0 if u == v else _DISTANCE_SIGN * delta(u, v)
+        return 0 if u == v else _DISTANCE_SIGN * tables[u].delta(graph, u, v)
     return read
 
 
@@ -671,7 +667,7 @@ def f_distance(g: Graft, u, v) -> DistanceValue:
         return DistanceValue(0)
     if v not in g.graph.component_of(u):
         return DistanceValue(None)
-    return DistanceValue(_DISTANCE_SIGN * _nu_deltas(g.graph, g.terminals)(u, v))
+    return DistanceValue(f_distance_reader(g)(u, v))
 
 
 def f_distance_int(g: Graft, u, v) -> int:
@@ -738,14 +734,29 @@ def _dfs_path_within(graph: Multigraph, allowed: frozenset, u, v) -> Walk | None
     return None
 
 
-def is_allowed_edge(g: Graft, eid: str) -> bool:
-    """True when some minimum join contains the edge e = uv.
+@cached_on_graph
+def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
+    tables = _distance_tables(graph, terminals)
+    return frozenset(e.id for e in graph.edges
+                     if tables[e.u].delta(graph, e.u, e.v) == -1)
 
-    That holds exactly when nu(T Δ {u, v}) = nu(T) - 1.  If a minimum join
-    F contains e, F - e joins T Δ {u, v}, and adding or removing e moves a
-    join size by one, so the difference is -1.  Conversely a join F' of
-    T Δ {u, v} of size nu(T) - 1 cannot contain e (F' - e would join T
-    with nu(T) - 2 edges), so F' + e is a minimum join through e.
+
+def allowed_edge_set(g: Graft) -> frozenset:
+    """Ids of every edge contained in at least one minimum join.
+
+    An edge e = uv is allowed exactly when nu(T Δ {u, v}) = nu(T) - 1.  If
+    a minimum join F contains e, F - e joins T Δ {u, v}, and adding or
+    removing e moves a join size by one, so the difference is -1.
+    Conversely a join F' of T Δ {u, v} of size nu(T) - 1 cannot contain e
+    (F' - e would join T with nu(T) - 2 edges), so F' + e is a minimum join
+    through e.  Each difference is read unsigned from its component's
+    table, so flipped_distance_sign leaves the set alone.
     """
-    e = g.graph.edge(eid)
-    return _nu_deltas(g.graph, g.terminals)(e.u, e.v) == -1
+    return _allowed_edge_set(g.graph, g.terminals)
+
+
+def is_allowed_edge(g: Graft, eid: str) -> bool:
+    """True when some minimum join contains the edge: a read of
+    allowed_edge_set."""
+    g.graph.edge(eid)
+    return eid in allowed_edge_set(g)

@@ -145,8 +145,11 @@ def _clamped(cfg: GenConfig, lo: int, hi: int) -> GenConfig:
     return replace(cfg, vertices=(lo2, hi2))
 
 
+_MAKER_DRAWS = 300
+
+
 def _retrying(generate, lo: int, hi: int, keep, what: str, fallback=None):
-    """A maker: the first of ``cfg.budget`` draws of ``generate``, at sizes
+    """A maker: the first of _MAKER_DRAWS draws of ``generate``, at sizes
     clamped to [lo, hi], that ``keep`` accepts.
 
     When every draw is rejected, ``fallback`` turns the last one into an
@@ -154,13 +157,13 @@ def _retrying(generate, lo: int, hi: int, keep, what: str, fallback=None):
     """
     def make(cfg: GenConfig, rng: random.Random):
         small = _clamped(cfg, lo, hi)
-        for _ in range(small.budget):
+        for _ in range(_MAKER_DRAWS):
             instance = generate(small, rng)
             if keep(instance):
                 return instance
         if fallback is not None:
             return fallback(instance)
-        raise CapacityError(f"no {what} within {small.budget} attempts")
+        raise CapacityError(f"no {what} within {_MAKER_DRAWS} attempts")
     return make
 
 
@@ -330,30 +333,30 @@ def _brute_path_distance(g, F, u, v) -> int:
                if walk.edge_ids)
 
 
-def _check_distance_oracle(g, rng):
-    joins = all_min_joins(g)[:2]
-    out = []
+def _pair_distances(g):
+    """(u, v, f_distance_int(g, u, v)) for every pair u < v, in sorted
+    vertex order."""
     vs = sorted_vertices(g.graph.vertices)
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
-            got = f_distance_int(g, u, v)
-            for F in joins:
-                want = _brute_path_distance(g, F, u, v)
-                if got != want:
-                    out.append(f"f_distance({u!r}, {v!r}) = {got} but the "
-                               f"best path weight under {sorted(F)!r} is {want}")
+            yield u, v, f_distance_int(g, u, v)
+
+
+def _check_distance_oracle(g, rng):
+    joins = all_min_joins(g)[:2]
+    out = []
+    for u, v, got in _pair_distances(g):
+        for F in joins:
+            want = _brute_path_distance(g, F, u, v)
+            if got != want:
+                out.append(f"f_distance({u!r}, {v!r}) = {got} but the "
+                           f"best path weight under {sorted(F)!r} is {want}")
     return tuple(out)
 
 
 def _check_factor_connected_nonpositive(g, rng):
-    out = []
-    vs = sorted_vertices(g.graph.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            d = f_distance_int(g, u, v)
-            if d > 0:
-                out.append(f"f_distance({u!r}, {v!r}) = {d!r} is positive")
-    return tuple(out)
+    return tuple(f"f_distance({u!r}, {v!r}) = {d!r} is positive"
+                 for u, v, d in _pair_distances(g) if d > 0)
 
 
 def _check_zero_circuits(g, rng):
@@ -439,17 +442,14 @@ def _check_comb_kl_shape(g, rng):
 
 def _check_comb_distance_signs(g, rng):
     out = []
-    vs = sorted_vertices(g.graph.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            d = f_distance_int(g, u, v)
-            ends = (u in g.spine) + (v in g.spine)
-            if ends == 2 and d != 0:
-                out.append(f"spine pair ({u!r}, {v!r}) at distance {d!r}")
-            elif ends == 1 and d != -1:
-                out.append(f"mixed pair ({u!r}, {v!r}) at distance {d!r}")
-            elif ends == 0 and d not in (0, -2):
-                out.append(f"tooth pair ({u!r}, {v!r}) at distance {d!r}")
+    for u, v, d in _pair_distances(g):
+        ends = (u in g.spine) + (v in g.spine)
+        if ends == 2 and d != 0:
+            out.append(f"spine pair ({u!r}, {v!r}) at distance {d!r}")
+        elif ends == 1 and d != -1:
+            out.append(f"mixed pair ({u!r}, {v!r}) at distance {d!r}")
+        elif ends == 0 and d not in (0, -2):
+            out.append(f"tooth pair ({u!r}, {v!r}) at distance {d!r}")
     return tuple(out)
 
 
@@ -558,14 +558,11 @@ def _check_quasicomb_floors(bundle, rng):
     d, _ = bundle
     g = d.target
     out = []
-    vs = sorted_vertices(g.graph.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            d_uv = f_distance_int(g, u, v)
-            floor = -((u in g.tooth) + (v in g.tooth))
-            if d_uv < floor:
-                out.append(f"f_distance({u!r}, {v!r}) = {d_uv} is below "
-                           f"the floor {floor}")
+    for u, v, d_uv in _pair_distances(g):
+        floor = -((u in g.tooth) + (v in g.tooth))
+        if d_uv < floor:
+            out.append(f"f_distance({u!r}, {v!r}) = {d_uv} is below "
+                       f"the floor {floor}")
     return tuple(out)
 
 

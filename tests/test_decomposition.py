@@ -9,7 +9,6 @@ import pytest
 from bigraft import core, decomposition
 from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import (
-    allowed_edge_set,
     factor_components,
     is_separating,
     kl_classes_of_component,
@@ -17,7 +16,13 @@ from bigraft.decomposition import (
 )
 from bigraft.generators import GenConfig, gen_random_graft
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import all_min_joins, f_distance_int, f_distance_reader, nu
+from bigraft.joins import (
+    all_min_joins,
+    allowed_edge_set,
+    f_distance_int,
+    f_distance_reader,
+    nu,
+)
 from oracles import brute_allowed
 
 

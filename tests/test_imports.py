@@ -3,7 +3,7 @@ module-level function or class of the package, and each method or
 property of such a class, is referenced somewhere; and every defaulted
 parameter of those functions and methods is passed by some call.  No
 package module reads another object's private attribute unless that
-module defines the attribute.
+module defines the attribute, nor imports another module's private name.
 
 The repository runs no linter, so these are the guards against imports,
 definitions and parameters left behind when code moves.  ``__init__.py`` is skipped by the
@@ -227,3 +227,30 @@ def test_foreign_private_read_is_caught():
               "def f(a, g):\n"
               "    return a._own, a._set, a._helper, g._memo.clear()\n")
     assert foreign_private_reads(source) == ["8 g._memo"]
+
+
+def foreign_private_imports(source: str) -> list[str]:
+    """Each private name imported from a sibling module (``from .x import
+    _name``), as "line .x._name"."""
+    return [f"{node.lineno} {'.' * node.level}{node.module or ''}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_foreign_private_imports(path):
+    assert foreign_private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_import_is_caught():
+    source = ("from .joins import _table, reader\n"
+              "from .core import (\n"
+              "    Graft,\n"
+              "    _helper as helper,\n"
+              ")\n"
+              "from ._blossom import matching\n"
+              "from json.encoder import encode_basestring_ascii as _enc\n"
+              "from . import __version__\n")
+    assert foreign_private_imports(source) == ["1 .joins._table", "2 .core._helper"]

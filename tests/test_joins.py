@@ -28,7 +28,7 @@ from bigraft.core import (
 )
 from bigraft.cli import cli_main
 from bigraft.combs import is_critical_quasicomb
-from bigraft.decomposition import allowed_edge_set, factor_components
+from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document
 from bigraft.generators import (
     GenConfig,
@@ -52,6 +52,7 @@ from bigraft.joins import (
     _subset_dp,
     _table_pairs,
     all_min_joins,
+    allowed_edge_set,
     extract_shortest_path,
     f_distance,
     f_distance_int,
@@ -1049,3 +1050,20 @@ class TestAllowedEdge:
     def test_unknown_edge(self):
         with pytest.raises(GraftInputError):
             is_allowed_edge(k2(), "zz")
+
+    @pytest.mark.parametrize("case", [2, 7])
+    def test_each_query_reads_the_cached_set(self, monkeypatch, case):
+        """allowed_edge_set reads one table difference per edge; after it,
+        is_allowed_edge answers every edge without reading a table."""
+        g = random_graft(*TABLE_CASES[case])
+        reads = []
+        for table in (_SubsetTable, _CycleTable):
+            def counted(self, graph, u, v, real=table.delta):
+                reads.append((u, v))
+                return real(self, graph, u, v)
+            monkeypatch.setattr(table, "delta", counted)
+        allowed = allowed_edge_set(g)
+        assert len(reads) == len(g.graph.edges)
+        reads.clear()
+        assert {e.id for e in g.graph.edges if is_allowed_edge(g, e.id)} == allowed
+        assert reads == []

@@ -113,11 +113,13 @@ class TestDetection:
             again = run_property_suite(1, CFG, ["comb-distance-signs"])
         assert again.certificates[0] == cert
 
-    def test_factor_connected_makers_fall_back_to_a_factor_component(self):
-        """With a budget of one draw, most draws are rejected and the makers
+    def test_factor_connected_makers_fall_back_to_a_factor_component(
+            self, monkeypatch):
+        """With one draw per maker, most draws are rejected and the makers
         restrict them to their largest factor component instead."""
         from bigraft.properties import _MAKERS
-        tight = GenConfig(seed=0, vertices=(6, 8), budget=1)
+        monkeypatch.setattr("bigraft.properties._MAKER_DRAWS", 1)
+        tight = GenConfig(seed=0, vertices=(6, 8))
         for mode in ("factor-connected-graft", "factor-connected-comb"):
             for trial in range(20):
                 g = _MAKERS[mode](tight, random.Random(f"{mode}:{trial}"))
@@ -155,9 +157,9 @@ class TestDetection:
         assert line.startswith("toggling the weight-zero circuit")
         assert line.endswith("did not yield a minimum join")
 
-    def test_maker_exhaustion_becomes_a_certificate(self):
-        packed = GenConfig(seed=3, vertices=(9, 9), edge_density=1.0,
-                           budget=1)
+    def test_maker_exhaustion_becomes_a_certificate(self, monkeypatch):
+        monkeypatch.setattr("bigraft.properties._MAKER_DRAWS", 1)
+        packed = GenConfig(seed=3, vertices=(9, 9), edge_density=1.0)
         rep = run_property_suite(1, packed, ["contraction-stays-valid"])
         assert rep.failures == 1
         cert = rep.certificates[0]
