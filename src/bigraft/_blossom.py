@@ -14,18 +14,37 @@ order.  The port keeps those orders and every tie-break, so it returns the
 pairs networkx returns, pair for pair; the tests check it against networkx.
 Where the port departs from the source:
 
-- ``G[v][w]`` reads ``W[v][w]``, ``G.neighbors(v)`` a precomputed list,
-  and ``G.edges(data=True)`` the pairs i < j;
+- the state is flat lists indexed by integers, in the layout of Joris van
+  Rantwijk's ``mwmatching.py``, from which networkx's code derives.  The
+  vertices are 0..t-1 and a non-trivial blossom is an id in t..2t-1,
+  taken from a stack of free ids and put back when the blossom is
+  expanded, so there is no blossom class and no dict keyed by a blossom;
+- ``allowedge`` is a flat t×t list of bools; -1 stands for no vertex or
+  blossom where networkx has no key or ``None`` (``mate``,
+  ``blossomparent``, the ``blossombase`` of a free id, the end of a
+  trace), and ``label[b]`` is 0 where networkx has no label;
+- ``G[v][w]`` reads the flipped weight ``W[v][w]``, ``G.edges(data=True)``
+  the pairs i < j, and ``G.neighbors(v)`` all of 0..t-1: v itself lies in
+  its own blossom, which every scan skips; the flip 1 + max W - W of
+  ``min_weight_matching`` and the largest flipped weight come out of one
+  scan of W at set-up;
 - ``maxcardinality`` is always True, as ``min_weight_matching`` sets it,
-  so the branches for False are gone;
-- the weights are always integers, so the integer branches stay and the
-  dual certificate ``verifyOptimum`` runs on every call, as in networkx;
-- there are no self-loops, so their checks are gone;
-- ``None`` stands for the ``NoNode`` sentinel, since no vertex is None;
-- ``inblossom`` and ``dualvar``, which only vertices index, are lists;
-- the neighbour scan computes ``slack(v, w)`` inline, and
-  ``verifyOptimum`` builds each vertex's blossom chain once, not once
-  per edge.
+  so the branches for False are gone; there are no self-loops, so their
+  checks are gone too;
+- slack is computed inline: in the neighbour scan, where v's dual and
+  weight row are fixed, and in the least-slack comparisons;
+- it keeps every order that can break a tie: neighbours are scanned in
+  ascending order, the queue is LIFO, a blossom's leaves come in the order
+  of networkx's ``_Blossom.leaves()``, ``bestedgeto`` keeps the order in
+  which it first met each blossom, and the loops over ``blossomparent``
+  and ``blossomdual`` visit the vertices, then the live blossoms in the
+  order they were made (the list ``live``, not id order); the stage-end
+  expansion walks a snapshot of ``live`` and skips blossoms expanded
+  meanwhile, and the final delta is still ``min(dualvar)``;
+- every ``assert`` stays, and networkx's dual certificate
+  ``verifyOptimum`` is the module function ``_verify_optimum``, run on
+  every call.  It builds each vertex's blossom chain once, not once per
+  edge.
 """
 
 # The code below is derived from networkx, which carries this notice:
@@ -68,7 +87,7 @@ Where the port departs from the source:
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain
 
 
 def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
@@ -79,45 +98,6 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
     positive integers, and the maximum-weight maximum-cardinality matching
     of the result is returned.
     """
-    t = len(W)
-    if t < 2:
-        return []
-    max_weight = 1 + max(W[i][j] for i in range(t) for j in range(i + 1, t))
-    mate = _max_weight_matching([[max_weight - w for w in row] for row in W])
-    return [(v, w) for v, w in sorted(mate.items()) if v < w]
-
-
-class _Blossom:
-    """Representation of a non-trivial blossom or sub-blossom."""
-
-    __slots__ = ["childs", "edges", "mybestedges"]
-
-    # b.childs is an ordered list of b's sub-blossoms, starting with
-    # the base and going round the blossom.
-
-    # b.edges is the list of b's connecting edges, such that
-    # b.edges[i] = (v, w) where v is a vertex in b.childs[i]
-    # and w is a vertex in b.childs[wrap(i+1)].
-
-    # If b is a top-level S-blossom,
-    # b.mybestedges is a list of least-slack edges to neighboring
-    # S-blossoms, or None if no such list has been computed yet.
-    # This is used for efficient computation of delta3.
-
-    # Generate the blossom's leaf vertices.
-    def leaves(self):
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
-
-
-def _max_weight_matching(W: list[list[int]]) -> dict:
-    """The mate of every matched vertex in a maximum-weight matching among
-    the maximum-cardinality matchings of the complete graph on 0..t-1."""
     #
     # The algorithm is taken from "Efficient Algorithms for Finding Maximum
     # Matching in Graphs" by Zvi Galil, ACM Computing Surveys, 1986.
@@ -131,34 +111,36 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
     # Many terms used in the code comments are explained in the paper
     # by Galil. You will probably need the paper to make sense of this code.
     #
-
-    # Get a list of vertices, and each vertex's neighbours.
     t = len(W)
-    gnodes = list(range(t))
-    neighbors = [[w for w in gnodes if w != v] for v in gnodes]
+    if t < 2:
+        return []
 
-    # Find the maximum edge weight.
-    maxweight = 0
-    for i in gnodes:
-        for j in range(i + 1, t):
-            if W[i][j] > maxweight:
-                maxweight = W[i][j]
+    # Flip the weights.  The largest flipped weight is the flip of the
+    # least weight.
+    upper = [w for i in range(t - 1) for w in W[i][i + 1:]]
+    top = 1 + max(upper)
+    maxweight = top - min(upper)
+    W = [[top - w for w in row] for row in W]
+
+    # The vertices.  They are also each vertex's neighbours, in ascending
+    # order: v itself lies in its own blossom, so every scan skips it.
+    vertices = range(t)
 
     # If v is a matched vertex, mate[v] is its partner vertex.
-    # If v is a single vertex, v does not occur as a key in mate.
+    # If v is a single vertex, mate[v] is -1.
     # Initially all vertices are single; updated during augmentation.
-    mate = {}
+    mate = [-1] * t
 
     # If b is a top-level blossom,
-    # label.get(b) is None if b is unlabeled (free),
-    #                 1 if b is an S-blossom,
-    #                 2 if b is a T-blossom.
+    # label[b] is 0 if b is unlabeled (free),
+    #             1 if b is an S-blossom,
+    #             2 if b is a T-blossom.
     # The label of a vertex is found by looking at the label of its top-level
     # containing blossom.
     # If v is a vertex inside a T-blossom, label[v] is 2 iff v is reachable
     # from an S-vertex outside the blossom.
     # Labels are assigned during a stage and reset after each augmentation.
-    label = {}
+    label = [0] * (2 * t)
 
     # If b is a labeled top-level blossom,
     # labeledge[b] = (v, w) is the edge through which b obtained its label
@@ -166,23 +148,33 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
     # If w is a vertex inside a T-blossom and label[w] == 2,
     # labeledge[w] = (v, w) is an edge through which w is reachable from
     # outside the blossom.
-    labeledge = {}
+    labeledge = [None] * (2 * t)
 
     # If v is a vertex, inblossom[v] is the top-level blossom to which v
     # belongs.
     # If v is a top-level vertex, inblossom[v] == v since v is itself
     # a (trivial) top-level blossom.
     # Initially all vertices are top-level trivial blossoms.
-    inblossom = list(gnodes)
+    inblossom = list(vertices)
 
     # If b is a sub-blossom,
     # blossomparent[b] is its immediate parent (sub-)blossom.
-    # If b is a top-level blossom, blossomparent[b] is None.
-    blossomparent = dict(zip(gnodes, repeat(None)))
+    # If b is a top-level blossom, blossomparent[b] is -1.
+    blossomparent = [-1] * (2 * t)
+
+    # If b is a non-trivial (sub-)blossom,
+    # blossomchilds[b] is an ordered list of b's sub-blossoms, starting with
+    # the base and going round the blossom, and
+    # blossomedges[b] is the list of b's connecting edges, such that
+    # blossomedges[b][i] = (v, w) where v is a vertex in blossomchilds[b][i]
+    # and w is a vertex in blossomchilds[b][wrap(i+1)].
+    blossomchilds = [None] * (2 * t)
+    blossomedges = [None] * (2 * t)
 
     # If b is a (sub-)blossom,
     # blossombase[b] is its base VERTEX (i.e. recursive sub-blossom).
-    blossombase = dict(zip(gnodes, gnodes))
+    # It is -1 for an id that holds no blossom.
+    blossombase = [*vertices] + [-1] * t
 
     # If w is a free vertex (or an unreached vertex inside a T-blossom),
     # bestedge[w] = (v, w) is the least-slack edge from an S-vertex,
@@ -191,7 +183,13 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
     # bestedge[b] = (v, w) is the least-slack edge to a different S-blossom
     # (v inside b), or None if there is no such edge.
     # This is used for efficient computation of delta2 and delta3.
-    bestedge = {}
+    bestedge = [None] * (2 * t)
+
+    # If b is a non-trivial top-level S-blossom,
+    # mybestedges[b] is a list of least-slack edges to neighboring
+    # S-blossoms, or None if no such list has been computed yet.
+    # This is used for efficient computation of delta3.
+    mybestedges = [None] * (2 * t)
 
     # If v is a vertex,
     # dualvar[v] = 2 * u(v) where u(v) is the v's variable in the dual
@@ -203,38 +201,56 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
     # If b is a non-trivial blossom,
     # blossomdual[b] = z(b) where z(b) is b's variable in the dual
     # optimization problem.
-    blossomdual = {}
+    blossomdual = [0] * (2 * t)
 
-    # If (v, w) in allowedge or (w, v) in allowedg, then the edge
+    # If allowedge[v * t + w] (and so allowedge[w * t + v]), the edge
     # (v, w) is known to have zero slack in the optimization problem;
     # otherwise the edge may or may not have zero slack.
-    allowedge = {}
+    allowedge = [False] * (t * t)
+
+    # Ids free for new blossoms, and the live blossoms in the order they
+    # were made: networkx's blossomparent and blossomdual dicts list them
+    # in that order, and the delta and dual loops visit them so.
+    unusedblossoms = list(range(2 * t - 1, t - 1, -1))
+    live = []
 
     # Queue of newly discovered S-vertices.
     queue = []
 
-    # Return 2 * slack of edge (v, w) (does not work inside blossoms).
-    def slack(v, w):
-        return dualvar[v] + dualvar[w] - 2 * W[v][w]
+    # What each stage resets the state to.
+    zeros, nones, unallowed = [0] * (2 * t), [None] * (2 * t), [False] * (t * t)
 
-    # Assign label t to the top-level blossom containing vertex w,
-    # coming through an edge from vertex v.
-    def assignLabel(w, t, v):
+    # Generate the leaf vertices of blossom b, in the order of networkx's
+    # _Blossom.leaves().
+    def leaves(b):
+        out = []
+        stack = [*blossomchilds[b]]
+        while stack:
+            s = stack.pop()
+            if s >= t:
+                stack.extend(blossomchilds[s])
+            else:
+                out.append(s)
+        return out
+
+    # Assign label lab to the top-level blossom containing vertex w,
+    # coming through an edge from vertex v (-1 for none).
+    def assignLabel(w, lab, v):
         b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
-        label[w] = label[b] = t
-        if v is not None:
+        assert label[w] == 0 and label[b] == 0
+        label[w] = label[b] = lab
+        if v != -1:
             labeledge[w] = labeledge[b] = (v, w)
         else:
             labeledge[w] = labeledge[b] = None
         bestedge[w] = bestedge[b] = None
-        if t == 1:
+        if lab == 1:
             # b became an S-vertex/blossom; add it(s vertices) to the queue.
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
+            if b >= t:
+                queue.extend(leaves(b))
             else:
                 queue.append(b)
-        elif t == 2:
+        elif lab == 2:
             # b became a T-vertex/blossom; assign label S to its mate.
             # (If b is a non-trivial blossom, its base is the only vertex
             # with an external mate.)
@@ -243,12 +259,12 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
 
     # Trace back from vertices v and w to discover either a new blossom
     # or an augmenting path. Return the base vertex of the new blossom,
-    # or None if an augmenting path was found.
+    # or -1 if an augmenting path was found.
     def scanBlossom(v, w):
         # Trace back from v and w, placing breadcrumbs as we go.
         path = []
-        base = None
-        while v is not None:
+        base = -1
+        while v != -1:
             # Look for a breadcrumb in v's blossom or put a new breadcrumb.
             b = inblossom[v]
             if label[b] & 4:
@@ -260,8 +276,8 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
             # Trace one step back.
             if labeledge[b] is None:
                 # The base of blossom b is single; stop tracing this path.
-                assert blossombase[b] not in mate
-                v = None
+                assert mate[blossombase[b]] == -1
+                v = -1
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
                 v = labeledge[b][0]
@@ -270,7 +286,7 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 # b is a T-blossom; trace one more step back.
                 v = labeledge[b][0]
             # Swap v and w so that we alternate between both paths.
-            if w is not None:
+            if w != -1:
                 v, w = w, v
         # Remove breadcrumbs.
         for b in path:
@@ -286,13 +302,14 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
         bv = inblossom[v]
         bw = inblossom[w]
         # Create blossom.
-        b = _Blossom()
+        b = unusedblossoms.pop()
+        live.append(b)
         blossombase[b] = base
-        blossomparent[b] = None
+        blossomparent[b] = -1
         blossomparent[bb] = b
         # Make list of sub-blossoms and their interconnecting edge endpoints.
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
+        blossomchilds[b] = path = []
+        blossomedges[b] = edgs = [(v, w)]
         # Trace back from v to base.
         while bv != bb:
             # Add bv to the new blossom.
@@ -328,48 +345,50 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
         # Set dual variable to zero.
         blossomdual[b] = 0
         # Relabel vertices.
-        for v in b.leaves():
+        for v in leaves(b):
             if label[inblossom[v]] == 2:
                 # This T-vertex now turns into an S-vertex because it becomes
                 # part of an S-blossom; add it to the queue.
                 queue.append(v)
             inblossom[v] = b
-        # Compute b.mybestedges.
-        bestedgeto = {}
+        # Compute mybestedges[b].  bestedgeto[bj] is the least-slack edge
+        # to S-blossom bj; order lists each bj as it is first met.
+        bestedgeto = [None] * (2 * t)
+        order = []
         for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
+            if bv >= t:
+                if mybestedges[bv] is not None:
                     # Walk this subblossom's least-slack edges.
-                    nblist = bv.mybestedges
+                    nblist = mybestedges[bv]
                     # The sub-blossom won't need this data again.
-                    bv.mybestedges = None
+                    mybestedges[bv] = None
                 else:
                     # This subblossom does not have a list of least-slack
                     # edges; get the information from the vertices.
-                    nblist = [
-                        (v, w) for v in bv.leaves() for w in neighbors[v]
-                    ]
+                    nblist = [(v, w) for v in leaves(bv) for w in vertices]
             else:
-                nblist = [(bv, w) for w in neighbors[bv]]
+                nblist = [(bv, w) for w in vertices]
             for k in nblist:
                 (i, j) = k
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
-                if (
-                    bj != b
-                    and label.get(bj) == 1
-                    and ((bj not in bestedgeto) or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
+                if bj != b and label[bj] == 1:
+                    e = bestedgeto[bj]
+                    if e is None:
+                        order.append(bj)
+                        bestedgeto[bj] = k
+                    elif (dualvar[i] + dualvar[j] - 2 * W[i][j]
+                          < dualvar[e[0]] + dualvar[e[1]] - 2 * W[e[0]][e[1]]):
+                        bestedgeto[bj] = k
             # Forget about least-slack edge of the subblossom.
             bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
+        mybestedges[b] = [bestedgeto[bj] for bj in order]
         # Select bestedge[b].
         mybestedge = None
-        bestedge[b] = None
-        for k in b.mybestedges:
-            kslack = slack(*k)
+        for k in mybestedges[b]:
+            i, j = k
+            kslack = dualvar[i] + dualvar[j] - 2 * W[i][j]
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
                 mybestslack = kslack
@@ -384,20 +403,22 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
 
         def _recurse(b, endstage):
             # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, _Blossom):
+            for s in blossomchilds[b]:
+                blossomparent[s] = -1
+                if s >= t:
                     if endstage and blossomdual[s] == 0:
                         # Recursively expand this sub-blossom.
                         yield s
                     else:
-                        for v in s.leaves():
+                        for v in leaves(s):
                             inblossom[v] = s
                 else:
                     inblossom[s] = s
             # If we expand a T-blossom during a stage, its sub-blossoms must be
             # relabeled.
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
+                childs = blossomchilds[b]
+                edges = blossomedges[b]
                 # Start at the sub-blossom through which the expanding
                 # blossom obtained its label, and relabel sub-blossoms untili
                 # we reach the base.
@@ -405,10 +426,10 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 # obtained its label initially.
                 entrychild = inblossom[labeledge[b][1]]
                 # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
+                j = childs.index(entrychild)
                 if j & 1:
                     # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
+                    j -= len(childs)
                     jstep = 1
                 else:
                     # Start index is even; go backward.
@@ -418,62 +439,61 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 while j != 0:
                     # Relabel the T-sub-blossom.
                     if jstep == 1:
-                        p, q = b.edges[j]
+                        p, q = edges[j]
                     else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
+                        q, p = edges[j - 1]
+                    label[w] = 0
+                    label[q] = 0
                     assignLabel(w, 2, v)
                     # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge[(p, q)] = allowedge[(q, p)] = True
+                    allowedge[p * t + q] = allowedge[q * t + p] = True
                     j += jstep
                     if jstep == 1:
-                        v, w = b.edges[j]
+                        v, w = edges[j]
                     else:
-                        w, v = b.edges[j - 1]
+                        w, v = edges[j - 1]
                     # Step to the next T-sub-blossom.
-                    allowedge[(v, w)] = allowedge[(w, v)] = True
+                    allowedge[v * t + w] = allowedge[w * t + v] = True
                     j += jstep
                 # Relabel the base T-sub-blossom WITHOUT stepping through to
                 # its mate (so don't call assignLabel).
-                bw = b.childs[j]
+                bw = childs[j]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
                 bestedge[bw] = None
                 # Continue along the blossom until we get back to entrychild.
                 j += jstep
-                while b.childs[j] != entrychild:
+                while childs[j] != entrychild:
                     # Examine the vertices of the sub-blossom to see whether
                     # it is reachable from a neighboring S-vertex outside the
                     # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
+                    bv = childs[j]
+                    if label[bv] == 1:
                         # This sub-blossom just got label S through one of its
                         # neighbors; leave it be.
                         j += jstep
                         continue
-                    if isinstance(bv, _Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
+                    if bv >= t:
+                        for v in leaves(bv):
+                            if label[v]:
                                 break
                     else:
                         v = bv
                     # If the sub-blossom contains a reachable vertex, assign
                     # label T to the sub-blossom.
-                    if label.get(v):
+                    if label[v]:
                         assert label[v] == 2
                         assert inblossom[v] == bv
-                        label[v] = None
-                        label[mate[blossombase[bv]]] = None
+                        label[v] = 0
+                        label[mate[blossombase[bv]]] = 0
                         assignLabel(v, 2, labeledge[v][0])
                     j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
-            del blossomdual[b]
+            # Remove the expanded blossom entirely and free its id.
+            label[b] = blossomdual[b] = 0
+            labeledge[b] = bestedge[b] = None
+            blossombase[b] = -1
+            live.remove(b)
+            unusedblossoms.append(b)
 
         # Now, we apply the trampoline pattern.  We simulate a recursive
         # callstack by maintaining a stack of generators, each yielding a
@@ -501,17 +521,19 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
         def _recurse(b, v):
             # Bubble up through the blossom tree from vertex v to an immediate
             # sub-blossom of b.
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
+            s = v
+            while blossomparent[s] != b:
+                s = blossomparent[s]
             # Recursively deal with the first sub-blossom.
-            if isinstance(t, _Blossom):
-                yield (t, v)
+            if s >= t:
+                yield (s, v)
             # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
+            childs = blossomchilds[b]
+            edges = blossomedges[b]
+            i = j = childs.index(s)
             if i & 1:
                 # Start index is odd; go forward and wrap.
-                j -= len(b.childs)
+                j -= len(childs)
                 jstep = 1
             else:
                 # Start index is even; go backward.
@@ -520,25 +542,25 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
             while j != 0:
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
+                s = childs[j]
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    w, x = edges[j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, _Blossom):
-                    yield (t, w)
+                    x, w = edges[j - 1]
+                if s >= t:
+                    yield (s, w)
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, _Blossom):
-                    yield (t, x)
+                s = childs[j]
+                if s >= t:
+                    yield (s, x)
                 # Match the edge connecting those sub-blossoms.
                 mate[w] = x
                 mate[x] = w
             # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
+            blossomchilds[b] = childs[i:] + childs[:i]
+            blossomedges[b] = edges[i:] + edges[:i]
+            blossombase[b] = blossombase[childs[i]]
             assert blossombase[b] == v
 
         # Now, we apply the trampoline pattern.  We simulate a recursive
@@ -565,11 +587,11 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
             while 1:
                 bs = inblossom[s]
                 assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
+                assert (labeledge[bs] is None and mate[blossombase[bs]] == -1) or (
                     labeledge[bs][0] == mate[blossombase[bs]]
                 )
                 # Augment through the S-blossom from s to base.
-                if isinstance(bs, _Blossom):
+                if bs >= t:
                     augmentBlossom(bs, s)
                 # Update mate[s]
                 mate[s] = j
@@ -577,58 +599,17 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 if labeledge[bs] is None:
                     # Reached single vertex; stop.
                     break
-                t = labeledge[bs][0]
-                bt = inblossom[t]
+                u = labeledge[bs][0]
+                bt = inblossom[u]
                 assert label[bt] == 2
                 # Trace one more step back.
                 s, j = labeledge[bt]
                 # Augment through the T-blossom from j to base.
-                assert blossombase[bt] == t
-                if isinstance(bt, _Blossom):
+                assert blossombase[bt] == u
+                if bt >= t:
                     augmentBlossom(bt, j)
                 # Update mate[j]
                 mate[j] = s
-
-    # Verify that the optimum solution has been reached.
-    def verifyOptimum():
-        # Vertices may have negative dual;
-        # find a constant non-negative number to add to all vertex duals.
-        vdualoffset = max(0, -min(dualvar))
-        # 0. all dual variables are non-negative
-        assert min(dualvar) + vdualoffset >= 0
-        assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
-        # 0. all edges have non-negative slack and
-        # 1. all matched edges have zero slack;
-        # Each vertex's chain of blossoms, outermost first.
-        chains = []
-        for v in gnodes:
-            vblossoms = [v]
-            while blossomparent[vblossoms[-1]] is not None:
-                vblossoms.append(blossomparent[vblossoms[-1]])
-            vblossoms.reverse()
-            chains.append(vblossoms)
-        for i in gnodes:
-            for j in range(i + 1, t):
-                wt = W[i][j]
-                s = dualvar[i] + dualvar[j] - 2 * wt
-                for bi, bj in zip(chains[i], chains[j]):
-                    if bi != bj:
-                        break
-                    s += 2 * blossomdual[bi]
-                assert s >= 0
-                if mate.get(i) == j or mate.get(j) == i:
-                    assert mate[i] == j and mate[j] == i
-                    assert s == 0
-        # 2. all single vertices have zero dual value;
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
-        # 3. all blossoms with positive dual value are full.
-        for b in blossomdual:
-            if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for i, j in b.edges[1::2]:
-                    assert mate[i] == j and mate[j] == i
-        # Ok.
 
     # Main loop: continue until no further improvement is possible.
     while 1:
@@ -637,25 +618,25 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
         # the matching.
 
         # Remove labels from top-level blossoms/vertices.
-        label.clear()
-        labeledge.clear()
+        label[:] = zeros
+        labeledge[:] = nones
 
         # Forget all about least-slack edges.
-        bestedge.clear()
-        for b in blossomdual:
-            b.mybestedges = None
+        bestedge[:] = nones
+        for b in live:
+            mybestedges[b] = None
 
         # Loss of labeling means that we can not be sure that currently
         # allowable edges remain allowable throughout this stage.
-        allowedge.clear()
+        allowedge[:] = unallowed
 
         # Make queue empty.
-        queue[:] = []
+        queue.clear()
 
         # Label single blossoms/vertices with S and put them in the queue.
-        for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
-                assignLabel(v, 1, None)
+        for v in vertices:
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assignLabel(v, 1, -1)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0
@@ -672,63 +653,73 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
             while queue and not augmented:
                 # Take an S vertex from the queue.
                 v = queue.pop()
-                assert label[inblossom[v]] == 1
+                bv = inblossom[v]
+                assert label[bv] == 1
 
                 # Scan its neighbors (v's dual and weights are fixed
-                # during the scan, so slack(v, w) is inlined on them):
+                # during the scan, and bv changes only when v joins a
+                # new blossom):
                 dualv = dualvar[v]
                 Wv = W[v]
-                for w in neighbors[v]:
+                row = v * t
+                for w in vertices:
                     # w is a neighbor to v
-                    bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    if (v, w) not in allowedge:
+                    if not allowedge[row + w]:
                         kslack = dualv + dualvar[w] - 2 * Wv[w]
-                        if kslack <= 0:
-                            # edge k has zero slack => it is allowable
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
-                            # (C1) w is a free vertex;
-                            # label w with T and label its mate with S (R12).
-                            assignLabel(w, 2, v)
-                        elif label.get(bw) == 1:
-                            # (C2) w is an S-vertex (not in the same blossom);
-                            # follow back-links to discover either an
-                            # augmenting path or a new blossom.
-                            base = scanBlossom(v, w)
-                            if base is not None:
-                                # Found a new blossom; add it to the blossom
-                                # bookkeeping and turn it into an S-blossom.
-                                addBlossom(base, v, w)
-                            else:
-                                # Found an augmenting path; augment the
-                                # matching and end this stage.
-                                augmentMatching(v, w)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            # w is inside a T-blossom, but w itself has not
-                            # yet been reached from outside the blossom;
-                            # mark it as reached (we need this to relabel
-                            # during T-blossom expansion).
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        # keep track of the least-slack non-allowable edge to
-                        # a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        # w is a free vertex (or an unreached vertex inside
-                        # a T-blossom) but we can not reach it yet;
-                        # keep track of the least-slack edge that reaches w.
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
+                        if kslack > 0:
+                            if label[bw] == 1:
+                                # keep track of the least-slack non-allowable
+                                # edge to a different S-blossom.
+                                e = bestedge[bv]
+                                if e is None or kslack < (
+                                        dualvar[e[0]] + dualvar[e[1]]
+                                        - 2 * W[e[0]][e[1]]):
+                                    bestedge[bv] = (v, w)
+                            elif label[w] == 0:
+                                # w is a free vertex (or an unreached vertex
+                                # inside a T-blossom) but we can not reach it
+                                # yet; keep track of the least-slack edge
+                                # that reaches w.
+                                e = bestedge[w]
+                                if e is None or kslack < (
+                                        dualvar[e[0]] + dualvar[e[1]]
+                                        - 2 * W[e[0]][e[1]]):
+                                    bestedge[w] = (v, w)
+                            continue
+                        # edge k has zero slack => it is allowable
+                        allowedge[row + w] = allowedge[w * t + v] = True
+                    if label[bw] == 0:
+                        # (C1) w is a free vertex;
+                        # label w with T and label its mate with S (R12).
+                        assignLabel(w, 2, v)
+                    elif label[bw] == 1:
+                        # (C2) w is an S-vertex (not in the same blossom);
+                        # follow back-links to discover either an
+                        # augmenting path or a new blossom.
+                        base = scanBlossom(v, w)
+                        if base != -1:
+                            # Found a new blossom; add it to the blossom
+                            # bookkeeping and turn it into an S-blossom.
+                            addBlossom(base, v, w)
+                            bv = inblossom[v]
+                        else:
+                            # Found an augmenting path; augment the
+                            # matching and end this stage.
+                            augmentMatching(v, w)
+                            augmented = 1
+                            break
+                    elif label[w] == 0:
+                        # w is inside a T-blossom, but w itself has not
+                        # yet been reached from outside the blossom;
+                        # mark it as reached (we need this to relabel
+                        # during T-blossom expansion).
+                        assert label[bw] == 2
+                        label[w] = 2
+                        labeledge[w] = (v, w)
 
             if augmented:
                 break
@@ -742,9 +733,10 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
 
             # Compute delta2: the minimum slack on any edge between
             # an S-vertex and a free vertex.
-            for v in gnodes:
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
+            for v in vertices:
+                if label[inblossom[v]] == 0 and bestedge[v] is not None:
+                    i, j = bestedge[v]
+                    d = dualvar[i] + dualvar[j] - 2 * W[i][j]
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
@@ -752,13 +744,14 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
 
             # Compute delta3: half the minimum slack on any edge between
             # a pair of S-blossoms.
-            for b in blossomparent:
+            for b in chain(vertices, live):
                 if (
-                    blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
+                    blossomparent[b] == -1
+                    and label[b] == 1
+                    and bestedge[b] is not None
                 ):
-                    kslack = slack(*bestedge[b])
+                    i, j = bestedge[b]
+                    kslack = dualvar[i] + dualvar[j] - 2 * W[i][j]
                     assert (kslack % 2) == 0
                     d = kslack // 2
                     if deltatype == -1 or d < delta:
@@ -767,10 +760,10 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                         deltaedge = bestedge[b]
 
             # Compute delta4: minimum z variable of any T-blossom.
-            for b in blossomdual:
+            for b in live:
                 if (
-                    blossomparent[b] is None
-                    and label.get(b) == 2
+                    blossomparent[b] == -1
+                    and label[b] == 2
                     and (deltatype == -1 or blossomdual[b] < delta)
                 ):
                     delta = blossomdual[b]
@@ -785,19 +778,19 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 delta = max(0, min(dualvar))
 
             # Update dual variables according to delta.
-            for v in gnodes:
-                if label.get(inblossom[v]) == 1:
+            for v in vertices:
+                if label[inblossom[v]] == 1:
                     # S-vertex: 2*u = 2*u - 2*delta
                     dualvar[v] -= delta
-                elif label.get(inblossom[v]) == 2:
+                elif label[inblossom[v]] == 2:
                     # T-vertex: 2*u = 2*u + 2*delta
                     dualvar[v] += delta
-            for b in blossomdual:
-                if blossomparent[b] is None:
-                    if label.get(b) == 1:
+            for b in live:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
                         # top-level S-blossom: z = z + 2*delta
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         # top-level T-blossom: z = z - 2*delta
                         blossomdual[b] -= delta
 
@@ -809,12 +802,12 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v * t + w] = allowedge[w * t + v] = True
                 queue.append(v)
             elif deltatype == 3:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v * t + w] = allowedge[w * t + v] = True
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:
@@ -824,21 +817,74 @@ def _max_weight_matching(W: list[list[int]]) -> dict:
             # End of a this substage.
 
         # Paranoia check that the matching is symmetric.
-        for v in mate:
-            assert mate[mate[v]] == v
+        for v in vertices:
+            if mate[v] != -1:
+                assert mate[mate[v]] == v
 
         # Stop when no more augmenting path can be found.
         if not augmented:
             break
 
         # End of a stage; expand all S-blossoms which have zero dual.
-        for b in list(blossomdual.keys()):
-            if b not in blossomdual:
+        for b in live[:]:
+            if blossombase[b] == -1:
                 continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expandBlossom(b, True)
 
     # Verify that we reached the optimum solution (only for integer weights).
-    verifyOptimum()
+    _verify_optimum(W, mate, dualvar, blossomparent, blossomdual,
+                    blossomedges, live)
 
-    return mate
+    return [(v, w) for v, w in enumerate(mate) if v < w]
+
+
+def _verify_optimum(W, mate, dualvar, blossomparent, blossomdual,
+                    blossomedges, blossoms) -> None:
+    """Assert that ``mate`` is a maximum-weight maximum-cardinality matching
+    of the weights ``W``, certified by the kernel's final duals: networkx's
+    ``verifyOptimum``.  The arguments are the kernel's arrays (``mate[v]``
+    is -1 for a single vertex, ``blossomparent[b]`` -1 for a top-level
+    blossom) and ``blossoms`` lists the live non-trivial blossoms."""
+    t = len(W)
+    # Vertices may have negative dual;
+    # find a constant non-negative number to add to all vertex duals.
+    vdualoffset = max(0, -min(dualvar))
+    # 0. all dual variables are non-negative
+    assert min(dualvar) + vdualoffset >= 0
+    assert not blossoms or min(blossomdual[b] for b in blossoms) >= 0
+    # 0. all edges have non-negative slack and
+    # 1. all matched edges have zero slack;
+    # Each vertex's chain of blossoms, outermost first.
+    chains = []
+    for v in range(t):
+        vblossoms = [v]
+        while blossomparent[vblossoms[-1]] != -1:
+            vblossoms.append(blossomparent[vblossoms[-1]])
+        vblossoms.reverse()
+        chains.append(vblossoms)
+    for i in range(t):
+        ci, di, Wi, mi = chains[i], dualvar[i], W[i], mate[i]
+        for j in range(i + 1, t):
+            s = di + dualvar[j] - 2 * Wi[j]
+            cj = chains[j]
+            # Only vertices of one top-level blossom share blossom duals.
+            if ci[0] == cj[0]:
+                for bi, bj in zip(ci, cj):
+                    if bi != bj:
+                        break
+                    s += 2 * blossomdual[bi]
+            assert s >= 0
+            if mi == j or mate[j] == i:
+                assert mate[i] == j and mate[j] == i
+                assert s == 0
+    # 2. all single vertices have zero dual value;
+    for v in range(t):
+        assert mate[v] != -1 or dualvar[v] + vdualoffset == 0
+    # 3. all blossoms with positive dual value are full.
+    for b in blossoms:
+        if blossomdual[b] > 0:
+            assert len(blossomedges[b]) % 2 == 1
+            for i, j in blossomedges[b][1::2]:
+                assert mate[i] == j and mate[j] == i
+    # Ok.

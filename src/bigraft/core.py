@@ -49,7 +49,14 @@ def vertex_key(v: VertexId):
 
 
 def sorted_vertices(vs: Iterable[VertexId]) -> list[VertexId]:
-    return sorted(vs, key=vertex_key)
+    """``vs`` in ``vertex_key`` order.  Ids of one type sort without the
+    key; a str/int mix makes the plain sort raise TypeError."""
+    out = list(vs)
+    try:
+        out.sort()
+    except TypeError:
+        out.sort(key=vertex_key)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,7 @@ class Multigraph:
 
     @cached_property
     def _components(self) -> tuple[frozenset, ...]:
+        adjacency = self._adjacency
         seen: set = set()
         out: list[frozenset] = []
         for start in sorted_vertices(self.vertices):
@@ -119,8 +127,8 @@ class Multigraph:
             queue = [start]
             while queue:
                 v = queue.pop()
-                for e in self.incident(v):
-                    w = e.other(v)
+                for e in adjacency[v]:
+                    w = e.v if e.u == v else e.u
                     if w not in comp:
                         comp.add(w)
                         queue.append(w)
@@ -212,22 +220,23 @@ class OrderedBipartiteGraft(Graft):
 
     def __post_init__(self):
         super().__post_init__()
-        overlap = self.spine & self.tooth
+        spine = self.spine
+        overlap = spine & self.tooth
         if overlap:
             raise GraftValidationError(
                 "bipartition-overlap",
                 f"vertices {sorted_vertices(overlap)!r} appear on both sides")
-        uncovered = self.graph.vertices - self.spine - self.tooth
+        uncovered = self.graph.vertices - spine - self.tooth
         if uncovered:
             raise GraftValidationError(
                 "bipartition-coverage",
                 f"vertices {sorted_vertices(uncovered)!r} are on neither side")
-        stray = (self.spine | self.tooth) - self.graph.vertices
+        stray = (spine | self.tooth) - self.graph.vertices
         if stray:
             raise GraftInputError(
                 f"bipartition names unknown vertices {sorted_vertices(stray)!r}")
         for e in self.graph.edges:
-            if (e.u in self.spine) == (e.v in self.spine):
+            if (e.u in spine) == (e.v in spine):
                 raise GraftValidationError(
                     "not-bipartite",
                     f"edge {e.id!r} joins two vertices of the same side")

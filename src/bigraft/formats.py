@@ -73,22 +73,21 @@ def graft_from_document(doc) -> Graft | OrderedBipartiteGraft:
     edges = []
     edge_ids = set()
     for i, entry in enumerate(raw_edges):
-        path = f"$.edges[{i}]"
         if not isinstance(entry, dict):
-            _fail(path, "expected an object")
+            _fail(f"$.edges[{i}]", "expected an object")
         if set(entry) != {"id", "u", "v"}:
-            _fail(path, "expected exactly the fields id, u, v")
+            _fail(f"$.edges[{i}]", "expected exactly the fields id, u, v")
         eid = entry["id"]
         if not isinstance(eid, str) or not eid:
-            _fail(f"{path}.id", "edge ids are nonempty strings")
+            _fail(f"$.edges[{i}].id", "edge ids are nonempty strings")
         if eid in edge_ids:
-            _fail(f"{path}.id", f"duplicate edge id {eid!r}")
+            _fail(f"$.edges[{i}].id", f"duplicate edge id {eid!r}")
         edge_ids.add(eid)
         for end in ("u", "v"):
             if not _id_ok(entry[end]) or entry[end] not in known:
-                _fail(f"{path}.{end}", f"unknown vertex {entry[end]!r}")
+                _fail(f"$.edges[{i}].{end}", f"unknown vertex {entry[end]!r}")
         if entry["u"] == entry["v"]:
-            _fail(path, f"self-loop at {entry['u']!r}")
+            _fail(f"$.edges[{i}]", f"self-loop at {entry['u']!r}")
         edges.append((eid, entry["u"], entry["v"]))
 
     terminals = _read_id_list(doc, "terminals", known)

@@ -391,8 +391,12 @@ def min_join(g: Graft) -> JoinSet:
 
 
 def is_minimum_join(g: Graft, F) -> bool:
-    """True when the join F has minimum cardinality."""
-    js = F if isinstance(F, JoinSet) else JoinSet(g, frozenset(F))
+    """True when the join F has minimum cardinality.  A ``JoinSet`` of
+    another graft is checked against ``g`` like a plain id set."""
+    if isinstance(F, JoinSet) and (F.graft is g or F.graft == g):
+        js = F
+    else:
+        js = JoinSet(g, frozenset(F))
     return js.size == _nu(g.graph, g.terminals)
 
 

@@ -3,6 +3,7 @@
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraft.core import (
     CapacityError,
@@ -19,6 +20,7 @@ from bigraft.core import (
     is_join,
     simple_circuits,
     simple_paths,
+    sorted_vertices,
     validate_graft,
     vertex_key,
 )
@@ -32,6 +34,18 @@ from oracles import recursive_simple_circuits, recursive_simple_paths
 def test_vertex_key_orders_ints_before_strs():
     vs = ["b", 2, "a", 10, 1]
     assert sorted(vs, key=vertex_key) == [1, 2, 10, "a", "b"]
+
+
+ID_SETS = st.one_of(st.frozensets(st.text(max_size=4)),
+                    st.frozensets(st.integers()),
+                    st.frozensets(st.one_of(st.text(max_size=4), st.integers())))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ID_SETS)
+def test_sorted_vertices_is_the_vertex_key_order(vs):
+    assert sorted_vertices(vs) == sorted(vs, key=vertex_key)
+    assert sorted_vertices(iter(vs)) == sorted(vs, key=vertex_key)
 
 
 class TestMultigraph:

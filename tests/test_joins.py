@@ -10,11 +10,12 @@ import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
-from bigraft import joins
-from bigraft._blossom import min_weight_matching
+from bigraft import combs, joins
+from bigraft._blossom import _verify_optimum, min_weight_matching
 from bigraft.core import (
     CapacityError,
     Graft,
@@ -27,7 +28,7 @@ from bigraft.core import (
     sorted_vertices,
 )
 from bigraft.cli import cli_main
-from bigraft.combs import is_critical_quasicomb
+from bigraft.combs import build_graft_ear_decomposition, is_critical_quasicomb
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document
 from bigraft.generators import (
@@ -243,6 +244,21 @@ class TestIsMinimumJoin:
     def test_non_join_rejected(self):
         with pytest.raises(PreconditionError):
             is_minimum_join(k2(), set())
+
+    def test_join_set_of_another_graft_is_checked_against_g(self):
+        """A JoinSet carries its own graft; its ids must still be edges
+        of g, as they must be when passed as a plain set."""
+        F = min_join(chain4())
+        with pytest.raises(GraftInputError, match=r"unknown edge ids \['e0', 'e1'\]"):
+            is_minimum_join(c4(), frozenset(F))
+        with pytest.raises(GraftInputError, match=r"unknown edge ids \['e0', 'e1'\]"):
+            is_minimum_join(c4(), F)
+
+    def test_join_set_of_an_equal_graft_is_taken(self):
+        g, twin = c4_alt(), c4_alt()
+        assert g is not twin and g == twin
+        assert is_minimum_join(g, min_join(twin))
+        assert not is_minimum_join(g, JoinSet(twin, frozenset({"f2", "f3", "f4"})))
 
     def test_negative_circuit_witness(self):
         g = c4_alt()
@@ -825,10 +841,31 @@ def bfs_metric(graph, terms) -> list:
     return [[row[w] for w in terms] for row in rows]
 
 
+def round_step_metrics(seed: int) -> list:
+    """BFS metrics of the flipped terminal sets T Δ {v, r} that the round
+    steps of build_graft_ear_decomposition hand to extract_shortest_path,
+    on one generated critical quasicomb of the quasicombs-ears size, where
+    min_join pairs them by blossom (more than _TABLE_LIMIT terminals)."""
+    d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(16, 20)),
+                                         random.Random(seed))
+    g = d.target
+    flipped = []
+
+    def recorded(g, F, u, v):
+        flipped.append(g.terminals ^ {u, v})
+        return extract_shortest_path(g, F, u, v)
+
+    with patch.object(combs, "extract_shortest_path", recorded):
+        build_graft_ear_decomposition(g, d.root, min_join(g))
+    return [bfs_metric(g.graph, sorted_vertices(T)) for T in flipped
+            if len(T) > _TABLE_LIMIT]
+
+
 def port_test_metrics() -> list:
     """Fixed-seed weight matrices: random small-integer metrics, all-equal
     metrics (the most tied), BFS metrics of the terminals of generated
-    critical quasicombs, and those of comb paths."""
+    critical quasicombs, those of the flipped terminal sets of their ear
+    builds, and those of comb paths."""
     rng = random.Random(19)
     out = [random_metric(rng, rng.randrange(2, 25, 2), rng.choice((1, 2, 3, 6)))
            for _ in range(1600)]
@@ -839,6 +876,8 @@ def port_test_metrics() -> list:
             GenConfig(vertices=(6, 26)), random.Random(seed))
         g = d.target
         out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
+    for seed in range(60):
+        out += round_step_metrics(seed)
     for k in range(1, 16):
         g = comb_path(k)
         out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
@@ -898,6 +937,25 @@ class TestBlossomPort:
             pairs = min_weight_matching(W)
             assert sorted(v for p in pairs for v in p) == list(range(t))
             assert sum(W[i][j] for i, j in pairs) == _subset_dp(W)[-1]
+
+    # Kernel weights for the certificate: two heavy pairs 01 and 23.
+    # The duals 2u(v) = 5 give the heavy edges zero slack, the others 8.
+    HEAVY = [[0, 5, 1, 1], [5, 0, 1, 1], [1, 1, 0, 5], [1, 1, 5, 0]]
+
+    def certify(self, mate, dualvar):
+        _verify_optimum(self.HEAVY, mate, dualvar, [-1] * 8, [0] * 8,
+                        [None] * 8, [])
+
+    def test_certificate_accepts_the_optimum(self):
+        self.certify([1, 0, 3, 2], [5, 5, 5, 5])
+
+    def test_certificate_rejects_a_matching_that_is_not_optimal(self):
+        with pytest.raises(AssertionError):
+            self.certify([2, 3, 0, 1], [5, 5, 5, 5])
+
+    def test_certificate_rejects_a_negative_slack(self):
+        with pytest.raises(AssertionError):
+            self.certify([1, 0, 3, 2], [4, 5, 5, 5])
 
     def test_analyze_imports_no_networkx(self):
         """A component of 12 terminals takes the blossom side, and the CLI
