@@ -19,10 +19,13 @@ Where the port departs from the source:
   vertices are 0..t-1 and a non-trivial blossom is an id in t..2t-1,
   taken from a stack of free ids and put back when the blossom is
   expanded, so there is no blossom class and no dict keyed by a blossom;
-- ``allowedge`` is a flat t×t list of bools; -1 stands for no vertex or
-  blossom where networkx has no key or ``None`` (``mate``,
-  ``blossomparent``, the ``blossombase`` of a free id, the end of a
-  trace), and ``label[b]`` is 0 where networkx has no label;
+- ``allowedge`` is a flat t×t bytearray, which each stage resets by one
+  copy of t² zero bytes where networkx clears a dict: a list of t² bools
+  copied once per stage, about t/2 times, made the kernel Θ(t³) at large t;
+- the value -1 stands for no vertex or blossom where networkx has no key
+  or ``None`` (``mate``, ``blossomparent``, the ``blossombase`` of a free
+  id, the end of a trace), and ``label[b]`` is 0 where networkx has no
+  label;
 - ``G[v][w]`` reads the flipped weight ``W[v][w]``, ``G.edges(data=True)``
   the pairs i < j, and ``G.neighbors(v)`` all of 0..t-1: v itself lies in
   its own blossom, which every scan skips; the flip 1 + max W - W of
@@ -206,7 +209,7 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
     # If allowedge[v * t + w] (and so allowedge[w * t + v]), the edge
     # (v, w) is known to have zero slack in the optimization problem;
     # otherwise the edge may or may not have zero slack.
-    allowedge = [False] * (t * t)
+    allowedge = bytearray(t * t)
 
     # Ids free for new blossoms, and the live blossoms in the order they
     # were made: networkx's blossomparent and blossomdual dicts list them
@@ -218,7 +221,7 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
     queue = []
 
     # What each stage resets the state to.
-    zeros, nones, unallowed = [0] * (2 * t), [None] * (2 * t), [False] * (t * t)
+    zeros, nones, unallowed = [0] * (2 * t), [None] * (2 * t), bytes(t * t)
 
     # Generate the leaf vertices of blossom b, in the order of networkx's
     # _Blossom.leaves().

@@ -117,8 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("gen", seeded, _cmd_gen, "generate a random instance")
     p.add_argument("--mode", choices=("graft", "comb", "critical-quasicomb"),
                    default="graft")
-    p.add_argument("--min-vertices", type=int, default=4, metavar="N")
-    p.add_argument("--max-vertices", type=int, default=10, metavar="N")
+    p.add_argument("--min-vertices", type=int, default=4, metavar="N",
+                   help="least vertex count drawn (default 4); a comb has "
+                        "at least 2 vertices")
+    p.add_argument("--max-vertices", type=int, default=10, metavar="N",
+                   help="most vertex count drawn (default 10); a critical "
+                        "quasicomb grows by whole ears and may end up to 2 "
+                        "vertices past it")
     p.add_argument("--edge-density", type=float, default=0.35, metavar="X")
     p.add_argument("--terminal-density", type=float, default=0.5, metavar="X")
     p.add_argument("--budget", type=int, metavar="N",

@@ -39,9 +39,14 @@ _MAX_VERTICES = 500
 class GenConfig:
     """Knobs for the random generators.
 
-    ``vertices`` is an inclusive count range up to _MAX_VERTICES, the
-    densities are per-slot probabilities in [0, 1], and ``budget`` caps
-    the ear steps of a grown critical quasicomb, and nothing else.
+    ``vertices`` is the inclusive range, up to _MAX_VERTICES, from which
+    a generator draws its vertex count n.  A graft has exactly n
+    vertices.  A comb has max(2, n): it needs a spine and a tooth vertex.
+    A critical quasicomb grows from its root by whole ears, at least one,
+    until it has n vertices, so its last ear may take it up to 2 past n
+    (a draw of 1 still gives 2).  The densities are per-slot probabilities
+    in [0, 1], and ``budget`` caps the ear steps of a grown critical
+    quasicomb, which may stop it short of n, and nothing else.
     """
 
     seed: int = 0

@@ -23,9 +23,12 @@ Above that the pairs come from the blossom matching in ``_blossom``, a
 port of networkx's that returns networkx's pairs.  The tables store the
 difference unsigned; the sign hook is applied when f_distance reads it.
 
-The allowed edges, those of some minimum join, live here too: one table
-read per edge builds allowed_edge_set, which is_allowed_edge and the
-factor components of ``decomposition`` read.  No other module reads the
+The allowed edges, those of some minimum join, live here too.
+allowed_edge_set asks each component's table once for the allowed edges
+among the component's edges: the subset table tests each edge against
+the terminal pairs some minimum pairing uses and reads no difference, the
+cycle table reads one difference per edge.  is_allowed_edge and the factor
+components of ``decomposition`` read the set.  No other module reads the
 tables.
 
 Tables, BFS trees, cycle spaces, blocks with their spans, pairings, nu
@@ -33,14 +36,15 @@ and the allowed set live in their graph's own memo
 (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
 two threads may both compute one entry; both get the one stored first.
 A table's fields never change once built; its caches (the subset table's
-best_u lists, the block memos) only gain entries, each the value any
-thread would compute.
+rest rows and best_u lists, the block memos) are only set or gain
+entries, each the value any thread would compute.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
 from ._blossom import min_weight_matching
@@ -422,16 +426,21 @@ class _SubsetTable:
 
     ``rows[i]`` maps each vertex of the component to its BFS distance from
     terminal i and ``dp`` is the pairing DP's full subset table.  A pair
-    with a terminal reads nu(T Δ {u, v}) from them in O(t).  For a
-    non-terminal u, ``_best(u)`` caches best_u[m] = nu(T - m + u), the
-    least pairing in which u takes some terminal other than m, so a pair
-    of non-terminals reads in O(t) too: nu(T + u + v) is the lesser of
-    d(u, v) + nu and min over m of best_u[m] + d(m, v).  Only when the
+    with a terminal reads nu(T Δ {u, v}) from them in O(t): two terminals
+    read one dp entry, and terminal i with a non-terminal v reads the
+    min-plus row min over k of d(k, v) + rest[i][k], where rest[k][m] =
+    nu(T - k - m) off the diagonal and inf on it.  For a non-terminal u,
+    ``_best(u)`` caches best_u[m] = nu(T - m + u), the least pairing in
+    which u takes some terminal other than m, one min-plus row per m, so
+    a pair of non-terminals reads in O(t) too: nu(T + u + v) is the lesser
+    of d(u, v) + nu and min over m of best_u[m] + d(m, v).  Only when the
     triangle inequality leaves the first able to win does d(u, v) cost a
-    BFS from u.
+    BFS from u.  ``rest`` is built on the first read that needs it, so a
+    table that only answers nu, as the step grafts and ear prefixes do,
+    never builds it.  ``allowed_ids`` reads neither.
     """
 
-    __slots__ = ("terms", "index", "rows", "dp", "nu", "best")
+    __slots__ = ("terms", "index", "rows", "dp", "nu", "rest", "best")
 
     def __init__(self, graph: Multigraph, terms: tuple):
         self.terms = terms
@@ -439,23 +448,31 @@ class _SubsetTable:
         self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
         self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
         self.nu = self.dp[-1]
+        self.rest: list | None = None
         self.best: dict = {}
 
     def nu_of(self, graph: Multigraph, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
         return self.dp[mask]
 
+    def _rest(self) -> list:
+        """rest[k][m] = nu(T - k - m), or inf where k = m."""
+        rest = self.rest
+        if rest is None:
+            dp = self.dp
+            full = len(dp) - 1
+            t, INF = len(self.terms), float("inf")
+            rest = self.rest = [
+                [dp[full ^ (1 << k) ^ (1 << m)] if m != k else INF for m in range(t)]
+                for k in range(t)]
+        return rest
+
     def _best(self, u) -> list:
         """best_u[m] = nu(T - m + u) for a non-terminal u, one per m."""
         best = self.best.get(u)
         if best is None:
-            dp = self.dp
-            full = len(dp) - 1
             du = [row[u] for row in self.rows]
-            best = self.best[u] = [
-                min(d + dp[full ^ (1 << k) ^ (1 << m)]
-                    for k, d in enumerate(du) if k != m)
-                for m in range(len(du))]
+            best = self.best[u] = [min(map(add, du, r)) for r in self._rest()]
         return best
 
     def delta(self, graph: Multigraph, u, v) -> int:
@@ -470,8 +487,7 @@ class _SubsetTable:
             return dp[full ^ (1 << i) ^ (1 << j)] - nu
         if i is not None:
             # u leaves T and v, entering, takes one of the others.
-            return min(rows[k][v] + dp[full ^ (1 << i) ^ (1 << k)]
-                       for k in range(len(rows)) if k != i) - nu
+            return min(map(add, [row[v] for row in rows], self._rest()[i])) - nu
         # Both enter: v takes a terminal m while u takes another, or u and
         # v pair up.  d(u, v) >= |d(k, u) - d(k, v)| for every terminal k,
         # so below that bound the pair cannot win and needs no BFS.
@@ -486,6 +502,36 @@ class _SubsetTable:
         if bound + nu < flipped:
             flipped = min(flipped, _bfs_tree(graph, u)[0][v] + nu)
         return flipped - nu
+
+    def allowed_ids(self, graph: Multigraph, edges: Iterable) -> list:
+        """Ids of the allowed edges among ``edges``, all of this table's
+        component: those on a shortest path between the two terminals of a
+        pair (a, b) that some minimum pairing uses, nu(T - a - b) + d(a, b)
+        = nu.  No ``delta`` is read.
+
+        ``key[w]`` sets bit p * stride + d(a, w) for each usable pair p =
+        (a, b) with w on a shortest a-b path, d(a, w) + d(w, b) = d(a, b).
+        Then uv lies on one such path exactly when some bit of u, moved
+        one level up, is a bit of v, or the same with u and v swapped.
+        """
+        rows, dp, nu, terms = self.rows, self.dp, self.nu, self.terms
+        if not rows:
+            return []
+        full = len(dp) - 1
+        stride = len(rows[0]) + 1
+        key = dict.fromkeys(rows[0], 0)
+        base = 0
+        for i, ra in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                rb = rows[j]
+                d = ra[terms[j]]
+                if dp[full ^ (1 << i) ^ (1 << j)] + d == nu:
+                    for w, x in ra.items():
+                        if x + rb[w] == d:
+                            key[w] |= 1 << (base + x)
+                    base += stride
+        return [e.id for e in edges
+                if key[e.u] << 1 & key[e.v] or key[e.v] << 1 & key[e.u]]
 
 
 @cached_on_graph
@@ -597,6 +643,11 @@ class _CycleTable:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
         to_root = self.to_root
         return self._least(graph, self.particular ^ to_root[u] ^ to_root[v]) - self.nu
+
+    def allowed_ids(self, graph: Multigraph, edges: Iterable) -> list:
+        """Ids of the allowed edges among ``edges``, all of this table's
+        component: one ``delta`` read per edge, -1 where it is allowed."""
+        return [e.id for e in edges if self.delta(graph, e.u, e.v) == -1]
 
 
 @cached_on_graph
@@ -741,8 +792,11 @@ def _dfs_path_within(graph: Multigraph, allowed: frozenset, u, v) -> Walk | None
 @cached_on_graph
 def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
     tables = _distance_tables(graph, terminals)
-    return frozenset(e.id for e in graph.edges
-                     if tables[e.u].delta(graph, e.u, e.v) == -1)
+    edges_of: dict = {}
+    for e in graph.edges:
+        edges_of.setdefault(tables[e.u], []).append(e)
+    return frozenset(eid for table, edges in edges_of.items()
+                     for eid in table.allowed_ids(graph, edges))
 
 
 def allowed_edge_set(g: Graft) -> frozenset:
@@ -753,8 +807,18 @@ def allowed_edge_set(g: Graft) -> frozenset:
     removing e moves a join size by one, so the difference is -1.
     Conversely a join F' of T Δ {u, v} of size nu(T) - 1 cannot contain e
     (F' - e would join T with nu(T) - 2 edges), so F' + e is a minimum join
-    through e.  Each difference is read unsigned from its component's
-    table, so flipped_distance_sign leaves the set alone.
+    through e.  The cycle table reads that difference, unsigned, for each
+    edge, so flipped_distance_sign leaves the set alone.
+
+    The subset table, which holds d and the pairing DP, uses the pairable
+    pairs instead (Edmonds-Johnson): e is allowed exactly when, for some
+    terminals a, b with nu(T - a - b) + d(a, b) = nu(T), d(a, u) + 1 +
+    d(v, b) = d(a, b) or the same with u and v swapped.  A minimum join is
+    a forest, so it splits into paths pairing T; they weigh at least their
+    pairing, which weighs at least nu(T), so each is a shortest path
+    between a pairable pair.  Conversely a shortest a-b path P and a
+    minimum join J of T - a - b weigh nu(T) together, so J Δ P is a minimum
+    join of T, and J and P share no edge: every edge of P is allowed.
     """
     return _allowed_edge_set(g.graph, g.terminals)
 

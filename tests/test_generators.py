@@ -116,6 +116,14 @@ class TestRandomComb:
                 assert sum(e.id in F.edge_ids
                            for e in g.graph.incident(b)) == 1
 
+    def test_a_draw_of_one_vertex_gives_two(self):
+        """A comb needs one spine and one tooth vertex, so the vertex
+        count is at least 2 whatever the range says."""
+        for seed in range(10):
+            g = gen_random_comb(GenConfig(seed=seed, vertices=(1, 1)))
+            assert len(g.spine) == len(g.tooth) == 1
+            assert len(g.graph.vertices) == 2
+
     def test_every_edge_meets_both_sides(self):
         g = gen_random_comb(GenConfig(seed=4, vertices=(6, 9)))
         for e in g.graph.edges:

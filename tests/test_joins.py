@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraft import combs, joins
 from bigraft._blossom import _verify_optimum, min_weight_matching
@@ -881,6 +882,21 @@ def port_test_metrics() -> list:
     for k in range(1, 16):
         g = comb_path(k)
         out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
+    out += large_metrics()
+    return out
+
+
+def large_metrics() -> list:
+    """Metrics with t = 60-120: the terminals of comb paths, whose
+    pairings take about t/2 stages each, where an allowed edge left over
+    from an earlier stage would have the most chances to mislead, and
+    random metrics."""
+    rng = random.Random(25)
+    out = []
+    for k in range(30, 61, 5):
+        g = comb_path(k)
+        out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
+    out += [random_metric(rng, t, rng.choice((3, 9, 40))) for t in range(60, 121, 20)]
     return out
 
 
@@ -908,6 +924,7 @@ class TestBlossomPort:
     def test_same_pairs_as_networkx(self):
         metrics = port_test_metrics()
         assert len(metrics) >= 2000
+        assert max(map(len, metrics)) == 120
         for W in metrics:
             assert min_weight_matching(W) == networkx_pairs(W), W
 
@@ -1111,7 +1128,8 @@ class TestAllowedEdge:
 
     @pytest.mark.parametrize("case", [2, 7])
     def test_each_query_reads_the_cached_set(self, monkeypatch, case):
-        """allowed_edge_set reads one table difference per edge; after it,
+        """allowed_edge_set reads no table difference on a subset-table
+        component and one per edge on a cycle-table one; after it,
         is_allowed_edge answers every edge without reading a table."""
         g = random_graft(*TABLE_CASES[case])
         reads = []
@@ -1121,7 +1139,96 @@ class TestAllowedEdge:
                 return real(self, graph, u, v)
             monkeypatch.setattr(table, "delta", counted)
         allowed = allowed_edge_set(g)
-        assert len(reads) == len(g.graph.edges)
+        tables = _distance_tables(g.graph, g.terminals)
+        assert len(reads) == sum(type(tables[e.u]) is _CycleTable for e in g.graph.edges)
         reads.clear()
         assert {e.id for e in g.graph.edges if is_allowed_edge(g, e.id)} == allowed
         assert reads == []
+
+
+def dense_grafts(count: int = 12) -> list:
+    """Fixed-seed grafts of the grafts-dense benchmark's shape: 18
+    vertices, edge density 0.35, one component, 6 or 8 terminals."""
+    rng = random.Random(26)
+    out = []
+    while len(out) < count:
+        g = gen_random_graft(GenConfig(vertices=(18, 18), edge_density=0.35,
+                                       terminal_density=0.3), rng)
+        if len(g.graph.components()) == 1 and len(g.terminals) in (6, 8):
+            out.append(g)
+    return out
+
+
+@st.composite
+def subset_table_grafts(draw):
+    """A connected graft of 2-12 vertices whose terminal count t is at most
+    min(mu, _TABLE_LIMIT), so the subset table serves it."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=10))
+    mu = len(pairs) - n + 1
+    t = 2 * draw(st.integers(0, min(mu, _TABLE_LIMIT, n) // 2))
+    terminals = draw(st.permutations(range(n)))[:t]
+    graph = Multigraph.build([f"v{i}" for i in range(n)],
+                             [(f"e{k:02d}", f"v{u}", f"v{v}")
+                              for k, (u, v) in enumerate(pairs)])
+    return Graft(graph, frozenset(f"v{i}" for i in terminals))
+
+
+class TestPairablePairs:
+    """The subset table answers its allowed edges from the terminal pairs
+    some minimum pairing uses.  Its answer must be the set of edges whose
+    difference reads -1 and, within the exhaustive scan's edge cap, the
+    union of every minimum join."""
+
+    def check(self, g) -> list:
+        """The subset-table components' allowed sets, checked."""
+        graph = g.graph
+        tables = _distance_tables(graph, g.terminals)
+        brute = None
+        if len(graph.edges) <= 22:
+            brute = set().union(*all_min_joins(g))
+        out = []
+        for comp in graph.components():
+            table = tables[next(iter(comp))]
+            if type(table) is not _SubsetTable:
+                continue
+            edges = [e for e in graph.edges if e.u in comp]
+            got = set(table.allowed_ids(graph, edges))
+            assert got == {e.id for e in edges
+                           if table.delta(graph, e.u, e.v) == -1}
+            if brute is not None:
+                assert got == {e.id for e in edges if e.id in brute}
+            out.append(got)
+        return out
+
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(TABLE_CASES)
+                                      if TABLE_KINDS[c[0]] is _SubsetTable])
+    def test_table_cases(self, case):
+        g = random_graft(*TABLE_CASES[case])
+        assert len(g.graph.edges) <= 22
+        assert self.check(g)
+
+    def test_dense_grafts(self):
+        """Most edges of these grafts are not allowed; some are, and some
+        lie on a shortest path between terminals no minimum pairing uses."""
+        grafts = dense_grafts()
+        allowed = unpaired = 0
+        for g in grafts:
+            (got,) = self.check(g)
+            allowed += len(got)
+            table = _distance_tables(g.graph, g.terminals)[min(g.terminals)]
+            rows, terms = table.rows, table.terms
+            every_pair = {e.id for e in g.graph.edges if any(
+                rows[i][x] + 1 + rows[j][y] == rows[i][terms[j]]
+                for i, j in itertools.combinations(range(len(terms)), 2)
+                for x, y in ((e.u, e.v), (e.v, e.u)))}
+            unpaired += len(every_pair - got)
+        assert 0 < allowed < sum(len(g.graph.edges) for g in grafts) / 2
+        assert unpaired
+
+    @settings(max_examples=100, deadline=None)
+    @given(subset_table_grafts())
+    def test_random_grafts(self, g):
+        assert len(self.check(g)) == 1
