@@ -44,10 +44,11 @@ Where the port departs from the source:
   order they were made (the list ``live``, not id order); the stage-end
   expansion walks a snapshot of ``live`` and skips blossoms expanded
   meanwhile, and the final delta is still ``min(dualvar)``;
-- every ``assert`` stays, and networkx's dual certificate
-  ``verifyOptimum`` is the module function ``_verify_optimum``, run on
-  every call.  It builds each vertex's blossom chain once, not once per
-  edge.
+- each ``assert`` is an inline test that raises
+  ``InternalConsistencyError``, so the checks run under ``python -O`` too.
+  networkx's dual certificate ``verifyOptimum`` is the module function
+  ``_verify_optimum``, run on every call.  It builds each vertex's blossom
+  chain once, not once per edge.
 """
 
 # The code below is derived from networkx, which carries this notice:
@@ -91,6 +92,8 @@ Where the port departs from the source:
 from __future__ import annotations
 
 from itertools import chain
+
+from .core import InternalConsistencyError
 
 
 def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
@@ -240,7 +243,9 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
     # coming through an edge from vertex v (-1 for none).
     def assignLabel(w, lab, v):
         b = inblossom[w]
-        assert label[w] == 0 and label[b] == 0
+        if label[w] != 0 or label[b] != 0:
+            raise InternalConsistencyError(
+                "assignLabel: the vertex or its blossom is labelled")
         label[w] = label[b] = lab
         if v != -1:
             labeledge[w] = labeledge[b] = (v, w)
@@ -273,19 +278,27 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             if label[b] & 4:
                 base = blossombase[b]
                 break
-            assert label[b] == 1
+            if label[b] != 1:
+                raise InternalConsistencyError(
+                    "scanBlossom: the traced blossom is not an S-blossom")
             path.append(b)
             label[b] = 5
             # Trace one step back.
             if labeledge[b] is None:
                 # The base of blossom b is single; stop tracing this path.
-                assert mate[blossombase[b]] == -1
+                if mate[blossombase[b]] != -1:
+                    raise InternalConsistencyError(
+                        "scanBlossom: an unlabelled-edge blossom has a matched base")
                 v = -1
             else:
-                assert labeledge[b][0] == mate[blossombase[b]]
+                if labeledge[b][0] != mate[blossombase[b]]:
+                    raise InternalConsistencyError(
+                        "scanBlossom: the label edge does not reach the base's mate")
                 v = labeledge[b][0]
                 b = inblossom[v]
-                assert label[b] == 2
+                if label[b] != 2:
+                    raise InternalConsistencyError(
+                        "scanBlossom: the mate's blossom is not a T-blossom")
                 # b is a T-blossom; trace one more step back.
                 v = labeledge[b][0]
             # Swap v and w so that we alternate between both paths.
@@ -319,9 +332,11 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             blossomparent[bv] = b
             path.append(bv)
             edgs.append(labeledge[bv])
-            assert label[bv] == 2 or (
-                label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]]
-            )
+            if label[bv] != 2 and (
+                    label[bv] != 1 or labeledge[bv][0] != mate[blossombase[bv]]
+            ):
+                raise InternalConsistencyError(
+                    "addBlossom: a sub-blossom on the v side is mislabelled")
             # Trace one step back.
             v = labeledge[bv][0]
             bv = inblossom[v]
@@ -335,14 +350,18 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             blossomparent[bw] = b
             path.append(bw)
             edgs.append((labeledge[bw][1], labeledge[bw][0]))
-            assert label[bw] == 2 or (
-                label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]]
-            )
+            if label[bw] != 2 and (
+                    label[bw] != 1 or labeledge[bw][0] != mate[blossombase[bw]]
+            ):
+                raise InternalConsistencyError(
+                    "addBlossom: a sub-blossom on the w side is mislabelled")
             # Trace one step back.
             w = labeledge[bw][0]
             bw = inblossom[w]
         # Set label to S.
-        assert label[bb] == 1
+        if label[bb] != 1:
+            raise InternalConsistencyError(
+                "addBlossom: the base blossom is not an S-blossom")
         label[b] = 1
         labeledge[b] = labeledge[bb]
         # Set dual variable to zero.
@@ -485,8 +504,12 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
                     # If the sub-blossom contains a reachable vertex, assign
                     # label T to the sub-blossom.
                     if label[v]:
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
+                        if label[v] != 2:
+                            raise InternalConsistencyError(
+                                "expandBlossom: a reached vertex is not a T-vertex")
+                        if inblossom[v] != bv:
+                            raise InternalConsistencyError(
+                                "expandBlossom: a reached vertex left its sub-blossom")
                         label[v] = 0
                         label[mate[blossombase[bv]]] = 0
                         assignLabel(v, 2, labeledge[v][0])
@@ -564,7 +587,9 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             blossomchilds[b] = childs[i:] + childs[:i]
             blossomedges[b] = edges[i:] + edges[:i]
             blossombase[b] = blossombase[childs[i]]
-            assert blossombase[b] == v
+            if blossombase[b] != v:
+                raise InternalConsistencyError(
+                    "augmentBlossom: the rotated blossom has the wrong base")
 
         # Now, we apply the trampoline pattern.  We simulate a recursive
         # callstack by maintaining a stack of generators, each yielding a
@@ -589,10 +614,14 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             # edges as we go.
             while 1:
                 bs = inblossom[s]
-                assert label[bs] == 1
-                assert (labeledge[bs] is None and mate[blossombase[bs]] == -1) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
+                if label[bs] != 1:
+                    raise InternalConsistencyError(
+                        "augmentMatching: a blossom on the path is not an S-blossom")
+                if (labeledge[bs] is not None or mate[blossombase[bs]] != -1) and (
+                    labeledge[bs] is None or labeledge[bs][0] != mate[blossombase[bs]]
+                ):
+                    raise InternalConsistencyError(
+                        "augmentMatching: a label edge misses its base's mate")
                 # Augment through the S-blossom from s to base.
                 if bs >= t:
                     augmentBlossom(bs, s)
@@ -604,11 +633,15 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
                     break
                 u = labeledge[bs][0]
                 bt = inblossom[u]
-                assert label[bt] == 2
+                if label[bt] != 2:
+                    raise InternalConsistencyError(
+                        "augmentMatching: a blossom on the path is not a T-blossom")
                 # Trace one more step back.
                 s, j = labeledge[bt]
                 # Augment through the T-blossom from j to base.
-                assert blossombase[bt] == u
+                if blossombase[bt] != u:
+                    raise InternalConsistencyError(
+                        "augmentMatching: a T-blossom's base is off the path")
                 if bt >= t:
                     augmentBlossom(bt, j)
                 # Update mate[j]
@@ -657,7 +690,9 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
                 # Take an S vertex from the queue.
                 v = queue.pop()
                 bv = inblossom[v]
-                assert label[bv] == 1
+                if label[bv] != 1:
+                    raise InternalConsistencyError(
+                        "the queue holds a vertex outside every S-blossom")
 
                 # Scan its neighbors (v's dual and weights are fixed
                 # during the scan, and bv changes only when v joins a
@@ -720,7 +755,9 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
                         # yet been reached from outside the blossom;
                         # mark it as reached (we need this to relabel
                         # during T-blossom expansion).
-                        assert label[bw] == 2
+                        if label[bw] != 2:
+                            raise InternalConsistencyError(
+                                "a vertex reached inside a blossom has no T label")
                         label[w] = 2
                         labeledge[w] = (v, w)
 
@@ -755,7 +792,9 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
                 ):
                     i, j = bestedge[b]
                     kslack = dualvar[i] + dualvar[j] - 2 * W[i][j]
-                    assert (kslack % 2) == 0
+                    if kslack % 2:
+                        raise InternalConsistencyError(
+                            "delta3: the slack between two S-blossoms is odd")
                     d = kslack // 2
                     if deltatype == -1 or d < delta:
                         delta = d
@@ -804,14 +843,18 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
             elif deltatype == 2:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
-                assert label[inblossom[v]] == 1
+                if label[inblossom[v]] != 1:
+                    raise InternalConsistencyError(
+                        "delta2: the least-slack edge leaves no S-vertex")
                 allowedge[v * t + w] = allowedge[w * t + v] = True
                 queue.append(v)
             elif deltatype == 3:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 allowedge[v * t + w] = allowedge[w * t + v] = True
-                assert label[inblossom[v]] == 1
+                if label[inblossom[v]] != 1:
+                    raise InternalConsistencyError(
+                        "delta3: the least-slack edge leaves no S-vertex")
                 queue.append(v)
             elif deltatype == 4:
                 # Expand the least-z blossom.
@@ -821,8 +864,8 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
 
         # Paranoia check that the matching is symmetric.
         for v in vertices:
-            if mate[v] != -1:
-                assert mate[mate[v]] == v
+            if mate[v] != -1 and mate[mate[v]] != v:
+                raise InternalConsistencyError("the matching is not symmetric")
 
         # Stop when no more augmenting path can be found.
         if not augmented:
@@ -844,7 +887,7 @@ def min_weight_matching(W: list[list[int]]) -> list[tuple[int, int]]:
 
 def _verify_optimum(W, mate, dualvar, blossomparent, blossomdual,
                     blossomedges, blossoms) -> None:
-    """Assert that ``mate`` is a maximum-weight maximum-cardinality matching
+    """Check that ``mate`` is a maximum-weight maximum-cardinality matching
     of the weights ``W``, certified by the kernel's final duals: networkx's
     ``verifyOptimum``.  The arguments are the kernel's arrays (``mate[v]``
     is -1 for a single vertex, ``blossomparent[b]`` -1 for a top-level
@@ -854,8 +897,12 @@ def _verify_optimum(W, mate, dualvar, blossomparent, blossomdual,
     # find a constant non-negative number to add to all vertex duals.
     vdualoffset = max(0, -min(dualvar))
     # 0. all dual variables are non-negative
-    assert min(dualvar) + vdualoffset >= 0
-    assert not blossoms or min(blossomdual[b] for b in blossoms) >= 0
+    if min(dualvar) + vdualoffset < 0:
+        raise InternalConsistencyError(
+            "certificate: a vertex dual is negative")
+    if blossoms and min(blossomdual[b] for b in blossoms) < 0:
+        raise InternalConsistencyError(
+            "certificate: a blossom dual is negative")
     # 0. all edges have non-negative slack and
     # 1. all matched edges have zero slack;
     # Each vertex's chain of blossoms, outermost first.
@@ -877,17 +924,29 @@ def _verify_optimum(W, mate, dualvar, blossomparent, blossomdual,
                     if bi != bj:
                         break
                     s += 2 * blossomdual[bi]
-            assert s >= 0
+            if s < 0:
+                raise InternalConsistencyError(
+                    "certificate: an edge has negative slack")
             if mi == j or mate[j] == i:
-                assert mate[i] == j and mate[j] == i
-                assert s == 0
+                if mate[i] != j or mate[j] != i:
+                    raise InternalConsistencyError(
+                        "certificate: the matching is not symmetric")
+                if s != 0:
+                    raise InternalConsistencyError(
+                        "certificate: a matched edge has nonzero slack")
     # 2. all single vertices have zero dual value;
     for v in range(t):
-        assert mate[v] != -1 or dualvar[v] + vdualoffset == 0
+        if mate[v] == -1 and dualvar[v] + vdualoffset != 0:
+            raise InternalConsistencyError(
+                "certificate: a single vertex has a nonzero dual")
     # 3. all blossoms with positive dual value are full.
     for b in blossoms:
         if blossomdual[b] > 0:
-            assert len(blossomedges[b]) % 2 == 1
+            if len(blossomedges[b]) % 2 != 1:
+                raise InternalConsistencyError(
+                    "certificate: a blossom has an even number of edges")
             for i, j in blossomedges[b][1::2]:
-                assert mate[i] == j and mate[j] == i
+                if mate[i] != j or mate[j] != i:
+                    raise InternalConsistencyError(
+                        "certificate: a blossom with a positive dual is not full")
     # Ok.

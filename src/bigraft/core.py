@@ -81,7 +81,8 @@ class Edge:
 @dataclass(frozen=True)
 class Multigraph:
     """Undirected multigraph without loops.  Edges are kept sorted by id;
-    the edge map, adjacency, components and ``_memo`` live on the instance."""
+    the edge map, adjacency, components, component index and ``_memo``
+    live on the instance."""
 
     vertices: frozenset
     edges: tuple[Edge, ...]
@@ -157,14 +158,19 @@ class Multigraph:
     def degree(self, v: VertexId) -> int:
         return len(self.incident(v))
 
+    @cached_property
+    def component_index(self) -> dict:
+        """Each vertex's position in ``components()``."""
+        return {v: i for i, comp in enumerate(self._components) for v in comp}
+
     def components(self) -> tuple[frozenset, ...]:
         return self._components
 
     def component_of(self, v: VertexId) -> frozenset:
-        for comp in self._components:
-            if v in comp:
-                return comp
-        raise GraftInputError(f"unknown vertex id {v!r}")
+        try:
+            return self._components[self.component_index[v]]
+        except KeyError:
+            raise GraftInputError(f"unknown vertex id {v!r}") from None
 
     def induced(self, X: Iterable[VertexId]) -> Multigraph:
         keep = frozenset(X)

@@ -5,23 +5,27 @@ affine solution space over GF(2), one particular join plus the cycle
 space, and canonicalizes ties; the matching one pairs terminals over the
 shortest-path metric and realizes the pairing by breadth-first paths.
 Their agreement is the package's root oracle.  They share _bfs_tree and,
-where min_join reads the cycle table below, _cycle_space, which is
-checked on its own against is_join and degree parity.
+where min_join reads the cycle table below, the one _cycle_space entry
+of each component, rooted at its least vertex, which is checked on its
+own against is_join and degree parity.
 
-Every graph component has one table, which _component_table alone
-chooses: the subset table where the terminal count t is at most
-_TABLE_LIMIT and at most the cycle rank mu = m - n + 1, else the cycle
+_join_tables gives a terminal set one table per graph component, aligned
+with graph.components(), so vertex v reads tables[component_index[v]]: the
+subset table where the component's terminal count t is at most
+_TABLE_LIMIT and at most its cycle rank mu = m - n + 1, else the cycle
 table.  A table's nu_of(mask), the join size of a terminal subset, is one
 entry of the pairing DP or a sum over blocks (2-connected pieces) of each
-block's least: a scan of its stored span where the block has at
-most _TABLE_LIMIT independent cycles, else the blossom pairing of the
-block's odd vertices, one memoised matching per distinct odd set.  A table
-serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an O(t) or O(blocks)
-read that f_distance_reader hands to callers reading many, the allowed
-edges and, up to _TABLE_LIMIT terminals, min_join's pairs (_table_pairs).
-Above that the pairs come from the blossom matching in ``_blossom``, a
-port of networkx's that returns networkx's pairs.  The tables store the
-difference unsigned; the sign hook is applied when f_distance reads it.
+block's least: a scan of its stored span where the block has at most
+_TABLE_LIMIT independent cycles, else the blossom pairing of the block's
+odd vertices.  A cycle table roots its blocks at its component's least
+vertex, so every terminal set of a component, T Δ {u, v} included, shares
+its blocks, spans and block memos.  A table serves nu, f_distance(u, v) =
+nu(T Δ {u, v}) - nu(T), an O(t) or O(blocks) read that f_distance_reader
+hands to callers reading many, the allowed edges and, up to _TABLE_LIMIT
+terminals, min_join's pairs (_table_pairs).  Above that the pairs come
+from the blossom matching in ``_blossom``, a port of networkx's that
+returns networkx's pairs.  The tables store the difference unsigned; the
+sign hook is applied when f_distance reads it.
 
 The allowed edges, those of some minimum join, live here too.
 allowed_edge_set asks each component's table once for the allowed edges
@@ -31,8 +35,8 @@ cycle table reads one difference per edge.  is_allowed_edge and the factor
 components of ``decomposition`` read the set.  No other module reads the
 tables.
 
-Tables, BFS trees, cycle spaces, blocks with their spans, pairings, nu
-and the allowed set live in their graph's own memo
+The tables of each terminal set, BFS trees, cycle spaces, blocks with
+their spans and the allowed set live in their graph's own memo
 (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
 two threads may both compute one entry; both get the one stored first.
 A table's fields never change once built; its caches (the subset table's
@@ -61,7 +65,6 @@ from .core import (
     is_join,
     simple_circuits,
     sorted_vertices,
-    vertex_key,
 )
 
 # Test hook: multiplies the nu-difference inside f_distance.  The shipped
@@ -203,7 +206,7 @@ def _min_join_masks(graph: Multigraph, terminals: frozenset, max_edges: int):
     particular = 0
     basis: list = []
     for comp in graph.components():
-        to_root, cycles = _cycle_space(graph, min(comp, key=vertex_key))
+        to_root, cycles = _cycle_space(graph, sorted_vertices(comp)[0])
         terms = comp & terminals
         if len(terms) % 2:
             raise InternalConsistencyError("a valid graft must admit a join")
@@ -329,7 +332,6 @@ def _subset_dp(cost: list[list[int]]) -> list:
 _TABLE_LIMIT = 10
 
 
-@cached_on_graph
 def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
     """Matched terminal pairs minimizing total distance, by the blossom
     matching of ``_blossom`` over the BFS metric: the port of networkx's,
@@ -341,34 +343,21 @@ def _blossom_pairing(graph: Multigraph, terms: tuple) -> tuple[tuple, ...]:
     return tuple((terms[i], terms[j]) for i, j in min_weight_matching(W))
 
 
-def _component_terminals(graph: Multigraph,
-                         terminals: frozenset) -> Iterator[tuple[frozenset, tuple]]:
-    """Each component with its sorted terminals, which must be even."""
-    for comp in graph.components():
-        terms = tuple(sorted_vertices(comp & terminals))
-        if len(terms) % 2:
-            raise PreconditionError(
-                f"component {sorted_vertices(comp)!r} holds an odd number of terminals")
-        yield comp, terms
-
-
 def _matched_terminal_pairs(graph: Multigraph, terminals: frozenset) -> list[tuple]:
     """Minimum-distance terminal pairs: read back from the component's own
     table up to _TABLE_LIMIT terminals, else by blossom."""
     out: list[tuple] = []
-    for _, terms in _component_terminals(graph, terminals):
-        if len(terms) > _TABLE_LIMIT:
-            out.extend(_blossom_pairing(graph, terms))
+    for table in _join_tables(graph, terminals):
+        if len(table.terms) > _TABLE_LIMIT:
+            out.extend(_blossom_pairing(graph, table.terms))
         else:
-            out.extend(_table_pairs(graph, _component_table(graph, terms)))
+            out.extend(_table_pairs(graph, table))
     return out
 
 
-@cached_on_graph
 def _nu(graph: Multigraph, terminals: frozenset) -> int:
     """Join size: the sum of each component table's nu."""
-    return sum(_component_table(graph, terms).nu
-               for _, terms in _component_terminals(graph, terminals))
+    return sum(table.nu for table in _join_tables(graph, terminals))
 
 
 def nu(g: Graft) -> int:
@@ -546,6 +535,8 @@ def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple]:
     span lists all 2^mu_b sums of the block's basis, or is None where mu_b
     exceeds _TABLE_LIMIT.  The memo maps a start mask's part inside the
     block to its least (``_CycleTable._least``) and only gains entries.
+    Every cycle table of the component roots its blocks at its least
+    vertex, so all of them share this entry.
     """
     to_root, basis = _cycle_space(graph, root)
     blocks: list = []
@@ -592,24 +583,26 @@ def _pairing_least(graph: Multigraph, part: int) -> int:
 class _CycleTable:
     """Join sizes inside one graph component, summed over its blocks.
 
-    Over ``_cycle_blocks(graph, terms[0])``, ``particular``, the XOR of
-    the terminals' path masks, is a join of T, and every join of T is
-    ``particular`` XOR a sum of cycles.
+    Over ``_cycle_blocks`` rooted at the least vertex of ``comp``,
+    ``particular``, the XOR of the terminals' path masks, is a join of T,
+    and every join of T is ``particular`` XOR a sum of cycles.
     Blocks share no edge, so the least join takes every bridge it meets
     and, in each block b, the least popcount of its part of the start XOR
     a cycle of b: a scan of span(b) where b has one, else the pairing of
     the part's odd vertices.  A read costs O(blocks), and one memo lookup
     per block once a start has been seen.  The same sum from
-    ``particular ^ to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}).  The
-    spans and memos are shared by every table rooted at terms[0], so they
-    hold at most 2^_TABLE_LIMIT masks per block, never 2^mu.
+    ``particular ^ to_root[u] ^ to_root[v]`` gives nu(T Δ {u, v}), and
+    the table of T Δ {u, v} starts from that very mask.  The blocks, spans
+    and memos are shared by every terminal set of the component, and a span
+    holds at most 2^_TABLE_LIMIT masks, never 2^mu.
     """
 
     __slots__ = ("terms", "to_root", "bridges", "blocks", "particular", "nu")
 
-    def __init__(self, graph: Multigraph, terms: tuple):
+    def __init__(self, graph: Multigraph, comp: frozenset, terms: tuple):
         self.terms = terms
-        self.to_root, self.bridges, self.blocks = _cycle_blocks(graph, terms[0])
+        self.to_root, self.bridges, self.blocks = _cycle_blocks(
+            graph, sorted_vertices(comp)[0])
         particular = 0
         for w in terms:
             particular ^= self.to_root[w]
@@ -651,17 +644,25 @@ class _CycleTable:
 
 
 @cached_on_graph
-def _component_table(graph: Multigraph, terms: tuple) -> _SubsetTable | _CycleTable:
-    """The table of the component holding the sorted terminals ``terms``:
-    the subset table where the terminal count t is at most _TABLE_LIMIT
-    and at most the cycle rank mu = m - n + 1, else the cycle table.  A
-    component without terminals gets the (empty) subset table."""
-    if terms:
-        comp = graph.component_of(terms[0])
-        mu = sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
-        if len(terms) > min(mu, _TABLE_LIMIT):
-            return _CycleTable(graph, terms)
-    return _SubsetTable(graph, terms)
+def _join_tables(graph: Multigraph, terminals: frozenset) -> tuple:
+    """One table per component, aligned with ``graph.components()``: the
+    subset table where the component's terminal count t is at most
+    _TABLE_LIMIT and at most its cycle rank mu = m - n + 1, else the cycle
+    table.  A component without terminals gets an empty subset table."""
+    out = []
+    for comp in graph.components():
+        terms = tuple(sorted_vertices(comp & terminals))
+        t = len(terms)
+        if t % 2:
+            raise PreconditionError(
+                f"component {sorted_vertices(comp)!r} holds an odd number of terminals")
+        # t > min(mu, _TABLE_LIMIT), with mu summed only where it decides.
+        if t > _TABLE_LIMIT or (
+                t and t > sum(map(graph.degree, comp)) // 2 - len(comp) + 1):
+            out.append(_CycleTable(graph, comp, terms))
+        else:
+            out.append(_SubsetTable(graph, terms))
+    return tuple(out)
 
 
 def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[tuple]:
@@ -686,26 +687,15 @@ def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[t
     return out
 
 
-@cached_on_graph
-def _distance_tables(graph: Multigraph, terminals: frozenset) -> dict:
-    """Each vertex's component table, as _component_table chose it."""
-    out: dict = {}
-    for comp, terms in _component_terminals(graph, terminals):
-        table = _component_table(graph, terms)
-        for w in comp:
-            out[w] = table
-    return out
-
-
 def f_distance_reader(g: Graft):
     """f_distance for many pairs of one graft: ``read(u, v)`` is the
     distance of two vertices known to share a component, read straight
     from the component's table without f_distance's checks."""
     graph = g.graph
-    tables = _distance_tables(graph, g.terminals)
+    tables, index = _join_tables(graph, g.terminals), graph.component_index
 
     def read(u, v) -> int:
-        return 0 if u == v else _DISTANCE_SIGN * tables[u].delta(graph, u, v)
+        return 0 if u == v else _DISTANCE_SIGN * tables[index[u]].delta(graph, u, v)
     return read
 
 
@@ -791,11 +781,11 @@ def _dfs_path_within(graph: Multigraph, allowed: frozenset, u, v) -> Walk | None
 
 @cached_on_graph
 def _allowed_edge_set(graph: Multigraph, terminals: frozenset) -> frozenset:
-    tables = _distance_tables(graph, terminals)
-    edges_of: dict = {}
+    tables, index = _join_tables(graph, terminals), graph.component_index
+    edges_of: list = [[] for _ in tables]
     for e in graph.edges:
-        edges_of.setdefault(tables[e.u], []).append(e)
-    return frozenset(eid for table, edges in edges_of.items()
+        edges_of[index[e.u]].append(e)
+    return frozenset(eid for table, edges in zip(tables, edges_of)
                      for eid in table.allowed_ids(graph, edges))
 
 

@@ -21,6 +21,7 @@ from bigraft.core import (
     CapacityError,
     Graft,
     GraftInputError,
+    InternalConsistencyError,
     Multigraph,
     PreconditionError,
     Walk,
@@ -46,10 +47,9 @@ from bigraft.joins import (
     _SubsetTable,
     _bfs_tree,
     _blossom_pairing,
-    _component_terminals,
     _cycle_blocks,
     _cycle_space,
-    _distance_tables,
+    _join_tables,
     _nu,
     _subset_dp,
     _table_pairs,
@@ -373,6 +373,11 @@ TABLE_KINDS = {1: _SubsetTable, 2: _SubsetTable, 3: _SubsetTable,
                10: _CycleTable}
 
 
+def table_of(g, v):
+    """The join table of v's component, as f_distance reads it."""
+    return _join_tables(g.graph, g.terminals)[g.graph.component_index[v]]
+
+
 def cycle_rank(graph, comp) -> int:
     return sum(graph.degree(w) for w in comp) // 2 - len(comp) + 1
 
@@ -535,16 +540,17 @@ class TestDistanceTable:
     def test_matches_the_oracles(self, seed, sizes, terminals, extra):
         g = random_graft(seed, sizes, terminals, extra)
         table_kind = TABLE_KINDS[seed]
-        tables = _distance_tables(g.graph, g.terminals)
-        for comp in g.graph.components():
-            assert all(type(tables[w]) is table_kind for w in comp)
+        tables = _join_tables(g.graph, g.terminals)
+        assert len(tables) == len(g.graph.components())
+        for comp, table in zip(g.graph.components(), tables):
+            assert type(table) is table_kind
+            assert all(table_of(g, w) is table for w in comp)
             t, mu = len(comp & g.terminals), cycle_rank(g.graph, comp)
             assert (table_kind is _SubsetTable) == (t <= _TABLE_LIMIT and t <= mu)
             paired = max(block_ranks(g.graph, comp), default=0) > _TABLE_LIMIT
             assert paired == (seed == 10)
             if table_kind is _CycleTable:
-                assert paired == any(span is None for _, _, span, _ in
-                                     tables[min(comp)].blocks)
+                assert paired == any(span is None for _, _, span, _ in table.blocks)
         # Case 10, whose one block is paired, has more edges than the
         # oracles' default bound.
         bound = max(22, len(g.graph.edges))
@@ -569,10 +575,10 @@ class TestDistanceTable:
         g = block_graft(*BLOCK_CASES[name])
         graph, T = g.graph, g.terminals
         (comp,) = graph.components()
-        table = _distance_tables(graph, T)[min(comp)]
+        (table,) = _join_tables(graph, T)
         assert type(table) is _CycleTable
-        assert sorted(rank for _, rank, _, _ in
-                      _cycle_blocks(graph, min(T))[2]) == block_ranks(graph, comp)
+        assert table.blocks is _cycle_blocks(graph, min(comp))[2]
+        assert sorted(rank for _, rank, _, _ in table.blocks) == block_ranks(graph, comp)
         base = pairing_nu(graph, T)
         assert table.nu == _nu(graph, T) == base
         vs = sorted(graph.vertices)
@@ -623,7 +629,7 @@ class TestDistanceTable:
             out = cli_stdout(argv, json.dumps(graft_document(g)))
             assert out.startswith(f"{argv} 0\n")
         for g in dense:
-            table = _distance_tables(g.graph, g.terminals)[min(g.terminals)]
+            (table,) = _join_tables(g.graph, g.terminals)
             assert type(table) is _CycleTable
             giant = max(table.blocks, key=lambda block: block[1])
             assert giant[1] > _TABLE_LIMIT and giant[2] is None
@@ -660,7 +666,7 @@ class TestDistanceTable:
 
         monkeypatch.setattr(joins, "_subset_dp", counted)
         F = min_join(g)
-        assert type(_distance_tables(g.graph, g.terminals)[min(g.terminals)]) is _CycleTable
+        assert type(table_of(g, min(g.terminals))) is _CycleTable
         assert F.size == min_join_bruteforce(g).size
         assert [t for t in calls if t] == []
 
@@ -675,7 +681,8 @@ class TestDistanceTable:
         g = random_graft(100 + seed, (n,), (t,), rng.randint(0, _TABLE_LIMIT - 1))
         graph, terms = g.graph, tuple(sorted(g.terminals))
         assert cycle_rank(graph, graph.vertices) <= _TABLE_LIMIT
-        subset, cycle = _SubsetTable(graph, terms), _CycleTable(graph, terms)
+        subset = _SubsetTable(graph, terms)
+        cycle = _CycleTable(graph, graph.vertices, terms)
         assert subset.nu == cycle.nu
         for mask in range(1 << t):
             if mask.bit_count() % 2 == 0:
@@ -684,13 +691,34 @@ class TestDistanceTable:
             assert subset.delta(graph, u, v) == cycle.delta(graph, u, v), (u, v)
         assert _table_pairs(graph, subset) == _table_pairs(graph, cycle)
 
+    def test_flipped_sets_share_the_blocks(self):
+        """Every terminal set of a component reads one set of blocks, rooted
+        at the component's least vertex, over the cycle space that the
+        exhaustive scan reads too.  The flips drop the least terminal with
+        another terminal or with a non-terminal, or add two non-terminals."""
+        g = random_graft(*TABLE_CASES[4])
+        graph, T = g.graph, g.terminals
+        (comp,) = graph.components()
+        (table,) = _join_tables(graph, T)
+        assert type(table) is _CycleTable
+        assert table.to_root is _cycle_space(graph, min(comp))[0]
+        others = sorted(comp - T)
+        flips = [(min(T), max(T)), (min(T), others[-1]), (others[0], others[1])]
+        for u, v in flips:
+            (flipped,) = _join_tables(graph, T ^ {u, v})
+            assert type(flipped) is _CycleTable
+            assert flipped.blocks is table.blocks, (u, v)
+            assert flipped.nu == table.nu + f_distance(g, u, v).value, (u, v)
+
 
 def pairing_nu(graph, terminals) -> int:
     """nu as the sum of matched pairs' BFS distances, each component paired
     by a subset table built here or by blossom: the pairing side of the
-    engine, which never builds or reads a cycle table."""
+    engine, which never builds or reads a cycle table.  It walks the
+    components itself, so it shares no iteration with _join_tables."""
     total = 0
-    for _, terms in _component_terminals(graph, terminals):
+    for comp in graph.components():
+        terms = tuple(sorted_vertices(comp & terminals))
         if len(terms) > _TABLE_LIMIT:
             pairs = _blossom_pairing(graph, terms)
         else:
@@ -726,7 +754,7 @@ class TestCycleTableOnQuasicombs:
         large = [(r, g) for r, g in prefixes if len(g.terminals) > _TABLE_LIMIT]
         assert len(large) >= 8
         for r, g in large:
-            assert type(_distance_tables(g.graph, g.terminals)[r]) is _CycleTable
+            assert type(table_of(g, r)) is _CycleTable
 
     def test_few_cycles_build_no_subset_dp(self, prefixes, monkeypatch):
         """A prefix with fewer independent cycles than terminals reads its
@@ -749,7 +777,7 @@ class TestCycleTableOnQuasicombs:
             g = replace(g, graph=Multigraph(g.graph.vertices, g.graph.edges))
             small += len(g.terminals) <= _TABLE_LIMIT
             assert is_critical_quasicomb(g, r).critical
-            assert type(_distance_tables(g.graph, g.terminals)[r]) is _CycleTable
+            assert type(table_of(g, r)) is _CycleTable
         assert small >= 8
         assert [t for t in calls if t] == []
 
@@ -775,6 +803,10 @@ EAR_DECOMP_58_DIGEST = (
 # all terminals.
 EAR_DECOMP_58_1_DIGEST = (
     "5cc45922c27b4396ba06d96bee3ef821fde0805f06e5242f9d39899a1a1bc98d")
+
+# sha256 of ear-decomp's stdout alone on the n = 90, seed 0 quasicomb below.
+EAR_DECOMP_90_DIGEST = (
+    "d517eeac0741e3715e3c4fce320763f7c39b0479ba1d512320839df86b53ad78")
 
 
 class TestBlocksPastTheLimit:
@@ -804,7 +836,7 @@ class TestBlocksPastTheLimit:
         assert max(block_ranks(g.graph, comp)) == 12
         paired = [p for p in d.prefixes() if len(p.terminals) > _TABLE_LIMIT
                   and any(span is None for _, _, span, _ in
-                          _distance_tables(p.graph, p.terminals)[d.root].blocks)]
+                          table_of(p, d.root).blocks)]
         assert len(paired) >= 4
         for p in paired[::-2]:
             base = pairing_nu(p.graph, p.terminals)
@@ -816,6 +848,21 @@ class TestBlocksPastTheLimit:
         head, body = cli_stdout(argv, json.dumps(graft_document(g))).split("\n", 1)
         assert head == f"{argv} 0"
         assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_58_1_DIGEST
+
+    def test_ear_decomp_stdout_at_scale(self, monkeypatch):
+        """n = 90: some blocks hold more than _TABLE_LIMIT independent
+        cycles, so the reads pair the odd vertices of their parts."""
+        parts = []
+        real = joins._pairing_least
+        monkeypatch.setattr(joins, "_pairing_least",
+                            lambda graph, part: parts.append(part) or real(graph, part))
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(90, 90)),
+                                             random.Random(0))
+        argv = ["ear-decomp", d.root, "--format", "json"]
+        head, body = cli_stdout(argv, json.dumps(graft_document(d.target))).split("\n", 1)
+        assert head == f"{argv} 0"
+        assert parts
+        assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_90_DIGEST
 
 
 def networkx_pairs(W) -> list:
@@ -967,12 +1014,29 @@ class TestBlossomPort:
         self.certify([1, 0, 3, 2], [5, 5, 5, 5])
 
     def test_certificate_rejects_a_matching_that_is_not_optimal(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalConsistencyError, match="nonzero slack"):
             self.certify([2, 3, 0, 1], [5, 5, 5, 5])
 
     def test_certificate_rejects_a_negative_slack(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalConsistencyError, match="negative slack"):
             self.certify([1, 0, 3, 2], [4, 5, 5, 5])
+
+    def test_certificate_checks_run_under_optimize(self):
+        """The kernel's checks are not asserts: ``python -O``, which strips
+        asserts, still rejects the matching that is not optimal."""
+        script = (
+            "from bigraft._blossom import _verify_optimum\n"
+            "from bigraft.core import InternalConsistencyError\n"
+            f"W = {self.HEAVY!r}\n"
+            "try:\n"
+            "    _verify_optimum(W, [2, 3, 0, 1], [5] * 4, [-1] * 8, [0] * 8,"
+            " [None] * 8, [])\n"
+            "except InternalConsistencyError as e:\n"
+            "    print(__debug__, e)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.stdout == (
+            "False certificate: a matched edge has nonzero slack\n"), proc.stderr
 
     def test_analyze_imports_no_networkx(self):
         """A component of 12 terminals takes the blossom side, and the CLI
@@ -1139,8 +1203,8 @@ class TestAllowedEdge:
                 return real(self, graph, u, v)
             monkeypatch.setattr(table, "delta", counted)
         allowed = allowed_edge_set(g)
-        tables = _distance_tables(g.graph, g.terminals)
-        assert len(reads) == sum(type(tables[e.u]) is _CycleTable for e in g.graph.edges)
+        assert len(reads) == sum(type(table_of(g, e.u)) is _CycleTable
+                                 for e in g.graph.edges)
         reads.clear()
         assert {e.id for e in g.graph.edges if is_allowed_edge(g, e.id)} == allowed
         assert reads == []
@@ -1185,13 +1249,12 @@ class TestPairablePairs:
     def check(self, g) -> list:
         """The subset-table components' allowed sets, checked."""
         graph = g.graph
-        tables = _distance_tables(graph, g.terminals)
+        tables = _join_tables(graph, g.terminals)
         brute = None
         if len(graph.edges) <= 22:
             brute = set().union(*all_min_joins(g))
         out = []
-        for comp in graph.components():
-            table = tables[next(iter(comp))]
+        for comp, table in zip(graph.components(), tables):
             if type(table) is not _SubsetTable:
                 continue
             edges = [e for e in graph.edges if e.u in comp]
@@ -1218,7 +1281,7 @@ class TestPairablePairs:
         for g in grafts:
             (got,) = self.check(g)
             allowed += len(got)
-            table = _distance_tables(g.graph, g.terminals)[min(g.terminals)]
+            (table,) = _join_tables(g.graph, g.terminals)
             rows, terms = table.rows, table.terms
             every_pair = {e.id for e in g.graph.edges if any(
                 rows[i][x] + 1 + rows[j][y] == rows[i][terms[j]]
