@@ -124,8 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most vertex count drawn (default 10); a critical "
                         "quasicomb grows by whole ears and may end up to 2 "
                         "vertices past it")
-    p.add_argument("--edge-density", type=float, default=0.35, metavar="X")
-    p.add_argument("--terminal-density", type=float, default=0.5, metavar="X")
+    p.add_argument("--edge-density", type=float, default=GenConfig.edge_density,
+                   metavar="X",
+                   help="chance of an edge on each vertex pair of --mode graft "
+                        f"or comb, in [0, 1] (default {GenConfig.edge_density})")
+    p.add_argument("--terminal-density", type=float,
+                   default=GenConfig.terminal_density, metavar="X",
+                   help="chance that each vertex of --mode graft is a terminal, "
+                        f"in [0, 1] (default {GenConfig.terminal_density})")
     p.add_argument("--budget", type=int, metavar="N",
                    help="most ear steps of --mode critical-quasicomb "
                         f"(default {GenConfig.budget}); no other mode takes it")

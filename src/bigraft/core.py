@@ -9,7 +9,7 @@ and hashable, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Iterable, Iterator
 
 VertexId = str | int
@@ -80,9 +80,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Undirected multigraph without loops.  Edges are kept sorted by id;
-    the edge map, adjacency, components, component index and ``_memo``
-    live on the instance."""
+    """Undirected multigraph without loops.  Edges are kept sorted by id.
+
+    Construction builds the edge map, the adjacency and the components.
+    A search starts from each unseen vertex in ``vertex_key`` order, so
+    ``component_roots[i]``, the start of ``components()[i]``, is its least
+    vertex and the roots ascend.  ``component_index`` maps each vertex to
+    its component's position.  Anything else derived lives in ``_memo``.
+    """
 
     vertices: frozenset
     edges: tuple[Edge, ...]
@@ -104,38 +109,35 @@ class Multigraph:
             if e.u == e.v:
                 raise GraftInputError(f"edge {e.id!r} is a loop")
             by_id[e.id] = e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
-        object.__setattr__(self, "edges", tuple(by_id[eid] for eid in sorted(by_id)))
-        object.__setattr__(self, "_edge_map", by_id)
-        object.__setattr__(self, "_memo", {})
-
-    @cached_property
-    def _adjacency(self) -> dict:
+        edges = tuple(by_id[eid] for eid in sorted(by_id))
         adj: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+        for e in edges:
             adj[e.u].append(e)
             adj[e.v].append(e)
-        return {v: tuple(es) for v, es in adj.items()}
-
-    @cached_property
-    def _components(self) -> tuple[frozenset, ...]:
-        adjacency = self._adjacency
-        seen: set = set()
-        out: list[frozenset] = []
-        for start in sorted_vertices(self.vertices):
-            if start in seen:
+        index: dict = {}
+        roots: list = []
+        components: list[frozenset] = []
+        for root in sorted_vertices(self.vertices):
+            if root in index:
                 continue
-            comp = {start}
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for e in adjacency[v]:
+            i = len(roots)
+            index[root] = i
+            comp = [root]
+            for v in comp:
+                for e in adj[v]:
                     w = e.v if e.u == v else e.u
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
+                    if w not in index:
+                        index[w] = i
+                        comp.append(w)
+            roots.append(root)
+            components.append(frozenset(comp))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_edge_map", by_id)
+        object.__setattr__(self, "_adjacency", {v: tuple(es) for v, es in adj.items()})
+        object.__setattr__(self, "_components", tuple(components))
+        object.__setattr__(self, "component_roots", tuple(roots))
+        object.__setattr__(self, "component_index", index)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -157,11 +159,6 @@ class Multigraph:
 
     def degree(self, v: VertexId) -> int:
         return len(self.incident(v))
-
-    @cached_property
-    def component_index(self) -> dict:
-        """Each vertex's position in ``components()``."""
-        return {v: i for i, comp in enumerate(self._components) for v in comp}
 
     def components(self) -> tuple[frozenset, ...]:
         return self._components

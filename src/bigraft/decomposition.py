@@ -39,7 +39,7 @@ class FactorComponent:
     skeleton: Multigraph = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if self.id != sorted_vertices(self.vertices)[0]:
+        if self.id != min(self.vertices, key=vertex_key):
             raise InternalConsistencyError(
                 f"component id {self.id!r} is not its least vertex")
 
@@ -95,12 +95,9 @@ def _factor_components(graph: Multigraph, allowed: frozenset) -> FactorComponent
     """Keyed by the allowed set, the one input the components depend on."""
     skeleton = Multigraph(graph.vertices,
                           tuple(e for e in graph.edges if e.id in allowed))
-    comps = []
-    for vs in skeleton.components():
-        least = sorted_vertices(vs)[0]
-        comps.append(FactorComponent(least, vs, skeleton))
-    comps.sort(key=lambda c: vertex_key(c.id))
-    out = FactorComponentSet(tuple(comps))
+    comps = tuple(FactorComponent(root, vs, skeleton) for root, vs in
+                  zip(skeleton.component_roots, skeleton.components()))
+    out = FactorComponentSet(comps)
     covered = frozenset().union(*out.vertex_sets()) if comps else frozenset()
     if covered != graph.vertices:
         raise InternalConsistencyError("factor components do not cover V")

@@ -68,7 +68,7 @@ class GenConfig:
             if not 0.0 <= value <= 1.0:
                 raise GraftInputError(f"{label} density {value!r} is not in [0, 1]")
         if self.budget < 1:
-            raise GraftInputError("the retry budget must be at least 1")
+            raise GraftInputError("the ear-step budget must be at least 1")
         if self.mode not in _MODES:
             raise GraftInputError(f"unknown generator mode {self.mode!r}")
 
@@ -101,9 +101,9 @@ def gen_random_graft(cfg: GenConfig, rng: random.Random | None = None) -> Graft:
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
     graph = Multigraph.build(names, _sample_edges(rng, pairs, cfg.edge_density))
     terminals = {v for v in names if rng.random() < cfg.terminal_density}
-    for comp in graph.components():
+    for root, comp in zip(graph.component_roots, graph.components()):
         if len(terminals & comp) % 2:
-            terminals ^= {sorted_vertices(comp)[0]}
+            terminals ^= {root}
     return Graft(graph, frozenset(terminals))
 
 

@@ -17,15 +17,16 @@ table.  A table's nu_of(mask), the join size of a terminal subset, is one
 entry of the pairing DP or a sum over blocks (2-connected pieces) of each
 block's least: a scan of its stored span where the block has at most
 _TABLE_LIMIT independent cycles, else the blossom pairing of the block's
-odd vertices.  A cycle table roots its blocks at its component's least
-vertex, so every terminal set of a component, T Δ {u, v} included, shares
-its blocks, spans and block memos.  A table serves nu, f_distance(u, v) =
-nu(T Δ {u, v}) - nu(T), an O(t) or O(blocks) read that f_distance_reader
-hands to callers reading many, the allowed edges and, up to _TABLE_LIMIT
-terminals, min_join's pairs (_table_pairs).  Above that the pairs come
-from the blossom matching in ``_blossom``, a port of networkx's that
-returns networkx's pairs.  The tables store the difference unsigned; the
-sign hook is applied when f_distance reads it.
+odd vertices.  A cycle table roots its blocks at its component's root,
+the least vertex (graph.component_roots), so every terminal set of a
+component, T Δ {u, v} included, shares its blocks, spans and block memos.
+A table serves nu, f_distance(u, v) = nu(T Δ {u, v}) - nu(T), an O(t) or
+O(blocks) read that f_distance_reader hands to callers reading many, the
+allowed edges and, up to _TABLE_LIMIT terminals, min_join's pairs
+(_table_pairs).  Above that the pairs come from the blossom matching in
+``_blossom``, a port of networkx's that returns networkx's pairs.  The
+tables store the difference unsigned; the sign hook is applied when
+f_distance reads it.
 
 The allowed edges, those of some minimum join, live here too.
 allowed_edge_set asks each component's table once for the allowed edges
@@ -205,8 +206,8 @@ def _min_join_masks(graph: Multigraph, terminals: frozenset, max_edges: int):
             f"{len(graph.edges)} edges exceed the exhaustive bound {max_edges}")
     particular = 0
     basis: list = []
-    for comp in graph.components():
-        to_root, cycles = _cycle_space(graph, sorted_vertices(comp)[0])
+    for root, comp in zip(graph.component_roots, graph.components()):
+        to_root, cycles = _cycle_space(graph, root)
         terms = comp & terminals
         if len(terms) % 2:
             raise InternalConsistencyError("a valid graft must admit a join")
@@ -583,7 +584,7 @@ def _pairing_least(graph: Multigraph, part: int) -> int:
 class _CycleTable:
     """Join sizes inside one graph component, summed over its blocks.
 
-    Over ``_cycle_blocks`` rooted at the least vertex of ``comp``,
+    Over ``_cycle_blocks`` rooted at ``root``, its component's root,
     ``particular``, the XOR of the terminals' path masks, is a join of T,
     and every join of T is ``particular`` XOR a sum of cycles.
     Blocks share no edge, so the least join takes every bridge it meets
@@ -599,10 +600,9 @@ class _CycleTable:
 
     __slots__ = ("terms", "to_root", "bridges", "blocks", "particular", "nu")
 
-    def __init__(self, graph: Multigraph, comp: frozenset, terms: tuple):
+    def __init__(self, graph: Multigraph, root, terms: tuple):
         self.terms = terms
-        self.to_root, self.bridges, self.blocks = _cycle_blocks(
-            graph, sorted_vertices(comp)[0])
+        self.to_root, self.bridges, self.blocks = _cycle_blocks(graph, root)
         particular = 0
         for w in terms:
             particular ^= self.to_root[w]
@@ -648,18 +648,22 @@ def _join_tables(graph: Multigraph, terminals: frozenset) -> tuple:
     """One table per component, aligned with ``graph.components()``: the
     subset table where the component's terminal count t is at most
     _TABLE_LIMIT and at most its cycle rank mu = m - n + 1, else the cycle
-    table.  A component without terminals gets an empty subset table."""
+    table.  The components without terminals share one empty subset table,
+    built on the first of them."""
     out = []
-    for comp in graph.components():
+    empty = None
+    for root, comp in zip(graph.component_roots, graph.components()):
         terms = tuple(sorted_vertices(comp & terminals))
         t = len(terms)
         if t % 2:
             raise PreconditionError(
                 f"component {sorted_vertices(comp)!r} holds an odd number of terminals")
+        if not t:
+            empty = empty or _SubsetTable(graph, ())
+            out.append(empty)
         # t > min(mu, _TABLE_LIMIT), with mu summed only where it decides.
-        if t > _TABLE_LIMIT or (
-                t and t > sum(map(graph.degree, comp)) // 2 - len(comp) + 1):
-            out.append(_CycleTable(graph, comp, terms))
+        elif t > _TABLE_LIMIT or t > sum(map(graph.degree, comp)) // 2 - len(comp) + 1:
+            out.append(_CycleTable(graph, root, terms))
         else:
             out.append(_SubsetTable(graph, terms))
     return tuple(out)

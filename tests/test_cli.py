@@ -409,6 +409,19 @@ class TestGen:
             return len(json.loads(out)["decomposition"]["steps"])
         assert steps("--budget", "2") == 2 < steps()
 
+    def test_zero_budget_is_a_usage_error(self):
+        code, out, err = run_cli("gen", "--mode", "critical-quasicomb",
+                                 "--budget", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: the ear-step budget must be at least 1\n"
+
+    def test_density_help_states_range_and_default(self):
+        code, out, _ = run_cli("gen", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "--mode graft or comb, in [0, 1] (default 0.35)" in text
+        assert "--mode graft is a terminal, in [0, 1] (default 0.5)" in text
+
     def test_vertex_count_past_the_cap_is_a_usage_error(self):
         n = str(_MAX_VERTICES + 1)
         code, out, err = run_cli("gen", "--min-vertices", n, "--max-vertices", n)
@@ -712,6 +725,16 @@ def digest_cases():
         yield ["verify", "--trials", "1", "--format", fmt], ""
 
 
+# Full sha256 of the JSON stdout of each command on comb_path(100), the
+# deep path of the ``files`` fixture; ROADMAP quotes their first 12 digits.
+DEEP_PATH_DIGESTS = {
+    "analyze":
+        "032082a69f2800f8e6cd8b0531aa4d18c9d4876dcaf99e5d06b6514b201f182d",
+    "ear-decomp r":
+        "91111ac16af19a28dd6308e8f660032bbed85c92537543284c75c4ede6cbcfc1",
+}
+
+
 class TestStdoutDigest:
 
     def test_fixed_seed_stdout_unchanged(self):
@@ -720,6 +743,13 @@ class TestStdoutDigest:
             code, out, _ = run_cli(*argv, stdin=stdin)
             h.update(f"{argv} {code}\n{out}".encode())
         assert h.hexdigest() == CLI_STDOUT_DIGEST
+
+    @pytest.mark.parametrize("command", sorted(DEEP_PATH_DIGESTS))
+    def test_deep_path_stdout_unchanged(self, files, command):
+        code, out, _ = run_cli(*command.split(), "--input", files["path100"],
+                               "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEEP_PATH_DIGESTS[command]
 
 
 def test_console_script_runs():

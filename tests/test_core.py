@@ -1,5 +1,6 @@
 """Data model: multigraphs, grafts, bipartitions, contraction, sums, walks."""
 
+import random
 import sys
 
 import pytest
@@ -73,6 +74,32 @@ class TestMultigraph:
         g = Multigraph.build(["d", "c", "b", "a"], [("e1", "d", "c"), ("e2", "b", "a")])
         comps = g.components()
         assert comps == (frozenset({"a", "b"}), frozenset({"c", "d"}))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_components_carry_their_roots_and_index(self, seed):
+        """``component_roots[i]`` is the least vertex of ``components()[i]``,
+        the roots ascend in ``vertex_key`` order, and ``component_index``
+        maps exactly the vertices of component i to i.  The graphs mix int
+        and str ids and keep some vertices isolated."""
+        rng = random.Random(seed)
+        ids = rng.sample([*range(12), *(f"v{i}" for i in range(12))],
+                         rng.randint(0, 14))
+        edges = [(f"e{k}", *rng.sample(ids, 2))
+                 for k in range(rng.randint(0, len(ids))) if len(ids) > 1]
+        g = Multigraph.build(ids, edges)
+        comps, roots = g.components(), g.component_roots
+        assert len(roots) == len(comps)
+        assert list(roots) == [sorted_vertices(comp)[0] for comp in comps]
+        assert list(roots) == sorted(roots, key=vertex_key)
+        assert len(set(roots)) == len(roots)
+        assert g.component_index == {v: i for i, comp in enumerate(comps)
+                                     for v in comp}
+        assert set(g.component_index) == g.vertices
+
+    def test_empty_graph_has_no_components(self):
+        g = Multigraph.build([], [])
+        assert g.components() == g.component_roots == ()
+        assert g.component_index == {}
 
     def test_equal_graphs_from_different_routes_hash_equal(self):
         a = Multigraph.build(["x", "y", "z"],

@@ -682,7 +682,8 @@ class TestDistanceTable:
         graph, terms = g.graph, tuple(sorted(g.terminals))
         assert cycle_rank(graph, graph.vertices) <= _TABLE_LIMIT
         subset = _SubsetTable(graph, terms)
-        cycle = _CycleTable(graph, graph.vertices, terms)
+        (root,) = graph.component_roots
+        cycle = _CycleTable(graph, root, terms)
         assert subset.nu == cycle.nu
         for mask in range(1 << t):
             if mask.bit_count() % 2 == 0:
@@ -709,6 +710,21 @@ class TestDistanceTable:
             assert type(flipped) is _CycleTable
             assert flipped.blocks is table.blocks, (u, v)
             assert flipped.nu == table.nu + f_distance(g, u, v).value, (u, v)
+
+
+    def test_terminal_free_components_share_one_table(self):
+        """The components without terminals share one empty subset table,
+        and inside each of them f_distance is the BFS distance."""
+        g = random_graft(7, (5, 4, 6), (0, 2, 0), 3)
+        graph, T = g.graph, g.terminals
+        free = [(comp, table) for comp, table
+                in zip(graph.components(), _join_tables(graph, T)) if not comp & T]
+        assert len(free) == 2
+        assert free[0][1] is free[1][1]
+        assert free[0][1].terms == ()
+        for comp, _ in free:
+            for u, v in itertools.combinations(sorted(comp), 2):
+                assert f_distance(g, u, v).value == _bfs_tree(graph, u)[0][v], (u, v)
 
 
 def pairing_nu(graph, terminals) -> int:

@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigraft import properties
+from bigraft.cathedral import enumerate_critical_sets
 from bigraft.combs import classify_comb
 from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import factor_components
@@ -17,6 +19,8 @@ from bigraft.properties import (
     PROPERTIES,
     Certificate,
     SuiteReport,
+    _MAKERS,
+    _check_monotone_consistency,
     _check_zero_circuits,
     property_names,
     run_property_suite,
@@ -165,6 +169,35 @@ class TestDetection:
         cert = rep.certificates[0]
         assert cert.instance == {}
         assert cert.transcript[0].startswith("CapacityError")
+
+
+class TestMonotoneConsistency:
+
+    def test_precedes_is_asked_once_per_pair(self, monkeypatch):
+        """The check asks precedes once per pair of components, however
+        many critical sets cover the second, and still writes one line per
+        critical set covering a component that the first does not precede.
+        The stand-in precedes holds only from a component to itself."""
+        asked = []
+
+        def only_itself(g, first, second):
+            asked.append((first, second))
+            return first == second
+
+        monkeypatch.setattr(properties, "precedes", only_itself)
+        repeated = False
+        for trial in range(6):
+            g = _MAKERS["component-rich-comb"](CFG, random.Random(trial))
+            asked.clear()
+            lines = _check_monotone_consistency(g, None)
+            comps = factor_components(g)
+            covers = [(comp.id, other.id) for comp in comps
+                      for xs in enumerate_critical_sets(g, comp.id)
+                      for other in comps if other.vertices <= xs]
+            assert sorted(asked) == sorted(set(covers))
+            assert len(lines) == sum(a != b for a, b in covers)
+            repeated |= len(covers) > len(set(covers))
+        assert repeated
 
 
 class TestReportShape:
