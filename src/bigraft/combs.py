@@ -13,6 +13,7 @@ decompositions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -330,7 +331,8 @@ def bare_root(root) -> OrderedBipartiteGraft:
 @dataclass(frozen=True)
 class GraftEarDecomposition:
     """An ordered ear growth from a single root toward a target graft.  It
-    keeps no sums: ``replay`` and ``prefixes`` build theirs on each call."""
+    keeps no sums: ``replay`` and ``prefixes`` build theirs on each call,
+    from ``_start`` by ``graft_sum``, and check no graph again."""
 
     root: object
     steps: tuple[EarStep, ...]
@@ -340,17 +342,24 @@ class GraftEarDecomposition:
         if self.root not in self.target.graph.vertices:
             raise GraftInputError(f"root {self.root!r} is not a target vertex")
 
+    def _start(self) -> OrderedBipartiteGraft:
+        """``bare_root(self.root)``, its graph cut from the target's, which
+        holds the root, so that nothing in it is checked again."""
+        return OrderedBipartiteGraft(self.target.graph.induced({self.root}),
+                                     frozenset(), frozenset(),
+                                     frozenset({self.root}))
+
     def replay(self) -> OrderedBipartiteGraft:
         """The graft after the last step, built in one sum; the bare root
         when there is none."""
-        return graft_sum(bare_root(self.root),
+        return graft_sum(self._start(),
                          *(step.as_graft() for step in self.steps))
 
     def prefixes(self) -> Iterator[OrderedBipartiteGraft]:
         """Yield the graft after each step, each summed from the one before
         and held only until the next, so a malformed chain still yields up
         to its bad step."""
-        g = bare_root(self.root)
+        g = self._start()
         for step in self.steps:
             g = graft_sum(g, step.as_graft())
             yield g
@@ -384,6 +393,10 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     spine_sup: set = set()
     tooth_sup: set = {r}
     steps: list[EarStep] = []
+    # (rank, edge id) of unused edges.  An edge's rank moves only when one
+    # of its ends joins the support, so each step queues the edges at the
+    # vertices it adds; an entry whose rank has moved since is skipped.
+    queue: list = []
 
     def rank(eid, a, b):
         """0: a new spine vertex on the tooth support; 1: a non-join edge
@@ -394,20 +407,32 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
             return 2 if eid in fset else 1
         return None
 
-    def check_invariant():
-        for eid in fset:
-            e = g.graph.edge(eid)
-            b = e.u if e.u in g.tooth else e.v
-            a = e.other(b)
-            if b in tooth_sup and a not in spine_sup:
-                raise InternalConsistencyError(
-                    f"join edge {eid!r} leaks from the tooth support")
+    def grown(added):
+        """Queue the unused edges at the vertices just added, and check
+        that no join edge runs from one of them on the tooth side to an
+        unreached spine vertex: only a new tooth vertex can break that."""
+        for v in added:
+            on_tooth = v in tooth_sup
+            for e in g.graph.incident(v):
+                if on_tooth and e.id in fset and e.other(v) not in spine_sup:
+                    raise InternalConsistencyError(
+                        f"join edge {e.id!r} leaks from the tooth support")
+                ends = unused.get(e.id)
+                if ends is not None and (kind := rank(e.id, *ends)) is not None:
+                    heapq.heappush(queue, (kind, e.id))
 
-    check_invariant()
+    def best():
+        """The least (rank, edge id) of an unused edge with a rank, or None."""
+        while queue:
+            kind, eid = heapq.heappop(queue)
+            if eid in unused and rank(eid, *unused[eid]) == kind:
+                return kind, eid
+        return None
+
+    grown(tooth_sup)
     while unused:
-        ranked = ((rank(eid, a, b), eid) for eid, (a, b) in unused.items())
-        best = min((x for x in ranked if x[0] is not None), default=None)
-        if best is None:
+        ear = best()
+        if ear is None:
             if spine_sup | tooth_sup != g.graph.vertices:
                 raise InternalConsistencyError(
                     "no ear extends the support, yet vertices remain")
@@ -421,7 +446,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                                      frozenset({b})))
             break
 
-        kind, eid = best
+        kind, eid = ear
         a, b = unused[eid]
         if kind == 0:
             if eid in fset:
@@ -429,20 +454,23 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                     f"join edge {eid!r} violated the growth invariant")
             step = EarStep(Walk((a, b), (eid,)), (b,), frozenset(),
                            frozenset({a}), frozenset({b}))
-            spine_sup.add(a)
+            added = (a,)
         elif kind == 1:
             step = _round_step_via_balanced_path(
                 g, fset, eid, a, b, spine_sup | tooth_sup, r)
-            for v in step.internal_vertices:
-                (spine_sup if v in g.spine else tooth_sup).add(v)
+            added = step.internal_vertices
         else:
             step = EarStep(Walk((b, a), (eid,)), (a,), frozenset({a, b}),
                            frozenset({a}), frozenset({b}))
-            tooth_sup.add(b)
+            added = (b,)
+        for v in added:
+            (spine_sup if v in g.spine else tooth_sup).add(v)
         for eid in step.edge_ids:
             del unused[eid]
         steps.append(step)
-        check_invariant()
+        grown(added)
+    # Each step checked the vertices it added; check every one once more.
+    grown(tooth_sup)
 
     if spine_sup | tooth_sup != g.graph.vertices:
         raise InternalConsistencyError("edges ran out before the vertices")
@@ -532,7 +560,7 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
     if d.root not in target.tooth:
         problems.append(f"root {d.root!r} is not on the target's tooth side")
 
-    current = bare_root(d.root)
+    current = d._start()
     chain = d.prefixes()
     for idx, step in enumerate(d.steps):
         _, violations = validate_ear_step(current, step)

@@ -82,11 +82,18 @@ class Edge:
 class Multigraph:
     """Undirected multigraph without loops.  Edges are kept sorted by id.
 
-    Construction builds the edge map, the adjacency and the components.
-    A search starts from each unseen vertex in ``vertex_key`` order, so
-    ``component_roots[i]``, the start of ``components()[i]``, is its least
-    vertex and the roots ascend.  ``component_index`` maps each vertex to
-    its component's position.  Anything else derived lives in ``_memo``.
+    The constructor checks that every vertex id is a str or an int (not a
+    bool) and that every edge has a str id of its own and two distinct,
+    known ends.  It turns each edge so that its ends ascend in
+    ``vertex_key`` order, and then runs ``_index``, the one routine that
+    builds the sorted edge tuple, the edge map, the adjacency and the
+    components.  A search starts from each unseen vertex in ``vertex_key``
+    order, so ``component_roots[i]``, the start of ``components()[i]``, is
+    its least vertex and the roots ascend.  ``component_index`` maps each
+    vertex to its component's position.  Anything else derived lives in
+    ``_memo``.  ``_assembled`` runs ``_index`` alone: it serves the graphs
+    this module derives from valid ones, which pass every check by
+    construction.
     """
 
     vertices: frozenset
@@ -109,6 +116,16 @@ class Multigraph:
             if e.u == e.v:
                 raise GraftInputError(f"edge {e.id!r} is a loop")
             by_id[e.id] = e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
+        self._index(by_id)
+
+    @classmethod
+    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge]) -> Multigraph:
+        """The graph on ``vertices`` with the edges of ``by_id``, indexed
+        and not checked: each edge must already be canonical, with its
+        ends in ``vertices``."""
+        return _unchecked(cls, vertices=vertices)._index(by_id)
+
+    def _index(self, by_id: dict[str, Edge]) -> Multigraph:
         edges = tuple(by_id[eid] for eid in sorted(by_id))
         adj: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices}
         for e in edges:
@@ -138,6 +155,7 @@ class Multigraph:
         object.__setattr__(self, "component_roots", tuple(roots))
         object.__setattr__(self, "component_index", index)
         object.__setattr__(self, "_memo", {})
+        return self
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -174,8 +192,17 @@ class Multigraph:
         missing = keep - self.vertices
         if missing:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
-        edges = tuple(e for e in self.edges if e.u in keep and e.v in keep)
-        return Multigraph(keep, edges)
+        return Multigraph._assembled(
+            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep})
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` with ``fields`` set and its ``__post_init__`` not run: for
+    a value whose checks its construction already implies."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def cached_on_graph(fn):
@@ -321,6 +348,18 @@ def graft_sum(first: OrderedBipartiteGraft,
     Operands are added left to right, and each must agree with the sum so
     far: no vertex may sit on the spine side of one and the tooth side of
     the other, and an edge id they share must join the same ends.
+
+    Those two checks are all the sum needs, so it is assembled without
+    re-running the constructors' checks:
+
+    - every edge id, end, loop-freedom and orientation is an operand's,
+      and the end check keeps a shared id to one pair of ends;
+    - the union of valid sides covers the union of the vertices, and the
+      side check keeps the sides apart, so every edge still runs from the
+      spine side to the tooth side;
+    - each operand's component lies inside one component of the sum, and
+      the terminals are the XOR of the operands' terminals, so every
+      component of the sum holds a sum of even terminal counts.
     """
     merged: dict[str, Edge] = {e.id: e for e in first.graph.edges}
     vertices, terminals = first.graph.vertices, first.terminals
@@ -338,8 +377,9 @@ def graft_sum(first: OrderedBipartiteGraft,
             merged[e.id] = e
         vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
         spine, tooth = spine | g.spine, tooth | g.tooth
-    graph = Multigraph(vertices, tuple(merged.values()))
-    return OrderedBipartiteGraft(graph, terminals, spine, tooth)
+    return _unchecked(OrderedBipartiteGraft,
+                      graph=Multigraph._assembled(vertices, merged),
+                      terminals=terminals, spine=spine, tooth=tooth)
 
 
 def is_join(g: Graft, F: Iterable[str]) -> bool:

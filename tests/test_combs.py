@@ -737,6 +737,33 @@ class TestPrefixChain:
             assert report.valid and len(refs) == len(d.steps) > 2
             assert [r() for r in refs] == [None] * len(refs)
 
+    def test_the_fold_validates_nothing(self, monkeypatch):
+        d, _ = gen_random_critical_quasicomb(GenConfig(seed=3, vertices=(10, 14)))
+        step = d.steps[0]
+        real = Multigraph.__post_init__
+        checked = []
+
+        def counted(self):
+            checked.append(self)
+            real(self)
+
+        monkeypatch.setattr(Multigraph, "__post_init__", counted)
+        assert len(list(d.prefixes())) == len(d.steps) > 2
+        assert d.replay() == d.target
+        assert checked == []
+        EarStep(step.walk, step.bonds, step.terminals, step.spine, step.tooth)
+        assert len(checked) == 1
+
+    def test_a_sum_holds_no_operand_graph(self):
+        def summed():
+            ga, gb = p3r(), obg(["b1", "a2"], [("e2", "a2", "b1")], [],
+                                ["a2"], ["b1"])
+            return graft_sum(ga, gb), weakref.ref(ga.graph), weakref.ref(gb.graph)
+
+        total, ra, rb = summed()
+        assert total.graph.vertices == {"r", "a1", "b1", "a2"}
+        assert ra() is None and rb() is None
+
     def test_chain_is_not_a_field(self):
         g = square()
         d = build_graft_ear_decomposition(g, "r", min_join(g))

@@ -13,6 +13,7 @@ from bigraft.core import (
     GraftInputError,
     GraftValidationError,
     Multigraph,
+    OrderedBipartiteGraft,
     PreconditionError,
     Walk,
     build_bipartite_graft,
@@ -25,9 +26,15 @@ from bigraft.core import (
     validate_graft,
     vertex_key,
 )
+from bigraft.combs import bare_root
 from bigraft.decomposition import induced_subgraft
-from bigraft.generators import GenConfig, gen_random_graft
+from bigraft.generators import (
+    GenConfig,
+    gen_random_critical_quasicomb,
+    gen_random_graft,
+)
 from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.joins import min_join
 
 from oracles import recursive_simple_circuits, recursive_simple_paths
 
@@ -258,6 +265,86 @@ class TestNaryGraftSum:
         chained = self.failure(lambda: graft_sum(graft_sum(ga, gb), gc))
         assert chained[0] is error and match in chained[1]
         assert self.failure(lambda: graft_sum(ga, gb, gc)) == chained
+
+
+def checked_sum(*operands):
+    """The sum of the operands, built from its parts by the checking
+    constructors."""
+    terminals = frozenset()
+    for g in operands:
+        terminals ^= g.terminals
+    edges = {e.id: e for g in operands for e in g.graph.edges}
+    return OrderedBipartiteGraft(
+        Multigraph(frozenset().union(*(g.graph.vertices for g in operands)),
+                   tuple(edges.values())),
+        terminals,
+        frozenset().union(*(g.spine for g in operands)),
+        frozenset().union(*(g.tooth for g in operands)))
+
+
+def assert_same_graft(got, want):
+    """Equal, and equal in everything the indexing derives, in order."""
+    assert got == want and hash(got) == hash(want)
+    a, b = got.graph, want.graph
+    assert a.edges == b.edges
+    assert a.components() == b.components()
+    assert a.component_roots == b.component_roots
+    assert a.component_index == b.component_index
+    for v in b.vertices:
+        assert a.incident(v) == b.incident(v)
+    assert min_join(got).edge_ids == min_join(want).edge_ids
+
+
+class TestGraftSumAssembly:
+    """A sum skips the constructors' checks, yet equals the sum built
+    through them, down to adjacency order."""
+
+    def test_every_prefix_of_grown_chains(self):
+        for seed in range(40):
+            d, _ = gen_random_critical_quasicomb(
+                GenConfig(seed=seed, vertices=(4, 16)))
+            operands = [bare_root(d.root)]
+            for step, prefix in zip(d.steps, d.prefixes()):
+                operands.append(step.as_graft())
+                assert_same_graft(prefix, checked_sum(*operands))
+            assert_same_graft(d.replay(), checked_sum(*operands))
+
+    @staticmethod
+    def operands(kind):
+        def obg(vertices, edges, terminals, spine, tooth):
+            return build_bipartite_graft(Multigraph.build(vertices, edges),
+                                         terminals, spine, tooth)
+        if kind == "disjoint":
+            return (obg(["x", "y"], [("e", "x", "y")], ["x", "y"], ["x"], ["y"]),
+                    obg(["u", "w"], [("f", "w", "u")], [], ["w"], ["u"]),
+                    obg(["p"], [], [], [], ["p"]))
+        if kind == "multi-component":
+            return (obg(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "d", "c")],
+                        ["a", "b", "c", "d"], ["a", "c"], ["b", "d"]),
+                    obg(["b", "z"], [("e0", "z", "b")], ["b", "z"], ["z"], ["b"]),
+                    obg(["q", "s", "d"], [("e3", "s", "q"), ("e4", "q", "d")],
+                        ["q", "s"], ["q"], ["s", "d"]))
+        return (obg([1, "x"], [("e", "x", 1)], [1, "x"], ["x"], [1]),
+                obg([1, 2, "y"], [("f", 2, 1), ("g", "y", 1)], [], [2, "y"], [1]),
+                obg([1, 2, 10], [("h", 2, 10), ("f", 1, 2)], [2, 10], [2], [1, 10]))
+
+    @pytest.mark.parametrize("kind", ["disjoint", "multi-component", "mixed-ids"])
+    def test_two_and_three_operands(self, kind):
+        ga, gb, gc = self.operands(kind)
+        assert_same_graft(graft_sum(ga, gb), checked_sum(ga, gb))
+        assert_same_graft(graft_sum(ga, gb, gc), checked_sum(ga, gb, gc))
+        assert_same_graft(graft_sum(graft_sum(ga, gb), gc), checked_sum(ga, gb, gc))
+
+    def test_induced_equals_the_checked_subgraph(self):
+        g = graft_sum(*self.operands("mixed-ids")).graph
+        for keep in ({1, 2, "x"}, {10, "y"}, set(), g.vertices):
+            sub = g.induced(keep)
+            want = Multigraph(frozenset(keep), tuple(
+                e for e in g.edges if e.u in keep and e.v in keep))
+            assert sub == want and sub.edges == want.edges
+            assert sub.components() == want.components()
+            assert sub.component_index == want.component_index
+            assert all(sub.incident(v) == want.incident(v) for v in keep)
 
 
 class TestInducedSubgraft:
