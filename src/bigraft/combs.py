@@ -369,13 +369,17 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                                   F) -> GraftEarDecomposition:
     """Grow the target from its root one ear at a time.
 
-    Steps are chosen deterministically: first any non-join edge from a new
-    spine vertex into the tooth support, then any non-join edge from the
-    spine support to a new tooth vertex (completed into a round ear along a
-    balanced weight-zero path to the root), then join edges to new tooth
-    vertices, each by least edge id; leftover support-internal edges become
-    single-edge round ears.  Throughout, no join edge runs between the tooth
-    support and unreached spine vertices.
+    Every step is the ear of the unused edge of least (rank, edge id), with
+    ranks in this order: 0, a non-join edge from a new spine vertex into
+    the tooth support, a straight ear; 1, a non-join edge from the spine
+    support to a new tooth vertex, completed into a round ear along a
+    balanced weight-zero path to the root; 2, a join edge from the spine
+    support to a new tooth vertex, a straight ear; 3, an edge inside the
+    support, a round ear whose walk runs in ``vertex_key`` order.  A rank-3
+    ear adds no vertex, so internal edges come last, in edge-id order.
+    ``_ear`` builds each step: its terminals are the odd vertices of its
+    share of F, its sides the target's.  Throughout, no join edge runs
+    between the tooth support and unreached spine vertices.
     """
     _require_bipartite(g)
     fset = frozenset(F)
@@ -400,9 +404,10 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
 
     def rank(eid, a, b):
         """0: a new spine vertex on the tooth support; 1: a non-join edge
-        to a new tooth vertex; 2: a join edge to one; None: no ear yet."""
+        to a new tooth vertex; 2: a join edge to one; 3: both ends in the
+        support; None: no ear yet."""
         if b in tooth_sup:
-            return None if a in spine_sup else 0
+            return 3 if a in spine_sup else 0
         if a in spine_sup:
             return 2 if eid in fset else 1
         return None
@@ -433,36 +438,25 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     while unused:
         ear = best()
         if ear is None:
-            if spine_sup | tooth_sup != g.graph.vertices:
-                raise InternalConsistencyError(
-                    "no ear extends the support, yet vertices remain")
-            for eid, (a, b) in unused.items():
-                if eid in fset:
-                    raise InternalConsistencyError(
-                        f"leftover edge {eid!r} belongs to the join")
-                p, q = sorted((a, b), key=vertex_key)
-                steps.append(EarStep(Walk((p, q), (eid,)), (p, q),
-                                     frozenset(), frozenset({a}),
-                                     frozenset({b})))
-            break
-
+            raise InternalConsistencyError(
+                "no ear extends the support, yet vertices remain")
         kind, eid = ear
         a, b = unused[eid]
-        if kind == 0:
-            if eid in fset:
-                raise InternalConsistencyError(
-                    f"join edge {eid!r} violated the growth invariant")
-            step = EarStep(Walk((a, b), (eid,)), (b,), frozenset(),
-                           frozenset({a}), frozenset({b}))
-            added = (a,)
-        elif kind == 1:
+        if kind == 1:
             step = _round_step_via_balanced_path(
                 g, fset, eid, a, b, spine_sup | tooth_sup, r)
-            added = step.internal_vertices
         else:
-            step = EarStep(Walk((b, a), (eid,)), (a,), frozenset({a, b}),
-                           frozenset({a}), frozenset({b}))
-            added = (b,)
+            if (eid in fset) != (kind == 2):
+                raise InternalConsistencyError(
+                    f"edge {eid!r} of rank {kind} violated the growth invariant")
+            if kind == 0:
+                vertices, bonds = (a, b), (b,)
+            elif kind == 2:
+                vertices, bonds = (b, a), (a,)
+            else:
+                vertices = bonds = tuple(sorted((a, b), key=vertex_key))
+            step = _ear(g, fset, vertices, (eid,), bonds)
+        added = step.internal_vertices
         for v in added:
             (spine_sup if v in g.spine else tooth_sup).add(v)
         for eid in step.edge_ids:
@@ -478,6 +472,17 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     if out.replay() != g:
         raise InternalConsistencyError("the built decomposition does not replay")
     return out
+
+
+def _ear(g: OrderedBipartiteGraft, fset: frozenset, vertices: tuple,
+         eids: tuple, bonds: tuple) -> EarStep:
+    """The step along the walk (vertices, eids) with these bonds: its
+    terminals are the odd vertices of the walk's share of F, its sides
+    the target's."""
+    share = [vertices[i:i + 2] for i, eid in enumerate(eids) if eid in fset]
+    vset = frozenset(vertices)
+    return EarStep(Walk(vertices, eids), bonds, odd_degree_vertices(share),
+                   vset & g.spine, vset & g.tooth)
 
 
 def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
@@ -498,14 +503,8 @@ def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
     if w not in g.spine:
         raise InternalConsistencyError(
             "the path reentered the support on the tooth side")
-    vertices = (u,) + P.vertices[:cut + 1]
-    eids = (fid,) + P.edge_ids[:cut]
-    edges = [g.graph.edge(eid) for eid in eids]
-    terminals = odd_degree_vertices((e.u, e.v) for e in edges if e.id in fset)
-    walk = Walk(vertices, eids)
-    bonds = (u,) if w == u else (u, w)
-    vset = frozenset(vertices)
-    return EarStep(walk, bonds, terminals, vset & g.spine, vset & g.tooth)
+    return _ear(g, fset, (u,) + P.vertices[:cut + 1], (fid,) + P.edge_ids[:cut],
+                (u,) if w == u else (u, w))
 
 
 @dataclass(frozen=True)

@@ -417,7 +417,7 @@ class _SubsetTable:
     ``rows[i]`` maps each vertex of the component to its BFS distance from
     terminal i and ``dp`` is the pairing DP's full subset table.  A pair
     with a terminal reads nu(T Δ {u, v}) from them in O(t): two terminals
-    read one dp entry, and terminal i with a non-terminal v reads the
+    read one rest entry, and terminal i with a non-terminal v reads the
     min-plus row min over k of d(k, v) + rest[i][k], where rest[k][m] =
     nu(T - k - m) off the diagonal and inf on it.  For a non-terminal u,
     ``_best(u)`` caches best_u[m] = nu(T - m + u), the least pairing in
@@ -425,9 +425,10 @@ class _SubsetTable:
     a pair of non-terminals reads in O(t) too: nu(T + u + v) is the lesser
     of d(u, v) + nu and min over m of best_u[m] + d(m, v).  Only when the
     triangle inequality leaves the first able to win does d(u, v) cost a
-    BFS from u.  ``rest`` is built on the first read that needs it, so a
-    table that only answers nu, as the step grafts and ear prefixes do,
-    never builds it.  ``allowed_ids`` reads neither.
+    BFS from u.  ``rest`` is built with ``dp``, at t^2 entries: every read
+    other than nu needs it, an ear prefix's criticality reads included,
+    and a step graft, a walk with mu <= 1 < t, gets no subset table with
+    terminals.
     """
 
     __slots__ = ("terms", "index", "rows", "dp", "nu", "rest", "best")
@@ -436,48 +437,37 @@ class _SubsetTable:
         self.terms = terms
         self.index = {w: i for i, w in enumerate(terms)}
         self.rows = tuple(_bfs_tree(graph, w)[0] for w in terms)
-        self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
-        self.nu = self.dp[-1]
-        self.rest: list | None = None
+        dp = self.dp = _subset_dp([[row[w] for w in terms] for row in self.rows])
+        self.nu = dp[-1]
+        full, t, INF = len(dp) - 1, len(terms), float("inf")
+        self.rest = [[dp[full ^ (1 << k) ^ (1 << m)] if m != k else INF
+                      for m in range(t)] for k in range(t)]
         self.best: dict = {}
 
     def nu_of(self, graph: Multigraph, mask: int) -> int:
         """Join size of the terminals whose bits are set (bit k: terms[k])."""
         return self.dp[mask]
 
-    def _rest(self) -> list:
-        """rest[k][m] = nu(T - k - m), or inf where k = m."""
-        rest = self.rest
-        if rest is None:
-            dp = self.dp
-            full = len(dp) - 1
-            t, INF = len(self.terms), float("inf")
-            rest = self.rest = [
-                [dp[full ^ (1 << k) ^ (1 << m)] if m != k else INF for m in range(t)]
-                for k in range(t)]
-        return rest
-
     def _best(self, u) -> list:
         """best_u[m] = nu(T - m + u) for a non-terminal u, one per m."""
         best = self.best.get(u)
         if best is None:
             du = [row[u] for row in self.rows]
-            best = self.best[u] = [min(map(add, du, r)) for r in self._rest()]
+            best = self.best[u] = [min(map(add, du, r)) for r in self.rest]
         return best
 
     def delta(self, graph: Multigraph, u, v) -> int:
         """nu(T Δ {u, v}) - nu(T) for distinct u, v of this component."""
-        rows, dp, nu = self.rows, self.dp, self.nu
-        full = len(dp) - 1
+        rows, rest, nu = self.rows, self.rest, self.nu
         i, j = self.index.get(u), self.index.get(v)
         if i is None and j is not None:
             u, v, i, j = v, u, j, i
         if j is not None:
             # Both are terminals: they leave T.
-            return dp[full ^ (1 << i) ^ (1 << j)] - nu
+            return rest[i][j] - nu
         if i is not None:
             # u leaves T and v, entering, takes one of the others.
-            return min(map(add, [row[v] for row in rows], self._rest()[i])) - nu
+            return min(map(add, [row[v] for row in rows], rest[i])) - nu
         # Both enter: v takes a terminal m while u takes another, or u and
         # v pair up.  d(u, v) >= |d(k, u) - d(k, v)| for every terminal k,
         # so below that bound the pair cannot win and needs no BFS.
@@ -504,10 +494,9 @@ class _SubsetTable:
         Then uv lies on one such path exactly when some bit of u, moved
         one level up, is a bit of v, or the same with u and v swapped.
         """
-        rows, dp, nu, terms = self.rows, self.dp, self.nu, self.terms
+        rows, rest, nu, terms = self.rows, self.rest, self.nu, self.terms
         if not rows:
             return []
-        full = len(dp) - 1
         stride = len(rows[0]) + 1
         key = dict.fromkeys(rows[0], 0)
         base = 0
@@ -515,7 +504,7 @@ class _SubsetTable:
             for j in range(i + 1, len(rows)):
                 rb = rows[j]
                 d = ra[terms[j]]
-                if dp[full ^ (1 << i) ^ (1 << j)] + d == nu:
+                if rest[i][j] + d == nu:
                     for w, x in ra.items():
                         if x + rb[w] == d:
                             key[w] |= 1 << (base + x)

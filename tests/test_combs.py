@@ -503,6 +503,29 @@ class TestBuilder:
         assert leftover.terminals == frozenset()
         assert d.replay() == g
 
+    @pytest.mark.parametrize("names, internal", [
+        (("r", "x1", "b1", "x2"), Walk(("b1", "x1"), ("e1",))),
+        ((0, 5, 2, 7), Walk((2, 5), ("e1",))),
+    ], ids=["str", "int"])
+    def test_internal_ear_runs_in_vertex_order(self, names, internal):
+        """The leftover-edge graft renamed so that the spine end of the
+        internal edge sorts after its tooth end: the internal ear's walk
+        and bonds still run in vertex_key order."""
+        r, a1, b1, a2 = names
+        g = obg(names,
+                [("c1", r, a1), ("e1", a1, b1), ("c2", b1, a2),
+                 ("c3", a2, r), ("d", a1, b1)],
+                {a1, b1}, {a1, a2}, {r, b1})
+        d = build_graft_ear_decomposition(g, r, min_join(g))
+        got = [(s.walk, s.bonds, s.terminals) for s in d.steps]
+        assert got == [
+            (Walk((a1, r), ("c1",)), (r,), frozenset()),
+            (Walk((a2, r), ("c3",)), (r,), frozenset()),
+            (Walk((a2, b1, a1), ("c2", "d")), (a1, a2), frozenset({b1, a1})),
+            (internal, internal.vertices, frozenset()),
+        ]
+        assert d.replay() == g
+
     def test_singleton_target(self):
         g = singleton()
         d = build_graft_ear_decomposition(g, "r", frozenset())

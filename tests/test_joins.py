@@ -604,6 +604,19 @@ class TestDistanceTable:
                 assert table.delta(g.graph, u, v) == quadratic_delta(
                     table, g.graph, u, v), (seed, u, v)
 
+    @pytest.mark.parametrize("t", range(2, _TABLE_LIMIT + 1, 2))
+    def test_subset_rest_matches_the_bruteforce(self, t):
+        """rest[k][m] is the exhaustive join size of T - k - m for k != m,
+        and inf on the diagonal."""
+        for seed in range(2):
+            g = random_graft(400 + 10 * t + seed, (10,), (t,), 3)
+            terms = tuple(sorted(g.terminals))
+            table = _SubsetTable(g.graph, terms)
+            for k, m in itertools.product(range(t), repeat=2):
+                want = float("inf") if k == m else min_join_bruteforce(
+                    Graft(g.graph, g.terminals - {terms[k], terms[m]})).size
+                assert table.rest[k][m] == want, (seed, k, m)
+
     def test_no_span_above_the_limit(self, monkeypatch):
         """A dense graft with many terminals has one block far above
         _TABLE_LIMIT: its cycle table keeps no span for that block, and no
