@@ -235,9 +235,6 @@ class CathedralPoset:
         self._index(cid)
         return dict(self.heights)[cid]
 
-    def minimal_ids(self) -> tuple:
-        return tuple(cid for cid, h in self.heights if h == 1)
-
 
 def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     """Compute the full order, check its axioms, and lay out the diagram.

@@ -27,6 +27,7 @@ from .combs import (
     build_graft_ear_decomposition,
     classify_comb,
     is_critical_quasicomb,
+    require_tooth_root,
     verify_graft_ear_decomposition,
 )
 from .core import (
@@ -339,6 +340,7 @@ def _cmd_critical(args) -> int:
 def _cmd_ear_decomp(args) -> int:
     g = _need_bipartite(_load_graft(args))
     root = _resolve_vertex(g, args.root)
+    require_tooth_root(g, root)
     F = _join_backend(g, args)
     d = build_graft_ear_decomposition(g, root, F)
     report = verify_graft_ear_decomposition(d, F)

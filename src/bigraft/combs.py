@@ -49,6 +49,15 @@ def _require_bipartite(g) -> OrderedBipartiteGraft:
     return g
 
 
+def require_tooth_root(g: OrderedBipartiteGraft, r) -> None:
+    """Refuse a root off the tooth side, where criticality and ear
+    decompositions are undefined.  It reads no join, so a caller can
+    refuse before computing one."""
+    _require_bipartite(g)
+    if r not in g.tooth:
+        raise PreconditionError(f"root {r!r} is not on the tooth side")
+
+
 @dataclass(frozen=True)
 class CombClassification:
     """Outcome of the comb/quasicomb test: kind, sides, and join size."""
@@ -136,12 +145,6 @@ class CriticalityReport:
     table: tuple
     problems: tuple[str, ...]
 
-    def distance(self, v):
-        for w, d in self.table:
-            if w == v:
-                return d
-        raise GraftInputError(f"unknown vertex id {v!r}")
-
 
 def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     """Check distance 1 to the root from the spine side, 0 from the tooth side.
@@ -150,9 +153,7 @@ def is_critical_quasicomb(g: OrderedBipartiteGraft, r) -> CriticalityReport:
     so the report always carries the full table.  A vertex in another
     graph component is unreachable and fails the test.
     """
-    _require_bipartite(g)
-    if r not in g.tooth:
-        raise PreconditionError(f"root {r!r} is not on the tooth side")
+    require_tooth_root(g, r)
     cls = classify_comb(g)
     if not cls.is_quasicomb:
         raise PreconditionError("criticality is defined for quasicombs only")
@@ -237,26 +238,12 @@ class EarStep:
         return "straight"
 
     @property
-    def free_end(self):
-        if self.kind != "straight":
-            raise PreconditionError("only straight ears have a free end")
-        return self.walk.vertices[0]
-
-    @property
     def internal_vertices(self) -> frozenset:
         return frozenset(self.walk.vertices) - frozenset(self.bonds)
 
     @property
     def edge_ids(self) -> frozenset:
         return frozenset(self.walk.edge_ids)
-
-    @property
-    def neck_edges(self) -> frozenset:
-        """Walk edges incident to a bond."""
-        vs, eids = self.walk.vertices, self.walk.edge_ids
-        bond_set = set(self.bonds)
-        return frozenset(eid for i, eid in enumerate(eids)
-                         if vs[i] in bond_set or vs[i + 1] in bond_set)
 
     @property
     def is_effective(self) -> bool:

@@ -107,8 +107,8 @@ class Multigraph:
         # so graphs assembled along different routes compare equal.
         by_id: dict[str, Edge] = {}
         for e in self.edges:
-            if not isinstance(e.id, str):
-                raise GraftInputError(f"edge id {e.id!r} must be a string")
+            if not isinstance(e.id, str) or not e.id:
+                raise GraftInputError(f"edge id {e.id!r} must be a nonempty string")
             if e.id in by_id:
                 raise GraftInputError(f"duplicate edge id {e.id!r}")
             if e.u not in self.vertices or e.v not in self.vertices:
@@ -271,13 +271,6 @@ class OrderedBipartiteGraft(Graft):
                     "not-bipartite",
                     f"edge {e.id!r} joins two vertices of the same side")
 
-    def side_of(self, v: VertexId) -> str:
-        if v in self.spine:
-            return "spine"
-        if v in self.tooth:
-            return "tooth"
-        raise GraftInputError(f"unknown vertex id {v!r}")
-
 
 def validate_graft(graph: Multigraph, terminals: Iterable[VertexId]) -> bool:
     """True when every component of ``graph`` has an even terminal count:
@@ -432,9 +425,6 @@ class Walk:
                 raise GraftInputError("path repeats a vertex")
             if require == "circuit":
                 raise PreconditionError("expected a circuit, got a path")
-
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edge_ids)
 
 
 def simple_paths(graph: Multigraph, start: VertexId,

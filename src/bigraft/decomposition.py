@@ -168,10 +168,10 @@ class KLPartition:
         if len(self.classes) != len(self.component_ids):
             raise InternalConsistencyError("class/component alignment broken")
         lookup: dict = {}
-        for cls, cid in zip(self.classes, self.component_ids):
+        for cls in self.classes:
             if not cls:
                 raise InternalConsistencyError("empty class")
-            entry = (sorted_vertices(cls)[0], cid, cls)
+            entry = (sorted_vertices(cls)[0], cls)
             for v in cls:
                 if v in lookup:
                     raise InternalConsistencyError("classes overlap")
@@ -188,16 +188,10 @@ class KLPartition:
         return self._entry(v)[0]
 
     def class_of(self, v) -> frozenset:
-        return self._entry(v)[2]
-
-    def component_id_of(self, v):
         return self._entry(v)[1]
 
     def same_class(self, u, v) -> bool:
         return self.class_id_of(u) == self.class_id_of(v)
-
-    def as_sets(self) -> tuple[frozenset, ...]:
-        return self.classes
 
 
 def kl_partition(g: Graft) -> KLPartition:

@@ -191,12 +191,8 @@ def _put_json(o, newline: str, put) -> None:
             f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _dumps(doc) -> str:
-    return dumps(doc) + "\n"
-
-
 def serialize_graft(g: Graft) -> str:
-    return _dumps(graft_document(g))
+    return dumps(graft_document(g)) + "\n"
 
 
 def decomposition_document(d: GraftEarDecomposition) -> dict:
@@ -213,10 +209,6 @@ def decomposition_document(d: GraftEarDecomposition) -> dict:
         } for step in d.steps],
         "target": graft_document(d.target),
     }
-
-
-def serialize_decomposition(d: GraftEarDecomposition) -> str:
-    return _dumps(decomposition_document(d))
 
 
 def poset_document(p: CathedralPoset) -> dict:

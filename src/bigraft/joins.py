@@ -40,9 +40,9 @@ The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
 (``core.cached_on_graph``) and die with it.  The memo takes no lock, so
 two threads may both compute one entry; both get the one stored first.
-A table's fields never change once built; its caches (the subset table's
-rest rows and best_u lists, the block memos) are only set or gain
-entries, each the value any thread would compute.
+A table's fields, the subset table's rest rows among them, never change
+once built; its caches (the subset table's best_u lists, the block memos)
+only gain entries, each the value any thread would compute.
 """
 
 from __future__ import annotations
@@ -133,14 +133,6 @@ class WeightedWalkReport:
     weight: int
     balanced: bool | None
 
-    @property
-    def vertices(self) -> tuple:
-        return self.walk.vertices
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return self.walk.edge_ids
-
 
 def _edge_id_set(F) -> frozenset:
     if isinstance(F, JoinSet):
@@ -189,6 +181,17 @@ def walk_report(F, walk: Walk, tooth: frozenset | None = None) -> WeightedWalkRe
 # candidate in O(1).
 # ---------------------------------------------------------------------------
 
+# The default edge bound of the exhaustive backends, and the bound of
+# negative_circuit_witness's circuit scan: past it, CapacityError.
+_EXHAUSTIVE_EDGES = 22
+
+
+def _require_exhaustive(graph: Multigraph, max_edges: int) -> None:
+    if len(graph.edges) > max_edges:
+        raise CapacityError(
+            f"{len(graph.edges)} edges exceed the exhaustive bound {max_edges}")
+
+
 def _mask_to_ids(graph: Multigraph, mask: int) -> frozenset:
     return frozenset(e.id for i, e in enumerate(graph.edges) if mask >> i & 1)
 
@@ -201,9 +204,7 @@ def _min_join_masks(graph: Multigraph, terminals: frozenset, max_edges: int):
     """All minimum-join masks, found by Gray-code walk of the affine space:
     the XOR of the terminals' path masks plus the span of every
     component's cycle basis."""
-    if len(graph.edges) > max_edges:
-        raise CapacityError(
-            f"{len(graph.edges)} edges exceed the exhaustive bound {max_edges}")
+    _require_exhaustive(graph, max_edges)
     particular = 0
     basis: list = []
     for root, comp in zip(graph.component_roots, graph.components()):
@@ -228,7 +229,7 @@ def _min_join_masks(graph: Multigraph, terminals: frozenset, max_edges: int):
     return best_masks
 
 
-def min_join_bruteforce(g: Graft, max_edges: int = 22) -> JoinSet:
+def min_join_bruteforce(g: Graft, max_edges: int = _EXHAUSTIVE_EDGES) -> JoinSet:
     """Exhaustive minimum join; ties broken toward the lexicographically
     least characteristic vector over id-sorted edges."""
     masks = _min_join_masks(g.graph, g.terminals, max_edges)
@@ -237,7 +238,8 @@ def min_join_bruteforce(g: Graft, max_edges: int = 22) -> JoinSet:
     return JoinSet(g, _mask_to_ids(g.graph, winner))
 
 
-def all_min_joins(g: Graft, max_edges: int = 22) -> tuple[frozenset, ...]:
+def all_min_joins(g: Graft,
+                  max_edges: int = _EXHAUSTIVE_EDGES) -> tuple[frozenset, ...]:
     """Every minimum join, sorted by characteristic vector."""
     masks = _min_join_masks(g.graph, g.terminals, max_edges)
     nbits = len(g.graph.edges)
@@ -397,7 +399,9 @@ def is_minimum_join(g: Graft, F) -> bool:
 def negative_circuit_witness(g: Graft, F) -> WeightedWalkReport | None:
     """A circuit of negative F-weight, or None when there is none.  For a
     join F, a witness certifies that F is not minimum and None that it is.
-    Every simple circuit is tried, so keep instances small."""
+    Every simple circuit may be tried, so a graph past _EXHAUSTIVE_EDGES
+    edges raises CapacityError."""
+    _require_exhaustive(g.graph, _EXHAUSTIVE_EDGES)
     fset = _edge_id_set(F)
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None
     for circuit in simple_circuits(g.graph):

@@ -517,7 +517,7 @@ def _check_critical_join_shapes(bundle, rng):
         if rep.weight != 0 or rep.balanced is not True:
             out.append(f"shortest {b!r}-root path: weight {rep.weight}, "
                        f"balanced {rep.balanced!r}")
-        elif rep.edge_ids[0] not in fset:
+        elif rep.walk.edge_ids[0] not in fset:
             out.append(f"shortest {b!r}-root path starts off the join")
     for a in sorted_vertices(g.spine):
         rep = extract_shortest_path(g, F, a, r)

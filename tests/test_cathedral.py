@@ -372,7 +372,6 @@ class TestPoset:
         assert p.heights == (("a0", 1), ("a1", 2))
         assert p.precedes("a0", "a1") and not p.precedes("a1", "a0")
         assert p.height_of("a1") == 2
-        assert p.minimal_ids() == ("a0",)
 
     def test_trivial_posets(self):
         for g in (k2(), c4()):

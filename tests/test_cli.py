@@ -160,6 +160,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: the target is not critical for this root: ")
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_spine_root_is_refused_before_any_join(self, tmp_path,
+                                                   monkeypatch, oracle):
+        def no_join(g):
+            raise AssertionError("a join was computed")
+        monkeypatch.setattr("bigraft.cli.min_join", no_join)
+        monkeypatch.setattr("bigraft.cli.min_join_bruteforce", no_join)
+        star = tmp_path / "star.json"
+        star.write_text(json.dumps({
+            "vertices": list(range(7)),
+            "edges": [{"id": f"e{i}", "u": 0, "v": i} for i in range(1, 7)],
+            "terminals": list(range(1, 7)),
+            "bipartition": {"A": [0], "B": list(range(1, 7))}}))
+        code, out, err = run_cli("ear-decomp", "0", "--input", str(star),
+                                 *oracle)
+        assert (code, out) == (2, "")
+        assert err == "error: root 0 is not on the tooth side\n"
+
     def test_failed_internal_check_exits_one(self, files, monkeypatch):
         def broken(g):
             raise InternalConsistencyError("forced")

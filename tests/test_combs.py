@@ -17,6 +17,7 @@ from bigraft.core import (
     PreconditionError,
     Walk,
     graft_sum,
+    is_join,
 )
 from bigraft.combs import (
     CombClassification,
@@ -183,7 +184,7 @@ class TestCriticality:
         rep = is_critical_quasicomb(p3r(), "r")
         assert rep.critical
         assert rep.table == (("a1", 1), ("b1", 0), ("r", 0))
-        assert rep.distance("a1") == 1
+        assert dict(rep.table)["a1"] == 1
         assert rep.problems == ()
 
     def test_singleton(self):
@@ -193,7 +194,7 @@ class TestCriticality:
     def test_k2_root_is_terminal(self):
         rep = is_critical_quasicomb(k2(), "b")
         assert not rep.critical
-        assert rep.distance("a") == -1
+        assert dict(rep.table)["a"] == -1
         assert rep.problems == (
             "distance from 'a' to the root is -1, expected 1",)
 
@@ -204,14 +205,14 @@ class TestCriticality:
     def test_outward_stub_not_critical(self):
         exact = is_critical_quasicomb(outward_stub(), "r")
         assert not exact.critical
-        assert exact.distance("b1") == 2
+        assert dict(exact.table)["b1"] == 2
 
     def test_tooth_not_terminal_premise(self):
         g = obg(["r", "a1", "b1"], [("c", "r", "a1"), ("d", "a1", "b1")],
                 set(), {"a1"}, {"r", "b1"})
         rep = is_critical_quasicomb(g, "r")
         assert not rep.critical
-        assert rep.distance("b1") == 2
+        assert dict(rep.table)["b1"] == 2
         assert rep.problems == (
             "distance from 'b1' to the root is 2, expected 0",)
 
@@ -221,7 +222,7 @@ class TestCriticality:
                 {"a1", "b1"}, {"a1"}, {"r", "b1", "b2"})
         rep = is_critical_quasicomb(g, "r")
         assert not rep.critical
-        assert rep.distance("b2") is None
+        assert dict(rep.table)["b2"] is None
         assert rep.problems == (
             "distance from 'b2' to the root is unreachable, expected 0",)
 
@@ -237,11 +238,6 @@ class TestCriticality:
         with pytest.raises(PreconditionError):
             is_critical_quasicomb(swapped, "v2")
 
-    def test_unknown_vertex_in_table(self):
-        rep = is_critical_quasicomb(p3r(), "r")
-        with pytest.raises(GraftInputError):
-            rep.distance("zz")
-
 
 class TestDeepCombPath:
     """The comb path r-a0-b0-..., deeper than the recursion limit at k = 1200."""
@@ -253,8 +249,8 @@ class TestDeepCombPath:
             assert len(g.graph.vertices) == 2401 > sys.getrecursionlimit()
         report = is_critical_quasicomb(g, "r")
         assert report.critical
-        assert report.distance(f"a{k - 1}") == 1
-        assert report.distance(f"b{k - 1}") == 0
+        assert dict(report.table)[f"a{k - 1}"] == 1
+        assert dict(report.table)[f"b{k - 1}"] == 0
         comps = factor_components(g)
         assert len(comps.components) == k + 1
         assert comps.component_of(f"a{k - 1}").vertices == {f"a{k - 1}", f"b{k - 1}"}
@@ -265,9 +261,7 @@ class TestEarStep:
         step = EarStep(Walk(("a1", "r"), ("c",)), ("r",), frozenset(),
                        frozenset({"a1"}), frozenset({"r"}))
         assert step.kind == "straight"
-        assert step.free_end == "a1"
         assert step.internal_vertices == frozenset({"a1"})
-        assert step.neck_edges == frozenset({"c"})
         assert step.is_effective
         g = step.as_graft()
         assert g.terminals == frozenset()
@@ -280,9 +274,6 @@ class TestEarStep:
         assert step.kind == "round"
         assert step.bonds == ("a1", "a2")
         assert step.internal_vertices == frozenset({"b1"})
-        assert step.neck_edges == frozenset({"c2", "e1"})
-        with pytest.raises(PreconditionError):
-            step.free_end
 
     def test_circuit(self):
         step = EarStep(Walk(("a1", "b1", "a1"), ("e", "d")), ("a1",),
@@ -631,19 +622,29 @@ class TestVerifier:
         assert any("differs from the target" in p for p in report.problems)
 
     def test_non_minimum_join_reported(self):
-        g = p3r()
-        d = build_graft_ear_decomposition(g, "r", min_join(g))
-        report = verify_graft_ear_decomposition(d, {"c"})
-        assert not report.valid
-        assert any("minimum join" in p for p in report.problems)
+        """Neither an edge set that is no join nor a join longer than the
+        minimum passes, and no step share is judged against it."""
+        for g, F in ((p3r(), {"c"}), (square(), {"c1", "c2", "c3"})):
+            d = build_graft_ear_decomposition(g, "r", min_join(g))
+            report = verify_graft_ear_decomposition(d, F)
+            assert report.valid is False
+            assert report.problems == ("F is not a minimum join of the target",)
+            assert [c.step_join_minimum for c in report.step_checks] == \
+                [None] * len(d.steps)
+        assert not is_join(p3r(), {"c"})
+        assert is_join(square(), {"c1", "c2", "c3"})
 
     def test_spine_root_reported(self):
         g = p3r()
         d = build_graft_ear_decomposition(g, "r", min_join(g))
         relabeled = GraftEarDecomposition("a1", d.steps, g)
         report = verify_graft_ear_decomposition(relabeled)
-        assert not report.valid
-        assert any("tooth side" in p for p in report.problems)
+        assert report.valid is False
+        assert report.problems == (
+            "root 'a1' is not on the target's tooth side",
+            "step 0: bond 'r' is not a support vertex",
+            "step 0: ear vertex 'a1' already belongs to the support",
+            "step 0: vertex 'a1' changes sides")
 
     def test_empty_decomposition(self):
         g = singleton()
@@ -826,4 +827,4 @@ class TestRootedDistances:
                 report = extract_shortest_path(g, F, b, "r")
                 assert report.weight == 0
                 assert report.balanced
-                assert report.edge_ids[0] in F
+                assert report.walk.edge_ids[0] in F

@@ -116,23 +116,22 @@ class TestIsSeparating:
 class TestKLPartition:
     def test_c4(self):
         part = kl_partition(c4())
-        assert set(part.as_sets()) == {
+        assert set(part.classes) == {
             frozenset({"v1", "v3"}), frozenset({"v2"}), frozenset({"v4"})}
 
     def test_k2(self):
         part = kl_partition(k2())
-        assert set(part.as_sets()) == {frozenset({"a"}), frozenset({"b"})}
+        assert set(part.classes) == {frozenset({"a"}), frozenset({"b"})}
 
     def test_chain4_all_singletons(self):
         part = kl_partition(chain4())
-        assert set(part.as_sets()) == {
+        assert set(part.classes) == {
             frozenset({"a0"}), frozenset({"b0"}), frozenset({"a1"}), frozenset({"b1"})}
 
     def test_lookup_maps(self):
         part = kl_partition(c4())
         assert part.class_id_of("v3") == "v1"
         assert part.class_of("v3") == {"v1", "v3"}
-        assert part.component_id_of("v3") == "v1"
         assert part.same_class("v1", "v3")
         assert not part.same_class("v1", "v2")
         with pytest.raises(GraftInputError):
@@ -153,7 +152,6 @@ class TestKLPartition:
         assert len(calls) == 2
         assert part.class_of(7) is big and part.class_id_of(7) == 1
         assert part.class_of("x") is small and part.class_id_of("x") == 0
-        assert part.component_id_of("x") == 0
 
     def test_classes_refine_components(self):
         for g in (c4(), chain4(), p3r()):

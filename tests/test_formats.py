@@ -18,12 +18,36 @@ from bigraft.formats import (
     graft_from_document,
     parse_graft_json,
     poset_document,
-    serialize_decomposition,
     serialize_graft,
     upper_report_document,
 )
+from bigraft.generators import (
+    GenConfig,
+    gen_random_comb,
+    gen_random_critical_quasicomb,
+    gen_random_graft,
+)
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import min_join
+
+
+def mixed_id_document(g):
+    """graft_document(g) with every other vertex, in sorted order, renamed
+    to a distinct int."""
+    doc = graft_document(g)
+    rename = {v: k for k, v in enumerate(doc["vertices"]) if k % 2 == 0}
+
+    def ids(vs):
+        return [rename.get(v, v) for v in vs]
+
+    out = {"vertices": ids(doc["vertices"]),
+           "edges": [{**e, "u": rename.get(e["u"], e["u"]),
+                      "v": rename.get(e["v"], e["v"])} for e in doc["edges"]],
+           "terminals": ids(doc["terminals"])}
+    if "bipartition" in doc:
+        out["bipartition"] = {side: ids(vs)
+                              for side, vs in doc["bipartition"].items()}
+    return out
 
 
 def minimal_doc(**overrides):
@@ -43,6 +67,18 @@ class TestParse:
         back = parse_graft_json(text)
         assert back == g
         assert serialize_graft(back) == text
+
+    def test_generated_grafts_round_trip_with_mixed_ids(self):
+        """Every graft the generators draw, with str ids and with every
+        other vertex renamed to an int, parses back from its own text."""
+        for seed in range(6):
+            cfg = GenConfig(seed=seed)
+            for g in (gen_random_graft(cfg), gen_random_comb(cfg),
+                      gen_random_critical_quasicomb(cfg)[0].target):
+                mixed = graft_from_document(mixed_id_document(g))
+                assert {type(v) for v in mixed.graph.vertices} == {int, str}
+                for h in (g, mixed):
+                    assert parse_graft_json(serialize_graft(h)) == h
 
     def test_without_bipartition_builds_a_plain_graft(self):
         g = graft_from_document(minimal_doc())
@@ -133,7 +169,7 @@ class TestDocuments:
             assert step["kind"] in ("straight", "round")
             assert len(step["vertices"]) == len(step["edges"]) + 1 or \
                 step["vertices"][0] == step["vertices"][-1]
-        json.loads(serialize_decomposition(d))
+        json.loads(dumps(doc))
 
     def test_poset_document(self):
         doc = poset_document(cathedral_poset(chain4()))

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is read in that module; every
 module-level function or class of the package, and each method or
-property of such a class, is referenced somewhere; and every defaulted
+property of such a class, is referenced somewhere, and by the program
+itself unless ``KEEP`` names its reader; and every defaulted
 parameter of those functions and methods is passed by some call.  No
 package module reads another object's private attribute unless that
 module defines the attribute, nor imports another module's private name.
@@ -98,6 +99,74 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+PROGRAM = MODULES + sorted(
+    (PACKAGE.parents[1] / "perfbench").glob("*.py"))
+
+# Definitions kept although no program file reads them, each for its
+# reader outside the program: the acceptance gate, the oracles, or users.
+INSTANCE = "a named reference instance that tests and probes build"
+KEEP = {
+    "cathedral.py:precedes": "the acceptance gate asks the order with it",
+    "cathedral.py:CathedralPoset.precedes":
+        "the poset's twin of precedes(), reading the relation by component id",
+    "cathedral.py:CathedralPoset.height_of":
+        "the acceptance gate reads a component's height",
+    "cathedral.py:round_ear_bond_check": "a lemma check the tests run",
+    "cathedral.py:union_criticality_check": "a lemma check the tests run",
+    "combs.py:midvertex": "a lemma certificate the tests run",
+    "decomposition.py:KLPartition.class_of": "the class of a vertex",
+    "decomposition.py:KLPartition.class_id_of": "the class id of a vertex",
+    "decomposition.py:KLPartition.same_class":
+        "the acceptance gate tests the partition with it",
+    "formats.py:serialize_graft":
+        "writes the graft documents that the probes run the CLI on",
+    "instances.py:k2": INSTANCE,
+    "instances.py:c4": INSTANCE,
+    "instances.py:chain4": INSTANCE,
+    "instances.py:p3r": INSTANCE,
+    "instances.py:comb_path": INSTANCE,
+    "joins.py:all_min_joins": "an exhaustive backend, the oracle of min_join",
+    "joins.py:min_join_bruteforce":
+        "an exhaustive backend, the oracle of min_join",
+    "joins.py:negative_circuit_witness":
+        "the certificate that a join is not minimum",
+}
+
+
+def program_unreferenced() -> list[str]:
+    """Each definition, as ``unreferenced_definitions`` lists them, that no
+    file of the program reads: the package modules other than
+    ``__init__.py``, which only re-exports, and ``perfbench/``.  A member
+    that only its own tests call shows up here, where the scan over the
+    tests as well cannot see it.
+
+    Like the other scans this matches names, not bindings: a definition
+    whose name some other object of the program also carries (a field, a
+    local, a method of another class) counts as read, so a dead member
+    can hide behind a namesake."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PROGRAM}
+    read: Counter = sum((referenced_names(t) for t in trees.values()),
+                        Counter())
+    unused = []
+    for path in MODULES:
+        for label, node in definitions(trees[path]):
+            if read[node.name] == referenced_names(node)[node.name]:
+                unused.append(f"{path.name}:{label}")
+    return unused
+
+
+def test_every_definition_serves_the_program_or_a_kept_reader():
+    assert sorted(set(program_unreferenced()) - set(KEEP)) == []
+
+
+def test_every_kept_definition_exists():
+    defined = {f"{path.name}:{label}" for path in MODULES
+               for label, _ in definitions(
+                   ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(set(KEEP) - defined) == []
 
 
 def defaulted_parameters(module: ast.Module):

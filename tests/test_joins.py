@@ -269,6 +269,20 @@ class TestIsMinimumJoin:
         assert report.walk.closed
         assert negative_circuit_witness(g, {"f1"}) is None
 
+    def test_negative_circuit_witness_is_bounded(self):
+        """The circuit scan takes at most 22 edges, as the exhaustive
+        backends do."""
+        def cycle_and_detour(n):
+            graph = Multigraph.build(
+                range(n), [(f"e{i}", i, (i + 1) % n) for i in range(n)])
+            return (Graft(graph, frozenset({0, 1})),
+                    {f"e{i}" for i in range(1, n)})
+
+        assert negative_circuit_witness(*cycle_and_detour(22)).weight == -20
+        with pytest.raises(CapacityError,
+                           match="23 edges exceed the exhaustive bound 22"):
+            negative_circuit_witness(*cycle_and_detour(23))
+
 
 class TestFDistance:
     def test_k2(self):
@@ -1148,23 +1162,23 @@ class TestWalkReport:
 class TestExtractShortestPath:
     def test_k2(self):
         report = extract_shortest_path(k2(), {"e"}, "a", "b")
-        assert report.vertices == ("a", "b")
+        assert report.walk.vertices == ("a", "b")
         assert report.weight == -1
 
     def test_c4_with_the_other_join(self):
         report = extract_shortest_path(c4(), {"f1", "f4"}, "v2", "v4")
-        assert report.vertices == ("v2", "v1", "v4")
+        assert report.walk.vertices == ("v2", "v1", "v4")
         assert report.weight == -2
 
     def test_p3r_balanced_zero_path(self):
         report = extract_shortest_path(p3r(), {"e1"}, "b1", "r")
-        assert report.vertices == ("b1", "a1", "r")
+        assert report.walk.vertices == ("b1", "a1", "r")
         assert report.weight == 0
         assert report.balanced
 
     def test_trivial(self):
         report = extract_shortest_path(c4(), {"f2", "f3"}, "v1", "v1")
-        assert report.vertices == ("v1",)
+        assert report.walk.vertices == ("v1",)
         assert report.weight == 0
 
     def test_trivial_pair_of_an_unknown_vertex_raises(self):
