@@ -38,11 +38,7 @@ from .core import (
     OrderedBipartiteGraft,
     sorted_vertices,
 )
-from .decomposition import (
-    factor_components,
-    kl_classes_of_component,
-    kl_partition,
-)
+from .decomposition import factor_components, kl_partition
 from .formats import (
     REPORT_SCHEMA,
     decomposition_document,
@@ -175,19 +171,19 @@ def _join_backend(g: Graft, args):
     return min_join_bruteforce(g) if args.oracle else min_join(g)
 
 
-def _emit(args, text_lines, jdoc, dot=None) -> None:
-    """Print the report in the requested format.  ``dot`` is a
-    zero-argument callable that renders the DOT text; it runs only for
-    ``--format dot``."""
+def _emit(args, text, document, dot=None) -> None:
+    """Print the report in the requested format.  ``text``, ``document``
+    and ``dot`` are zero-argument callables that build the text lines, the
+    JSON document and the DOT text; only the requested one runs."""
     if args.format == "json":
-        print(dumps(jdoc))
+        print(dumps(document()))
     elif args.format == "dot":
         if dot is None:
             raise GraftInputError(
                 "dot output is not available for this command")
         sys.stdout.write(dot())
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -195,25 +191,33 @@ def _set_text(vs) -> str:
     return " ".join(str(v) for v in sorted_vertices(vs))
 
 
-def _component_rows(comps) -> tuple[list[str], list[dict]]:
-    """Each factor component as a text line and as a JSON entry."""
-    lines = [f"{c.id}: {_set_text(c.vertices)}" for c in comps]
-    docs = [{"id": c.id, "vertices": sorted_vertices(c.vertices)}
+def _component_lines(comps) -> list[str]:
+    return [f"{c.id}: {_set_text(c.vertices)}" for c in comps]
+
+
+def _component_docs(comps) -> list[dict]:
+    return [{"id": c.id, "vertices": sorted_vertices(c.vertices)}
             for c in comps]
-    return lines, docs
 
 
-def _kl_rows(part, comps) -> tuple[list[str], list[dict]]:
-    """Each factor component's distance-zero classes as a text line and as
-    a JSON entry."""
-    lines, docs = [], []
-    for c in comps:
-        classes = kl_classes_of_component(part, c.id)
-        rendered = " ".join("{" + _set_text(cls) + "}" for cls in classes)
-        lines.append(f"{c.id}: {rendered}")
-        docs.append({"component": c.id,
-                     "classes": [sorted_vertices(cls) for cls in classes]})
-    return lines, docs
+def _classes_by_component(part, comps) -> list[tuple]:
+    """(component id, its distance-zero classes) for each factor component,
+    grouped in one pass over the partition."""
+    grouped = {c.id: [] for c in comps}
+    for cls, owner in zip(part.classes, part.component_ids):
+        grouped[owner].append(cls)
+    return list(grouped.items())
+
+
+def _kl_lines(groups) -> list[str]:
+    return [f"{cid}: " + " ".join("{" + _set_text(cls) + "}" for cls in classes)
+            for cid, classes in groups]
+
+
+def _kl_docs(groups) -> list[dict]:
+    return [{"component": cid,
+             "classes": [sorted_vertices(cls) for cls in classes]}
+            for cid, classes in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ def _cmd_analyze(args) -> int:
     g = _load_graft(args)
     F = _join_backend(g, args)
     comps = factor_components(g)
-    part = kl_partition(g)
+    groups = _classes_by_component(kl_partition(g), comps)
     kind = "graft"
     poset = None
     if isinstance(g, OrderedBipartiteGraft):
@@ -232,42 +236,45 @@ def _cmd_analyze(args) -> int:
         if kind == "comb":
             poset = cathedral_poset(g)
 
-    lines = [f"kind: {kind}",
-             f"vertices: {len(g.graph.vertices)}",
-             f"edges: {len(g.graph.edges)}",
-             f"terminals: {len(g.terminals)}",
-             f"nu: {F.size}",
-             f"join: {' '.join(sorted(F.edge_ids))}",
-             f"graph components: {len(g.graph.components())}"]
-    comp_lines, comp_docs = _component_rows(comps)
-    kl_lines, kl_docs = _kl_rows(part, comps)
-    lines += [f"factor component {line}" for line in comp_lines]
-    lines += [f"kl {line}" for line in kl_lines]
-    if poset is not None:
-        for lo, hi in poset.hasse:
-            lines.append(f"poset: {lo} -> {hi}")
-        for cid, h in poset.heights:
-            lines.append(f"height {cid}: {h}")
+    def text():
+        lines = [f"kind: {kind}",
+                 f"vertices: {len(g.graph.vertices)}",
+                 f"edges: {len(g.graph.edges)}",
+                 f"terminals: {len(g.terminals)}",
+                 f"nu: {F.size}",
+                 f"join: {' '.join(sorted(F.edge_ids))}",
+                 f"graph components: {len(g.graph.components())}"]
+        lines += [f"factor component {line}" for line in _component_lines(comps)]
+        lines += [f"kl {line}" for line in _kl_lines(groups)]
+        if poset is not None:
+            for lo, hi in poset.hasse:
+                lines.append(f"poset: {lo} -> {hi}")
+            for cid, h in poset.heights:
+                lines.append(f"height {cid}: {h}")
+        return lines
 
-    doc = {"schema": REPORT_SCHEMA,
-           "kind": kind,
-           "nu": F.size,
-           "join": sorted(F.edge_ids),
-           "graph_components": len(g.graph.components()),
-           "factor_components": comp_docs,
-           "kl": kl_docs,
-           "poset": poset_document(poset) if poset is not None else None,
-           "graft": graft_document(g)}
-    _emit(args, lines, doc, functools.partial(export_dot, g, join=F))
+    def document():
+        return {"schema": REPORT_SCHEMA,
+                "kind": kind,
+                "nu": F.size,
+                "join": sorted(F.edge_ids),
+                "graph_components": len(g.graph.components()),
+                "factor_components": _component_docs(comps),
+                "kl": _kl_docs(groups),
+                "poset": poset_document(poset) if poset is not None else None,
+                "graft": graft_document(g)}
+
+    _emit(args, text, document, functools.partial(export_dot, g, join=F))
     return 0
 
 
 def _cmd_min_join(args) -> int:
     g = _load_graft(args)
     F = _join_backend(g, args)
-    lines = [f"size: {F.size}", f"edges: {' '.join(sorted(F.edge_ids))}"]
-    doc = {"size": F.size, "edges": sorted(F.edge_ids)}
-    _emit(args, lines, doc, functools.partial(export_dot, g, join=F))
+    _emit(args,
+          lambda: [f"size: {F.size}", f"edges: {' '.join(sorted(F.edge_ids))}"],
+          lambda: {"size": F.size, "edges": sorted(F.edge_ids)},
+          functools.partial(export_dot, g, join=F))
     return 0
 
 
@@ -288,38 +295,38 @@ def _cmd_dist(args) -> int:
     u = _resolve_vertex(g, args.u)
     v = _resolve_vertex(g, args.v)
     value = _dist_value(g, args, u, v)
-    lines = [str(value) if value is not None else "unreachable"]
-    doc = {"u": u, "v": v, "distance": value}
-    _emit(args, lines, doc)
+    _emit(args,
+          lambda: [str(value) if value is not None else "unreachable"],
+          lambda: {"u": u, "v": v, "distance": value})
     return 0
 
 
 def _cmd_components(args) -> int:
-    g = _load_graft(args)
-    lines, docs = _component_rows(factor_components(g))
-    _emit(args, lines, {"factor_components": docs})
+    comps = factor_components(_load_graft(args))
+    _emit(args, lambda: _component_lines(comps),
+          lambda: {"factor_components": _component_docs(comps)})
     return 0
 
 
 def _cmd_kl(args) -> int:
     g = _load_graft(args)
     part = kl_partition(g)
-    lines, docs = _kl_rows(part, factor_components(g))
-    _emit(args, lines, {"kl": docs})
+    groups = _classes_by_component(part, factor_components(g))
+    _emit(args, lambda: _kl_lines(groups), lambda: {"kl": _kl_docs(groups)})
     return 0
 
 
 def _cmd_classify(args) -> int:
     g = _need_bipartite(_load_graft(args))
     report = classify_comb(g)
-    lines = [f"kind: {report.kind}",
-             f"nu: {report.nu}",
-             f"spine: {_set_text(report.spine)}",
-             f"tooth: {_set_text(report.tooth)}"]
-    doc = {"kind": report.kind, "nu": report.nu,
-           "spine": sorted_vertices(report.spine),
-           "tooth": sorted_vertices(report.tooth)}
-    _emit(args, lines, doc)
+    _emit(args,
+          lambda: [f"kind: {report.kind}",
+                   f"nu: {report.nu}",
+                   f"spine: {_set_text(report.spine)}",
+                   f"tooth: {_set_text(report.tooth)}"],
+          lambda: {"kind": report.kind, "nu": report.nu,
+                   "spine": sorted_vertices(report.spine),
+                   "tooth": sorted_vertices(report.tooth)})
     return 0
 
 
@@ -327,13 +334,17 @@ def _cmd_critical(args) -> int:
     g = _need_bipartite(_load_graft(args))
     root = _resolve_vertex(g, args.root)
     report = is_critical_quasicomb(g, root)
-    lines = [f"critical: {'yes' if report.critical else 'no'}"]
-    lines += [f"distance {v}: {d}" for v, d in report.table]
-    lines += [f"problem: {p}" for p in report.problems]
-    doc = {"critical": report.critical, "root": root,
-           "table": [[v, d] for v, d in report.table],
-           "problems": list(report.problems)}
-    _emit(args, lines, doc)
+
+    def text():
+        lines = [f"critical: {'yes' if report.critical else 'no'}"]
+        lines += [f"distance {v}: {d}" for v, d in report.table]
+        lines += [f"problem: {p}" for p in report.problems]
+        return lines
+
+    _emit(args, text,
+          lambda: {"critical": report.critical, "root": root,
+                   "table": [[v, d] for v, d in report.table],
+                   "problems": list(report.problems)})
     return 0 if report.critical else 1
 
 
@@ -344,19 +355,24 @@ def _cmd_ear_decomp(args) -> int:
     F = _join_backend(g, args)
     d = build_graft_ear_decomposition(g, root, F)
     report = verify_graft_ear_decomposition(d, F)
-    lines = []
-    for i, step in enumerate(d.steps):
-        walk = "-".join(str(v) for v in step.walk.vertices)
-        lines.append(f"step {i}: {step.kind} {walk}")
-    lines.append(f"valid: {'yes' if report.valid else 'no'}")
-    lines += [f"problem: {p}" for p in report.problems]
-    lines += [f"warning: {w}" for w in report.warnings]
-    doc = {"decomposition": decomposition_document(d),
-           "join": sorted(F.edge_ids),
-           "valid": report.valid,
-           "problems": list(report.problems),
-           "warnings": list(report.warnings)}
-    _emit(args, lines, doc, functools.partial(export_dot, d))
+
+    def text():
+        lines = []
+        for i, step in enumerate(d.steps):
+            walk = "-".join(str(v) for v in step.walk.vertices)
+            lines.append(f"step {i}: {step.kind} {walk}")
+        lines.append(f"valid: {'yes' if report.valid else 'no'}")
+        lines += [f"problem: {p}" for p in report.problems]
+        lines += [f"warning: {w}" for w in report.warnings]
+        return lines
+
+    _emit(args, text,
+          lambda: {"decomposition": decomposition_document(d),
+                   "join": sorted(F.edge_ids),
+                   "valid": report.valid,
+                   "problems": list(report.problems),
+                   "warnings": list(report.warnings)},
+          functools.partial(export_dot, d))
     return 0 if report.valid else 1
 
 
@@ -364,23 +380,25 @@ def _cmd_critical_sets(args) -> int:
     g = _need_bipartite(_load_graft(args))
     cid = _resolve_vertex(g, args.component)
     sets = enumerate_critical_sets(g, cid)
-    lines = [_set_text(xs) for xs in sets]
-    doc = {"component": cid,
-           "critical_sets": [sorted_vertices(xs) for xs in sets]}
-    _emit(args, lines, doc)
+    _emit(args, lambda: [_set_text(xs) for xs in sets],
+          lambda: {"component": cid,
+                   "critical_sets": [sorted_vertices(xs) for xs in sets]})
     return 0
 
 
 def _cmd_poset(args) -> int:
     g = _need_bipartite(_load_graft(args))
     p = cathedral_poset(g)
-    lines = [f"components: {' '.join(str(c) for c in p.component_ids)}"]
-    for lo, hi in p.hasse:
-        lines.append(f"{lo} -> {hi}")
-    for cid, h in p.heights:
-        lines.append(f"height {cid}: {h}")
-    doc = poset_document(p)
-    _emit(args, lines, doc, functools.partial(
+
+    def text():
+        lines = [f"components: {' '.join(str(c) for c in p.component_ids)}"]
+        for lo, hi in p.hasse:
+            lines.append(f"{lo} -> {hi}")
+        for cid, h in p.heights:
+            lines.append(f"height {cid}: {h}")
+        return lines
+
+    _emit(args, text, functools.partial(poset_document, p), functools.partial(
         export_dot, p, components=factor_components(g)))
     return 0
 
@@ -389,15 +407,19 @@ def _cmd_upper(args) -> int:
     g = _need_bipartite(_load_graft(args))
     cid = _resolve_vertex(g, args.component)
     report = upper_bound_check(g, cid)
-    lines = [f"holds: {'yes' if report.holds else 'no'}",
-             f"upper: {_set_text(report.upper_vertices)}"]
-    for entry in report.entries:
-        witness = (_set_text(entry.witness_class)
-                   if entry.witness_class is not None else "none")
-        lines.append(f"piece {_set_text(entry.piece)} | "
-                     f"neighborhood {_set_text(entry.neighborhood)} | "
-                     f"class {witness}")
-    _emit(args, lines, upper_report_document(report))
+
+    def text():
+        lines = [f"holds: {'yes' if report.holds else 'no'}",
+                 f"upper: {_set_text(report.upper_vertices)}"]
+        for entry in report.entries:
+            witness = (_set_text(entry.witness_class)
+                       if entry.witness_class is not None else "none")
+            lines.append(f"piece {_set_text(entry.piece)} | "
+                         f"neighborhood {_set_text(entry.neighborhood)} | "
+                         f"class {witness}")
+        return lines
+
+    _emit(args, text, functools.partial(upper_report_document, report))
     return 0 if report.holds else 1
 
 
@@ -407,14 +429,18 @@ def _cmd_verify(args) -> int:
         selection = [s for s in args.properties.split(",") if s]
     cfg = GenConfig(seed=args.seed)
     report = run_property_suite(args.trials, cfg, selection)
-    lines = [f"{name}: {passed} passed, {failed} failed"
-             for name, passed, failed in report.results]
-    for cert in report.certificates:
-        lines.append(f"counterexample {cert.property_name} "
-                     f"(seed {cert.seed}):")
-        lines += [f"  {entry}" for entry in cert.transcript]
-    lines.append(f"failures: {report.failures}")
-    _emit(args, lines, suite_report_document(report))
+
+    def text():
+        lines = [f"{name}: {passed} passed, {failed} failed"
+                 for name, passed, failed in report.results]
+        for cert in report.certificates:
+            lines.append(f"counterexample {cert.property_name} "
+                         f"(seed {cert.seed}):")
+            lines += [f"  {entry}" for entry in cert.transcript]
+        lines.append(f"failures: {report.failures}")
+        return lines
+
+    _emit(args, text, functools.partial(suite_report_document, report))
     print(f"suite wall time: {report.wall_time:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -439,8 +465,7 @@ def _cmd_gen(args) -> int:
         doc = graft_document(out)
         dot = functools.partial(export_dot, out)
     # A generated instance prints its JSON document as its text form too.
-    text = [dumps(doc)] if args.format == "text" else ()
-    _emit(args, text, doc, dot)
+    _emit(args, lambda: [dumps(doc)], lambda: doc, dot)
     return 0
 
 

@@ -48,6 +48,16 @@ def vertex_key(v: VertexId):
     return (0, v) if isinstance(v, int) else (1, v)
 
 
+def least_vertex(vs: Iterable[VertexId]) -> VertexId:
+    """The least of ``vs`` in ``vertex_key`` order.  Ids of one type take a
+    plain ``min``; only a str/int mix, on which it raises TypeError, takes
+    the key."""
+    try:
+        return min(vs)
+    except TypeError:
+        return min(vs, key=vertex_key)
+
+
 def sorted_vertices(vs: Iterable[VertexId]) -> list[VertexId]:
     """``vs`` in ``vertex_key`` order.  Ids of one type sort without the
     key; a str/int mix makes the plain sort raise TypeError."""
@@ -107,15 +117,22 @@ class Multigraph:
         # so graphs assembled along different routes compare equal.
         by_id: dict[str, Edge] = {}
         for e in self.edges:
-            if not isinstance(e.id, str) or not e.id:
-                raise GraftInputError(f"edge id {e.id!r} must be a nonempty string")
-            if e.id in by_id:
-                raise GraftInputError(f"duplicate edge id {e.id!r}")
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise GraftInputError(f"edge {e.id!r} has an unknown endpoint")
-            if e.u == e.v:
-                raise GraftInputError(f"edge {e.id!r} is a loop")
-            by_id[e.id] = e if vertex_key(e.u) <= vertex_key(e.v) else Edge(e.id, e.v, e.u)
+            eid, u, v = e.id, e.u, e.v
+            if not isinstance(eid, str) or not eid:
+                raise GraftInputError(f"edge id {eid!r} must be a nonempty string")
+            if eid in by_id:
+                raise GraftInputError(f"duplicate edge id {eid!r}")
+            if u not in self.vertices or v not in self.vertices:
+                raise GraftInputError(f"edge {eid!r} has an unknown endpoint")
+            if u == v:
+                raise GraftInputError(f"edge {eid!r} is a loop")
+            # Ends of one type compare as their keys do: the keys' first
+            # items tie, and the ends differ.
+            if type(u) is type(v):
+                ascending = u <= v
+            else:
+                ascending = vertex_key(u) <= vertex_key(v)
+            by_id[eid] = e if ascending else Edge(eid, v, u)
         self._index(by_id)
 
     @classmethod
@@ -304,8 +321,7 @@ def contract_graft(g: Graft, X: Iterable[VertexId],
     if missing:
         raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
     if contracted_id is None:
-        least = sorted_vertices(keep)[0]
-        contracted_id = f"X#{least}"
+        contracted_id = f"X#{least_vertex(keep)}"
     if contracted_id in g.graph.vertices - keep:
         raise GraftInputError(f"contracted id {contracted_id!r} is already a vertex")
     vertices = (g.graph.vertices - keep) | {contracted_id}

@@ -21,8 +21,8 @@ from .core import (
     OrderedBipartiteGraft,
     PreconditionError,
     cached_on_graph,
+    least_vertex,
     sorted_vertices,
-    vertex_key,
 )
 from .joins import allowed_edge_set, f_distance_reader
 
@@ -39,7 +39,7 @@ class FactorComponent:
     skeleton: Multigraph = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if self.id != min(self.vertices, key=vertex_key):
+        if self.id != least_vertex(self.vertices):
             raise InternalConsistencyError(
                 f"component id {self.id!r} is not its least vertex")
 
@@ -57,7 +57,7 @@ class FactorComponentSet:
 
     def __post_init__(self):
         ids = [c.id for c in self.components]
-        if ids != sorted(ids, key=vertex_key):
+        if ids != sorted_vertices(ids):
             raise InternalConsistencyError("components are not sorted by id")
         seen: set = set()
         for c in self.components:

@@ -37,10 +37,21 @@ def _id_ok(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
+_PLAIN_ID_TYPES = frozenset((str, int))
+_EDGE_FIELDS = frozenset(("id", "u", "v"))
+
+
 def _read_id_list(doc, field, known=None, prefix="$") -> list:
+    """``doc[field]`` as a list of distinct ids, each in ``known`` when that
+    is given.  A list of plain str and int ids passes by set operations; any
+    other list is walked to the first bad entry."""
     items = doc.get(field)
     if not isinstance(items, list):
         _fail(f"{prefix}.{field}", "expected a list")
+    if set(map(type, items)) <= _PLAIN_ID_TYPES:
+        ids = set(items)
+        if len(ids) == len(items) and (known is None or ids <= known):
+            return items
     seen = set()
     for i, v in enumerate(items):
         if not _id_ok(v):
@@ -70,28 +81,29 @@ def graft_from_document(doc) -> Graft | OrderedBipartiteGraft:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         _fail("$.edges", "expected a list")
-    edges = []
-    edge_ids = set()
+    edges: dict[str, tuple] = {}
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             _fail(f"$.edges[{i}]", "expected an object")
-        if set(entry) != {"id", "u", "v"}:
+        if entry.keys() != _EDGE_FIELDS:
             _fail(f"$.edges[{i}]", "expected exactly the fields id, u, v")
-        eid = entry["id"]
+        eid, u, v = entry["id"], entry["u"], entry["v"]
         if not isinstance(eid, str) or not eid:
             _fail(f"$.edges[{i}].id", "edge ids are nonempty strings")
-        if eid in edge_ids:
+        if eid in edges:
             _fail(f"$.edges[{i}].id", f"duplicate edge id {eid!r}")
-        edge_ids.add(eid)
-        for end in ("u", "v"):
-            if not _id_ok(entry[end]) or entry[end] not in known:
-                _fail(f"$.edges[{i}].{end}", f"unknown vertex {entry[end]!r}")
-        if entry["u"] == entry["v"]:
-            _fail(f"$.edges[{i}]", f"self-loop at {entry['u']!r}")
-        edges.append((eid, entry["u"], entry["v"]))
+        # An exact str or int skips _id_ok, which keeps out the look-alikes
+        # that ``in`` lets through: True and 1.0 for a vertex 1.
+        if not ((type(u) is str or type(u) is int or _id_ok(u)) and u in known):
+            _fail(f"$.edges[{i}].u", f"unknown vertex {u!r}")
+        if not ((type(v) is str or type(v) is int or _id_ok(v)) and v in known):
+            _fail(f"$.edges[{i}].v", f"unknown vertex {v!r}")
+        if u == v:
+            _fail(f"$.edges[{i}]", f"self-loop at {u!r}")
+        edges[eid] = (eid, u, v)
 
     terminals = _read_id_list(doc, "terminals", known)
-    graph = Multigraph.build(vertices, edges)
+    graph = Multigraph.build(vertices, edges.values())
 
     if "bipartition" not in doc:
         return Graft(graph, frozenset(terminals))
@@ -152,32 +164,47 @@ def _put_json(o, newline: str, put) -> None:
 
     A module-level function, not a closure over ``parts``: a closure that
     calls itself is a reference cycle, which would leave each call's
-    pieces to the cyclic collector.
+    pieces to the cyclic collector.  A container writes its plain str and
+    int items itself, joined to the separator before them, and recurses
+    only into the rest.
     """
-    if isinstance(o, str):
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(o):
+            value = o[key]
+            kind = type(value)
+            if kind is str:
+                put(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
+            elif kind is int:
+                put(f"{sep}{_encode_str(key)}: {int.__repr__(value)}")
+            else:
+                put(f"{sep}{_encode_str(key)}: ")
+                _put_json(value, inner, put)
+            sep = comma
+        put(newline + "}")
+    elif isinstance(o, str):
         put(_encode_str(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             put("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in o:
-            put(sep)
-            _put_json(item, inner, put)
-            sep = "," + inner
+            kind = type(item)
+            if kind is str:
+                put(sep + _encode_str(item))
+            elif kind is int:
+                put(sep + int.__repr__(item))
+            else:
+                put(sep)
+                _put_json(item, inner, put)
+            sep = comma
         put(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(o):
-            put(sep + _encode_str(key) + ": ")
-            _put_json(o[key], inner, put)
-            sep = "," + inner
-        put(newline + "}")
     elif o is None:
         put("null")
     elif o is True:

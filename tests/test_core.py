@@ -2,6 +2,7 @@
 
 import random
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from bigraft.core import (
     contract_graft,
     graft_sum,
     is_join,
+    least_vertex,
     simple_circuits,
     simple_paths,
     sorted_vertices,
@@ -54,6 +56,38 @@ ID_SETS = st.one_of(st.frozensets(st.text(max_size=4)),
 def test_sorted_vertices_is_the_vertex_key_order(vs):
     assert sorted_vertices(vs) == sorted(vs, key=vertex_key)
     assert sorted_vertices(iter(vs)) == sorted(vs, key=vertex_key)
+    if vs:
+        assert least_vertex(vs) == sorted(vs, key=vertex_key)[0]
+
+
+class Grade(IntEnum):
+    LOW = 3
+    HIGH = 7
+
+
+class Name(str):
+    """A str subclass, as a caller's own id type might be."""
+
+
+@pytest.mark.parametrize("ids", [
+    ["b", "a", "c"],
+    [5, -2, 9],
+    [3, "a", 1, "b", 0],
+    [Grade.HIGH, 5, Grade.LOW, "z"],
+    [Name("q"), "b", Name("a"), 2],
+], ids=["str", "int", "mixed", "intenum", "str-subclass"])
+def test_edge_orientation_and_least_vertex_follow_vertex_key(ids):
+    """Ends of one type skip vertex_key when the constructor orients an
+    edge, and least_vertex takes a plain min where it can; both agree with
+    vertex_key, on an int or str subclass too."""
+    assert least_vertex(ids) is min(ids, key=vertex_key)
+    pairs = {f"e{i}": (u, v) for i, (u, v) in enumerate(
+        (u, v) for u in ids for v in ids if u is not v)}
+    g = Multigraph.build(ids, [(eid, u, v) for eid, (u, v) in pairs.items()])
+    for eid, pair in pairs.items():
+        e = g.edge(eid)
+        want = sorted(pair, key=vertex_key)
+        assert e.u is want[0] and e.v is want[1]
 
 
 class TestMultigraph:

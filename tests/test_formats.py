@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from bigraft.cathedral import cathedral_poset, upper_bound_check
 from bigraft.combs import build_graft_ear_decomposition
-from bigraft.core import Graft, GraftInputError, OrderedBipartiteGraft
+from bigraft.core import (
+    Graft,
+    GraftInputError,
+    GraftValidationError,
+    OrderedBipartiteGraft,
+)
 from bigraft.decomposition import factor_components
 from bigraft.formats import (
     decomposition_document,
@@ -135,6 +140,22 @@ class TestParse:
         (minimal_doc(vertices=["a", "b", "c"],
                      bipartition={"A": ["a"], "B": ["b"]}),
          r"\$\.bipartition: the sides do not cover"),
+        # Inputs that the set-based checks of a plain id list or edge must
+        # still refuse with the message of the entry-by-entry walk.
+        (minimal_doc(vertices=[1, 2], terminals=[],
+                     edges=[{"id": "e", "u": 2, "v": True}]),
+         r"^\$\.edges\[0\]\.v: unknown vertex True$"),
+        (minimal_doc(vertices=[1, 2], terminals=[],
+                     edges=[{"id": "e", "u": 1.0, "v": 2}]),
+         r"^\$\.edges\[0\]\.u: unknown vertex 1\.0$"),
+        (minimal_doc(edges=[{"id": "e", "u": "a", "v": "z"}]),
+         r"^\$\.edges\[0\]\.v: unknown vertex 'z'$"),
+        (minimal_doc(vertices=[1, "a"], edges=[], terminals=[True]),
+         r"^\$\.terminals\[0\]: ids are strings or integers$"),
+        (minimal_doc(vertices=[1, "1", 1]),
+         r"^\$\.vertices\[2\]: duplicate id 1$"),
+        (minimal_doc(edges=[{"id": "e", "u": "a", "v": "b", "w": "c"}]),
+         r"^\$\.edges\[0\]: expected exactly the fields id, u, v$"),
     ])
     def test_field_path_diagnostics(self, doc, path):
         with pytest.raises(GraftInputError, match=path):
@@ -142,8 +163,9 @@ class TestParse:
 
     def test_parity_violations_surface_from_the_graft_layer(self):
         doc = minimal_doc(terminals=["a"])
-        with pytest.raises(Exception):
+        with pytest.raises(GraftValidationError) as info:
             graft_from_document(doc)
+        assert info.value.invariant == "terminal-parity"
 
 
 class TestDocuments:
