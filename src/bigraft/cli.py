@@ -54,11 +54,17 @@ from .joins import f_distance, min_join, min_join_bruteforce
 from .properties import run_property_suite, suite_report_document
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls.  Each subcommand inherits from the one parent
-    whose options its handler reads."""
+    """The top argument parser, the one ``_parsers`` builds."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top argument parser and each subcommand's parser by name, built
+    once per process: parsing keeps no state between calls.  Each
+    subcommand inherits from the one parent whose options its handler
+    reads."""
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("json", "dot", "text"),
                            default="text", help="output format (default text)")
@@ -132,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, metavar="N",
                    help="most ear steps of --mode critical-quasicomb "
                         f"(default {GenConfig.budget}); no other mode takes it")
-    return parser
+    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +475,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _parse(argv: list):
+    """The parsed arguments, from one argparse pass when ``argv[0]`` names a
+    subcommand and its parser takes every other argument: the top parser
+    would only hand them to it.  Otherwise, for help, a missing or unknown
+    subcommand, or arguments left over, the top parser runs, so every
+    usage error keeps its wording."""
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

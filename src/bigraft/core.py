@@ -43,6 +43,21 @@ class InternalConsistencyError(BigraftError):
     """A theorem-backed internal check failed; report as a bug if raised."""
 
 
+def is_vertex_id(v) -> bool:
+    """True for a str or an int that is not a bool: the ids a vertex, an
+    edge end, a terminal or a side member may carry."""
+    return isinstance(v, (str, int)) and not isinstance(v, bool)
+
+
+def _require_vertex_ids(vs: Iterable, what: str) -> None:
+    """Refuse the first of ``vs`` that is no vertex id.  An exact str or
+    int passes at once; the set checks alone would let through the
+    look-alikes that equal a vertex id, such as True or 2.0 for 1 or 2."""
+    for v in vs:
+        if type(v) is not str and type(v) is not int and not is_vertex_id(v):
+            raise GraftInputError(f"{what} {v!r} must be str or int")
+
+
 def vertex_key(v: VertexId):
     """Sort key giving a total order over mixed int/str vertex ids."""
     return (0, v) if isinstance(v, int) else (1, v)
@@ -94,25 +109,24 @@ class Multigraph:
 
     The constructor checks that every vertex id is a str or an int (not a
     bool) and that every edge has a str id of its own and two distinct,
-    known ends.  It turns each edge so that its ends ascend in
-    ``vertex_key`` order, and then runs ``_index``, the one routine that
-    builds the sorted edge tuple, the edge map, the adjacency and the
-    components.  A search starts from each unseen vertex in ``vertex_key``
+    known ends, each a vertex id itself.  It turns each edge so that its
+    ends ascend in ``vertex_key`` order, and then runs ``_index``, the one
+    routine that builds the sorted edge tuple, the edge map, the adjacency
+    and the components.  A search starts from each unseen vertex in ``vertex_key``
     order, so ``component_roots[i]``, the start of ``components()[i]``, is
     its least vertex and the roots ascend.  ``component_index`` maps each
     vertex to its component's position.  Anything else derived lives in
     ``_memo``.  ``_assembled`` runs ``_index`` alone: it serves the graphs
     this module derives from valid ones, which pass every check by
-    construction.
+    construction, such as ``induced`` (a vertex subset with the edges
+    inside it) and ``spanning`` (every vertex with an edge subset).
     """
 
     vertices: frozenset
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        for v in self.vertices:
-            if not isinstance(v, (str, int)) or isinstance(v, bool):
-                raise GraftInputError(f"vertex id {v!r} must be str or int")
+        _require_vertex_ids(self.vertices, "vertex id")
         # Canonical form: endpoint order inside an edge carries no meaning,
         # so graphs assembled along different routes compare equal.
         by_id: dict[str, Edge] = {}
@@ -126,11 +140,14 @@ class Multigraph:
                 raise GraftInputError(f"edge {eid!r} has an unknown endpoint")
             if u == v:
                 raise GraftInputError(f"edge {eid!r} is a loop")
-            # Ends of one type compare as their keys do: the keys' first
-            # items tie, and the ends differ.
-            if type(u) is type(v):
+            # Exact str or int ends of one type compare as their keys do:
+            # the keys' first items tie, and the ends differ.  Other ends
+            # must pass the id rule, which ``in`` does not enforce.
+            tu = type(u)
+            if tu is type(v) and (tu is str or tu is int):
                 ascending = u <= v
             else:
+                _require_vertex_ids((u, v), f"edge {eid!r} end")
                 ascending = vertex_key(u) <= vertex_key(v)
             by_id[eid] = e if ascending else Edge(eid, v, u)
         self._index(by_id)
@@ -212,6 +229,16 @@ class Multigraph:
         return Multigraph._assembled(
             keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep})
 
+    def spanning(self, edge_ids: Iterable[str]) -> Multigraph:
+        """The graph on the same vertices with only the given edges: the
+        edge-subset twin of ``induced``."""
+        keep = frozenset(edge_ids)
+        unknown = keep.difference(self._edge_map)
+        if unknown:
+            raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
+        return Multigraph._assembled(
+            self.vertices, {e.id: e for e in self.edges if e.id in keep})
+
 
 def _unchecked(cls, **fields):
     """A ``cls`` with ``fields`` set and its ``__post_init__`` not run: for
@@ -247,6 +274,7 @@ class Graft:
         if stray:
             raise GraftInputError(
                 f"terminals {sorted_vertices(stray)!r} are not vertices")
+        _require_vertex_ids(self.terminals, "terminal")
         for comp in self.graph.components():
             if len(comp & self.terminals) % 2:
                 raise GraftValidationError(
@@ -278,10 +306,12 @@ class OrderedBipartiteGraft(Graft):
             raise GraftValidationError(
                 "bipartition-coverage",
                 f"vertices {sorted_vertices(uncovered)!r} are on neither side")
-        stray = (spine | self.tooth) - self.graph.vertices
+        sides = spine | self.tooth
+        stray = sides - self.graph.vertices
         if stray:
             raise GraftInputError(
                 f"bipartition names unknown vertices {sorted_vertices(stray)!r}")
+        _require_vertex_ids(sides, "side vertex")
         for e in self.graph.edges:
             if (e.u in spine) == (e.v in spine):
                 raise GraftValidationError(

@@ -93,8 +93,7 @@ class FactorComponentSet:
 @cached_on_graph
 def _factor_components(graph: Multigraph, allowed: frozenset) -> FactorComponentSet:
     """Keyed by the allowed set, the one input the components depend on."""
-    skeleton = Multigraph(graph.vertices,
-                          tuple(e for e in graph.edges if e.id in allowed))
+    skeleton = graph.spanning(allowed)
     comps = tuple(FactorComponent(root, vs, skeleton) for root, vs in
                   zip(skeleton.component_roots, skeleton.components()))
     out = FactorComponentSet(comps)
@@ -203,13 +202,18 @@ def kl_partition(g: Graft) -> KLPartition:
     is audited then: same class must coincide with distance zero, which in
     particular certifies transitivity.  Every distance comes through one
     ``f_distance_reader`` as a read of its graph component's table.  An
-    audit failure raises InternalConsistencyError.
+    audit failure raises InternalConsistencyError.  A one-vertex component
+    is its own class at once: it has no pair to read or audit.
     """
     comps = factor_components(g)
     distance = f_distance_reader(g)
     classes: list[frozenset] = []
     component_ids: list = []
     for comp in comps:
+        if len(comp.vertices) == 1:
+            classes.append(comp.vertices)
+            component_ids.append(comp.id)
+            continue
         local: list[list] = []
         class_of: dict = {}
         for v in sorted_vertices(comp.vertices):

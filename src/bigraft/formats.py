@@ -21,6 +21,7 @@ from .core import (
     GraftInputError,
     Multigraph,
     OrderedBipartiteGraft,
+    is_vertex_id,
     sorted_vertices,
 )
 
@@ -31,10 +32,6 @@ _TOP_FIELDS = ("vertices", "edges", "terminals", "bipartition")
 
 def _fail(path: str, message: str):
     raise GraftInputError(f"{path}: {message}")
-
-
-def _id_ok(value) -> bool:
-    return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
 _PLAIN_ID_TYPES = frozenset((str, int))
@@ -54,7 +51,7 @@ def _read_id_list(doc, field, known=None, prefix="$") -> list:
             return items
     seen = set()
     for i, v in enumerate(items):
-        if not _id_ok(v):
+        if not is_vertex_id(v):
             _fail(f"{prefix}.{field}[{i}]", "ids are strings or integers")
         if v in seen:
             _fail(f"{prefix}.{field}[{i}]", f"duplicate id {v!r}")
@@ -92,11 +89,11 @@ def graft_from_document(doc) -> Graft | OrderedBipartiteGraft:
             _fail(f"$.edges[{i}].id", "edge ids are nonempty strings")
         if eid in edges:
             _fail(f"$.edges[{i}].id", f"duplicate edge id {eid!r}")
-        # An exact str or int skips _id_ok, which keeps out the look-alikes
-        # that ``in`` lets through: True and 1.0 for a vertex 1.
-        if not ((type(u) is str or type(u) is int or _id_ok(u)) and u in known):
+        # An exact str or int skips is_vertex_id, which keeps out the
+        # look-alikes that ``in`` lets through: True and 1.0 for a vertex 1.
+        if not ((type(u) is str or type(u) is int or is_vertex_id(u)) and u in known):
             _fail(f"$.edges[{i}].u", f"unknown vertex {u!r}")
-        if not ((type(v) is str or type(v) is int or _id_ok(v)) and v in known):
+        if not ((type(v) is str or type(v) is int or is_vertex_id(v)) and v in known):
             _fail(f"$.edges[{i}].v", f"unknown vertex {v!r}")
         if u == v:
             _fail(f"$.edges[{i}]", f"self-loop at {u!r}")

@@ -258,14 +258,14 @@ def _bfs_tree(graph: Multigraph, source) -> tuple[dict, dict]:
     dist = {source: 0}
     parent_edge: dict = {source: None}
     queue = [source]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for e in graph.incident(v):
+    incident = graph.incident
+    # The loop also visits what it appends to ``queue``.
+    for v in queue:
+        d = dist[v] + 1
+        for e in incident(v):
             w = e.v if e.u == v else e.u
             if w not in dist:
-                dist[w] = dist[v] + 1
+                dist[w] = d
                 parent_edge[w] = e
                 queue.append(w)
     return dist, parent_edge
@@ -310,7 +310,9 @@ def _subset_dp(cost: list[list[int]]) -> list:
     """dp[mask]: least perfect-pairing cost of the indices in mask.
 
     Only even masks are filled; the lowest set index is always paired
-    first, which visits each pairing once.
+    first, which visits each pairing once.  Its partners are the set bits
+    of the rest of the mask, taken one at a time by ``r & -r``, so no
+    absent index is tested.
     """
     t = len(cost)
     full = (1 << t) - 1
@@ -320,14 +322,16 @@ def _subset_dp(cost: list[list[int]]) -> list:
     for mask in range(3, full + 1):
         if mask.bit_count() % 2:
             continue
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
+        low = mask & -mask
+        rest = r = mask ^ low
+        row = cost[low.bit_length() - 1]
         best = INF
-        for j in range(i + 1, t):
-            if rest >> j & 1:
-                cand = dp[rest ^ (1 << j)] + cost[i][j]
-                if cand < best:
-                    best = cand
+        while r:
+            bit = r & -r
+            r ^= bit
+            cand = dp[rest ^ bit] + row[bit.bit_length() - 1]
+            if cand < best:
+                best = cand
         dp[mask] = best
     return dp
 

@@ -1,5 +1,6 @@
 """Exit codes, output determinism, and format switching on the CLI."""
 
+import argparse
 import hashlib
 import importlib
 import io
@@ -34,16 +35,38 @@ from bigraft.joins import flipped_distance_sign
 from oracles import chain_comb
 
 
-def run_cli(*argv, stdin=""):
+def captured(main, argv, stdin=""):
+    """(exit code, stdout, stderr) of ``main(argv)`` reading ``stdin``."""
     out, err = io.StringIO(), io.StringIO()
     real_stdin = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main(list(argv))
+            code = main(list(argv))
     finally:
         sys.stdin = real_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv, stdin=""):
+    return captured(cli_main, argv, stdin)
+
+
+USAGE_ERRORS = Path(__file__).resolve().parent / "usage_errors.json"
+
+
+def two_pass_main(argv):
+    """``cli_main`` as it parsed before the dispatch: every argv goes to
+    the top parser, which hands the rest to the subcommand's parser."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    try:
+        return args.handler(args)
+    except BigraftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 @pytest.fixture
@@ -126,6 +149,33 @@ class TestExitCodes:
         assert code == 0
         assert out == fresh.stdout
         assert _build_parser() is _build_parser()
+
+    def test_dispatch_changes_no_usage_error(self, monkeypatch):
+        """Each argv gets the (exit code, stdout, stderr) that the two-pass
+        parse gave: the one in ``usage_errors.json``, recorded from it on
+        the Python named there, and on any Python the one that parse gives
+        now, the top parser handing the rest to the subcommand's."""
+        monkeypatch.setenv("COLUMNS", "80")
+        recorded = json.loads(USAGE_ERRORS.read_text(encoding="utf-8"))
+        python = "%d.%d" % sys.version_info[:2]
+        for case in recorded["cases"]:
+            argv = case["argv"]
+            got = run_cli(*argv)
+            assert got == captured(two_pass_main, argv), argv
+            if python == recorded["recorded_with"]["python"]:
+                assert got == (case["exit"], case["stdout"], case["stderr"]), argv
+
+    def test_well_formed_call_parses_once(self, files, monkeypatch):
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return real(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, _, err = run_cli("analyze", "--format", "json", "--input", files["i3"])
+        assert (code, err) == (0, "")
+        assert calls == ["bigraft analyze"]
 
     def test_bipartition_required_where_it_matters(self, files):
         for command in (["classify"], ["poset"], ["critical", "a"],

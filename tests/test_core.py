@@ -32,11 +32,12 @@ from bigraft.combs import bare_root
 from bigraft.decomposition import induced_subgraft
 from bigraft.generators import (
     GenConfig,
+    gen_random_comb,
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import min_join
+from bigraft.joins import allowed_edge_set, min_join
 
 from oracles import recursive_simple_circuits, recursive_simple_paths
 
@@ -158,6 +159,33 @@ class TestMultigraph:
         g = chain4().graph
         sub = g.induced({"a0", "b0"})
         assert sub.edge_ids() == {"e0"}
+
+    def test_spanning_matches_the_checking_constructor(self):
+        """On the allowed set, the empty set and every edge of 20
+        fixed-seed grafts and 20 fixed-seed combs, ``spanning`` equals the
+        graph the checking constructor builds from the same edges, down to
+        the components, their roots and index, and adjacency order."""
+        grafts = [gen_random_graft(GenConfig(seed=seed, vertices=(6, 12)))
+                  for seed in range(20)]
+        grafts += [gen_random_comb(GenConfig(seed=seed, vertices=(6, 12)))
+                   for seed in range(20)]
+        for g in grafts:
+            graph = g.graph
+            for keep in (allowed_edge_set(g), frozenset(), graph.edge_ids()):
+                got = graph.spanning(keep)
+                want = Multigraph(graph.vertices, tuple(
+                    e for e in graph.edges if e.id in keep))
+                assert (got.vertices, got.edges) == (want.vertices, want.edges)
+                assert got == want
+                assert got.components() == want.components()
+                assert got.component_roots == want.component_roots
+                assert got.component_index == want.component_index
+                for v in graph.vertices:
+                    assert got.incident(v) == want.incident(v)
+
+    def test_spanning_refuses_an_unknown_edge_id(self):
+        with pytest.raises(GraftInputError, match=r"unknown edge ids \['zz'\]"):
+            chain4().graph.spanning({"e0", "zz"})
 
 
 class TestGraft:
@@ -488,6 +516,29 @@ class TestInputErrors:
     def test_vertex_ids_are_str_or_int(self, vertex):
         with pytest.raises(GraftInputError, match="must be str or int"):
             Multigraph(frozenset({vertex}), ())
+
+    def test_edge_ends_are_vertex_ids(self):
+        """An end that only compares equal to a vertex id is refused; an
+        int subclass such as an IntEnum member is an int id."""
+        for ends in ((True, 2), (2.0, 3), (1, 3.0)):
+            with pytest.raises(GraftInputError, match="end .* must be str or int"):
+                Multigraph.build([1, 2, 3], [("e", *ends)])
+        g = Multigraph.build([3, 7, 9], [("e", Grade.HIGH, 9), ("f", 3, Grade.HIGH)])
+        assert g.edge("e").u is Grade.HIGH and g.edge("f").v is Grade.HIGH
+
+    def test_terminals_and_sides_are_vertex_ids(self):
+        g = Multigraph.build([1, 2], [("e", 1, 2)])
+        for terminals in ({True, 2}, {1, 2.0}):
+            with pytest.raises(GraftInputError, match="terminal .* must be str or int"):
+                Graft(g, frozenset(terminals))
+        with pytest.raises(GraftInputError, match="side vertex True must be str or int"):
+            build_bipartite_graft(g, [], spine=[True], tooth=[2])
+        with pytest.raises(GraftInputError, match="side vertex 2.0 must be str or int"):
+            build_bipartite_graft(g, [], spine=[1], tooth=[2.0])
+        g = Multigraph.build([3, 7], [("e", 3, 7)])
+        graft = build_bipartite_graft(g, [Grade.LOW, Grade.HIGH],
+                                      spine=[Grade.LOW], tooth=[Grade.HIGH])
+        assert graft.terminals == graft.graph.vertices == {3, 7}
 
     def test_edge_ids_are_strings(self):
         """Nonempty ones, as a graft document's must be."""
