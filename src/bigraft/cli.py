@@ -10,6 +10,9 @@ finds a failure or an internal check fails, and 2 on usage or input errors:
 refuses one with 2.
 Anything time-dependent goes to stderr so identical invocations stay
 byte-identical on stdout.
+
+The comb, cathedral and property layers are imported once per call by the
+handlers that run them, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -18,18 +21,6 @@ import argparse
 import functools
 import sys
 
-from .cathedral import (
-    cathedral_poset,
-    enumerate_critical_sets,
-    upper_bound_check,
-)
-from .combs import (
-    build_graft_ear_decomposition,
-    classify_comb,
-    is_critical_quasicomb,
-    require_tooth_root,
-    verify_graft_ear_decomposition,
-)
 from .core import (
     BigraftError,
     Graft,
@@ -51,7 +42,6 @@ from .formats import (
 )
 from .generators import GenConfig, generate
 from .joins import f_distance, min_join, min_join_bruteforce
-from .properties import run_property_suite, suite_report_document
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,8 +228,10 @@ def _cmd_analyze(args) -> int:
     kind = "graft"
     poset = None
     if isinstance(g, OrderedBipartiteGraft):
+        from .combs import classify_comb
         kind = classify_comb(g).kind
         if kind == "comb":
+            from .cathedral import cathedral_poset
             poset = cathedral_poset(g)
 
     def text():
@@ -323,6 +315,7 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .combs import classify_comb
     g = _need_bipartite(_load_graft(args))
     report = classify_comb(g)
     _emit(args,
@@ -337,6 +330,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    from .combs import is_critical_quasicomb
     g = _need_bipartite(_load_graft(args))
     root = _resolve_vertex(g, args.root)
     report = is_critical_quasicomb(g, root)
@@ -355,6 +349,11 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_ear_decomp(args) -> int:
+    from .combs import (
+        build_graft_ear_decomposition,
+        require_tooth_root,
+        verify_graft_ear_decomposition,
+    )
     g = _need_bipartite(_load_graft(args))
     root = _resolve_vertex(g, args.root)
     require_tooth_root(g, root)
@@ -383,6 +382,7 @@ def _cmd_ear_decomp(args) -> int:
 
 
 def _cmd_critical_sets(args) -> int:
+    from .cathedral import enumerate_critical_sets
     g = _need_bipartite(_load_graft(args))
     cid = _resolve_vertex(g, args.component)
     sets = enumerate_critical_sets(g, cid)
@@ -393,6 +393,7 @@ def _cmd_critical_sets(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    from .cathedral import cathedral_poset
     g = _need_bipartite(_load_graft(args))
     p = cathedral_poset(g)
 
@@ -410,6 +411,7 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_upper(args) -> int:
+    from .cathedral import upper_bound_check
     g = _need_bipartite(_load_graft(args))
     cid = _resolve_vertex(g, args.component)
     report = upper_bound_check(g, cid)
@@ -430,6 +432,7 @@ def _cmd_upper(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .properties import run_property_suite, suite_report_document
     selection = None
     if args.properties is not None:
         selection = [s for s in args.properties.split(",") if s]

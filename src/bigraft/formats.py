@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import TYPE_CHECKING
 
-from .cathedral import CathedralPoset, UpperBoundReport
-from .combs import GraftEarDecomposition
 from .core import (
     Graft,
     GraftInputError,
@@ -24,6 +23,10 @@ from .core import (
     is_vertex_id,
     sorted_vertices,
 )
+
+if TYPE_CHECKING:
+    from .cathedral import CathedralPoset, UpperBoundReport
+    from .combs import GraftEarDecomposition
 
 REPORT_SCHEMA = "bigraft-report/1"
 
@@ -335,11 +338,15 @@ def export_dot(obj, *, join=None, components=None) -> str:
     ``join`` styles the given edge ids when rendering a graft;
     ``components`` adds vertex lists to poset node labels.
     """
-    if isinstance(obj, CathedralPoset):
-        return _poset_dot(obj, components)
-    if isinstance(obj, GraftEarDecomposition):
-        return _decomposition_dot(obj)
     if isinstance(obj, Graft):
         return _graft_dot(obj, join)
+    # Rendering a graft loads neither layer below; an ear decomposition or
+    # a poset was made by its module, so importing that module loads nothing.
+    from .combs import GraftEarDecomposition
+    if isinstance(obj, GraftEarDecomposition):
+        return _decomposition_dot(obj)
+    from .cathedral import CathedralPoset
+    if isinstance(obj, CathedralPoset):
+        return _poset_dot(obj, components)
     raise GraftInputError(
         "dot export covers grafts, ear decompositions, and posets")

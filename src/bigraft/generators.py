@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .combs import EarStep, GraftEarDecomposition, bare_root, validate_ear_step
 from .core import (
     CapacityError,
     Graft,
@@ -27,6 +27,9 @@ from .core import (
     odd_degree_vertices,
     sorted_vertices,
 )
+
+if TYPE_CHECKING:
+    from .combs import EarStep, GraftEarDecomposition
 
 _MODES = ("graft", "comb", "critical-quasicomb")
 
@@ -200,23 +203,6 @@ def _choose_join_edges(rng: random.Random, vs: tuple, eids: tuple,
     return frozenset(picked)
 
 
-def _assemble_step(base: OrderedBipartiteGraft, vs: tuple, eids: tuple,
-                   bonds: tuple, new_tooth: set,
-                   fpart: frozenset) -> tuple[EarStep, frozenset]:
-    vset = frozenset(vs)
-    spine = (vset & base.spine) | (vset - new_tooth - base.graph.vertices)
-    tooth = (vset & base.tooth) | frozenset(new_tooth)
-    terminals = odd_degree_vertices(
-        (vs[i], vs[i + 1]) for i, eid in enumerate(eids) if eid in fpart)
-    step = EarStep(Walk(vs, eids), bonds, terminals, spine, tooth)
-    ok, violations = validate_ear_step(base, step)
-    if not ok:
-        raise InternalConsistencyError(
-            "the step sampler produced an invalid ear: "
-            + "; ".join(v.message for v in violations))
-    return step, fpart
-
-
 def _straight_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     bond = _pick_bond(rng, base)
     run, toothy = _side_run(base, bond, rng.randint(1, 3), fresh)
@@ -228,7 +214,7 @@ def _straight_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     if bond in base.spine and vs[-2] in toothy:
         forced[vs[-2]] = (True, len(eids) - 1)
     fpart = _choose_join_edges(rng, vs, eids, toothy, forced)
-    return _assemble_step(base, vs, eids, (bond,), toothy, fpart)
+    return vs, eids, (bond,), toothy, fpart
 
 
 def _round_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
@@ -239,7 +225,7 @@ def _round_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     vs = (s,) + tuple(run) + (t,)
     eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
     fpart = _choose_join_edges(rng, vs, eids, toothy, {})
-    return _assemble_step(base, vs, eids, (s, t), toothy, fpart)
+    return vs, eids, (s, t), toothy, fpart
 
 
 def _circuit_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
@@ -248,7 +234,36 @@ def _circuit_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     vs = (bond,) + tuple(run) + (bond,)
     eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
     fpart = _choose_join_edges(rng, vs, eids, toothy, {})
-    return _assemble_step(base, vs, eids, (bond,), toothy, fpart)
+    return vs, eids, (bond,), toothy, fpart
+
+
+def _ear_step(rng: random.Random, base: OrderedBipartiteGraft, fresh,
+              ear_step, validate) -> tuple[EarStep, frozenset]:
+    """``random_ear_step`` with ``combs.EarStep`` and
+    ``combs.validate_ear_step`` passed in, so a caller that draws many
+    steps imports them once."""
+    kind = rng.choices(_KINDS, weights=_KIND_WEIGHTS)[0]
+    if kind == "round" and len(base.graph.vertices) < 2:
+        kind = rng.choice(("straight", "circuit"))
+    if kind == "straight":
+        walk = _straight_step(rng, base, fresh)
+    elif kind == "round":
+        walk = _round_step(rng, base, fresh)
+    else:
+        walk = _circuit_step(rng, base, fresh)
+    vs, eids, bonds, new_tooth, fpart = walk
+    vset = frozenset(vs)
+    spine = (vset & base.spine) | (vset - new_tooth - base.graph.vertices)
+    tooth = (vset & base.tooth) | frozenset(new_tooth)
+    terminals = odd_degree_vertices(
+        (vs[i], vs[i + 1]) for i, eid in enumerate(eids) if eid in fpart)
+    step = ear_step(Walk(vs, eids), bonds, terminals, spine, tooth)
+    ok, violations = validate(base, step)
+    if not ok:
+        raise InternalConsistencyError(
+            "the step sampler produced an invalid ear: "
+            + "; ".join(v.message for v in violations))
+    return step, fpart
 
 
 def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
@@ -261,14 +276,8 @@ def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
     so the returned step passes validation with no advisory findings.
     Returns the step together with its join share.
     """
-    kind = rng.choices(_KINDS, weights=_KIND_WEIGHTS)[0]
-    if kind == "round" and len(base.graph.vertices) < 2:
-        kind = rng.choice(("straight", "circuit"))
-    if kind == "straight":
-        return _straight_step(rng, base, fresh)
-    if kind == "round":
-        return _round_step(rng, base, fresh)
-    return _circuit_step(rng, base, fresh)
+    from .combs import EarStep, validate_ear_step
+    return _ear_step(rng, base, fresh, EarStep, validate_ear_step)
 
 
 def gen_random_critical_quasicomb(
@@ -279,6 +288,7 @@ def gen_random_critical_quasicomb(
     Returns the recorded decomposition and the accumulated join, which is
     minimum for the target by the per-tooth ownership bound.
     """
+    from .combs import EarStep, GraftEarDecomposition, bare_root, validate_ear_step
     rng = rng or cfg.rng()
     goal = rng.randint(*cfg.vertices)
     fresh = itertools.count(1)
@@ -288,7 +298,8 @@ def gen_random_critical_quasicomb(
     while len(current.graph.vertices) < goal or not steps:
         if len(steps) >= cfg.budget:
             break
-        step, share = random_ear_step(rng, current, fresh)
+        step, share = _ear_step(rng, current, fresh, EarStep,
+                                validate_ear_step)
         current = graft_sum(current, step.as_graft())
         steps.append(step)
         fset |= share

@@ -183,6 +183,27 @@ class TestRandomEarStep:
             base = graft_sum(base, step.as_graft())
         assert len(base.graph.vertices) > 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_the_steps_the_quasicomb_generator_draws(self, seed):
+        """The public one-step sampler and the generator's loop share one
+        sampler: from the same stream they draw the same steps and join."""
+        import itertools
+        from bigraft.combs import bare_root
+        from bigraft.core import graft_sum
+        cfg = GenConfig(seed=seed, vertices=(6, 12))
+        d, F = gen_random_critical_quasicomb(cfg)
+        rng = cfg.rng()
+        rng.randint(*cfg.vertices)
+        fresh = itertools.count(1)
+        base = bare_root("r")
+        fset = frozenset()
+        for recorded in d.steps:
+            step, share = random_ear_step(rng, base, fresh)
+            assert step == recorded
+            base = graft_sum(base, step.as_graft())
+            fset |= share
+        assert base == d.target and fset == F
+
 
 class TestGenerate:
 

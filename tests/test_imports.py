@@ -9,13 +9,25 @@ module defines the attribute, nor imports another module's private name.
 The repository runs no linter, so these are the guards against imports,
 definitions and parameters left behind when code moves.  ``__init__.py`` is skipped by the
 import check: it imports to re-export.
+
+The package exports each public name through one table read by its
+``__getattr__``, which loads the name's module on first use.  Tests at the
+end pin that table and what each entry point loads in a fresh interpreter.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import bigraft
+from bigraft.core import Graft
+from bigraft.formats import serialize_graft
+from bigraft.instances import c4, p3r
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bigraft"
 TESTS = Path(__file__).resolve().parent
@@ -122,6 +134,9 @@ KEEP = {
         "the acceptance gate tests the partition with it",
     "formats.py:serialize_graft":
         "writes the graft documents that the probes run the CLI on",
+    "generators.py:random_ear_step":
+        "the public one-step sampler; the quasicomb generator draws through "
+        "the same _ear_step",
     "instances.py:k2": INSTANCE,
     "instances.py:c4": INSTANCE,
     "instances.py:chain4": INSTANCE,
@@ -323,3 +338,73 @@ def test_foreign_private_import_is_caught():
               "from json.encoder import encode_basestring_ascii as _enc\n"
               "from . import __version__\n")
     assert foreign_private_imports(source) == ["1 .joins._table", "2 .core._helper"]
+
+
+# ---------------------------------------------------------------------------
+# The export table and what each entry point loads.
+# ---------------------------------------------------------------------------
+
+def loaded_modules(code: str, stdin: str = "") -> set[str]:
+    """The ``bigraft`` submodules, without the package prefix, that a fresh
+    interpreter has loaded after running ``code``."""
+    report = ("\nimport sys\nprint(sorted(m.partition('.')[2] for m in "
+              "sys.modules if m.startswith('bigraft.')), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code + report], input=stdin,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import bigraft") == set()
+
+
+def test_generator_and_document_load_only_their_layers():
+    assert loaded_modules(
+        "from bigraft import gen_random_graft, graft_document"
+    ) == {"core", "formats", "generators"}
+
+
+def test_analyze_without_sides_loads_no_comb_layer():
+    g = c4()
+    loaded = loaded_modules(
+        "from bigraft import cli_main\n"
+        "assert cli_main(['analyze', '--format', 'json']) == 0",
+        stdin=serialize_graft(Graft(g.graph, g.terminals)))
+    assert "cli" in loaded
+    assert loaded.isdisjoint({"combs", "cathedral", "properties"})
+
+
+def test_ear_decomp_loads_neither_cathedral_nor_properties():
+    loaded = loaded_modules(
+        "from bigraft import cli_main\n"
+        "assert cli_main(['ear-decomp', 'r']) == 0",
+        stdin=serialize_graft(p3r()))
+    assert "combs" in loaded
+    assert loaded.isdisjoint({"cathedral", "properties"})
+
+
+def test_export_table_keys_are_all():
+    assert list(bigraft._MODULE_OF) == bigraft.__all__
+
+
+@pytest.mark.parametrize("name", bigraft.__all__)
+def test_export_resolves_to_its_module_object(name):
+    module = importlib.import_module(f"bigraft.{bigraft._MODULE_OF[name]}")
+    assert getattr(bigraft, name) is getattr(module, name)
+    assert name in bigraft.__dir__()
+
+
+def test_star_import_binds_every_name():
+    code = ("from bigraft import *\n"
+            "import bigraft\n"
+            "print([n for n in bigraft.__all__ if n not in globals()])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_unknown_attribute_message():
+    with pytest.raises(AttributeError,
+                       match="^module 'bigraft' has no attribute 'no_such_name'$"):
+        bigraft.no_such_name
