@@ -196,15 +196,6 @@ def _component_docs(comps) -> list[dict]:
             for c in comps]
 
 
-def _classes_by_component(part, comps) -> list[tuple]:
-    """(component id, its distance-zero classes) for each factor component,
-    grouped in one pass over the partition."""
-    grouped = {c.id: [] for c in comps}
-    for cls, owner in zip(part.classes, part.component_ids):
-        grouped[owner].append(cls)
-    return list(grouped.items())
-
-
 def _kl_lines(groups) -> list[str]:
     return [f"{cid}: " + " ".join("{" + _set_text(cls) + "}" for cls in classes)
             for cid, classes in groups]
@@ -224,7 +215,7 @@ def _cmd_analyze(args) -> int:
     g = _load_graft(args)
     F = _join_backend(g, args)
     comps = factor_components(g)
-    groups = _classes_by_component(kl_partition(g), comps)
+    groups = kl_partition(g).by_component
     kind = "graft"
     poset = None
     if isinstance(g, OrderedBipartiteGraft):
@@ -307,9 +298,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_kl(args) -> int:
-    g = _load_graft(args)
-    part = kl_partition(g)
-    groups = _classes_by_component(part, factor_components(g))
+    groups = kl_partition(_load_graft(args)).by_component
     _emit(args, lambda: _kl_lines(groups), lambda: {"kl": _kl_docs(groups)})
     return 0
 

@@ -4,8 +4,9 @@ Factor components are the components of the allowed subgraph, the edges
 of some minimum join (``joins.allowed_edge_set``).  They cut a graft into
 the pieces that exchange minimum-join structure; inside each piece,
 distance zero is an equivalence whose classes this module computes and
-audits.  Every join size and distance comes from ``joins``; this module
-reads no join table itself.
+audits.  ``kl_partition`` groups the classes per factor component, and
+every reader of the classes reads that grouping.  Every join size and
+distance comes from ``joins``; this module reads no join table itself.
 """
 
 from __future__ import annotations
@@ -153,41 +154,33 @@ def induced_subgraft(g: Graft, X: Iterable) -> Graft:
 
 @dataclass(frozen=True)
 class KLPartition:
-    """Distance-zero classes within each factor component.
+    """Distance-zero classes, grouped by the factor component they refine.
 
-    ``classes`` holds disjoint vertex sets covering V; a class id is its
-    least vertex.  ``component_ids`` aligns with ``classes``: entry i names
-    the factor component whose vertices class i refines.
+    ``by_component`` pairs each factor-component id with its classes, in
+    ``factor_components`` order.  The classes are disjoint vertex sets
+    covering V; a class id is its least vertex.
     """
 
-    classes: tuple[frozenset, ...]
-    component_ids: tuple
+    by_component: tuple[tuple[object, tuple[frozenset, ...]], ...]
 
     def __post_init__(self):
-        if len(self.classes) != len(self.component_ids):
-            raise InternalConsistencyError("class/component alignment broken")
         lookup: dict = {}
-        for cls in self.classes:
-            if not cls:
-                raise InternalConsistencyError("empty class")
-            entry = (sorted_vertices(cls)[0], cls)
-            for v in cls:
-                if v in lookup:
-                    raise InternalConsistencyError("classes overlap")
-                lookup[v] = entry
+        for _, classes in self.by_component:
+            for cls in classes:
+                if not cls:
+                    raise InternalConsistencyError("empty class")
+                class_id = sorted_vertices(cls)[0]
+                for v in cls:
+                    if v in lookup:
+                        raise InternalConsistencyError("classes overlap")
+                    lookup[v] = class_id
         object.__setattr__(self, "_lookup", lookup)
 
-    def _entry(self, v) -> tuple:
+    def class_id_of(self, v):
         try:
             return self._lookup[v]
         except KeyError:
             raise GraftInputError(f"unknown vertex id {v!r}") from None
-
-    def class_id_of(self, v):
-        return self._entry(v)[0]
-
-    def class_of(self, v) -> frozenset:
-        return self._entry(v)[1]
 
     def same_class(self, u, v) -> bool:
         return self.class_id_of(u) == self.class_id_of(v)
@@ -207,12 +200,10 @@ def kl_partition(g: Graft) -> KLPartition:
     """
     comps = factor_components(g)
     distance = f_distance_reader(g)
-    classes: list[frozenset] = []
-    component_ids: list = []
+    groups: list[tuple] = []
     for comp in comps:
         if len(comp.vertices) == 1:
-            classes.append(comp.vertices)
-            component_ids.append(comp.id)
+            groups.append((comp.id, (comp.vertices,)))
             continue
         local: list[list] = []
         class_of: dict = {}
@@ -229,16 +220,13 @@ def kl_partition(g: Graft) -> KLPartition:
                         f"({u!r}, {v!r}) in component {comp.id!r}")
             members.append(v)
             class_of[v] = members
-        for members in local:
-            classes.append(frozenset(members))
-            component_ids.append(comp.id)
-    return KLPartition(tuple(classes), tuple(component_ids))
+        groups.append((comp.id, tuple(frozenset(m) for m in local)))
+    return KLPartition(tuple(groups))
 
 
 def kl_classes_of_component(part: KLPartition, cid) -> tuple[frozenset, ...]:
     """The classes refining one factor component."""
-    out = tuple(cls for cls, owner in zip(part.classes, part.component_ids)
-                if owner == cid)
-    if not out:
-        raise GraftInputError(f"unknown factor-component id {cid!r}")
-    return out
+    for owner, classes in part.by_component:
+        if owner == cid:
+            return classes
+    raise GraftInputError(f"unknown factor-component id {cid!r}")

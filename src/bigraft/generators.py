@@ -4,8 +4,8 @@ All sampling runs on ``random.Random`` (Mersenne Twister) seeded explicitly,
 so a config reproduces its instances byte for byte on any platform.  A comb
 takes one draw: every tooth vertex owns exactly one join edge, which makes
 that join minimum.  Critical quasicombs are grown forward by composing
-random proper ear steps, which by the characterization theorem cannot
-produce anything else.
+random proper ear steps, each drawn by ``random_ear_step``, which by the
+characterization theorem cannot produce anything else.
 """
 
 from __future__ import annotations
@@ -237,11 +237,17 @@ def _circuit_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     return vs, eids, (bond,), toothy, fpart
 
 
-def _ear_step(rng: random.Random, base: OrderedBipartiteGraft, fresh,
-              ear_step, validate) -> tuple[EarStep, frozenset]:
-    """``random_ear_step`` with ``combs.EarStep`` and
-    ``combs.validate_ear_step`` passed in, so a caller that draws many
-    steps imports them once."""
+def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
+                    fresh) -> tuple[EarStep, frozenset]:
+    """One random proper ear step against ``base``.
+
+    ``fresh`` is an iterator of unused integer suffixes shared across steps.
+    Every new tooth vertex selects exactly one of its walk edges into the
+    join share; straight ears respect the free-end and bond placement rules,
+    so the returned step passes validation with no advisory findings.
+    Returns the step together with its join share.
+    """
+    from .combs import EarStep, validate_ear_step
     kind = rng.choices(_KINDS, weights=_KIND_WEIGHTS)[0]
     if kind == "round" and len(base.graph.vertices) < 2:
         kind = rng.choice(("straight", "circuit"))
@@ -257,27 +263,13 @@ def _ear_step(rng: random.Random, base: OrderedBipartiteGraft, fresh,
     tooth = (vset & base.tooth) | frozenset(new_tooth)
     terminals = odd_degree_vertices(
         (vs[i], vs[i + 1]) for i, eid in enumerate(eids) if eid in fpart)
-    step = ear_step(Walk(vs, eids), bonds, terminals, spine, tooth)
-    ok, violations = validate(base, step)
+    step = EarStep(Walk(vs, eids), bonds, terminals, spine, tooth)
+    ok, violations = validate_ear_step(base, step)
     if not ok:
         raise InternalConsistencyError(
             "the step sampler produced an invalid ear: "
             + "; ".join(v.message for v in violations))
     return step, fpart
-
-
-def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
-                    fresh) -> tuple[EarStep, frozenset]:
-    """One random proper ear step against ``base``.
-
-    ``fresh`` is an iterator of unused integer suffixes shared across steps.
-    Every new tooth vertex selects exactly one of its walk edges into the
-    join share; straight ears respect the free-end and bond placement rules,
-    so the returned step passes validation with no advisory findings.
-    Returns the step together with its join share.
-    """
-    from .combs import EarStep, validate_ear_step
-    return _ear_step(rng, base, fresh, EarStep, validate_ear_step)
 
 
 def gen_random_critical_quasicomb(
@@ -288,7 +280,7 @@ def gen_random_critical_quasicomb(
     Returns the recorded decomposition and the accumulated join, which is
     minimum for the target by the per-tooth ownership bound.
     """
-    from .combs import EarStep, GraftEarDecomposition, bare_root, validate_ear_step
+    from .combs import GraftEarDecomposition, bare_root
     rng = rng or cfg.rng()
     goal = rng.randint(*cfg.vertices)
     fresh = itertools.count(1)
@@ -298,8 +290,7 @@ def gen_random_critical_quasicomb(
     while len(current.graph.vertices) < goal or not steps:
         if len(steps) >= cfg.budget:
             break
-        step, share = _ear_step(rng, current, fresh, EarStep,
-                                validate_ear_step)
+        step, share = random_ear_step(rng, current, fresh)
         current = graft_sum(current, step.as_graft())
         steps.append(step)
         fset |= share

@@ -13,17 +13,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from typing import Callable
 
 from .cathedral import (
     cathedral_poset,
     enumerate_critical_sets,
     is_critical_set,
-    precedes,
     upper_bound_check,
 )
 from .combs import (
+    GraftEarDecomposition,
     build_graft_ear_decomposition,
     is_critical_quasicomb,
     verify_graft_ear_decomposition,
@@ -208,8 +207,9 @@ def _factor_connected(g) -> bool:
 
 
 def _make_critical_quasicomb(cfg, rng):
-    small = _clamped(cfg, 3, 10)
-    return gen_random_critical_quasicomb(small, rng)
+    """The grown decomposition alone: each check finds its own join."""
+    d, _ = gen_random_critical_quasicomb(_clamped(cfg, 3, 10), rng)
+    return d
 
 
 _MAKERS = {
@@ -236,11 +236,10 @@ _MAKERS = {
 }
 
 
-def _instance_document(bundle) -> dict:
-    if isinstance(bundle, tuple):
-        decomposition, _ = bundle
-        return graft_document(decomposition.target)
-    return graft_document(bundle)
+def _instance_document(instance) -> dict:
+    if isinstance(instance, GraftEarDecomposition):
+        instance = instance.target
+    return graft_document(instance)
 
 
 def _sample_pairs(rng, vertices, count: int):
@@ -467,8 +466,7 @@ def _check_cut_misses_joins(g, rng):
     return tuple(out)
 
 
-def _check_composition_critical(bundle, rng):
-    d, _ = bundle
+def _check_composition_critical(d, rng):
     report = is_critical_quasicomb(d.target, d.root)
     if not report.critical:
         return ("a composition of proper ear steps is not critical: "
@@ -476,8 +474,7 @@ def _check_composition_critical(bundle, rng):
     return ()
 
 
-def _check_builder_round_trip(bundle, rng):
-    d, _ = bundle
+def _check_builder_round_trip(d, rng):
     F = min_join(d.target)
     rebuilt = build_graft_ear_decomposition(d.target, d.root, F)
     report = verify_graft_ear_decomposition(rebuilt, F)
@@ -487,8 +484,7 @@ def _check_builder_round_trip(bundle, rng):
     return ()
 
 
-def _check_builder_step_joins(bundle, rng):
-    d, _ = bundle
+def _check_builder_step_joins(d, rng):
     F = min_join(d.target)
     rebuilt = build_graft_ear_decomposition(d.target, d.root, F)
     report = verify_graft_ear_decomposition(rebuilt, F)
@@ -500,8 +496,7 @@ def _check_builder_step_joins(bundle, rng):
     return tuple(out)
 
 
-def _check_critical_join_shapes(bundle, rng):
-    d, _ = bundle
+def _check_critical_join_shapes(d, rng):
     g, r = d.target, d.root
     F = min_join(g)
     fset = F.edge_ids
@@ -527,8 +522,7 @@ def _check_critical_join_shapes(bundle, rng):
     return tuple(out)
 
 
-def _check_quasicomb_path_weights(bundle, rng):
-    d, _ = bundle
+def _check_quasicomb_path_weights(d, rng):
     g = d.target
     F = min_join(g)
     out = []
@@ -555,8 +549,7 @@ def _check_quasicomb_path_weights(bundle, rng):
     return tuple(out)
 
 
-def _check_quasicomb_floors(bundle, rng):
-    d, _ = bundle
+def _check_quasicomb_floors(d, rng):
     g = d.target
     out = []
     for u, v, d_uv in _pair_distances(g):
@@ -577,13 +570,12 @@ def _check_poset_axioms(g, rng):
 
 def _check_monotone_consistency(g, rng):
     comps = factor_components(g)
-    # Each precedes call regrows top(comp), so each pair asks once.
-    ordered = cache(partial(precedes, g))
+    precedes = cathedral_poset(g).precedes
     out = []
     for comp in comps:
         for xs in enumerate_critical_sets(g, comp.id):
             for other in comps:
-                if other.vertices <= xs and not ordered(comp.id, other.id):
+                if other.vertices <= xs and not precedes(comp.id, other.id):
                     out.append(f"{comp.id!r} has a critical set covering "
                                f"{other.id!r} yet does not precede it")
     return tuple(out)
@@ -747,8 +739,8 @@ def run_property_suite(trials: int, cfg: GenConfig,
             seed_key = f"{cfg.seed}:{prop.name}:{trial}"
             rng = random.Random(seed_key)
             try:
-                bundle = _MAKERS[prop.mode](cfg, rng)
-                transcript = prop.check(bundle, rng)
+                instance = _MAKERS[prop.mode](cfg, rng)
+                transcript = prop.check(instance, rng)
             except BigraftError as exc:
                 failed += 1
                 certificates.append(Certificate(
@@ -758,7 +750,7 @@ def run_property_suite(trials: int, cfg: GenConfig,
             if transcript:
                 failed += 1
                 certificates.append(Certificate(
-                    prop.name, trial, seed_key, _instance_document(bundle),
+                    prop.name, trial, seed_key, _instance_document(instance),
                     tuple(transcript)))
             else:
                 passed += 1

@@ -400,7 +400,7 @@ class TestVerify:
         assert lines[-1] == "failures: 2"
 
     def test_decomposition_counterexample_carries_its_target(self):
-        """A critical-quasicomb bundle is certified by its target graft,
+        """A critical-quasicomb instance is certified by its target graft,
         which replays as an ordinary analyze input."""
         from bigraft.properties import _MAKERS
         with flipped_distance_sign():
@@ -410,7 +410,7 @@ class TestVerify:
         assert code == 1
         cert, = json.loads(out)["certificates"]
         assert cert["seed"] == "1:ear-composition-critical:0"
-        d, _ = _MAKERS["critical-quasicomb"](
+        d = _MAKERS["critical-quasicomb"](
             GenConfig(seed=1), random.Random(cert["seed"]))
         assert cert["instance"] == graft_document(d.target)
         assert run_cli("analyze", stdin=json.dumps(cert["instance"]))[0] == 0

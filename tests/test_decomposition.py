@@ -14,7 +14,12 @@ from bigraft.decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
-from bigraft.generators import GenConfig, gen_random_graft
+from bigraft.generators import (
+    GenConfig,
+    gen_random_comb,
+    gen_random_critical_quasicomb,
+    gen_random_graft,
+)
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import (
     all_min_joins,
@@ -113,31 +118,43 @@ class TestIsSeparating:
                     assert not (F & boundary)
 
 
+def all_classes(part) -> set:
+    return {cls for _, classes in part.by_component for cls in classes}
+
+
+def seeded_targets():
+    """Seeds 0-29 of each generator: grafts, combs and the targets of grown
+    critical quasicombs."""
+    for seed in range(30):
+        cfg = GenConfig(seed=seed)
+        yield gen_random_graft(cfg)
+        yield gen_random_comb(cfg)
+        yield gen_random_critical_quasicomb(cfg)[0].target
+
+
 class TestKLPartition:
     def test_c4(self):
         part = kl_partition(c4())
-        assert set(part.classes) == {
+        assert all_classes(part) == {
             frozenset({"v1", "v3"}), frozenset({"v2"}), frozenset({"v4"})}
 
     def test_k2(self):
         part = kl_partition(k2())
-        assert set(part.classes) == {frozenset({"a"}), frozenset({"b"})}
+        assert all_classes(part) == {frozenset({"a"}), frozenset({"b"})}
 
     def test_chain4_all_singletons(self):
         part = kl_partition(chain4())
-        assert set(part.classes) == {
+        assert all_classes(part) == {
             frozenset({"a0"}), frozenset({"b0"}), frozenset({"a1"}), frozenset({"b1"})}
 
     def test_lookup_maps(self):
         part = kl_partition(c4())
         assert part.class_id_of("v3") == "v1"
-        assert part.class_of("v3") == {"v1", "v3"}
+        assert frozenset({"v1", "v3"}) in kl_classes_of_component(part, "v1")
         assert part.same_class("v1", "v3")
         assert not part.same_class("v1", "v2")
         with pytest.raises(GraftInputError):
             part.class_id_of("zz")
-        with pytest.raises(GraftInputError):
-            part.class_of("zz")
 
     def test_each_class_sorted_once(self, monkeypatch):
         calls = []
@@ -148,18 +165,23 @@ class TestKLPartition:
 
         monkeypatch.setattr(decomposition, "sorted_vertices", counted)
         big, small = frozenset(range(1, 400)), frozenset({"x", 0})
-        part = decomposition.KLPartition((big, small), (1, 0))
+        part = decomposition.KLPartition(((1, (big,)), (0, (small,))))
         assert len(calls) == 2
-        assert part.class_of(7) is big and part.class_id_of(7) == 1
-        assert part.class_of("x") is small and part.class_id_of("x") == 0
+        assert kl_classes_of_component(part, 1) == (big,)
+        assert part.class_id_of(7) == 1
+        assert kl_classes_of_component(part, 0) == (small,)
+        assert part.class_id_of("x") == 0
 
     def test_classes_refine_components(self):
-        for g in (c4(), chain4(), p3r()):
+        for g in (c4(), chain4(), p3r(), *seeded_targets()):
             part = kl_partition(g)
             comps = factor_components(g)
-            for cls, cid in zip(part.classes, part.component_ids):
-                assert cls <= comps.by_id(cid).vertices
-
+            assert tuple(cid for cid, _ in part.by_component) == comps.ids()
+            for comp, (cid, classes) in zip(comps, part.by_component):
+                assert frozenset().union(*classes) == comp.vertices
+                for cls in classes:
+                    assert cls <= comp.vertices
+                assert kl_classes_of_component(part, cid) is classes
 
     def test_classes_are_the_distance_zero_relation(self):
         for seed in range(30):
@@ -237,7 +259,7 @@ class TestCombSpecialization:
                     continue
                 ids = {part.class_id_of(v) for v in spine_side}
                 assert len(ids) == 1
-                assert part.class_of(next(iter(spine_side))) == spine_side
+                assert spine_side in kl_classes_of_component(part, comp.id)
 
     def test_comb_distance_table_values(self):
         from bigraft.joins import f_distance_int

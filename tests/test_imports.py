@@ -121,30 +121,18 @@ PROGRAM = MODULES + sorted(
 INSTANCE = "a named reference instance that tests and probes build"
 KEEP = {
     "cathedral.py:precedes": "the acceptance gate asks the order with it",
-    "cathedral.py:CathedralPoset.precedes":
-        "the poset's twin of precedes(), reading the relation by component id",
     "cathedral.py:CathedralPoset.height_of":
         "the acceptance gate reads a component's height",
     "cathedral.py:round_ear_bond_check": "a lemma check the tests run",
     "cathedral.py:union_criticality_check": "a lemma check the tests run",
     "combs.py:midvertex": "a lemma certificate the tests run",
-    "decomposition.py:KLPartition.class_of": "the class of a vertex",
-    "decomposition.py:KLPartition.class_id_of": "the class id of a vertex",
-    "decomposition.py:KLPartition.same_class":
-        "the acceptance gate tests the partition with it",
     "formats.py:serialize_graft":
         "writes the graft documents that the probes run the CLI on",
-    "generators.py:random_ear_step":
-        "the public one-step sampler; the quasicomb generator draws through "
-        "the same _ear_step",
     "instances.py:k2": INSTANCE,
     "instances.py:c4": INSTANCE,
     "instances.py:chain4": INSTANCE,
     "instances.py:p3r": INSTANCE,
     "instances.py:comb_path": INSTANCE,
-    "joins.py:all_min_joins": "an exhaustive backend, the oracle of min_join",
-    "joins.py:min_join_bruteforce":
-        "an exhaustive backend, the oracle of min_join",
     "joins.py:negative_circuit_witness":
         "the certificate that a join is not minimum",
 }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigraft import properties
-from bigraft.cathedral import enumerate_critical_sets
+from bigraft.cathedral import CathedralPoset, enumerate_critical_sets
 from bigraft.combs import classify_comb
 from bigraft.core import GraftInputError, InternalConsistencyError
 from bigraft.decomposition import factor_components
@@ -173,28 +173,31 @@ class TestDetection:
 
 class TestMonotoneConsistency:
 
-    def test_precedes_is_asked_once_per_pair(self, monkeypatch):
-        """The check asks precedes once per pair of components, however
-        many critical sets cover the second, and still writes one line per
-        critical set covering a component that the first does not precede.
-        The stand-in precedes holds only from a component to itself."""
-        asked = []
+    def test_one_poset_answers_every_cover(self, monkeypatch):
+        """The check builds one order per comb, however many critical sets
+        cover a component, and writes one line per critical set covering a
+        component that the first does not precede.  The stand-in order
+        holds only from a component to itself."""
+        built = []
 
-        def only_itself(g, first, second):
-            asked.append((first, second))
-            return first == second
+        def only_itself(g):
+            built.append(g)
+            ids = factor_components(g).ids()
+            return CathedralPoset(
+                ids, tuple(tuple(a == b for b in ids) for a in ids), (),
+                tuple((cid, 1) for cid in ids))
 
-        monkeypatch.setattr(properties, "precedes", only_itself)
+        monkeypatch.setattr(properties, "cathedral_poset", only_itself)
         repeated = False
         for trial in range(6):
             g = _MAKERS["component-rich-comb"](CFG, random.Random(trial))
-            asked.clear()
+            built.clear()
             lines = _check_monotone_consistency(g, None)
             comps = factor_components(g)
             covers = [(comp.id, other.id) for comp in comps
                       for xs in enumerate_critical_sets(g, comp.id)
                       for other in comps if other.vertices <= xs]
-            assert sorted(asked) == sorted(set(covers))
+            assert built == [g]
             assert len(lines) == sum(a != b for a, b in covers)
             repeated |= len(covers) > len(set(covers))
         assert repeated
