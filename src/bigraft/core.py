@@ -8,11 +8,14 @@ and hashable, so instances can be shared freely.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import wraps
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 VertexId = str | int
+_edge_id = attrgetter("id")
 
 
 class BigraftError(Exception):
@@ -110,16 +113,20 @@ class Multigraph:
     The constructor checks that every vertex id is a str or an int (not a
     bool) and that every edge has a str id of its own and two distinct,
     known ends, each a vertex id itself.  It turns each edge so that its
-    ends ascend in ``vertex_key`` order, and then runs ``_index``, the one
-    routine that builds the sorted edge tuple, the edge map, the adjacency
-    and the components.  A search starts from each unseen vertex in ``vertex_key``
-    order, so ``component_roots[i]``, the start of ``components()[i]``, is
-    its least vertex and the roots ascend.  ``component_index`` maps each
-    vertex to its component's position.  Anything else derived lives in
-    ``_memo``.  ``_assembled`` runs ``_index`` alone: it serves the graphs
-    this module derives from valid ones, which pass every check by
-    construction, such as ``induced`` (a vertex subset with the edges
-    inside it) and ``spanning`` (every vertex with an edge subset).
+    ends ascend in ``vertex_key`` order, and then runs ``_index``, which
+    builds from nothing the vertex order, the sorted edge tuple, the edge
+    map, the adjacency and the components.  A search starts from each
+    unseen vertex in ``vertex_key`` order, so ``component_roots[i]``, the
+    start of ``components()[i]``, is its least vertex and the roots ascend.
+    ``component_index`` maps each vertex to its component's position.
+    Anything else derived lives in ``_memo``.  ``_assembled`` runs
+    ``_index`` alone: it serves the graphs this module derives from valid
+    ones, which pass every check by construction, such as ``induced`` (a
+    vertex subset with the edges inside it) and ``spanning`` (every vertex
+    with an edge subset), which hand it the vertex order they keep from
+    their parent.  ``_extended`` serves ``graft_sum``: it grows its first
+    operand's index by the edges the sum adds, and every field it builds
+    equals what ``_index`` would, adjacency order included.
     """
 
     vertices: frozenset
@@ -153,13 +160,17 @@ class Multigraph:
         self._index(by_id)
 
     @classmethod
-    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge]) -> Multigraph:
+    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge],
+                   order: list | None = None) -> Multigraph:
         """The graph on ``vertices`` with the edges of ``by_id``, indexed
         and not checked: each edge must already be canonical, with its
-        ends in ``vertices``."""
-        return _unchecked(cls, vertices=vertices)._index(by_id)
+        ends in ``vertices``.  ``order``, where the caller holds it, lists
+        ``vertices`` in ``vertex_key`` order, and is not sorted again."""
+        return _unchecked(cls, vertices=vertices)._index(by_id, order)
 
-    def _index(self, by_id: dict[str, Edge]) -> Multigraph:
+    def _index(self, by_id: dict[str, Edge], order: list | None = None) -> Multigraph:
+        if order is None:
+            order = sorted_vertices(self.vertices)
         edges = tuple(by_id[eid] for eid in sorted(by_id))
         adj: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices}
         for e in edges:
@@ -168,7 +179,7 @@ class Multigraph:
         index: dict = {}
         roots: list = []
         components: list[frozenset] = []
-        for root in sorted_vertices(self.vertices):
+        for root in order:
             if root in index:
                 continue
             i = len(roots)
@@ -182,14 +193,147 @@ class Multigraph:
                         comp.append(w)
             roots.append(root)
             components.append(frozenset(comp))
+        return self._set_index(order, edges, by_id,
+                               {v: tuple(es) for v, es in adj.items()},
+                               tuple(components), tuple(roots), index)
+
+    def _set_index(self, order, edges, by_id, adjacency, components, roots,
+                   index) -> Multigraph:
+        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_edge_map", by_id)
-        object.__setattr__(self, "_adjacency", {v: tuple(es) for v, es in adj.items()})
-        object.__setattr__(self, "_components", tuple(components))
-        object.__setattr__(self, "component_roots", tuple(roots))
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_components", components)
+        object.__setattr__(self, "component_roots", roots)
         object.__setattr__(self, "component_index", index)
         object.__setattr__(self, "_memo", {})
         return self
+
+    def _extended(self, vertices: frozenset, added: dict[str, Edge]) -> Multigraph:
+        """This graph with the vertices ``vertices``, a superset of its
+        own, and the canonical edges ``added``, whose ids are new, indexed
+        by extending this graph's index: its fields equal ``_index``'s.
+
+        New vertices and edges are put into the vertex order, the edge
+        tuple and the adjacency tuples in place; only the vertices an added
+        edge touches get new tuples, and ``_joined`` gives the components.
+        Then each memo entry that ``grown_by_sums`` registered is grown
+        into the new graph, which holds nothing of this one.
+        """
+        fresh = sorted_vertices(vertices - self.vertices)
+        order = self._order
+        if fresh:
+            order = order.copy()
+            for v in fresh:
+                try:
+                    insort(order, v)
+                except TypeError:
+                    insort(order, v, key=vertex_key)
+        new_edges = [added[eid] for eid in sorted(added)]
+        edges = list(self.edges)
+        adjacency = self._adjacency.copy()
+        adjacency.update(dict.fromkeys(fresh, ()))
+        for e in new_edges:
+            insort(edges, e, key=_edge_id)
+            for x in (e.u, e.v):
+                es = adjacency[x] + (e,)
+                # The new edges come in id order; an old one may follow.
+                if len(es) > 1 and es[-2].id > e.id:
+                    es = tuple(sorted(es, key=_edge_id))
+                adjacency[x] = es
+        out = _unchecked(Multigraph, vertices=vertices)._set_index(
+            order, tuple(edges), {**self._edge_map, **added}, adjacency,
+            *self._joined(fresh, adjacency, new_edges))
+        for slot, value in list(self._memo.items()):
+            grow = _GROWERS.get(slot[0])
+            if grow is not None:
+                grown = grow(self, out, added, slot[1], value)
+                if grown is not None:
+                    out._memo[slot[0], grown[0]] = grown[1]
+        return out
+
+    def _joined(self, fresh: list, adjacency: dict, new_edges: list) -> tuple:
+        """(components, roots, component index) of this graph with the new
+        vertices ``fresh`` and the edges ``new_edges``; ``adjacency`` is
+        the sum's.
+
+        Mostly the added edges are an ear: they touch one old component,
+        each region of new vertices that they join reaches it, and the
+        least of the component and the new vertices keeps the component's
+        position.  Then that one component gains the new vertices.
+        Otherwise the components merge by union-find over nodes, an old
+        component standing for all its vertices by its root and a new
+        vertex for itself, and a merged component's root is the least of
+        its nodes.  Either way only the vertices whose position is new or
+        moved are indexed again.
+        """
+        index, roots, comps = self.component_index, self.component_roots, self._components
+        hit = {index[x] for e in new_edges for x in (e.u, e.v) if x in index}
+        if len(hit) == 1:
+            (i,) = hit
+            seen: set = set()
+            for v in fresh:
+                if v in seen:
+                    continue
+                seen.add(v)
+                region, anchored = [v], False
+                for x in region:
+                    for e in adjacency[x]:
+                        w = e.v if e.u == x else e.u
+                        if w in index:
+                            anchored = True
+                        elif w not in seen:
+                            seen.add(w)
+                            region.append(w)
+                if not anchored:
+                    break
+            else:
+                root = roots[i]
+                if fresh and vertex_key(fresh[0]) < vertex_key(root):
+                    root = fresh[0]
+                if not i or vertex_key(roots[i - 1]) < vertex_key(root):
+                    index = index.copy()
+                    index.update(dict.fromkeys(fresh, i))
+                    return (comps[:i] + (comps[i].union(fresh),) + comps[i + 1:],
+                            roots[:i] + (root,) + roots[i + 1:], index)
+
+        node = {x: roots[index[x]] if x in index else x
+                for e in new_edges for x in (e.u, e.v)}
+        node.update((v, v) for v in fresh)
+        parent = {x: x for x in node.values()}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for e in new_edges:
+            a, b = find(node[e.u]), find(node[e.v])
+            if a != b:
+                parent[a] = b
+        groups: dict = {}
+        for x in parent:
+            groups.setdefault(find(x), []).append(x)
+        old_pos = {r: i for i, r in enumerate(roots)}
+        merged = {x for xs in groups.values() if len(xs) > 1 for x in xs}
+        # (root, component, old positions in it, new vertices in it)
+        out = [(r, c, (i,), ()) for i, (r, c) in enumerate(zip(roots, comps))
+               if r not in merged]
+        for xs in groups.values():
+            if len(xs) == 1 and xs[0] in old_pos:
+                continue
+            olds = [old_pos[x] for x in xs if x in old_pos]
+            new = [x for x in xs if x not in old_pos]
+            out.append((least_vertex(xs),
+                        frozenset().union(*(comps[i] for i in olds), new), olds, new))
+        out.sort(key=lambda c: vertex_key(c[0]))
+        index = index.copy()
+        for i, (_, _, olds, new) in enumerate(out):
+            for j in olds:
+                if j != i:
+                    index.update(dict.fromkeys(comps[j], i))
+            index.update(dict.fromkeys(new, i))
+        return tuple(c[1] for c in out), tuple(c[0] for c in out), index
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -227,7 +371,8 @@ class Multigraph:
         if missing:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
         return Multigraph._assembled(
-            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep})
+            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep},
+            [v for v in self._order if v in keep])
 
     def spanning(self, edge_ids: Iterable[str]) -> Multigraph:
         """The graph on the same vertices with only the given edges: the
@@ -237,7 +382,8 @@ class Multigraph:
         if unknown:
             raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
         return Multigraph._assembled(
-            self.vertices, {e.id: e for e in self.edges if e.id in keep})
+            self.vertices, {e.id: e for e in self.edges if e.id in keep},
+            self._order)
 
 
 def _unchecked(cls, **fields):
@@ -247,6 +393,11 @@ def _unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(out, name, value)
     return out
+
+
+# The memo entries a sum grows from its first operand's: a function's name
+# and how to grow its entries (see ``grown_by_sums``).
+_GROWERS: dict = {}
 
 
 def cached_on_graph(fn):
@@ -260,6 +411,19 @@ def cached_on_graph(fn):
         except KeyError:
             return graph._memo.setdefault(slot, fn(graph, key))
     return cached
+
+
+def grown_by_sums(grow):
+    """Let ``graft_sum`` grow each entry that a ``cached_on_graph``
+    function holds for its first operand into the sum:
+    ``grow(first, total, added, key, value)`` gets both graphs, the edges
+    the sum added and the entry, and returns the sum's (key, value), or
+    None where the entry does not grow.  It must keep nothing of
+    ``first``, so that no graph holds its predecessor."""
+    def register(cached):
+        _GROWERS[cached.__name__] = grow
+        return cached
+    return register
 
 
 @dataclass(frozen=True)
@@ -389,7 +553,10 @@ def graft_sum(first: OrderedBipartiteGraft,
     the other, and an edge id they share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
-    re-running the constructors' checks:
+    re-running the constructors' checks.  Where it adds fewer edges than
+    the first operand holds, as an ear does to its prefix, it extends the
+    first operand's index (``Multigraph._extended``) and grows its memo
+    entries that know how; else it is indexed afresh.  Either way:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -400,7 +567,8 @@ def graft_sum(first: OrderedBipartiteGraft,
       the terminals are the XOR of the operands' terminals, so every
       component of the sum holds a sum of even terminal counts.
     """
-    merged: dict[str, Edge] = {e.id: e for e in first.graph.edges}
+    known = first.graph._edge_map
+    added: dict[str, Edge] = {}
     vertices, terminals = first.graph.vertices, first.terminals
     spine, tooth = first.spine, first.tooth
     for g in more:
@@ -409,15 +577,21 @@ def graft_sum(first: OrderedBipartiteGraft,
             raise PreconditionError(
                 f"vertices {sorted_vertices(clash)!r} change sides between the operands")
         for e in g.graph.edges:
-            old = merged.get(e.id)
-            if old is not None and old.ends() != e.ends():
+            old = known.get(e.id) or added.get(e.id)
+            if old is None:
+                added[e.id] = e
+            elif old.ends() != e.ends():
                 raise GraftInputError(
                     f"edge id {e.id!r} appears in both operands with different ends")
-            merged[e.id] = e
         vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
         spine, tooth = spine | g.spine, tooth | g.tooth
-    return _unchecked(OrderedBipartiteGraft,
-                      graph=Multigraph._assembled(vertices, merged),
+    base = first.graph
+    # A sum that adds at least as many edges as the first operand holds,
+    # such as a replay from the bare root, is indexed afresh: extending
+    # would cost more.
+    graph = (base._extended(vertices, added) if len(added) < len(base.edges)
+             else Multigraph._assembled(vertices, {**base._edge_map, **added}))
+    return _unchecked(OrderedBipartiteGraft, graph=graph,
                       terminals=terminals, spine=spine, tooth=tooth)
 
 

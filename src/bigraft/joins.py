@@ -5,9 +5,9 @@ affine solution space over GF(2), one particular join plus the cycle
 space, and canonicalizes ties; the matching one pairs terminals over the
 shortest-path metric and realizes the pairing by breadth-first paths.
 Their agreement is the package's root oracle.  They share _bfs_tree and,
-where min_join reads the cycle table below, the one _cycle_space entry
-of each component, rooted at its least vertex, which is checked on its
-own against is_join and degree parity.
+where min_join reads a cycle table built from nothing below, the one
+_cycle_space entry of each component, rooted at its least vertex, which
+is checked on its own against is_join and degree parity.
 
 _join_tables gives a terminal set one table per graph component, aligned
 with graph.components(), so vertex v reads tables[component_index[v]]: the
@@ -36,13 +36,30 @@ cycle table reads one difference per edge.  is_allowed_edge and the factor
 components of ``decomposition`` read the set.  No other module reads the
 tables.
 
+Along an ear chain the blocks grow instead of being rebuilt.  A sum that
+extends its first operand's index (``core.graft_sum``) grows that
+operand's ``_cycle_blocks`` entry into its own (``_grow_cycle_blocks``).
+The added edges take the bits after the old ones, in the order a
+breadth-first search from the old vertices meets them, so every old mask
+stays valid and a grown entry carries ``bits``, its own bit-to-edge tuple,
+which ``_pairing_least`` reads; an entry built from nothing uses the
+graph's sorted edges.  ``to_root`` keeps the base vertex of the entry it
+grew from, which need not be the component's root any more.  Tables read
+it only in XORs of pairs: a terminal set is even in each component and a
+distance flips two vertices, so the base cancels.  A new cycle merges the
+blocks it meets (``_fold_cycles``, which the build from nothing calls
+too); every other block keeps its span and memo objects, so its leasts
+carry along the chain with no key.
+
 The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
-(``core.cached_on_graph``) and die with it.  The memo takes no lock, so
-two threads may both compute one entry; both get the one stored first.
-A table's fields, the subset table's rest rows among them, never change
-once built; its caches (the subset table's best_u lists, the block memos)
-only gain entries, each the value any thread would compute.
+(``core.cached_on_graph``) and die with it; only the blocks a grown entry
+shares with the one it grew from outlive a prefix, held by the next.  The
+memo takes no lock, so two threads may both compute one entry; both get
+the one stored first.  A table's fields, the subset table's rest rows
+among them, never change once built; its caches (the subset table's best_u
+lists, the block memos) only gain entries, each the value any thread would
+compute.
 """
 
 from __future__ import annotations
@@ -63,6 +80,7 @@ from .core import (
     PreconditionError,
     Walk,
     cached_on_graph,
+    grown_by_sums,
     is_join,
     simple_circuits,
     sorted_vertices,
@@ -521,57 +539,141 @@ class _SubsetTable:
                 if key[e.u] << 1 & key[e.v] or key[e.v] << 1 & key[e.u]]
 
 
+def _fold_cycles(blocks: tuple, cycles) -> tuple:
+    """``blocks`` with ``cycles``, independent cycle masks, folded in.
+
+    Each cycle merges with every block it shares an edge bit with; blocks
+    share no edge, so the mask merged so far meets a block exactly when
+    the cycle does.  A block that no cycle meets is returned as the same
+    tuple, so its span and memo carry over.  Each block the fold forms
+    gets an empty memo and, up to _TABLE_LIMIT cycles, a span: the sums of
+    its new cycles and of the spans of the blocks it took in.
+    """
+    if not cycles:
+        return blocks
+    groups = [(b[0], b[1], [b]) for b in blocks]
+    for c in cycles:
+        mask, mu, parts, apart = c, 1, [c], []
+        for group in groups:
+            if group[0] & mask:
+                mask |= group[0]
+                mu += group[1]
+                parts += group[2]
+            else:
+                apart.append(group)
+        groups = apart + [(mask, mu, parts)]
+    out = []
+    for mask, mu, parts in groups:
+        if len(parts) == 1 and type(parts[0]) is tuple:
+            out.append(parts[0])
+            continue
+        span = None
+        if mu <= _TABLE_LIMIT:
+            span = [0]
+            for part in parts:
+                if type(part) is tuple:
+                    span = [x ^ y for y in part[2] for x in span]
+                else:
+                    span += [x ^ part for x in span]
+        out.append((mask, mu, span, {}))
+    return tuple(out)
+
+
+def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
+                       root, entry: tuple):
+    """The ``_cycle_blocks`` entry of ``total``, a sum whose first operand
+    ``first`` holds ``entry`` for root's component, or None where the sum
+    merges that component with another of ``first``.
+
+    The added edges of root's component are taken breadth first from the
+    vertices the entry reaches, and each gets the next bit after
+    ``entry``'s, so every mask of the entry stays valid.  An edge to a new
+    vertex extends the spanning tree, and with it ``to_root``, and is a
+    bridge until a cycle takes it in; an edge between reached vertices
+    closes one fundamental cycle.  ``_fold_cycles`` folds those into the
+    blocks.  ``to_root`` keeps the base of the entry it grew from, which
+    need not be the sum's root: tables read it only in XORs of an even
+    number of vertices, where the base cancels.
+    """
+    to_root, bridges, blocks, bits = entry
+    index = total.component_index
+    i = index[root]
+    todo = [e for e in added.values() if index[e.u] == i]
+    if not todo:
+        return total.component_roots[i], entry
+    to_root = to_root.copy()
+    grown: list = []
+    tree, cycles, bit = 0, [], 1 << len(bits)
+    queue = [x for e in todo for x in (e.u, e.v) if x in to_root]
+    done: set = set()
+    for v in queue:
+        for e in total.incident(v):
+            if e.id not in added or e.id in done:
+                continue
+            done.add(e.id)
+            grown.append(e)
+            w = e.v if e.u == v else e.u
+            if w in to_root:
+                cycles.append(bit ^ to_root[v] ^ to_root[w])
+            elif w in first.vertices:
+                return None
+            else:
+                to_root[w] = to_root[v] ^ bit
+                tree |= bit
+                queue.append(w)
+            bit <<= 1
+    for c in cycles:
+        tree &= ~c
+        bridges &= ~c
+    return total.component_roots[i], (to_root, bridges | tree,
+                                      _fold_cycles(blocks, cycles),
+                                      bits + tuple(grown))
+
+
+@grown_by_sums(_grow_cycle_blocks)
 @cached_on_graph
-def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple]:
+def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple, tuple]:
     """root's component cut into blocks over ``_cycle_space(graph, root)``.
 
     Every cycle lies inside one block, a 2-connected piece, and any two
     edges of a block lie on a common cycle.  So fundamental cycles joined
     by chains of shared edge bits span exactly one block's cycle space, and
     a tree edge on no cycle is a bridge.  Returns ``to_root``, the mask of
-    the bridges, and each block as (edge mask, rank mu_b, span, memo).  The
-    span lists all 2^mu_b sums of the block's basis, or is None where mu_b
-    exceeds _TABLE_LIMIT.  The memo maps a start mask's part inside the
-    block to its least (``_CycleTable._least``) and only gains entries.
-    Every cycle table of the component roots its blocks at its least
-    vertex, so all of them share this entry.
+    the bridges, each block as (edge mask, rank mu_b, span, memo), and
+    ``bits``, the edge of each mask bit.  The span lists all 2^mu_b sums
+    of the block's basis, or is None where mu_b exceeds _TABLE_LIMIT.  The
+    memo maps a start mask's part inside the block to its least
+    (``_CycleTable._least``) and only gains entries.  Every cycle table of
+    the component roots its blocks at its least vertex, so all of them
+    share this entry.
+
+    Built here, bit i is ``graph.edges[i]`` and ``to_root`` is based at
+    root.  ``graft_sum`` grows the entry of its first operand into the
+    sum's instead (``_grow_cycle_blocks``): the new edges take the next
+    bits, in the order they join, so ``bits`` is no longer sorted by id,
+    and ``to_root`` keeps its old base.  Either way the blocks, as edge
+    sets, are the component's, so every least is the same.
     """
     to_root, basis = _cycle_space(graph, root)
-    blocks: list = []
-    for c in basis:
-        mask, members, apart = c, [c], []
-        for block in blocks:
-            if block[0] & mask:
-                mask |= block[0]
-                members += block[1]
-            else:
-                apart.append(block)
-        blocks = apart + [(mask, members)]
+    blocks = _fold_cycles((), basis)
     bridges = 0
     for path in to_root.values():
         bridges |= path
-    out = []
-    for mask, members in blocks:
-        bridges &= ~mask
-        span = None
-        if len(members) <= _TABLE_LIMIT:
-            span = [0]
-            for c in members:
-                span += [x ^ c for x in span]
-        out.append((mask, len(members), span, {}))
-    return to_root, bridges, tuple(out)
+    for block in blocks:
+        bridges &= ~block[0]
+    return to_root, bridges, blocks, graph.edges
 
 
-def _pairing_least(graph: Multigraph, part: int) -> int:
+def _pairing_least(graph: Multigraph, bits: tuple, part: int) -> int:
     """Least size of a join of the odd vertices T_b of the edge set
-    ``part``: the length of their blossom pairing over the BFS metric
-    (Edmonds-Johnson).  Shortest paths between two vertices of one block
-    stay inside it, so for ``part`` inside a block this is the least
-    popcount of part XOR the block's cycles."""
+    ``part`` (bit i: ``bits[i]``): the length of their blossom pairing over
+    the BFS metric (Edmonds-Johnson).  Shortest paths between two vertices
+    of one block stay inside it, so for ``part`` inside a block this is the
+    least popcount of part XOR the block's cycles."""
     odd: set = set()
     while part:
         low = part & -part
-        e = graph.edges[low.bit_length() - 1]
+        e = bits[low.bit_length() - 1]
         odd ^= {e.u, e.v}
         part ^= low
     return sum(_bfs_tree(graph, u)[0][v]
@@ -595,11 +697,11 @@ class _CycleTable:
     holds at most 2^_TABLE_LIMIT masks, never 2^mu.
     """
 
-    __slots__ = ("terms", "to_root", "bridges", "blocks", "particular", "nu")
+    __slots__ = ("terms", "to_root", "bridges", "blocks", "bits", "particular", "nu")
 
     def __init__(self, graph: Multigraph, root, terms: tuple):
         self.terms = terms
-        self.to_root, self.bridges, self.blocks = _cycle_blocks(graph, root)
+        self.to_root, self.bridges, self.blocks, self.bits = _cycle_blocks(graph, root)
         particular = 0
         for w in terms:
             particular ^= self.to_root[w]
@@ -614,9 +716,9 @@ class _CycleTable:
             least = memo.get(part)
             if least is None:
                 if span is None:
-                    least = _pairing_least(graph, part)
+                    least = _pairing_least(graph, self.bits, part)
                 else:
-                    least = min((part ^ c).bit_count() for c in span)
+                    least = min(map(int.bit_count, map(part.__xor__, span)))
                 memo[part] = least
             size += least
         return size

@@ -812,6 +812,17 @@ DEEP_PATH_DIGESTS = {
 }
 
 
+# Full sha256 of ``ear-decomp r --format json`` on the quasicomb (n, seed),
+# the target of gen_random_critical_quasicomb(GenConfig(vertices=(n, n)),
+# Random(seed)); ROADMAP quotes their first 12 digits.  (90, 0) has blocks
+# past the cycle table's span limit, so its prefixes read the pairing.
+SCALE_EAR_DIGESTS = {
+    (58, 0): "5fd6e4486b76a62b068c4119cea5860ccbd5ac0dfd0d90cee7e6f732e21e76c6",
+    (70, 0): "0a69aa19bd6638c9c8baa23b4a45b90d92e6844c8e759f3ca8a2a86e10316c1b",
+    (90, 0): "d517eeac0741e3715e3c4fce320763f7c39b0479ba1d512320839df86b53ad78",
+}
+
+
 class TestStdoutDigest:
 
     def test_fixed_seed_stdout_unchanged(self):
@@ -827,6 +838,16 @@ class TestStdoutDigest:
                                "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == DEEP_PATH_DIGESTS[command]
+
+    @pytest.mark.parametrize("case", sorted(SCALE_EAR_DIGESTS))
+    def test_scale_ear_decomp_stdout_unchanged(self, case):
+        n, seed = case
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(n, n)),
+                                             random.Random(seed))
+        code, out, _ = run_cli("ear-decomp", "r", "--format", "json",
+                               stdin=serialize_graft(d.target))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCALE_EAR_DIGESTS[case]
 
 
 def test_console_script_runs():

@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from bigraft import core, joins
 from bigraft.core import (
     GraftInputError,
     GraftValidationError,
@@ -760,6 +761,64 @@ class TestPrefixChain:
             report = verify_graft_ear_decomposition(d, F)
             assert report.valid and len(refs) == len(d.steps) > 2
             assert [r() for r in refs] == [None] * len(refs)
+
+    def test_grown_prefixes_hold_no_predecessor(self, monkeypatch):
+        """Each prefix grows its index and cycle blocks from the one
+        before, yet at most two prefix graphs are alive at once, none
+        outlives the verifier, and a probe left in each prefix's memo dies
+        with it: no grown entry holds the memo it grew from."""
+        real = GraftEarDecomposition.prefixes
+        graphs, probes = [], []
+
+        class Probe:
+            pass
+
+        def watched(self):
+            for g in real(self):
+                graphs.append(weakref.ref(g.graph))
+                assert sum(r() is not None for r in graphs) <= 2
+                probe = Probe()
+                g.graph._memo["probe", None] = probe
+                probes.append(weakref.ref(probe))
+                assert sum(r() is not None for r in probes) <= 2
+                yield g
+
+        grows = []
+        real_grow = joins._grow_cycle_blocks
+        monkeypatch.setitem(core._GROWERS, "_cycle_blocks",
+                            lambda *a: grows.append(1) or real_grow(*a))
+        monkeypatch.setattr(GraftEarDecomposition, "prefixes", watched)
+        for n, seed in ((12, 0), (16, 1), (58, 0)):
+            d, F = gen_random_critical_quasicomb(
+                GenConfig(seed=seed, vertices=(n, n)))
+            graphs.clear()
+            probes.clear()
+            grows.clear()
+            assert verify_graft_ear_decomposition(d, F).valid
+            assert len(graphs) == len(d.steps) and len(grows) > len(d.steps) // 2
+            assert [r() for r in graphs] == [None] * len(graphs)
+            assert [r() for r in probes] == [None] * len(probes)
+
+    def test_a_generated_chain_keeps_no_predecessor(self, monkeypatch):
+        """The generator reads no table, so its sums grow nothing: every
+        graph it summed but the target's is gone, and the target's memo is
+        empty."""
+        real = graft_sum
+        sums = []
+
+        def recorded(*grafts):
+            out = real(*grafts)
+            sums.append(weakref.ref(out.graph))
+            return out
+
+        monkeypatch.setattr("bigraft.generators.graft_sum", recorded)
+        for seed in range(4):
+            sums.clear()
+            d, _ = gen_random_critical_quasicomb(
+                GenConfig(seed=seed, vertices=(10, 16)))
+            assert len(sums) == len(d.steps) > 2
+            assert [r() for r in sums] == [None] * (len(sums) - 1) + [d.target.graph]
+            assert d.target.graph._memo == {}
 
     def test_the_fold_validates_nothing(self, monkeypatch):
         d, _ = gen_random_critical_quasicomb(GenConfig(seed=3, vertices=(10, 14)))

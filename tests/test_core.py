@@ -177,11 +177,8 @@ class TestMultigraph:
                     e for e in graph.edges if e.id in keep))
                 assert (got.vertices, got.edges) == (want.vertices, want.edges)
                 assert got == want
-                assert got.components() == want.components()
-                assert got.component_roots == want.component_roots
-                assert got.component_index == want.component_index
-                for v in graph.vertices:
-                    assert got.incident(v) == want.incident(v)
+                assert index_fields(got) == index_fields(want)
+                assert got._order is graph._order
 
     def test_spanning_refuses_an_unknown_edge_id(self):
         with pytest.raises(GraftInputError, match=r"unknown edge ids \['zz'\]"):
@@ -339,16 +336,18 @@ def checked_sum(*operands):
         frozenset().union(*(g.tooth for g in operands)))
 
 
+def index_fields(graph) -> tuple:
+    """Every field the indexing builds: the vertex order, the edge tuple
+    and map, the adjacency (its tuples in order), the components, their
+    roots and the component index."""
+    return (graph._order, graph.edges, graph._edge_map, graph._adjacency,
+            graph.components(), graph.component_roots, graph.component_index)
+
+
 def assert_same_graft(got, want):
     """Equal, and equal in everything the indexing derives, in order."""
     assert got == want and hash(got) == hash(want)
-    a, b = got.graph, want.graph
-    assert a.edges == b.edges
-    assert a.components() == b.components()
-    assert a.component_roots == b.component_roots
-    assert a.component_index == b.component_index
-    for v in b.vertices:
-        assert a.incident(v) == b.incident(v)
+    assert index_fields(got.graph) == index_fields(want.graph)
     assert min_join(got).edge_ids == min_join(want).edge_ids
 
 
@@ -392,16 +391,48 @@ class TestGraftSumAssembly:
         assert_same_graft(graft_sum(ga, gb, gc), checked_sum(ga, gb, gc))
         assert_same_graft(graft_sum(graft_sum(ga, gb), gc), checked_sum(ga, gb, gc))
 
+    @pytest.mark.parametrize("seed", range(80))
+    def test_extension_equals_the_index(self, seed):
+        """``_extended`` on its own, past the ear case that sums mostly
+        take: added edges that merge old components, new vertices left
+        isolated or in components of their own, roots that move, and
+        int and str ids mixed, with edge ids that sort between old ones."""
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(2, 9))] + list(range(rng.randint(0, 4)))
+        fresh = [f"{rng.choice('aw')}{i}" for i in range(rng.randint(0, 4))]
+        fresh += [-1 - i for i in range(rng.randint(0, 2))]
+        edges, ids = [], rng.sample(range(100), 30)
+        for k in range(rng.randint(1, 14)):
+            u, v = rng.sample(names, 2)
+            edges.append((f"e{ids[k]}", u, v))
+        added = []
+        for k in range(14, 14 + rng.randint(0, 6)):
+            u, v = rng.sample(names + fresh, 2)
+            added.append((f"e{ids[k]}", u, v))
+        full = Multigraph.build(names + fresh, edges + added)
+        base = Multigraph.build(names, edges)
+        new = {e.id: e for e in full.edges if e.id not in base.edge_ids()}
+        assert index_fields(base._extended(full.vertices, new)) == index_fields(full)
+
+    def test_an_ear_whose_vertex_takes_the_lead(self):
+        """An ear on the second component whose new vertex sorts before
+        the first component's root moves its component to the front."""
+        base = Multigraph.build(["b", "c", "x", "y"], [("e1", "b", "c"), ("e2", "x", "y")])
+        full = Multigraph.build(["a", "b", "c", "x", "y"],
+                                [("e1", "b", "c"), ("e2", "x", "y"),
+                                 ("e0", "a", "x"), ("e3", "a", "y")])
+        new = {e.id: e for e in full.edges if e.id in {"e0", "e3"}}
+        got = base._extended(full.vertices, new)
+        assert got.component_roots == ("a", "b")
+        assert index_fields(got) == index_fields(full)
+
     def test_induced_equals_the_checked_subgraph(self):
         g = graft_sum(*self.operands("mixed-ids")).graph
         for keep in ({1, 2, "x"}, {10, "y"}, set(), g.vertices):
             sub = g.induced(keep)
             want = Multigraph(frozenset(keep), tuple(
                 e for e in g.edges if e.u in keep and e.v in keep))
-            assert sub == want and sub.edges == want.edges
-            assert sub.components() == want.components()
-            assert sub.component_index == want.component_index
-            assert all(sub.incident(v) == want.incident(v) for v in keep)
+            assert sub == want and index_fields(sub) == index_fields(want)
 
 
 class TestInducedSubgraft:

@@ -58,6 +58,7 @@ from bigraft.joins import (
     extract_shortest_path,
     f_distance,
     f_distance_int,
+    f_distance_reader,
     f_weight,
     flipped_distance_sign,
     is_allowed_edge,
@@ -898,7 +899,8 @@ class TestBlocksPastTheLimit:
         parts = []
         real = joins._pairing_least
         monkeypatch.setattr(joins, "_pairing_least",
-                            lambda graph, part: parts.append(part) or real(graph, part))
+                            lambda graph, bits, part:
+                            parts.append(part) or real(graph, bits, part))
         d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(90, 90)),
                                              random.Random(0))
         argv = ["ear-decomp", d.root, "--format", "json"]
@@ -906,6 +908,117 @@ class TestBlocksPastTheLimit:
         assert head == f"{argv} 0"
         assert parts
         assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_90_DIGEST
+
+
+def tabled_prefixes(d):
+    """d's prefixes, each yielded once its join tables are built, as the
+    verifier's criticality check builds them, so that the next sum grows
+    the cycle blocks of the one before."""
+    for p in d.prefixes():
+        nu(p)
+        yield p
+
+
+def cold_copy(g):
+    """g rebuilt through the checking constructors: ``_index`` builds its
+    index and nothing is grown into its memo."""
+    return type(g)(Multigraph(g.graph.vertices, g.graph.edges), g.terminals,
+                   g.spine, g.tooth)
+
+
+def grown_mismatches(p, every_pair: bool, root=None) -> list:
+    """Where the prefix p, summed and grown, differs from its cold copy:
+    the index fields, nu, the distance of every vertex pair of a component
+    (with every_pair off, from ``root`` to each vertex) and the allowed
+    edges."""
+    c = cold_copy(p)
+    a, b = p.graph, c.graph
+    out = [name for name, x, y in (
+        ("order", a._order, b._order), ("edges", a.edges, b.edges),
+        ("edge map", a._edge_map, b._edge_map),
+        ("components", a.components(), b.components()),
+        ("roots", a.component_roots, b.component_roots),
+        ("index", a.component_index, b.component_index),
+        ("adjacency", a._adjacency, b._adjacency)) if x != y]
+    if nu(p) != nu(c):
+        out.append("nu")
+    grown, cold = f_distance_reader(p), f_distance_reader(c)
+    for comp in a.components():
+        vs = sorted_vertices(comp)
+        pairs = (itertools.combinations(vs, 2) if every_pair
+                 else [(root, v) for v in vs if root in comp])
+        out += [(u, v) for u, v in pairs if grown(u, v) != cold(u, v)]
+    if allowed_edge_set(p) != allowed_edge_set(c):
+        out.append("allowed edges")
+    return out
+
+
+def grown_corpus() -> list:
+    """Decompositions whose prefixes grow their cycle blocks: fixed-seed
+    quasicombs, whose round ears and circuits add cycles and merge blocks,
+    and a comb path, a tree, whose ears only extend to_root and the
+    bridges."""
+    out = [gen_random_critical_quasicomb(GenConfig(vertices=(8, 20)),
+                                         random.Random(seed))[0]
+           for seed in range(30)]
+    g = comb_path(20)
+    return out + [build_graft_ear_decomposition(g, "r", min_join(g))]
+
+
+def grown_reads(d) -> int:
+    """How many of d's prefixes read their distances from a cycle table
+    over a grown _cycle_blocks entry, one whose bits are not the graph's
+    sorted edges."""
+    count = 0
+    for p in tabled_prefixes(d):
+        for table in _join_tables(p.graph, p.terminals):
+            count += type(table) is _CycleTable and table.bits is not p.graph.edges
+    return count
+
+
+class TestGrownCycleBlocks:
+    """A sum grows its first operand's cycle blocks, and its index, from
+    the one before; every answer must equal a cold rebuild's."""
+
+    def test_grown_prefixes_equal_cold_rebuilds(self):
+        corpus = grown_corpus()
+        assert sum(map(grown_reads, corpus)) > 150
+        for d in corpus:
+            for k, p in enumerate(tabled_prefixes(d)):
+                assert grown_mismatches(p, every_pair=True) == [], (d.root, k)
+
+    def test_blocks_past_the_limit_grow_too(self):
+        """n = 90, seed 0, whose blocks past _TABLE_LIMIT take the pairing
+        branch.  Every pair on every prefix would take a cold pairing per
+        pair, so here the reads are the verifier's: the root to each
+        vertex, and one per edge for the allowed set."""
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(90, 90)),
+                                             random.Random(0))
+        assert grown_reads(d) > 40
+        paired = 0
+        for k, p in enumerate(tabled_prefixes(d)):
+            table = table_of(p, d.root)
+            paired += any(span is None for _, _, span, _ in table.blocks)
+            assert grown_mismatches(p, every_pair=False, root=d.root) == [], k
+        assert paired > 10
+
+    def test_a_fold_that_skips_a_block_is_caught(self, monkeypatch):
+        """A growth that leaves out one block that the new cycle meets
+        makes overlapping blocks; the comparison must see it."""
+        real = joins._fold_cycles
+
+        def skipping(blocks, cycles):
+            for c in cycles:
+                met = [b for b in blocks if b[0] & c]
+                if met:
+                    rest = tuple(b for b in blocks if b is not met[0])
+                    return real(rest, cycles) + (met[0],)
+            return real(blocks, cycles)
+
+        monkeypatch.setattr(joins, "_fold_cycles", skipping)
+        found = [grown_mismatches(p, every_pair=True)
+                 for d in grown_corpus() for p in tabled_prefixes(d)]
+        assert sum(map(bool, found)) > 10
 
 
 def networkx_pairs(W) -> list:
