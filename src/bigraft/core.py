@@ -243,7 +243,7 @@ class Multigraph:
                 adjacency[x] = es
         out = _unchecked(Multigraph, vertices=vertices)._set_index(
             order, tuple(edges), {**self._edge_map, **added}, adjacency,
-            *self._joined(fresh, adjacency, new_edges))
+            *self._joined(fresh, new_edges))
         for slot, value in list(self._memo.items()):
             grow = _GROWERS.get(slot[0])
             if grow is not None:
@@ -252,88 +252,51 @@ class Multigraph:
                     out._memo[slot[0], grown[0]] = grown[1]
         return out
 
-    def _joined(self, fresh: list, adjacency: dict, new_edges: list) -> tuple:
+    def _joined(self, fresh: list, new_edges: list) -> tuple:
         """(components, roots, component index) of this graph with the new
-        vertices ``fresh`` and the edges ``new_edges``; ``adjacency`` is
-        the sum's.
+        vertices ``fresh`` and the edges ``new_edges``.
 
-        Mostly the added edges are an ear: they touch one old component,
-        each region of new vertices that they join reaches it, and the
-        least of the component and the new vertices keeps the component's
-        position.  Then that one component gains the new vertices.
-        Otherwise the components merge by union-find over nodes, an old
-        component standing for all its vertices by its root and a new
-        vertex for itself, and a merged component's root is the least of
-        its nodes.  Either way only the vertices whose position is new or
-        moved are indexed again.
+        The components merge by union-find over nodes: an old component
+        is a node by its root, a new vertex by itself, and ``up`` maps each
+        node that is not the head of its group to one nearer the head.  A
+        group is a component that changes; its root is the least of its
+        nodes.  Only the vertices whose position is new or moved are
+        indexed again, so an ear, which grows one component by its new
+        vertices, indexes just those.
         """
         index, roots, comps = self.component_index, self.component_roots, self._components
-        hit = {index[x] for e in new_edges for x in (e.u, e.v) if x in index}
-        if len(hit) == 1:
-            (i,) = hit
-            seen: set = set()
-            for v in fresh:
-                if v in seen:
-                    continue
-                seen.add(v)
-                region, anchored = [v], False
-                for x in region:
-                    for e in adjacency[x]:
-                        w = e.v if e.u == x else e.u
-                        if w in index:
-                            anchored = True
-                        elif w not in seen:
-                            seen.add(w)
-                            region.append(w)
-                if not anchored:
-                    break
-            else:
-                root = roots[i]
-                if fresh and vertex_key(fresh[0]) < vertex_key(root):
-                    root = fresh[0]
-                if not i or vertex_key(roots[i - 1]) < vertex_key(root):
-                    index = index.copy()
-                    index.update(dict.fromkeys(fresh, i))
-                    return (comps[:i] + (comps[i].union(fresh),) + comps[i + 1:],
-                            roots[:i] + (root,) + roots[i + 1:], index)
-
-        node = {x: roots[index[x]] if x in index else x
-                for e in new_edges for x in (e.u, e.v)}
-        node.update((v, v) for v in fresh)
-        parent = {x: x for x in node.values()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
+        up: dict = {}
         for e in new_edges:
-            a, b = find(node[e.u]), find(node[e.v])
+            a = roots[index[e.u]] if e.u in index else e.u
+            b = roots[index[e.v]] if e.v in index else e.v
+            while a in up:
+                up[a] = a = up.get(up[a], up[a])
+            while b in up:
+                up[b] = b = up.get(up[b], up[b])
             if a != b:
-                parent[a] = b
-        groups: dict = {}
-        for x in parent:
-            groups.setdefault(find(x), []).append(x)
-        old_pos = {r: i for i, r in enumerate(roots)}
-        merged = {x for xs in groups.values() if len(xs) > 1 for x in xs}
-        # (root, component, old positions in it, new vertices in it)
-        out = [(r, c, (i,), ()) for i, (r, c) in enumerate(zip(roots, comps))
-               if r not in merged]
-        for xs in groups.values():
-            if len(xs) == 1 and xs[0] in old_pos:
-                continue
-            olds = [old_pos[x] for x in xs if x in old_pos]
-            new = [x for x in xs if x not in old_pos]
-            out.append((least_vertex(xs),
-                        frozenset().union(*(comps[i] for i in olds), new), olds, new))
+                up[a] = b
+        groups: dict = {v: [v] for v in fresh if v not in up}
+        for x in up:
+            head = up[x]
+            while head in up:
+                head = up[head]
+            groups.setdefault(head, [head]).append(x)
+        # (root, old positions in it, new vertices in it) of every component
+        out = [(least_vertex(xs), [index[x] for x in xs if x in index],
+                [x for x in xs if x not in index]) for xs in groups.values()]
+        gone = {i for c in out for i in c[1]}
+        out += [(r, (i,), ()) for i, r in enumerate(roots) if i not in gone]
         out.sort(key=lambda c: vertex_key(c[0]))
         index = index.copy()
-        for i, (_, _, olds, new) in enumerate(out):
+        components = []
+        for i, (_, olds, new) in enumerate(out):
+            components.append(comps[olds[0]] if not new and len(olds) == 1 else
+                              frozenset().union(*(comps[j] for j in olds), new))
             for j in olds:
                 if j != i:
                     index.update(dict.fromkeys(comps[j], i))
             index.update(dict.fromkeys(new, i))
-        return tuple(c[1] for c in out), tuple(c[0] for c in out), index
+        return tuple(components), tuple(c[0] for c in out), index
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -554,9 +517,10 @@ def graft_sum(first: OrderedBipartiteGraft,
 
     Those two checks are all the sum needs, so it is assembled without
     re-running the constructors' checks.  Where it adds fewer edges than
-    the first operand holds, as an ear does to its prefix, it extends the
-    first operand's index (``Multigraph._extended``) and grows its memo
-    entries that know how; else it is indexed afresh.  Either way:
+    the first operand holds, as an ear does to its prefix, and that operand
+    is large or holds a memo entry that knows how to grow, the sum extends
+    the first operand's index (``Multigraph._extended``) and grows those
+    entries; else it is indexed afresh.  Either way:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -586,11 +550,20 @@ def graft_sum(first: OrderedBipartiteGraft,
         vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
         spine, tooth = spine | g.spine, tooth | g.tooth
     base = first.graph
-    # A sum that adds at least as many edges as the first operand holds,
-    # such as a replay from the bare root, is indexed afresh: extending
-    # would cost more.
-    graph = (base._extended(vertices, added) if len(added) < len(base.edges)
-             else Multigraph._assembled(vertices, {**base._edge_map, **added}))
+    m = len(base.edges)
+    # Timed on ear sums of generated quasicombs, with no tables held
+    # (CPython 3.11, one core of a Xeon host):
+    # extending costs about 25 us whatever the size, a fresh index about
+    # 12 us plus 0.6 us an edge, so extending pays from about 24 edges.
+    # Below that it pays only where the first operand holds an entry to
+    # grow, since growing it saves building it.  A sum that adds at least
+    # as many edges as the first operand holds, such as a replay from the
+    # bare root, is indexed afresh: extending inserts edge by edge, and
+    # took 1.2 to 1.5 times a fresh index there.
+    if len(added) < m and (m >= 24 or any(slot[0] in _GROWERS for slot in base._memo)):
+        graph = base._extended(vertices, added)
+    else:
+        graph = Multigraph._assembled(vertices, {**base._edge_map, **added})
     return _unchecked(OrderedBipartiteGraft, graph=graph,
                       terminals=terminals, spine=spine, tooth=tooth)
 

@@ -410,12 +410,17 @@ def min_join(g: Graft) -> JoinSet:
 
 def is_minimum_join(g: Graft, F) -> bool:
     """True when the join F has minimum cardinality.  A ``JoinSet`` of
-    another graft is checked against ``g`` like a plain id set."""
+    another graft is checked against ``g`` like a plain id set.  A forest,
+    such as the graft of an ear that is a path, holds one join of each
+    terminal set, so there F is minimum as soon as it is a join."""
     if isinstance(F, JoinSet) and (F.graft is g or F.graft == g):
         js = F
     else:
         js = JoinSet(g, frozenset(F))
-    return js.size == _nu(g.graph, g.terminals)
+    graph = g.graph
+    if len(graph.edges) == len(graph.vertices) - len(graph.components()):
+        return True
+    return js.size == _nu(graph, g.terminals)
 
 
 def negative_circuit_witness(g: Graft, F) -> WeightedWalkReport | None:

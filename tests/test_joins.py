@@ -26,6 +26,7 @@ from bigraft.core import (
     PreconditionError,
     Walk,
     is_join,
+    odd_degree_vertices,
     simple_circuits,
     sorted_vertices,
 )
@@ -255,6 +256,23 @@ class TestIsMinimumJoin:
             is_minimum_join(c4(), frozenset(F))
         with pytest.raises(GraftInputError, match=r"unknown edge ids \['e0', 'e1'\]"):
             is_minimum_join(c4(), F)
+
+    def test_a_forest_answers_without_its_tables(self, monkeypatch):
+        """A forest holds one join of each terminal set: for random edge
+        sets J of random forests, J is the join the exhaustive backend
+        finds for the odd vertices of J, and is_minimum_join accepts it
+        without a table."""
+        rng = random.Random(0)
+        monkeypatch.setattr(joins, "_nu", None)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            graph = Multigraph.build(range(n), [
+                (f"e{v}", rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8])
+            J = frozenset(e.id for e in graph.edges if rng.random() < 0.5)
+            g = Graft(graph, odd_degree_vertices(
+                [graph.edge(eid).ends() for eid in J]))
+            assert min_join_bruteforce(g).edge_ids == J
+            assert is_minimum_join(g, J)
 
     def test_join_set_of_an_equal_graft_is_taken(self):
         g, twin = c4_alt(), c4_alt()
@@ -990,17 +1008,23 @@ class TestGrownCycleBlocks:
     def test_blocks_past_the_limit_grow_too(self):
         """n = 90, seed 0, whose blocks past _TABLE_LIMIT take the pairing
         branch.  Every pair on every prefix would take a cold pairing per
-        pair, so here the reads are the verifier's: the root to each
-        vertex, and one per edge for the allowed set."""
+        pair, so most prefixes compare the verifier's reads: the root to
+        each vertex, and one per edge for the allowed set.  The first
+        prefix with a paired block and the last, the target, compare every
+        pair, which reads the parts of non-root pairs through
+        _pairing_least over grown bits."""
         d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(90, 90)),
                                              random.Random(0))
         assert grown_reads(d) > 40
-        paired = 0
+        paired = every = 0
         for k, p in enumerate(tabled_prefixes(d)):
             table = table_of(p, d.root)
-            paired += any(span is None for _, _, span, _ in table.blocks)
-            assert grown_mismatches(p, every_pair=False, root=d.root) == [], k
-        assert paired > 10
+            is_paired = any(span is None for _, _, span, _ in table.blocks)
+            paired += is_paired
+            every_pair = is_paired and (paired == 1 or k == len(d.steps) - 1)
+            every += every_pair
+            assert grown_mismatches(p, every_pair, root=d.root) == [], k
+        assert paired > 10 and every == 2
 
     def test_a_fold_that_skips_a_block_is_caught(self, monkeypatch):
         """A growth that leaves out one block that the new cycle meets
