@@ -65,8 +65,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     joined.add_argument("--oracle", action="store_true",
                         help="exhaustive join backend (at most 22 edges)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    seeded.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="PRNG seed (default 0)")
+    seeded.add_argument("--seed", type=int, default=GenConfig.seed, metavar="N",
+                        help=f"PRNG seed (default {GenConfig.seed})")
 
     parser = argparse.ArgumentParser(
         prog="bigraft",
@@ -110,11 +110,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = cmd("gen", seeded, _cmd_gen, "generate a random instance")
     p.add_argument("--mode", choices=("graft", "comb", "critical-quasicomb"),
                    default="graft")
-    p.add_argument("--min-vertices", type=int, default=4, metavar="N",
-                   help="least vertex count drawn (default 4); a comb has "
+    lo, hi = GenConfig.vertices
+    p.add_argument("--min-vertices", type=int, default=lo, metavar="N",
+                   help=f"least vertex count drawn (default {lo}); a comb has "
                         "at least 2 vertices")
-    p.add_argument("--max-vertices", type=int, default=10, metavar="N",
-                   help="most vertex count drawn (default 10); a critical "
+    p.add_argument("--max-vertices", type=int, default=hi, metavar="N",
+                   help=f"most vertex count drawn (default {hi}); a critical "
                         "quasicomb grows by whole ears and may end up to 2 "
                         "vertices past it")
     p.add_argument("--edge-density", type=float, default=GenConfig.edge_density,
@@ -154,11 +155,13 @@ def _need_bipartite(g: Graft) -> OrderedBipartiteGraft:
 def _resolve_vertex(g: Graft, token: str):
     if token in g.graph.vertices:
         return token
+    # Only an int's own spelling names it: not " 10", "+10", "010",
+    # "1_0" or other digits, all of which int() also reads as 10.
     try:
         as_int = int(token)
     except ValueError:
         as_int = None
-    if as_int is not None and as_int in g.graph.vertices:
+    if as_int in g.graph.vertices and str(as_int) == token:
         return as_int
     raise GraftInputError(f"unknown vertex id {token!r}")
 

@@ -114,19 +114,18 @@ class Multigraph:
     bool) and that every edge has a str id of its own and two distinct,
     known ends, each a vertex id itself.  It turns each edge so that its
     ends ascend in ``vertex_key`` order, and then runs ``_index``, which
-    builds from nothing the vertex order, the sorted edge tuple, the edge
-    map, the adjacency and the components.  A search starts from each
-    unseen vertex in ``vertex_key`` order, so ``component_roots[i]``, the
-    start of ``components()[i]``, is its least vertex and the roots ascend.
+    builds from nothing the sorted edge tuple, the edge map, the adjacency
+    and the components.  A search starts from each unseen vertex in
+    ``vertex_key`` order, so ``component_roots[i]``, the start of
+    ``components()[i]``, is its least vertex and the roots ascend.
     ``component_index`` maps each vertex to its component's position.
     Anything else derived lives in ``_memo``.  ``_assembled`` runs
     ``_index`` alone: it serves the graphs this module derives from valid
     ones, which pass every check by construction, such as ``induced`` (a
     vertex subset with the edges inside it) and ``spanning`` (every vertex
-    with an edge subset), which hand it the vertex order they keep from
-    their parent.  ``_extended`` serves ``graft_sum``: it grows its first
-    operand's index by the edges the sum adds, and every field it builds
-    equals what ``_index`` would, adjacency order included.
+    with an edge subset).  ``_extended`` serves ``graft_sum``: it extends
+    its first operand's index by the edges the sum adds, and every field
+    it builds equals what ``_index`` would, adjacency order included.
     """
 
     vertices: frozenset
@@ -160,17 +159,13 @@ class Multigraph:
         self._index(by_id)
 
     @classmethod
-    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge],
-                   order: list | None = None) -> Multigraph:
+    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge]) -> Multigraph:
         """The graph on ``vertices`` with the edges of ``by_id``, indexed
         and not checked: each edge must already be canonical, with its
-        ends in ``vertices``.  ``order``, where the caller holds it, lists
-        ``vertices`` in ``vertex_key`` order, and is not sorted again."""
-        return _unchecked(cls, vertices=vertices)._index(by_id, order)
+        ends in ``vertices``."""
+        return _unchecked(cls, vertices=vertices)._index(by_id)
 
-    def _index(self, by_id: dict[str, Edge], order: list | None = None) -> Multigraph:
-        if order is None:
-            order = sorted_vertices(self.vertices)
+    def _index(self, by_id: dict[str, Edge]) -> Multigraph:
         edges = tuple(by_id[eid] for eid in sorted(by_id))
         adj: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices}
         for e in edges:
@@ -179,7 +174,7 @@ class Multigraph:
         index: dict = {}
         roots: list = []
         components: list[frozenset] = []
-        for root in order:
+        for root in sorted_vertices(self.vertices):
             if root in index:
                 continue
             i = len(roots)
@@ -193,13 +188,12 @@ class Multigraph:
                         comp.append(w)
             roots.append(root)
             components.append(frozenset(comp))
-        return self._set_index(order, edges, by_id,
+        return self._set_index(edges, by_id,
                                {v: tuple(es) for v, es in adj.items()},
                                tuple(components), tuple(roots), index)
 
-    def _set_index(self, order, edges, by_id, adjacency, components, roots,
+    def _set_index(self, edges, by_id, adjacency, components, roots,
                    index) -> Multigraph:
-        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_edge_map", by_id)
         object.__setattr__(self, "_adjacency", adjacency)
@@ -214,21 +208,12 @@ class Multigraph:
         own, and the canonical edges ``added``, whose ids are new, indexed
         by extending this graph's index: its fields equal ``_index``'s.
 
-        New vertices and edges are put into the vertex order, the edge
-        tuple and the adjacency tuples in place; only the vertices an added
-        edge touches get new tuples, and ``_joined`` gives the components.
-        Then each memo entry that ``grown_by_sums`` registered is grown
-        into the new graph, which holds nothing of this one.
+        New edges are put into the edge tuple and the adjacency tuples in
+        place; only the vertices an added edge touches get new tuples, and
+        ``_joined`` gives the components.  The new graph holds nothing of
+        this one, and its memo starts empty.
         """
-        fresh = sorted_vertices(vertices - self.vertices)
-        order = self._order
-        if fresh:
-            order = order.copy()
-            for v in fresh:
-                try:
-                    insort(order, v)
-                except TypeError:
-                    insort(order, v, key=vertex_key)
+        fresh = vertices - self.vertices
         new_edges = [added[eid] for eid in sorted(added)]
         edges = list(self.edges)
         adjacency = self._adjacency.copy()
@@ -241,18 +226,11 @@ class Multigraph:
                 if len(es) > 1 and es[-2].id > e.id:
                     es = tuple(sorted(es, key=_edge_id))
                 adjacency[x] = es
-        out = _unchecked(Multigraph, vertices=vertices)._set_index(
-            order, tuple(edges), {**self._edge_map, **added}, adjacency,
+        return _unchecked(Multigraph, vertices=vertices)._set_index(
+            tuple(edges), {**self._edge_map, **added}, adjacency,
             *self._joined(fresh, new_edges))
-        for slot, value in list(self._memo.items()):
-            grow = _GROWERS.get(slot[0])
-            if grow is not None:
-                grown = grow(self, out, added, slot[1], value)
-                if grown is not None:
-                    out._memo[slot[0], grown[0]] = grown[1]
-        return out
 
-    def _joined(self, fresh: list, new_edges: list) -> tuple:
+    def _joined(self, fresh: frozenset, new_edges: list) -> tuple:
         """(components, roots, component index) of this graph with the new
         vertices ``fresh`` and the edges ``new_edges``.
 
@@ -334,8 +312,7 @@ class Multigraph:
         if missing:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
         return Multigraph._assembled(
-            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep},
-            [v for v in self._order if v in keep])
+            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep})
 
     def spanning(self, edge_ids: Iterable[str]) -> Multigraph:
         """The graph on the same vertices with only the given edges: the
@@ -345,8 +322,7 @@ class Multigraph:
         if unknown:
             raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
         return Multigraph._assembled(
-            self.vertices, {e.id: e for e in self.edges if e.id in keep},
-            self._order)
+            self.vertices, {e.id: e for e in self.edges if e.id in keep})
 
 
 def _unchecked(cls, **fields):
@@ -378,11 +354,11 @@ def cached_on_graph(fn):
 
 def grown_by_sums(grow):
     """Let ``graft_sum`` grow each entry that a ``cached_on_graph``
-    function holds for its first operand into the sum:
-    ``grow(first, total, added, key, value)`` gets both graphs, the edges
-    the sum added and the entry, and returns the sum's (key, value), or
-    None where the entry does not grow.  It must keep nothing of
-    ``first``, so that no graph holds its predecessor."""
+    function holds for its first operand into the sum, however the sum
+    was indexed: ``grow(first, total, added, key, value)`` gets both
+    graphs, the edges the sum added and the entry, and returns the sum's
+    (key, value), or None where the entry does not grow.  It must keep
+    nothing of ``first``, so that no graph holds its predecessor."""
     def register(cached):
         _GROWERS[cached.__name__] = grow
         return cached
@@ -516,11 +492,12 @@ def graft_sum(first: OrderedBipartiteGraft,
     the other, and an edge id they share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
-    re-running the constructors' checks.  Where it adds fewer edges than
-    the first operand holds, as an ear does to its prefix, and that operand
-    is large or holds a memo entry that knows how to grow, the sum extends
-    the first operand's index (``Multigraph._extended``) and grows those
-    entries; else it is indexed afresh.  Either way:
+    re-running the constructors' checks.  Where the first operand holds at
+    least 24 edges and the sum adds fewer, as an ear does to a large
+    prefix, the sum extends that operand's index
+    (``Multigraph._extended``); else it is indexed afresh.  Either way,
+    each memo entry of the first operand that ``grown_by_sums`` registered
+    is then grown into the sum, and:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -555,15 +532,19 @@ def graft_sum(first: OrderedBipartiteGraft,
     # (CPython 3.11, one core of a Xeon host):
     # extending costs about 25 us whatever the size, a fresh index about
     # 12 us plus 0.6 us an edge, so extending pays from about 24 edges.
-    # Below that it pays only where the first operand holds an entry to
-    # grow, since growing it saves building it.  A sum that adds at least
-    # as many edges as the first operand holds, such as a replay from the
-    # bare root, is indexed afresh: extending inserts edge by edge, and
-    # took 1.2 to 1.5 times a fresh index there.
-    if len(added) < m and (m >= 24 or any(slot[0] in _GROWERS for slot in base._memo)):
+    # A sum that adds at least as many edges as the first operand holds,
+    # such as a replay from the bare root, is indexed afresh: extending
+    # inserts edge by edge, and took 1.2 to 1.5 times a fresh index there.
+    if m >= 24 and len(added) < m:
         graph = base._extended(vertices, added)
     else:
         graph = Multigraph._assembled(vertices, {**base._edge_map, **added})
+    for (name, key), value in list(base._memo.items()):
+        grow = _GROWERS.get(name)
+        if grow is not None:
+            grown = grow(base, graph, added, key, value)
+            if grown is not None:
+                graph._memo[name, grown[0]] = grown[1]
     return _unchecked(OrderedBipartiteGraft, graph=graph,
                       terminals=terminals, spine=spine, tooth=tooth)
 

@@ -36,9 +36,10 @@ cycle table reads one difference per edge.  is_allowed_edge and the factor
 components of ``decomposition`` read the set.  No other module reads the
 tables.
 
-Along an ear chain the blocks grow instead of being rebuilt.  A sum that
-extends its first operand's index (``core.graft_sum``) grows that
-operand's ``_cycle_blocks`` entry into its own (``_grow_cycle_blocks``).
+Along an ear chain the blocks grow instead of being rebuilt.  A sum
+(``core.graft_sum``) grows its first operand's ``_cycle_blocks`` entries
+into its own (``_grow_cycle_blocks``), whether it extended that operand's
+index or indexed the sum afresh.
 The added edges take the bits after the old ones, in the order a
 breadth-first search from the old vertices meets them, so every old mask
 stays valid and a grown entry carries ``bits``, its own bit-to-edge tuple,

@@ -133,6 +133,22 @@ class TestExitCodes:
     def test_unknown_vertex_is_a_usage_error(self, files):
         assert run_cli("dist", "zz", "b", "--input", files["i1"])[0] == 2
 
+    def test_an_int_vertex_answers_only_to_its_own_spelling(self):
+        doc = json.dumps({"vertices": [1, 2, 10, -3],
+                          "edges": [{"id": "e1", "u": 1, "v": 2},
+                                    {"id": "e2", "u": 2, "v": 10},
+                                    {"id": "e3", "u": 10, "v": -3}],
+                          "terminals": [1, 2]})
+        for token in ("1_0", " 10", "+10", "010", "\u0661\u0660"):
+            code, out, err = run_cli("dist", token, "1", stdin=doc)
+            assert (code, out) == (2, ""), token
+            assert err == f"error: unknown vertex id {token!r}\n"
+        for token in ("10", "-3"):
+            code, out, err = run_cli("dist", token, "1", "--format", "json",
+                                     stdin=doc)
+            assert (code, err) == (0, ""), token
+            assert json.loads(out)["u"] == int(token)
+
     def test_missing_subcommand_is_a_usage_error(self):
         assert run_cli()[0] == 2
 
@@ -489,6 +505,18 @@ class TestGen:
         text = " ".join(out.split())
         assert "--mode graft or comb, in [0, 1] (default 0.35)" in text
         assert "--mode graft is a terminal, in [0, 1] (default 0.5)" in text
+
+    def test_generator_defaults_come_from_gen_config(self):
+        code, out, _ = run_cli("gen", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        lo, hi = GenConfig.vertices
+        assert f"least vertex count drawn (default {lo})" in text
+        assert f"most vertex count drawn (default {hi})" in text
+        assert f"PRNG seed (default {GenConfig.seed})" in text
+        args = _build_parser().parse_args(["gen"])
+        assert (args.min_vertices, args.max_vertices, args.seed) == (
+            lo, hi, GenConfig.seed)
 
     def test_vertex_count_past_the_cap_is_a_usage_error(self):
         n = str(_MAX_VERTICES + 1)

@@ -952,7 +952,7 @@ def grown_mismatches(p, every_pair: bool, root=None) -> list:
     c = cold_copy(p)
     a, b = p.graph, c.graph
     out = [name for name, x, y in (
-        ("order", a._order, b._order), ("edges", a.edges, b.edges),
+        ("edges", a.edges, b.edges),
         ("edge map", a._edge_map, b._edge_map),
         ("components", a.components(), b.components()),
         ("roots", a.component_roots, b.component_roots),
@@ -1025,6 +1025,33 @@ class TestGrownCycleBlocks:
             every += every_pair
             assert grown_mismatches(p, every_pair, root=d.root) == [], k
         assert paired > 10 and every == 2
+
+    def test_a_sum_extends_by_size_and_grows_either_way(self, monkeypatch):
+        """A sum extends its first operand's index exactly where that
+        operand holds at least 24 edges and the sum adds fewer; a smaller
+        prefix is indexed afresh, yet still carries the cycle blocks grown
+        from the one before, and every prefix answers as its cold copy."""
+        extended = []
+        real = Multigraph._extended
+        monkeypatch.setattr(Multigraph, "_extended", lambda self, *a:
+                            extended.append(real(self, *a)) or extended[-1])
+        counts = {"extended": 0, "fresh": 0, "fresh and grown": 0}
+        for seed in range(6):
+            d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(24, 32)),
+                                                 random.Random(seed))
+            extended.clear()
+            m = 0
+            for p in tabled_prefixes(d):
+                n = len(p.graph.edges)
+                is_extended = any(g is p.graph for g in extended)
+                assert is_extended == (m >= 24 and n - m < m), (seed, m, n)
+                grown = any(slot[0] == "_cycle_blocks" and entry[3] is not p.graph.edges
+                            for slot, entry in p.graph._memo.items())
+                counts["extended" if is_extended else "fresh"] += 1
+                counts["fresh and grown"] += grown and not is_extended
+                assert grown_mismatches(p, every_pair=True) == [], (seed, n)
+                m = n
+        assert counts["extended"] > 10 and counts["fresh and grown"] > 40
 
     def test_a_fold_that_skips_a_block_is_caught(self, monkeypatch):
         """A growth that leaves out one block that the new cycle meets
