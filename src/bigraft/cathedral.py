@@ -31,7 +31,13 @@ from .core import (
     contracted_edges,
     sorted_vertices,
 )
-from .combs import EarStep, classify_comb, is_critical_quasicomb, is_f_balanced
+from .combs import (
+    EarStep,
+    classify_comb,
+    ear_step,
+    is_critical_quasicomb,
+    is_f_balanced,
+)
 from .decomposition import (
     FactorComponentSet,
     factor_components,
@@ -391,9 +397,7 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     if isinstance(P, Walk):
         P.validate(comb.graph)
         bonds = (P.vertices[0],) if P.closed else (P.vertices[0], P.vertices[-1])
-        vset = frozenset(P.vertices)
-        step = EarStep(P, bonds, frozenset(), vset & comb.spine,
-                       vset & comb.tooth)
+        step = ear_step(P.vertices, P.edge_ids, bonds, frozenset(), comb.tooth)
     elif isinstance(P, EarStep):
         step = P
     else:

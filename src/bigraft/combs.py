@@ -262,6 +262,19 @@ class EarStep:
         return self._graft
 
 
+def ear_step(vertices: tuple, edge_ids: tuple, bonds: tuple, join,
+             tooth) -> EarStep:
+    """The step along the walk (vertices, edge_ids) with these bonds, read
+    off the graft it grows: its terminals are the odd vertices of the
+    walk's edges in ``join``, its tooth side the walk's vertices in
+    ``tooth`` and its spine side the rest."""
+    vset = frozenset(vertices)
+    teeth = vset & tooth
+    return EarStep(Walk(vertices, edge_ids), bonds, odd_degree_vertices(
+        vertices[i:i + 2] for i, eid in enumerate(edge_ids) if eid in join),
+        vset - teeth, teeth)
+
+
 def validate_ear_step(base: OrderedBipartiteGraft,
                       step: EarStep) -> tuple[bool, tuple[StepViolation, ...]]:
     """Check one ear step against the support it is about to extend.
@@ -364,9 +377,9 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     support to a new tooth vertex, a straight ear; 3, an edge inside the
     support, a round ear whose walk runs in ``vertex_key`` order.  A rank-3
     ear adds no vertex, so internal edges come last, in edge-id order.
-    ``_ear`` builds each step: its terminals are the odd vertices of its
-    share of F, its sides the target's.  Throughout, no join edge runs
-    between the tooth support and unreached spine vertices.
+    ``ear_step`` builds each step from F and the target's tooth side.
+    Throughout, no join edge runs between the tooth support and unreached
+    spine vertices.
     """
     _require_bipartite(g)
     fset = frozenset(F)
@@ -442,7 +455,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                 vertices, bonds = (b, a), (a,)
             else:
                 vertices = bonds = tuple(sorted((a, b), key=vertex_key))
-            step = _ear(g, fset, vertices, (eid,), bonds)
+            step = ear_step(vertices, (eid,), bonds, fset, g.tooth)
         added = step.internal_vertices
         for v in added:
             (spine_sup if v in g.spine else tooth_sup).add(v)
@@ -459,17 +472,6 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     if out.replay() != g:
         raise InternalConsistencyError("the built decomposition does not replay")
     return out
-
-
-def _ear(g: OrderedBipartiteGraft, fset: frozenset, vertices: tuple,
-         eids: tuple, bonds: tuple) -> EarStep:
-    """The step along the walk (vertices, eids) with these bonds: its
-    terminals are the odd vertices of the walk's share of F, its sides
-    the target's."""
-    share = [vertices[i:i + 2] for i, eid in enumerate(eids) if eid in fset]
-    vset = frozenset(vertices)
-    return EarStep(Walk(vertices, eids), bonds, odd_degree_vertices(share),
-                   vset & g.spine, vset & g.tooth)
 
 
 def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
@@ -490,8 +492,8 @@ def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
     if w not in g.spine:
         raise InternalConsistencyError(
             "the path reentered the support on the tooth side")
-    return _ear(g, fset, (u,) + P.vertices[:cut + 1], (fid,) + P.edge_ids[:cut],
-                (u,) if w == u else (u, w))
+    return ear_step((u,) + P.vertices[:cut + 1], (fid,) + P.edge_ids[:cut],
+                    (u,) if w == u else (u, w), fset, g.tooth)
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ class KLPartition:
             for cls in classes:
                 if not cls:
                     raise InternalConsistencyError("empty class")
-                class_id = sorted_vertices(cls)[0]
+                class_id = least_vertex(cls)
                 for v in cls:
                     if v in lookup:
                         raise InternalConsistencyError("classes overlap")

@@ -22,7 +22,6 @@ from .core import (
     InternalConsistencyError,
     Multigraph,
     OrderedBipartiteGraft,
-    Walk,
     graft_sum,
     odd_degree_vertices,
     sorted_vertices,
@@ -203,18 +202,18 @@ def _choose_join_edges(rng: random.Random, vs: tuple, eids: tuple,
     return frozenset(picked)
 
 
+# Each sampler returns a walk's vertices, its bonds, its new tooth vertices
+# and the join choices it forces; ``random_ear_step`` does the rest.
 def _straight_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     bond = _pick_bond(rng, base)
     run, toothy = _side_run(base, bond, rng.randint(1, 3), fresh)
     vs = tuple(run) + (bond,)
-    eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
     forced: dict = {}
     if vs[0] not in toothy and len(vs) > 2 and vs[1] in toothy:
         forced[vs[1]] = (False, 0)
     if bond in base.spine and vs[-2] in toothy:
-        forced[vs[-2]] = (True, len(eids) - 1)
-    fpart = _choose_join_edges(rng, vs, eids, toothy, forced)
-    return vs, eids, (bond,), toothy, fpart
+        forced[vs[-2]] = (True, len(vs) - 2)
+    return vs, (bond,), toothy, forced
 
 
 def _round_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
@@ -222,19 +221,13 @@ def _round_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     same_side = (s in base.spine) == (t in base.spine)
     inner = rng.choice((1, 3)) if same_side else rng.choice((0, 2))
     run, toothy = _side_run(base, t, inner, fresh)
-    vs = (s,) + tuple(run) + (t,)
-    eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
-    fpart = _choose_join_edges(rng, vs, eids, toothy, {})
-    return vs, eids, (s, t), toothy, fpart
+    return (s,) + tuple(run) + (t,), (s, t), toothy, {}
 
 
 def _circuit_step(rng: random.Random, base: OrderedBipartiteGraft, fresh):
     bond = _pick_bond(rng, base)
     run, toothy = _side_run(base, bond, rng.choice((1, 3)), fresh)
-    vs = (bond,) + tuple(run) + (bond,)
-    eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
-    fpart = _choose_join_edges(rng, vs, eids, toothy, {})
-    return vs, eids, (bond,), toothy, fpart
+    return (bond,) + tuple(run) + (bond,), (bond,), toothy, {}
 
 
 def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
@@ -247,7 +240,7 @@ def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
     so the returned step passes validation with no advisory findings.
     Returns the step together with its join share.
     """
-    from .combs import EarStep, validate_ear_step
+    from .combs import ear_step, validate_ear_step
     kind = rng.choices(_KINDS, weights=_KIND_WEIGHTS)[0]
     if kind == "round" and len(base.graph.vertices) < 2:
         kind = rng.choice(("straight", "circuit"))
@@ -257,13 +250,10 @@ def random_ear_step(rng: random.Random, base: OrderedBipartiteGraft,
         walk = _round_step(rng, base, fresh)
     else:
         walk = _circuit_step(rng, base, fresh)
-    vs, eids, bonds, new_tooth, fpart = walk
-    vset = frozenset(vs)
-    spine = (vset & base.spine) | (vset - new_tooth - base.graph.vertices)
-    tooth = (vset & base.tooth) | frozenset(new_tooth)
-    terminals = odd_degree_vertices(
-        (vs[i], vs[i + 1]) for i, eid in enumerate(eids) if eid in fpart)
-    step = EarStep(Walk(vs, eids), bonds, terminals, spine, tooth)
+    vs, bonds, new_tooth, forced = walk
+    eids = tuple(f"e{next(fresh)}" for _ in range(len(vs) - 1))
+    fpart = _choose_join_edges(rng, vs, eids, new_tooth, forced)
+    step = ear_step(vs, eids, bonds, fpart, base.tooth | new_tooth)
     ok, violations = validate_ear_step(base, step)
     if not ok:
         raise InternalConsistencyError(

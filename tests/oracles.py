@@ -7,6 +7,12 @@ cycle table reads too; the sweeps share no logic with the backends under
 test.  The recursive path and circuit
 sweeps are also the order oracle for the explicit-stack ones in
 ``bigraft.core``.  ``chain_comb`` is the one fixture two suites share.
+
+``DMOracle`` is the one oracle that enumerates nothing: the
+Dulmage–Mendelsohn decomposition predicts the components, classes, order
+and distances of a bipartite comb in which every vertex is a terminal, at
+sizes no exhaustive scan reaches, from a matching and a digraph search
+that share no code with the package.
 """
 
 from bigraft.core import (
@@ -129,3 +135,80 @@ def chain_comb(k):
     edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
     g = Multigraph.build(spine + tooth, edges)
     return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)
+
+
+def _search(start, step) -> frozenset:
+    """Every vertex reachable from ``start`` by ``step``, start included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+class DMOracle:
+    """The Dulmage–Mendelsohn decomposition of a bipartite graph with sides
+    ``a_side`` and ``b_side`` that has a perfect matching.
+
+    ``partner`` is a perfect matching M, found by augmenting paths.  D is
+    the digraph on A with an arc a → a' when a ≠ a' and a is adjacent to
+    M(a'); ``reach[a]`` holds every A vertex that a reaches in D, a itself
+    included.  ``components`` are the DM components: the strong components
+    of D, each with its partners.  ``graph_component`` maps each vertex to
+    its component in the graph.  Only the graph's vertices and edges are
+    read.
+    """
+
+    def __init__(self, graph, a_side, b_side):
+        near = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            near[e.u].append(e.v)
+            near[e.v].append(e.u)
+        a_side = sorted(a_side, key=str)
+        self.partner = _perfect_matching(near, a_side)
+        if len(self.partner) != len(a_side) + len(frozenset(b_side)):
+            raise ValueError("the matching is not perfect")
+        self.reach = {a: _search(a, lambda x: [self.partner[b] for b in near[x]])
+                      for a in a_side}
+        self.components = []
+        placed: set = set()
+        for a in a_side:
+            if a not in placed:
+                strong = {x for x in self.reach[a] if a in self.reach[x]}
+                placed |= strong
+                self.components.append(frozenset(
+                    strong | {self.partner[x] for x in strong}))
+        self.graph_component = {}
+        for v in graph.vertices:
+            if v not in self.graph_component:
+                piece = _search(v, near.__getitem__)
+                self.graph_component.update(dict.fromkeys(piece, piece))
+
+
+def _perfect_matching(near: dict, a_side) -> dict:
+    """A maximum matching, as a map from each matched vertex to its
+    partner, grown by one augmenting path from each A vertex in turn."""
+    mate: dict = {}
+    for root in a_side:
+        # parent[b] is the A vertex that b hangs from in the alternating
+        # tree grown from root; free is the first unmatched b it meets.
+        parent, frontier, free = {}, [root], None
+        while frontier and free is None:
+            a = frontier.pop()
+            for b in near[a]:
+                if b not in parent:
+                    parent[b] = a
+                    if b not in mate:
+                        free = b
+                        break
+                    frontier.append(mate[b])
+        # Flip the tree path from free back to root.
+        b = free
+        while b is not None:
+            a = parent[b]
+            before = mate.get(a)
+            mate[a], mate[b] = b, a
+            b = before
+    return mate

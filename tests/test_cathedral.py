@@ -29,7 +29,7 @@ from bigraft.cathedral import (
     union_criticality_check,
     upper_bound_check,
 )
-from bigraft.combs import EarStep, classify_comb, is_f_balanced
+from bigraft.combs import EarStep, classify_comb, ear_step, is_f_balanced
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, poset_document, upper_report_document
 from bigraft.generators import GenConfig, gen_random_comb
@@ -548,6 +548,25 @@ class TestRoundEarBond:
         ear = Walk(("v1", "bw", "v3"), ("k1", "k2"))
         with pytest.raises(PreconditionError):
             round_ear_bond_check(g, min_join(g), "v1", ear)
+
+    @pytest.mark.parametrize("make, F, cid, ear", [
+        (handled_theta, None, "v1",
+         Walk(("v2", "x", "w", "y", "v4"), ("h1", "hf", "h2", "h3"))),
+        (circuit_handle, None, "a0",
+         Walk(("b0", "g1", "b2", "g2", "b0"), ("d1", "f2", "d3", "d4"))),
+        (spine_handle, {"k1"}, "v1", Walk(("v1", "bw", "v3"), ("k1", "k2"))),
+    ], ids=["theta", "circuit", "spine-bonds"])
+    def test_walk_reads_as_its_hand_built_step(self, make, F, cid, ear):
+        g = make()
+        F = min_join(g) if F is None else F
+        vs = ear.vertices
+        bonds = (vs[0],) if ear.closed else (vs[0], vs[-1])
+        vset = frozenset(vs)
+        by_hand = EarStep(ear, bonds, frozenset(), vset & g.spine,
+                          vset & g.tooth)
+        assert ear_step(vs, ear.edge_ids, bonds, frozenset(), g.tooth) == by_hand
+        assert round_ear_bond_check(g, F, cid, ear) == \
+            round_ear_bond_check(g, F, cid, by_hand)
 
     def test_straight_ear_rejected(self):
         th = handled_theta()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import sys
 import weakref
 from dataclasses import fields
@@ -25,8 +26,10 @@ from bigraft.combs import (
     EarStep,
     GraftEarDecomposition,
     StepViolation,
+    bare_root,
     build_graft_ear_decomposition,
     classify_comb,
+    ear_step,
     is_critical_quasicomb,
     is_f_balanced,
     midvertex,
@@ -364,6 +367,59 @@ class TestEarStep:
                        frozenset({"a1", "b1"}), frozenset({"a1"}),
                        frozenset({"b1"}))
         assert good.is_effective
+
+
+class TestEarStepConstructor:
+    """``ear_step`` reads a step off the graft it grows: terminals from the
+    walk's edges in the join, the tooth side from the tooth pool."""
+
+    def test_straight_ears_on_the_square(self):
+        g = square()
+        assert ear_step(("a1", "r"), ("c1",), ("r",), {"e1"}, g.tooth) == \
+            EarStep(Walk(("a1", "r"), ("c1",)), ("r",), frozenset(),
+                    frozenset({"a1"}), frozenset({"r"}))
+        assert ear_step(("b1", "a1"), ("e1",), ("a1",), {"e1"}, g.tooth) == \
+            EarStep(Walk(("b1", "a1"), ("e1",)), ("a1",),
+                    frozenset({"a1", "b1"}), frozenset({"a1"}),
+                    frozenset({"b1"}))
+
+    def test_round_path_on_the_square(self):
+        g = square()
+        step = ear_step(("a2", "b1", "a1"), ("c2", "e1"), ("a2", "a1"),
+                        {"e1"}, g.tooth)
+        assert step == EarStep(Walk(("a2", "b1", "a1"), ("c2", "e1")),
+                               ("a1", "a2"), frozenset({"a1", "b1"}),
+                               frozenset({"a1", "a2"}), frozenset({"b1"}))
+        assert step.kind == "round" and step.bonds == ("a1", "a2")
+
+    def test_circuit_on_the_parallel_pair(self):
+        g = parallel_pair()
+        step = ear_step(("a1", "b1", "a1"), ("e", "d"), ("a1",), {"d"},
+                        g.tooth)
+        assert step == EarStep(Walk(("a1", "b1", "a1"), ("e", "d")), ("a1",),
+                               frozenset({"a1", "b1"}), frozenset({"a1"}),
+                               frozenset({"b1"}))
+        assert step.walk.closed
+
+    def test_new_tooth_vertices_come_from_the_pool(self):
+        """The generator's case: the walk runs off the base, whose tooth
+        side plus the drawn new teeth make the pool, and the join is the
+        step's own share."""
+        base = bare_root("r")
+        step = ear_step(("b1", "a1", "r"), ("e2", "e1"), ("r",), {"e2"},
+                        base.tooth | {"b1"})
+        assert step == EarStep(Walk(("b1", "a1", "r"), ("e2", "e1")), ("r",),
+                               frozenset({"a1", "b1"}), frozenset({"a1"}),
+                               frozenset({"r", "b1"}))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_grown_and_built_step_is_read_off_the_target(self, seed):
+        d, F = gen_random_critical_quasicomb(
+            GenConfig(vertices=(8, 14)), random.Random(seed))
+        built = build_graft_ear_decomposition(d.target, "r", F)
+        for step in d.steps + built.steps:
+            assert step == ear_step(step.walk.vertices, step.walk.edge_ids,
+                                    step.bonds, F, d.target.tooth)
 
 
 class TestValidateEarStep:

@@ -156,17 +156,20 @@ class TestKLPartition:
         with pytest.raises(GraftInputError):
             part.class_id_of("zz")
 
-    def test_each_class_sorted_once(self, monkeypatch):
+    def test_each_class_id_taken_once(self, monkeypatch):
         calls = []
 
-        def counted(vs):
-            calls.append(1)
-            return core.sorted_vertices(vs)
+        def counted(name):
+            def wrapped(vs):
+                calls.append(name)
+                return getattr(core, name)(vs)
+            return wrapped
 
-        monkeypatch.setattr(decomposition, "sorted_vertices", counted)
+        for name in ("least_vertex", "sorted_vertices"):
+            monkeypatch.setattr(decomposition, name, counted(name))
         big, small = frozenset(range(1, 400)), frozenset({"x", 0})
         part = decomposition.KLPartition(((1, (big,)), (0, (small,))))
-        assert len(calls) == 2
+        assert calls == ["least_vertex", "least_vertex"]
         assert kl_classes_of_component(part, 1) == (big,)
         assert part.class_id_of(7) == 1
         assert kl_classes_of_component(part, 0) == (small,)
