@@ -250,51 +250,69 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     only, so no component count is refused.
     Any antisymmetry or transitivity failure is raised as an internal
     consistency error, since the theory guarantees both; a growth that
-    stopped short of top(a) shows up as a transitivity failure.
+    stopped short of top(a) shows up as a transitivity failure.  The
+    checks, the covers and the heights read one bit row per component, so
+    no step loops over triples of components.
     """
     comps = _require_comb(comb)
     ids = comps.ids()
     near = _neighbourhoods(comb, comps)
-    tops = {cid: _top_critical_set(comb, comps, near, cid) for cid in ids}
-    vertices = {c.id: c.vertices for c in comps}
+    # rows[i] has bit j set when component j lies inside top(i): a top is a
+    # union of components, so its vertices name them.
+    position = {v: j for j, c in enumerate(comps) for v in c.vertices}
+    rows = []
+    for cid in ids:
+        row = 0
+        for j in {position[v] for v in _top_critical_set(comb, comps, near, cid)}:
+            row |= 1 << j
+        rows.append(row)
     n = len(ids)
-    rel = [[vertices[b] <= tops[a] for b in ids] for a in ids]
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
 
-    for i in range(n):
-        if not rel[i][i]:
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
             raise InternalConsistencyError(
                 f"component {ids[i]!r} does not precede itself")
-        for j in range(n):
-            if i != j and rel[i][j] and rel[j][i]:
+        for j in _bits(strict[i]):
+            if rows[j] >> i & 1:
                 raise InternalConsistencyError(
                     f"components {ids[i]!r} and {ids[j]!r} precede each other")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rel[i][j] and rel[j][k] and not rel[i][k]:
-                    raise InternalConsistencyError(
-                        f"precedence is not transitive at "
-                        f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})")
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            outside = rows[j] & ~row
+            if outside:
+                k = next(_bits(outside))
+                raise InternalConsistencyError(
+                    f"precedence is not transitive at "
+                    f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})")
 
+    # (i, j) is a cover when j follows i strictly but follows no k that
+    # follows i strictly.
     hasse = []
+    below: list = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i == j or not rel[i][j]:
-                continue
-            covered = any(rel[i][k] and rel[k][j]
-                          for k in range(n) if k not in (i, j))
-            if not covered:
-                hasse.append((ids[i], ids[j]))
+        above = 0
+        for k in _bits(strict[i]):
+            above |= strict[k]
+            below[k].append(i)
+        hasse += [(ids[i], ids[j]) for j in _bits(strict[i] & ~above)]
 
     # A strict predecessor has strictly fewer strict predecessors, so this
     # order sets every height after the heights below it.
-    below = [[i for i in range(n) if i != j and rel[i][j]] for j in range(n)]
     heights = [0] * n
     for j in sorted(range(n), key=lambda j: len(below[j])):
         heights[j] = 1 + max((heights[i] for i in below[j]), default=0)
 
-    return CathedralPoset(ids, tuple(tuple(row) for row in rel),
-                          tuple(hasse), tuple(zip(ids, heights)))
+    relation = tuple(tuple(map("1".__eq__, f"{row:0{n}b}"[::-1])) for row in rows)
+    return CathedralPoset(ids, relation, tuple(hasse), tuple(zip(ids, heights)))
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,

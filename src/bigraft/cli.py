@@ -1,8 +1,10 @@
 """The command-line surface.
 
 Each subcommand takes only the options its handler reads: ``--format`` on
-all; ``--input`` (a graft document, default stdin) on all but ``verify``
-and ``gen``; ``--oracle`` (the exhaustive join backend) on ``analyze``,
+all, with ``dot`` offered only by ``analyze``, ``min-join``,
+``ear-decomp``, ``poset`` and ``gen``, so argparse refuses it elsewhere;
+``--input`` (a graft document, default stdin) on all but ``verify`` and
+``gen``; ``--oracle`` (the exhaustive join backend) on ``analyze``,
 ``min-join``, ``dist`` and ``ear-decomp``; ``--seed`` on ``verify`` and
 ``gen``.  A command exits 0 on success, 1 when a verification-style command
 finds a failure or an internal check fails, and 2 on usage or input errors:
@@ -54,19 +56,24 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The top argument parser and each subcommand's parser by name, built
     once per process: parsing keeps no state between calls.  Each
     subcommand inherits from the one parent whose options its handler
-    reads."""
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("json", "dot", "text"),
-                           default="text", help="output format (default text)")
-    loaded = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    loaded.add_argument("--input", metavar="FILE",
-                        help="graft JSON document (default: stdin)")
-    joined = argparse.ArgumentParser(add_help=False, parents=[loaded])
-    joined.add_argument("--oracle", action="store_true",
-                        help="exhaustive join backend (at most 22 edges)")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    seeded.add_argument("--seed", type=int, default=GenConfig.seed, metavar="N",
-                        help=f"PRNG seed (default {GenConfig.seed})")
+    reads, and only the subcommands that draw one offer ``--format dot``."""
+    def parents(formats) -> tuple:
+        formatted = argparse.ArgumentParser(add_help=False)
+        formatted.add_argument("--format", choices=formats, default="text",
+                               help="output format (default text)")
+        loaded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+        loaded.add_argument("--input", metavar="FILE",
+                            help="graft JSON document (default: stdin)")
+        joined = argparse.ArgumentParser(add_help=False, parents=[loaded])
+        joined.add_argument("--oracle", action="store_true",
+                            help="exhaustive join backend (at most 22 edges)")
+        seeded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+        seeded.add_argument("--seed", type=int, default=GenConfig.seed,
+                            metavar="N", help=f"PRNG seed (default {GenConfig.seed})")
+        return loaded, joined, seeded
+
+    loaded, joined, seeded = parents(("json", "text"))
+    drawn_loaded, drawn_joined, drawn_seeded = parents(("json", "dot", "text"))
 
     parser = argparse.ArgumentParser(
         prog="bigraft",
@@ -78,9 +85,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
         p.set_defaults(handler=handler)
         return p
 
-    cmd("analyze", joined, _cmd_analyze,
+    cmd("analyze", drawn_joined, _cmd_analyze,
         "full report: join size, components, classes, order")
-    cmd("min-join", joined, _cmd_min_join, "one minimum join")
+    cmd("min-join", drawn_joined, _cmd_min_join, "one minimum join")
     p = cmd("dist", joined, _cmd_dist,
             "join-induced distance between two vertices")
     p.add_argument("u")
@@ -91,13 +98,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = cmd("critical", loaded, _cmd_critical,
             "verify criticality for a root (exit 1 when it fails)")
     p.add_argument("root")
-    p = cmd("ear-decomp", joined, _cmd_ear_decomp,
+    p = cmd("ear-decomp", drawn_joined, _cmd_ear_decomp,
             "build and verify an ear decomposition for a root")
     p.add_argument("root")
     p = cmd("critical-sets", loaded, _cmd_critical_sets,
             "enumerate the critical sets of a factor component")
     p.add_argument("component")
-    cmd("poset", loaded, _cmd_poset, "the order over factor components")
+    cmd("poset", drawn_loaded, _cmd_poset, "the order over factor components")
     p = cmd("upper", loaded, _cmd_upper,
             "check the attachment of everything above a component")
     p.add_argument("component")
@@ -107,7 +114,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
                    help="instances per property (default 100)")
     p.add_argument("--properties", metavar="NAMES",
                    help="comma-separated property names (default: all)")
-    p = cmd("gen", seeded, _cmd_gen, "generate a random instance")
+    p = cmd("gen", drawn_seeded, _cmd_gen, "generate a random instance")
     p.add_argument("--mode", choices=("graft", "comb", "critical-quasicomb"),
                    default="graft")
     lo, hi = GenConfig.vertices
@@ -173,13 +180,11 @@ def _join_backend(g: Graft, args):
 def _emit(args, text, document, dot=None) -> None:
     """Print the report in the requested format.  ``text``, ``document``
     and ``dot`` are zero-argument callables that build the text lines, the
-    JSON document and the DOT text; only the requested one runs."""
+    JSON document and the DOT text; only the requested one runs.  Only the
+    subcommands that pass ``dot`` offer ``--format dot``."""
     if args.format == "json":
         print(dumps(document()))
     elif args.format == "dot":
-        if dot is None:
-            raise GraftInputError(
-                "dot output is not available for this command")
         sys.stdout.write(dot())
     else:
         for line in text():

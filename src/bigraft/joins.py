@@ -4,10 +4,9 @@ Two backends compute minimum joins.  The exhaustive one scans the whole
 affine solution space over GF(2), one particular join plus the cycle
 space, and canonicalizes ties; the matching one pairs terminals over the
 shortest-path metric and realizes the pairing by breadth-first paths.
-Their agreement is the package's root oracle.  They share _bfs_tree and,
-where min_join reads a cycle table built from nothing below, the one
-_cycle_space entry of each component, rooted at its least vertex, which
-is checked on its own against is_join and degree parity.
+Their agreement is the package's root oracle.  They share only _bfs_tree:
+the exhaustive scan alone reads _cycle_space, which is checked on its own
+against is_join and degree parity.
 
 _join_tables gives a terminal set one table per graph component, aligned
 with graph.components(), so vertex v reads tables[component_index[v]]: the
@@ -36,21 +35,21 @@ cycle table reads one difference per edge.  is_allowed_edge and the factor
 components of ``decomposition`` read the set.  No other module reads the
 tables.
 
-Along an ear chain the blocks grow instead of being rebuilt.  A sum
+Blocks are only ever grown (``_grown``).  A component's entry built from
+nothing is the one-vertex entry at its root grown by every edge of the
+component, and nothing outside it.  Along an ear chain a sum
 (``core.graft_sum``) grows its first operand's ``_cycle_blocks`` entries
-into its own (``_grow_cycle_blocks``), whether it extended that operand's
-index or indexed the sum afresh.
-The added edges take the bits after the old ones, in the order a
-breadth-first search from the old vertices meets them, so every old mask
-stays valid and a grown entry carries ``bits``, its own bit-to-edge tuple,
-which ``_pairing_least`` reads; an entry built from nothing uses the
-graph's sorted edges.  ``to_root`` keeps the base vertex of the entry it
-grew from, which need not be the component's root any more.  Tables read
-it only in XORs of pairs: a terminal set is even in each component and a
-distance flips two vertices, so the base cancels.  A new cycle merges the
-blocks it meets (``_fold_cycles``, which the build from nothing calls
-too); every other block keeps its span and memo objects, so its leasts
-carry along the chain with no key.
+into its own (``_grow_cycle_blocks``) by the edges it added, whether it
+extended that operand's index or indexed the sum afresh.  Edges take bits
+in the order a breadth-first search meets them, after the entry's own, so
+every old mask stays valid; an entry carries ``bits``, its bit-to-edge
+tuple, which ``_pairing_least`` reads.  ``to_root`` keeps the base vertex
+of the entry it grew from, which need not be the component's root any
+more.  Tables read it only in XORs of pairs: a terminal set is even in
+each component and a distance flips two vertices, so the base cancels.  A
+new cycle merges the blocks it meets (``_fold_cycles``); every other block
+keeps its span and memo objects, so its leasts carry along the chain with
+no key.
 
 The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
@@ -195,8 +194,8 @@ def walk_report(F, walk: Walk, tooth: frozenset | None = None) -> WeightedWalkRe
 
 # ---------------------------------------------------------------------------
 # Exhaustive backend: the join space is an affine subspace over GF(2), one
-# particular join plus the cycle space.  _cycle_space, which the cycle table
-# reads too, gives both.  Scanning the space with a Gray code touches each
+# particular join plus the cycle space.  _cycle_space, which nothing else
+# reads, gives both.  Scanning the space with a Gray code touches each
 # candidate in O(1).
 # ---------------------------------------------------------------------------
 
@@ -397,7 +396,7 @@ def min_join(g: Graft) -> JoinSet:
     Deterministic, but not canonicalized across the tie set; use the
     exhaustive backend when the canonical representative matters.
     """
-    F: frozenset = frozenset()
+    F: set = set()
     weight = 0
     for u, v in _matched_terminal_pairs(g.graph, g.terminals):
         dist, _ = _bfs_tree(g.graph, u)
@@ -406,7 +405,7 @@ def min_join(g: Graft) -> JoinSet:
     if len(F) != weight:
         raise InternalConsistencyError(
             "realized paths overlapped; matching weight must equal join size")
-    return JoinSet(g, F)
+    return JoinSet(g, frozenset(F))
 
 
 def is_minimum_join(g: Graft, F) -> bool:
@@ -585,43 +584,33 @@ def _fold_cycles(blocks: tuple, cycles) -> tuple:
     return tuple(out)
 
 
-def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
-                       root, entry: tuple):
-    """The ``_cycle_blocks`` entry of ``total``, a sum whose first operand
-    ``first`` holds ``entry`` for root's component, or None where the sum
-    merges that component with another of ``first``.
+def _grown(graph: Multigraph, entry: tuple, queue: list, added, old):
+    """``entry`` grown by the edges that a breadth-first search from the
+    vertices ``queue`` meets in ``graph``: those whose ids are in
+    ``added``, or every one where ``added`` is None.  None where the search
+    reaches a vertex of ``old`` that the entry does not hold.
 
-    The added edges of root's component are taken breadth first from the
-    vertices the entry reaches, and each gets the next bit after
-    ``entry``'s, so every mask of the entry stays valid.  An edge to a new
-    vertex extends the spanning tree, and with it ``to_root``, and is a
-    bridge until a cycle takes it in; an edge between reached vertices
-    closes one fundamental cycle.  ``_fold_cycles`` folds those into the
-    blocks.  ``to_root`` keeps the base of the entry it grew from, which
-    need not be the sum's root: tables read it only in XORs of an even
-    number of vertices, where the base cancels.
+    Each edge gets the next bit after ``entry``'s, so every mask of the
+    entry stays valid.  An edge to a new vertex extends the spanning tree,
+    and with it ``to_root``, and is a bridge until a cycle takes it in; an
+    edge between reached vertices closes one fundamental cycle.
+    ``_fold_cycles`` folds those into the blocks.
     """
     to_root, bridges, blocks, bits = entry
-    index = total.component_index
-    i = index[root]
-    todo = [e for e in added.values() if index[e.u] == i]
-    if not todo:
-        return total.component_roots[i], entry
     to_root = to_root.copy()
     grown: list = []
     tree, cycles, bit = 0, [], 1 << len(bits)
-    queue = [x for e in todo for x in (e.u, e.v) if x in to_root]
     done: set = set()
     for v in queue:
-        for e in total.incident(v):
-            if e.id not in added or e.id in done:
+        for e in graph.incident(v):
+            if e.id in done or added is not None and e.id not in added:
                 continue
             done.add(e.id)
             grown.append(e)
             w = e.v if e.u == v else e.u
             if w in to_root:
                 cycles.append(bit ^ to_root[v] ^ to_root[w])
-            elif w in first.vertices:
+            elif w in old:
                 return None
             else:
                 to_root[w] = to_root[v] ^ bit
@@ -631,43 +620,46 @@ def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
     for c in cycles:
         tree &= ~c
         bridges &= ~c
-    return total.component_roots[i], (to_root, bridges | tree,
-                                      _fold_cycles(blocks, cycles),
-                                      bits + tuple(grown))
+    return to_root, bridges | tree, _fold_cycles(blocks, cycles), bits + tuple(grown)
+
+
+def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
+                       root, entry: tuple):
+    """The ``_cycle_blocks`` entry of ``total``, a sum whose first operand
+    ``first`` holds ``entry`` for root's component: ``entry`` grown by the
+    added edges of root's component, from the vertices it reaches, or None
+    where the sum merges that component with another of ``first``."""
+    index = total.component_index
+    i = index[root]
+    queue = [x for e in added.values() if index[e.u] == i
+             for x in (e.u, e.v) if x in entry[0]]
+    if queue:
+        entry = _grown(total, entry, queue, added, first.vertices)
+    return None if entry is None else (total.component_roots[i], entry)
 
 
 @grown_by_sums(_grow_cycle_blocks)
 @cached_on_graph
 def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple, tuple]:
-    """root's component cut into blocks over ``_cycle_space(graph, root)``.
+    """root's component cut into blocks: the one-vertex entry at root grown
+    (``_grown``) by every edge of the component, and nothing outside it.
 
     Every cycle lies inside one block, a 2-connected piece, and any two
     edges of a block lie on a common cycle.  So fundamental cycles joined
     by chains of shared edge bits span exactly one block's cycle space, and
     a tree edge on no cycle is a bridge.  Returns ``to_root``, the mask of
     the bridges, each block as (edge mask, rank mu_b, span, memo), and
-    ``bits``, the edge of each mask bit.  The span lists all 2^mu_b sums
-    of the block's basis, or is None where mu_b exceeds _TABLE_LIMIT.  The
-    memo maps a start mask's part inside the block to its least
-    (``_CycleTable._least``) and only gains entries.  Every cycle table of
-    the component roots its blocks at its least vertex, so all of them
-    share this entry.
-
-    Built here, bit i is ``graph.edges[i]`` and ``to_root`` is based at
-    root.  ``graft_sum`` grows the entry of its first operand into the
-    sum's instead (``_grow_cycle_blocks``): the new edges take the next
-    bits, in the order they join, so ``bits`` is no longer sorted by id,
-    and ``to_root`` keeps its old base.  Either way the blocks, as edge
-    sets, are the component's, so every least is the same.
+    ``bits``, the edge of each mask bit, in the order the search met them.
+    The span lists all 2^mu_b sums of the block's basis, or is None where
+    mu_b exceeds _TABLE_LIMIT.  The memo maps a start mask's part inside
+    the block to its least (``_CycleTable._least``) and only gains entries.
+    Every cycle table of the component roots its blocks at its least
+    vertex, so all of them share this entry, and ``graft_sum`` grows it
+    along an ear chain by the same search.  The blocks, as edge sets, are
+    the component's whichever way the entry was grown, so every least is
+    the same.
     """
-    to_root, basis = _cycle_space(graph, root)
-    blocks = _fold_cycles((), basis)
-    bridges = 0
-    for path in to_root.values():
-        bridges |= path
-    for block in blocks:
-        bridges &= ~block[0]
-    return to_root, bridges, blocks, graph.edges
+    return _grown(graph, ({root: 0}, 0, (), ()), [root], None, ())
 
 
 def _pairing_least(graph: Multigraph, bits: tuple, part: int) -> int:

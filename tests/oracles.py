@@ -2,11 +2,12 @@
 
 Everything here goes through exhaustive enumeration only: the GF(2) scan for
 joins and simple-path/circuit sweeps for distances.  The scan
-(``all_min_joins``) reads its space from ``joins._cycle_space``, which the
-cycle table reads too; the sweeps share no logic with the backends under
-test.  The recursive path and circuit
-sweeps are also the order oracle for the explicit-stack ones in
-``bigraft.core``.  ``chain_comb`` is the one fixture two suites share.
+(``all_min_joins``) reads its space from ``joins._cycle_space``, which
+nothing else reads: it shares only the BFS tree (``joins._bfs_tree``) with
+the cycle table.  The sweeps share no logic with the backends under test.
+The recursive path and circuit sweeps are also the order oracle for the
+explicit-stack ones in ``bigraft.core``.  ``chain_comb`` and ``stair`` are
+the fixtures that several suites share.
 
 ``DMOracle`` is the one oracle that enumerates nothing: the
 Dulmage–Mendelsohn decomposition predicts the components, classes, order
@@ -135,6 +136,18 @@ def chain_comb(k):
     edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
     g = Multigraph.build(spine + tooth, edges)
     return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)
+
+
+def stair(k, swapped=False):
+    """stair(k): an edge ei_j = a_i b_j for each j <= i, every vertex a
+    terminal, spine a and tooth b, or the sides swapped.  Its one perfect
+    matching is a_i b_i, so every DM component is one edge."""
+    a_side = [f"a{i}" for i in range(k)]
+    b_side = [f"b{j}" for j in range(k)]
+    g = Multigraph.build(a_side + b_side, [
+        (f"e{i}_{j}", f"a{i}", f"b{j}") for i in range(k) for j in range(i + 1)])
+    spine, tooth = (b_side, a_side) if swapped else (a_side, b_side)
+    return build_bipartite_graft(g, a_side + b_side, spine=spine, tooth=tooth)
 
 
 def _search(start, step) -> frozenset:

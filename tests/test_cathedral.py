@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from bigraft.core import (
     CapacityError,
     Graft,
     GraftInputError,
+    InternalConsistencyError,
     Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
@@ -18,7 +20,9 @@ from bigraft.core import (
     simple_circuits,
     simple_paths,
 )
+from bigraft import cathedral
 from bigraft.cathedral import (
+    CathedralPoset,
     _neighbourhoods,
     _top_critical_set,
     cathedral_poset,
@@ -395,6 +399,66 @@ class TestPoset:
     def test_requires_comb(self):
         with pytest.raises(PreconditionError):
             cathedral_poset(p3r())
+
+    def test_rows_answer_as_the_pairwise_loops(self, monkeypatch):
+        """On any relation the tops give, valid or not, the bit rows raise
+        on the first pair or triple the pairwise and triple loops over the
+        relation raise on, or lay out the same relation, Hasse diagram and
+        heights."""
+        comb = chain_comb(7)
+        comps = factor_components(comb)
+        ids, n = comps.ids(), len(comps)
+        rng = random.Random(0)
+        kinds = set()
+        for trial in range(400):
+            rank = rng.sample(range(n), n)
+            p = rng.random()
+            rel = [[i == j or (rank[i] < rank[j] or trial % 3 == 0)
+                    and rng.random() < p for j in range(n)] for i in range(n)]
+            if trial % 3 == 1:
+                for k, i, j in itertools.product(range(n), repeat=3):
+                    rel[i][j] = rel[i][j] or rel[i][k] and rel[k][j]
+            if trial % 50 == 2:
+                rel[trial % n][trial % n] = False
+            tops = {ids[i]: frozenset().union(*(c.vertices for c, x in
+                                                zip(comps, rel[i]) if x))
+                    for i in range(n)}
+            monkeypatch.setattr(cathedral, "_top_critical_set",
+                                lambda comb, comps, near, cid: tops[cid])
+            want = loop_poset(ids, rel)
+            try:
+                got = cathedral_poset(comb)
+            except InternalConsistencyError as exc:
+                got = str(exc)
+            assert got == want, trial
+            kinds.add("order" if type(want) is CathedralPoset else next(
+                kind for kind in ("itself", "each other", "transitive") if kind in want))
+        assert kinds == {"itself", "each other", "transitive", "order"}
+
+
+def loop_poset(ids, rel):
+    """The order checks and layout over the relation matrix, pair by pair
+    and triple by triple: the first error message, or the poset."""
+    n = len(ids)
+    for i in range(n):
+        if not rel[i][i]:
+            return f"component {ids[i]!r} does not precede itself"
+        for j in range(n):
+            if i != j and rel[i][j] and rel[j][i]:
+                return f"components {ids[i]!r} and {ids[j]!r} precede each other"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if rel[i][j] and rel[j][k] and not rel[i][k]:
+            return (f"precedence is not transitive at "
+                    f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})")
+    hasse = tuple((ids[i], ids[j]) for i, j in itertools.product(range(n), repeat=2)
+                  if i != j and rel[i][j] and not any(
+                      rel[i][k] and rel[k][j] for k in range(n) if k not in (i, j)))
+    below = [[i for i in range(n) if i != j and rel[i][j]] for j in range(n)]
+    heights = [0] * n
+    for j in sorted(range(n), key=lambda j: len(below[j])):
+        heights[j] = 1 + max((heights[i] for i in below[j]), default=0)
+    return CathedralPoset(ids, tuple(map(tuple, rel)), hasse,
+                          tuple(zip(ids, heights)))
 
 
 class TestConstructionCost:

@@ -19,6 +19,8 @@ from bigraft.cli import _build_parser, cli_main
 from bigraft.core import (
     BigraftError,
     InternalConsistencyError,
+    Multigraph,
+    build_bipartite_graft,
 )
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, serialize_graft
@@ -32,7 +34,7 @@ from bigraft.generators import (
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import flipped_distance_sign
 
-from oracles import chain_comb
+from oracles import chain_comb, stair
 
 
 def captured(main, argv, stdin=""):
@@ -253,11 +255,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal check failed: forced\n"
 
-    def test_dot_rejected_where_unavailable(self, files):
-        code, _, err = run_cli("dist", "a", "b", "--input", files["i1"],
-                               "--format", "dot")
-        assert code == 2
-        assert "not available" in err
+    def test_dot_rejected_where_unavailable(self, files, monkeypatch):
+        """The subcommands that draw nothing refuse --format dot as they
+        parse, before any work: verify runs no property."""
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the property suite ran")
+        monkeypatch.setattr("bigraft.properties.run_property_suite", no_suite)
+        given = ("--input", files["i3"])
+        for command in (["dist", "a0", "b0", *given], ["components", *given],
+                        ["kl", *given], ["classify", *given],
+                        ["critical", "b0", *given], ["critical-sets", "a0", *given],
+                        ["upper", "a0", *given], ["verify", "--trials", "200"]):
+            code, out, err = run_cli(*command, "--format", "dot")
+            assert (code, out) == (2, ""), command
+            assert "argument --format: invalid choice: 'dot'" in err, command
 
 
 class TestAnalysis:
@@ -851,6 +862,38 @@ SCALE_EAR_DIGESTS = {
 }
 
 
+def path2(n):
+    """path2(n): the path on the int vertices 0..n-1 with edges e<i> =
+    (i, i+1), terminals 0 and n-1, and the even vertices on the spine."""
+    graph = Multigraph.build(range(n), [(f"e{i}", i, i + 1) for i in range(n - 1)])
+    return build_bipartite_graft(graph, (0, n - 1), range(0, n, 2), range(1, n, 2))
+
+
+# The scale probes' instances, by the names ROADMAP gives them.
+PROBE_INSTANCES = {
+    "comb_path(300)": lambda: comb_path(300),
+    "quasicomb(120, 0)": lambda: gen_random_critical_quasicomb(
+        GenConfig(vertices=(120, 120)), random.Random(0))[0].target,
+    "path2(1000)": lambda: path2(1000),
+    "stair(10)": lambda: stair(10),
+}
+
+# Full sha256 of the JSON stdout of the scale probes that ROADMAP quotes by
+# their first 12 digits, each a command on a named instance.
+PROBE_DIGESTS = {
+    ("analyze", "comb_path(300)"):
+        "1a449db51261e998eab7ef5cd5fecb7b522942133234db6d96093b5bde7d3fe3",
+    ("ear-decomp r", "comb_path(300)"):
+        "9441a7483bda8e449912cb558e800a5fe3924f23c704e4f4e42e68fe004936cd",
+    ("ear-decomp r", "quasicomb(120, 0)"):
+        "017bf13ebca8895075844ee2167c04efdb72798ea9284b521853965ae4a99a18",
+    ("analyze", "path2(1000)"):
+        "d2d51f7eb76b435670e35ea62b19f5c56f657248796674ec77335d238a859341",
+    ("analyze", "stair(10)"):
+        "43fa1cea8f96202fa056723e96b758989ef2e5df80327404af5587ad1381d1d2",
+}
+
+
 class TestStdoutDigest:
 
     def test_fixed_seed_stdout_unchanged(self):
@@ -876,6 +919,14 @@ class TestStdoutDigest:
                                stdin=serialize_graft(d.target))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SCALE_EAR_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(PROBE_DIGESTS), ids=" ".join)
+    def test_scale_probe_stdout_unchanged(self, case):
+        command, instance = case
+        code, out, _ = run_cli(*command.split(), "--format", "json",
+                               stdin=serialize_graft(PROBE_INSTANCES[instance]()))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PROBE_DIGESTS[case]
 
 
 def test_console_script_runs():

@@ -16,13 +16,19 @@ D on A alone:
   exactly when a' is reachable from M(b) in D: G − b − a' has a perfect
   matching exactly when an M-alternating path runs from M(b) to a'.
   Otherwise the distance is odd, since a join of V − b − a' has
-  n/2 − 1 edges modulo 2, and at least 1.
+  n/2 − 1 edges modulo 2, and at least 1;
+- the minimum join is unique exactly when every DM component is one
+  matched pair with no parallel twin of its edge.
 
-No join oracle runs at these sizes; these checks share no code with the
-join tables they read.
+The corpora are random ``dm`` combs and ``oracles.stair``, whose one block
+passes the cycle table's span limit from k = 7 on.  Past the 22-edge cap
+no join oracle runs; these checks share no code with the join tables they
+read.  The k-edge matching, the plainest DM comb, checks that each layer
+answers on thousands of components.
 """
 
 import random
+import time
 
 import pytest
 
@@ -33,9 +39,15 @@ from bigraft.decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
-from bigraft.joins import f_distance, flipped_distance_sign
+from bigraft.joins import (
+    _join_tables,
+    all_min_joins,
+    f_distance,
+    flipped_distance_sign,
+    min_join,
+)
 
-from oracles import DMOracle
+from oracles import DMOracle, stair
 
 
 def dm(k: int, p: float, s: int, swapped: bool = False):
@@ -61,6 +73,9 @@ def dm(k: int, p: float, s: int, swapped: bool = False):
 DISTANCE_CORPUS = [(2 + s % 19, 1.5 / (2 + s % 19), s) for s in range(60)]
 # Components, classes and order: small k, where the cathedral is quick.
 ORDER_CORPUS = [(2 + s % 7, 1.5 / (2 + s % 7), 1000 + s) for s in range(120)]
+# All four checks: stair(k), whose one block passes the span limit from
+# k = 7 on.
+STAIR_CORPUS = range(2, 10)
 
 
 def oracle_of(g) -> DMOracle:
@@ -113,29 +128,34 @@ def order_disagreements(g, poset, oracle: DMOracle,
     return out
 
 
+def order_instances(swapped: bool):
+    """(label, graft) of the order corpus and then the stair corpus."""
+    for k, p, s in ORDER_CORPUS:
+        yield (k, p, s), dm(k, p, s, swapped)
+    for k in STAIR_CORPUS:
+        yield f"stair({k})", stair(k, swapped)
+
+
 @pytest.mark.parametrize("swapped", [False, True], ids=["a-spine", "b-spine"])
 def test_components_and_classes_are_dm(swapped):
-    for k, p, s in ORDER_CORPUS:
-        g = dm(k, p, s, swapped)
+    for label, g in order_instances(swapped):
         oracle = oracle_of(g)
         comps = factor_components(g)
-        assert set(comps.vertex_sets()) == set(oracle.components), (k, p, s)
+        assert set(comps.vertex_sets()) == set(oracle.components), label
         part = kl_partition(g)
         for comp in comps:
             sides = {frozenset(v for v in comp.vertices if v[0] == side)
                      for side in "ab"}
             assert set(kl_classes_of_component(part, comp.id)) == sides, \
-                (k, p, s, comp.id)
+                (label, comp.id)
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["a-spine", "b-spine"])
 def test_order_is_dm_reachability(swapped):
     orders = 0
-    for k, p, s in ORDER_CORPUS:
-        g = dm(k, p, s, swapped)
+    for label, g in order_instances(swapped):
         poset = cathedral_poset(g)
-        assert order_disagreements(g, poset, oracle_of(g), swapped) == [], \
-            (k, p, s)
+        assert order_disagreements(g, poset, oracle_of(g), swapped) == [], label
         orders += bool(poset.hasse)
     assert orders > 0, "no instance of the corpus has a non-trivial order"
 
@@ -150,12 +170,103 @@ def test_distance_is_minus_one_exactly_on_alternating_reach():
     assert minus_one > 0
 
 
+def test_stair_distances_are_dm_past_the_span_limit():
+    """From k = 7 on, stair(k)'s one block holds more than _TABLE_LIMIT
+    independent cycles, so its distances come from the pairing of each
+    block part's odd vertices."""
+    for k in STAIR_CORPUS:
+        g = stair(k)
+        assert distance_disagreements(g, oracle_of(g)) == [], k
+        (table,) = _join_tables(g.graph, g.terminals)
+        paired = any(span is None for _, _, span, _ in table.blocks)
+        assert paired == (k >= 7), k
+
+
 def test_distance_check_fails_under_the_sign_flip():
     k, p, s = DISTANCE_CORPUS[10]
     g = dm(k, p, s)
     oracle = oracle_of(g)
     with flipped_distance_sign():
         assert distance_disagreements(g, oracle) != []
+        assert distance_disagreements(stair(6), oracle_of(stair(6))) != []
+
+
+def predicts_a_unique_join(g, oracle: DMOracle) -> bool:
+    """The DM rule for multigraphs: the minimum join, a perfect matching,
+    is unique exactly when every DM component is one matched pair with no
+    parallel twin of its edge."""
+    return all(len(comp) == 2 and
+               sum(e.ends() == comp for e in g.graph.edges) == 1
+               for comp in oracle.components)
+
+
+def test_the_join_is_unique_exactly_as_dm_predicts():
+    """Against all_min_joins on the order corpus within the 22-edge cap,
+    where some instances draw a parallel twin of a matched edge, and on
+    stair(2..6), each with a unique join."""
+    checked = unique = twins = 0
+    for k, p, s in ORDER_CORPUS:
+        g = dm(k, p, s)
+        if len(g.graph.edges) > 22:
+            continue
+        oracle = oracle_of(g)
+        predicted = predicts_a_unique_join(g, oracle)
+        assert (len(all_min_joins(g)) == 1) == predicted, (k, p, s)
+        checked += 1
+        unique += predicted
+        twins += not predicted and all(len(comp) == 2 for comp in oracle.components)
+    assert (checked, unique) == (114, 9) and twins > 0
+    for k in range(2, 7):
+        g = stair(k)
+        assert predicts_a_unique_join(g, oracle_of(g)), k
+        assert len(all_min_joins(g)) == 1, k
+
+
+def matching(k: int):
+    """k disjoint edges e_i = a_i b_i, every vertex a terminal, spine a and
+    tooth b: the plainest DM comb, with k components of one edge each."""
+    a_side = [f"a{i}" for i in range(k)]
+    b_side = [f"b{i}" for i in range(k)]
+    graph = Multigraph.build(a_side + b_side, [
+        (f"e{i}", f"a{i}", f"b{i}") for i in range(k)])
+    return build_bipartite_graft(graph, a_side + b_side, a_side, b_side)
+
+
+class TestWideMatching:
+    """Each layer on the k-edge matching answers in time linear in its
+    components, and as the DM rule says: k components {a_i, b_i}, with
+    the classes {a_i} and {b_i}, under the identity order."""
+
+    def within(self, seconds, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        assert time.perf_counter() - start < seconds, fn.__name__
+        return out
+
+    def test_components_and_classes(self):
+        k = 10000
+        g = matching(k)
+        comps = self.within(5, factor_components, g)
+        assert sorted(map(sorted, comps.vertex_sets())) == sorted(
+            [f"a{i}", f"b{i}"] for i in range(k))
+        part = self.within(5, kl_partition, g)
+        for comp in comps:
+            assert set(kl_classes_of_component(part, comp.id)) == {
+                frozenset({v}) for v in comp.vertices}
+
+    def test_min_join(self):
+        k = 20000
+        F = self.within(5, min_join, matching(k))
+        assert F.edge_ids == {f"e{i}" for i in range(k)}
+
+    def test_order(self):
+        k = 1000
+        poset = self.within(15, cathedral_poset, matching(k))
+        n = len(poset.component_ids)
+        assert n == k and poset.hasse == ()
+        assert poset.relation == tuple(tuple(i == j for j in range(n))
+                                       for i in range(n))
+        assert set(dict(poset.heights).values()) == {1}
 
 
 def test_order_check_fails_under_the_sign_flip():

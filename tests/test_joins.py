@@ -7,7 +7,7 @@ import json
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -15,7 +15,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraft import combs, joins
+from bigraft import combs, core, joins
 from bigraft._blossom import _verify_optimum, min_weight_matching
 from bigraft.core import (
     CapacityError,
@@ -567,6 +567,36 @@ class TestCycleSpace:
             ids = {e.id for i, e in enumerate(graph.edges) if mask >> i & 1}
             assert is_join(Graft(graph, frozenset(terminals)), ids)
 
+    def test_only_the_exhaustive_scan_reads_it(self, monkeypatch):
+        """The tables, min_join, the allowed edges and ear-decomp build
+        their cycle blocks without _cycle_space, so the exhaustive scan
+        checks a cycle space that nothing else reads."""
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(16, 20)),
+                                             random.Random(0))
+        argv = ["ear-decomp", d.root, "--format", "json"]
+        doc = json.dumps(graft_document(d.target))
+        want = cli_stdout(argv, doc)
+        grafts = ([random_graft(*case) for case in TABLE_CASES]
+                  + [block_graft(*case) for case in BLOCK_CASES.values()])
+        kinds = set()
+
+        def refused(graph, root):
+            raise AssertionError("only the exhaustive scan reads _cycle_space")
+
+        monkeypatch.setattr(joins, "_cycle_space", refused)
+        assert cli_stdout(argv, doc) == want
+        for g in grafts + [d.target]:
+            assert min_join(g).size == nu(g)
+            allowed_edge_set(g)
+            kinds.update(map(type, _join_tables(g.graph, g.terminals)))
+            for comp in g.graph.components():
+                u = min(comp)
+                for v in sorted(comp):
+                    f_distance(g, u, v)
+        assert kinds == {_SubsetTable, _CycleTable}
+        with pytest.raises(AssertionError, match="exhaustive"):
+            min_join_bruteforce(grafts[0])
+
 
 class TestDistanceTable:
     @pytest.mark.parametrize("seed,sizes,terminals,extra", TABLE_CASES)
@@ -739,22 +769,26 @@ class TestDistanceTable:
         assert _table_pairs(graph, subset) == _table_pairs(graph, cycle)
 
     def test_flipped_sets_share_the_blocks(self):
-        """Every terminal set of a component reads one set of blocks, rooted
-        at the component's least vertex, over the cycle space that the
-        exhaustive scan reads too.  The flips drop the least terminal with
-        another terminal or with a non-terminal, or add two non-terminals."""
+        """Every terminal set of a component reads one _cycle_blocks entry,
+        rooted at the component's least vertex.  The flips drop the least
+        terminal with another terminal or with a non-terminal, or add two
+        non-terminals."""
         g = random_graft(*TABLE_CASES[4])
         graph, T = g.graph, g.terminals
         (comp,) = graph.components()
         (table,) = _join_tables(graph, T)
         assert type(table) is _CycleTable
-        assert table.to_root is _cycle_space(graph, min(comp))[0]
+        entry = _cycle_blocks(graph, min(comp))
+        assert (table.to_root, table.bridges, table.blocks, table.bits) == entry
+        assert table.to_root is entry[0] and table.blocks is entry[2]
+        assert table.bits is entry[3]
         others = sorted(comp - T)
         flips = [(min(T), max(T)), (min(T), others[-1]), (others[0], others[1])]
         for u, v in flips:
             (flipped,) = _join_tables(graph, T ^ {u, v})
             assert type(flipped) is _CycleTable
-            assert flipped.blocks is table.blocks, (u, v)
+            assert flipped.to_root is entry[0] and flipped.bits is entry[3], (u, v)
+            assert flipped.blocks is entry[2], (u, v)
             assert flipped.nu == table.nu + f_distance(g, u, v).value, (u, v)
 
 
@@ -983,14 +1017,31 @@ def grown_corpus() -> list:
     return out + [build_graft_ear_decomposition(g, "r", min_join(g))]
 
 
+@contextmanager
+def grown_entries():
+    """A dict that gathers, while the context is open, every _cycle_blocks
+    entry that _grow_cycle_blocks returns, keyed by the id of its bits."""
+    out: dict = {}
+    real = core._GROWERS["_cycle_blocks"]
+
+    def recorded(*args):
+        grown = real(*args)
+        if grown is not None:
+            out[id(grown[1][3])] = grown[1]
+        return grown
+
+    with patch.dict(core._GROWERS, {"_cycle_blocks": recorded}):
+        yield out
+
+
 def grown_reads(d) -> int:
     """How many of d's prefixes read their distances from a cycle table
-    over a grown _cycle_blocks entry, one whose bits are not the graph's
-    sorted edges."""
+    over a _cycle_blocks entry that _grow_cycle_blocks returned."""
     count = 0
-    for p in tabled_prefixes(d):
-        for table in _join_tables(p.graph, p.terminals):
-            count += type(table) is _CycleTable and table.bits is not p.graph.edges
+    with grown_entries() as grown:
+        for p in tabled_prefixes(d):
+            for table in _join_tables(p.graph, p.terminals):
+                count += type(table) is _CycleTable and id(table.bits) in grown
     return count
 
 
@@ -1041,16 +1092,17 @@ class TestGrownCycleBlocks:
                                                  random.Random(seed))
             extended.clear()
             m = 0
-            for p in tabled_prefixes(d):
-                n = len(p.graph.edges)
-                is_extended = any(g is p.graph for g in extended)
-                assert is_extended == (m >= 24 and n - m < m), (seed, m, n)
-                grown = any(slot[0] == "_cycle_blocks" and entry[3] is not p.graph.edges
-                            for slot, entry in p.graph._memo.items())
-                counts["extended" if is_extended else "fresh"] += 1
-                counts["fresh and grown"] += grown and not is_extended
-                assert grown_mismatches(p, every_pair=True) == [], (seed, n)
-                m = n
+            with grown_entries() as entries:
+                for p in tabled_prefixes(d):
+                    n = len(p.graph.edges)
+                    is_extended = any(g is p.graph for g in extended)
+                    assert is_extended == (m >= 24 and n - m < m), (seed, m, n)
+                    grown = any(slot[0] == "_cycle_blocks" and id(entry[3]) in entries
+                                for slot, entry in p.graph._memo.items())
+                    counts["extended" if is_extended else "fresh"] += 1
+                    counts["fresh and grown"] += grown and not is_extended
+                    assert grown_mismatches(p, every_pair=True) == [], (seed, n)
+                    m = n
         assert counts["extended"] > 10 and counts["fresh and grown"] > 40
 
     def test_a_fold_that_skips_a_block_is_caught(self, monkeypatch):
