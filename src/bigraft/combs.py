@@ -373,13 +373,20 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     ranks in this order: 0, a non-join edge from a new spine vertex into
     the tooth support, a straight ear; 1, a non-join edge from the spine
     support to a new tooth vertex, completed into a round ear along a
-    balanced weight-zero path to the root; 2, a join edge from the spine
-    support to a new tooth vertex, a straight ear; 3, an edge inside the
-    support, a round ear whose walk runs in ``vertex_key`` order.  A rank-3
-    ear adds no vertex, so internal edges come last, in edge-id order.
-    ``ear_step`` builds each step from F and the target's tooth side.
-    Throughout, no join edge runs between the tooth support and unreached
-    spine vertices.
+    balanced weight-zero path to the root, cut at the first support
+    vertex; 2, a join edge from the spine support to a new tooth vertex, a
+    straight ear; 3, an edge inside the support, a round ear whose walk
+    runs in ``vertex_key`` order.  A rank-3 ear adds no vertex, so internal
+    edges come last, in edge-id order.  ``ear_step`` builds each step from
+    F and the target's tooth side.  Throughout, no join edge runs between
+    the tooth support and unreached spine vertices.
+
+    A rank-1 ear is forced when the new tooth vertex v has exactly one join
+    edge vw and w is in the support: a weight-zero path leaves v on a join
+    edge, so every such path is cut at w and the ear is (u, v, w).  Such an
+    ear is read off F with no path extracted.  Every tooth terminal of a
+    quasicomb has exactly one join edge, since |F| = |tooth ∩ T| and every
+    edge has one tooth end.
     """
     _require_bipartite(g)
     fset = frozenset(F)
@@ -478,21 +485,31 @@ def _round_step_via_balanced_path(g: OrderedBipartiteGraft, fset: frozenset,
                                   fid: str, u, v, support: set, root) -> EarStep:
     """Complete edge fid=uv (u in the spine support, v a new tooth vertex)
     into a round ear along a balanced weight-zero path from v to the root,
-    truncated at the first support vertex."""
-    report = extract_shortest_path(g, fset, v, root)
-    if report.weight != 0 or not report.balanced:
-        raise InternalConsistencyError(
-            "the balanced-path guarantee failed on a critical quasicomb")
-    P = report.walk
-    if P.edge_ids[0] not in fset:
-        raise InternalConsistencyError(
-            "a weight-zero path must leave its tooth end on a join edge")
-    cut = next(i for i, w in enumerate(P.vertices) if w in support)
-    w = P.vertices[cut]
+    truncated at the first support vertex.
+
+    Such a path leaves v on a join edge.  When v has exactly one, vw, and w
+    is in the support, every such path is cut at w, so the ear is (u, v, w)
+    whatever path extraction would find, and none is extracted.  Every
+    other ear extracts one.
+    """
+    joined = [e for e in g.graph.incident(v) if e.id in fset]
+    if len(joined) == 1 and (w := joined[0].other(v)) in support:
+        vertices, edge_ids = (v, w), (joined[0].id,)
+    else:
+        report = extract_shortest_path(g, fset, v, root)
+        if report.weight != 0 or not report.balanced:
+            raise InternalConsistencyError(
+                "the balanced-path guarantee failed on a critical quasicomb")
+        vertices, edge_ids = report.walk.vertices, report.walk.edge_ids
+        if edge_ids[0] not in fset:
+            raise InternalConsistencyError(
+                "a weight-zero path must leave its tooth end on a join edge")
+    cut = next(i for i, w in enumerate(vertices) if w in support)
+    w = vertices[cut]
     if w not in g.spine:
         raise InternalConsistencyError(
             "the path reentered the support on the tooth side")
-    return ear_step((u,) + P.vertices[:cut + 1], (fid,) + P.edge_ids[:cut],
+    return ear_step((u,) + vertices[:cut + 1], (fid,) + edge_ids[:cut],
                     (u,) if w == u else (u, w), fset, g.tooth)
 
 

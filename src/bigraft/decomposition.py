@@ -65,15 +65,16 @@ class FactorComponentSet:
             if seen & c.vertices:
                 raise InternalConsistencyError("components overlap")
             seen |= c.vertices
+        object.__setattr__(self, "_by_id", dict(zip(ids, self.components)))
 
     def ids(self) -> tuple:
         return tuple(c.id for c in self.components)
 
     def by_id(self, cid) -> FactorComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise GraftInputError(f"unknown factor-component id {cid!r}")
+        try:
+            return self._by_id[cid]
+        except (KeyError, TypeError):
+            raise GraftInputError(f"unknown factor-component id {cid!r}") from None
 
     def component_of(self, v) -> FactorComponent:
         for c in self.components:

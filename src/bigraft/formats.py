@@ -158,15 +158,22 @@ def dumps(doc) -> str:
     return "".join(parts)
 
 
+# The writer of each plain item type, keyed by exact type, so that a
+# subclass takes _put_json's isinstance branches as the stdlib's would.
+_INLINE = {str: _encode_str, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+
+
 def _put_json(o, newline: str, put) -> None:
     """Write ``o`` through ``put``; ``newline`` is the line break and
     indent of the level ``o`` sits at.
 
     A module-level function, not a closure over ``parts``: a closure that
     calls itself is a reference cycle, which would leave each call's
-    pieces to the cyclic collector.  A container writes its plain str and
-    int items itself, joined to the separator before them, and recurses
-    only into the rest.
+    pieces to the cyclic collector.  A container writes its plain str,
+    int, bool and None items itself through ``_INLINE``, joined to the
+    separator before them, and recurses only into the rest.
     """
     if isinstance(o, dict):
         if not o:
@@ -176,11 +183,9 @@ def _put_json(o, newline: str, put) -> None:
         sep, comma = "{" + inner, "," + inner
         for key in sorted(o):
             value = o[key]
-            kind = type(value)
-            if kind is str:
-                put(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
-            elif kind is int:
-                put(f"{sep}{_encode_str(key)}: {int.__repr__(value)}")
+            write = _INLINE.get(type(value))
+            if write is not None:
+                put(f"{sep}{_encode_str(key)}: {write(value)}")
             else:
                 put(f"{sep}{_encode_str(key)}: ")
                 _put_json(value, inner, put)
@@ -195,11 +200,9 @@ def _put_json(o, newline: str, put) -> None:
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for item in o:
-            kind = type(item)
-            if kind is str:
-                put(sep + _encode_str(item))
-            elif kind is int:
-                put(sep + int.__repr__(item))
+            write = _INLINE.get(type(item))
+            if write is not None:
+                put(sep + write(item))
             else:
                 put(sep)
                 _put_json(item, inner, put)

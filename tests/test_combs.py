@@ -5,11 +5,13 @@ import json
 import random
 import sys
 import weakref
+from collections import Counter
 from dataclasses import fields
+from unittest.mock import patch
 
 import pytest
 
-from bigraft import core, joins
+from bigraft import combs, core, joins
 from bigraft.core import (
     GraftInputError,
     GraftValidationError,
@@ -40,7 +42,7 @@ from bigraft.decomposition import factor_components
 from bigraft.formats import decomposition_document
 from bigraft.generators import GenConfig, gen_random_critical_quasicomb
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
-from bigraft.joins import f_distance_int, min_join
+from bigraft.joins import extract_shortest_path, f_distance_int, min_join
 from bigraft.core import Graft
 
 
@@ -608,6 +610,99 @@ class TestBuilder:
         for step in d.steps:
             share = frozenset(F.edge_ids) & step.edge_ids
             assert is_f_balanced(g, share, step)
+
+
+def is_forced(g, fset, v, support) -> bool:
+    """Whether tooth vertex v has exactly one join edge and it ends in the
+    support."""
+    joined = [e for e in g.graph.incident(v) if e.id in fset]
+    return len(joined) == 1 and joined[0].other(v) in support
+
+
+def round_steps(g, r, F) -> list:
+    """(u, v, edge id, support, step, extractions, matchings) for each
+    rank-1 step of build_graft_ear_decomposition(g, r, F): the step's
+    non-join edge uv, the support it grows, the step, and the
+    extract_shortest_path and min_weight_matching calls it made."""
+    calls: Counter = Counter()
+    out = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    round_step = combs._round_step_via_balanced_path
+
+    def recorded(g, fset, fid, u, v, support, root):
+        before = calls.copy()
+        step = round_step(g, fset, fid, u, v, support, root)
+        made = calls - before
+        out.append((u, v, fid, frozenset(support), step,
+                    made["extract"], made["blossom"]))
+        return step
+
+    with patch.object(combs, "extract_shortest_path",
+                      counted("extract", extract_shortest_path)), \
+            patch.object(joins, "min_weight_matching",
+                         counted("blossom", joins.min_weight_matching)), \
+            patch.object(combs, "_round_step_via_balanced_path", recorded):
+        build_graft_ear_decomposition(g, r, F)
+    return out
+
+
+class TestForcedRoundEar:
+    """A round ear whose new tooth vertex v has one join edge vw, with w in
+    the support, is (u, v, w) whatever balanced path runs from v to the
+    root: it is read off the join, with no path extracted."""
+
+    @pytest.mark.parametrize("vertices", [(16, 20), (6, 14)])
+    def test_forced_ear_is_the_extracted_ear(self, vertices):
+        forced = open_ = 0
+        for seed in range(30):
+            d, _ = gen_random_critical_quasicomb(GenConfig(vertices=vertices),
+                                                 random.Random(seed))
+            g = d.target
+            fset = frozenset(min_join(g).edge_ids)
+            for u, v, fid, support, step, _, _ in round_steps(g, d.root, fset):
+                if not is_forced(g, fset, v, support):
+                    # Every tooth terminal has one join edge: an open ear's
+                    # leaves the support, so the extracted path runs on.
+                    assert sum(e.id in fset for e in g.graph.incident(v)) == 1
+                    open_ += 1
+                    continue
+                forced += 1
+                report = extract_shortest_path(g, fset, v, d.root)
+                assert report.weight == 0 and report.balanced
+                P = report.walk
+                cut = next(i for i, w in enumerate(P.vertices) if w in support)
+                assert cut == 1
+                w = P.vertices[1]
+                assert step == ear_step(
+                    (u, v, w), (fid, P.edge_ids[0]),
+                    (u,) if w == u else (u, w), fset, g.tooth)
+        assert forced > open_ > 0
+
+    def test_only_open_ears_extract_and_match(self):
+        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(16, 20)),
+                                             random.Random(5))
+        g = d.target
+        fset = frozenset(min_join(g).edge_ids)
+        got = [(is_forced(g, fset, v, support), extractions, matchings)
+               for _, v, _, support, _, extractions, matchings
+               in round_steps(g, d.root, fset)]
+        assert got == [(False, 1, 1), (False, 1, 1), (True, 0, 0), (True, 0, 0)]
+
+    def test_join_edge_back_to_u(self):
+        """A non-join edge uv beside the join edge vu: the forced ear is a
+        circuit with the one bond u."""
+        g = parallel_pair()
+        [(u, v, fid, _, step, extractions, _)] = round_steps(
+            g, "r", min_join(g).edge_ids)
+        assert (u, v, fid, extractions) == ("a1", "b1", "e", 0)
+        assert step.walk == Walk(("a1", "b1", "a1"), ("e", "d"))
+        assert step.bonds == ("a1",)
 
 
 # sha256 over the builder's and verifier's output on fixed-seed draws; a

@@ -75,8 +75,11 @@ class TestFactorComponents:
     def test_component_lookup(self):
         comps = factor_components(chain4())
         assert comps.component_of("b1").id == "a1"
+        assert [comps.by_id(cid) for cid in comps.ids()] == list(comps)
         with pytest.raises(GraftInputError):
             comps.by_id("zz")
+        with pytest.raises(GraftInputError, match=r"id \['a1'\]"):
+            comps.by_id(["a1"])
         with pytest.raises(GraftInputError):
             comps.component_of("zz")
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +229,17 @@ class TestDumps:
     @settings(deadline=None, max_examples=300)
     @given(JSON_TREES)
     def test_matches_the_stdlib(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_relation_rows_and_nones(self):
+        """A poset's k x k bool relation, and None, True and False beside
+        str and int in dicts and lists, as the stdlib writes them."""
+        rng = random.Random(97)
+        k = 40
+        doc = {"relation": [[rng.random() < 0.5 for _ in range(k)]
+                            for _ in range(k)],
+               "mixed": [None, True, 0, "x", False, None, [None]],
+               "none": None, "yes": True, "no": False, "n": 3}
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     def test_empty_containers_and_tuples(self):

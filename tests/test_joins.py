@@ -1149,20 +1149,23 @@ def bfs_metric(graph, terms) -> list:
 
 
 def round_step_metrics(seed: int) -> list:
-    """BFS metrics of the flipped terminal sets T Δ {v, r} that the round
-    steps of build_graft_ear_decomposition hand to extract_shortest_path,
-    on one generated critical quasicomb of the quasicombs-ears size, where
-    min_join pairs them by blossom (more than _TABLE_LIMIT terminals)."""
+    """BFS metrics of the flipped terminal sets T Δ {v, r} of the round
+    steps (rank 1) of build_graft_ear_decomposition, from new tooth vertex
+    v to the root r, on one generated critical quasicomb of the
+    quasicombs-ears size, where min_join pairs them by blossom (more than
+    _TABLE_LIMIT terminals).  Every such step is recorded, whether it
+    extracts a path or reads a forced ear off the join."""
     d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(16, 20)),
                                          random.Random(seed))
     g = d.target
     flipped = []
+    round_step = combs._round_step_via_balanced_path
 
-    def recorded(g, F, u, v):
-        flipped.append(g.terminals ^ {u, v})
-        return extract_shortest_path(g, F, u, v)
+    def recorded(g, fset, fid, u, v, support, root):
+        flipped.append(g.terminals ^ {v, root})
+        return round_step(g, fset, fid, u, v, support, root)
 
-    with patch.object(combs, "extract_shortest_path", recorded):
+    with patch.object(combs, "_round_step_via_balanced_path", recorded):
         build_graft_ear_decomposition(g, d.root, min_join(g))
     return [bfs_metric(g.graph, sorted_vertices(T)) for T in flipped
             if len(T) > _TABLE_LIMIT]
@@ -1229,7 +1232,7 @@ class TestBlossomPort:
 
     def test_same_pairs_as_networkx(self):
         metrics = port_test_metrics()
-        assert len(metrics) >= 2000
+        assert len(metrics) == 2261
         assert max(map(len, metrics)) == 120
         for W in metrics:
             assert min_weight_matching(W) == networkx_pairs(W), W
