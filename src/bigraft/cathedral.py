@@ -169,10 +169,17 @@ def enumerate_critical_sets(comb: OrderedBipartiteGraft,
     return tuple(found)
 
 
-def _neighbourhoods(comb: OrderedBipartiteGraft, comps) -> dict:
-    """Each factor component's id mapped to the vertices adjacent to it."""
-    return {comp.id: {e.other(v) for v in comp.vertices
-                      for e in comb.graph.incident(v)} for comp in comps}
+def _neighbourhoods(comb: OrderedBipartiteGraft, comps) -> list:
+    """Each factor component's bit row, aligned with ``comps``: bit j is
+    set where an edge joins it to component j."""
+    position = comps.position
+    rows = [0] * len(comps)
+    for e in comb.graph.edges:
+        i, j = position[e.u], position[e.v]
+        if i != j:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
 
 
 def _top_critical_set(comb: OrderedBipartiteGraft, comps, near,
@@ -183,23 +190,28 @@ def _top_critical_set(comb: OrderedBipartiteGraft, comps, near,
     order, each adjacent component whose union with the current set is
     still critical, repeating until a full pass adds nothing.  A component
     with no edge into the set is not tested: that union contracts to a
-    disconnected graft, never critical.  The result is the union of all
-    critical sets for c provided two critical sets for c unite into a
+    disconnected graft, never critical.  A pass walks the bits of the
+    components that are adjacent and not yet inside, ascending, so a
+    component that an addition makes adjacent is tried later in the same
+    pass where it comes after that addition.  The result is the union of
+    all critical sets for c provided two critical sets for c unite into a
     critical set and that union is reached one component at a time.  No
     lemma is cited for this union closure: it is checked by test, against
     ``enumerate_critical_sets`` in tests/test_cathedral.py.  ``near`` is
     ``_neighbourhoods(comb, comps)``.
     """
     top = comps.by_id(cid).vertices
+    i = comps.position[cid]
+    inside, adjacent = 1 << i, near[i]
     grown = True
     while grown:
-        grown = False
-        for comp in comps:
-            if comp.vertices <= top or not near[comp.id] & top:
-                continue
-            candidate = top | comp.vertices
+        grown, start = False, 0
+        while todo := (adjacent & ~inside) >> start << start:
+            j = (todo & -todo).bit_length() - 1
+            start = j + 1
+            candidate = top | comps.components[j].vertices
             if _critical_set(comb, comps, cid, candidate)[0]:
-                top = candidate
+                top, inside, adjacent = candidate, inside | 1 << j, adjacent | near[j]
                 grown = True
     return top
 
@@ -259,11 +271,10 @@ def cathedral_poset(comb: OrderedBipartiteGraft) -> CathedralPoset:
     near = _neighbourhoods(comb, comps)
     # rows[i] has bit j set when component j lies inside top(i): a top is a
     # union of components, so its vertices name them.
-    position = {v: j for j, c in enumerate(comps) for v in c.vertices}
     rows = []
     for cid in ids:
         row = 0
-        for j in {position[v] for v in _top_critical_set(comb, comps, near, cid)}:
+        for j in {comps.position[v] for v in _top_critical_set(comb, comps, near, cid)}:
             row |= 1 << j
         rows.append(row)
     n = len(ids)

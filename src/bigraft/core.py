@@ -123,9 +123,10 @@ class Multigraph:
     ``_index`` alone: it serves the graphs this module derives from valid
     ones, which pass every check by construction, such as ``induced`` (a
     vertex subset with the edges inside it) and ``spanning`` (every vertex
-    with an edge subset).  ``_extended`` serves ``graft_sum``: it extends
-    its first operand's index by the edges the sum adds, and every field
-    it builds equals what ``_index`` would, adjacency order included.
+    with an edge subset).  ``_extended`` serves ``graft_sum`` where a sum
+    grows a connected first operand into a connected graph: it extends
+    the operand's index by the edges the sum adds, and every field it
+    builds equals what ``_index`` would, adjacency order included.
     """
 
     vertices: frozenset
@@ -204,21 +205,22 @@ class Multigraph:
         return self
 
     def _extended(self, vertices: frozenset, added: dict[str, Edge]) -> Multigraph:
-        """This graph with the vertices ``vertices``, a superset of its
-        own, and the canonical edges ``added``, whose ids are new, indexed
-        by extending this graph's index: its fields equal ``_index``'s.
+        """This connected graph with the vertices ``vertices``, a superset
+        of its own, and the canonical edges ``added``, whose ids are new
+        and which reach every new vertex (``_grows_connected``), indexed by
+        extending this graph's index: its fields equal ``_index``'s.
 
         New edges are put into the edge tuple and the adjacency tuples in
-        place; only the vertices an added edge touches get new tuples, and
-        ``_joined`` gives the components.  The new graph holds nothing of
-        this one, and its memo starts empty.
+        place; only the vertices an added edge touches get new tuples.  The
+        sum is one component, rooted at the least of the old root and the
+        new vertices.  The new graph holds nothing of this one, and its
+        memo starts empty.
         """
         fresh = vertices - self.vertices
-        new_edges = [added[eid] for eid in sorted(added)]
         edges = list(self.edges)
         adjacency = self._adjacency.copy()
         adjacency.update(dict.fromkeys(fresh, ()))
-        for e in new_edges:
+        for e in sorted(added.values(), key=_edge_id):
             insort(edges, e, key=_edge_id)
             for x in (e.u, e.v):
                 es = adjacency[x] + (e,)
@@ -226,55 +228,11 @@ class Multigraph:
                 if len(es) > 1 and es[-2].id > e.id:
                     es = tuple(sorted(es, key=_edge_id))
                 adjacency[x] = es
+        index = self.component_index.copy()
+        index.update(dict.fromkeys(fresh, 0))
         return _unchecked(Multigraph, vertices=vertices)._set_index(
-            tuple(edges), {**self._edge_map, **added}, adjacency,
-            *self._joined(fresh, new_edges))
-
-    def _joined(self, fresh: frozenset, new_edges: list) -> tuple:
-        """(components, roots, component index) of this graph with the new
-        vertices ``fresh`` and the edges ``new_edges``.
-
-        The components merge by union-find over nodes: an old component
-        is a node by its root, a new vertex by itself, and ``up`` maps each
-        node that is not the head of its group to one nearer the head.  A
-        group is a component that changes; its root is the least of its
-        nodes.  Only the vertices whose position is new or moved are
-        indexed again, so an ear, which grows one component by its new
-        vertices, indexes just those.
-        """
-        index, roots, comps = self.component_index, self.component_roots, self._components
-        up: dict = {}
-        for e in new_edges:
-            a = roots[index[e.u]] if e.u in index else e.u
-            b = roots[index[e.v]] if e.v in index else e.v
-            while a in up:
-                up[a] = a = up.get(up[a], up[a])
-            while b in up:
-                up[b] = b = up.get(up[b], up[b])
-            if a != b:
-                up[a] = b
-        groups: dict = {v: [v] for v in fresh if v not in up}
-        for x in up:
-            head = up[x]
-            while head in up:
-                head = up[head]
-            groups.setdefault(head, [head]).append(x)
-        # (root, old positions in it, new vertices in it) of every component
-        out = [(least_vertex(xs), [index[x] for x in xs if x in index],
-                [x for x in xs if x not in index]) for xs in groups.values()]
-        gone = {i for c in out for i in c[1]}
-        out += [(r, (i,), ()) for i, r in enumerate(roots) if i not in gone]
-        out.sort(key=lambda c: vertex_key(c[0]))
-        index = index.copy()
-        components = []
-        for i, (_, olds, new) in enumerate(out):
-            components.append(comps[olds[0]] if not new and len(olds) == 1 else
-                              frozenset().union(*(comps[j] for j in olds), new))
-            for j in olds:
-                if j != i:
-                    index.update(dict.fromkeys(comps[j], i))
-            index.update(dict.fromkeys(new, i))
-        return tuple(components), tuple(c[0] for c in out), index
+            tuple(edges), {**self._edge_map, **added}, adjacency, (vertices,),
+            (least_vertex((self.component_roots[0], *fresh)),), index)
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -354,11 +312,12 @@ def cached_on_graph(fn):
 
 def grown_by_sums(grow):
     """Let ``graft_sum`` grow each entry that a ``cached_on_graph``
-    function holds for its first operand into the sum, however the sum
+    function holds for its first operand into a sum that grows that
+    connected operand by edges reaching every new vertex, however the sum
     was indexed: ``grow(first, total, added, key, value)`` gets both
     graphs, the edges the sum added and the entry, and returns the sum's
-    (key, value), or None where the entry does not grow.  It must keep
-    nothing of ``first``, so that no graph holds its predecessor."""
+    (key, value).  It must keep nothing of ``first``, so that no graph
+    holds its predecessor."""
     def register(cached):
         _GROWERS[cached.__name__] = grow
         return cached
@@ -492,12 +451,14 @@ def graft_sum(first: OrderedBipartiteGraft,
     the other, and an edge id they share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
-    re-running the constructors' checks.  Where the first operand holds at
-    least 24 edges and the sum adds fewer, as an ear does to a large
-    prefix, the sum extends that operand's index
-    (``Multigraph._extended``); else it is indexed afresh.  Either way,
-    each memo entry of the first operand that ``grown_by_sums`` registered
-    is then grown into the sum, and:
+    re-running the constructors' checks.  Only a sum that grows a
+    connected first operand by edges reaching every new vertex
+    (``_grows_connected``), as an ear grows a prefix, builds on that
+    operand.  Where the operand also holds at least 24 edges and the sum
+    adds fewer, the sum extends its index (``Multigraph._extended``);
+    either way, each memo entry of the operand that ``grown_by_sums``
+    registered is grown into the sum.  Every other sum is indexed afresh
+    with an empty memo.  And:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -535,18 +496,41 @@ def graft_sum(first: OrderedBipartiteGraft,
     # A sum that adds at least as many edges as the first operand holds,
     # such as a replay from the bare root, is indexed afresh: extending
     # inserts edge by edge, and took 1.2 to 1.5 times a fresh index there.
-    if m >= 24 and len(added) < m:
+    extend = m >= 24 and len(added) < m
+    held = [(name, key, value) for (name, key), value in base._memo.items()
+            if name in _GROWERS]
+    connected = (extend or held) and _grows_connected(base, vertices, added)
+    if connected and extend:
         graph = base._extended(vertices, added)
     else:
         graph = Multigraph._assembled(vertices, {**base._edge_map, **added})
-    for (name, key), value in list(base._memo.items()):
-        grow = _GROWERS.get(name)
-        if grow is not None:
-            grown = grow(base, graph, added, key, value)
-            if grown is not None:
-                graph._memo[name, grown[0]] = grown[1]
+    if connected:
+        for name, key, value in held:
+            key, value = _GROWERS[name](base, graph, added, key, value)
+            graph._memo[name, key] = value
     return _unchecked(OrderedBipartiteGraft, graph=graph,
                       terminals=terminals, spine=spine, tooth=tooth)
+
+
+def _grows_connected(base: Multigraph, vertices: frozenset,
+                     added: dict[str, Edge]) -> bool:
+    """True when ``base`` is connected and the edges ``added`` reach every
+    vertex of ``vertices`` that it lacks, so that the sum is one component:
+    the one shape that extends ``base``'s index and grows its memo."""
+    if len(base.component_roots) != 1:
+        return False
+    near: dict = {}
+    for e in added.values():
+        near.setdefault(e.u, []).append(e.v)
+        near.setdefault(e.v, []).append(e.u)
+    # Every new vertex must be an end of an added edge, and a search over
+    # those edges from the old ends must take it out of ``near``.
+    queue = [x for x in near if x in base.vertices]
+    if len(near) - len(queue) != len(vertices) - len(base.vertices):
+        return False
+    for x in queue:
+        queue += near.pop(x, ())
+    return not near
 
 
 def is_join(g: Graft, F: Iterable[str]) -> bool:

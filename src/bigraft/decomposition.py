@@ -52,7 +52,11 @@ class FactorComponent:
 
 @dataclass(frozen=True)
 class FactorComponentSet:
-    """All factor components of a graft, sorted by component id."""
+    """All factor components of a graft, sorted by component id.
+
+    ``position`` maps each vertex to its component's position in
+    ``components``; it is built once with the set and must not be changed.
+    """
 
     components: tuple[FactorComponent, ...]
 
@@ -60,11 +64,12 @@ class FactorComponentSet:
         ids = [c.id for c in self.components]
         if ids != sorted_vertices(ids):
             raise InternalConsistencyError("components are not sorted by id")
-        seen: set = set()
-        for c in self.components:
-            if seen & c.vertices:
-                raise InternalConsistencyError("components overlap")
-            seen |= c.vertices
+        position: dict = {}
+        for i, c in enumerate(self.components):
+            position.update(dict.fromkeys(c.vertices, i))
+        if len(position) != sum(len(c.vertices) for c in self.components):
+            raise InternalConsistencyError("components overlap")
+        object.__setattr__(self, "position", position)
         object.__setattr__(self, "_by_id", dict(zip(ids, self.components)))
 
     def ids(self) -> tuple:
@@ -77,10 +82,10 @@ class FactorComponentSet:
             raise GraftInputError(f"unknown factor-component id {cid!r}") from None
 
     def component_of(self, v) -> FactorComponent:
-        for c in self.components:
-            if v in c.vertices:
-                return c
-        raise GraftInputError(f"unknown vertex id {v!r}")
+        try:
+            return self.components[self.position[v]]
+        except (KeyError, TypeError):
+            raise GraftInputError(f"unknown vertex id {v!r}") from None
 
     def vertex_sets(self) -> tuple[frozenset, ...]:
         return tuple(c.vertices for c in self.components)

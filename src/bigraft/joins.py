@@ -38,18 +38,20 @@ tables.
 Blocks are only ever grown (``_grown``).  A component's entry built from
 nothing is the one-vertex entry at its root grown by every edge of the
 component, and nothing outside it.  Along an ear chain a sum
-(``core.graft_sum``) grows its first operand's ``_cycle_blocks`` entries
+(``core.graft_sum``) grows its first operand's ``_cycle_blocks`` entry
 into its own (``_grow_cycle_blocks``) by the edges it added, whether it
-extended that operand's index or indexed the sum afresh.  Edges take bits
-in the order a breadth-first search meets them, after the entry's own, so
-every old mask stays valid; an entry carries ``bits``, its bit-to-edge
-tuple, which ``_pairing_least`` reads.  ``to_root`` keeps the base vertex
-of the entry it grew from, which need not be the component's root any
-more.  Tables read it only in XORs of pairs: a terminal set is even in
-each component and a distance flips two vertices, so the base cancels.  A
-new cycle merges the blocks it meets (``_fold_cycles``); every other block
-keeps its span and memo objects, so its leasts carry along the chain with
-no key.
+extended that operand's index or indexed the sum afresh.  It does so only
+where the operand is connected and the added edges reach every new
+vertex, so the sum is one component; every other sum builds its entries
+from nothing.  Edges take bits in the order a breadth-first search meets
+them, after the entry's own, so every old mask stays valid; an entry
+carries ``bits``, its bit-to-edge tuple, which ``_pairing_least``
+reads.  ``to_root`` keeps the base vertex of the entry it grew from,
+which need not be the component's root any more.  Tables read it only in
+XORs of pairs: a terminal set is even in each component and a distance
+flips two vertices, so the base cancels.  A new cycle merges the blocks
+it meets (``_fold_cycles``); every other block keeps its span and memo
+objects, so its leasts carry along the chain with no key.
 
 The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
@@ -584,11 +586,10 @@ def _fold_cycles(blocks: tuple, cycles) -> tuple:
     return tuple(out)
 
 
-def _grown(graph: Multigraph, entry: tuple, queue: list, added, old):
+def _grown(graph: Multigraph, entry: tuple, queue: list, added):
     """``entry`` grown by the edges that a breadth-first search from the
     vertices ``queue`` meets in ``graph``: those whose ids are in
-    ``added``, or every one where ``added`` is None.  None where the search
-    reaches a vertex of ``old`` that the entry does not hold.
+    ``added``, or every one where ``added`` is None.
 
     Each edge gets the next bit after ``entry``'s, so every mask of the
     entry stays valid.  An edge to a new vertex extends the spanning tree,
@@ -610,8 +611,6 @@ def _grown(graph: Multigraph, entry: tuple, queue: list, added, old):
             w = e.v if e.u == v else e.u
             if w in to_root:
                 cycles.append(bit ^ to_root[v] ^ to_root[w])
-            elif w in old:
-                return None
             else:
                 to_root[w] = to_root[v] ^ bit
                 tree |= bit
@@ -625,17 +624,11 @@ def _grown(graph: Multigraph, entry: tuple, queue: list, added, old):
 
 def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
                        root, entry: tuple):
-    """The ``_cycle_blocks`` entry of ``total``, a sum whose first operand
-    ``first`` holds ``entry`` for root's component: ``entry`` grown by the
-    added edges of root's component, from the vertices it reaches, or None
-    where the sum merges that component with another of ``first``."""
-    index = total.component_index
-    i = index[root]
-    queue = [x for e in added.values() if index[e.u] == i
-             for x in (e.u, e.v) if x in entry[0]]
-    if queue:
-        entry = _grown(total, entry, queue, added, first.vertices)
-    return None if entry is None else (total.component_roots[i], entry)
+    """The ``_cycle_blocks`` entry of ``total``, a connected sum whose
+    first operand ``first`` is connected and holds ``entry``: ``entry``
+    grown by the added edges, from the old vertices they touch."""
+    queue = [x for e in added.values() for x in (e.u, e.v) if x in entry[0]]
+    return total.component_roots[0], _grown(total, entry, queue, added)
 
 
 @grown_by_sums(_grow_cycle_blocks)
@@ -659,7 +652,7 @@ def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple, tuple]:
     the component's whichever way the entry was grown, so every least is
     the same.
     """
-    return _grown(graph, ({root: 0}, 0, (), ()), [root], None, ())
+    return _grown(graph, ({root: 0}, 0, (), ()), [root], None)
 
 
 def _pairing_least(graph: Multigraph, bits: tuple, part: int) -> int:

@@ -287,6 +287,45 @@ class TestGrowthOracle:
                 grown += top != comps.by_id(cid).vertices
         assert grown
 
+    def test_growth_tries_what_the_component_scan_tried(self, enumerated,
+                                                        monkeypatch):
+        """The walk over the adjacent components' bits asks exactly the
+        critical-set questions, in the same order, that a scan of every
+        component on every pass asked, kept here as the reference."""
+        def scanned_top(comb, comps, cid):
+            near = {comp.id: {e.other(v) for v in comp.vertices
+                              for e in comb.graph.incident(v)} for comp in comps}
+            top = comps.by_id(cid).vertices
+            grown = True
+            while grown:
+                grown = False
+                for comp in comps:
+                    if comp.vertices <= top or not near[comp.id] & top:
+                        continue
+                    candidate = top | comp.vertices
+                    if cathedral._critical_set(comb, comps, cid, candidate)[0]:
+                        top = candidate
+                        grown = True
+            return top
+
+        asked: list = []
+        real = cathedral._critical_set
+        monkeypatch.setattr(cathedral, "_critical_set", lambda comb, comps, cid, xs:
+                            asked.append(xs) or real(comb, comps, cid, xs))
+        calls = grew = 0
+        for comb, comps, _ in enumerated:
+            near = _neighbourhoods(comb, comps)
+            for cid in comps.ids():
+                asked.clear()
+                want = scanned_top(comb, comps, cid)
+                reference = list(asked)
+                asked.clear()
+                assert _top_critical_set(comb, comps, near, cid) == want
+                assert asked == reference, cid
+                calls += len(asked)
+                grew += len(want) > len(comps.by_id(cid).vertices)
+        assert calls > 150 and grew > 40
+
     def test_pairwise_unions_stay_critical(self, enumerated):
         for comb, _, sets in enumerated:
             for cid, found in sets.items():

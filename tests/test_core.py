@@ -37,7 +37,7 @@ from bigraft.generators import (
     gen_random_graft,
 )
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import allowed_edge_set, min_join
+from bigraft.joins import allowed_edge_set, f_distance, min_join
 
 from oracles import recursive_simple_circuits, recursive_simple_paths
 
@@ -390,40 +390,122 @@ class TestGraftSumAssembly:
         assert_same_graft(graft_sum(ga, gb, gc), checked_sum(ga, gb, gc))
         assert_same_graft(graft_sum(graft_sum(ga, gb), gc), checked_sum(ga, gb, gc))
 
+    @staticmethod
+    def spied_extensions(monkeypatch) -> list:
+        """The graphs ``Multigraph._extended`` returns from now on."""
+        extended = []
+        real = Multigraph._extended
+        monkeypatch.setattr(Multigraph, "_extended", lambda self, *a:
+                            extended.append(real(self, *a)) or extended[-1])
+        return extended
+
     @pytest.mark.parametrize("seed", range(80))
-    def test_extension_equals_the_index(self, seed):
-        """``_extended`` on its own, past the ear case that sums mostly
-        take: added edges that merge old components, new vertices left
-        isolated or in components of their own, roots that move, and
-        int and str ids mixed, with edge ids that sort between old ones."""
+    def test_extension_equals_the_index(self, seed, monkeypatch):
+        """Sums of random bipartite shapes, past the ear case that sums
+        mostly take: added edges that merge old components, new vertices
+        left isolated or in components of their own, roots that move, and
+        int and str ids mixed, with edge ids that sort between old ones.
+        Each shape is summed as drawn, with its first operand padded past
+        24 edges by parallel edges, and with it also joined up by a star.
+        Every sum's index equals
+        ``_index``'s, and it extends exactly where it grows a connected
+        first operand into a connected graph and the 24-edge rule
+        allows."""
+        extended = self.spied_extensions(monkeypatch)
         rng = random.Random(seed)
         names = [f"v{i}" for i in range(rng.randint(2, 9))] + list(range(rng.randint(0, 4)))
         fresh = [f"{rng.choice('aw')}{i}" for i in range(rng.randint(0, 4))]
         fresh += [-1 - i for i in range(rng.randint(0, 2))]
+        tooth = {v for v in names + fresh if rng.random() < 0.5} - {names[0]} | {names[1]}
+
+        def across(pool):
+            while True:
+                u, v = rng.sample(pool, 2)
+                if (u in tooth) != (v in tooth):
+                    return u, v
+
         edges, ids = [], rng.sample(range(100), 30)
         for k in range(rng.randint(1, 14)):
-            u, v = rng.sample(names, 2)
-            edges.append((f"e{ids[k]}", u, v))
+            edges.append((f"e{ids[k]}", *across(names)))
         added = []
         for k in range(14, 14 + rng.randint(0, 6)):
-            u, v = rng.sample(names + fresh, 2)
-            added.append((f"e{ids[k]}", u, v))
-        full = Multigraph.build(names + fresh, edges + added)
-        base = Multigraph.build(names, edges)
-        new = {e.id: e for e in full.edges if e.id not in base.edge_ids()}
-        assert index_fields(base._extended(full.vertices, new)) == index_fields(full)
+            added.append((f"e{ids[k]}", *across(names + fresh)))
 
-    def test_an_ear_whose_vertex_takes_the_lead(self):
-        """An ear on the second component whose new vertex sorts before
-        the first component's root moves its component to the front."""
-        base = Multigraph.build(["b", "c", "x", "y"], [("e1", "b", "c"), ("e2", "x", "y")])
-        full = Multigraph.build(["a", "b", "c", "x", "y"],
-                                [("e1", "b", "c"), ("e2", "x", "y"),
-                                 ("e0", "a", "x"), ("e3", "a", "y")])
-        new = {e.id: e for e in full.edges if e.id in {"e0", "e3"}}
-        got = base._extended(full.vertices, new)
-        assert got.component_roots == ("a", "b")
-        assert index_fields(got) == index_fields(full)
+        def obg(vertices, edges):
+            return build_bipartite_graft(Multigraph.build(vertices, edges), [],
+                                         set(vertices) - tooth, set(vertices) & tooth)
+
+        second = obg({x for e in added for x in e[1:]} | set(fresh), added)
+        parallel = [(f"p{k:02}", *edges[0][1:]) for k in range(24)]
+        hub = {True: names[0], False: names[1]}
+        star = [(f"s{k:02}", hub[v in tooth], v) for k, v in enumerate(names[1:])]
+        for padded in (edges, edges + parallel, edges + star + parallel):
+            first = obg(names, padded)
+            got = graft_sum(first, second).graph
+            full = Multigraph.build(names + fresh, padded + added)
+            assert index_fields(got) == index_fields(full)
+            connected = len(first.graph.components()) == 1 == len(full.components())
+            assert any(g is got for g in extended) == (connected and padded != edges)
+
+    def test_an_ear_whose_vertex_takes_the_lead(self, monkeypatch):
+        """An ear on a connected 25-edge path whose new vertex sorts before
+        the old root becomes the root of the one component, and its first
+        edge id sorts before every old one."""
+        extended = self.spied_extensions(monkeypatch)
+        spine, tooth = [f"b{i:02}" for i in range(13)], [f"c{i:02}" for i in range(13)]
+        path = [x for pair in zip(spine, tooth) for x in pair]
+        edges = [(f"e{k:02}", u, v) for k, (u, v) in enumerate(zip(path, path[1:]), 1)]
+        ear = [("e00", "a", "b00"), ("e99", "a", "b05")]
+        first = build_bipartite_graft(Multigraph.build(path, edges), [], spine, tooth)
+        second = build_bipartite_graft(Multigraph.build(["a", "b00", "b05"], ear),
+                                       [], ["b00", "b05"], ["a"])
+        got = graft_sum(first, second).graph
+        assert [g is got for g in extended] == [True]
+        assert got.component_roots == ("a",) and got.edges[0].id == "e00"
+        assert index_fields(got) == index_fields(Multigraph.build(["a", *path], edges + ear))
+
+    @pytest.mark.parametrize("kind", ["merging", "ear-on-one-of-two", "apart"])
+    def test_only_a_connected_growth_grows_the_blocks(self, kind):
+        """A sum that merges two components of its first operand, one that
+        grows one component of a disconnected operand, and one that adds a
+        component of its own carry no grown ``_cycle_blocks`` entry, yet
+        answer like their cold copies.  The same ear on a connected operand
+        does carry one."""
+        def obg(vertices, edges, terminals):
+            return build_bipartite_graft(
+                Multigraph.build(vertices, edges), terminals,
+                [v for v in vertices if v[0] in "ac"], [v for v in vertices if v[0] in "bd"])
+
+        square = ["a0", "b0", "a1", "b1"]
+        edges = [("e1", "a0", "b0"), ("e2", "b0", "a1"), ("e3", "a1", "b1"), ("e4", "b1", "a0")]
+        if kind != "apart":
+            square += ["c0", "d0", "c1", "d1"]
+            edges += [("f1", "c0", "d0"), ("f2", "d0", "c1"), ("f3", "c1", "d1"),
+                      ("f4", "d1", "c0")]
+        ear = obg(["a0", "a1", "b2"], [("g1", "a0", "b2"), ("g2", "a1", "b2")], [])
+        second = {"merging": obg(["a0", "d0"], [("m", "a0", "d0")], []),
+                  "ear-on-one-of-two": ear,
+                  "apart": obg(["c5", "d5"], [("m", "c5", "d5")], ["c5", "d5"])}[kind]
+
+        def blocks(g):
+            return [key for (name, key) in g.graph._memo if name == "_cycle_blocks"]
+
+        def summed(first, second):
+            for u in first.graph.vertices:
+                for v in first.graph.vertices:
+                    f_distance(first, u, v)
+            assert blocks(first)
+            return graft_sum(first, second)
+
+        got = summed(obg(square, edges, square), second)
+        assert blocks(got) == []
+        cold = checked_sum(obg(square, edges, square), second)
+        assert_same_graft(got, cold)
+        vertices = sorted_vertices(got.graph.vertices)
+        assert [f_distance(got, u, v) for u in vertices for v in vertices] == \
+            [f_distance(cold, u, v) for u in vertices for v in vertices]
+        connected = summed(obg(square[:4], edges[:4], square[:4]), ear)
+        assert blocks(connected) == ["a0"]
 
     def test_induced_equals_the_checked_subgraph(self):
         g = graft_sum(*self.operands("mixed-ids")).graph

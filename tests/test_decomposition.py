@@ -83,6 +83,21 @@ class TestFactorComponents:
         with pytest.raises(GraftInputError):
             comps.component_of("zz")
 
+    def test_component_of_reads_the_vertex_map(self):
+        """Every vertex finds the one component holding it, and an unknown
+        or unhashable vertex is refused as ``by_id`` refuses an id."""
+        rng = random.Random(5)
+        for _ in range(20):
+            g = gen_random_comb(GenConfig(vertices=(4, 14)), rng)
+            comps = factor_components(g)
+            for v in g.graph.vertices:
+                (want,) = [c for c in comps if v in c.vertices]
+                assert comps.component_of(v) is want
+                assert comps.components[comps.position[v]] is want
+        for v in ("zz", -1, ["a1"], {"a1"}):
+            with pytest.raises(GraftInputError, match="unknown vertex id"):
+                comps.component_of(v)
+
 
 class TestIsSeparating:
     def test_chain4_first_component(self):

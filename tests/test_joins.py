@@ -1026,8 +1026,7 @@ def grown_entries():
 
     def recorded(*args):
         grown = real(*args)
-        if grown is not None:
-            out[id(grown[1][3])] = grown[1]
+        out[id(grown[1][3])] = grown[1]
         return grown
 
     with patch.dict(core._GROWERS, {"_cycle_blocks": recorded}):

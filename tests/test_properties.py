@@ -117,6 +117,29 @@ class TestDetection:
             again = run_property_suite(1, CFG, ["comb-distance-signs"])
         assert again.certificates[0] == cert
 
+    @pytest.mark.parametrize("name", ["kl-classes-match-distance",
+                                      "component-order-axioms"])
+    def test_a_failed_layer_audit_becomes_a_certificate(self, monkeypatch, name):
+        """Where the layer under test raises its own consistency error,
+        the check returns one transcript line for it, and the suite records
+        that line as a certificate that carries the instance."""
+        layer, line = {
+            "kl-classes-match-distance": ("kl_partition", "partition audit failed"),
+            "component-order-axioms": ("cathedral_poset", "order axioms failed")}[name]
+
+        def failing(g):
+            raise InternalConsistencyError("planted")
+
+        monkeypatch.setattr(properties, layer, failing)
+        (prop,) = [p for p in PROPERTIES if p.name == name]
+        instance = _MAKERS[prop.mode](CFG, random.Random(f"{CFG.seed}:{name}:0"))
+        assert prop.check(instance, random.Random(0)) == (f"{line}: planted",)
+        rep = run_property_suite(1, CFG, [name])
+        assert rep.results == ((name, 0, 1),)
+        (cert,) = rep.certificates
+        assert cert.transcript == (f"{line}: planted",)
+        assert graft_from_document(cert.instance) == instance
+
     def test_factor_connected_makers_fall_back_to_a_factor_component(
             self, monkeypatch):
         """With one draw per maker, most draws are rejected and the makers
