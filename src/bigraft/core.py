@@ -122,11 +122,12 @@ class Multigraph:
     Anything else derived lives in ``_memo``.  ``_assembled`` runs
     ``_index`` alone: it serves the graphs this module derives from valid
     ones, which pass every check by construction, such as ``induced`` (a
-    vertex subset with the edges inside it) and ``spanning`` (every vertex
-    with an edge subset).  ``_extended`` serves ``graft_sum`` where a sum
-    grows a connected first operand into a connected graph: it extends
-    the operand's index by the edges the sum adds, and every field it
-    builds equals what ``_index`` would, adjacency order included.
+    vertex subset with the edges inside it), ``spanning`` (every vertex
+    with an edge subset) and every sum that is not a connected growth.
+    ``_extended`` builds each connected growth of ``graft_sum``: it
+    extends the operand's index by the edges the sum adds, with every
+    field equal to what ``_index`` would build, adjacency order included,
+    and grows the operand's memo entries that ``grown_by_sums`` names.
     """
 
     vertices: frozenset
@@ -213,8 +214,10 @@ class Multigraph:
         New edges are put into the edge tuple and the adjacency tuples in
         place; only the vertices an added edge touches get new tuples.  The
         sum is one component, rooted at the least of the old root and the
-        new vertices.  The new graph holds nothing of this one, and its
-        memo starts empty.
+        new vertices.  Each entry of this graph's memo that
+        ``grown_by_sums`` registered is grown into the new graph's memo;
+        no other entry is carried over, and the new graph holds nothing of
+        this one.
         """
         fresh = vertices - self.vertices
         edges = list(self.edges)
@@ -230,9 +233,14 @@ class Multigraph:
                 adjacency[x] = es
         index = self.component_index.copy()
         index.update(dict.fromkeys(fresh, 0))
-        return _unchecked(Multigraph, vertices=vertices)._set_index(
+        out = _unchecked(Multigraph, vertices=vertices)._set_index(
             tuple(edges), {**self._edge_map, **added}, adjacency, (vertices,),
             (least_vertex((self.component_roots[0], *fresh)),), index)
+        for (name, key), value in list(self._memo.items()):
+            if name in _GROWERS:
+                key, value = _GROWERS[name](self, out, added, key, value)
+                out._memo[name, key] = value
+        return out
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId],
@@ -243,7 +251,7 @@ class Multigraph:
     def edge(self, eid: str) -> Edge:
         try:
             return self._edge_map[eid]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GraftInputError(f"unknown edge id {eid!r}") from None
 
     def edge_ids(self) -> frozenset:
@@ -261,7 +269,7 @@ class Multigraph:
     def component_of(self, v: VertexId) -> frozenset:
         try:
             return self._components[self.component_index[v]]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GraftInputError(f"unknown vertex id {v!r}") from None
 
     def induced(self, X: Iterable[VertexId]) -> Multigraph:
@@ -311,13 +319,13 @@ def cached_on_graph(fn):
 
 
 def grown_by_sums(grow):
-    """Let ``graft_sum`` grow each entry that a ``cached_on_graph``
-    function holds for its first operand into a sum that grows that
-    connected operand by edges reaching every new vertex, however the sum
-    was indexed: ``grow(first, total, added, key, value)`` gets both
-    graphs, the edges the sum added and the entry, and returns the sum's
-    (key, value).  It must keep nothing of ``first``, so that no graph
-    holds its predecessor."""
+    """Let ``Multigraph._extended`` grow each entry that a
+    ``cached_on_graph`` function holds for a connected graph into the
+    graph it extends, by edges reaching every new vertex:
+    ``grow(first, total, added, key, value)`` gets both graphs, the total
+    already indexed, the edges it added and the entry, and returns the
+    total's (key, value).  It must keep nothing of ``first``, so that no
+    graph holds its predecessor."""
     def register(cached):
         _GROWERS[cached.__name__] = grow
         return cached
@@ -451,14 +459,11 @@ def graft_sum(first: OrderedBipartiteGraft,
     the other, and an edge id they share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
-    re-running the constructors' checks.  Only a sum that grows a
-    connected first operand by edges reaching every new vertex
-    (``_grows_connected``), as an ear grows a prefix, builds on that
-    operand.  Where the operand also holds at least 24 edges and the sum
-    adds fewer, the sum extends its index (``Multigraph._extended``);
-    either way, each memo entry of the operand that ``grown_by_sums``
-    registered is grown into the sum.  Every other sum is indexed afresh
-    with an empty memo.  And:
+    re-running the constructors' checks, in one of two ways.  A connected
+    growth, a connected first operand plus added edges that reach every
+    new vertex (``_grows_connected``), as an ear grows a prefix, extends
+    that operand's index and its grown tables (``Multigraph._extended``).
+    Every other sum is indexed afresh with an empty memo.  And:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -488,26 +493,10 @@ def graft_sum(first: OrderedBipartiteGraft,
         vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
         spine, tooth = spine | g.spine, tooth | g.tooth
     base = first.graph
-    m = len(base.edges)
-    # Timed on ear sums of generated quasicombs, with no tables held
-    # (CPython 3.11, one core of a Xeon host):
-    # extending costs about 25 us whatever the size, a fresh index about
-    # 12 us plus 0.6 us an edge, so extending pays from about 24 edges.
-    # A sum that adds at least as many edges as the first operand holds,
-    # such as a replay from the bare root, is indexed afresh: extending
-    # inserts edge by edge, and took 1.2 to 1.5 times a fresh index there.
-    extend = m >= 24 and len(added) < m
-    held = [(name, key, value) for (name, key), value in base._memo.items()
-            if name in _GROWERS]
-    connected = (extend or held) and _grows_connected(base, vertices, added)
-    if connected and extend:
+    if _grows_connected(base, vertices, added):
         graph = base._extended(vertices, added)
     else:
         graph = Multigraph._assembled(vertices, {**base._edge_map, **added})
-    if connected:
-        for name, key, value in held:
-            key, value = _GROWERS[name](base, graph, added, key, value)
-            graph._memo[name, key] = value
     return _unchecked(OrderedBipartiteGraft, graph=graph,
                       terminals=terminals, spine=spine, tooth=tooth)
 
@@ -516,7 +505,7 @@ def _grows_connected(base: Multigraph, vertices: frozenset,
                      added: dict[str, Edge]) -> bool:
     """True when ``base`` is connected and the edges ``added`` reach every
     vertex of ``vertices`` that it lacks, so that the sum is one component:
-    the one shape that extends ``base``'s index and grows its memo."""
+    the one shape whose sum extends ``base``'s index and grows its memo."""
     if len(base.component_roots) != 1:
         return False
     near: dict = {}

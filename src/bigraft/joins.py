@@ -37,21 +37,22 @@ tables.
 
 Blocks are only ever grown (``_grown``).  A component's entry built from
 nothing is the one-vertex entry at its root grown by every edge of the
-component, and nothing outside it.  Along an ear chain a sum
-(``core.graft_sum``) grows its first operand's ``_cycle_blocks`` entry
-into its own (``_grow_cycle_blocks``) by the edges it added, whether it
-extended that operand's index or indexed the sum afresh.  It does so only
-where the operand is connected and the added edges reach every new
-vertex, so the sum is one component; every other sum builds its entries
-from nothing.  Edges take bits in the order a breadth-first search meets
-them, after the entry's own, so every old mask stays valid; an entry
-carries ``bits``, its bit-to-edge tuple, which ``_pairing_least``
-reads.  ``to_root`` keeps the base vertex of the entry it grew from,
-which need not be the component's root any more.  Tables read it only in
-XORs of pairs: a terminal set is even in each component and a distance
-flips two vertices, so the base cancels.  A new cycle merges the blocks
-it meets (``_fold_cycles``); every other block keeps its span and memo
-objects, so its leasts carry along the chain with no key.
+component, and nothing outside it.  Along an ear chain each sum
+(``core.graft_sum``) is a connected growth: its first operand is
+connected and the added edges reach every new vertex.  Such a sum
+extends that operand's index (``core.Multigraph._extended``), which
+grows the operand's ``_cycle_blocks`` entry into its own
+(``_grow_cycle_blocks``) by the edges it added; every other sum is
+indexed afresh and builds its entries from nothing.  Edges take bits in
+the order a breadth-first search meets them, after the entry's own, so
+every old mask stays valid; an entry carries ``bits``, its bit-to-edge
+tuple, which ``_pairing_least`` reads.  ``to_root`` keeps the base
+vertex of the entry it grew from, which need not be the component's root
+any more.  Tables read it only in XORs of pairs: a terminal set is even
+in each component and a distance flips two vertices, so the base
+cancels.  A new cycle merges the blocks it meets (``_fold_cycles``);
+every other block keeps its span and memo objects, so its leasts carry
+along the chain with no key.
 
 The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
@@ -647,8 +648,8 @@ def _cycle_blocks(graph: Multigraph, root) -> tuple[dict, int, tuple, tuple]:
     mu_b exceeds _TABLE_LIMIT.  The memo maps a start mask's part inside
     the block to its least (``_CycleTable._least``) and only gains entries.
     Every cycle table of the component roots its blocks at its least
-    vertex, so all of them share this entry, and ``graft_sum`` grows it
-    along an ear chain by the same search.  The blocks, as edge sets, are
+    vertex, so all of them share this entry, and each sum of an ear chain
+    grows it by the same search (``Multigraph._extended``).  The blocks, as edge sets, are
     the component's whichever way the entry was grown, so every least is
     the same.
     """

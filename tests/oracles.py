@@ -150,6 +150,18 @@ def stair(k, swapped=False):
     return build_bipartite_graft(g, a_side + b_side, spine=spine, tooth=tooth)
 
 
+def fan(k):
+    """fan(k): the star at c over r and b0..b(k-1), with edges er = (c, r)
+    and e<i> = (c, b_i).  Every b is a terminal, and c too when k is odd;
+    the spine is {c}, the tooth r and the b's.  Its ear decomposition from
+    r adds one edge per step, so a replay from the bare root adds far more
+    edges than its first operand holds."""
+    b_side = [f"b{i}" for i in range(k)]
+    g = Multigraph.build(["r", "c", *b_side], [("er", "c", "r")] + [
+        (f"e{i}", "c", b) for i, b in enumerate(b_side)])
+    return build_bipartite_graft(g, b_side + ["c"] * (k % 2), ["c"], ["r", *b_side])
+
+
 def _search(start, step) -> frozenset:
     """Every vertex reachable from ``start`` by ``step``, start included."""
     seen, stack = {start}, [start]
@@ -225,3 +237,32 @@ def _perfect_matching(near: dict, a_side) -> dict:
             mate[a], mate[b] = b, a
             b = before
     return mate
+
+
+def matching_critical(g, r) -> bool:
+    """Whether the quasicomb ``g`` with spine A, tooth B ∪ {r}, every
+    vertex but r a terminal, and a perfect matching M of G − r (``mq``) is
+    critical for r.  It is exactly when an M-alternating search from r
+    reaches every b: from r or a reached b, step to each A neighbour; from
+    a reached a, to M(a).  Only the graph's vertices and edges are read.
+
+    Proof.  Let T = A ∪ B, so |A| = |B| = k and nu(T) = k: M is a join,
+    and each edge makes at most two vertices odd.  For b in B, a join of
+    T Δ {r, b} with k edges is a perfect matching of G − b, which exists
+    exactly when an M-alternating path runs from r to b; so f(r, b) = 0
+    exactly when the search reaches b.  For a in A, a join F of
+    T Δ {r, a} has |F| ≡ k − 1 modulo 2 (count F's ends on the A side),
+    so nu ≥ k + 1; and where a has a reached neighbour b, a perfect
+    matching of G − b plus the edge ab is such a join, so f(r, a) = 1.
+    Every a has its partner M(a) as a neighbour, so once every b is
+    reached, every a is at distance 1.
+    """
+    near = {v: [] for v in g.graph.vertices}
+    for e in g.graph.edges:
+        near[e.u].append(e.v)
+        near[e.v].append(e.u)
+    rest = {v: [w for w in ws if w != r] for v, ws in near.items() if v != r}
+    mate = _perfect_matching(rest, sorted(g.spine, key=str))
+    if len(mate) != len(rest):
+        raise ValueError("G - r has no perfect matching")
+    return g.tooth <= _search(r, lambda x: [mate[x]] if x in g.spine else near[x])

@@ -34,7 +34,7 @@ from bigraft.generators import (
 from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import flipped_distance_sign
 
-from oracles import chain_comb, stair
+from oracles import chain_comb, fan, stair
 
 
 def captured(main, argv, stdin=""):
@@ -894,6 +894,12 @@ PROBE_DIGESTS = {
 }
 
 
+# Full sha256 of ``ear-decomp r --format json`` on ``oracles.fan(300)``,
+# whose replay from the bare root adds 301 edges in one sum; CI checks the
+# first 12 digits of fan(1000)'s, 9e39054b2a47.
+FAN_EAR_DIGEST = "18028cfecdefc88c04106fc87eb1fdc71de205690a1e988242057937657979c4"
+
+
 class TestStdoutDigest:
 
     def test_fixed_seed_stdout_unchanged(self):
@@ -927,6 +933,13 @@ class TestStdoutDigest:
                                stdin=serialize_graft(PROBE_INSTANCES[instance]()))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PROBE_DIGESTS[case]
+
+
+    def test_wide_fan_stdout_unchanged(self):
+        code, out, _ = run_cli("ear-decomp", "r", "--format", "json",
+                               stdin=serialize_graft(fan(300)))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FAN_EAR_DIGEST
 
 
 def test_console_script_runs():

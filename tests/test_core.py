@@ -28,8 +28,8 @@ from bigraft.core import (
     validate_graft,
     vertex_key,
 )
-from bigraft.combs import bare_root
-from bigraft.decomposition import induced_subgraft
+from bigraft.combs import bare_root, build_graft_ear_decomposition
+from bigraft.decomposition import factor_components, induced_subgraft
 from bigraft.generators import (
     GenConfig,
     gen_random_comb,
@@ -39,7 +39,7 @@ from bigraft.generators import (
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import allowed_edge_set, f_distance, min_join
 
-from oracles import recursive_simple_circuits, recursive_simple_paths
+from oracles import fan, recursive_simple_circuits, recursive_simple_paths
 
 
 def test_vertex_key_orders_ints_before_strs():
@@ -405,12 +405,11 @@ class TestGraftSumAssembly:
         mostly take: added edges that merge old components, new vertices
         left isolated or in components of their own, roots that move, and
         int and str ids mixed, with edge ids that sort between old ones.
-        Each shape is summed as drawn, with its first operand padded past
-        24 edges by parallel edges, and with it also joined up by a star.
-        Every sum's index equals
-        ``_index``'s, and it extends exactly where it grows a connected
-        first operand into a connected graph and the 24-edge rule
-        allows."""
+        Each shape is summed as drawn, with its first operand padded by 24
+        parallel edges, and with it also joined up by a star.  Every sum's
+        index equals ``_index``'s, and it extends exactly where it grows a
+        connected first operand into a connected graph, whatever the
+        sizes."""
         extended = self.spied_extensions(monkeypatch)
         rng = random.Random(seed)
         names = [f"v{i}" for i in range(rng.randint(2, 9))] + list(range(rng.randint(0, 4)))
@@ -445,7 +444,7 @@ class TestGraftSumAssembly:
             full = Multigraph.build(names + fresh, padded + added)
             assert index_fields(got) == index_fields(full)
             connected = len(first.graph.components()) == 1 == len(full.components())
-            assert any(g is got for g in extended) == (connected and padded != edges)
+            assert any(g is got for g in extended) == connected
 
     def test_an_ear_whose_vertex_takes_the_lead(self, monkeypatch):
         """An ear on a connected 25-edge path whose new vertex sorts before
@@ -463,6 +462,18 @@ class TestGraftSumAssembly:
         assert [g is got for g in extended] == [True]
         assert got.component_roots == ("a",) and got.edges[0].id == "e00"
         assert index_fields(got) == index_fields(Multigraph.build(["a", *path], edges + ear))
+
+    def test_a_wide_replay_extends_the_bare_root(self, monkeypatch):
+        """The replay of fan(300) from the bare root adds 301 edges, 300 of
+        them at the centre, to a graph with none: one extension, edge by
+        edge, whose index equals ``_index``'s."""
+        extended = self.spied_extensions(monkeypatch)
+        g = fan(300)
+        d = build_graft_ear_decomposition(g, "r", min_join(g))
+        extended.clear()
+        got = d.replay()
+        assert [x is got.graph for x in extended] == [True]
+        assert got == g and index_fields(got.graph) == index_fields(g.graph)
 
     @pytest.mark.parametrize("kind", ["merging", "ear-on-one-of-two", "apart"])
     def test_only_a_connected_growth_grows_the_blocks(self, kind):
@@ -669,6 +680,19 @@ class TestInputErrors:
             validate_graft(g.graph, {"a0", "zz"})
         with pytest.raises(GraftInputError, match=r"unknown vertex ids \['zz'\]"):
             induced_subgraft(g, {"zz"})
+
+    def test_unhashable_ids_are_unknown(self):
+        """An unhashable id is refused as an unknown one, as
+        ``FactorComponentSet`` refuses it."""
+        g = chain4()
+        with pytest.raises(GraftInputError, match=r"unknown edge id \['c'\]"):
+            g.graph.edge(["c"])
+        with pytest.raises(GraftInputError, match=r"unknown vertex id \['r'\]"):
+            g.graph.component_of(["r"])
+        with pytest.raises(GraftInputError, match=r"unknown vertex id \['r'\]"):
+            factor_components(g).component_of(["r"])
+        with pytest.raises(GraftInputError, match=r"unknown factor-component id \['c'\]"):
+            factor_components(g).by_id(["c"])
 
     def test_bipartition_names_unknown_vertices(self):
         g = Multigraph.build(["x", "y"], [("e", "x", "y")])

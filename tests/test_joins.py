@@ -1076,33 +1076,32 @@ class TestGrownCycleBlocks:
             assert grown_mismatches(p, every_pair, root=d.root) == [], k
         assert paired > 10 and every == 2
 
-    def test_a_sum_extends_by_size_and_grows_either_way(self, monkeypatch):
-        """A sum extends its first operand's index exactly where that
-        operand holds at least 24 edges and the sum adds fewer; a smaller
-        prefix is indexed afresh, yet still carries the cycle blocks grown
-        from the one before, and every prefix answers as its cold copy."""
+    def test_every_connected_growth_extends_and_grows(self, monkeypatch):
+        """Every prefix, whatever its size, and the n-ary replay from the
+        bare root, which adds every edge at once, grow a connected graft
+        into a connected one, so each extends the index of the graft it
+        grows (``_extended``) and no sum is indexed afresh.  Each prefix
+        past the first carries the cycle blocks grown from the one before,
+        and every sum answers as its cold copy, index fields included."""
         extended = []
         real = Multigraph._extended
         monkeypatch.setattr(Multigraph, "_extended", lambda self, *a:
                             extended.append(real(self, *a)) or extended[-1])
-        counts = {"extended": 0, "fresh": 0, "fresh and grown": 0}
+        grown = 0
         for seed in range(6):
             d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(24, 32)),
                                                  random.Random(seed))
             extended.clear()
-            m = 0
             with grown_entries() as entries:
-                for p in tabled_prefixes(d):
-                    n = len(p.graph.edges)
-                    is_extended = any(g is p.graph for g in extended)
-                    assert is_extended == (m >= 24 and n - m < m), (seed, m, n)
-                    grown = any(slot[0] == "_cycle_blocks" and id(entry[3]) in entries
-                                for slot, entry in p.graph._memo.items())
-                    counts["extended" if is_extended else "fresh"] += 1
-                    counts["fresh and grown"] += grown and not is_extended
-                    assert grown_mismatches(p, every_pair=True) == [], (seed, n)
-                    m = n
-        assert counts["extended"] > 10 and counts["fresh and grown"] > 40
+                for k, p in enumerate(tabled_prefixes(d)):
+                    assert [g is p.graph for g in extended] == [False] * k + [True], (seed, k)
+                    grown += any(slot[0] == "_cycle_blocks" and id(entry[3]) in entries
+                                 for slot, entry in p.graph._memo.items())
+                    assert grown_mismatches(p, every_pair=True) == [], (seed, k)
+            replayed = d.replay()
+            assert extended[-1] is replayed.graph and len(extended) == len(d.steps) + 1
+            assert grown_mismatches(replayed, every_pair=False, root=d.root) == []
+        assert grown > 60
 
     def test_a_fold_that_skips_a_block_is_caught(self, monkeypatch):
         """A growth that leaves out one block that the new cycle meets
