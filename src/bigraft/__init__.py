@@ -60,7 +60,6 @@ _MODULE_OF = {
     "cli_main": "cli",
     "contract_graft": "core",
     "decomposition_document": "formats",
-    "ear_step": "combs",
     "enumerate_critical_sets": "cathedral",
     "export_dot": "formats",
     "extract_shortest_path": "joins",

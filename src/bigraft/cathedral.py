@@ -11,8 +11,9 @@ diagram, heights, and the neighborhood containment check for the vertices
 lying strictly above a component.
 
 Each public function checks once that its input is a comb, then tests
-every candidate union through ``_critical_set``, which builds the
-contraction G[X]/G0 as a single graft.
+every candidate union through ``_critical_set``, which assembles the
+contraction G[X]/G0 as a single graft, unchecked: it is derived from the
+comb and valid by construction, and ``classify_comb`` still tests it.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .core import (
     CapacityError,
     GraftInputError,
     InternalConsistencyError,
-    Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    assemble_graft,
+    assemble_graph,
     contracted_edges,
+    is_vertex_id,
     sorted_vertices,
 )
 from .combs import (
@@ -125,11 +128,14 @@ def _critical_set(comb: OrderedBipartiteGraft, comps: FactorComponentSet,
 
     # X is a union of factor components, each with an even number of
     # terminals, so G[X] is a graft and G0 contracts to a non-terminal.
+    # The fresh root is a new tooth vertex, and the scan above refused the
+    # one edge shape that would join two tooth vertices, so the contraction
+    # passes every check of the constructors and is assembled.
     root = _contracted_name(component_id, xs)
     inner = (e for e in comb.graph.edges if e.u in xs and e.v in xs)
-    shape = OrderedBipartiteGraft(
-        Multigraph((xs - g0.vertices) | {root},
-                   contracted_edges(inner, g0.vertices, root)),
+    shape = assemble_graft(
+        assemble_graph((xs - g0.vertices) | {root},
+                       contracted_edges(inner, g0.vertices, root)),
         (comb.terminals & xs) - g0.vertices,
         (comb.spine & xs) - g0.vertices, outside_tooth | {root})
     if not classify_comb(shape).is_quasicomb:
@@ -424,7 +430,16 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     comps = _require_comb(comb)
     home = comps.by_id(component_id)
     if isinstance(P, Walk):
+        # The walk is input.  ``validate`` ties it to the comb; the step is
+        # then assembled, so refuse here what ``EarStep`` refuses and
+        # ``validate`` lets through: no edge, or an id that only equals a
+        # vertex (True for 1).
         P.validate(comb.graph)
+        if not P.edge_ids:
+            raise GraftInputError("an ear needs at least one edge")
+        for v in P.vertices:
+            if not is_vertex_id(v):
+                raise GraftInputError(f"vertex id {v!r} must be str or int")
         bonds = (P.vertices[0],) if P.closed else (P.vertices[0], P.vertices[-1])
         step = ear_step(P.vertices, P.edge_ids, bonds, frozenset(), comb.tooth)
     elif isinstance(P, EarStep):

@@ -27,7 +27,10 @@ from .core import (
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    assemble_graft,
+    assemble_graph,
     graft_sum,
+    is_vertex_id,
     odd_degree_vertices,
     sorted_vertices,
     vertex_key,
@@ -264,15 +267,30 @@ class EarStep:
 
 def ear_step(vertices: tuple, edge_ids: tuple, bonds: tuple, join,
              tooth) -> EarStep:
-    """The step along the walk (vertices, edge_ids) with these bonds, read
-    off the graft it grows: its terminals are the odd vertices of the
-    walk's edges in ``join``, its tooth side the walk's vertices in
-    ``tooth`` and its spine side the rest."""
+    """The package's step assembler: the step along the walk (vertices,
+    edge_ids) with these bonds, read off the graft it grows.  Its terminals
+    are the odd vertices of the walk's edges in ``join``, its tooth side
+    the walk's vertices in ``tooth`` and its spine side the rest; its bonds
+    are sorted as ``EarStep`` sorts them.
+
+    Nothing is checked: the walk must come from a valid bipartite graft
+    whose tooth side lies in ``tooth``, with at least one edge and its
+    bonds placed as ``EarStep`` requires.  The step, its graph and its
+    graft are assembled, and equal what ``EarStep(...)``, the public,
+    checked way to build a step, makes from the same fields."""
     vset = frozenset(vertices)
     teeth = vset & tooth
-    return EarStep(Walk(vertices, edge_ids), bonds, odd_degree_vertices(
-        vertices[i:i + 2] for i, eid in enumerate(edge_ids) if eid in join),
-        vset - teeth, teeth)
+    spine = vset - teeth
+    terminals = odd_degree_vertices(
+        vertices[i:i + 2] for i, eid in enumerate(edge_ids) if eid in join)
+    graph = assemble_graph(vset, map(Edge, edge_ids, vertices, vertices[1:]))
+    step = object.__new__(EarStep)
+    # A frozen dataclass refuses setattr, not its own __dict__.
+    step.__dict__.update(
+        walk=Walk(vertices, edge_ids), bonds=tuple(sorted_vertices(bonds)),
+        terminals=terminals, spine=spine, tooth=teeth,
+        _graft=assemble_graft(graph, terminals, spine, teeth))
+    return step
 
 
 def validate_ear_step(base: OrderedBipartiteGraft,
@@ -323,43 +341,41 @@ def validate_ear_step(base: OrderedBipartiteGraft,
 # ---------------------------------------------------------------------------
 
 def bare_root(root) -> OrderedBipartiteGraft:
-    """The graft every ear growth starts from: the root alone, on the tooth side."""
-    return OrderedBipartiteGraft(Multigraph(frozenset({root}), ()),
-                                 frozenset(), frozenset(), frozenset({root}))
+    """The graft every ear growth starts from: the root alone, on the tooth
+    side.  It is assembled, so ``root`` must be a vertex id: the generator's
+    ``"r"`` or a decomposition's root, which is a target vertex."""
+    alone = frozenset({root})
+    return assemble_graft(assemble_graph(alone, ()), frozenset(),
+                          frozenset(), alone)
 
 
 @dataclass(frozen=True)
 class GraftEarDecomposition:
     """An ordered ear growth from a single root toward a target graft.  It
     keeps no sums: ``replay`` and ``prefixes`` build theirs on each call,
-    from ``_start`` by ``graft_sum``, and check no graph again."""
+    from ``bare_root`` by ``graft_sum``, and check no graph again."""
 
     root: object
     steps: tuple[EarStep, ...]
     target: OrderedBipartiteGraft
 
     def __post_init__(self):
-        if self.root not in self.target.graph.vertices:
+        # An id that only equals a vertex (True for 1) is refused here, as
+        # the sums start from the root assembled.
+        if not (is_vertex_id(self.root) and self.root in self.target.graph.vertices):
             raise GraftInputError(f"root {self.root!r} is not a target vertex")
-
-    def _start(self) -> OrderedBipartiteGraft:
-        """``bare_root(self.root)``, its graph cut from the target's, which
-        holds the root, so that nothing in it is checked again."""
-        return OrderedBipartiteGraft(self.target.graph.induced({self.root}),
-                                     frozenset(), frozenset(),
-                                     frozenset({self.root}))
 
     def replay(self) -> OrderedBipartiteGraft:
         """The graft after the last step, built in one sum; the bare root
         when there is none."""
-        return graft_sum(self._start(),
+        return graft_sum(bare_root(self.root),
                          *(step.as_graft() for step in self.steps))
 
     def prefixes(self) -> Iterator[OrderedBipartiteGraft]:
         """Yield the graft after each step, each summed from the one before
         and held only until the next, so a malformed chain still yields up
         to its bad step."""
-        g = self._start()
+        g = bare_root(self.root)
         for step in self.steps:
             g = graft_sum(g, step.as_graft())
             yield g
@@ -565,7 +581,7 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
     if d.root not in target.tooth:
         problems.append(f"root {d.root!r} is not on the target's tooth side")
 
-    current = d._start()
+    current = bare_root(d.root)
     chain = d.prefixes()
     for idx, step in enumerate(d.steps):
         _, violations = validate_ear_step(current, step)

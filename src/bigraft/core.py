@@ -4,6 +4,15 @@ A graft pairs a multigraph with a terminal vertex set whose size is even in
 every connected component; an ordered bipartite graft additionally carries a
 bipartition into a spine side and a tooth side.  Every value here is frozen
 and hashable, so instances can be shared freely.
+
+Checks run where data enters: the public constructors ``Multigraph``,
+``Graft`` and ``OrderedBipartiteGraft`` refuse every malformed value, and
+the parser checks its fields before it builds.  A value the package
+derives from valid ones passes those checks by construction, so it is
+assembled instead: ``assemble_graph`` turns each edge as the constructor
+does and indexes the graph, and ``assemble_graft`` sets a graft's fields.
+Both build the value the checking constructor would build from the same
+arguments, and neither checks anything.
 """
 
 from __future__ import annotations
@@ -119,11 +128,12 @@ class Multigraph:
     ``vertex_key`` order, so ``component_roots[i]``, the start of
     ``components()[i]``, is its least vertex and the roots ascend.
     ``component_index`` maps each vertex to its component's position.
-    Anything else derived lives in ``_memo``.  ``_assembled`` runs
-    ``_index`` alone: it serves the graphs this module derives from valid
-    ones, which pass every check by construction, such as ``induced`` (a
-    vertex subset with the edges inside it), ``spanning`` (every vertex
-    with an edge subset) and every sum that is not a connected growth.
+    Anything else derived lives in ``_memo``.  ``assemble_graph`` turns
+    and indexes a graph without the checks: it serves every graph the
+    package derives from valid ones, such as ``induced`` (a vertex subset
+    with the edges inside it), ``spanning`` (every vertex with an edge
+    subset), ear steps, contractions, generator draws and every sum that
+    is not a connected growth.
     ``_extended`` builds each connected growth of ``graft_sum``: it
     extends the operand's index by the edges the sum adds, with every
     field equal to what ``_index`` would build, adjacency order included,
@@ -135,8 +145,6 @@ class Multigraph:
 
     def __post_init__(self):
         _require_vertex_ids(self.vertices, "vertex id")
-        # Canonical form: endpoint order inside an edge carries no meaning,
-        # so graphs assembled along different routes compare equal.
         by_id: dict[str, Edge] = {}
         for e in self.edges:
             eid, u, v = e.id, e.u, e.v
@@ -148,24 +156,13 @@ class Multigraph:
                 raise GraftInputError(f"edge {eid!r} has an unknown endpoint")
             if u == v:
                 raise GraftInputError(f"edge {eid!r} is a loop")
-            # Exact str or int ends of one type compare as their keys do:
-            # the keys' first items tie, and the ends differ.  Other ends
-            # must pass the id rule, which ``in`` does not enforce.
+            # An end that is no exact str or int must pass the id rule,
+            # which ``in`` does not enforce.
             tu = type(u)
-            if tu is type(v) and (tu is str or tu is int):
-                ascending = u <= v
-            else:
+            if not (tu is type(v) and (tu is str or tu is int)):
                 _require_vertex_ids((u, v), f"edge {eid!r} end")
-                ascending = vertex_key(u) <= vertex_key(v)
-            by_id[eid] = e if ascending else Edge(eid, v, u)
+            by_id[eid] = _canonical(e)
         self._index(by_id)
-
-    @classmethod
-    def _assembled(cls, vertices: frozenset, by_id: dict[str, Edge]) -> Multigraph:
-        """The graph on ``vertices`` with the edges of ``by_id``, indexed
-        and not checked: each edge must already be canonical, with its
-        ends in ``vertices``."""
-        return _unchecked(cls, vertices=vertices)._index(by_id)
 
     def _index(self, by_id: dict[str, Edge]) -> Multigraph:
         edges = tuple(by_id[eid] for eid in sorted(by_id))
@@ -205,11 +202,13 @@ class Multigraph:
         object.__setattr__(self, "_memo", {})
         return self
 
-    def _extended(self, vertices: frozenset, added: dict[str, Edge]) -> Multigraph:
-        """This connected graph with the vertices ``vertices``, a superset
-        of its own, and the canonical edges ``added``, whose ids are new
-        and which reach every new vertex (``_grows_connected``), indexed by
-        extending this graph's index: its fields equal ``_index``'s.
+    def _extended(self, vertices: frozenset, fresh: set,
+                  added: dict[str, Edge]) -> Multigraph:
+        """This connected graph with the vertices ``vertices``, its own plus
+        the new ones ``fresh``, and the canonical edges ``added``, whose ids
+        are new and which reach every new vertex (``_grows_connected``),
+        indexed by extending this graph's index: its fields equal
+        ``_index``'s.
 
         New edges are put into the edge tuple and the adjacency tuples in
         place; only the vertices an added edge touches get new tuples.  The
@@ -219,14 +218,13 @@ class Multigraph:
         no other entry is carried over, and the new graph holds nothing of
         this one.
         """
-        fresh = vertices - self.vertices
         edges = list(self.edges)
         adjacency = self._adjacency.copy()
-        adjacency.update(dict.fromkeys(fresh, ()))
         for e in sorted(added.values(), key=_edge_id):
             insort(edges, e, key=_edge_id)
             for x in (e.u, e.v):
-                es = adjacency[x] + (e,)
+                # Every new vertex is an end of an added edge.
+                es = adjacency.get(x, ()) + (e,)
                 # The new edges come in id order; an old one may follow.
                 if len(es) > 1 and es[-2].id > e.id:
                     es = tuple(sorted(es, key=_edge_id))
@@ -277,8 +275,8 @@ class Multigraph:
         missing = keep - self.vertices
         if missing:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
-        return Multigraph._assembled(
-            keep, {e.id: e for e in self.edges if e.u in keep and e.v in keep})
+        return assemble_graph(
+            keep, (e for e in self.edges if e.u in keep and e.v in keep))
 
     def spanning(self, edge_ids: Iterable[str]) -> Multigraph:
         """The graph on the same vertices with only the given edges: the
@@ -287,17 +285,55 @@ class Multigraph:
         unknown = keep.difference(self._edge_map)
         if unknown:
             raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
-        return Multigraph._assembled(
-            self.vertices, {e.id: e for e in self.edges if e.id in keep})
+        return assemble_graph(
+            self.vertices, (e for e in self.edges if e.id in keep))
 
 
 def _unchecked(cls, **fields):
     """A ``cls`` with ``fields`` set and its ``__post_init__`` not run: for
     a value whose checks its construction already implies."""
     out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+    # A frozen dataclass refuses setattr, not its own __dict__.
+    out.__dict__.update(fields)
     return out
+
+
+def _canonical(e: Edge) -> Edge:
+    """``e`` with its ends in ``vertex_key`` order.  Endpoint order inside
+    an edge carries no meaning, so graphs built along different routes
+    compare equal."""
+    u, v = e.u, e.v
+    tu = type(u)
+    # Exact str or int ends of one type compare as their keys do: the
+    # keys' first items tie, and the ends differ.
+    if tu is type(v) and (tu is str or tu is int):
+        ascending = u <= v
+    else:
+        ascending = vertex_key(u) <= vertex_key(v)
+    return e if ascending else Edge(e.id, v, u)
+
+
+def assemble_graph(vertices: frozenset, edges: Iterable[Edge]) -> Multigraph:
+    """``Multigraph(vertices, edges)`` without its checks: each edge is
+    turned as the constructor turns it, and ``_index`` runs alone.  For a
+    graph derived from valid data, whose edges carry distinct nonempty str
+    ids and two distinct ends in ``vertices``, each a vertex id."""
+    return _unchecked(Multigraph, vertices=vertices)._index(
+        {e.id: _canonical(e) for e in edges})
+
+
+def assemble_graft(graph: Multigraph, terminals: frozenset,
+                   spine: frozenset | None = None,
+                   tooth: frozenset | None = None) -> Graft:
+    """``Graft(graph, terminals)``, or with sides
+    ``OrderedBipartiteGraft(graph, terminals, spine, tooth)``, without
+    their checks.  For a graft derived from valid data: its terminals are
+    vertices, even in every component, and its sides partition the
+    vertices with every edge running between them."""
+    if spine is None:
+        return _unchecked(Graft, graph=graph, terminals=terminals)
+    return _unchecked(OrderedBipartiteGraft, graph=graph, terminals=terminals,
+                      spine=spine, tooth=tooth)
 
 
 # The memo entries a sum grows from its first operand's: a function's name
@@ -463,7 +499,8 @@ def graft_sum(first: OrderedBipartiteGraft,
     growth, a connected first operand plus added edges that reach every
     new vertex (``_grows_connected``), as an ear grows a prefix, extends
     that operand's index and its grown tables (``Multigraph._extended``).
-    Every other sum is indexed afresh with an empty memo.  And:
+    Every other sum is assembled afresh (``assemble_graph``) with an empty
+    memo.  And:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -476,11 +513,14 @@ def graft_sum(first: OrderedBipartiteGraft,
     """
     known = first.graph._edge_map
     added: dict[str, Edge] = {}
-    vertices, terminals = first.graph.vertices, first.terminals
-    spine, tooth = first.spine, first.tooth
+    # What the later operands bring, gathered in place and joined to the
+    # first operand's sets once, so that n operands cost one pass.
+    vertices, odd, spine, tooth = set(), set(), set(), set()
     for g in more:
-        clash = (spine & g.tooth) | (g.spine & tooth)
-        if clash:
+        if not (first.spine.isdisjoint(g.tooth) and spine.isdisjoint(g.tooth)
+                and first.tooth.isdisjoint(g.spine) and tooth.isdisjoint(g.spine)):
+            clash = (((first.spine | spine) & g.tooth)
+                     | (g.spine & (first.tooth | tooth)))
             raise PreconditionError(
                 f"vertices {sorted_vertices(clash)!r} change sides between the operands")
         for e in g.graph.edges:
@@ -490,24 +530,31 @@ def graft_sum(first: OrderedBipartiteGraft,
             elif old.ends() != e.ends():
                 raise GraftInputError(
                     f"edge id {e.id!r} appears in both operands with different ends")
-        vertices, terminals = vertices | g.graph.vertices, terminals ^ g.terminals
-        spine, tooth = spine | g.spine, tooth | g.tooth
+        vertices |= g.graph.vertices
+        odd ^= g.terminals
+        spine |= g.spine
+        tooth |= g.tooth
     base = first.graph
-    if _grows_connected(base, vertices, added):
-        graph = base._extended(vertices, added)
+    fresh = vertices - base.vertices
+    vertices = base.vertices | fresh
+    if _grows_connected(base, fresh, added):
+        graph = base._extended(vertices, fresh, added)
     else:
-        graph = Multigraph._assembled(vertices, {**base._edge_map, **added})
-    return _unchecked(OrderedBipartiteGraft, graph=graph,
-                      terminals=terminals, spine=spine, tooth=tooth)
+        graph = assemble_graph(vertices, (*base.edges, *added.values()))
+    return assemble_graft(graph, first.terminals ^ odd, first.spine | spine,
+                          first.tooth | tooth)
 
 
-def _grows_connected(base: Multigraph, vertices: frozenset,
+def _grows_connected(base: Multigraph, fresh: set,
                      added: dict[str, Edge]) -> bool:
     """True when ``base`` is connected and the edges ``added`` reach every
-    vertex of ``vertices`` that it lacks, so that the sum is one component:
-    the one shape whose sum extends ``base``'s index and grows its memo."""
+    vertex of ``fresh``, the vertices it lacks, so that the sum is one
+    component: the one shape whose sum extends ``base``'s index and grows
+    its memo."""
     if len(base.component_roots) != 1:
         return False
+    if not fresh:
+        return True
     near: dict = {}
     for e in added.values():
         near.setdefault(e.u, []).append(e.v)
@@ -515,7 +562,7 @@ def _grows_connected(base: Multigraph, vertices: frozenset,
     # Every new vertex must be an end of an added edge, and a search over
     # those edges from the old ends must take it out of ``near``.
     queue = [x for x in near if x in base.vertices]
-    if len(near) - len(queue) != len(vertices) - len(base.vertices):
+    if len(near) - len(queue) != len(fresh):
         return False
     for x in queue:
         queue += near.pop(x, ())

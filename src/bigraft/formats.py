@@ -16,10 +16,11 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import TYPE_CHECKING
 
 from .core import (
+    Edge,
     Graft,
     GraftInputError,
-    Multigraph,
     OrderedBipartiteGraft,
+    assemble_graph,
     is_vertex_id,
     sorted_vertices,
 )
@@ -81,7 +82,7 @@ def graft_from_document(doc) -> Graft | OrderedBipartiteGraft:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         _fail("$.edges", "expected a list")
-    edges: dict[str, tuple] = {}
+    edges: dict[str, Edge] = {}
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             _fail(f"$.edges[{i}]", "expected an object")
@@ -100,10 +101,13 @@ def graft_from_document(doc) -> Graft | OrderedBipartiteGraft:
             _fail(f"$.edges[{i}].v", f"unknown vertex {v!r}")
         if u == v:
             _fail(f"$.edges[{i}]", f"self-loop at {u!r}")
-        edges[eid] = (eid, u, v)
+        edges[eid] = Edge(eid, u, v)
 
     terminals = _read_id_list(doc, "terminals", known)
-    graph = Multigraph.build(vertices, edges.values())
+    # The checks above are the graph constructor's, so the graph is
+    # assembled; the graft constructors below still check the terminals
+    # and the sides.
+    graph = assemble_graph(frozenset(vertices), edges.values())
 
     if "bipartition" not in doc:
         return Graft(graph, frozenset(terminals))

@@ -1,7 +1,9 @@
 """Seeded random instances: grafts, combs, and ear-grown critical quasicombs.
 
 All sampling runs on ``random.Random`` (Mersenne Twister) seeded explicitly,
-so a config reproduces its instances byte for byte on any platform.  A comb
+so a config reproduces its instances byte for byte on any platform.  Every
+draw is valid by construction, so it is assembled without the
+constructors' checks (``assemble_graph``, ``assemble_graft``, ``ear_step``).  A comb
 takes one draw: every tooth vertex owns exactly one join edge, which makes
 that join minimum.  Critical quasicombs are grown forward by composing
 random proper ear steps, each drawn by ``random_ear_step``, which by the
@@ -17,11 +19,13 @@ from typing import TYPE_CHECKING
 
 from .core import (
     CapacityError,
+    Edge,
     Graft,
     GraftInputError,
     InternalConsistencyError,
-    Multigraph,
     OrderedBipartiteGraft,
+    assemble_graft,
+    assemble_graph,
     graft_sum,
     odd_degree_vertices,
     sorted_vertices,
@@ -101,12 +105,13 @@ def gen_random_graft(cfg: GenConfig, rng: random.Random | None = None) -> Graft:
     n = rng.randint(*cfg.vertices)
     names = [f"v{i}" for i in range(n)]
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
-    graph = Multigraph.build(names, _sample_edges(rng, pairs, cfg.edge_density))
+    graph = assemble_graph(frozenset(names), (
+        Edge(*e) for e in _sample_edges(rng, pairs, cfg.edge_density)))
     terminals = {v for v in names if rng.random() < cfg.terminal_density}
     for root, comp in zip(graph.component_roots, graph.components()):
         if len(terminals & comp) % 2:
             terminals ^= {root}
-    return Graft(graph, frozenset(terminals))
+    return assemble_graft(graph, frozenset(terminals))
 
 
 def gen_random_comb(cfg: GenConfig,
@@ -138,8 +143,9 @@ def gen_random_comb(cfg: GenConfig,
     fset = frozenset(rng.choice(owned[b]) for b in tooth)
     terminals = odd_degree_vertices(
         (a, b) for eid, a, b in edges if eid in fset)
-    return OrderedBipartiteGraft(Multigraph.build(spine + tooth, edges),
-                                 terminals, frozenset(spine), frozenset(tooth))
+    return assemble_graft(
+        assemble_graph(frozenset(spine + tooth), (Edge(*e) for e in edges)),
+        terminals, frozenset(spine), frozenset(tooth))
 
 
 # ---------------------------------------------------------------------------

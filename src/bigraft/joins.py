@@ -82,6 +82,7 @@ from .core import (
     OrderedBipartiteGraft,
     PreconditionError,
     Walk,
+    assemble_graft,
     cached_on_graph,
     grown_by_sums,
     is_join,
@@ -832,7 +833,9 @@ def extract_shortest_path(g: Graft, F, u, v) -> WeightedWalkReport:
     d = f_distance_int(g, u, v)
     if u == v:
         return walk_report(fset, Walk((u,), ()), tooth)
-    flipped = Graft(g.graph, g.terminals ^ {u, v})
+    # u and v share a component, or ``f_distance_int`` refused them: the
+    # flipped terminals stay even in every component.
+    flipped = assemble_graft(g.graph, g.terminals ^ {u, v})
     fprime = min_join(flipped).edge_ids
     diff = fset ^ fprime
     path = _dfs_path_within(g.graph, diff, u, v)

@@ -16,16 +16,63 @@ sizes no exhaustive scan reaches, from a matching and a digraph search
 that share no code with the package.
 """
 
+from bigraft.combs import EarStep
 from bigraft.core import (
     CapacityError,
     Graft,
     GraftInputError,
     Multigraph,
+    OrderedBipartiteGraft,
     Walk,
     build_bipartite_graft,
     sorted_vertices,
 )
 from bigraft.joins import all_min_joins, f_weight
+
+
+def index_fields(graph) -> tuple:
+    """Every field the indexing builds: the edge tuple and map, the
+    adjacency (its tuples in order), the components, their roots and the
+    component index."""
+    return (graph.edges, graph._edge_map, graph._adjacency,
+            graph.components(), graph.component_roots, graph.component_index)
+
+
+def checked_rebuild(value):
+    """``value``, an ``EarStep`` or a graft, built again from its own fields
+    through the checking constructors."""
+    if isinstance(value, EarStep):
+        return EarStep(value.walk, value.bonds, value.terminals, value.spine,
+                       value.tooth)
+    graph = Multigraph(value.graph.vertices, value.graph.edges)
+    if isinstance(value, OrderedBipartiteGraft):
+        return OrderedBipartiteGraft(graph, value.terminals, value.spine,
+                                     value.tooth)
+    return Graft(graph, value.terminals)
+
+
+def recorded(monkeypatch, module, name: str) -> list:
+    """Every value that ``module.name`` returns from now on."""
+    real, out = getattr(module, name), []
+
+    def record(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return out
+
+
+def assert_rebuilds(value):
+    """An assembled value passes every check of its constructors and equals
+    its checked rebuild, its graph indexed alike: edges turned and sorted,
+    adjacency in order, components and roots."""
+    want = checked_rebuild(value)
+    assert type(value) is type(want) and value == want
+    if isinstance(value, EarStep):
+        value, want = value.as_graft(), want.as_graft()
+        assert type(value) is type(want) and value == want
+    assert index_fields(value.graph) == index_fields(want.graph)
 
 
 def recursive_simple_paths(graph, start, goal=None, cap=None):

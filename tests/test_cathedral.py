@@ -40,7 +40,7 @@ from bigraft.generators import GenConfig, gen_random_comb
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import min_join
 
-from oracles import brute_distance, chain_comb
+from oracles import assert_rebuilds, brute_distance, chain_comb, recorded
 
 
 def obg(vertices, edges, terminals, spine, tooth):
@@ -276,6 +276,18 @@ def enumerated():
     return out
 
 
+def test_every_tried_contraction_equals_its_checked_rebuild(monkeypatch):
+    """``_critical_set`` assembles each contraction unchecked; every one
+    that ``cathedral_poset`` tries on the rich corpus passes the checking
+    constructors and equals its rebuild, indexed alike."""
+    tried = recorded(monkeypatch, cathedral, "assemble_graft")
+    for comb in rich_corpus():
+        cathedral_poset(comb)
+    assert tried
+    for shape in tried:
+        assert_rebuilds(shape)
+
+
 class TestGrowthOracle:
     def test_top_is_the_union_of_all_critical_sets(self, enumerated):
         grown = 0
@@ -501,7 +513,7 @@ def loop_poset(ids, rel):
 
 
 class TestConstructionCost:
-    """The order builds one graph per contraction it checks, and each
+    """The order assembles one graph per contraction it checks, and each
     public entry checks the comb itself once."""
 
     def fixed_comb(self):
@@ -510,11 +522,11 @@ class TestConstructionCost:
 
     def counters(self, monkeypatch, comb):
         built, on_comb, on_contraction = [0], [0], [0]
-        real_init, real_classify = Multigraph.__post_init__, classify_comb
+        real_assemble, real_classify = cathedral.assemble_graph, classify_comb
 
-        def counted_init(graph):
+        def counted_assemble(vertices, edges):
             built[0] += 1
-            real_init(graph)
+            return real_assemble(vertices, edges)
 
         def counted_classify(g):
             if g is comb:
@@ -523,7 +535,7 @@ class TestConstructionCost:
                 on_contraction[0] += 1
             return real_classify(g)
 
-        monkeypatch.setattr(Multigraph, "__post_init__", counted_init)
+        monkeypatch.setattr("bigraft.cathedral.assemble_graph", counted_assemble)
         monkeypatch.setattr("bigraft.cathedral.classify_comb", counted_classify)
         return built, on_comb, on_contraction
 

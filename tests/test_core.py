@@ -39,7 +39,8 @@ from bigraft.generators import (
 from bigraft.instances import c4, chain4, k2, p3r
 from bigraft.joins import allowed_edge_set, f_distance, min_join
 
-from oracles import fan, recursive_simple_circuits, recursive_simple_paths
+from oracles import (fan, index_fields, recursive_simple_circuits,
+                     recursive_simple_paths)
 
 
 def test_vertex_key_orders_ints_before_strs():
@@ -333,14 +334,6 @@ def checked_sum(*operands):
         terminals,
         frozenset().union(*(g.spine for g in operands)),
         frozenset().union(*(g.tooth for g in operands)))
-
-
-def index_fields(graph) -> tuple:
-    """Every field the indexing builds: the edge tuple and map, the
-    adjacency (its tuples in order), the components, their roots and the
-    component index."""
-    return (graph.edges, graph._edge_map, graph._adjacency,
-            graph.components(), graph.component_roots, graph.component_index)
 
 
 def assert_same_graft(got, want):
