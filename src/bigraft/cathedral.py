@@ -31,13 +31,11 @@ from .core import (
     assemble_graft,
     assemble_graph,
     contracted_edges,
-    is_vertex_id,
     sorted_vertices,
 )
 from .combs import (
     EarStep,
     classify_comb,
-    ear_step,
     is_critical_quasicomb,
     is_f_balanced,
 )
@@ -430,18 +428,13 @@ def round_ear_bond_check(comb: OrderedBipartiteGraft, F, component_id,
     comps = _require_comb(comb)
     home = comps.by_id(component_id)
     if isinstance(P, Walk):
-        # The walk is input.  ``validate`` ties it to the comb; the step is
-        # then assembled, so refuse here what ``EarStep`` refuses and
-        # ``validate`` lets through: no edge, or an id that only equals a
-        # vertex (True for 1).
+        # The walk is input: ``validate`` ties it to the comb, and the
+        # checked ``EarStep`` refuses what else is wrong with it.
         P.validate(comb.graph)
-        if not P.edge_ids:
-            raise GraftInputError("an ear needs at least one edge")
-        for v in P.vertices:
-            if not is_vertex_id(v):
-                raise GraftInputError(f"vertex id {v!r} must be str or int")
         bonds = (P.vertices[0],) if P.closed else (P.vertices[0], P.vertices[-1])
-        step = ear_step(P.vertices, P.edge_ids, bonds, frozenset(), comb.tooth)
+        vertices = frozenset(P.vertices)
+        step = EarStep(P, bonds, frozenset(), vertices - comb.tooth,
+                       vertices & comb.tooth)
     elif isinstance(P, EarStep):
         step = P
     else:

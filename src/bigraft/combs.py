@@ -57,7 +57,11 @@ def require_tooth_root(g: OrderedBipartiteGraft, r) -> None:
     decompositions are undefined.  It reads no join, so a caller can
     refuse before computing one."""
     _require_bipartite(g)
-    if r not in g.tooth:
+    try:
+        on_tooth = r in g.tooth
+    except TypeError:
+        raise GraftInputError(f"unknown vertex id {r!r}") from None
+    if not on_tooth:
         raise PreconditionError(f"root {r!r} is not on the tooth side")
 
 

@@ -133,11 +133,12 @@ class Multigraph:
     package derives from valid ones, such as ``induced`` (a vertex subset
     with the edges inside it), ``spanning`` (every vertex with an edge
     subset), ear steps, contractions, generator draws and every sum that
-    is not a connected growth.
-    ``_extended`` builds each connected growth of ``graft_sum``: it
-    extends the operand's index by the edges the sum adds, with every
-    field equal to what ``_index`` would build, adjacency order included,
-    and grows the operand's memo entries that ``grown_by_sums`` names.
+    does not extend its first operand.
+    ``_extended`` builds each sum of connected operands, each meeting
+    those before it (``graft_sum``): it extends the first operand's index
+    by the edges the sum adds, with every field equal to what ``_index``
+    would build, adjacency order included, and grows the operand's memo
+    entries that ``grown_by_sums`` names.
     """
 
     vertices: frozenset
@@ -206,9 +207,10 @@ class Multigraph:
                   added: dict[str, Edge]) -> Multigraph:
         """This connected graph with the vertices ``vertices``, its own plus
         the new ones ``fresh``, and the canonical edges ``added``, whose ids
-        are new and which reach every new vertex (``_grows_connected``),
-        indexed by extending this graph's index: its fields equal
-        ``_index``'s.
+        are new, indexed by extending this graph's index: its fields equal
+        ``_index``'s.  The edges come from connected operands, each sharing
+        a vertex with this graph or an operand before it, so they reach
+        every new vertex and the sum is connected.
 
         New edges are put into the edge tuple and the adjacency tuples in
         place; only the vertices an added edge touches get new tuples.  The
@@ -234,9 +236,9 @@ class Multigraph:
         out = _unchecked(Multigraph, vertices=vertices)._set_index(
             tuple(edges), {**self._edge_map, **added}, adjacency, (vertices,),
             (least_vertex((self.component_roots[0], *fresh)),), index)
-        for (name, key), value in list(self._memo.items()):
+        for (name, _), value in list(self._memo.items()):
             if name in _GROWERS:
-                key, value = _GROWERS[name](self, out, added, key, value)
+                key, value = _GROWERS[name](out, added, value)
                 out._memo[name, key] = value
         return out
 
@@ -357,11 +359,10 @@ def cached_on_graph(fn):
 def grown_by_sums(grow):
     """Let ``Multigraph._extended`` grow each entry that a
     ``cached_on_graph`` function holds for a connected graph into the
-    graph it extends, by edges reaching every new vertex:
-    ``grow(first, total, added, key, value)`` gets both graphs, the total
-    already indexed, the edges it added and the entry, and returns the
-    total's (key, value).  It must keep nothing of ``first``, so that no
-    graph holds its predecessor."""
+    connected sum that extends it: ``grow(total, added, value)`` gets the
+    sum, already indexed, the edges it added and the entry's value, and
+    returns the sum's (key, value).  It sees nothing of the graph it grows
+    from, so no graph holds its predecessor."""
     def register(cached):
         _GROWERS[cached.__name__] = grow
         return cached
@@ -495,12 +496,13 @@ def graft_sum(first: OrderedBipartiteGraft,
     the other, and an edge id they share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
-    re-running the constructors' checks, in one of two ways.  A connected
-    growth, a connected first operand plus added edges that reach every
-    new vertex (``_grows_connected``), as an ear grows a prefix, extends
-    that operand's index and its grown tables (``Multigraph._extended``).
-    Every other sum is assembled afresh (``assemble_graph``) with an empty
-    memo.  And:
+    re-running the constructors' checks, in one of two ways, read off the
+    operands' indexes.  Where the first operand is connected and each
+    later one is connected and shares a vertex with those before it, as
+    an ear meets the prefix it grows, the sum is one component: it
+    extends that operand's index and its grown tables
+    (``Multigraph._extended``).  Every other sum is assembled afresh
+    (``assemble_graph``) with an empty memo.  And:
 
     - every edge id, end, loop-freedom and orientation is an operand's,
       and the end check keeps a shared id to one pair of ends;
@@ -511,12 +513,17 @@ def graft_sum(first: OrderedBipartiteGraft,
       the terminals are the XOR of the operands' terminals, so every
       component of the sum holds a sum of even terminal counts.
     """
-    known = first.graph._edge_map
+    base = first.graph
+    known = base._edge_map
     added: dict[str, Edge] = {}
     # What the later operands bring, gathered in place and joined to the
     # first operand's sets once, so that n operands cost one pass.
     vertices, odd, spine, tooth = set(), set(), set(), set()
+    grows = len(base.component_roots) == 1
     for g in more:
+        grows = grows and len(g.graph.component_roots) == 1 and not (
+            base.vertices.isdisjoint(g.graph.vertices)
+            and vertices.isdisjoint(g.graph.vertices))
         if not (first.spine.isdisjoint(g.tooth) and spine.isdisjoint(g.tooth)
                 and first.tooth.isdisjoint(g.spine) and tooth.isdisjoint(g.spine)):
             clash = (((first.spine | spine) & g.tooth)
@@ -534,39 +541,14 @@ def graft_sum(first: OrderedBipartiteGraft,
         odd ^= g.terminals
         spine |= g.spine
         tooth |= g.tooth
-    base = first.graph
     fresh = vertices - base.vertices
     vertices = base.vertices | fresh
-    if _grows_connected(base, fresh, added):
+    if grows:
         graph = base._extended(vertices, fresh, added)
     else:
         graph = assemble_graph(vertices, (*base.edges, *added.values()))
     return assemble_graft(graph, first.terminals ^ odd, first.spine | spine,
                           first.tooth | tooth)
-
-
-def _grows_connected(base: Multigraph, fresh: set,
-                     added: dict[str, Edge]) -> bool:
-    """True when ``base`` is connected and the edges ``added`` reach every
-    vertex of ``fresh``, the vertices it lacks, so that the sum is one
-    component: the one shape whose sum extends ``base``'s index and grows
-    its memo."""
-    if len(base.component_roots) != 1:
-        return False
-    if not fresh:
-        return True
-    near: dict = {}
-    for e in added.values():
-        near.setdefault(e.u, []).append(e.v)
-        near.setdefault(e.v, []).append(e.u)
-    # Every new vertex must be an end of an added edge, and a search over
-    # those edges from the old ends must take it out of ``near``.
-    queue = [x for x in near if x in base.vertices]
-    if len(near) - len(queue) != len(fresh):
-        return False
-    for x in queue:
-        queue += near.pop(x, ())
-    return not near
 
 
 def is_join(g: Graft, F: Iterable[str]) -> bool:

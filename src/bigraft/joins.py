@@ -38,21 +38,21 @@ tables.
 Blocks are only ever grown (``_grown``).  A component's entry built from
 nothing is the one-vertex entry at its root grown by every edge of the
 component, and nothing outside it.  Along an ear chain each sum
-(``core.graft_sum``) is a connected growth: its first operand is
-connected and the added edges reach every new vertex.  Such a sum
-extends that operand's index (``core.Multigraph._extended``), which
-grows the operand's ``_cycle_blocks`` entry into its own
-(``_grow_cycle_blocks``) by the edges it added; every other sum is
-indexed afresh and builds its entries from nothing.  Edges take bits in
-the order a breadth-first search meets them, after the entry's own, so
-every old mask stays valid; an entry carries ``bits``, its bit-to-edge
-tuple, which ``_pairing_least`` reads.  ``to_root`` keeps the base
-vertex of the entry it grew from, which need not be the component's root
-any more.  Tables read it only in XORs of pairs: a terminal set is even
-in each component and a distance flips two vertices, so the base
-cancels.  A new cycle merges the blocks it meets (``_fold_cycles``);
-every other block keeps its span and memo objects, so its leasts carry
-along the chain with no key.
+(``core.graft_sum``) adds a connected ear that meets a connected prefix,
+which the operands' own indexes show.  Such a sum extends that prefix's
+index (``core.Multigraph._extended``), which grows the prefix's
+``_cycle_blocks`` entry into its own (``_grow_cycle_blocks``) by the
+edges it added; that search is the only one a sum makes.  Every other
+sum is indexed afresh and builds its entries from nothing.  Edges take
+bits in the order a breadth-first search meets them, after the entry's
+own, so every old mask stays valid; an entry carries ``bits``, its
+bit-to-edge tuple, which ``_pairing_least`` reads.  ``to_root`` keeps
+the base vertex of the entry it grew from, which need not be the
+component's root any more.  Tables read it only in XORs of pairs: a
+terminal set is even in each component and a distance flips two
+vertices, so the base cancels.  A new cycle merges the blocks it meets
+(``_fold_cycles``); every other block keeps its span and memo objects,
+so its leasts carry along the chain with no key.
 
 The tables of each terminal set, BFS trees, cycle spaces, blocks with
 their spans and the allowed set live in their graph's own memo
@@ -76,7 +76,6 @@ from ._blossom import min_weight_matching
 from .core import (
     CapacityError,
     Graft,
-    GraftInputError,
     InternalConsistencyError,
     Multigraph,
     OrderedBipartiteGraft,
@@ -624,11 +623,10 @@ def _grown(graph: Multigraph, entry: tuple, queue: list, added):
     return to_root, bridges | tree, _fold_cycles(blocks, cycles), bits + tuple(grown)
 
 
-def _grow_cycle_blocks(first: Multigraph, total: Multigraph, added: dict,
-                       root, entry: tuple):
+def _grow_cycle_blocks(total: Multigraph, added: dict, entry: tuple):
     """The ``_cycle_blocks`` entry of ``total``, a connected sum whose
-    first operand ``first`` is connected and holds ``entry``: ``entry``
-    grown by the added edges, from the old vertices they touch."""
+    connected first operand holds ``entry``: ``entry`` grown by the added
+    edges, from the old vertices they touch."""
     queue = [x for e in added.values() for x in (e.u, e.v) if x in entry[0]]
     return total.component_roots[0], _grown(total, entry, queue, added)
 
@@ -801,13 +799,11 @@ def f_distance(g: Graft, u, v) -> DistanceValue:
     Vertices in different components are unreachable (value None): flipping
     them strands odd terminal counts on both sides.
     """
-    for w in (u, v):
-        if w not in g.graph.vertices:
-            raise GraftInputError(f"unknown vertex id {w!r}")
+    # ``component_of`` refuses an unknown or unhashable id.
+    if g.graph.component_of(u) is not g.graph.component_of(v):
+        return DistanceValue(None)
     if u == v:
         return DistanceValue(0)
-    if v not in g.graph.component_of(u):
-        return DistanceValue(None)
     return DistanceValue(f_distance_reader(g)(u, v))
 
 

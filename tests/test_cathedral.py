@@ -276,14 +276,27 @@ def enumerated():
     return out
 
 
+def past_g0(comb):
+    """``comb`` with each spine id a<i> renamed p<i> and each tooth id b<i>
+    renamed q<i>.  Both sort after ``g0``, the contracted vertex, so every
+    edge a contraction moves onto it comes out of ``vertex_key`` order."""
+    name = {v: "pq"["ab".index(v[0])] + v[1:] for v in comb.graph.vertices}
+    return obg(name.values(), [(e.id, name[e.u], name[e.v]) for e in comb.graph.edges],
+               [name[v] for v in comb.terminals], [name[v] for v in comb.spine],
+               [name[v] for v in comb.tooth])
+
+
 def test_every_tried_contraction_equals_its_checked_rebuild(monkeypatch):
     """``_critical_set`` assembles each contraction unchecked; every one
-    that ``cathedral_poset`` tries on the rich corpus passes the checking
-    constructors and equals its rebuild, indexed alike."""
+    that ``cathedral_poset`` tries on the rich corpus, and on two of its
+    combs renamed past ``g0``, passes the checking constructors and equals
+    its rebuild, indexed alike.  In the renamed combs the contracted
+    vertex must be turned to the front of its edges."""
     tried = recorded(monkeypatch, cathedral, "assemble_graft")
-    for comb in rich_corpus():
+    corpus = rich_corpus()
+    for comb in corpus + [past_g0(g) for g in corpus[:2]]:
         cathedral_poset(comb)
-    assert tried
+    assert any(e.u == "g0" for shape in tried for e in shape.graph.edges)
     for shape in tried:
         assert_rebuilds(shape)
 

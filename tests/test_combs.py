@@ -937,7 +937,8 @@ class TestPrefixChain:
         grows = []
         real_grow = joins._grow_cycle_blocks
         monkeypatch.setitem(core._GROWERS, "_cycle_blocks",
-                            lambda *a: grows.append(1) or real_grow(*a))
+                            lambda total, added, entry: grows.append(1)
+                            or real_grow(total, added, entry))
         monkeypatch.setattr(GraftEarDecomposition, "prefixes", watched)
         for n, seed in ((12, 0), (16, 1), (58, 0)):
             d, F = gen_random_critical_quasicomb(

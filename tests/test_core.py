@@ -28,7 +28,11 @@ from bigraft.core import (
     validate_graft,
     vertex_key,
 )
-from bigraft.combs import bare_root, build_graft_ear_decomposition
+from bigraft.combs import (
+    bare_root,
+    build_graft_ear_decomposition,
+    is_critical_quasicomb,
+)
 from bigraft.decomposition import factor_components, induced_subgraft
 from bigraft.generators import (
     GenConfig,
@@ -400,9 +404,8 @@ class TestGraftSumAssembly:
         int and str ids mixed, with edge ids that sort between old ones.
         Each shape is summed as drawn, with its first operand padded by 24
         parallel edges, and with it also joined up by a star.  Every sum's
-        index equals ``_index``'s, and it extends exactly where it grows a
-        connected first operand into a connected graph, whatever the
-        sizes."""
+        index equals ``_index``'s, and it extends exactly where both
+        operands are connected and share a vertex, whatever the sizes."""
         extended = self.spied_extensions(monkeypatch)
         rng = random.Random(seed)
         names = [f"v{i}" for i in range(rng.randint(2, 9))] + list(range(rng.randint(0, 4)))
@@ -436,8 +439,43 @@ class TestGraftSumAssembly:
             got = graft_sum(first, second).graph
             full = Multigraph.build(names + fresh, padded + added)
             assert index_fields(got) == index_fields(full)
-            connected = len(first.graph.components()) == 1 == len(full.components())
-            assert any(g is got for g in extended) == connected
+            meets = (len(first.graph.component_roots) == 1
+                     == len(second.graph.component_roots)
+                     and not first.graph.vertices.isdisjoint(second.graph.vertices))
+            assert any(g is got for g in extended) == meets
+
+    @pytest.mark.parametrize("kind, extends", [
+        ("disconnected-operand-connected-union", False),
+        ("connected-operand-apart", False),
+        ("edge-between-old-vertices", True),
+    ])
+    def test_the_shape_is_read_off_the_operands(self, kind, extends, monkeypatch):
+        """A sum extends its first operand where that operand is connected
+        and the second is connected and shares a vertex with it.  A second
+        operand of two edges apart whose union with the first is still
+        connected, and a connected one apart from the first, are assembled
+        afresh; an edge between two old vertices extends.  Every sum's
+        index equals ``_index``'s."""
+        extended = self.spied_extensions(monkeypatch)
+        path = [("e1", "a0", "b0"), ("e2", "b0", "a1"), ("e3", "a1", "b1")]
+        second = {
+            "disconnected-operand-connected-union":
+                [("f1", "a0", "b2"), ("f2", "a1", "b3")],
+            "connected-operand-apart": [("f1", "a2", "b2")],
+            "edge-between-old-vertices": [("f1", "a0", "b1")],
+        }[kind]
+
+        def obg(edges):
+            vertices = {x for e in edges for x in e[1:]}
+            return build_bipartite_graft(
+                Multigraph.build(vertices, edges), [],
+                [v for v in vertices if v[0] == "a"], [v for v in vertices if v[0] == "b"])
+
+        got = graft_sum(obg(path), obg(second)).graph
+        assert [g is got for g in extended] == [True] * extends
+        full = obg(path + second).graph
+        assert index_fields(got) == index_fields(full)
+        assert len(full.component_roots) == (2 if kind == "connected-operand-apart" else 1)
 
     def test_an_ear_whose_vertex_takes_the_lead(self, monkeypatch):
         """An ear on a connected 25-edge path whose new vertex sorts before
@@ -676,7 +714,8 @@ class TestInputErrors:
 
     def test_unhashable_ids_are_unknown(self):
         """An unhashable id is refused as an unknown one, as
-        ``FactorComponentSet`` refuses it."""
+        ``FactorComponentSet`` refuses it, also where ``f_distance`` and the
+        root check of ``is_critical_quasicomb`` look it up."""
         g = chain4()
         with pytest.raises(GraftInputError, match=r"unknown edge id \['c'\]"):
             g.graph.edge(["c"])
@@ -686,6 +725,12 @@ class TestInputErrors:
             factor_components(g).component_of(["r"])
         with pytest.raises(GraftInputError, match=r"unknown factor-component id \['c'\]"):
             factor_components(g).by_id(["c"])
+        with pytest.raises(GraftInputError, match=r"^unknown vertex id \['a'\]$"):
+            f_distance(g, ["a"], "b0")
+        with pytest.raises(GraftInputError, match=r"^unknown vertex id \['b'\]$"):
+            f_distance(g, "a0", ["b"])
+        with pytest.raises(GraftInputError, match=r"^unknown vertex id \['r'\]$"):
+            is_critical_quasicomb(g, ["r"])
 
     def test_bipartition_names_unknown_vertices(self):
         g = Multigraph.build(["x", "y"], [("e", "x", "y")])

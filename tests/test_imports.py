@@ -1,8 +1,10 @@
 """Every name a package or test module imports is read in that module; every
 module-level function or class of the package, and each method or
 property of such a class, is referenced somewhere, and by the program
-itself unless ``KEEP`` names its reader; and every defaulted
-parameter of those functions and methods is passed by some call.  No
+itself unless ``KEEP`` names its reader; every defaulted
+parameter of those functions and methods is passed by some call; and
+every parameter of a package function is read in its body, unless
+``UNREAD`` names why not.  No
 package module reads another object's private attribute unless that
 module defines the attribute, nor imports another module's private name.
 
@@ -20,6 +22,7 @@ import importlib
 import subprocess
 import sys
 from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -248,6 +251,76 @@ def test_every_defaulted_parameter_is_passed():
 def test_partial_and_unpacking_count_as_calls():
     tree = ast.parse("functools.partial(f, 1, key=2)\nf(0)\ng(*xs)\n")
     assert passed_arguments([tree]) == {"f": (1, frozenset({"key"})), "g": None}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Each parameter of a function, method or lambda that its body never
+    reads, as "qualified name.parameter"; a lambda is named ``<lambda>``.
+    A parameter named ``_`` says that it is unread, and is skipped."""
+    out = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [x.arg for x in (*a.posonlyargs, *a.args, a.vararg,
+                                          *a.kwonlyargs, a.kwarg) if x is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for b in body for n in ast.walk(b)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{name}.{x}" for x in params if x != "_" and x not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+# Parameters left unread on purpose, as fnmatch patterns over
+# "module:name.parameter", each because its callers pass it to whichever
+# of several functions they hold.
+UNREAD = {
+    "properties.py:_check_*.rng":
+        "every property check takes (instance, rng); the random ones draw from it",
+    "joins.py:_SubsetTable.nu_of.graph":
+        "a join table's nu_of takes the graph, which the cycle table's reads",
+    "joins.py:_SubsetTable.allowed_ids.graph":
+        "a join table's allowed_ids takes the graph, which the cycle table's reads",
+}
+
+
+def package_unread_parameters() -> list[str]:
+    return [f"{path.name}:{label}" for path in sorted(PACKAGE.glob("*.py"))
+            for label in unread_parameters(path.read_text(encoding="utf-8"))]
+
+
+def test_every_parameter_is_read():
+    """A parameter that no body reads is a value each caller passes for
+    nothing."""
+    assert [label for label in package_unread_parameters()
+            if not any(fnmatch(label, pattern) for pattern in UNREAD)] == []
+
+
+def test_every_unread_exception_is_met():
+    found = package_unread_parameters()
+    assert [pattern for pattern in UNREAD
+            if not any(fnmatch(label, pattern) for label in found)] == []
+
+
+def test_unread_parameter_is_caught():
+    source = ("def f(a, b, *rest, c, **more):\n"
+              "    def g(d, _):\n"
+              "        return a + (lambda e: 1)(d)\n"
+              "    return g\n"
+              "class A:\n"
+              "    def m(self, x):\n"
+              "        return self\n")
+    assert unread_parameters(source) == [
+        "f.b", "f.rest", "f.c", "f.more", "f.g.<lambda>.e", "A.m.x"]
 
 
 def private_definitions(tree: ast.AST) -> set[str]:

@@ -1024,8 +1024,8 @@ def grown_entries():
     out: dict = {}
     real = core._GROWERS["_cycle_blocks"]
 
-    def recorded(*args):
-        grown = real(*args)
+    def recorded(total, added, entry):
+        grown = real(total, added, entry)
         out[id(grown[1][3])] = grown[1]
         return grown
 
