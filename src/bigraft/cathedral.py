@@ -98,7 +98,8 @@ def is_critical_set(comb: OrderedBipartiteGraft, component_id,
     verdict and, when true, a certificate carrying the contraction and its
     distance table.
     """
-    return _critical_set(comb, _require_comb(comb), component_id, frozenset(X))
+    return _critical_set(comb, _require_comb(comb), component_id,
+                         comb.graph.vertex_set(X))
 
 
 def _critical_set(comb: OrderedBipartiteGraft, comps: FactorComponentSet,
@@ -337,7 +338,7 @@ def union_criticality_check(comb: OrderedBipartiteGraft, first_id, second_id,
     comps = _require_comb(comb)
     second = comps.by_id(second_id).vertices
     third = comps.by_id(third_id).vertices
-    xs, ys = frozenset(X), frozenset(Y)
+    xs, ys = comb.graph.vertex_set(X), comb.graph.vertex_set(Y)
     ok_x, _ = _critical_set(comb, comps, first_id, xs)
     if not ok_x:
         raise PreconditionError(f"X is not a critical set for {first_id!r}")

@@ -46,11 +46,6 @@ from .generators import GenConfig, generate
 from .joins import f_distance, min_join, min_join_bruteforce
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top argument parser, the one ``_parsers`` builds."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The top argument parser and each subcommand's parser by name, built
@@ -487,7 +482,7 @@ def _parse(argv: list):
         if not extras:
             args.command = argv[0]
             return args
-    return _build_parser().parse_args(argv)
+    return _parsers()[0].parse_args(argv)
 
 
 def cli_main(argv=None) -> int:

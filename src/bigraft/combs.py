@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    BigraftError,
     Edge,
     GraftInputError,
     GraftValidationError,
@@ -409,7 +408,7 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     edge has one tooth end.
     """
     _require_bipartite(g)
-    fset = frozenset(F)
+    fset = g.graph.edge_id_set(F)
     if not is_minimum_join(g, F):
         raise PreconditionError("F must be a minimum join of the target")
     head = is_critical_quasicomb(g, r)
@@ -432,12 +431,10 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
     def rank(eid, a, b):
         """0: a new spine vertex on the tooth support; 1: a non-join edge
         to a new tooth vertex; 2: a join edge to one; 3: both ends in the
-        support; None: no ear yet."""
+        support.  A queued edge has an end in the support, which grows."""
         if b in tooth_sup:
             return 3 if a in spine_sup else 0
-        if a in spine_sup:
-            return 2 if eid in fset else 1
-        return None
+        return 2 if eid in fset else 1
 
     def grown(added):
         """Queue the unused edges at the vertices just added, and check
@@ -450,11 +447,11 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
                     raise InternalConsistencyError(
                         f"join edge {e.id!r} leaks from the tooth support")
                 ends = unused.get(e.id)
-                if ends is not None and (kind := rank(e.id, *ends)) is not None:
-                    heapq.heappush(queue, (kind, e.id))
+                if ends is not None:
+                    heapq.heappush(queue, (rank(e.id, *ends), e.id))
 
     def best():
-        """The least (rank, edge id) of an unused edge with a rank, or None."""
+        """The least (rank, edge id) of a queued unused edge, or None."""
         while queue:
             kind, eid = heapq.heappop(queue)
             if eid in unused and rank(eid, *unused[eid]) == kind:
@@ -490,8 +487,6 @@ def build_graft_ear_decomposition(g: OrderedBipartiteGraft, r,
             del unused[eid]
         steps.append(step)
         grown(added)
-    # Each step checked the vertices it added; check every one once more.
-    grown(tooth_sup)
 
     if spine_sup | tooth_sup != g.graph.vertices:
         raise InternalConsistencyError("edges ran out before the vertices")
@@ -573,7 +568,7 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
 
     fset = None
     if F is not None:
-        fset = frozenset(F)
+        fset = target.graph.edge_id_set(F)
         try:
             minimum = is_minimum_join(target, fset)
         except PreconditionError:
@@ -591,12 +586,8 @@ def verify_graft_ear_decomposition(d: GraftEarDecomposition,
         _, violations = validate_ear_step(current, step)
         fatal = [f"step {idx}: {v.message}" for v in violations if v.fatal]
         if not fatal:
-            try:
-                prefix = next(chain)
-            except BigraftError as exc:
-                fatal = [f"step {idx}: replay failed: {exc}"]
-            else:
-                current = prefix
+            # The validation finds fatal all the sum refuses.
+            current = next(chain)
         if fatal:
             problems.extend(fatal)
             checks.append(StepCheck(idx, violations, None, None))

@@ -61,13 +61,24 @@ def is_vertex_id(v) -> bool:
     return isinstance(v, (str, int)) and not isinstance(v, bool)
 
 
-def _require_vertex_ids(vs: Iterable, what: str) -> None:
-    """Refuse the first of ``vs`` that is no vertex id.  An exact str or
-    int passes at once; the set checks alone would let through the
-    look-alikes that equal a vertex id, such as True or 2.0 for 1 or 2."""
-    for v in vs:
-        if type(v) is not str and type(v) is not int and not is_vertex_id(v):
-            raise GraftInputError(f"{what} {v!r} must be str or int")
+# The id rule of each kind of id: the types an id may have, never a bool.
+_VERTEX_ID = (frozenset({str, int}), "str or int")
+_EDGE_ID = (frozenset({str}), "str")
+
+
+def _id_set(ids: Iterable, kind: tuple, what: str) -> frozenset:
+    """``ids`` as a frozenset once no member breaks the id rule of ``kind``:
+    the first that does, unhashable or a look-alike such as True or 2.0
+    that set membership would let through, is refused.  Members of exactly
+    the kind's types pass unchecked."""
+    types, names = kind
+    if not isinstance(ids, (set, frozenset)):
+        ids = tuple(ids)  # read once; a set holds nothing unhashable
+    if not types.issuperset(map(type, ids)):
+        for v in ids:
+            if not isinstance(v, tuple(types)) or isinstance(v, bool):
+                raise GraftInputError(f"{what} {v!r} must be {names}")
+    return frozenset(ids)
 
 
 def vertex_key(v: VertexId):
@@ -145,7 +156,7 @@ class Multigraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        _require_vertex_ids(self.vertices, "vertex id")
+        _id_set(self.vertices, _VERTEX_ID, "vertex id")
         by_id: dict[str, Edge] = {}
         for e in self.edges:
             eid, u, v = e.id, e.u, e.v
@@ -161,7 +172,7 @@ class Multigraph:
             # which ``in`` does not enforce.
             tu = type(u)
             if not (tu is type(v) and (tu is str or tu is int)):
-                _require_vertex_ids((u, v), f"edge {eid!r} end")
+                _id_set((u, v), _VERTEX_ID, f"edge {eid!r} end")
             by_id[eid] = _canonical(e)
         self._index(by_id)
 
@@ -272,21 +283,32 @@ class Multigraph:
         except (KeyError, TypeError):
             raise GraftInputError(f"unknown vertex id {v!r}") from None
 
-    def induced(self, X: Iterable[VertexId]) -> Multigraph:
-        keep = frozenset(X)
+    def vertex_set(self, X: Iterable) -> frozenset:
+        """A caller's vertex ids as a frozenset of this graph's vertices: a
+        non-id member (``_id_set``), then an unknown id, is refused."""
+        keep = _id_set(X, _VERTEX_ID, "vertex id")
         missing = keep - self.vertices
         if missing:
             raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
+        return keep
+
+    def edge_id_set(self, F: Iterable) -> frozenset:
+        """``vertex_set``'s twin for edge ids, which must be strs."""
+        keep = _id_set(F, _EDGE_ID, "edge id")
+        unknown = keep.difference(self._edge_map)
+        if unknown:
+            raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
+        return keep
+
+    def induced(self, X: Iterable[VertexId]) -> Multigraph:
+        keep = self.vertex_set(X)
         return assemble_graph(
             keep, (e for e in self.edges if e.u in keep and e.v in keep))
 
     def spanning(self, edge_ids: Iterable[str]) -> Multigraph:
         """The graph on the same vertices with only the given edges: the
         edge-subset twin of ``induced``."""
-        keep = frozenset(edge_ids)
-        unknown = keep.difference(self._edge_map)
-        if unknown:
-            raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
+        keep = self.edge_id_set(edge_ids)
         return assemble_graph(
             self.vertices, (e for e in self.edges if e.id in keep))
 
@@ -381,7 +403,7 @@ class Graft:
         if stray:
             raise GraftInputError(
                 f"terminals {sorted_vertices(stray)!r} are not vertices")
-        _require_vertex_ids(self.terminals, "terminal")
+        _id_set(self.terminals, _VERTEX_ID, "terminal")
         for comp in self.graph.components():
             if len(comp & self.terminals) % 2:
                 raise GraftValidationError(
@@ -418,7 +440,7 @@ class OrderedBipartiteGraft(Graft):
         if stray:
             raise GraftInputError(
                 f"bipartition names unknown vertices {sorted_vertices(stray)!r}")
-        _require_vertex_ids(sides, "side vertex")
+        _id_set(sides, _VERTEX_ID, "side vertex")
         for e in self.graph.edges:
             if (e.u in spine) == (e.v in spine):
                 raise GraftValidationError(
@@ -451,14 +473,12 @@ def contract_graft(g: Graft, X: Iterable[VertexId],
     The contracted vertex becomes a terminal exactly when ``X`` held an odd
     number of terminals, which keeps the result a graft.
     """
-    keep = frozenset(X)
+    keep = g.graph.vertex_set(X)
     if not keep:
         raise PreconditionError("cannot contract an empty vertex set")
-    missing = keep - g.graph.vertices
-    if missing:
-        raise GraftInputError(f"unknown vertex ids {sorted_vertices(missing)!r}")
     if contracted_id is None:
         contracted_id = f"X#{least_vertex(keep)}"
+    _id_set((contracted_id,), _VERTEX_ID, "contracted id")
     if contracted_id in g.graph.vertices - keep:
         raise GraftInputError(f"contracted id {contracted_id!r} is already a vertex")
     vertices = (g.graph.vertices - keep) | {contracted_id}
@@ -553,10 +573,7 @@ def graft_sum(first: OrderedBipartiteGraft,
 
 def is_join(g: Graft, F: Iterable[str]) -> bool:
     """True when the edge set has odd degree exactly at the terminals."""
-    fset = frozenset(F)
-    unknown = fset - g.graph.edge_ids()
-    if unknown:
-        raise GraftInputError(f"unknown edge ids {sorted(unknown)!r}")
+    fset = g.graph.edge_id_set(F)
     return odd_degree_vertices((e.u, e.v) for e in map(g.graph.edge, fset)) == g.terminals
 
 
@@ -615,10 +632,9 @@ def simple_paths(graph: Multigraph, start: VertexId,
     iterators, one per path vertex, so path length is not bounded by the
     recursion limit.
     """
-    if start not in graph.vertices:
-        raise GraftInputError(f"unknown vertex id {start!r}")
-    if goal is not None and goal not in graph.vertices:
-        raise GraftInputError(f"unknown vertex id {goal!r}")
+    graph.component_of(start)  # refuses an unknown or unhashable id
+    if goal is not None:
+        graph.component_of(goal)
     emitted = 0
 
     def counted(walk: Walk) -> Walk:

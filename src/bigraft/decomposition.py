@@ -121,13 +121,9 @@ def is_separating(g: Graft, X: Iterable) -> tuple[bool, tuple]:
     Returns (True, ids of the components whose union is X) or
     (False, ids of the components X cuts).
     """
-    xs = frozenset(X)
-    stray = xs - g.graph.vertices
-    if stray:
-        raise GraftInputError(f"unknown vertex ids {sorted_vertices(stray)!r}")
+    xs = g.graph.vertex_set(X)
     comps = factor_components(g)
-    inside = []
-    cut = []
+    inside, cut = [], []
     for c in comps:
         if c.vertices <= xs:
             inside.append(c.id)
@@ -146,7 +142,7 @@ def induced_subgraft(g: Graft, X: Iterable) -> Graft:
     of the same kind: an ordered bipartite graft keeps spine ∩ X and
     tooth ∩ X.
     """
-    xs = frozenset(X)
+    xs = g.graph.vertex_set(X)
     separating, cut = is_separating(g, xs)
     if not separating:
         raise PreconditionError(
@@ -185,7 +181,7 @@ class KLPartition:
     def class_id_of(self, v):
         try:
             return self._lookup[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GraftInputError(f"unknown vertex id {v!r}") from None
 
     def same_class(self, u, v) -> bool:

@@ -419,7 +419,7 @@ def is_minimum_join(g: Graft, F) -> bool:
     if isinstance(F, JoinSet) and (F.graft is g or F.graft == g):
         js = F
     else:
-        js = JoinSet(g, frozenset(F))
+        js = JoinSet(g, g.graph.edge_id_set(F))
     graph = g.graph
     if len(graph.edges) == len(graph.vertices) - len(graph.components()):
         return True
@@ -784,7 +784,8 @@ def _table_pairs(graph: Multigraph, table: _SubsetTable | _CycleTable) -> list[t
 def f_distance_reader(g: Graft):
     """f_distance for many pairs of one graft: ``read(u, v)`` is the
     distance of two vertices known to share a component, read straight
-    from the component's table without f_distance's checks."""
+    from the component's table.  The read is unchecked by contract: it
+    refuses no id, as f_distance does, since it is the hot path."""
     graph = g.graph
     tables, index = _join_tables(graph, g.terminals), graph.component_index
 
@@ -822,7 +823,7 @@ def extract_shortest_path(g: Graft, F, u, v) -> WeightedWalkReport:
     splits into one u-v path plus zero-weight circuits, so a depth-first
     search inside that difference finds a path of exactly the right weight.
     """
-    fset = _edge_id_set(F)
+    fset = g.graph.edge_id_set(F)
     if not is_minimum_join(g, F):
         raise PreconditionError("F must be a minimum join")
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None

@@ -183,8 +183,9 @@ def _largest_factor_part(g):
 
 
 def _may_be_factor_connected(g) -> bool:
-    """False when a draw with at least two vertices surely has a vertex
-    that no allowed edge reaches, so it is not factor-connected.
+    """False when a draw with at least two vertices, as the makers it
+    serves clamp theirs, surely has a vertex that no allowed edge reaches,
+    so it is not factor-connected.
 
     That holds when the graph is disconnected; when there are no
     terminals (the only minimum join is empty); and when a non-terminal
@@ -193,8 +194,6 @@ def _may_be_factor_connected(g) -> bool:
     ``factor_components`` builds, and none changes a verdict.
     """
     graph = g.graph
-    if len(graph.vertices) < 2:
-        return True
     return (bool(g.terminals) and len(graph.components()) == 1
             and all(graph.degree(v) != 1 for v in graph.vertices - g.terminals))
 

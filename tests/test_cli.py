@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraft.cli import _build_parser, cli_main
+from bigraft.cli import _parsers, cli_main
 from bigraft.core import (
     BigraftError,
     InternalConsistencyError,
@@ -61,7 +61,7 @@ def two_pass_main(argv):
     """``cli_main`` as it parsed before the dispatch: every argv goes to
     the top parser, which hands the rest to the subcommand's parser."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -166,7 +166,7 @@ class TestExitCodes:
         code, out, _ = run_cli("analyze", "--input", files["i3"])
         assert code == 0
         assert out == fresh.stdout
-        assert _build_parser() is _build_parser()
+        assert _parsers()[0] is _parsers()[0]
 
     def test_dispatch_changes_no_usage_error(self, monkeypatch):
         """Each argv gets the (exit code, stdout, stderr) that the two-pass
@@ -525,7 +525,7 @@ class TestGen:
         assert f"least vertex count drawn (default {lo})" in text
         assert f"most vertex count drawn (default {hi})" in text
         assert f"PRNG seed (default {GenConfig.seed})" in text
-        args = _build_parser().parse_args(["gen"])
+        args = _parsers()[0].parse_args(["gen"])
         assert (args.min_vertices, args.max_vertices, args.seed) == (
             lo, hi, GenConfig.seed)
 
@@ -568,7 +568,7 @@ def old_flag_argv(flag, input_path):
 class TestOptionReaders:
 
     def test_thirty_settable_pairs(self):
-        sub = _build_parser()._subparsers._group_actions[0]
+        sub = _parsers()[0]._subparsers._group_actions[0]
         settable = {(name, flag) for name, p in sub.choices.items()
                     for flag in OLD_FLAGS if flag in p._option_string_actions}
         assert settable == {(name, flag)

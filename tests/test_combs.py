@@ -798,6 +798,29 @@ class TestVerifier:
             "step 0: ear vertex 'a1' already belongs to the support",
             "step 0: vertex 'a1' changes sides")
 
+    @pytest.mark.parametrize("walk, terminals, spine, tooth, problem", [
+        (Walk(("x", "a1"), ("e1",)), (), {"x"}, {"a1"},
+         "step 1: vertex 'a1' changes sides"),
+        (Walk(("b1", "a1"), ("c",)), {"a1", "b1"}, {"a1"}, {"b1"},
+         "step 1: edge 'c' already belongs to the support"),
+    ], ids=["side-conflict", "edge-id-reused"])
+    def test_a_step_the_sum_refuses_is_reported(self, walk, terminals, spine,
+                                                tooth, problem):
+        """The two things graft_sum refuses, a side clash and a shared edge
+        id with other ends, each as a step's one fatal finding: the
+        verifier reports it and sums nothing past it."""
+        g = p3r()
+        first = build_graft_ear_decomposition(g, "r", min_join(g)).steps[0]
+        bad = EarStep(walk, ("a1",), frozenset(terminals), frozenset(spine),
+                      frozenset(tooth))
+        prefix = graft_sum(bare_root("r"), first.as_graft())
+        _, violations = validate_ear_step(prefix, bad)
+        assert [v.fatal for v in violations] == [True]
+        report = verify_graft_ear_decomposition(
+            GraftEarDecomposition("r", (first, bad), g))
+        assert report.valid is False
+        assert report.problems == (problem,)
+
     def test_empty_decomposition(self):
         g = singleton()
         good = verify_graft_ear_decomposition(

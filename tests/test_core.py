@@ -1,6 +1,7 @@
 """Data model: multigraphs, grafts, bipartitions, contraction, sums, walks."""
 
 import random
+import re
 import sys
 from enum import IntEnum
 
@@ -28,12 +29,19 @@ from bigraft.core import (
     validate_graft,
     vertex_key,
 )
+from bigraft.cathedral import is_critical_set, union_criticality_check
 from bigraft.combs import (
     bare_root,
     build_graft_ear_decomposition,
     is_critical_quasicomb,
+    verify_graft_ear_decomposition,
 )
-from bigraft.decomposition import factor_components, induced_subgraft
+from bigraft.decomposition import (
+    factor_components,
+    induced_subgraft,
+    is_separating,
+    kl_partition,
+)
 from bigraft.generators import (
     GenConfig,
     gen_random_comb,
@@ -41,7 +49,14 @@ from bigraft.generators import (
     gen_random_graft,
 )
 from bigraft.instances import c4, chain4, k2, p3r
-from bigraft.joins import allowed_edge_set, f_distance, min_join
+from bigraft.joins import (
+    JoinSet,
+    allowed_edge_set,
+    extract_shortest_path,
+    f_distance,
+    is_minimum_join,
+    min_join,
+)
 
 from oracles import (fan, index_fields, recursive_simple_circuits,
                      recursive_simple_paths)
@@ -762,6 +777,62 @@ class TestInputErrors:
             list(simple_paths(g, "zz"))
         with pytest.raises(GraftInputError, match="unknown vertex id 'zz'"):
             list(simple_paths(g, "v1", "zz"))
+
+
+def _p3r_decomposition():
+    g = p3r()
+    return build_graft_ear_decomposition(g, "r", min_join(g))
+
+
+# Every public call form that reads a caller's ids against the graph, by
+# the kind of value it reads: one vertex id, a vertex set or an edge set.
+ID_READERS = [
+    ("simple_paths-start", "vertex", lambda v: list(simple_paths(chain4().graph, v))),
+    ("simple_paths-goal", "vertex",
+     lambda v: list(simple_paths(chain4().graph, "a0", v))),
+    ("induced", "vertices", lambda X: chain4().graph.induced(X)),
+    ("spanning", "edges", lambda F: chain4().graph.spanning(F)),
+    ("contract_graft", "vertices", lambda X: contract_graft(chain4(), X)),
+    ("contract_graft-id", "vertex", lambda v: contract_graft(chain4(), {"a0"}, v)),
+    ("is_join", "edges", lambda F: is_join(chain4(), F)),
+    ("JoinSet", "edges", lambda F: JoinSet(chain4(), F)),
+    ("is_minimum_join", "edges", lambda F: is_minimum_join(chain4(), F)),
+    ("extract_shortest_path", "edges",
+     lambda F: extract_shortest_path(chain4(), F, "a0", "b1")),
+    ("build_graft_ear_decomposition", "edges",
+     lambda F: build_graft_ear_decomposition(p3r(), "r", F)),
+    ("verify_graft_ear_decomposition", "edges",
+     lambda F: verify_graft_ear_decomposition(_p3r_decomposition(), F)),
+    ("is_separating", "vertices", lambda X: is_separating(chain4(), X)),
+    ("induced_subgraft", "vertices", lambda X: induced_subgraft(chain4(), X)),
+    ("is_critical_set", "vertices", lambda X: is_critical_set(chain4(), "a0", X)),
+    ("union_criticality_check-X", "vertices",
+     lambda X: union_criticality_check(chain4(), "a0", "a1", "a1", X, {"a1", "b1"})),
+    ("union_criticality_check-Y", "vertices",
+     lambda Y: union_criticality_check(chain4(), "a0", "a1", "a1", {"a0", "b0"}, Y)),
+    ("class_id_of", "vertex", lambda v: kl_partition(chain4()).class_id_of(v)),
+    ("same_class", "vertex", lambda v: kl_partition(chain4()).same_class("a0", v)),
+]
+# (argument, the id it must name): an unhashable id, and for a set a
+# hashable non-id beside an unknown one.
+BAD_IDS = {
+    "vertex": [(["a"], ["a"])],
+    "vertices": [([["a"]], ["a"]), ({1.5, "zz"}, 1.5)],
+    "edges": [([["a"]], ["a"]), ({1, "zz"}, 1)],
+}
+
+
+@pytest.mark.parametrize("call, argument, named", [
+    pytest.param(call, argument, named, id=f"{label}-{named!r}")
+    for label, kind, call in ID_READERS for argument, named in BAD_IDS[kind]
+] + [
+    # A look-alike that equals a vertex id is refused, not built in.
+    pytest.param(lambda X: Multigraph.build([1, 2, 3], [("e", 1, 2)]).induced(X),
+                 {True, 2}, True, id="induced-look-alike"),
+])
+def test_every_id_reader_refuses_a_non_id(call, argument, named):
+    with pytest.raises(GraftInputError, match=re.escape(repr(named))):
+        call(argument)
 
 
 class TestWalkOrderOracle:

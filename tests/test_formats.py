@@ -246,6 +246,8 @@ class TestDumps:
         doc = {"b": [], "a": {}, "c": ((), (1, "x")), "d": [[], {}]}
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
         assert dumps([]) == "[]" and dumps({}) == "{}"
+        for scalar in ("x", False, True, None, 3):
+            assert dumps(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
 
     def test_leaves_no_garbage(self):
         doc = {"graft": graft_document(p3r()), "rows": [[1, "a"], ()],
