@@ -399,11 +399,11 @@ class Graft:
     terminals: frozenset
 
     def __post_init__(self):
+        _id_set(self.terminals, _VERTEX_ID, "terminal")
         stray = self.terminals - self.graph.vertices
         if stray:
             raise GraftInputError(
                 f"terminals {sorted_vertices(stray)!r} are not vertices")
-        _id_set(self.terminals, _VERTEX_ID, "terminal")
         for comp in self.graph.components():
             if len(comp & self.terminals) % 2:
                 raise GraftValidationError(
@@ -425,6 +425,8 @@ class OrderedBipartiteGraft(Graft):
     def __post_init__(self):
         super().__post_init__()
         spine = self.spine
+        sides = spine | self.tooth
+        _id_set(sides, _VERTEX_ID, "side vertex")
         overlap = spine & self.tooth
         if overlap:
             raise GraftValidationError(
@@ -435,12 +437,10 @@ class OrderedBipartiteGraft(Graft):
             raise GraftValidationError(
                 "bipartition-coverage",
                 f"vertices {sorted_vertices(uncovered)!r} are on neither side")
-        sides = spine | self.tooth
         stray = sides - self.graph.vertices
         if stray:
             raise GraftInputError(
                 f"bipartition names unknown vertices {sorted_vertices(stray)!r}")
-        _id_set(sides, _VERTEX_ID, "side vertex")
         for e in self.graph.edges:
             if (e.u in spine) == (e.v in spine):
                 raise GraftValidationError(
@@ -450,9 +450,9 @@ class OrderedBipartiteGraft(Graft):
 
 def validate_graft(graph: Multigraph, terminals: Iterable[VertexId]) -> bool:
     """True when every component of ``graph`` has an even terminal count:
-    the check of ``Graft``, whose stray-terminal error it lets through."""
+    the check of ``Graft``, whose input errors it lets through."""
     try:
-        Graft(graph, frozenset(terminals))
+        Graft(graph, _id_set(terminals, _VERTEX_ID, "terminal"))
     except GraftValidationError:
         return False
     return True
@@ -462,8 +462,10 @@ def build_bipartite_graft(graph: Multigraph, terminals: Iterable[VertexId],
                           spine: Iterable[VertexId],
                           tooth: Iterable[VertexId]) -> OrderedBipartiteGraft:
     """Validating constructor for ordered bipartite grafts."""
-    return OrderedBipartiteGraft(graph, frozenset(terminals),
-                                 frozenset(spine), frozenset(tooth))
+    return OrderedBipartiteGraft(
+        graph, _id_set(terminals, _VERTEX_ID, "terminal"),
+        _id_set(spine, _VERTEX_ID, "side vertex"),
+        _id_set(tooth, _VERTEX_ID, "side vertex"))
 
 
 def contract_graft(g: Graft, X: Iterable[VertexId],

@@ -6,16 +6,20 @@ joins and simple-path/circuit sweeps for distances.  The scan
 nothing else reads: it shares only the BFS tree (``joins._bfs_tree``) with
 the cycle table.  The sweeps share no logic with the backends under test.
 The recursive path and circuit sweeps are also the order oracle for the
-explicit-stack ones in ``bigraft.core``.  ``chain_comb`` and ``stair`` are
-the fixtures that several suites share.
+explicit-stack ones in ``bigraft.core``.
 
 ``DMOracle`` is the one oracle that enumerates nothing: the
 Dulmage–Mendelsohn decomposition predicts the components, classes, order
 and distances of a bipartite comb in which every vertex is a terminal, at
 sizes no exhaustive scan reaches, from a matching and a digraph search
-that share no code with the package.
+that share no code with the package; ``order_disagreements`` reads a
+poset against it.  ``family_digest`` reads the graft families' pins.
 """
 
+import hashlib
+from pathlib import Path
+
+from bigraft import instances
 from bigraft.combs import EarStep
 from bigraft.core import (
     CapacityError,
@@ -24,10 +28,21 @@ from bigraft.core import (
     Multigraph,
     OrderedBipartiteGraft,
     Walk,
-    build_bipartite_graft,
     sorted_vertices,
 )
+from bigraft.decomposition import factor_components
+from bigraft.formats import serialize_graft
 from bigraft.joins import all_min_joins, f_weight
+
+# Rows [family name, arguments, ``family_digest``], one per family.
+FAMILY_PINS = Path(__file__).with_name("family_pins.json")
+
+
+def family_digest(name: str, args: list) -> str:
+    """The first 12 hex digits of the sha256 of the document of the
+    ``bigraft.instances`` family ``name`` on ``args``."""
+    doc = serialize_graft(getattr(instances, name)(*args))
+    return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
 def index_fields(graph) -> tuple:
@@ -49,6 +64,14 @@ def checked_rebuild(value):
         return OrderedBipartiteGraft(graph, value.terminals, value.spine,
                                      value.tooth)
     return Graft(graph, value.terminals)
+
+
+def obg(vertices, edges, terminals, spine, tooth):
+    """An ``OrderedBipartiteGraft`` built from its ids by the checking
+    constructors."""
+    return OrderedBipartiteGraft(Multigraph.build(vertices, edges),
+                                 frozenset(terminals), frozenset(spine),
+                                 frozenset(tooth))
 
 
 def recorded(monkeypatch, module, name: str) -> list:
@@ -174,41 +197,6 @@ def has_multiple_min_joins(g: Graft, max_edges: int = 22) -> bool:
         return False
 
 
-def chain_comb(k):
-    """Path a0-b0-a1-b1-...-b(k-1) with every vertex terminal: k factor
-    components {ai, bi}, ordered in a chain."""
-    spine = [f"a{i}" for i in range(k)]
-    tooth = [f"b{i}" for i in range(k)]
-    edges = [(f"e{i}", f"a{i}", f"b{i}") for i in range(k)]
-    edges += [(f"c{i}", f"b{i}", f"a{i + 1}") for i in range(k - 1)]
-    g = Multigraph.build(spine + tooth, edges)
-    return build_bipartite_graft(g, spine + tooth, spine=spine, tooth=tooth)
-
-
-def stair(k, swapped=False):
-    """stair(k): an edge ei_j = a_i b_j for each j <= i, every vertex a
-    terminal, spine a and tooth b, or the sides swapped.  Its one perfect
-    matching is a_i b_i, so every DM component is one edge."""
-    a_side = [f"a{i}" for i in range(k)]
-    b_side = [f"b{j}" for j in range(k)]
-    g = Multigraph.build(a_side + b_side, [
-        (f"e{i}_{j}", f"a{i}", f"b{j}") for i in range(k) for j in range(i + 1)])
-    spine, tooth = (b_side, a_side) if swapped else (a_side, b_side)
-    return build_bipartite_graft(g, a_side + b_side, spine=spine, tooth=tooth)
-
-
-def fan(k):
-    """fan(k): the star at c over r and b0..b(k-1), with edges er = (c, r)
-    and e<i> = (c, b_i).  Every b is a terminal, and c too when k is odd;
-    the spine is {c}, the tooth r and the b's.  Its ear decomposition from
-    r adds one edge per step, so a replay from the bare root adds far more
-    edges than its first operand holds."""
-    b_side = [f"b{i}" for i in range(k)]
-    g = Multigraph.build(["r", "c", *b_side], [("er", "c", "r")] + [
-        (f"e{i}", "c", b) for i, b in enumerate(b_side)])
-    return build_bipartite_graft(g, b_side + ["c"] * (k % 2), ["c"], ["r", *b_side])
-
-
 def _search(start, step) -> frozenset:
     """Every vertex reachable from ``start`` by ``step``, start included."""
     seen, stack = {start}, [start]
@@ -257,6 +245,25 @@ class DMOracle:
             if v not in self.graph_component:
                 piece = _search(v, near.__getitem__)
                 self.graph_component.update(dict.fromkeys(piece, piece))
+
+
+def order_disagreements(g, ids, relation, oracle: DMOracle,
+                        swapped: bool = False) -> list:
+    """Each (x, y, precedes) where g's order, ``relation[i][j]`` saying
+    whether ``ids[i]`` precedes ``ids[j]`` as ``CathedralPoset`` holds it
+    and ``poset --format json`` prints it, answers against the DM order:
+    x precedes y exactly when y's A side reaches x's in D, read in reverse
+    when ``swapped``."""
+    # Any A vertex stands for its strong component.
+    a_of = {c.id: min(v for v in c.vertices if v.startswith("a"))
+            for c in factor_components(g)}
+    out = []
+    for i, x in enumerate(ids):
+        for j, y in enumerate(ids):
+            first, second = (y, x) if swapped else (x, y)
+            if relation[i][j] != (a_of[first] in oracle.reach[a_of[second]]):
+                out.append((x, y, relation[i][j]))
+    return out
 
 
 def _perfect_matching(near: dict, a_side) -> dict:

@@ -31,9 +31,10 @@ from bigraft.core import (
 )
 from bigraft.formats import parse_graft_json
 from bigraft.generators import GenConfig, gen_random_critical_quasicomb, generate
+from bigraft.instances import fan
 from bigraft.joins import min_join
 
-from oracles import assert_rebuilds, fan, index_fields, recorded
+from oracles import assert_rebuilds, index_fields, recorded
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

@@ -12,8 +12,6 @@ from bigraft.core import (
     Graft,
     GraftInputError,
     InternalConsistencyError,
-    Multigraph,
-    OrderedBipartiteGraft,
     PreconditionError,
     Walk,
     contract_graft,
@@ -37,16 +35,10 @@ from bigraft.combs import EarStep, classify_comb, ear_step, is_f_balanced
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, poset_document, upper_report_document
 from bigraft.generators import GenConfig, gen_random_comb
-from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.instances import c4, chain4, chain_comb, k2, p3r
 from bigraft.joins import min_join
 
-from oracles import assert_rebuilds, brute_distance, chain_comb, recorded
-
-
-def obg(vertices, edges, terminals, spine, tooth):
-    return OrderedBipartiteGraft(Multigraph.build(vertices, edges),
-                                 frozenset(terminals), frozenset(spine),
-                                 frozenset(tooth))
+from oracles import assert_rebuilds, brute_distance, obg, recorded
 
 
 def handled_theta():

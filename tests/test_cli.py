@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigraft.cli import _parsers, cli_main
-from bigraft.core import (
-    BigraftError,
-    InternalConsistencyError,
-    Multigraph,
-    build_bipartite_graft,
-)
+from bigraft.core import BigraftError, InternalConsistencyError
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document, serialize_graft
 from bigraft.generators import (
@@ -31,10 +26,9 @@ from bigraft.generators import (
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
-from bigraft.instances import c4, chain4, comb_path, k2, p3r
+from bigraft.instances import (c4, chain4, chain_comb, comb_path, fan, k2, p3r,
+                               path2, stair)
 from bigraft.joins import flipped_distance_sign
-
-from oracles import chain_comb, fan, stair
 
 
 def captured(main, argv, stdin=""):
@@ -862,13 +856,6 @@ SCALE_EAR_DIGESTS = {
 }
 
 
-def path2(n):
-    """path2(n): the path on the int vertices 0..n-1 with edges e<i> =
-    (i, i+1), terminals 0 and n-1, and the even vertices on the spine."""
-    graph = Multigraph.build(range(n), [(f"e{i}", i, i + 1) for i in range(n - 1)])
-    return build_bipartite_graft(graph, (0, n - 1), range(0, n, 2), range(1, n, 2))
-
-
 # The scale probes' instances, by the names ROADMAP gives them.
 PROBE_INSTANCES = {
     "comb_path(300)": lambda: comb_path(300),
@@ -894,7 +881,7 @@ PROBE_DIGESTS = {
 }
 
 
-# Full sha256 of ``ear-decomp r --format json`` on ``oracles.fan(300)``,
+# Full sha256 of ``ear-decomp r --format json`` on ``fan(300)``,
 # whose replay from the bare root adds 301 edges in one sum; CI checks the
 # first 12 digits of fan(1000)'s, 9e39054b2a47.
 FAN_EAR_DIGEST = "18028cfecdefc88c04106fc87eb1fdc71de205690a1e988242057937657979c4"

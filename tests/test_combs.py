@@ -45,11 +45,7 @@ from bigraft.instances import c4, chain4, comb_path, k2, p3r
 from bigraft.joins import extract_shortest_path, f_distance_int, min_join
 from bigraft.core import Graft
 
-
-def obg(vertices, edges, terminals, spine, tooth):
-    return OrderedBipartiteGraft(Multigraph.build(vertices, edges),
-                                 frozenset(terminals), frozenset(spine),
-                                 frozenset(tooth))
+from oracles import obg
 
 
 def square():

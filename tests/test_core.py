@@ -48,7 +48,7 @@ from bigraft.generators import (
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
-from bigraft.instances import c4, chain4, k2, p3r
+from bigraft.instances import c4, chain4, fan, k2, p3r, path2
 from bigraft.joins import (
     JoinSet,
     allowed_edge_set,
@@ -58,8 +58,7 @@ from bigraft.joins import (
     min_join,
 )
 
-from oracles import (fan, index_fields, recursive_simple_circuits,
-                     recursive_simple_paths)
+from oracles import index_fields, obg, recursive_simple_circuits, recursive_simple_paths
 
 
 def test_vertex_key_orders_ints_before_strs():
@@ -303,16 +302,9 @@ class TestNaryGraftSum:
 
     @staticmethod
     def operands(third_vertices, third_edges, spine, tooth):
-        ga = build_bipartite_graft(
-            Multigraph.build(["x", "y"], [("e", "x", "y")]), ["x", "y"],
-            spine=["x"], tooth=["y"])
-        gb = build_bipartite_graft(
-            Multigraph.build(["y", "z"], [("f", "y", "z")]), ["y", "z"],
-            spine=["z"], tooth=["y"])
-        gc = build_bipartite_graft(
-            Multigraph.build(third_vertices, third_edges), [],
-            spine=spine, tooth=tooth)
-        return ga, gb, gc
+        return (obg(["x", "y"], [("e", "x", "y")], ["x", "y"], ["x"], ["y"]),
+                obg(["y", "z"], [("f", "y", "z")], ["y", "z"], ["z"], ["y"]),
+                obg(third_vertices, third_edges, [], spine, tooth))
 
     @staticmethod
     def failure(thunk):
@@ -378,9 +370,6 @@ class TestGraftSumAssembly:
 
     @staticmethod
     def operands(kind):
-        def obg(vertices, edges, terminals, spine, tooth):
-            return build_bipartite_graft(Multigraph.build(vertices, edges),
-                                         terminals, spine, tooth)
         if kind == "disjoint":
             return (obg(["x", "y"], [("e", "x", "y")], ["x", "y"], ["x"], ["y"]),
                     obg(["u", "w"], [("f", "w", "u")], [], ["w"], ["u"]),
@@ -786,6 +775,8 @@ def _p3r_decomposition():
 
 # Every public call form that reads a caller's ids against the graph, by
 # the kind of value it reads: one vertex id, a vertex set or an edge set.
+# The graft constructors apply the id rule before they look for stray ids,
+# so ``validate_graft`` and ``build_bipartite_graft`` take every row.
 ID_READERS = [
     ("simple_paths-start", "vertex", lambda v: list(simple_paths(chain4().graph, v))),
     ("simple_paths-goal", "vertex",
@@ -812,6 +803,13 @@ ID_READERS = [
      lambda Y: union_criticality_check(chain4(), "a0", "a1", "a1", {"a0", "b0"}, Y)),
     ("class_id_of", "vertex", lambda v: kl_partition(chain4()).class_id_of(v)),
     ("same_class", "vertex", lambda v: kl_partition(chain4()).same_class("a0", v)),
+    ("validate_graft", "vertices", lambda X: validate_graft(chain4().graph, X)),
+    ("build_bipartite_graft-terminals", "vertices",
+     lambda X: build_bipartite_graft(chain4().graph, X, ["a0", "a1"], ["b0", "b1"])),
+    ("build_bipartite_graft-spine", "vertices",
+     lambda X: build_bipartite_graft(chain4().graph, [], X, ["b0", "b1"])),
+    ("build_bipartite_graft-tooth", "vertices",
+     lambda X: build_bipartite_graft(chain4().graph, [], ["a0", "a1"], X)),
 ]
 # (argument, the id it must name): an unhashable id, and for a set a
 # hashable non-id beside an unknown one.
@@ -852,8 +850,7 @@ class TestWalkOrderOracle:
 
     def test_paths_longer_than_the_recursion_limit(self):
         n = sys.getrecursionlimit() + 50
-        g = Multigraph.build(range(n), [(f"p{i}", i, i + 1)
-                                        for i in range(n - 1)])
+        g = path2(n).graph
         (path,) = simple_paths(g, 0, goal=n - 1)
         assert path.vertices == tuple(range(n))
         assert sum(1 for _ in simple_paths(g, 0)) == n

@@ -20,25 +20,25 @@ D on A alone:
 - the minimum join is unique exactly when every DM component is one
   matched pair with no parallel twin of its edge.
 
-The corpora are random ``dm`` combs and ``oracles.stair``, whose one block
-passes the cycle table's span limit from k = 7 on.  Past the 22-edge cap
-no join oracle runs; these checks share no code with the join tables they
-read.  The k-edge matching, the plainest DM comb, checks that each layer
-answers on thousands of components.
+The corpora are random ``dm`` combs and ``stair(k)``, both from
+``bigraft.instances``; stair's one block passes the cycle table's span
+limit from k = 7 on.  Past the 22-edge cap no join oracle runs; these
+checks share no code with the join tables they read.  The k-edge
+matching, the plainest DM comb, checks that each layer answers on
+thousands of components.
 """
 
-import random
 import time
 
 import pytest
 
 from bigraft.cathedral import cathedral_poset
-from bigraft.core import Multigraph, build_bipartite_graft
 from bigraft.decomposition import (
     factor_components,
     kl_classes_of_component,
     kl_partition,
 )
+from bigraft.instances import dm, matching, stair
 from bigraft.joins import (
     _join_tables,
     all_min_joins,
@@ -47,26 +47,7 @@ from bigraft.joins import (
     min_join,
 )
 
-from oracles import DMOracle, stair
-
-
-def dm(k: int, p: float, s: int, swapped: bool = False):
-    """The DM comb dm(k, p, s): a perfect matching a_i b_perm[i] on a
-    shuffled permutation, plus each pair (i, j) with probability p, drawn
-    for i, then j, in order; the sorted pairs name the edges e0, e1, ...
-    Every vertex is a terminal; the spine is the a side, or the b side
-    when ``swapped``."""
-    rng = random.Random(s)
-    perm = list(range(k))
-    rng.shuffle(perm)
-    pairs = [(i, perm[i]) for i in range(k)]
-    pairs += [(i, j) for i in range(k) for j in range(k) if rng.random() < p]
-    a_side = [f"a{i}" for i in range(k)]
-    b_side = [f"b{j}" for j in range(k)]
-    graph = Multigraph.build(a_side + b_side, [
-        (f"e{n}", f"a{i}", f"b{j}") for n, (i, j) in enumerate(sorted(pairs))])
-    spine, tooth = (b_side, a_side) if swapped else (a_side, b_side)
-    return build_bipartite_graft(graph, a_side + b_side, spine, tooth)
+from oracles import DMOracle, order_disagreements
 
 
 # Distances: k = 2..20 at p = 1.5/k, one seed each.
@@ -111,23 +92,6 @@ def distance_disagreements(g, oracle: DMOracle) -> list:
     return out
 
 
-def order_disagreements(g, poset, oracle: DMOracle,
-                        swapped: bool = False) -> list:
-    """Each (x, y, precedes) where g's poset answers "x precedes y"
-    against the order prediction, read in reverse when ``swapped``."""
-    # Any A vertex stands for its strong component.
-    a_of = {c.id: min(v for v in c.vertices if v.startswith("a"))
-            for c in factor_components(g)}
-    out = []
-    for x in poset.component_ids:
-        for y in poset.component_ids:
-            first, second = (y, x) if swapped else (x, y)
-            predicted = a_of[first] in oracle.reach[a_of[second]]
-            if poset.precedes(x, y) != predicted:
-                out.append((x, y, poset.precedes(x, y)))
-    return out
-
-
 def order_instances(swapped: bool):
     """(label, graft) of the order corpus and then the stair corpus."""
     for k, p, s in ORDER_CORPUS:
@@ -155,7 +119,8 @@ def test_order_is_dm_reachability(swapped):
     orders = 0
     for label, g in order_instances(swapped):
         poset = cathedral_poset(g)
-        assert order_disagreements(g, poset, oracle_of(g), swapped) == [], label
+        assert order_disagreements(g, poset.component_ids, poset.relation,
+                                   oracle_of(g), swapped) == [], label
         orders += bool(poset.hasse)
     assert orders > 0, "no instance of the corpus has a non-trivial order"
 
@@ -222,16 +187,6 @@ def test_the_join_is_unique_exactly_as_dm_predicts():
         assert len(all_min_joins(g)) == 1, k
 
 
-def matching(k: int):
-    """k disjoint edges e_i = a_i b_i, every vertex a terminal, spine a and
-    tooth b: the plainest DM comb, with k components of one edge each."""
-    a_side = [f"a{i}" for i in range(k)]
-    b_side = [f"b{i}" for i in range(k)]
-    graph = Multigraph.build(a_side + b_side, [
-        (f"e{i}", f"a{i}", f"b{i}") for i in range(k)])
-    return build_bipartite_graft(graph, a_side + b_side, a_side, b_side)
-
-
 class TestWideMatching:
     """Each layer on the k-edge matching answers in time linear in its
     components, and as the DM rule says: k components {a_i, b_i}, with
@@ -274,6 +229,7 @@ def test_order_check_fails_under_the_sign_flip():
     with flipped_distance_sign():
         for k, p, s in ORDER_CORPUS:
             g = dm(k, p, s)
-            failed += order_disagreements(g, cathedral_poset(g),
+            poset = cathedral_poset(g)
+            failed += order_disagreements(g, poset.component_ids, poset.relation,
                                           oracle_of(g)) != []
     assert failed > 0

@@ -136,6 +136,13 @@ KEEP = {
     "instances.py:chain4": INSTANCE,
     "instances.py:p3r": INSTANCE,
     "instances.py:comb_path": INSTANCE,
+    "instances.py:path2": INSTANCE,
+    "instances.py:chain_comb": INSTANCE,
+    "instances.py:fan": INSTANCE,
+    "instances.py:matching": INSTANCE,
+    "instances.py:stair": INSTANCE,
+    "instances.py:dm": INSTANCE,
+    "instances.py:mq": INSTANCE,
     "joins.py:negative_circuit_witness":
         "the certificate that a join is not minimum",
 }

@@ -11,37 +11,15 @@ draw's ear chain runs through ``graft_sum``'s connected growth.
 
 import io
 import json
-import random
 from contextlib import redirect_stderr, redirect_stdout
 
 from bigraft.cli import cli_main
 from bigraft.combs import is_critical_quasicomb
-from bigraft.core import Multigraph, build_bipartite_graft
 from bigraft.formats import serialize_graft
+from bigraft.instances import mq
 from bigraft.joins import flipped_distance_sign
 
 from oracles import matching_critical
-
-
-def mq(k: int, p: float, s: int, d: int):
-    """The matching quasicomb mq(k, p, s, d): the pairs (i, perm[i]) of a
-    shuffled permutation, plus each pair (i, j) with probability p, drawn
-    for i, then j, in order, then ``min(d, k)`` roots drawn from range(k).
-    The sorted pairs name the edges e<n> = (a_i, b_j), then each root i
-    gives r<i> = (a_i, r).  Every a and b is a terminal; the spine is the
-    a side, the tooth the b side and r."""
-    rng = random.Random(s)
-    perm = list(range(k))
-    rng.shuffle(perm)
-    pairs = [(i, perm[i]) for i in range(k)]
-    pairs += [(i, j) for i in range(k) for j in range(k) if rng.random() < p]
-    roots = sorted(rng.sample(range(k), min(d, k)))
-    a_side = [f"a{i}" for i in range(k)]
-    b_side = [f"b{j}" for j in range(k)]
-    edges = [(f"e{n}", f"a{i}", f"b{j}") for n, (i, j) in enumerate(sorted(pairs))]
-    edges += [(f"r{i}", f"a{i}", "r") for i in roots]
-    graph = Multigraph.build(a_side + b_side + ["r"], edges)
-    return build_bipartite_graft(graph, a_side + b_side, a_side, b_side + ["r"])
 
 
 # (s, graft) for the 600 draws mq(2 + s % 12, 1.5/k, s, 1 + s % 3).
