@@ -1,13 +1,15 @@
 """Named grafts that the tests, CI and scale probes build: four small
-fixtures, and eight families sized by their arguments: the deep paths
+fixtures, and nine families sized by their arguments: the deep paths
 ``comb_path`` and ``path2``, ``chain_comb``, the star ``fan``, the DM combs
-``matching``, ``stair`` and ``dm``, and the matching quasicomb ``mq``."""
+``matching``, ``stair`` and ``dm``, the matching quasicomb ``mq`` and the
+ear-grown critical ``quasicomb``."""
 
 from __future__ import annotations
 
 import random
 
 from .core import Multigraph, OrderedBipartiteGraft, build_bipartite_graft
+from .generators import GenConfig, gen_random_critical_quasicomb
 
 
 def k2() -> OrderedBipartiteGraft:
@@ -144,3 +146,10 @@ def mq(k: int, p: float, s: int, d: int) -> OrderedBipartiteGraft:
     a_side, b_side = _sides(k)
     graph = Multigraph.build(a_side + b_side + ["r"], edges)
     return build_bipartite_graft(graph, a_side + b_side, a_side, b_side + ["r"])
+
+
+def quasicomb(n: int, s: int) -> OrderedBipartiteGraft:
+    """The critical quasicomb (n, s): the target ``gen_random_critical_quasicomb``
+    grows from the root r to n or more vertices, drawing from ``random.Random(s)``."""
+    d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(n, n)), random.Random(s))
+    return d.target

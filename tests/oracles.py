@@ -13,13 +13,18 @@ Dulmage–Mendelsohn decomposition predicts the components, classes, order
 and distances of a bipartite comb in which every vertex is a terminal, at
 sizes no exhaustive scan reaches, from a matching and a digraph search
 that share no code with the package; ``order_disagreements`` reads a
-poset against it.  ``family_digest`` reads the graft families' pins.
+poset against it.  ``pin_digest`` reads a row of the pinned outputs,
+running the CLI through ``run_cli``.
 """
 
 import hashlib
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from bigraft import instances
+from bigraft.cli import cli_main
 from bigraft.combs import EarStep
 from bigraft.core import (
     CapacityError,
@@ -34,15 +39,34 @@ from bigraft.decomposition import factor_components
 from bigraft.formats import serialize_graft
 from bigraft.joins import all_min_joins, f_weight
 
-# Rows [family name, arguments, ``family_digest``], one per family.
-FAMILY_PINS = Path(__file__).with_name("family_pins.json")
+# Rows [command, family, arguments, ``pin_digest``]: a null command pins
+# the document of the ``bigraft.instances`` family on the arguments, any
+# other the command's ``--format json`` stdout on that document.
+PINS = Path(__file__).with_name("pins.json")
 
 
-def family_digest(name: str, args: list) -> str:
-    """The first 12 hex digits of the sha256 of the document of the
-    ``bigraft.instances`` family ``name`` on ``args``."""
-    doc = serialize_graft(getattr(instances, name)(*args))
-    return hashlib.sha256(doc.encode()).hexdigest()[:12]
+def run_cli(*argv, stdin: str = "", main=None):
+    """(exit code, stdout, stderr) of ``main(argv)``, by default
+    ``cli_main(argv)``, reading ``stdin``."""
+    out, err = io.StringIO(), io.StringIO()
+    real_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(list(argv)) if main is None else main(list(argv))
+    finally:
+        sys.stdin = real_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def pin_digest(command: str | None, family: str, args: list) -> str:
+    """The sha256 of the output a row of ``PINS`` pins; the command must
+    exit 0."""
+    out = serialize_graft(getattr(instances, family)(*args))
+    if command is not None:
+        code, out, err = run_cli(*command.split(), "--format", "json", stdin=out)
+        assert code == 0, err
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 def index_fields(graph) -> tuple:

@@ -3,13 +3,11 @@
 import argparse
 import hashlib
 import importlib
-import io
 import json
 import random
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -26,26 +24,10 @@ from bigraft.generators import (
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
-from bigraft.instances import (c4, chain4, chain_comb, comb_path, fan, k2, p3r,
-                               path2, stair)
+from bigraft.instances import c4, chain4, chain_comb, comb_path, k2, p3r
 from bigraft.joins import flipped_distance_sign
 
-
-def captured(main, argv, stdin=""):
-    """(exit code, stdout, stderr) of ``main(argv)`` reading ``stdin``."""
-    out, err = io.StringIO(), io.StringIO()
-    real_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        sys.stdin = real_stdin
-    return code, out.getvalue(), err.getvalue()
-
-
-def run_cli(*argv, stdin=""):
-    return captured(cli_main, argv, stdin)
+from oracles import run_cli
 
 
 USAGE_ERRORS = Path(__file__).resolve().parent / "usage_errors.json"
@@ -173,7 +155,7 @@ class TestExitCodes:
         for case in recorded["cases"]:
             argv = case["argv"]
             got = run_cli(*argv)
-            assert got == captured(two_pass_main, argv), argv
+            assert got == run_cli(*argv, main=two_pass_main), argv
             if python == recorded["recorded_with"]["python"]:
                 assert got == (case["exit"], case["stdout"], case["stderr"]), argv
 
@@ -835,58 +817,6 @@ def digest_cases():
         yield ["verify", "--trials", "1", "--format", fmt], ""
 
 
-# Full sha256 of the JSON stdout of each command on comb_path(100), the
-# deep path of the ``files`` fixture; ROADMAP quotes their first 12 digits.
-DEEP_PATH_DIGESTS = {
-    "analyze":
-        "032082a69f2800f8e6cd8b0531aa4d18c9d4876dcaf99e5d06b6514b201f182d",
-    "ear-decomp r":
-        "91111ac16af19a28dd6308e8f660032bbed85c92537543284c75c4ede6cbcfc1",
-}
-
-
-# Full sha256 of ``ear-decomp r --format json`` on the quasicomb (n, seed),
-# the target of gen_random_critical_quasicomb(GenConfig(vertices=(n, n)),
-# Random(seed)); ROADMAP quotes their first 12 digits.  (90, 0) has blocks
-# past the cycle table's span limit, so its prefixes read the pairing.
-SCALE_EAR_DIGESTS = {
-    (58, 0): "5fd6e4486b76a62b068c4119cea5860ccbd5ac0dfd0d90cee7e6f732e21e76c6",
-    (70, 0): "0a69aa19bd6638c9c8baa23b4a45b90d92e6844c8e759f3ca8a2a86e10316c1b",
-    (90, 0): "d517eeac0741e3715e3c4fce320763f7c39b0479ba1d512320839df86b53ad78",
-}
-
-
-# The scale probes' instances, by the names ROADMAP gives them.
-PROBE_INSTANCES = {
-    "comb_path(300)": lambda: comb_path(300),
-    "quasicomb(120, 0)": lambda: gen_random_critical_quasicomb(
-        GenConfig(vertices=(120, 120)), random.Random(0))[0].target,
-    "path2(1000)": lambda: path2(1000),
-    "stair(10)": lambda: stair(10),
-}
-
-# Full sha256 of the JSON stdout of the scale probes that ROADMAP quotes by
-# their first 12 digits, each a command on a named instance.
-PROBE_DIGESTS = {
-    ("analyze", "comb_path(300)"):
-        "1a449db51261e998eab7ef5cd5fecb7b522942133234db6d96093b5bde7d3fe3",
-    ("ear-decomp r", "comb_path(300)"):
-        "9441a7483bda8e449912cb558e800a5fe3924f23c704e4f4e42e68fe004936cd",
-    ("ear-decomp r", "quasicomb(120, 0)"):
-        "017bf13ebca8895075844ee2167c04efdb72798ea9284b521853965ae4a99a18",
-    ("analyze", "path2(1000)"):
-        "d2d51f7eb76b435670e35ea62b19f5c56f657248796674ec77335d238a859341",
-    ("analyze", "stair(10)"):
-        "43fa1cea8f96202fa056723e96b758989ef2e5df80327404af5587ad1381d1d2",
-}
-
-
-# Full sha256 of ``ear-decomp r --format json`` on ``fan(300)``,
-# whose replay from the bare root adds 301 edges in one sum; CI checks the
-# first 12 digits of fan(1000)'s, 9e39054b2a47.
-FAN_EAR_DIGEST = "18028cfecdefc88c04106fc87eb1fdc71de205690a1e988242057937657979c4"
-
-
 class TestStdoutDigest:
 
     def test_fixed_seed_stdout_unchanged(self):
@@ -895,38 +825,6 @@ class TestStdoutDigest:
             code, out, _ = run_cli(*argv, stdin=stdin)
             h.update(f"{argv} {code}\n{out}".encode())
         assert h.hexdigest() == CLI_STDOUT_DIGEST
-
-    @pytest.mark.parametrize("command", sorted(DEEP_PATH_DIGESTS))
-    def test_deep_path_stdout_unchanged(self, files, command):
-        code, out, _ = run_cli(*command.split(), "--input", files["path100"],
-                               "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == DEEP_PATH_DIGESTS[command]
-
-    @pytest.mark.parametrize("case", sorted(SCALE_EAR_DIGESTS))
-    def test_scale_ear_decomp_stdout_unchanged(self, case):
-        n, seed = case
-        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(n, n)),
-                                             random.Random(seed))
-        code, out, _ = run_cli("ear-decomp", "r", "--format", "json",
-                               stdin=serialize_graft(d.target))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SCALE_EAR_DIGESTS[case]
-
-    @pytest.mark.parametrize("case", sorted(PROBE_DIGESTS), ids=" ".join)
-    def test_scale_probe_stdout_unchanged(self, case):
-        command, instance = case
-        code, out, _ = run_cli(*command.split(), "--format", "json",
-                               stdin=serialize_graft(PROBE_INSTANCES[instance]()))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PROBE_DIGESTS[case]
-
-
-    def test_wide_fan_stdout_unchanged(self):
-        code, out, _ = run_cli("ear-decomp", "r", "--format", "json",
-                               stdin=serialize_graft(fan(300)))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == FAN_EAR_DIGEST
 
 
 def test_console_script_runs():
@@ -960,6 +858,5 @@ def test_project_script_target_takes_argv():
         target = tomllib.load(fh)["project"]["scripts"]["bigraft"]
     module, _, name = target.partition(":")
     entry = getattr(importlib.import_module(module), name)
-    with redirect_stdout(io.StringIO()) as out:
-        assert entry(["--help"]) == 0
-    assert "usage:" in out.getvalue()
+    code, out, _ = run_cli("--help", main=entry)
+    assert code == 0 and "usage:" in out

@@ -143,6 +143,7 @@ KEEP = {
     "instances.py:stair": INSTANCE,
     "instances.py:dm": INSTANCE,
     "instances.py:mq": INSTANCE,
+    "instances.py:quasicomb": INSTANCE,
     "joins.py:negative_circuit_witness":
         "the certificate that a join is not minimum",
 }

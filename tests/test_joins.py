@@ -1,13 +1,12 @@
 """Join engine: both backends, weights, distances, path extraction."""
 
 import hashlib
-import io
 import itertools
 import json
 import random
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -30,7 +29,6 @@ from bigraft.core import (
     simple_circuits,
     sorted_vertices,
 )
-from bigraft.cli import cli_main
 from bigraft.combs import build_graft_ear_decomposition, is_critical_quasicomb
 from bigraft.decomposition import factor_components
 from bigraft.formats import graft_document
@@ -39,7 +37,7 @@ from bigraft.generators import (
     gen_random_critical_quasicomb,
     gen_random_graft,
 )
-from bigraft.instances import c4, chain4, comb_path, k2, p3r
+from bigraft.instances import c4, chain4, comb_path, k2, p3r, quasicomb
 from bigraft.joins import (
     _TABLE_LIMIT,
     DistanceValue,
@@ -70,7 +68,7 @@ from bigraft.joins import (
     nu,
     walk_report,
 )
-from oracles import brute_allowed, brute_distance
+from oracles import brute_allowed, brute_distance, run_cli
 
 
 def c4_alt():
@@ -154,14 +152,6 @@ def tied_split_grafts(count: int = 12) -> list:
     return found
 
 
-def cli_stdout(argv: list, stdin: str) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out), pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sys.stdin", io.StringIO(stdin))
-        code = cli_main(argv)
-    return f"{argv} {code}\n{out.getvalue()}"
-
-
 # sha256 of the exhaustive backend's output on tied_split_grafts(); a change
 # to its tie-breaking, its join order or the CLI's --oracle stdout changes it.
 ORACLE_DIGEST = (
@@ -179,13 +169,13 @@ class TestOracleDigest:
             h.update(repr(sorted(min_join_bruteforce(g).edge_ids)).encode())
             h.update(repr([sorted(F) for F in all_min_joins(g)]).encode())
             stdin = json.dumps(graft_document(g))
-            for fmt in ("text", "json"):
-                h.update(cli_stdout(["min-join", "--oracle", "--format", fmt],
-                                    stdin).encode())
             vs = sorted(g.graph.vertices)
             pairs = [(vs[0], v) for v in vs[1:]] + list(zip(vs[1:], vs[2:]))
-            for u, v in pairs:
-                h.update(cli_stdout(["dist", u, v, "--oracle"], stdin).encode())
+            argvs = [["min-join", "--oracle", "--format", fmt] for fmt in ("text", "json")]
+            argvs += [["dist", u, v, "--oracle"] for u, v in pairs]
+            for argv in argvs:
+                code, out, _ = run_cli(*argv, stdin=stdin)
+                h.update(f"{argv} {code}\n{out}".encode())
         assert h.hexdigest() == ORACLE_DIGEST
 
 
@@ -575,7 +565,7 @@ class TestCycleSpace:
                                              random.Random(0))
         argv = ["ear-decomp", d.root, "--format", "json"]
         doc = json.dumps(graft_document(d.target))
-        want = cli_stdout(argv, doc)
+        want = run_cli(*argv, stdin=doc)
         grafts = ([random_graft(*case) for case in TABLE_CASES]
                   + [block_graft(*case) for case in BLOCK_CASES.values()])
         kinds = set()
@@ -584,7 +574,7 @@ class TestCycleSpace:
             raise AssertionError("only the exhaustive scan reads _cycle_space")
 
         monkeypatch.setattr(joins, "_cycle_space", refused)
-        assert cli_stdout(argv, doc) == want
+        assert run_cli(*argv, stdin=doc) == want
         for g in grafts + [d.target]:
             assert min_join(g).size == nu(g)
             allowed_edge_set(g)
@@ -702,8 +692,7 @@ class TestDistanceTable:
                 dense.append(g)
         argv = ["analyze", "--format", "json"]
         for g in dense + [block_graft(*BLOCK_CASES["small-blocks"])]:
-            out = cli_stdout(argv, json.dumps(graft_document(g)))
-            assert out.startswith(f"{argv} 0\n")
+            assert run_cli(*argv, stdin=json.dumps(graft_document(g)))[0] == 0
         for g in dense:
             (table,) = _join_tables(g.graph, g.terminals)
             assert type(table) is _CycleTable
@@ -890,40 +879,23 @@ class TestCycleTableOnQuasicombs:
                 assert f_distance(g, r, v).value == want, (r, v)
 
 
-# sha256 of cli_stdout for ear-decomp on the n = 58 quasicomb below, as
-# recorded while its distances still ran one matching per flipped set.
-EAR_DECOMP_58_DIGEST = (
-    "8473aca56c1cd5a5a21ff9a638575b6abcce0d16eebd5708b2711fed3daf3ac4")
-# sha256 of ear-decomp's stdout alone on the n = 58, seed 1 quasicomb below,
-# as recorded while its giant block's distances summed two pairings over
-# all terminals.
-EAR_DECOMP_58_1_DIGEST = (
-    "5cc45922c27b4396ba06d96bee3ef821fde0805f06e5242f9d39899a1a1bc98d")
-
-# sha256 of ear-decomp's stdout alone on the n = 90, seed 0 quasicomb below.
-EAR_DECOMP_90_DIGEST = (
-    "d517eeac0741e3715e3c4fce320763f7c39b0479ba1d512320839df86b53ad78")
-
-
 class TestBlocksPastTheLimit:
-    def test_ear_decomp_stdout_is_unchanged(self):
+    """Quasicombs whose cycle rank and terminal count pass _TABLE_LIMIT;
+    the ``ear-decomp r`` rows of ``pins.json`` pin their stdout."""
+
+    def test_every_block_is_within_the_limit(self):
         """mu = 15 and t = 40, but every block has at most _TABLE_LIMIT
-        independent cycles, and stdout is the one the matching gave."""
-        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(58, 58)),
-                                             random.Random(0))
-        g = d.target
+        independent cycles."""
+        g = quasicomb(58, 0)
         (comp,) = g.graph.components()
-        assert min(cycle_rank(g.graph, comp), len(g.terminals)) > _TABLE_LIMIT
+        assert (cycle_rank(g.graph, comp), len(g.terminals)) == (15, 40)
         assert max(block_ranks(g.graph, comp)) <= _TABLE_LIMIT
-        out = cli_stdout(["ear-decomp", d.root, "--format", "json"],
-                         json.dumps(graft_document(g)))
-        assert hashlib.sha256(out.encode()).hexdigest() == EAR_DECOMP_58_DIGEST
 
     def test_a_paired_block_gives_the_pairing_distances(self):
         """mu = 17 with one block of rank 12: the cycle table keeps no span
         for it and pairs its odd vertices.  On every other prefix with such
         a block, nu and a third of the root distances equal sums of
-        pairings over all terminals, and stdout is the one those sums gave."""
+        pairings over all terminals."""
         d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(58, 58)),
                                              random.Random(1))
         g = d.target
@@ -940,26 +912,18 @@ class TestBlocksPastTheLimit:
             for v in sorted(p.graph.vertices - {d.root})[::3]:
                 want = pairing_nu(p.graph, p.terminals ^ {d.root, v}) - base
                 assert f_distance(p, d.root, v).value == want, v
-        argv = ["ear-decomp", d.root, "--format", "json"]
-        head, body = cli_stdout(argv, json.dumps(graft_document(g))).split("\n", 1)
-        assert head == f"{argv} 0"
-        assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_58_1_DIGEST
 
-    def test_ear_decomp_stdout_at_scale(self, monkeypatch):
+    def test_the_target_at_scale_reads_the_pairing(self, monkeypatch):
         """n = 90: some blocks hold more than _TABLE_LIMIT independent
-        cycles, so the reads pair the odd vertices of their parts."""
+        cycles, so the criticality check's reads pair the odd vertices of
+        their parts."""
         parts = []
         real = joins._pairing_least
         monkeypatch.setattr(joins, "_pairing_least",
                             lambda graph, bits, part:
                             parts.append(part) or real(graph, bits, part))
-        d, _ = gen_random_critical_quasicomb(GenConfig(vertices=(90, 90)),
-                                             random.Random(0))
-        argv = ["ear-decomp", d.root, "--format", "json"]
-        head, body = cli_stdout(argv, json.dumps(graft_document(d.target))).split("\n", 1)
-        assert head == f"{argv} 0"
+        assert is_critical_quasicomb(quasicomb(90, 0), "r").critical
         assert parts
-        assert hashlib.sha256(body.encode()).hexdigest() == EAR_DECOMP_90_DIGEST
 
 
 def tabled_prefixes(d):

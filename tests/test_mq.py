@@ -9,17 +9,14 @@ matched pairs, past the 22-edge cap of the exhaustive oracles, and every
 draw's ear chain runs through ``graft_sum``'s connected growth.
 """
 
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
-from bigraft.cli import cli_main
 from bigraft.combs import is_critical_quasicomb
 from bigraft.formats import serialize_graft
 from bigraft.instances import mq
 from bigraft.joins import flipped_distance_sign
 
-from oracles import matching_critical
+from oracles import matching_critical, run_cli
 
 
 # (s, graft) for the 600 draws mq(2 + s % 12, 1.5/k, s, 1 + s % 3).
@@ -36,23 +33,20 @@ def test_the_rule_is_the_criticality_check():
     assert max(len(g.graph.edges) for _, g in CORPUS) > 22
 
 
-def test_ear_decomp_is_valid_exactly_where_critical(tmp_path):
+def test_ear_decomp_is_valid_exactly_where_critical():
     """``ear-decomp r`` builds a valid decomposition where the rule says
     critical and refuses the root with exit 2 elsewhere, for k <= 12."""
-    doc = tmp_path / "mq.json"
     built = 0
     for s, g in CORPUS:
         if len(g.spine) > 12:
             continue
-        doc.write_text(serialize_graft(g))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main(["ear-decomp", "r", "--format", "json", "--input", str(doc)])
+        code, out, err = run_cli("ear-decomp", "r", "--format", "json",
+                                 stdin=serialize_graft(g))
         if matching_critical(g, "r"):
-            assert code == 0 and json.loads(out.getvalue())["valid"] is True, s
+            assert code == 0 and json.loads(out)["valid"] is True, s
             built += 1
         else:
-            assert code == 2 and "not critical for this root" in err.getvalue(), s
+            assert code == 2 and "not critical for this root" in err, s
     assert built > 150
 
 
