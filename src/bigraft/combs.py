@@ -100,11 +100,12 @@ def is_f_balanced(g: OrderedBipartiteGraft, F, walk) -> bool:
     internal ones for a path, all for a circuit, and for an EarStep its
     walk's vertices other than the bonds and a straight ear's free end."""
     _require_bipartite(g)
+    fset = g.graph.edge_id_set(F)
     if isinstance(walk, EarStep):
-        return walk_report(F, walk.walk,
+        return walk_report(fset, walk.walk,
                            g.tooth - frozenset(walk.bonds)).balanced
     walk.validate(g.graph)
-    return walk_report(F, walk, g.tooth).balanced
+    return walk_report(fset, walk, g.tooth).balanced
 
 
 def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
@@ -112,7 +113,7 @@ def midvertex(g: OrderedBipartiteGraft, F, walk: Walk):
     touches no F-edge of the path; both half-paths from it are weight zero
     and balanced, which is asserted."""
     _require_bipartite(g)
-    fset = frozenset(F)
+    fset = g.graph.edge_id_set(F)
     walk.validate(g.graph, require="path")
     ends = (walk.vertices[0], walk.vertices[-1])
     for x in ends:

@@ -513,9 +513,10 @@ def graft_sum(first: OrderedBipartiteGraft,
               *more: OrderedBipartiteGraft) -> OrderedBipartiteGraft:
     """Union the graphs and take the symmetric difference of the terminals.
 
-    Operands are added left to right, and each must agree with the sum so
-    far: no vertex may sit on the spine side of one and the tooth side of
-    the other, and an edge id they share must join the same ends.
+    Operands, each an ``OrderedBipartiteGraft``, are added left to right,
+    and each must agree with the sum so far: no vertex may sit on the
+    spine side of one and the tooth side of the other, and an edge id they
+    share must join the same ends.
 
     Those two checks are all the sum needs, so it is assembled without
     re-running the constructors' checks, in one of two ways, read off the
@@ -535,6 +536,8 @@ def graft_sum(first: OrderedBipartiteGraft,
       the terminals are the XOR of the operands' terminals, so every
       component of the sum holds a sum of even terminal counts.
     """
+    if not all(isinstance(g, OrderedBipartiteGraft) for g in (first, *more)):
+        raise PreconditionError("graft_sum adds ordered bipartite grafts only")
     base = first.graph
     known = base._edge_map
     added: dict[str, Edge] = {}
@@ -603,6 +606,7 @@ class Walk:
         vs, eids = self.vertices, self.edge_ids
         if not vs or len(eids) != len(vs) - 1:
             raise GraftInputError("walk vertex/edge counts do not line up")
+        graph.vertex_set(vs)  # refuses a non-id or an unknown vertex
         for i, eid in enumerate(eids):
             e = graph.edge(eid)
             if e.ends() != frozenset((vs[i], vs[i + 1])):

@@ -63,7 +63,13 @@ class GenConfig:
     mode: str = "graft"
 
     def __post_init__(self):
-        lo, hi = self.vertices
+        try:
+            lo, hi = self.vertices
+        except (TypeError, ValueError):
+            lo = hi = None
+        if type(lo) is not int or type(hi) is not int:
+            raise GraftInputError(
+                f"vertex-count range {self.vertices!r} is not a pair of ints")
         if lo < 1 or hi < lo:
             raise GraftInputError(f"empty vertex-count range {self.vertices!r}")
         if hi > _MAX_VERTICES:

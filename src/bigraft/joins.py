@@ -432,7 +432,7 @@ def negative_circuit_witness(g: Graft, F) -> WeightedWalkReport | None:
     Every simple circuit may be tried, so a graph past _EXHAUSTIVE_EDGES
     edges raises CapacityError."""
     _require_exhaustive(g.graph, _EXHAUSTIVE_EDGES)
-    fset = _edge_id_set(F)
+    fset = g.graph.edge_id_set(F)
     tooth = g.tooth if isinstance(g, OrderedBipartiteGraft) else None
     for circuit in simple_circuits(g.graph):
         w = f_weight(fset, circuit.edge_ids)

@@ -13,10 +13,12 @@ Dulmage–Mendelsohn decomposition predicts the components, classes, order
 and distances of a bipartite comb in which every vertex is a terminal, at
 sizes no exhaustive scan reaches, from a matching and a digraph search
 that share no code with the package; ``order_disagreements`` reads a
-poset against it.  ``pin_digest`` reads a row of the pinned outputs,
-running the CLI through ``run_cli``.
+poset against it.  ``pin_digest`` hashes a row of the pinned outputs,
+which ``pinned_stdout`` makes once a session, running the CLI through
+``run_cli``.
 """
 
+import functools
 import hashlib
 import io
 import sys
@@ -53,19 +55,26 @@ def run_cli(*argv, stdin: str = "", main=None):
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main(list(argv)) if main is None else main(list(argv))
+            code = (main or cli_main)(list(argv))
     finally:
         sys.stdin = real_stdin
     return code, out.getvalue(), err.getvalue()
 
 
-def pin_digest(command: str | None, family: str, args: list) -> str:
-    """The sha256 of the output a row of ``PINS`` pins; the command must
-    exit 0."""
+@functools.cache
+def pinned_stdout(command: str | None, family: str, args: tuple) -> str:
+    """The output a row of ``PINS`` pins, made once a session so that a
+    test reading it too shares the run; the command must exit 0."""
     out = serialize_graft(getattr(instances, family)(*args))
     if command is not None:
         code, out, err = run_cli(*command.split(), "--format", "json", stdin=out)
         assert code == 0, err
+    return out
+
+
+def pin_digest(command: str | None, family: str, args: list) -> str:
+    """The sha256 of ``pinned_stdout``."""
+    out = pinned_stdout(command, family, tuple(args))
     return hashlib.sha256(out.encode()).hexdigest()
 
 

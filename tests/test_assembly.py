@@ -39,13 +39,18 @@ from oracles import assert_rebuilds, index_fields, recorded
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
+# Critical quasicombs of 4-16 vertices, then of GenConfig's default range.
+EAR_DRAWS = [pytest.param(GenConfig(seed=seed, vertices=(4, 16)), id=str(seed))
+             for seed in range(40)] + [
+    pytest.param(GenConfig(seed=seed), id=f"default-{seed}") for seed in range(30)]
+
+
 class TestEarSteps:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_generated_and_built_steps(self, seed, monkeypatch):
+    @pytest.mark.parametrize("config", EAR_DRAWS)
+    def test_generated_and_built_steps(self, config, monkeypatch):
         """The steps ``random_ear_step`` draws, the builder's steps and the
         flipped grafts its round ears match on."""
-        d, F = gen_random_critical_quasicomb(
-            GenConfig(seed=seed, vertices=(4, 16)))
+        d, F = gen_random_critical_quasicomb(config)
         flipped = recorded(monkeypatch, joins, "assemble_graft")
         built = build_graft_ear_decomposition(d.target, d.root, F)
         for step in d.steps + built.steps:

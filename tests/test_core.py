@@ -34,6 +34,8 @@ from bigraft.combs import (
     bare_root,
     build_graft_ear_decomposition,
     is_critical_quasicomb,
+    is_f_balanced,
+    midvertex,
     verify_graft_ear_decomposition,
 )
 from bigraft.decomposition import (
@@ -56,6 +58,7 @@ from bigraft.joins import (
     f_distance,
     is_minimum_join,
     min_join,
+    negative_circuit_witness,
 )
 
 from oracles import index_fields, obg, recursive_simple_circuits, recursive_simple_paths
@@ -301,10 +304,10 @@ class TestNaryGraftSum:
     """Three operands sum, and fail, as the chained two-operand sums do."""
 
     @staticmethod
-    def operands(third_vertices, third_edges, spine, tooth):
+    def operands(third):
         return (obg(["x", "y"], [("e", "x", "y")], ["x", "y"], ["x"], ["y"]),
                 obg(["y", "z"], [("f", "y", "z")], ["y", "z"], ["z"], ["y"]),
-                obg(third_vertices, third_edges, [], spine, tooth))
+                third)
 
     @staticmethod
     def failure(thunk):
@@ -313,7 +316,7 @@ class TestNaryGraftSum:
         return type(info.value), str(info.value)
 
     def test_equals_the_chained_sums(self):
-        ga, gb, gc = self.operands(["z", "w"], [("g", "z", "w")], ["z"], ["w"])
+        ga, gb, gc = self.operands(obg(["z", "w"], [("g", "z", "w")], [], ["z"], ["w"]))
         total = graft_sum(ga, gb, gc)
         assert total == graft_sum(graft_sum(ga, gb), gc)
         assert total == graft_sum(ga, graft_sum(gb, gc))
@@ -321,12 +324,14 @@ class TestNaryGraftSum:
         assert graft_sum(ga) == ga
 
     @pytest.mark.parametrize("third, error, match", [
-        ((["x"], [], [], ["x"]), PreconditionError, "change sides"),
-        ((["x", "w"], [("e", "x", "w")], ["x"], ["w"]), GraftInputError,
+        (obg(["x"], [], [], [], ["x"]), PreconditionError, "change sides"),
+        (obg(["x", "w"], [("e", "x", "w")], [], ["x"], ["w"]), GraftInputError,
          "different ends"),
-    ], ids=["side-clash", "edge-end-conflict"])
+        (Graft(Multigraph.build(["w"], []), frozenset()), PreconditionError,
+         "ordered bipartite grafts only"),
+    ], ids=["side-clash", "edge-end-conflict", "plain-graft"])
     def test_third_operand_fails_as_the_chained_sum(self, third, error, match):
-        ga, gb, gc = self.operands(*third)
+        ga, gb, gc = self.operands(third)
         chained = self.failure(lambda: graft_sum(graft_sum(ga, gb), gc))
         assert chained[0] is error and match in chained[1]
         assert self.failure(lambda: graft_sum(ga, gb, gc)) == chained
@@ -790,6 +795,12 @@ ID_READERS = [
     ("is_minimum_join", "edges", lambda F: is_minimum_join(chain4(), F)),
     ("extract_shortest_path", "edges",
      lambda F: extract_shortest_path(chain4(), F, "a0", "b1")),
+    ("is_f_balanced", "edges",
+     lambda F: is_f_balanced(chain4(), F, Walk(("a0", "b0"), ("e0",)))),
+    ("midvertex", "edges",
+     lambda F: midvertex(chain4(), F, Walk(("a0", "b0", "a1"), ("e0", "c")))),
+    ("negative_circuit_witness", "edges", lambda F: negative_circuit_witness(chain4(), F)),
+    ("Walk.validate", "vertex", lambda v: Walk((v,), ()).validate(chain4().graph)),
     ("build_graft_ear_decomposition", "edges",
      lambda F: build_graft_ear_decomposition(p3r(), "r", F)),
     ("verify_graft_ear_decomposition", "edges",

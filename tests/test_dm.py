@@ -23,11 +23,13 @@ D on A alone:
 The corpora are random ``dm`` combs and ``stair(k)``, both from
 ``bigraft.instances``; stair's one block passes the cycle table's span
 limit from k = 7 on.  Past the 22-edge cap no join oracle runs; these
-checks share no code with the join tables they read.  The k-edge
-matching, the plainest DM comb, checks that each layer answers on
-thousands of components.
+checks share no code with the join tables they read.  The pinned
+``poset`` stdout of dm(60, 0.02, 7) carries the order check to 60 matched
+pairs.  The k-edge matching, the plainest DM comb, checks that each
+layer and the CLI answer on thousands of components.
 """
 
+import json
 import time
 
 import pytest
@@ -38,6 +40,7 @@ from bigraft.decomposition import (
     kl_classes_of_component,
     kl_partition,
 )
+from bigraft.formats import serialize_graft
 from bigraft.instances import dm, matching, stair
 from bigraft.joins import (
     _join_tables,
@@ -47,7 +50,7 @@ from bigraft.joins import (
     min_join,
 )
 
-from oracles import DMOracle, order_disagreements
+from oracles import DMOracle, order_disagreements, pinned_stdout, run_cli
 
 
 # Distances: k = 2..20 at p = 1.5/k, one seed each.
@@ -125,6 +128,17 @@ def test_order_is_dm_reachability(swapped):
     assert orders > 0, "no instance of the corpus has a non-trivial order"
 
 
+def test_pinned_order_at_k60_is_dm_reachability():
+    """The pinned ``poset`` stdout of dm(60, 0.02, 7), far past the sizes
+    the cathedral corpus above reaches, prints the DM order."""
+    g = dm(60, 0.02, 7)
+    poset = json.loads(pinned_stdout("poset", "dm", (60, 0.02, 7)))
+    # More pairs related than the 51 components: the order is not trivial.
+    assert sum(map(sum, poset["relation"])) > len(poset["components"]) == 51
+    assert order_disagreements(g, poset["components"], poset["relation"],
+                               oracle_of(g)) == []
+
+
 def test_distance_is_minus_one_exactly_on_alternating_reach():
     minus_one = 0
     for k, p, s in DISTANCE_CORPUS:
@@ -192,9 +206,9 @@ class TestWideMatching:
     components, and as the DM rule says: k components {a_i, b_i}, with
     the classes {a_i} and {b_i}, under the identity order."""
 
-    def within(self, seconds, fn, *args):
+    def within(self, seconds, fn, *args, **kwargs):
         start = time.perf_counter()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         assert time.perf_counter() - start < seconds, fn.__name__
         return out
 
@@ -213,6 +227,16 @@ class TestWideMatching:
         k = 20000
         F = self.within(5, min_join, matching(k))
         assert F.edge_ids == {f"e{i}" for i in range(k)}
+
+    def test_components_and_min_join_commands(self):
+        """Through the CLI, parsing and printing included, each within a
+        minute on any supported Python."""
+        k = 20000
+        doc = serialize_graft(matching(k))
+        code, out, _ = self.within(60, run_cli, "components", stdin=doc)
+        assert code == 0 and out.count("\n") == k
+        code, out, _ = self.within(60, run_cli, "min-join", stdin=doc)
+        assert code == 0 and out.startswith(f"size: {k}\n")
 
     def test_order(self):
         k = 1000

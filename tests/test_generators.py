@@ -37,6 +37,12 @@ class TestGenConfig:
         with pytest.raises(GraftInputError, match="empty vertex-count range"):
             GenConfig(vertices=(5, 3))
 
+    @pytest.mark.parametrize("vertices", [(1,), (1, 2, 3), (1.0, 4), (True, 4), None],
+                             ids=["one", "three", "float", "bool", "none"])
+    def test_vertex_range_not_a_pair_of_ints(self, vertices):
+        with pytest.raises(GraftInputError, match="not a pair of ints"):
+            GenConfig(vertices=vertices)
+
     @pytest.mark.parametrize("field,value", [
         ("edge_density", -0.1), ("edge_density", 1.5),
         ("terminal_density", 2.0), ("terminal_density", -1e-9),

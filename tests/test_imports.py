@@ -35,7 +35,9 @@ from bigraft.instances import c4, p3r
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bigraft"
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SOURCES = sorted(PACKAGE.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+SOURCES = (sorted(PACKAGE.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+           + PERFBENCH)
 
 
 def unread_imports(source: str) -> list[str]:
@@ -116,8 +118,7 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
 
 
-PROGRAM = MODULES + sorted(
-    (PACKAGE.parents[1] / "perfbench").glob("*.py"))
+PROGRAM = MODULES + PERFBENCH
 
 # Definitions kept although no program file reads them, each for its
 # reader outside the program: the acceptance gate, the oracles, or users.

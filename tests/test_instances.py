@@ -1,8 +1,8 @@
-"""Every pinned output keeps its digest: ``pins.json``, plain data that CI
-reads without pytest too, holds the full sha256 of each graft family's
-document on one argument set, and of the ``--format json`` stdout of
-commands on named instances, among them the scale probes ROADMAP quotes
-by their first 12 digits."""
+"""Every pinned output keeps its digest: ``pins.json`` holds the full
+sha256 of each graft family's document on one argument set, and of the
+``--format json`` stdout of commands on named instances, among them the
+scale probes ROADMAP quotes by their first 12 digits.  CI runs this file
+again under two fixed hash seeds and a one-minute bound."""
 
 import inspect
 import json

@@ -1137,7 +1137,7 @@ def port_test_metrics() -> list:
     """Fixed-seed weight matrices: random small-integer metrics, all-equal
     metrics (the most tied), BFS metrics of the terminals of generated
     critical quasicombs, those of the flipped terminal sets of their ear
-    builds, and those of comb paths."""
+    builds, those of comb paths, and the weights of ``BRANCH_DRAWS``."""
     rng = random.Random(19)
     out = [random_metric(rng, rng.randrange(2, 25, 2), rng.choice((1, 2, 3, 6)))
            for _ in range(1600)]
@@ -1154,7 +1154,32 @@ def port_test_metrics() -> list:
         g = comb_path(k)
         out.append(bfs_metric(g.graph, sorted_vertices(g.terminals)))
     out += large_metrics()
+    out += [drawn_weights(*draw) for draw in BRANCH_DRAWS]
     return out
+
+
+# (seed, ts, tops) of ``drawn_weights`` matrices that reach branches of
+# ``expandBlossom``'s mid-stage relabel of a T-blossom that no other input
+# here reaches: the walk backward round the blossom (seed 351), and a
+# sub-blossom past the base that is itself a blossom, whose leaves are
+# scanned for a labelled vertex (755) and hold one (13969).
+BRANCH_DRAWS = [
+    (351, [4, 6, 8, 10, 12, 14, 16], [3, 5, 10, 30]),
+    (755, [12, 16, 20, 24, 30, 40], [2, 4, 8, 50]),
+    (13969, [8, 10, 12, 16, 20, 24], [1, 2, 3, 6, 50]),
+]
+
+
+def drawn_weights(seed: int, ts: list, tops: list) -> list:
+    """Weights W[i][j] = W[j][i] drawn from 0..top for i < j in row order,
+    with t and top first drawn from ``ts`` and ``tops``, all by
+    ``random.Random(seed)``: not a metric."""
+    rng = random.Random(seed)
+    t, top = rng.choice(ts), rng.choice(tops)
+    W = [[0] * t for _ in range(t)]
+    for i, j in itertools.combinations(range(t), 2):
+        W[i][j] = W[j][i] = rng.randint(0, top)
+    return W
 
 
 def large_metrics() -> list:
@@ -1194,7 +1219,7 @@ class TestBlossomPort:
 
     def test_same_pairs_as_networkx(self):
         metrics = port_test_metrics()
-        assert len(metrics) == 2261
+        assert len(metrics) == 2264
         assert max(map(len, metrics)) == 120
         for W in metrics:
             assert min_weight_matching(W) == networkx_pairs(W), W
