@@ -29,6 +29,7 @@ from .core import (
     GraftInputError,
     InternalConsistencyError,
     OrderedBipartiteGraft,
+    assemble_graft,
     sorted_vertices,
 )
 from .decomposition import factor_components, kl_partition
@@ -278,7 +279,7 @@ def _dist_value(g: Graft, args, u, v):
     if v not in g.graph.component_of(u):
         return None
     base = min_join_bruteforce(g).size
-    flipped = min_join_bruteforce(Graft(g.graph, g.terminals ^ {u, v})).size
+    flipped = min_join_bruteforce(assemble_graft(g.graph, g.terminals ^ {u, v})).size
     return flipped - base
 
 

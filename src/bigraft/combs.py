@@ -213,6 +213,10 @@ class EarStep:
         vs = self.walk.vertices
         if len(vs) < 2:
             raise GraftInputError("an ear needs at least one edge")
+        # The id rule comes before any set of these ids is made.
+        for v in (*vs, *self.bonds):
+            if not is_vertex_id(v):
+                raise GraftInputError(f"vertex id {v!r} must be str or int")
         graph = Multigraph(frozenset(vs), tuple(
             Edge(eid, u, v) for u, v, eid in zip(vs, vs[1:], self.walk.edge_ids)))
         self.walk.validate(graph)

@@ -488,7 +488,8 @@ def contract_graft(g: Graft, X: Iterable[VertexId],
     terminals = g.terminals - keep
     if len(g.terminals & keep) % 2:
         terminals |= {contracted_id}
-    return Graft(Multigraph(frozenset(vertices), edges), frozenset(terminals)), contracted_id
+    return assemble_graft(assemble_graph(frozenset(vertices), edges),
+                          frozenset(terminals)), contracted_id
 
 
 def contracted_edges(edges: Iterable[Edge], keep: frozenset,

@@ -21,6 +21,7 @@ from .core import (
     Multigraph,
     OrderedBipartiteGraft,
     PreconditionError,
+    assemble_graft,
     cached_on_graph,
     least_vertex,
     sorted_vertices,
@@ -150,8 +151,8 @@ def induced_subgraft(g: Graft, X: Iterable) -> Graft:
             f"components {list(cut)!r}")
     graph, terminals = g.graph.induced(xs), g.terminals & xs
     if isinstance(g, OrderedBipartiteGraft):
-        return OrderedBipartiteGraft(graph, terminals, g.spine & xs, g.tooth & xs)
-    return Graft(graph, terminals)
+        return assemble_graft(graph, terminals, g.spine & xs, g.tooth & xs)
+    return assemble_graft(graph, terminals)
 
 
 @dataclass(frozen=True)

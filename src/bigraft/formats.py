@@ -273,70 +273,30 @@ def upper_report_document(rep: UpperBoundReport) -> dict:
 # DOT rendering.
 # ---------------------------------------------------------------------------
 
-def _quote(value) -> str:
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _node_attrs(g: Graft, v) -> str:
-    attrs = []
-    if isinstance(g, OrderedBipartiteGraft):
-        attrs.append("shape=box" if v in g.tooth else "shape=ellipse")
-    if v in g.terminals:
-        attrs.append("peripheries=2")
-    return f" [{', '.join(attrs)}]" if attrs else ""
-
-
-def _graft_dot(g: Graft, join) -> str:
-    fset = frozenset(join) if join is not None else frozenset()
-    lines = ["graph bigraft {"]
-    for v in sorted_vertices(g.graph.vertices):
-        lines.append(f"  {_quote(v)}{_node_attrs(g, v)};")
-    for e in g.graph.edges:
-        attrs = [f"label={_quote(e.id)}"]
-        if e.id in fset:
-            attrs.append("style=bold")
-            attrs.append("penwidth=2.2")
-        lines.append(f"  {_quote(e.u)} -- {_quote(e.v)} [{', '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _label(parts) -> str:
-    """A quoted DOT label; each part becomes one line of the label."""
+def _quote(*lines) -> str:
+    """A quoted DOT string; each part becomes one line of it."""
     body = "\\n".join(str(x).replace("\\", "\\\\").replace('"', '\\"')
-                      for x in parts)
+                      for x in lines)
     return f'"{body}"'
 
 
-def _poset_dot(p: CathedralPoset, components) -> str:
-    listing = {}
-    if components is not None:
-        for comp in components:
-            inside = ", ".join(map(str, sorted_vertices(comp.vertices)))
-            listing[comp.id] = "{" + inside + "}"
-    lines = ["digraph comb_order {"]
-    for cid in p.component_ids:
-        parts = [cid] + ([listing[cid]] if cid in listing else [])
-        lines.append(f"  {_quote(cid)} [label={_label(parts)}];")
-    for lo, hi in p.hasse:
-        lines.append(f"  {_quote(lo)} -> {_quote(hi)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _decomposition_dot(d: GraftEarDecomposition) -> str:
-    target = d.target
-    lines = ["graph ear_decomposition {"]
-    for v in sorted_vertices(target.graph.vertices):
-        lines.append(f"  {_quote(v)}{_node_attrs(target, v)};")
-    for index, step in enumerate(d.steps):
-        vs, eids = step.walk.vertices, step.walk.edge_ids
-        for i, eid in enumerate(eids):
-            label = f"{index}:{eid}"
-            lines.append(
-                f"  {_quote(vs[i])} -- {_quote(vs[i + 1])} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot(header: str, g: Graft | None, lines: list) -> str:
+    """A DOT graph: one line per vertex of ``g``, with its side shape and
+    terminal ring, then the caller's node and edge ``lines``."""
+    out = [header + " {"]
+    if g is not None:
+        for v in sorted_vertices(g.graph.vertices):
+            attrs = []
+            if isinstance(g, OrderedBipartiteGraft):
+                attrs.append("shape=box" if v in g.tooth else "shape=ellipse")
+            if v in g.terminals:
+                attrs.append("peripheries=2")
+            out.append(f"  {_quote(v)} [{', '.join(attrs)}];" if attrs
+                       else f"  {_quote(v)};")
+    for line in lines:
+        out.append(f"  {line};")
+    out.append("}")
+    return "\n".join(out) + "\n"
 
 
 def export_dot(obj, *, join=None, components=None) -> str:
@@ -345,15 +305,35 @@ def export_dot(obj, *, join=None, components=None) -> str:
     ``join`` styles the given edge ids when rendering a graft;
     ``components`` adds vertex lists to poset node labels.
     """
+    lines = []
     if isinstance(obj, Graft):
-        return _graft_dot(obj, join)
+        fset = frozenset(join) if join is not None else frozenset()
+        for e in obj.graph.edges:
+            bold = ", style=bold, penwidth=2.2" if e.id in fset else ""
+            lines.append(f"{_quote(e.u)} -- {_quote(e.v)} "
+                         f"[label={_quote(e.id)}{bold}]")
+        return _dot("graph bigraft", obj, lines)
     # Rendering a graft loads neither layer below; an ear decomposition or
     # a poset was made by its module, so importing that module loads nothing.
     from .combs import GraftEarDecomposition
     if isinstance(obj, GraftEarDecomposition):
-        return _decomposition_dot(obj)
+        for index, step in enumerate(obj.steps):
+            vs = step.walk.vertices
+            for u, v, eid in zip(vs, vs[1:], step.walk.edge_ids):
+                label = _quote(f"{index}:{eid}")
+                lines.append(f"{_quote(u)} -- {_quote(v)} [label={label}]")
+        return _dot("graph ear_decomposition", obj.target, lines)
     from .cathedral import CathedralPoset
     if isinstance(obj, CathedralPoset):
-        return _poset_dot(obj, components)
+        labels = {}
+        if components is not None:
+            for comp in components:
+                inside = ", ".join(map(str, sorted_vertices(comp.vertices)))
+                labels[comp.id] = _quote(comp.id, "{" + inside + "}")
+        for cid in obj.component_ids:
+            lines.append(f"{_quote(cid)} [label={labels.get(cid, _quote(cid))}]")
+        for lo, hi in obj.hasse:
+            lines.append(f"{_quote(lo)} -> {_quote(hi)}")
+        return _dot("digraph comb_order", None, lines)
     raise GraftInputError(
         "dot export covers grafts, ear decompositions, and posets")

@@ -4,19 +4,21 @@ The package checks data where it enters: the public constructors and the
 parser's field checks.  Every value it derives from valid data is assembled
 without those checks (``core.assemble_graph``, ``core.assemble_graft`` and
 ``combs.ear_step``): ear steps, generator draws, sums, flipped grafts,
-cathedral contractions and the parser's graph.  Each test here rebuilds
-such values through the checking constructors, which must accept them and
-give equal values, indexed alike (``oracles.assert_rebuilds``).  The
-cathedral's contractions are checked in ``test_cathedral.py``.
+cathedral contractions, ``contract_graft``'s contraction,
+``induced_subgraft``'s restriction and the parser's graph.  Each test here
+rebuilds such values through the checking constructors, which must accept
+them and give equal values, indexed alike (``oracles.assert_rebuilds``).
+The cathedral's contractions are checked in ``test_cathedral.py``.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from bigraft import combs, joins
+from bigraft import cli, combs, joins
 from bigraft.cathedral import round_ear_bond_check
 from bigraft.combs import (
     EarStep,
@@ -28,13 +30,16 @@ from bigraft.core import (
     Multigraph,
     Walk,
     build_bipartite_graft,
+    contract_graft,
+    sorted_vertices,
 )
-from bigraft.formats import parse_graft_json
+from bigraft.decomposition import factor_components, induced_subgraft
+from bigraft.formats import parse_graft_json, serialize_graft
 from bigraft.generators import GenConfig, gen_random_critical_quasicomb, generate
 from bigraft.instances import fan
 from bigraft.joins import min_join
 
-from oracles import assert_rebuilds, index_fields, recorded
+from oracles import assert_rebuilds, index_fields, recorded, run_cli
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -83,6 +88,40 @@ class TestGeneratorDraws:
             assert_rebuilds(d.target)
             for step in d.steps:
                 assert_rebuilds(step)
+
+
+class TestDerivedGrafts:
+    @pytest.mark.parametrize("mode", ["graft", "comb"])
+    def test_contractions_and_induced_subgrafts(self, mode):
+        """Each draw contracted on each factor component and on a random
+        vertex subset, and restricted to each factor component and to
+        the union of the components after the first."""
+        for seed in range(100):
+            g = generate(GenConfig(seed=seed, mode=mode))
+            parts = factor_components(g).vertex_sets()
+            vs, rng = sorted_vertices(g.graph.vertices), random.Random(seed)
+            drawn = rng.sample(vs, rng.randint(1, len(vs)))
+            for X in parts + (frozenset(drawn),):
+                assert_rebuilds(contract_graft(g, X)[0])
+            rest = frozenset().union(*parts[1:])
+            for X in parts + ((rest,) if rest else ()):
+                assert_rebuilds(induced_subgraft(g, X))
+
+    def test_flipped_grafts_of_the_exhaustive_distance(self, monkeypatch):
+        """``dist --oracle`` from each draw's least vertex to every other
+        vertex of its component."""
+        flipped = recorded(monkeypatch, cli, "assemble_graft")
+        runs = 0
+        for seed in range(10):
+            g = generate(GenConfig(seed=seed, vertices=(4, 8)))
+            u, text = sorted_vertices(g.graph.vertices)[0], serialize_graft(g)
+            for v in sorted_vertices(g.graph.component_of(u) - {u}):
+                code, _, err = run_cli("dist", u, v, "--oracle", stdin=text)
+                assert code == 0, err
+                runs += 1
+        assert runs > 0 and len(flipped) == runs
+        for h in flipped:
+            assert_rebuilds(h)
 
 
 def benchmark_documents() -> list[str]:

@@ -31,6 +31,7 @@ from bigraft.core import (
 )
 from bigraft.cathedral import is_critical_set, union_criticality_check
 from bigraft.combs import (
+    EarStep,
     bare_root,
     build_graft_ear_decomposition,
     is_critical_quasicomb,
@@ -778,8 +779,9 @@ def _p3r_decomposition():
     return build_graft_ear_decomposition(g, "r", min_join(g))
 
 
-# Every public call form that reads a caller's ids against the graph, by
-# the kind of value it reads: one vertex id, a vertex set or an edge set.
+# Every public call form that reads a caller's ids against the graph, or
+# before it builds one as ``EarStep`` does, by the kind of value it reads:
+# one vertex id, a vertex set or an edge set.
 # The graft constructors apply the id rule before they look for stray ids,
 # so ``validate_graft`` and ``build_bipartite_graft`` take every row.
 ID_READERS = [
@@ -801,6 +803,12 @@ ID_READERS = [
      lambda F: midvertex(chain4(), F, Walk(("a0", "b0", "a1"), ("e0", "c")))),
     ("negative_circuit_witness", "edges", lambda F: negative_circuit_witness(chain4(), F)),
     ("Walk.validate", "vertex", lambda v: Walk((v,), ()).validate(chain4().graph)),
+    ("EarStep-walk", "vertex",
+     lambda v: EarStep(Walk((v, "y"), ("e",)), ("y",), frozenset(), frozenset(),
+                       frozenset({"y"}))),
+    ("EarStep-bond", "vertex",
+     lambda v: EarStep(Walk(("x", "y"), ("e",)), (v,), frozenset(),
+                       frozenset({"x"}), frozenset({"y"}))),
     ("build_graft_ear_decomposition", "edges",
      lambda F: build_graft_ear_decomposition(p3r(), "r", F)),
     ("verify_graft_ear_decomposition", "edges",

@@ -265,6 +265,95 @@ class TestDumps:
             dumps({"a": {1, 2}})
 
 
+# chain4 and p3r with `"` and `\` in vertex ids and edge ids.
+AWKWARD_CHAIN4 = {
+    "vertices": ['a"\\0', "b0", 'a\\1', 'b"1'],
+    "edges": [{"id": 'e"\\0', "u": 'a"\\0', "v": "b0"},
+              {"id": "c", "u": "b0", "v": 'a\\1'},
+              {"id": 'e\\"1', "u": 'a\\1', "v": 'b"1'}],
+    "terminals": ['a"\\0', "b0", 'a\\1', 'b"1'],
+    "bipartition": {"A": ['a"\\0', 'a\\1'], "B": ["b0", 'b"1']}}
+AWKWARD_P3R = {
+    "vertices": ['r"\\', "a1", "b1"],
+    "edges": [{"id": 'c\\"', "u": 'r"\\', "v": "a1"},
+              {"id": "e1", "u": "a1", "v": "b1"}],
+    "terminals": ["a1", "b1"],
+    "bipartition": {"A": ["a1"], "B": ['r"\\', "b1"]}}
+
+
+def plain(g) -> Graft:
+    return Graft(g.graph, g.terminals)
+
+
+def drawn_with_join(g) -> str:
+    return export_dot(g, join=min_join(g))
+
+
+def awkward_poset():
+    g = graft_from_document(AWKWARD_CHAIN4)
+    return export_dot(cathedral_poset(g), components=factor_components(g))
+
+
+def awkward_decomposition():
+    g = graft_from_document(AWKWARD_P3R)
+    return export_dot(build_graft_ear_decomposition(g, 'r"\\', min_join(g)))
+
+
+# Whole ``export_dot`` strings on the paths the CLI's stdout digest does
+# not reach: a poset drawn without components, a plain graft with and
+# without a join, and ids holding both `"` and `\` in node labels and in
+# edge labels.  Each string is the DOT text as written, so a raw string.
+DOT_PINS = [
+    pytest.param(lambda: export_dot(cathedral_poset(chain4())), r'''digraph comb_order {
+  "a0" [label="a0"];
+  "a1" [label="a1"];
+  "a0" -> "a1";
+}
+''', id="poset-without-components"),
+    pytest.param(lambda: export_dot(plain(p3r())), r'''graph bigraft {
+  "a1" [peripheries=2];
+  "b1" [peripheries=2];
+  "r";
+  "a1" -- "r" [label="c"];
+  "a1" -- "b1" [label="e1"];
+}
+''', id="plain-graft"),
+    pytest.param(lambda: drawn_with_join(plain(p3r())), r'''graph bigraft {
+  "a1" [peripheries=2];
+  "b1" [peripheries=2];
+  "r";
+  "a1" -- "r" [label="c"];
+  "a1" -- "b1" [label="e1", style=bold, penwidth=2.2];
+}
+''', id="plain-graft-with-join"),
+    pytest.param(awkward_poset, r'''digraph comb_order {
+  "a\"\\0" [label="a\"\\0\n{a\"\\0, b0}"];
+  "a\\1" [label="a\\1\n{a\\1, b\"1}"];
+  "a\"\\0" -> "a\\1";
+}
+''', id="awkward-poset-labels"),
+    pytest.param(lambda: drawn_with_join(graft_from_document(AWKWARD_CHAIN4)),
+                 r'''graph bigraft {
+  "a\"\\0" [shape=ellipse, peripheries=2];
+  "a\\1" [shape=ellipse, peripheries=2];
+  "b\"1" [shape=box, peripheries=2];
+  "b0" [shape=box, peripheries=2];
+  "a\\1" -- "b0" [label="c"];
+  "a\"\\0" -- "b0" [label="e\"\\0", style=bold, penwidth=2.2];
+  "a\\1" -- "b\"1" [label="e\\\"1", style=bold, penwidth=2.2];
+}
+''', id="awkward-graft-edge-labels"),
+    pytest.param(awkward_decomposition, r'''graph ear_decomposition {
+  "a1" [shape=ellipse, peripheries=2];
+  "b1" [shape=box, peripheries=2];
+  "r\"\\" [shape=box];
+  "a1" -- "r\"\\" [label="0:c\\\""];
+  "b1" -- "a1" [label="1:e1"];
+}
+''', id="awkward-step-edge-labels"),
+]
+
+
 class TestDot:
 
     def test_graft_dot_styles_the_join(self):
@@ -306,6 +395,10 @@ class TestDot:
                "edges": [{"id": "e", "u": "sp ace", "v": 'qu"ote'}]}
         out = export_dot(graft_from_document(doc))
         assert '"sp ace"' in out and '"qu\\"ote"' in out
+
+    @pytest.mark.parametrize("render, want", DOT_PINS)
+    def test_full_output_is_pinned(self, render, want):
+        assert render() == want
 
     def test_unsupported_objects_are_rejected(self):
         with pytest.raises(GraftInputError, match="dot export covers"):
